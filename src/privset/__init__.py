@@ -1,11 +1,12 @@
 """Private set intersection over replicated, non-colluding databases.
 
 The package layers, bottom to top: exact F_q arithmetic (``field``), the
-structural/cost mathematics (``params``), two private retrieval schemes
-(``table_scheme`` for capacity-achieving joint retrieval, ``block_scheme``
-for fixed message lengths), the intersection protocol (``psi``), a binary
-wire protocol with simulated and TCP backends (``transport``), and exact
-privacy/reliability audits (``audit``).
+structural/cost mathematics (``params``), the byte layout of every protocol
+message (``wire``), two private retrieval schemes (``table_scheme`` for
+capacity-achieving joint retrieval, ``block_scheme`` for fixed message
+lengths), the intersection protocol (``psi``), database servers with
+simulated and TCP backends (``transport``), and exact privacy/reliability
+audits (``audit``).
 """
 
 from .field import Field, SymbolVector, domain_rng, inner_product, sample_uniform
@@ -24,7 +25,8 @@ from .params import (
 )
 from .psi import EntityConfig, IncidenceVector, PsiResult, generate_set, run_psi, to_incidence
 from .storage import CommonRandomnessPool, MessageStore
-from .table_scheme import ProtocolFault, QueryTable, build_query_table, decode, download_all
+from .table_scheme import QueryTable, build_query_table, decode, download_all
+from .wire import ProtocolFault
 from .block_scheme import BlockPlan, decode_blocks, plan_blocks
 
 __all__ = [

@@ -39,7 +39,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 from random import Random
 
-from . import block_scheme, table_scheme
+from . import block_scheme, table_scheme, wire
 from .field import Field, SymbolVector
 from .params import ParamError, SchemeParams
 from .storage import CommonRandomnessPool, MessageStore
@@ -259,58 +259,21 @@ def _table_shape(params: SchemeParams):
     return probe.L_store, probe.pool_size, probe.reps
 
 
-@dataclass
-class _WireView:
-    """Parsed per-database wire query: the audit works on wire bytes only."""
-
-    n_plain: int
-    plain_ids: tuple[int, ...]
-    sums: tuple[tuple[tuple[int, int], ...], ...]  # terms per sum
-    sum_ids: tuple[int, ...]
-
-    @property
-    def skeleton(self):
-        return (self.n_plain, tuple(tuple(m for m, _ in s) for s in self.sums))
-
-    def msg_indices(self, msg: int) -> tuple[int, ...]:
-        out = []
-        for s in self.sums:
-            for m, idx in s:
-                if m == msg:
-                    out.append(idx)
-        return tuple(out)
-
-    def visible_ids(self) -> tuple[int, ...]:
-        return self.plain_ids + self.sum_ids
+def _skeleton(view: wire.TableQuery):
+    return (len(view.plain_ids), tuple(tuple(m for m, _ in terms) for terms, _ in view.sums))
 
 
-def _parse_table_wire(payload: bytes) -> _WireView:
-    import struct as _s
+def _msg_indices(view: wire.TableQuery, msg: int) -> tuple[int, ...]:
+    return tuple(idx for terms, _ in view.sums for m, idx in terms if m == msg)
 
-    off = 1
-    (n_plain,) = _s.unpack_from("<I", payload, off)
-    off += 4
-    plain_ids = []
-    for _ in range(n_plain):
-        (pid,) = _s.unpack_from("<I", payload, off)
-        off += 4
-        plain_ids.append(pid)
-    (n_sums,) = _s.unpack_from("<I", payload, off)
-    off += 4
-    sums, sum_ids = [], []
-    for _ in range(n_sums):
-        (nterms,) = _s.unpack_from("<B", payload, off)
-        off += 1
-        terms = []
-        for _ in range(nterms):
-            m, idx = _s.unpack_from("<BI", payload, off)
-            off += 5
-            terms.append((m, idx))
-        (pid,) = _s.unpack_from("<I", payload, off)
-        off += 4
-        sums.append(tuple(terms))
-        sum_ids.append(pid)
-    return _WireView(n_plain, tuple(plain_ids), tuple(sums), tuple(sum_ids))
+
+def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
+    return view.plain_ids + tuple(pid for _, pid in view.sums)
+
+
+def _table_views(table: table_scheme.QueryTable) -> list[wire.TableQuery]:
+    """The per-database wire queries, parsed: the audit works on wire bytes only."""
+    return [wire.parse_table_query(payload) for payload in table.wire_queries()]
 
 
 def audit_table_user_privacy(
@@ -338,16 +301,15 @@ def audit_table_user_privacy(
 
     desired_sets = list(combinations(range(K), P))
     ident = _identity_orders(K, L_store, pool_size)
-    views: dict[tuple, list[_WireView]] = {}
+    views: dict[tuple, list[wire.TableQuery]] = {}
     for desired in desired_sets:
-        table = _table_build(params, desired, ident, mutant, reps=reps)
-        views[desired] = [_parse_table_wire(table.wire_query(db)) for db in range(N)]
+        views[desired] = _table_views(_table_build(params, desired, ident, mutant, reps=reps))
 
     # Premise 1: identical skeletons and counts across desired sets.
     base = views[desired_sets[0]]
     for desired in desired_sets[1:]:
         for db in range(N):
-            if views[desired][db].skeleton != base[db].skeleton:
+            if _skeleton(views[desired][db]) != _skeleton(base[db]):
                 return Verdict(False, Fraction(1), f"query skeleton differs at database {db}")
 
     # Premise 2: within one database every position reference is distinct per
@@ -356,10 +318,10 @@ def audit_table_user_privacy(
         for db in range(N):
             v = views[desired][db]
             for m in range(K):
-                idxs = v.msg_indices(m)
+                idxs = _msg_indices(v, m)
                 if len(set(idxs)) != len(idxs):
                     return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
-            ids = v.visible_ids()
+            ids = _visible_ids(v)
             if len(set(ids)) != len(ids):
                 return Verdict(False, Fraction(1), f"repeated randomness id at database {db}")
 
@@ -374,28 +336,26 @@ def audit_table_user_privacy(
         check_rng.shuffle(perm)
         orders[comp] = tuple(perm)
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
-        table = _table_build(params, desired, orders, mutant, reps=reps)
-        got = [_parse_table_wire(table.wire_query(db)) for db in range(N)]
+        got = _table_views(_table_build(params, desired, orders, mutant, reps=reps))
         ref = views[desired]
         for db in range(N):
             if comp < K:
-                want = tuple(perm[i] for i in ref[db].msg_indices(comp))
-                if got[db].msg_indices(comp) != want:
+                want = tuple(perm[i] for i in _msg_indices(ref[db], comp))
+                if _msg_indices(got[db], comp) != want:
                     return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
                 for other in range(K):
-                    if other != comp and got[db].msg_indices(other) != ref[db].msg_indices(other):
+                    if other != comp and _msg_indices(got[db], other) != _msg_indices(ref[db], other):
                         return Verdict(False, Fraction(1), "component draws are not independent")
-                if got[db].visible_ids() != ref[db].visible_ids():
+                if _visible_ids(got[db]) != _visible_ids(ref[db]):
                     return Verdict(False, Fraction(1), "pool labels changed under a message draw")
             else:
-                want_ids = tuple(perm[i] for i in ref[db].visible_ids())
-                if got[db].visible_ids() != want_ids:
+                want_ids = tuple(perm[i] for i in _visible_ids(ref[db]))
+                if _visible_ids(got[db]) != want_ids:
                     return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
 
     # Premise 4: the scripted build never touched messages or randomness, so
     # queries are independent of (W, S) by construction; re-assert by replay.
-    again = _table_build(params, desired_sets[0], ident, mutant, reps=reps)
-    if [_parse_table_wire(again.wire_query(db)) for db in range(N)] != base:
+    if _table_views(_table_build(params, desired_sets[0], ident, mutant, reps=reps)) != base:
         return Verdict(False, Fraction(1), "query generation is not deterministic in the strategy draw")
 
     # Exhaustive component distributions, compared across desired sets.
@@ -406,7 +366,7 @@ def audit_table_user_privacy(
         for m in range(K):
             dists = []
             for desired in desired_sets:
-                struct = views[desired][db].msg_indices(m)
+                struct = _msg_indices(views[desired][db], m)
                 dist: dict = {}
                 for perm in permutations(range(L_store)):
                     key = tuple(perm[i] for i in struct)
@@ -416,7 +376,7 @@ def audit_table_user_privacy(
                 worst = max(worst, total_variation(dists[0], other))
         dists = []
         for desired in desired_sets:
-            struct = views[desired][db].visible_ids()
+            struct = _visible_ids(views[desired][db])
             dist = {}
             for perm in permutations(range(pool_size)):
                 key = tuple(perm[i] for i in struct)
@@ -438,31 +398,21 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int, store
     tag = payload[0]
     width = pool_size + n_coords
     rows: list[list[int]] = []
-    if tag == table_scheme.TABLE_QUERY_TAG:
-        view = _parse_table_wire(payload)
+    if tag == wire.TABLE_QUERY_TAG:
+        view = wire.parse_table_query(payload)
         for pid in view.plain_ids:
             row = [0] * width
             row[pid] = 1
             rows.append(row)
-        for terms, pid in zip(view.sums, view.sum_ids):
+        for terms, pid in view.sums:
             row = [0] * width
             row[pid] = 1
             for m, idx in terms:
                 col = pool_size + m * store_L + idx
                 row[col] = (row[col] + 1) % q
             rows.append(row)
-    elif tag == block_scheme.BLOCK_QUERY_TAG:
-        import struct as _s
-
-        off = 1
-        (n,) = _s.unpack_from("<I", payload, off)
-        off += 4
-        for _ in range(n):
-            (cr_id,) = _s.unpack_from("<I", payload, off)
-            off += 4
-            (veclen,) = _s.unpack_from("<I", payload, off)
-            vec = payload[off + 4 : off + 4 + veclen]
-            off += 4 + veclen
+    elif tag == wire.BLOCK_QUERY_TAG:
+        for cr_id, vec in wire.parse_block_query(payload):
             row = [0] * width
             row[cr_id] = 1
             for c, coeff in enumerate(vec):
@@ -575,8 +525,8 @@ def audit_table_db_privacy(
                 for db in range(N):
                     for spec in table.sums[db]:
                         if spec.cr_kind == table_scheme.CR_HIDDEN:
-                            row_payload = _hidden_reveal_payload(table, spec)
-                            extra.append(row_payload)
+                            # a synthetic plain download of the hidden symbol
+                            extra.append(wire.encode_table_query([table.pool_perm[spec.cr_slot]], []))
                 payloads = payloads + extra
             rec = recoverable_coordinates(payloads, n_coords, pool_size, params.q, table.L_store)
             expected = frozenset(
@@ -592,16 +542,6 @@ def audit_table_db_privacy(
                     f"client view pins {len(extra_coords)} coordinates outside the desired set",
                 )
     return Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
-
-
-def _hidden_reveal_payload(table: table_scheme.QueryTable, spec: table_scheme.SumSpec) -> bytes:
-    """A synthetic plain download of one hidden symbol (mutant modeling)."""
-    import struct as _s
-
-    out = [_s.pack("<B", table_scheme.TABLE_QUERY_TAG), _s.pack("<I", 1)]
-    out.append(_s.pack("<I", table.pool_perm[spec.cr_slot]))
-    out.append(_s.pack("<I", 0))
-    return b"".join(out)
 
 
 def audit_table_db_privacy_enumerated(

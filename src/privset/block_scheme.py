@@ -15,15 +15,14 @@ database sees is uniform, so its view is independent of the desired set.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from random import Random
 
 from .field import Field, SymbolVector, sample_uniform
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
-
-BLOCK_QUERY_TAG = 2
+from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
+from .wire import ProtocolFault, encode_block_query, parse_block_query
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,7 @@ class BlockPlan:
         return self.n_blocks
 
     def wire_query(self, db: int) -> bytes:
-        out = [struct.pack("<B", BLOCK_QUERY_TAG), struct.pack("<I", len(self.queries[db]))]
-        for bq in self.queries[db]:
-            out.append(struct.pack("<I", bq.cr_id))
-            out.append(bq.vector.to_bytes())
-        return b"".join(out)
+        return encode_block_query([(bq.cr_id, bq.vector.elems) for bq in self.queries[db]])
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.params.N)]
@@ -123,33 +118,14 @@ def answer_block(vector: SymbolVector, store: MessageStore, cr_symbol: int) -> i
 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    from .table_scheme import ProtocolFault  # shared fault type
-
-    field = Field(store.q)
-    view = memoryview(payload)
-    off = 1
-    (n,) = struct.unpack_from("<I", view, off)
-    off += 4
-    out: list[int] = []
+    """One symbol per block-query entry: <vector, flattened store> + its pool symbol."""
     flat = store.flat()
-    for _ in range(n):
-        (cr_id,) = struct.unpack_from("<I", view, off)
-        off += 4
-        (veclen,) = struct.unpack_from("<I", view, off)
-        if veclen != store.K * store.L:
-            raise ProtocolFault(f"query vector length {veclen} != {store.K * store.L}")
-        vec = bytes(view[off + 4 : off + 4 + veclen])
-        if len(vec) != veclen:
-            raise ProtocolFault("truncated query vector")
-        off += 4 + veclen
-        if cr_id >= len(pool.symbols):
-            raise ProtocolFault(f"randomness slot {cr_id} outside the provisioned pool")
+    out: list[int] = []
+    for cr_id, vec in parse_block_query(payload, store.K * store.L, len(pool.symbols)):
         acc = pool.symbols[cr_id]
         for c, w in zip(vec, flat):
             acc += c * w
         out.append(acc % store.q)
-    if off != len(payload):
-        raise ProtocolFault("trailing bytes in query payload")
     return out
 
 
@@ -159,8 +135,6 @@ def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
     Returns {global coordinate: symbol}.  Answer strings must contain one
     symbol per issued query, in issue order.
     """
-    from .table_scheme import ProtocolFault
-
     N, q = plan.params.N, plan.params.q
     if len(answers) != N:
         raise ProtocolFault(f"expected {N} answer strings, got {len(answers)}")

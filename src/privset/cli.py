@@ -29,7 +29,7 @@ from fractions import Fraction
 from random import Random
 
 from . import audit as audit_mod
-from . import block_scheme, psi, table_scheme, transport
+from . import psi, table_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
 from .params import (
     InfeasibleError,
@@ -38,7 +38,6 @@ from .params import (
     alpha_profile,
     cost_ledger,
     lspir_cost,
-    psi_optimal_cost,
     repetition_factor,
 )
 from .storage import CommonRandomnessPool, MessageStore
@@ -134,7 +133,7 @@ def cmd_table(args) -> int:
         )
         summary["decoded_ok"] = decoded_ok
         if not decoded_ok:
-            raise table_scheme.ProtocolFault("decode mismatch against the generated store")
+            raise wire.ProtocolFault("decode mismatch against the generated store")
     if args.machine:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -311,6 +310,10 @@ def cmd_psi_verify(args) -> int:
     measured = transcript.downloaded_symbols
     problems = []
     if args.responder_set:
+        if meta.get("seed_cr") is None:
+            raise ParamError(
+                "answer replay needs the pool seed, which the transcript of a remote session does not carry"
+            )
         K, elements = read_set(args.responder_set)
         if K != meta.get("K"):
             problems.append("responder set file disagrees with the transcript's K")
@@ -320,17 +323,9 @@ def cmd_psi_verify(args) -> int:
             required = 0
             for db_records in transcript.records:
                 for qry, _ in db_records:
-                    body = qry[4:]
-                    if body[0] == block_scheme.BLOCK_QUERY_TAG:
-                        import struct as _s
-
-                        (n,) = _s.unpack_from("<I", body, 1)
-                        off = 5
-                        for _ in range(n):
-                            (cr_id,) = _s.unpack_from("<I", body, off)
-                            required = max(required, cr_id + 1)
-                            (veclen,) = _s.unpack_from("<I", body, off + 4)
-                            off += 8 + veclen
+                    _, body = wire.parse_query(qry)
+                    if body[0] == wire.BLOCK_QUERY_TAG:
+                        required = max([required] + [cr_id + 1 for cr_id, _ in wire.parse_block_query(body)])
             pool = CommonRandomnessPool.generate(required, 2, meta["seed_cr"])
             if not transport.replay_answers(transcript, store, pool):
                 problems.append("recorded answers do not replay against the given store")
@@ -486,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParamError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (table_scheme.ProtocolFault, transport.TransportError, transport.InsufficientRandomness) as exc:
+    except (wire.ProtocolFault, transport.InsufficientRandomness) as exc:
         print(f"protocol fault: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     except audit_mod.AuditBudgetExceeded as exc:

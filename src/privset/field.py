@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -86,8 +85,6 @@ class SymbolVector:
     """Immutable fixed-length vector of F_q elements.
 
     Componentwise add/sub require equal lengths and the same field.
-    Serializes canonically as little-endian u32 length followed by one byte
-    per element (valid for q <= 256).
     """
 
     __slots__ = ("field", "elems")
@@ -132,20 +129,6 @@ class SymbolVector:
         self._check_peer(other)
         q = self.field.q
         return SymbolVector(self.field, ((a - b) % q for a, b in zip(self.elems, other.elems)))
-
-    def to_bytes(self) -> bytes:
-        if self.field.q > 256:
-            raise FieldError("canonical byte encoding requires q <= 256")
-        return struct.pack("<I", len(self.elems)) + bytes(self.elems)
-
-    @classmethod
-    def from_bytes(cls, field: Field, data: bytes) -> "SymbolVector":
-        if len(data) < 4:
-            raise FieldError("truncated symbol vector")
-        (n,) = struct.unpack("<I", data[:4])
-        if len(data) != 4 + n:
-            raise FieldError("symbol vector length prefix does not match payload")
-        return cls(field, data[4:])
 
     def __repr__(self) -> str:
         return f"SymbolVector(q={self.field.q}, {list(self.elems)})"

@@ -216,13 +216,15 @@ def psi_optimal_cost(P1: int, N1: int, P2: int, N2: int) -> tuple[int, int]:
     Either side may initiate; the initiator retrieves one bit per element of
     its own set from the other side's databases.  Returns (cost, initiator)
     where initiator is 1 or 2; ties go to entity 1.  A direction is feasible
-    only when the responding side has at least two databases.
+    only when the responding side has at least two databases.  Both set sizes
+    must be at least 1; ``psi.choose_initiator`` also prices the empty and
+    full sets.
     """
     candidates: list[tuple[int, int]] = []
     if N2 >= 2:
-        candidates.append((-(-P1 * N2 // (N2 - 1)), 1))
+        candidates.append((lspir_cost(P1, N2, 1)[0], 1))
     if N1 >= 2:
-        candidates.append((-(-P2 * N1 // (N1 - 1)), 2))
+        candidates.append((lspir_cost(P2, N1, 1)[0], 2))
     if not candidates:
         raise InfeasibleError("both entities have a single database; no private scheme exists")
     candidates.sort(key=lambda c: (c[0], c[1]))

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Callable
 
-from . import block_scheme, table_scheme, transport
+from . import block_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
-from .params import InfeasibleError, ParamError, SchemeParams, psi_optimal_cost
+from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
 
@@ -121,7 +122,7 @@ def _direction_cost(p_init: int, k: int, n_resp: int) -> int | None:
         return k  # download everything from one database, no randomness needed
     if n_resp < 2:
         return None
-    return -(-p_init * n_resp // (n_resp - 1))
+    return lspir_cost(p_init, n_resp, 1)[0]
 
 
 def choose_initiator(e1: EntityConfig, e2: EntityConfig) -> tuple[int, int]:
@@ -170,82 +171,24 @@ def run_psi(
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
     servers = _entity_servers(resp)
 
+    def install_pool(required: int) -> None:
+        transport.provision_cr(servers, CommonRandomnessPool.generate(required, 2, seed_cr), required)
+
+    def run(net: transport.SimBackend | transport.TcpBackend) -> PsiResult:
+        return _intersect(init, net, install_pool, seed_client, seed_cr, optimal_cost, forward_result)
+
     if backend == "sim":
-        sim = transport.SimBackend(servers, faults)
-        return _run(init, resp, servers, sim, seed_client, seed_cr, optimal_cost, forward_result)
+        return run(transport.SimBackend(servers, faults))
     if backend == "tcp":
         if faults is not None:
             raise ParamError("fault injection is only supported on the simulated backend")
         with transport.TcpServerPool(servers) as pool:
             tcp = transport.TcpBackend(pool.addresses)
             try:
-                return _run(init, resp, servers, tcp, seed_client, seed_cr, optimal_cost, forward_result)
+                return run(tcp)
             finally:
                 tcp.close()
     raise ParamError(f"unknown backend {backend!r}")
-
-
-def _run(
-    init: EntityConfig,
-    resp: EntityConfig,
-    servers: list[transport.DatabaseServer],
-    backend,
-    seed_client: int,
-    seed_cr: int,
-    optimal_cost: int,
-    forward_result: bool,
-) -> PsiResult:
-    client = transport.Client(backend)
-    peer_info = client.setup_info()
-    if peer_info.get("K") != init.K:
-        raise ParamError("setup exchange reports a different field size")
-
-    K = init.K
-    desired = tuple(sorted(init.elements))
-    meta = {
-        "scheme": "psi",
-        "K": K,
-        "initiator": init.entity_id,
-        "P_initiator": len(desired),
-        "N_responder": resp.n_databases,
-        "seed_client": seed_client,
-        "seed_cr": seed_cr,
-        "q": 2,
-        "timestamp": transport.now_stamp(),
-    }
-
-    if len(desired) == 0:
-        bits: dict[int, int] = {}
-    elif len(desired) == K:
-        body = table_scheme.download_all_wire_query()
-        symbols = client.query(0, body)
-        if len(symbols) != K:
-            raise table_scheme.ProtocolFault("download-all answer has wrong length")
-        bits = {j: symbols[j] for j in range(K)}
-    else:
-        params = SchemeParams(K=K, P=len(desired), N=resp.n_databases, L=1, q=2)
-        rng = domain_rng(seed_client, DOMAIN_CLIENT)
-        plan = block_scheme.plan_blocks(params, desired, rng)
-        required = plan.pool_size_required()
-        pool = CommonRandomnessPool.generate(required, 2, seed_cr)
-        transport.provision_cr(servers, pool, required)
-        answers = client.query_all(plan.wire_queries())
-        bits = block_scheme.decode_blocks(plan, answers)
-
-    intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
-
-    if forward_result:
-        payload = ",".join(str(j) for j in sorted(intersection)).encode()
-        client.forward_result(payload)
-
-    transcript = transport.Transcript(meta=meta, records=client.records)
-    return PsiResult(
-        intersection=intersection,
-        initiator=init.entity_id,
-        download_symbols=client.meter.total,
-        optimal_cost=optimal_cost,
-        transcript=transcript,
-    )
 
 
 def run_psi_remote(
@@ -262,58 +205,71 @@ def run_psi_remote(
     refuse the queries.  The responder's public shape comes from the setup
     exchange.
     """
+    cost = _direction_cost(initiator.size, initiator.K, len(addresses))
+    if cost is None:
+        raise InfeasibleError("responder must run at least two databases")
     backend = transport.TcpBackend(addresses)
     try:
-        client = transport.Client(backend)
-        info = client.setup_info()
-        if info.get("K") != initiator.K:
-            raise ParamError("served databases report a different field size")
-        n_resp = len(addresses)
-        desired = tuple(sorted(initiator.elements))
-        cost = _direction_cost(len(desired), initiator.K, n_resp)
-        if cost is None:
-            raise InfeasibleError("responder must run at least two databases")
-        meta = {
-            "scheme": "psi",
-            "K": initiator.K,
-            "initiator": initiator.entity_id,
-            "P_initiator": len(desired),
-            "N_responder": n_resp,
-            "seed_client": seed_client,
-            "seed_cr": None,
-            "q": 2,
-            "timestamp": transport.now_stamp(),
-        }
-        if len(desired) == 0:
-            bits: dict[int, int] = {}
-        elif len(desired) == initiator.K:
-            symbols = client.query(0, table_scheme.download_all_wire_query())
-            bits = {j: symbols[j] for j in range(initiator.K)}
-        else:
-            params = SchemeParams(K=initiator.K, P=len(desired), N=n_resp, L=1, q=2)
-            plan = block_scheme.plan_blocks(params, desired, domain_rng(seed_client, DOMAIN_CLIENT))
-            answers = client.query_all(plan.wire_queries())
-            bits = block_scheme.decode_blocks(plan, answers)
-        intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
-        if forward_result:
-            client.forward_result(",".join(str(j) for j in sorted(intersection)).encode())
-        transcript = transport.Transcript(meta=meta, records=client.records)
-        return PsiResult(
-            intersection=intersection,
-            initiator=initiator.entity_id,
-            download_symbols=client.meter.total,
-            optimal_cost=cost,
-            transcript=transcript,
-        )
+        return _intersect(initiator, backend, None, seed_client, None, cost, forward_result)
     finally:
         backend.close()
 
 
-def expected_cost(e1: EntityConfig, e2: EntityConfig) -> int:
-    """Cost the chosen direction should incur; equals the two-sided optimum."""
-    return choose_initiator(e1, e2)[1]
+def _intersect(
+    init: EntityConfig,
+    backend: transport.SimBackend | transport.TcpBackend,
+    install_pool: Callable[[int], None] | None,
+    seed_client: int,
+    seed_cr: int | None,
+    optimal_cost: int,
+    forward_result: bool,
+) -> PsiResult:
+    """The initiator's side of one intersection against the responder's databases.
 
+    ``install_pool(required)`` provisions the responder's shared randomness
+    once the plan says how much it needs; it is None when the responder
+    already holds a pool (and ``seed_cr`` is then unknown to the initiator).
+    """
+    client = transport.Client(backend)
+    if client.setup_info().get("K") != init.K:
+        raise ParamError("setup exchange reports a different field size")
 
-def theorem_cost(P1: int, N1: int, P2: int, N2: int) -> int:
-    """Pure two-sided formula, valid when both set sizes are in [1, K-1]."""
-    return psi_optimal_cost(P1, N1, P2, N2)[0]
+    K = init.K
+    desired = tuple(sorted(init.elements))
+    meta = {
+        "scheme": "psi",
+        "K": K,
+        "initiator": init.entity_id,
+        "P_initiator": len(desired),
+        "N_responder": backend.n_databases,
+        "seed_client": seed_client,
+        "seed_cr": seed_cr,
+        "q": 2,
+        "timestamp": transport.now_stamp(),
+    }
+
+    if len(desired) == 0:
+        bits: dict[int, int] = {}
+    elif len(desired) == K:
+        symbols = client.query(0, wire.encode_download_all())
+        if len(symbols) != K:
+            raise wire.ProtocolFault("download-all answer has wrong length")
+        bits = dict(enumerate(symbols))
+    else:
+        params = SchemeParams(K=K, P=len(desired), N=backend.n_databases, L=1, q=2)
+        plan = block_scheme.plan_blocks(params, desired, domain_rng(seed_client, DOMAIN_CLIENT))
+        if install_pool is not None:
+            install_pool(plan.pool_size_required())
+        bits = block_scheme.decode_blocks(plan, client.query_all(plan.wire_queries()))
+
+    intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
+    if forward_result:
+        client.forward_result(",".join(str(j) for j in sorted(intersection)).encode())
+
+    return PsiResult(
+        intersection=intersection,
+        initiator=init.entity_id,
+        download_symbols=client.meter.total,
+        optimal_cost=optimal_cost,
+        transcript=transport.Transcript(meta=meta, records=client.records),
+    )

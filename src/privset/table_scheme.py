@@ -28,7 +28,6 @@ these make the per-database view independent of which messages are desired.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -46,17 +45,12 @@ from .params import (
     repetition_factor,
 )
 from .storage import CommonRandomnessPool, MessageStore
-
-TABLE_QUERY_TAG = 1
-DOWNLOAD_ALL_TAG = 3
+from .wire import TABLE_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
+from .wire import ProtocolFault, encode_table_query, parse_download_all, parse_table_query
 
 CR_DOWNLOADED = "downloaded"
 CR_HIDDEN = "hidden"
 CR_SIDEINFO = "sideinfo"
-
-
-class ProtocolFault(RuntimeError):
-    """Malformed or inconsistent protocol data (bad reference, bad answer shape)."""
 
 
 @dataclass(frozen=True)
@@ -117,19 +111,13 @@ class QueryTable:
 
     def wire_query(self, db: int) -> bytes:
         """Binary query payload for one database (permuted indices, relabeled slots)."""
-        out = [struct.pack("<B", TABLE_QUERY_TAG)]
-        plains = self.plain_slots[db]
-        out.append(struct.pack("<I", len(plains)))
-        for slot in plains:
-            out.append(struct.pack("<I", self.pool_perm[slot]))
-        sums = self.sums[db]
-        out.append(struct.pack("<I", len(sums)))
-        for s in sums:
-            out.append(struct.pack("<B", len(s.terms)))
-            for msg, idx in s.terms:
-                out.append(struct.pack("<BI", msg, self.msg_perm[msg][idx]))
-            out.append(struct.pack("<I", self.pool_perm[s.cr_slot]))
-        return b"".join(out)
+        return encode_table_query(
+            [self.pool_perm[slot] for slot in self.plain_slots[db]],
+            [
+                ([(msg, self.msg_perm[msg][idx]) for msg, idx in s.terms], self.pool_perm[s.cr_slot])
+                for s in self.sums[db]
+            ],
+        )
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.N)]
@@ -314,40 +302,15 @@ def build_query_table(
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """Evaluate one database's answer: plain slots first, then one symbol per sum."""
-    q = store.q
-    view = memoryview(payload)
-    off = 1  # tag already dispatched
-    (n_plain,) = struct.unpack_from("<I", view, off)
-    off += 4
-    out: list[int] = []
-    for _ in range(n_plain):
-        (pid,) = struct.unpack_from("<I", view, off)
-        off += 4
-        out.append(_pool_at(pool, pid))
-    (n_sums,) = struct.unpack_from("<I", view, off)
-    off += 4
-    for _ in range(n_sums):
-        (nterms,) = struct.unpack_from("<B", view, off)
-        off += 1
-        acc = 0
-        for _ in range(nterms):
-            msg, idx = struct.unpack_from("<BI", view, off)
-            off += 5
-            if msg >= store.K or idx >= store.L:
-                raise ProtocolFault(f"query references missing symbol ({msg}, {idx})")
-            acc += store.messages[msg][idx]
-        (pid,) = struct.unpack_from("<I", view, off)
-        off += 4
-        out.append((acc + _pool_at(pool, pid)) % q)
-    if off != len(payload):
-        raise ProtocolFault("trailing bytes in query payload")
+    query = parse_table_query(payload, store.K, store.L, len(pool.symbols))
+    messages, symbols = store.messages, pool.symbols
+    out = [symbols[pid] for pid in query.plain_ids]
+    for terms, pid in query.sums:
+        acc = symbols[pid]
+        for msg, idx in terms:
+            acc += messages[msg][idx]
+        out.append(acc % store.q)
     return out
-
-
-def _pool_at(pool: CommonRandomnessPool, pid: int) -> int:
-    if pid >= len(pool.symbols):
-        raise ProtocolFault(f"randomness slot {pid} outside the provisioned pool")
-    return pool.symbols[pid]
 
 
 def answer_queries(table: QueryTable, db: int, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
@@ -425,13 +388,8 @@ def download_all(store: MessageStore) -> list[list[int]]:
     return [list(m) for m in store.messages]
 
 
-def download_all_wire_query() -> bytes:
-    return struct.pack("<B", DOWNLOAD_ALL_TAG)
-
-
 def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    if len(payload) != 1:
-        raise ProtocolFault("download-all query carries no arguments")
+    parse_download_all(payload)
     return store.flat()
 
 

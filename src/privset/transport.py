@@ -1,5 +1,6 @@
-"""Wire protocol, database servers, and the simulated / TCP backends.
+"""Database servers, the simulated / TCP backends, and run transcripts.
 
+The bytes of every frame, query, answer and error are laid out by ``wire``.
 Each entity runs its N databases as independent servers that share nothing
 but the pre-provisioned randomness pool; there is no server-to-server
 channel, so non-collusion holds by construction.  The client-facing protocol
@@ -14,86 +15,29 @@ matching how the schemes' costs are defined.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import struct
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import block_scheme, table_scheme
+from . import block_scheme, table_scheme, wire
 from .storage import CommonRandomnessPool, MessageStore
-from .table_scheme import ProtocolFault
+from .wire import MSG_ERROR, encode_frame  # noqa: F401  (looked up here by callers)
 
-MAGIC = b"PSI1"
-VERSION = 1
-
-MSG_SETUP = 1
-MSG_CR_PROVISION = 2
-MSG_QUERY = 3
-MSG_ANSWER = 4
-MSG_RESULT_FORWARD = 5
-MSG_ERROR = 6
-
-ERR_UNKNOWN_TYPE = 1
-ERR_CHANNEL_SEPARATION = 2
-ERR_BAD_QUERY = 3
-ERR_NOT_PROVISIONED = 4
-
-_FRAME_HDR = struct.Struct("<4sBBI")
+_log = logging.getLogger(__name__)
 
 # Scheme tag -> answer evaluator over (payload, store, pool).
 QUERY_HANDLERS = {
     table_scheme.TABLE_QUERY_TAG: table_scheme.answer_wire_query,
     block_scheme.BLOCK_QUERY_TAG: block_scheme.answer_wire_query,
-    table_scheme.DOWNLOAD_ALL_TAG: table_scheme.answer_download_all,
+    wire.DOWNLOAD_ALL_TAG: table_scheme.answer_download_all,
 }
-
-
-class TransportError(RuntimeError):
-    """Lost or malformed traffic; always surfaces instead of a wrong result."""
 
 
 class InsufficientRandomness(RuntimeError):
     """Provisioned pool is smaller than the scheme requires."""
-
-
-def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    return _FRAME_HDR.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes]:
-    if len(data) < _FRAME_HDR.size:
-        raise TransportError("short frame")
-    magic, version, msg_type, length = _FRAME_HDR.unpack_from(data)
-    if magic != MAGIC:
-        raise TransportError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise TransportError(f"unsupported version {version}")
-    if len(data) != _FRAME_HDR.size + length:
-        raise TransportError("frame length mismatch")
-    return msg_type, data[_FRAME_HDR.size :]
-
-
-def encode_error(code: int, message: str) -> bytes:
-    body = message.encode()
-    return struct.pack("<H", code) + body
-
-
-def decode_error(payload: bytes) -> tuple[int, str]:
-    (code,) = struct.unpack_from("<H", payload)
-    return code, payload[2:].decode()
-
-
-def encode_answer_symbols(query_id: int, symbols: list[int]) -> bytes:
-    return struct.pack("<II", query_id, len(symbols)) + bytes(symbols)
-
-
-def decode_answer_symbols(payload: bytes) -> tuple[int, list[int]]:
-    qid, n = struct.unpack_from("<II", payload)
-    body = payload[8:]
-    if len(body) != n:
-        raise TransportError("answer symbol count mismatch")
-    return qid, list(body)
 
 
 class DatabaseServer:
@@ -115,7 +59,7 @@ class DatabaseServer:
     def provision(self, pool: CommonRandomnessPool, required_size: int) -> str:
         """Administrative path (entity-internal); never reachable from a client socket."""
         if self.query_served:
-            raise ProtocolFault("cannot provision randomness after queries have been served")
+            raise wire.ProtocolFault("cannot provision randomness after queries have been served")
         if len(pool) < required_size:
             raise InsufficientRandomness(
                 f"pool of {len(pool)} symbols below required {required_size}"
@@ -124,37 +68,34 @@ class DatabaseServer:
         return pool.digest()
 
     def handle_client_frame(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        if msg_type == MSG_QUERY:
+        if msg_type == wire.MSG_QUERY:
             return self._handle_query(payload)
-        if msg_type == MSG_SETUP:
-            return MSG_SETUP, json.dumps(self.public_info, sort_keys=True).encode()
-        if msg_type == MSG_RESULT_FORWARD:
-            return MSG_RESULT_FORWARD, b"ack"
-        if msg_type == MSG_CR_PROVISION:
-            return MSG_ERROR, encode_error(
-                ERR_CHANNEL_SEPARATION, "randomness provisioning is not accepted from clients"
+        if msg_type == wire.MSG_SETUP:
+            return wire.MSG_SETUP, json.dumps(self.public_info, sort_keys=True).encode()
+        if msg_type == wire.MSG_RESULT_FORWARD:
+            return wire.MSG_RESULT_FORWARD, b"ack"
+        if msg_type == wire.MSG_CR_PROVISION:
+            return wire.MSG_ERROR, wire.encode_error(
+                wire.ERR_CHANNEL_SEPARATION, "randomness provisioning is not accepted from clients"
             )
-        return MSG_ERROR, encode_error(ERR_UNKNOWN_TYPE, f"unknown message type {msg_type}")
+        return wire.MSG_ERROR, wire.encode_error(wire.ERR_UNKNOWN_TYPE, f"unknown message type {msg_type}")
 
     def _handle_query(self, payload: bytes) -> tuple[int, bytes]:
-        if len(payload) < 5:
-            return MSG_ERROR, encode_error(ERR_BAD_QUERY, "query too short")
-        (query_id,) = struct.unpack_from("<I", payload)
-        body = payload[4:]
-        tag = body[0]
-        handler = QUERY_HANDLERS.get(tag)
-        if handler is None:
-            return MSG_ERROR, encode_error(ERR_BAD_QUERY, f"unknown scheme tag {tag}")
-        if tag != table_scheme.DOWNLOAD_ALL_TAG and self.pool is None:
-            return MSG_ERROR, encode_error(ERR_NOT_PROVISIONED, "no randomness pool provisioned")
-        self.query_served = True
-        self.seen_queries.append(body)
         try:
+            query_id, body = wire.parse_query(payload)
+            handler = QUERY_HANDLERS.get(body[0])
+            if handler is None:
+                raise wire.ProtocolFault(f"unknown scheme tag {body[0]}")
+            if body[0] != wire.DOWNLOAD_ALL_TAG and self.pool is None:
+                reason = "no randomness pool provisioned"
+                return wire.MSG_ERROR, wire.encode_error(wire.ERR_NOT_PROVISIONED, reason)
+            self.query_served = True
+            self.seen_queries.append(body)
             pool = self.pool if self.pool is not None else CommonRandomnessPool(self.store.q, [])
             symbols = handler(body, self.store, pool)
-        except ProtocolFault as exc:
-            return MSG_ERROR, encode_error(ERR_BAD_QUERY, str(exc))
-        return MSG_ANSWER, encode_answer_symbols(query_id, symbols)
+        except wire.ProtocolFault as exc:
+            return wire.MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, str(exc))
+        return wire.MSG_ANSWER, wire.encode_answer(query_id, symbols)
 
 
 def make_entity_servers(store: MessageStore, n_databases: int, public_info: dict | None = None) -> list[DatabaseServer]:
@@ -166,7 +107,7 @@ def provision_cr(servers: list[DatabaseServer], pool: CommonRandomnessPool, requ
     """Install the same pool on every replica; returns the per-database digests."""
     digests = [srv.provision(pool, required_size) for srv in servers]
     if len(set(digests)) != 1:
-        raise ProtocolFault("replicas report differing pool digests")
+        raise wire.ProtocolFault("replicas report differing pool digests")
     return digests
 
 
@@ -192,12 +133,7 @@ class Transcript:
 
     @property
     def downloaded_symbols(self) -> int:
-        total = 0
-        for db_records in self.records:
-            for _, ans in db_records:
-                _, symbols = decode_answer_symbols(ans)
-                total += len(symbols)
-        return total
+        return sum(len(wire.parse_answer(ans)[1]) for db_records in self.records for _, ans in db_records)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -216,24 +152,29 @@ class Transcript:
         with open(path, "rb") as fh:
             header = fh.readline()
             if header != b"PRIVSET-TRANSCRIPT v1\n":
-                raise TransportError("not a transcript file")
+                raise wire.TransportError("not a transcript file")
 
-            def read_block() -> bytes:
-                raw = fh.read(4)
-                if len(raw) != 4:
-                    raise TransportError("truncated transcript")
-                (n,) = struct.unpack("<I", raw)
+            def read(n: int) -> bytes:
                 data = fh.read(n)
                 if len(data) != n:
-                    raise TransportError("truncated transcript")
+                    raise wire.TransportError("truncated transcript")
                 return data
 
-            meta = json.loads(read_block())
-            raw = fh.read(4)
-            (n_dbs,) = struct.unpack("<I", raw)
+            def read_u32() -> int:
+                return struct.unpack("<I", read(4))[0]
+
+            def read_block() -> bytes:
+                return read(read_u32())
+
+            try:
+                meta = json.loads(read_block())
+            except ValueError:
+                meta = None
+            if not isinstance(meta, dict):
+                raise wire.TransportError("transcript metadata is not a JSON object")
             records: list[list[tuple[bytes, bytes]]] = []
-            for _ in range(n_dbs):
-                (n_rec,) = struct.unpack("<I", fh.read(4))
+            for _ in range(read_u32()):
+                n_rec = read_u32()
                 db_records = []
                 for _ in range(n_rec):
                     qry = read_block()
@@ -280,36 +221,36 @@ class Client:
         self._next_query_id = 0
 
     def setup_info(self, db: int = 0) -> dict:
-        mtype, payload = self.backend.roundtrip(db, MSG_SETUP, b"")
-        if mtype != MSG_SETUP:
-            raise TransportError("setup exchange failed")
+        mtype, payload = self.backend.roundtrip(db, wire.MSG_SETUP, b"")
+        if mtype != wire.MSG_SETUP:
+            raise wire.TransportError("setup exchange failed")
         return json.loads(payload)
 
     def forward_result(self, payload: bytes, db: int = 0) -> None:
-        mtype, _ = self.backend.roundtrip(db, MSG_RESULT_FORWARD, payload)
-        if mtype != MSG_RESULT_FORWARD:
-            raise TransportError("result forwarding failed")
+        mtype, _ = self.backend.roundtrip(db, wire.MSG_RESULT_FORWARD, payload)
+        if mtype != wire.MSG_RESULT_FORWARD:
+            raise wire.TransportError("result forwarding failed")
 
     def query(self, db: int, body: bytes) -> list[int]:
         qid = self._next_query_id
         self._next_query_id += 1
-        payload = struct.pack("<I", qid) + body
+        payload = wire.encode_query(qid, body)
         replies = self.backend.query_roundtrip(db, payload)
         if len(replies) == 0:
-            raise TransportError(f"answer from database {db} was lost")
+            raise wire.TransportError(f"answer from database {db} was lost")
         if len(replies) > 1:
-            raise ProtocolFault(f"duplicate answers from database {db} for query {qid}")
+            raise wire.ProtocolFault(f"duplicate answers from database {db} for query {qid}")
         mtype, reply = replies[0]
-        if mtype == MSG_ERROR:
-            code, message = decode_error(reply)
-            if code == ERR_NOT_PROVISIONED:
+        if mtype == wire.MSG_ERROR:
+            code, message = wire.parse_error(reply)
+            if code == wire.ERR_NOT_PROVISIONED:
                 raise InsufficientRandomness(message)
-            raise ProtocolFault(f"database {db} rejected the query: {message}")
-        if mtype != MSG_ANSWER:
-            raise TransportError(f"unexpected reply type {mtype}")
-        got_qid, symbols = decode_answer_symbols(reply)
+            raise wire.ProtocolFault(f"database {db} rejected the query: {message}")
+        if mtype != wire.MSG_ANSWER:
+            raise wire.TransportError(f"unexpected reply type {mtype}")
+        got_qid, symbols = wire.parse_answer(reply)
         if got_qid != qid:
-            raise ProtocolFault(f"answer id {got_qid} does not match query id {qid}")
+            raise wire.ProtocolFault(f"answer id {got_qid} does not match query id {qid}")
         self.meter.add(db, len(symbols))
         self.records[db].append((payload, reply))
         return symbols
@@ -349,16 +290,14 @@ class SimBackend:
         return len(self.servers)
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        frame = encode_frame(msg_type, payload)
-        mtype, body = decode_frame(frame)
+        mtype, body = wire.parse_frame(wire.encode_frame(msg_type, payload))
         rtype, rbody = self.servers[db].handle_client_frame(mtype, body)
-        reply = encode_frame(rtype, rbody)
-        return decode_frame(reply)
+        return wire.parse_frame(wire.encode_frame(rtype, rbody))
 
     def query_roundtrip(self, db: int, payload: bytes) -> list[tuple[int, bytes]]:
         idx = self._query_count[db]
         self._query_count[db] += 1
-        reply = self.roundtrip(db, MSG_QUERY, payload)
+        reply = self.roundtrip(db, wire.MSG_QUERY, payload)
         if (db, idx) in self.faults.drop:
             return []
         if (db, idx) in self.faults.duplicate:
@@ -390,11 +329,11 @@ class TcpBackend:
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         with self._locks[db]:
             s = self._sock(db)
-            s.sendall(encode_frame(msg_type, payload))
+            s.sendall(wire.encode_frame(msg_type, payload))
             return _read_frame(s)
 
     def query_roundtrip(self, db: int, payload: bytes) -> list[tuple[int, bytes]]:
-        return [self.roundtrip(db, MSG_QUERY, payload)]
+        return [self.roundtrip(db, wire.MSG_QUERY, payload)]
 
     def close(self) -> None:
         for s in self._socks:
@@ -409,19 +348,14 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     while got < n:
         chunk = sock.recv(n - got)
         if not chunk:
-            raise TransportError("connection closed mid-frame")
+            raise wire.TransportError("connection closed mid-frame")
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
 
 
 def _read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _read_exact(sock, _FRAME_HDR.size)
-    magic, version, msg_type, length = _FRAME_HDR.unpack(header)
-    if magic != MAGIC:
-        raise TransportError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise TransportError(f"unsupported version {version}")
+    msg_type, length = wire.parse_frame_header(_read_exact(sock, wire.FRAME_HEADER_SIZE))
     payload = _read_exact(sock, length) if length else b""
     return msg_type, payload
 
@@ -469,11 +403,17 @@ class TcpServerPool:
                 while not self._stop.is_set():
                     try:
                         msg_type, payload = _read_frame(conn)
-                    except (TransportError, socket.timeout, OSError):
+                    except (wire.TransportError, socket.timeout, OSError):
                         break
-                    rtype, rbody = srv.handle_client_frame(msg_type, payload)
                     try:
-                        conn.sendall(encode_frame(rtype, rbody))
+                        rtype, rbody = srv.handle_client_frame(msg_type, payload)
+                    except Exception:
+                        # A frame the handler did not turn into an ERROR reply
+                        # costs the client its connection, never the database.
+                        _log.exception("database %d failed on a frame of type %d", srv.db_id, msg_type)
+                        break
+                    try:
+                        conn.sendall(wire.encode_frame(rtype, rbody))
                     except OSError:
                         break
 
@@ -500,13 +440,9 @@ def replay_answers(transcript: Transcript, store: MessageStore, pool: CommonRand
     answer bytes reproduce exactly."""
     for db_records in transcript.records:
         for qry, ans in db_records:
-            (qid,) = struct.unpack_from("<I", qry)
-            body = qry[4:]
+            qid, body = wire.parse_query(qry)
             handler = QUERY_HANDLERS.get(body[0])
-            if handler is None:
-                return False
-            symbols = handler(body, store, pool)
-            if encode_answer_symbols(qid, symbols) != ans:
+            if handler is None or wire.encode_answer(qid, handler(body, store, pool)) != ans:
                 return False
     return True
 

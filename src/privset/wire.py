@@ -1,0 +1,238 @@
+"""Byte layout of every frame, query, answer and error the protocol sends.
+
+This is the only module that knows a layout.  Each format is one
+``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p`` for every
+well-formed ``p``.  A parser raises ProtocolFault on anything else
+(truncation, trailing bytes, a count that overruns the payload, a vector
+length or reference outside the bounds it is given) and never struct.error
+or IndexError, so a database can turn any client query into an answer or an
+ERROR reply.  Frames, answers and errors are what a client reads; faults in
+them are TransportError, a ProtocolFault.
+
+All integers are little-endian:
+
+    frame         "PSI1" | version u8 | type u8 | length u32 | payload
+    query         query id u32 | body
+    table body    1 | n u32 | n x pool id u32
+                    | m u32 | m x (t u8 | t x (message u8 | position u32) | pool id u32)
+    block body    2 | n u32 | n x (pool id u32 | length u32 | length x coefficient u8)
+    download-all  3
+    answer        query id u32 | n u32 | n x symbol u8
+    error         code u16 | UTF-8 message
+"""
+
+from __future__ import annotations
+
+import struct
+from itertools import chain
+from typing import NamedTuple, Sequence
+
+MAGIC = b"PSI1"
+VERSION = 1
+
+MSG_SETUP = 1
+MSG_CR_PROVISION = 2
+MSG_QUERY = 3
+MSG_ANSWER = 4
+MSG_RESULT_FORWARD = 5
+MSG_ERROR = 6
+
+ERR_UNKNOWN_TYPE = 1
+ERR_CHANNEL_SEPARATION = 2
+ERR_BAD_QUERY = 3
+ERR_NOT_PROVISIONED = 4
+
+TABLE_QUERY_TAG = 1
+BLOCK_QUERY_TAG = 2
+DOWNLOAD_ALL_TAG = 3
+
+_FRAME = struct.Struct("<4sBBI")
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_PAIR = struct.Struct("<II")  # block entry head (pool id, length); answer head (query id, count)
+_TERM = struct.Struct("<BI")
+_SUM_FORMATS = ["B" + "BI" * t + "I" for t in range(256)]  # t | t x (message, position) | pool id
+
+FRAME_HEADER_SIZE = _FRAME.size
+
+
+class ProtocolFault(RuntimeError):
+    """Malformed or inconsistent protocol data (bad reference, bad answer shape)."""
+
+
+class TransportError(ProtocolFault):
+    """Lost or malformed traffic; always surfaces instead of a wrong result."""
+
+
+def _check_tag(body: bytes, tag: int) -> None:
+    if body[:1] != _U8.pack(tag):
+        raise ProtocolFault(f"body does not carry scheme tag {tag}")
+
+
+def _check_end(off: int, payload: bytes, what: str, fault: type[ProtocolFault] = ProtocolFault) -> None:
+    if off > len(payload):
+        raise fault(f"truncated {what}")
+    if off < len(payload):
+        raise fault(f"trailing bytes in {what}")
+
+
+def _check_slots(pool_ids, pool_size: int | None) -> None:
+    top = max(pool_ids, default=-1)
+    if pool_size is not None and top >= pool_size:
+        raise ProtocolFault(f"randomness slot {top} outside the provisioned pool")
+
+
+def encode_frame(msg_type: int, payload: bytes) -> bytes:
+    return _FRAME.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+
+
+def parse_frame_header(header: bytes) -> tuple[int, int]:
+    """(message type, payload length) from the first FRAME_HEADER_SIZE bytes."""
+    if len(header) != _FRAME.size:
+        raise TransportError("short frame")
+    magic, version, msg_type, length = _FRAME.unpack(header)
+    if magic != MAGIC:
+        raise TransportError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise TransportError(f"unsupported version {version}")
+    return msg_type, length
+
+
+def parse_frame(data: bytes) -> tuple[int, bytes]:
+    msg_type, length = parse_frame_header(data[: _FRAME.size])
+    if len(data) != _FRAME.size + length:
+        raise TransportError("frame length mismatch")
+    return msg_type, data[_FRAME.size :]
+
+
+def encode_query(query_id: int, body: bytes) -> bytes:
+    return _U32.pack(query_id) + body
+
+
+def parse_query(payload: bytes) -> tuple[int, bytes]:
+    """(query id, scheme-tagged body); the body is at least its tag."""
+    if len(payload) < _U32.size + 1:
+        raise ProtocolFault("query too short")
+    return _U32.unpack_from(payload)[0], payload[_U32.size :]
+
+
+def encode_block_query(entries: Sequence[tuple[int, Sequence[int]]]) -> bytes:
+    """Block body from (pool id, coefficient vector) entries, coefficients < 256."""
+    out = [_U8.pack(BLOCK_QUERY_TAG), _U32.pack(len(entries))]
+    for pool_id, vector in entries:
+        out.append(_PAIR.pack(pool_id, len(vector)))
+        out.append(bytes(vector))
+    return b"".join(out)
+
+
+def parse_block_query(
+    body: bytes, vec_len: int | None = None, pool_size: int | None = None
+) -> list[tuple[int, bytes]]:
+    """(pool id, coefficient bytes) per entry; optionally checks that every
+    vector has ``vec_len`` coefficients and every pool id is below ``pool_size``."""
+    _check_tag(body, BLOCK_QUERY_TAG)
+    entries = []
+    try:
+        (n,) = _U32.unpack_from(body, 1)
+        off = 1 + _U32.size
+        for _ in range(n):
+            pool_id, length = _PAIR.unpack_from(body, off)
+            if vec_len is not None and length != vec_len:
+                raise ProtocolFault(f"query vector length {length} != {vec_len}")
+            off += _PAIR.size + length
+            entries.append((pool_id, body[off - length : off]))
+    except struct.error:
+        raise ProtocolFault("truncated query payload") from None
+    _check_end(off, body, "query payload")
+    _check_slots((pool_id for pool_id, _ in entries), pool_size)
+    return entries
+
+
+class TableQuery(NamedTuple):
+    """A parsed table body: plainly served pool ids, then one entry per sum."""
+
+    plain_ids: tuple[int, ...]
+    sums: tuple[tuple[tuple[tuple[int, int], ...], int], ...]  # ((message, position) terms, pool id)
+
+
+def encode_table_query(
+    plain_ids: Sequence[int], sums: Sequence[tuple[Sequence[tuple[int, int]], int]]
+) -> bytes:
+    fmt = [f"<BI{len(plain_ids)}II"]
+    values = [TABLE_QUERY_TAG, len(plain_ids), *plain_ids, len(sums)]
+    for terms, pool_id in sums:
+        fmt.append(_SUM_FORMATS[len(terms)])
+        values.append(len(terms))
+        values.extend(chain.from_iterable(terms))
+        values.append(pool_id)
+    return struct.pack("".join(fmt), *values)
+
+
+def parse_table_query(
+    body: bytes, K: int | None = None, L: int | None = None, pool_size: int | None = None
+) -> TableQuery:
+    """Parse a table body; optionally checks that every term names one of K
+    messages of L symbols and every pool id is below ``pool_size``."""
+    _check_tag(body, TABLE_QUERY_TAG)
+    view = memoryview(body)
+    sums = []
+    try:
+        (n_plain,) = _U32.unpack_from(body, 1)
+        plain_ids = struct.unpack_from(f"<{n_plain}I", body, 1 + _U32.size)
+        off = 1 + _U32.size * (n_plain + 1)
+        (n_sums,) = _U32.unpack_from(body, off)
+        off += _U32.size
+        for _ in range(n_sums):
+            end = off + 1 + _TERM.size * body[off]
+            # A short term run is caught by the pool id read past it.
+            terms = tuple(_TERM.iter_unpack(view[off + 1 : end]))
+            sums.append((terms, _U32.unpack_from(body, end)[0]))
+            off = end + _U32.size
+    except (struct.error, IndexError):
+        raise ProtocolFault("truncated query payload") from None
+    _check_end(off, body, "query payload")
+    if K is not None:
+        for terms, _ in sums:
+            for msg, pos in terms:
+                if msg >= K or pos >= L:
+                    raise ProtocolFault(f"query references missing symbol ({msg}, {pos})")
+    _check_slots(plain_ids + tuple(pool_id for _, pool_id in sums), pool_size)
+    return TableQuery(plain_ids, tuple(sums))
+
+
+def encode_download_all() -> bytes:
+    return _U8.pack(DOWNLOAD_ALL_TAG)
+
+
+def parse_download_all(body: bytes) -> None:
+    _check_tag(body, DOWNLOAD_ALL_TAG)
+    if len(body) != 1:
+        raise ProtocolFault("download-all query carries no arguments")
+
+
+def encode_answer(query_id: int, symbols: Sequence[int]) -> bytes:
+    return _PAIR.pack(query_id, len(symbols)) + bytes(symbols)
+
+
+def parse_answer(payload: bytes) -> tuple[int, list[int]]:
+    """(query id, answer symbols)."""
+    if len(payload) < _PAIR.size:
+        raise TransportError("truncated answer")
+    query_id, n = _PAIR.unpack_from(payload)
+    _check_end(_PAIR.size + n, payload, "answer", TransportError)
+    return query_id, list(payload[_PAIR.size :])
+
+
+def encode_error(code: int, message: str) -> bytes:
+    return _U16.pack(code) + message.encode()
+
+
+def parse_error(payload: bytes) -> tuple[int, str]:
+    """(error code, message)."""
+    if len(payload) < _U16.size:
+        raise TransportError("truncated error payload")
+    try:
+        return _U16.unpack_from(payload)[0], payload[_U16.size :].decode()
+    except UnicodeDecodeError:
+        raise TransportError("error message is not UTF-8") from None

@@ -147,6 +147,28 @@ def test_psi_verify_detects_tampering(tmp_path, capsys):
     assert code == EXIT_PROTOCOL
 
 
+def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
+    from privset import psi, transport
+    from privset.storage import CommonRandomnessPool, MessageStore
+
+    set2 = tmp_path / "e2.set"
+    set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    store = MessageStore.from_bits(list(psi.to_incidence({0, 2, 4, 5, 6, 7}, 10).bits))
+    servers = transport.make_entity_servers(store, 2, {"entity": 2, "K": 10, "P": 6, "N": 2})
+    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    with transport.TcpServerPool(servers) as pool:
+        local = psi.EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+        result = psi.run_psi_remote(local, pool.addresses, seed_client=11)
+    transcript = tmp_path / "remote.transcript"
+    result.transcript.save(str(transcript))
+
+    code, out, err = run_cli(
+        capsys, "psi", "verify", "--transcript", str(transcript), "--responder-set", str(set2)
+    )
+    assert code == EXIT_USAGE
+    assert "pool seed" in err and "do not replay" not in out
+
+
 def test_audit_command_pass_and_fail(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--machine"

@@ -105,14 +105,3 @@ def test_sample_uniform_statistics():
     v = sample_uniform(domain_rng(7, "stats"), 10_000, f)
     ones = sum(v.elems)
     assert abs(ones - 5000) <= 150
-
-
-def test_byte_encoding_roundtrip_and_layout():
-    f = Field(3)
-    v = SymbolVector(f, [2, 0, 1])
-    raw = v.to_bytes()
-    assert raw[:4] == (3).to_bytes(4, "little")
-    assert raw[4:] == bytes([2, 0, 1])
-    assert SymbolVector.from_bytes(f, raw) == v
-    with pytest.raises(FieldError):
-        SymbolVector.from_bytes(f, raw[:-1])

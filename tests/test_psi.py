@@ -11,9 +11,12 @@ from privset.psi import (
     choose_initiator,
     generate_set,
     run_psi,
+    run_psi_remote,
     to_incidence,
 )
-from privset import block_scheme
+from privset import block_scheme, transport
+from privset.storage import MessageStore
+from privset.wire import ProtocolFault
 
 ALPHABET = "abcdefghij"
 
@@ -115,6 +118,14 @@ def test_empty_and_full_set_edges():
     assert res.initiator == 1
     assert res.intersection == frozenset({1, 2, 4, 5})
     assert res.download_symbols == 6  # download everything from one database
+
+
+def test_remote_full_set_rejects_a_short_answer():
+    # The responder announces K=6 but its store answers a download-all with 5 symbols.
+    servers = transport.make_entity_servers(MessageStore.from_bits([1, 0, 1, 1, 0]), 2, {"K": 6})
+    with transport.TcpServerPool(servers) as pool:
+        with pytest.raises(ProtocolFault, match="wrong length"):
+            run_psi_remote(EntityConfig(1, 6, 1, frozenset(range(6))), pool.addresses)
 
 
 def test_queries_do_not_depend_on_responder_set():

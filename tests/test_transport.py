@@ -1,18 +1,11 @@
 import pytest
 
-from privset import transport
+from privset import transport, wire
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
 from privset.transport import (
-    ERR_CHANNEL_SEPARATION,
-    ERR_UNKNOWN_TYPE,
-    MSG_ANSWER,
-    MSG_CR_PROVISION,
-    MSG_ERROR,
-    MSG_QUERY,
-    MSG_SETUP,
     DatabaseServer,
     FaultPlan,
     InsufficientRandomness,
@@ -20,13 +13,23 @@ from privset.transport import (
     TcpBackend,
     TcpServerPool,
     Transcript,
-    TransportError,
-    decode_error,
-    decode_frame,
-    encode_frame,
     make_entity_servers,
     provision_cr,
     replay_answers,
+)
+from privset.wire import (
+    ERR_CHANNEL_SEPARATION,
+    ERR_UNKNOWN_TYPE,
+    MSG_ANSWER,
+    MSG_CR_PROVISION,
+    MSG_ERROR,
+    MSG_QUERY,
+    MSG_SETUP,
+    TransportError,
+    encode_download_all,
+    encode_frame,
+    parse_error,
+    parse_frame,
 )
 
 E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
@@ -41,22 +44,22 @@ def small_servers(n=2, bits=(1, 0, 1)):
 def test_frame_roundtrip():
     frame = encode_frame(MSG_QUERY, b"hello")
     assert frame[:4] == b"PSI1"
-    assert decode_frame(frame) == (MSG_QUERY, b"hello")
+    assert parse_frame(frame) == (MSG_QUERY, b"hello")
 
 
 def test_frame_rejects_corruption():
     frame = encode_frame(MSG_QUERY, b"hello")
     with pytest.raises(TransportError):
-        decode_frame(b"XXXX" + frame[4:])
+        parse_frame(b"XXXX" + frame[4:])
     with pytest.raises(TransportError):
-        decode_frame(frame[:-1])
+        parse_frame(frame[:-1])
 
 
 def test_unknown_type_gets_error_and_connection_survives():
     srv = small_servers()[0]
     mtype, payload = srv.handle_client_frame(42, b"")
     assert mtype == MSG_ERROR
-    code, _ = decode_error(payload)
+    code, _ = parse_error(payload)
     assert code == ERR_UNKNOWN_TYPE
     # server still answers afterwards
     mtype, _ = srv.handle_client_frame(MSG_SETUP, b"")
@@ -67,7 +70,7 @@ def test_client_channel_rejects_randomness_provisioning():
     srv = small_servers()[0]
     mtype, payload = srv.handle_client_frame(MSG_CR_PROVISION, b"\x00" * 8)
     assert mtype == MSG_ERROR
-    assert decode_error(payload)[0] == ERR_CHANNEL_SEPARATION
+    assert parse_error(payload)[0] == ERR_CHANNEL_SEPARATION
 
 
 def test_provisioning_digests_match():
@@ -90,9 +93,7 @@ def test_provisioning_after_query_is_a_fault():
     provision_cr(servers, pool, 4)
     backend = SimBackend(servers)
     client = transport.Client(backend)
-    from privset.table_scheme import download_all_wire_query
-
-    client.query(0, download_all_wire_query())
+    client.query(0, encode_download_all())
     with pytest.raises(ProtocolFault):
         servers[0].provision(pool, 4)
 
@@ -101,9 +102,7 @@ def test_query_replay_is_deterministic():
     servers = small_servers()
     provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
     srv = servers[0]
-    from privset.table_scheme import download_all_wire_query
-
-    payload = b"\x00\x00\x00\x00" + download_all_wire_query()
+    payload = b"\x00\x00\x00\x00" + encode_download_all()
     first = srv.handle_client_frame(MSG_QUERY, payload)
     second = srv.handle_client_frame(MSG_QUERY, payload)
     assert first == second and first[0] == MSG_ANSWER
@@ -180,6 +179,18 @@ def test_transcript_save_load_and_replay(tmp_path):
     dump = loaded.dump_text()
     assert "database 0" in dump and "meta:" in dump
 
+    data = path.read_bytes()
+    cut = tmp_path / "cut.transcript"
+    for end in range(len(data)):
+        cut.write_bytes(data[:end])
+        with pytest.raises(TransportError):
+            Transcript.load(str(cut))
+    meta_at = data.index(b"{")
+    for bad in (b"[", b"\xff"):
+        cut.write_bytes(data[:meta_at] + bad + data[meta_at + 1 :])
+        with pytest.raises(TransportError):
+            Transcript.load(str(cut))
+
 
 def test_tcp_pool_serves_setup_and_queries():
     servers = small_servers()
@@ -189,8 +200,41 @@ def test_tcp_pool_serves_setup_and_queries():
         client = transport.Client(backend)
         info = client.setup_info()
         assert info["K"] == 3
-        from privset.table_scheme import download_all_wire_query
-
-        symbols = client.query(0, download_all_wire_query())
+        symbols = client.query(0, encode_download_all())
         assert symbols == [1, 0, 1]
         backend.close()
+
+
+def _tcp_roundtrip(address, msg_type, payload):
+    import socket
+
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(encode_frame(msg_type, payload))
+        return transport._read_frame(sock)
+
+
+def test_malformed_query_over_tcp_gets_error_and_database_survives():
+    servers = small_servers()
+    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    with TcpServerPool(servers) as pool:
+        # query id plus block tag 2 and no entry count
+        mtype, payload = _tcp_roundtrip(pool.addresses[0], MSG_QUERY, b"\x00\x00\x00\x00\x02")
+        assert mtype == MSG_ERROR
+        assert parse_error(payload)[0] == wire.ERR_BAD_QUERY
+        assert all(t.is_alive() for t in pool._threads)
+        mtype, payload = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
+        assert mtype == MSG_SETUP and b'"K": 3' in payload
+
+
+def test_handler_failure_closes_only_that_connection(monkeypatch):
+    def broken(payload, store, pool):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.DOWNLOAD_ALL_TAG, broken)
+    servers = small_servers()
+    with TcpServerPool(servers) as pool:
+        with pytest.raises(TransportError):
+            _tcp_roundtrip(pool.addresses[0], MSG_QUERY, wire.encode_query(0, encode_download_all()))
+        assert all(t.is_alive() for t in pool._threads)
+        mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
+        assert mtype == MSG_SETUP

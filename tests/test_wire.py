@@ -1,0 +1,198 @@
+from random import Random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from privset import block_scheme, table_scheme, wire
+from privset.params import SchemeParams
+from privset.psi import EntityConfig, run_psi
+from privset.storage import CommonRandomnessPool, MessageStore
+from privset.transport import make_entity_servers, provision_cr
+from privset.wire import MSG_ANSWER, MSG_ERROR, MSG_QUERY, ProtocolFault, TransportError
+
+E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+E2 = EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+
+
+def seeded_traffic():
+    """(query payloads, answer payloads) of seeded intersection runs."""
+    runs = [
+        run_psi(E1, E2, seed_client=11, seed_cr=22),
+        run_psi(EntityConfig(1, 6, 2, frozenset(range(6))), EntityConfig(2, 6, 2, frozenset({1, 2, 4, 5}))),
+        run_psi(EntityConfig(1, 12, 3, frozenset({2, 5, 7})), EntityConfig(2, 12, 3, frozenset(range(1, 12))),
+                seed_client=4, seed_cr=5),
+    ]
+    records = [rec for res in runs for db in res.transcript.records for rec in db]
+    return [q for q, _ in records], [a for _, a in records]
+
+
+def seeded_table_bodies():
+    t1 = table_scheme.build_query_table(SchemeParams(K=3, P=1, N=3), (0,), Random(5))
+    t2 = table_scheme.build_query_table(SchemeParams(K=5, P=3, N=2), (0, 1, 2), Random(5), reps=1)
+    return t1.wire_queries() + t2.wire_queries()
+
+
+def server_errors():
+    store = MessageStore.from_bits([1, 0, 1])
+    bare, provisioned = make_entity_servers(store, 2, {"K": 3})
+    provision_cr([provisioned], CommonRandomnessPool.generate(2, 2, seed=0), 2)
+    frames = [
+        (bare, 42, b""),
+        (bare, wire.MSG_CR_PROVISION, b""),
+        (bare, MSG_QUERY, wire.encode_query(0, bytes([2, 0, 0, 0, 0]))),
+        (provisioned, MSG_QUERY, b"\x00\x00"),
+        (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
+        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query([(5, [1, 0, 1])]))),
+        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, [1, 0])]))),
+    ]
+    out = []
+    for srv, mtype, payload in frames:
+        rtype, body = srv.handle_client_frame(mtype, payload)
+        assert rtype == MSG_ERROR
+        out.append(body)
+    return out
+
+
+def test_encode_inverts_parse_on_seeded_payloads():
+    queries, answers = seeded_traffic()
+    assert {wire.parse_query(q)[1][0] for q in queries} == {wire.BLOCK_QUERY_TAG, wire.DOWNLOAD_ALL_TAG}
+    for payload in queries:
+        qid, body = wire.parse_query(payload)
+        assert wire.encode_query(qid, body) == payload
+        if body[0] == wire.BLOCK_QUERY_TAG:
+            assert wire.encode_block_query(wire.parse_block_query(body)) == body
+        else:
+            wire.parse_download_all(body)
+            assert wire.encode_download_all() == body
+    for payload in answers:
+        assert wire.encode_answer(*wire.parse_answer(payload)) == payload
+    for body in seeded_table_bodies():
+        assert wire.encode_table_query(*wire.parse_table_query(body)) == body
+    for payload in server_errors():
+        assert wire.encode_error(*wire.parse_error(payload)) == payload
+
+
+def test_every_truncation_and_trailing_byte_is_a_fault():
+    queries, answers = seeded_traffic()
+    bodies = [wire.parse_query(q)[1] for q in queries] + seeded_table_bodies()
+    parsers = {
+        wire.BLOCK_QUERY_TAG: wire.parse_block_query,
+        wire.TABLE_QUERY_TAG: wire.parse_table_query,
+        wire.DOWNLOAD_ALL_TAG: wire.parse_download_all,
+    }
+    for body in bodies[:4] + bodies[-2:]:
+        parse = parsers[body[0]]
+        for cut in range(len(body)):
+            with pytest.raises(ProtocolFault):
+                parse(body[:cut])
+        with pytest.raises(ProtocolFault):
+            parse(body + b"\x00")
+    for payload in answers[:3]:
+        for cut in range(len(payload)):
+            with pytest.raises(TransportError):
+                wire.parse_answer(payload[:cut])
+        with pytest.raises(TransportError):
+            wire.parse_answer(payload + b"\x00")
+
+
+def test_client_side_parsers_raise_transport_errors():
+    with pytest.raises(TransportError):
+        wire.parse_error(b"\x01")
+    with pytest.raises(TransportError):
+        wire.parse_error(b"\x03\x00\xff")
+    with pytest.raises(TransportError):
+        wire.parse_answer(b"\x00\x00")
+    with pytest.raises(TransportError):
+        wire.parse_frame(b"PSI1")
+
+
+def test_block_body_layout():
+    # tag, entry count, then per entry: pool id, vector length, one byte per coefficient
+    body = wire.encode_block_query([(5, [2, 0, 1])])
+    u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
+    assert body == bytes([2]) + u32(1) + u32(5) + u32(3) + bytes([2, 0, 1])
+    assert wire.parse_block_query(body) == [(5, bytes([2, 0, 1]))]
+
+
+def test_parsers_check_the_bounds_they_are_given():
+    block = wire.encode_block_query([(0, [1, 0, 1]), (3, [0, 1, 1])])
+    assert wire.parse_block_query(block, 3, 4) == [(0, b"\x01\x00\x01"), (3, b"\x00\x01\x01")]
+    with pytest.raises(ProtocolFault, match="vector length"):
+        wire.parse_block_query(block, 4)
+    with pytest.raises(ProtocolFault, match="slot 3"):
+        wire.parse_block_query(block, 3, 3)
+    table = wire.encode_table_query([4], [([(0, 1), (2, 0)], 1)])
+    assert wire.parse_table_query(table, 3, 2, 5) == wire.TableQuery((4,), ((((0, 1), (2, 0)), 1),))
+    with pytest.raises(ProtocolFault, match="missing symbol"):
+        wire.parse_table_query(table, 2, 2, 5)
+    with pytest.raises(ProtocolFault, match="missing symbol"):
+        wire.parse_table_query(table, 3, 1, 5)
+    with pytest.raises(ProtocolFault, match="slot 4"):
+        wire.parse_table_query(table, 3, 2, 4)
+    with pytest.raises(ProtocolFault):
+        wire.parse_table_query(block)
+
+
+ALL_PARSERS = [
+    wire.parse_frame,
+    wire.parse_frame_header,
+    wire.parse_query,
+    wire.parse_block_query,
+    lambda b: wire.parse_block_query(b, 3, 2),
+    wire.parse_table_query,
+    lambda b: wire.parse_table_query(b, 3, 1, 2),
+    wire.parse_download_all,
+    wire.parse_answer,
+    wire.parse_error,
+]
+
+
+def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
+    data = bytearray(payload[:cut] if cut < len(payload) else payload)
+    if data:
+        data[pos % len(data)] = value
+    return bytes(data)
+
+
+_VALID_QUERIES = [
+    wire.encode_query(7, wire.encode_block_query([(0, [1, 0, 1]), (1, [0, 1, 1])])),
+    wire.encode_query(8, wire.encode_table_query([1], [([(0, 0), (2, 0)], 0)])),
+    wire.encode_query(9, wire.encode_download_all()),
+]
+
+payloads = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda tag, rest: b"\x00\x00\x00\x00" + bytes([tag]) + rest, st.integers(0, 4), st.binary(max_size=64)),
+    st.builds(_mutate, st.sampled_from(_VALID_QUERIES), st.integers(0, 63), st.integers(0, 255), st.integers(0, 64)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(payloads)
+def test_fuzzed_queries_get_an_answer_or_an_error(payload):
+    store = MessageStore.from_bits([1, 0, 1])
+    bare, provisioned = make_entity_servers(store, 2, {"K": 3})
+    provision_cr([provisioned], CommonRandomnessPool.generate(2, 2, seed=0), 2)
+    for srv in (bare, provisioned):
+        rtype, body = srv.handle_client_frame(MSG_QUERY, payload)
+        assert rtype in (MSG_ANSWER, MSG_ERROR)
+        if rtype == MSG_ANSWER:
+            wire.parse_answer(body)
+        else:
+            wire.parse_error(body)
+    for parse in ALL_PARSERS:
+        for data in (payload, payload[4:]):
+            try:
+                parse(data)
+            except ProtocolFault:
+                pass
+
+
+def test_block_answer_matches_reference_evaluation():
+    plan = block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2), (1, 4), Random(3))
+    store = MessageStore.generate(6, 2, 2, seed=1)
+    pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=2)
+    for db in range(3):
+        want = [block_scheme.answer_block(bq.vector, store, pool.symbols[bq.cr_id]) for bq in plan.queries[db]]
+        assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
