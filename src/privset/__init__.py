@@ -1,15 +1,15 @@
 """Private set intersection over replicated, non-colluding databases.
 
-The package layers, bottom to top: exact F_q arithmetic (``field``), the
-structural/cost mathematics (``params``), the byte layout of every protocol
-message (``wire``), two private retrieval schemes (``table_scheme`` for
-capacity-achieving joint retrieval, ``block_scheme`` for fixed message
-lengths), the intersection protocol (``psi``), database servers with
-simulated and TCP backends (``transport``), and exact privacy/reliability
-audits (``audit``).
+The package layers, bottom to top: seeded randomness streams and uniform
+symbol sampling (``field``), the structural/cost mathematics (``params``),
+the byte layout of every protocol message (``wire``), two private
+retrieval schemes (``table_scheme`` for capacity-achieving joint retrieval,
+``block_scheme`` for fixed message lengths), the intersection protocol
+(``psi``), database servers with simulated and TCP backends
+(``transport``), and exact privacy/reliability audits (``audit``).
 """
 
-from .field import Field, SymbolVector, domain_rng, inner_product, sample_uniform
+from .field import domain_rng, sample_uniform
 from .params import (
     AlphaProfile,
     CostLedger,
@@ -35,7 +35,6 @@ __all__ = [
     "CommonRandomnessPool",
     "CostLedger",
     "EntityConfig",
-    "Field",
     "IncidenceVector",
     "InfeasibleError",
     "MessageStore",
@@ -44,7 +43,6 @@ __all__ = [
     "PsiResult",
     "QueryTable",
     "SchemeParams",
-    "SymbolVector",
     "alpha_profile",
     "build_query_table",
     "cost_ledger",
@@ -53,7 +51,6 @@ __all__ = [
     "domain_rng",
     "download_all",
     "generate_set",
-    "inner_product",
     "lspir_cost",
     "mm_spir_capacity",
     "plan_blocks",

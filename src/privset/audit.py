@@ -40,7 +40,6 @@ from math import factorial
 from random import Random
 
 from . import block_scheme, table_scheme, wire
-from .field import Field, SymbolVector
 from .params import ParamError, SchemeParams
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -117,15 +116,14 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
     if mutant is None:
         return plan
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
-        field = Field(plan.params.q)
         KL = plan.params.K * plan.params.L
         for db in range(plan.params.N):
             new = []
             for bq in plan.queries[db]:
                 if bq.probe_coord is not None:
-                    elems = [0] * KL
-                    elems[bq.probe_coord] = 1
-                    bq = block_scheme.BlockQuery(bq.block, bq.db, SymbolVector(field, elems), bq.cr_id, bq.probe_coord)
+                    unit = bytearray(KL)
+                    unit[bq.probe_coord] = 1
+                    bq = block_scheme.BlockQuery(bq.block, bq.db, bytes(unit), bq.cr_id, bq.probe_coord)
                 new.append(bq)
             plan.queries[db] = new
         return plan
@@ -433,7 +431,6 @@ def recoverable_coordinates(
     of rows that eliminate all pool unknowns (pool columns are ordered first,
     so echelon rows pivoting past them carry no randomness).
     """
-    field = Field(q)
     rows: list[list[int]] = []
     for payload in wire_payloads:
         rows.extend(_rows_from_wire(payload, n_coords, pool_size, q, store_L))
@@ -445,7 +442,7 @@ def recoverable_coordinates(
         row = row[:]
         for b, pcol in zip(basis, pivots):
             if row[pcol]:
-                factor = row[pcol] * field.inv(b[pcol]) % q
+                factor = row[pcol] * pow(b[pcol], q - 2, q) % q
                 row = [(r - factor * bb) % q for r, bb in zip(row, b)]
         lead = next((c for c in range(width) if row[c]), None)
         if lead is None:
@@ -466,7 +463,7 @@ def recoverable_coordinates(
         vec[t] = 1
         for b, pcol in zip(coord_rows, msg_pivots):
             if vec[pcol]:
-                factor = vec[pcol] * field.inv(b[pcol]) % q
+                factor = vec[pcol] * pow(b[pcol], q - 2, q) % q
                 vec = [(v - factor * bb) % q for v, bb in zip(vec, b)]
         if not any(vec):
             recoverable.add(t)

@@ -16,9 +16,11 @@ database sees is uniform, so its view is independent of the desired set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from random import Random
+from typing import Sequence
 
-from .field import Field, SymbolVector, sample_uniform
+from .field import sample_uniform
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
@@ -27,11 +29,11 @@ from .wire import ProtocolFault, encode_block_query, parse_block_query
 
 @dataclass(frozen=True)
 class BlockQuery:
-    """One query vector for one database: coefficients plus the block's pool slot."""
+    """One query vector for one database: a byte per coefficient in [0, q), plus the block's pool slot."""
 
     block: int
     db: int
-    vector: SymbolVector
+    vector: bytes
     cr_id: int
     probe_coord: int | None  # desired coordinate this probe targets; None for the base
 
@@ -58,7 +60,7 @@ class BlockPlan:
         return self.n_blocks
 
     def wire_query(self, db: int) -> bytes:
-        return encode_block_query([(bq.cr_id, bq.vector.elems) for bq in self.queries[db]])
+        return encode_block_query([(bq.cr_id, bq.vector) for bq in self.queries[db]])
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.params.N)]
@@ -80,7 +82,6 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     if P == K:
         raise ParamError("P == K is served by download_all, not by block queries")
 
-    field = Field(q)
     coords_flat = [m * L + sym for m in desired for sym in range(L)]
     rng.shuffle(coords_flat)
 
@@ -91,13 +92,13 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     for j, block_coords in enumerate(coords):
         base = j % N
         base_db.append(base)
-        base_vec = sample_uniform(rng, K * L, field)
+        base_vec = bytes(sample_uniform(rng, K * L, q))
         queries[base].append(BlockQuery(j, base, base_vec, j, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
-            elems = list(base_vec.elems)
-            elems[t] = (elems[t] + 1) % q
-            queries[db].append(BlockQuery(j, db, SymbolVector(field, elems), j, t))
+            probe = bytearray(base_vec)
+            probe[t] = (probe[t] + 1) % q
+            queries[db].append(BlockQuery(j, db, bytes(probe), j, t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, base_db=base_db, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -105,28 +106,21 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     return plan
 
 
-def answer_block(vector: SymbolVector, store: MessageStore, cr_symbol: int) -> int:
+def answer_block(vector: Sequence[int], store: MessageStore, cr_symbol: int) -> int:
     """<vector, flattened store> + cr, in F_q."""
     if len(vector) != store.K * store.L:
         raise ParamError(f"query vector length {len(vector)} != K*L = {store.K * store.L}")
-    q = store.q
-    acc = 0
-    flat = store.flat()
-    for c, w in zip(vector.elems, flat):
+    acc = cr_symbol
+    for c, w in zip(vector, store.flat):
         acc += c * w
-    return (acc + cr_symbol) % q
+    return acc % store.q
 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """One symbol per block-query entry: <vector, flattened store> + its pool symbol."""
-    flat = store.flat()
-    out: list[int] = []
-    for cr_id, vec in parse_block_query(payload, store.K * store.L, len(pool.symbols)):
-        acc = pool.symbols[cr_id]
-        for c, w in zip(vec, flat):
-            acc += c * w
-        out.append(acc % store.q)
-    return out
+    flat, q = store.flat, store.q
+    entries = parse_block_query(payload, store.K * store.L, len(pool.symbols))
+    return [(sum(map(mul, vec, flat)) + pool.symbols[cr_id]) % q for cr_id, vec in entries]
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:

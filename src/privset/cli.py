@@ -276,10 +276,7 @@ def cmd_psi_run(args) -> int:
 
 def cmd_psi_serve(args) -> int:
     K, elements = read_set(args.set)
-    bits = psi.to_incidence(elements, K).bits
-    store = MessageStore.from_bits(list(bits))
-    info = {"entity": args.entity, "K": K, "P": len(elements), "N": args.n_databases}
-    servers = transport.make_entity_servers(store, args.n_databases, info)
+    servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
     pool = CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr)
     transport.provision_cr(servers, pool, 0)
     host, base_port = args.listen.rsplit(":", 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 
 class ParamError(ValueError):
@@ -26,6 +26,16 @@ class ParamError(ValueError):
 
 class InfeasibleError(ParamError):
     """Raised when no achievable scheme exists (e.g. a single database)."""
+
+
+# A symbol travels as one byte, so the field modulus is a prime no larger than 256.
+_MODULI = frozenset(q for q in range(2, 257) if all(q % d for d in range(2, isqrt(q) + 1)))
+
+
+def check_modulus(q: int) -> None:
+    """Raise ParamError unless F_q is a field whose symbols fit in a wire byte."""
+    if q not in _MODULI:
+        raise ParamError(f"q must be a prime <= 256 (one byte per symbol on the wire), got {q}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,7 @@ class SchemeParams:
             raise ParamError("N must be >= 1")
         if self.L < 1:
             raise ParamError("L must be >= 1")
+        check_modulus(self.q)
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,8 @@ def choose_initiator(e1: EntityConfig, e2: EntityConfig) -> tuple[int, int]:
     return options[0][1], options[0][0]
 
 
-def _entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
+def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
+    """The entity's databases, each holding its incidence vector as K one-bit messages."""
     bits = to_incidence(entity.elements, entity.K).bits
     store = MessageStore.from_bits(list(bits))
     info = {"entity": entity.entity_id, "K": entity.K, "P": entity.size, "N": entity.n_databases}
@@ -169,7 +170,7 @@ def run_psi(
     """
     initiator_id, optimal_cost = choose_initiator(e1, e2)
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
-    servers = _entity_servers(resp)
+    servers = entity_servers(resp)
 
     def install_pool(required: int) -> None:
         transport.provision_cr(servers, CommonRandomnessPool.generate(required, 2, seed_cr), required)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
-from .field import DOMAIN_COMMON_RANDOMNESS, DOMAIN_MESSAGES, domain_rng, sample_symbols
+from .field import DOMAIN_COMMON_RANDOMNESS, DOMAIN_MESSAGES, domain_rng, sample_uniform
+from .params import check_modulus
 
 
 @dataclass
@@ -15,6 +18,9 @@ class MessageStore:
     q: int
     messages: list[list[int]]
 
+    def __post_init__(self):
+        check_modulus(self.q)  # answers are sums mod q, sent one byte each
+
     @property
     def K(self) -> int:
         return len(self.messages)
@@ -23,17 +29,15 @@ class MessageStore:
     def L(self) -> int:
         return len(self.messages[0]) if self.messages else 0
 
-    def flat(self) -> list[int]:
-        """Row-major flattening; global coordinate of (msg, sym) is msg*L + sym."""
-        out: list[int] = []
-        for m in self.messages:
-            out.extend(m)
-        return out
+    @cached_property
+    def flat(self) -> tuple[int, ...]:
+        """Row-major flattening, built on first use; global coordinate of (msg, sym) is msg*L + sym."""
+        return tuple(chain.from_iterable(self.messages))
 
     @classmethod
     def generate(cls, K: int, L: int, q: int, seed: int) -> "MessageStore":
         rng = domain_rng(seed, DOMAIN_MESSAGES)
-        return cls(q=q, messages=[sample_symbols(rng, L, q) for _ in range(K)])
+        return cls(q=q, messages=[sample_uniform(rng, L, q) for _ in range(K)])
 
     @classmethod
     def from_bits(cls, bits: list[int]) -> "MessageStore":
@@ -64,4 +68,4 @@ class CommonRandomnessPool:
     @classmethod
     def generate(cls, size: int, q: int, seed: int) -> "CommonRandomnessPool":
         rng = domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
-        return cls(q=q, symbols=sample_symbols(rng, size, q))
+        return cls(q=q, symbols=sample_uniform(rng, size, q))

@@ -390,7 +390,7 @@ def download_all(store: MessageStore) -> list[list[int]]:
 
 def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     parse_download_all(payload)
-    return store.flat()
+    return list(store.flat)
 
 
 def render_text(table: QueryTable) -> str:

@@ -107,6 +107,13 @@ class TestSymbolicLeakage:
         assert rep.ok
         assert len(rep.recoverable) == 4
 
+    def test_block_over_f5(self):
+        # Elimination divides by pivots 2, 3 and 4 here, not only by 1 as over F_2.
+        plan = block_scheme.plan_blocks(SchemeParams(K=4, P=2, N=3, L=2, q=5), (0, 2), Random(8))
+        rep = audit.symbolic_leakage_block(plan)
+        assert rep.ok
+        assert len(rep.recoverable) == 4
+
     def test_exact_span_with_and_without_mask(self):
         import struct
 

@@ -10,7 +10,7 @@ from privset.block_scheme import (
     decoded_messages,
     plan_blocks,
 )
-from privset.field import Field, SymbolVector
+from privset.audit import _ScriptedRandom
 from privset.params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
@@ -48,15 +48,33 @@ def test_plan_shape_wide():
 
 def test_answer_zero_vector_returns_randomness():
     store = MessageStore.generate(3, 1, 2, seed=1)
-    f = Field(2)
-    assert answer_block(SymbolVector(f, [0, 0, 0]), store, 1) == 1
+    assert answer_block([0, 0, 0], store, 1) == 1
+
+
+def test_answer_block_annihilator_and_selector():
+    store = MessageStore(5, [[3], [1], [4]])
+    assert answer_block(bytes(3), store, 0) == 0
+    for j in range(3):
+        e = [1 if i == j else 0 for i in range(3)]
+        assert answer_block(e, store, 0) == store.messages[j][0]
+        assert answer_block(e, store, 2) == (store.messages[j][0] + 2) % 5
+
+
+def test_answer_block_linear_random():
+    # <a + b, W> + s = (<a, W> + s) + (<b, W> + s) - s over F_5: the decode relies on it.
+    rng = Random(1)
+    for _ in range(50):
+        store = MessageStore(5, [[rng.randrange(5) for _ in range(2)] for _ in range(3)])
+        a, b = ([rng.randrange(5) for _ in range(6)] for _ in range(2))
+        s = rng.randrange(5)
+        ab = [(x + y) % 5 for x, y in zip(a, b)]
+        assert answer_block(ab, store, s) == (answer_block(a, store, s) + answer_block(b, store, s) - s) % 5
 
 
 def test_answer_telescoping_pair():
     store = MessageStore(2, [[1], [0], [1]])
-    f = Field(2)
-    base = SymbolVector(f, [1, 1, 0])
-    probe = SymbolVector(f, [1, 1, 1])  # base + e_2
+    base = bytes([1, 1, 0])
+    probe = bytes([1, 1, 1])  # base + e_2
     cr = 1
     assert (answer_block(probe, store, cr) - answer_block(base, store, cr)) % 2 == store.messages[2][0]
 
@@ -64,14 +82,15 @@ def test_answer_telescoping_pair():
 def test_answer_hand_case():
     # q=2, W=(1,0,1), c=(1,1,0), cr=1: <c,W> = 1, plus cr -> 0
     store = MessageStore(2, [[1], [0], [1]])
-    f = Field(2)
-    assert answer_block(SymbolVector(f, [1, 1, 0]), store, 1) == 0
+    assert answer_block([1, 1, 0], store, 1) == 0
 
 
 def test_answer_rejects_wrong_length():
     store = MessageStore(2, [[1], [0]])
     with pytest.raises(ParamError):
-        answer_block(SymbolVector(Field(2), [1]), store, 0)
+        answer_block([1], store, 0)
+    with pytest.raises(ParamError):
+        answer_block(bytes([1, 0, 1]), store, 0)
 
 
 def test_decode_minimal():
@@ -124,10 +143,11 @@ def test_per_database_marginal_uniformity_exact():
     counts = [dict(), dict()]
     total = 0
     for draws in product(range(2), repeat=3):
-        rng = _Scripted(list(draws))
+        rng = _ScriptedRandom([(0,)], list(draws))
         plan = plan_blocks(params, desired, rng)
+        assert rng.exhausted()
         for db in range(2):
-            key = tuple(bq.vector.elems for bq in plan.queries[db])
+            key = tuple(bq.vector for bq in plan.queries[db])
             counts[db][key] = counts[db].get(key, 0) + 1
         total += 1
     for db in range(2):
@@ -135,15 +155,24 @@ def test_per_database_marginal_uniformity_exact():
         assert set(counts[db].values()) == {total // 8}
 
 
-class _Scripted:
-    def __init__(self, values):
-        self.values = values
+def test_probe_is_base_plus_unit_vector():
+    plan, *_ = run_once(4, 2, 3, L=2, q=5, seed=2)
+    for j, block_coords in enumerate(plan.coords):
+        vecs = {bq.probe_coord: bq.vector for db in range(3) for bq in plan.queries[db] if bq.block == j}
+        base = vecs.pop(None)
+        assert type(base) is bytes and len(base) == 8 and max(base) < 5
+        assert sorted(vecs) == sorted(block_coords)
+        for t, vec in vecs.items():
+            assert type(vec) is bytes
+            assert [(v - b) % 5 for v, b in zip(vec, base)] == [1 if i == t else 0 for i in range(8)]
 
-    def shuffle(self, x):
-        pass  # single desired coordinate; nothing to permute
 
-    def randrange(self, n):
-        return self.values.pop(0)
+def test_store_is_flattened_once():
+    plan, store, pool, answers = run_once(4, 2, 2, L=2)
+    flat = store.flat
+    assert flat == tuple(s for m in store.messages for s in m)
+    assert [answer_wire_query(plan.wire_query(db), store, pool) for db in range(2)] == answers
+    assert store.flat is flat
 
 
 def test_each_database_gets_at_most_one_vector_per_block():

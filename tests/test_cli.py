@@ -76,6 +76,20 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_table_run_rejects_a_non_prime_modulus(capsys):
+    code, out, err = run_cli(capsys, "table", "--K", "3", "--P", "1", "--N", "2", "--q", "4", "--run")
+    assert code == EXIT_USAGE
+    assert "prime" in err and "decoded" not in out
+
+
+def test_psi_serve_rejects_an_unknown_entity(tmp_path, capsys):
+    set_path = tmp_path / "e.set"
+    set_path.write_text("# privset set v1 K=4\n1\n")
+    code, _, err = run_cli(capsys, "psi", "serve", "--set", str(set_path), "--entity", "3")
+    assert code == EXIT_USAGE
+    assert "entity_id" in err
+
+
 def test_psi_gen_and_run_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "psi", "gen", "--K", "12", "--seed", "7", "--out-dir", str(tmp_path), "--machine"

@@ -6,6 +6,7 @@ import pytest
 from privset.params import (
     InfeasibleError,
     ParamError,
+    SchemeParams,
     alpha_profile,
     cost_ledger,
     lspir_cost,
@@ -13,6 +14,7 @@ from privset.params import (
     psi_optimal_cost,
     repetition_factor,
 )
+from privset.storage import MessageStore
 
 GRID = [
     (K, P, N)
@@ -20,6 +22,17 @@ GRID = [
     for P in range(1, K)
     for N in (2, 3, 4)
 ]
+
+
+def test_non_prime_modulus_rejected():
+    # A symbol is one byte on the wire, so q must be a prime no larger than 256.
+    for q in (0, 1, 4, 256, 257):
+        with pytest.raises(ParamError, match="prime"):
+            SchemeParams(K=3, P=1, N=2, q=q)
+        with pytest.raises(ParamError, match="prime"):
+            MessageStore(q, [[0], [1]])
+    for q in (2, 3, 251):
+        assert SchemeParams(K=3, P=1, N=2, q=q).q == q
 
 
 def test_alpha_worked_examples():
