@@ -25,7 +25,7 @@ from .params import (
 )
 from .psi import EntityConfig, IncidenceVector, PsiResult, generate_set, run_psi, to_incidence
 from .storage import CommonRandomnessPool, MessageStore
-from .table_scheme import QueryTable, build_query_table, decode, download_all
+from .table_scheme import QueryTable, build_query_table, decode
 from .wire import ProtocolFault
 from .block_scheme import BlockPlan, decode_blocks, plan_blocks
 
@@ -49,7 +49,6 @@ __all__ = [
     "decode",
     "decode_blocks",
     "domain_rng",
-    "download_all",
     "generate_set",
     "lspir_cost",
     "mm_spir_capacity",

@@ -40,7 +40,7 @@ from math import factorial
 from random import Random
 
 from . import block_scheme, table_scheme, wire
-from .params import ParamError, SchemeParams
+from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
 DEFAULT_BUDGET = 2**24
@@ -136,7 +136,7 @@ def _enum_block_strategies(params: SchemeParams, desired: tuple[int, ...], mutan
     """Yield (weight, plan) over the whole strategy space, exactly."""
     P, L, N, q, K = params.P, params.L, params.N, params.q, params.K
     PL = P * L
-    n_blocks = -(-PL // (N - 1))
+    n_blocks = lspir_cost(P, N, L)[1]
     n_syms = n_blocks * K * L
     n_perms = factorial(PL)
     _check_budget(n_perms * q**n_syms, budget)
@@ -160,7 +160,7 @@ def audit_block_user_privacy(
 ) -> Verdict:
     """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = -(-P * L // (N - 1))
+    n_blocks = lspir_cost(P, N, L)[1]
     w_space = q ** (K * L)
     s_space = q**n_blocks
     strat = factorial(P * L) * q ** (n_blocks * K * L)
@@ -198,7 +198,7 @@ def audit_block_db_privacy(
     must equal the uniform prior, for every view of nonzero probability."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     desired = tuple(range(P))
-    n_blocks = -(-P * L // (N - 1))
+    n_blocks = lspir_cost(P, N, L)[1]
     w_space = q ** (K * L)
     s_space = q**n_blocks
     strat = factorial(P * L) * q ** (n_blocks * K * L)

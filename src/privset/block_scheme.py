@@ -45,7 +45,6 @@ class BlockPlan:
     params: SchemeParams
     desired: tuple[int, ...]  # message indices
     coords: list[list[int]]  # per block, the desired global coordinates covered
-    base_db: list[int]  # per block, which database answers the bare base
     queries: list[list[BlockQuery]]  # per database, in block order
 
     @property
@@ -80,18 +79,16 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     if len(desired) != P or any(not 0 <= m < K for m in desired):
         raise ParamError(f"desired must be P={P} distinct messages in [0, {K})")
     if P == K:
-        raise ParamError("P == K is served by download_all, not by block queries")
+        raise ParamError("P == K is served by the download-all path, not by block queries")
 
     coords_flat = [m * L + sym for m in desired for sym in range(L)]
     rng.shuffle(coords_flat)
 
     width = N - 1
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
-    base_db: list[int] = []
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
     for j, block_coords in enumerate(coords):
         base = j % N
-        base_db.append(base)
         base_vec = bytes(sample_uniform(rng, K * L, q))
         queries[base].append(BlockQuery(j, base, base_vec, j, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
@@ -100,7 +97,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
             probe[t] = (probe[t] + 1) % q
             queries[db].append(BlockQuery(j, db, bytes(probe), j, t))
 
-    plan = BlockPlan(params=params, desired=desired, coords=coords, base_db=base_db, queries=queries)
+    plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
     assert plan.total_queries == D and plan.n_blocks == HS
     return plan
@@ -138,17 +135,15 @@ def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
         if any(not 0 <= v < q for v in answers[db]):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
 
-    by_query: dict[tuple[int, int], int] = {}
+    base: dict[int, int] = {}  # block -> base answer
+    probes: list[tuple[int, int, int]] = []  # (block, coordinate, probe answer)
     for db in range(N):
         for bq, v in zip(plan.queries[db], answers[db]):
-            by_query[(bq.block, db)] = v
-
-    out: dict[int, int] = {}
-    for j, block_coords in enumerate(plan.coords):
-        base_val = by_query[(j, plan.base_db[j])]
-        probes = [(plan.base_db[j] + 1 + i) % N for i in range(len(block_coords))]
-        for db, t in zip(probes, block_coords):
-            out[t] = (by_query[(j, db)] - base_val) % q
+            if bq.probe_coord is None:
+                base[bq.block] = v
+            else:
+                probes.append((bq.block, bq.probe_coord, v))
+    out = {t: (v - base[j]) % q for j, t, v in probes}
     assert len(out) == plan.params.P * plan.params.L
     return out
 

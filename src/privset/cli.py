@@ -14,9 +14,6 @@ Every subcommand is deterministic given its seeds.  ``--machine`` switches
 to line-oriented JSON records (one object per line, each carrying a
 ``record`` discriminator).  Exit codes: 0 success, 2 usage error,
 3 protocol/transport fault, 4 audit failure.
-
-Environment overrides: PRIVSET_TRANSPORT, PRIVSET_SEED_CLIENT,
-PRIVSET_SEED_CR (flags win over the environment).
 """
 
 from __future__ import annotations
@@ -67,9 +64,9 @@ def cmd_params(args) -> int:
     nu = repetition_factor(args.K, args.P, args.N, profile)
     ledger = cost_ledger(args.K, args.P, args.N, profile)
     mult = nu * profile.scale
-    table_L = mult * args.N * (ledger.D1 - ledger.U1) / args.P
+    table_L = mult * ledger.message_length_per_rep
     table_D = mult * args.N * (ledger.D1 + ledger.D2)
-    table_HS = mult * args.N * (ledger.U1 + ledger.D2)
+    table_HS = mult * args.N * ledger.randomness
     block_D, block_HS = lspir_cost(args.P, args.N, args.L)
     record = {
         "record": "params",
@@ -378,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_transport = os.environ.get("PRIVSET_TRANSPORT", "sim")
-    env_seed_client = int(os.environ.get("PRIVSET_SEED_CLIENT", "0"))
-    env_seed_cr = int(os.environ.get("PRIVSET_SEED_CR", "0"))
-
     p = sub.add_parser("params", help="profile, repetition factor, ledger, rates")
     p.add_argument("--K", type=int, required=True, help="number of messages")
     p.add_argument("--P", type=int, required=True, help="number of desired messages")
@@ -398,10 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="field modulus")
     p.add_argument("--reps", type=int, default=None, help="override the repetition factor")
     p.add_argument("--desired", type=int, nargs="*", default=None, help="desired message indices")
-    p.add_argument("--seed-client", type=int, default=env_seed_client)
+    p.add_argument("--seed-client", type=int, default=0)
     p.add_argument("--run", action="store_true", help="execute against a generated store and decode")
     p.add_argument("--seed-msg", type=int, default=0, help="message store seed for --run")
-    p.add_argument("--seed-cr", type=int, default=env_seed_cr, help="randomness pool seed for --run")
+    p.add_argument("--seed-cr", type=int, default=0, help="randomness pool seed for --run")
     _add_common(p)
     p.set_defaults(func=cmd_table)
 
@@ -426,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", type=float, default=0.5)
     p.add_argument("--q2", type=float, default=0.5)
     p.add_argument("--seed-sets", type=int, default=0)
-    p.add_argument("--transport", choices=["sim", "tcp"], default=env_transport)
-    p.add_argument("--seed-client", type=int, default=env_seed_client)
-    p.add_argument("--seed-cr", type=int, default=env_seed_cr)
+    p.add_argument("--transport", choices=["sim", "tcp"], default="sim")
+    p.add_argument("--seed-client", type=int, default=0)
+    p.add_argument("--seed-cr", type=int, default=0)
     p.add_argument("--no-forward", action="store_true", help="skip forwarding the result")
     p.add_argument("--save-transcript", help="write the binary transcript here")
     p.add_argument("--connect", help="comma-separated host:port list of externally served databases")
@@ -441,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-databases", type=int, default=2)
     p.add_argument("--listen", default="127.0.0.1:0", help="host:base_port (0 = ephemeral)")
     p.add_argument("--pool-size", type=int, default=1024)
-    p.add_argument("--seed-cr", type=int, default=env_seed_cr)
+    p.add_argument("--seed-cr", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_psi_serve)
 

@@ -221,22 +221,35 @@ def lspir_cost(P: int, N: int, L: int) -> tuple[int, int]:
     return D, HS
 
 
-def psi_optimal_cost(P1: int, N1: int, P2: int, N2: int) -> tuple[int, int]:
-    """Optimal download cost for intersecting two stored sets.
+def psi_direction_cost(P: int, N: int, K: int | None) -> int:
+    """Download cost when the side holding P of K elements initiates against N databases.
 
-    Either side may initiate; the initiator retrieves one bit per element of
-    its own set from the other side's databases.  Returns (cost, initiator)
-    where initiator is 1 or 2; ties go to entity 1.  A direction is feasible
-    only when the responding side has at least two databases.  Both set sizes
-    must be at least 1; ``psi.choose_initiator`` also prices the empty and
-    full sets.
+    The initiator retrieves one bit per element of its own set.  An empty set
+    sends no query and costs 0.  A full set downloads all K bits from one
+    database with no shared randomness (MM-SPIR capacity 1).  Any other set
+    costs ceil(N*P/(N-1)) and needs N >= 2, else InfeasibleError.
+    """
+    if P == 0:
+        return 0
+    if P == K:
+        return K
+    return lspir_cost(P, N, 1)[0]
+
+
+def psi_optimal_cost(P1: int, N1: int, P2: int, N2: int, K: int | None = None) -> tuple[int, int]:
+    """Optimal download cost for intersecting two stored sets of K possible elements.
+
+    Either side may initiate against the other side's databases.  Returns
+    (cost, initiator), the cheapest feasible ``psi_direction_cost``, where
+    initiator is 1 or 2; ties go to entity 1.  K is optional only for the
+    four-argument form, which treats no set as full.
     """
     candidates: list[tuple[int, int]] = []
-    if N2 >= 2:
-        candidates.append((lspir_cost(P1, N2, 1)[0], 1))
-    if N1 >= 2:
-        candidates.append((lspir_cost(P2, N1, 1)[0], 2))
+    for P, N, initiator in ((P1, N2, 1), (P2, N1, 2)):
+        try:
+            candidates.append((psi_direction_cost(P, N, K), initiator))
+        except InfeasibleError:
+            pass
     if not candidates:
         raise InfeasibleError("both entities have a single database; no private scheme exists")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return candidates[0]
+    return min(candidates)

@@ -18,7 +18,7 @@ from typing import Callable
 
 from . import block_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
-from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
+from .params import ParamError, SchemeParams, psi_direction_cost, psi_optimal_cost
 from .storage import CommonRandomnessPool, MessageStore
 
 
@@ -114,35 +114,6 @@ class PsiResult:
         return len(self.intersection)
 
 
-def _direction_cost(p_init: int, k: int, n_resp: int) -> int | None:
-    """Download cost if this side initiates; None when infeasible."""
-    if p_init == 0:
-        return 0
-    if p_init == k:
-        return k  # download everything from one database, no randomness needed
-    if n_resp < 2:
-        return None
-    return lspir_cost(p_init, n_resp, 1)[0]
-
-
-def choose_initiator(e1: EntityConfig, e2: EntityConfig) -> tuple[int, int]:
-    """(initiator id, expected download cost); ties go to entity 1.
-
-    For 1 <= P <= K-1 in both directions this is exactly
-    min(ceil(P1*N2/(N2-1)), ceil(P2*N1/(N1-1))); empty and full sets take
-    the degenerate no-query / download-all paths.
-    """
-    if e1.K != e2.K:
-        raise ParamError("entities must agree on the field size K")
-    c1 = _direction_cost(e1.size, e1.K, e2.n_databases)
-    c2 = _direction_cost(e2.size, e2.K, e1.n_databases)
-    options = [(c, ent) for c, ent in ((c1, 1), (c2, 2)) if c is not None]
-    if not options:
-        raise InfeasibleError("both entities have a single database; no private scheme exists")
-    options.sort(key=lambda t: (t[0], t[1]))
-    return options[0][1], options[0][0]
-
-
 def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
     """The entity's databases, each holding its incidence vector as K one-bit messages."""
     bits = to_incidence(entity.elements, entity.K).bits
@@ -168,7 +139,9 @@ def run_psi(
     answers.  The result is identical across the simulated and TCP backends
     for the same seeds.
     """
-    initiator_id, optimal_cost = choose_initiator(e1, e2)
+    if e1.K != e2.K:
+        raise ParamError("entities must agree on the field size K")
+    optimal_cost, initiator_id = psi_optimal_cost(e1.size, e1.n_databases, e2.size, e2.n_databases, e1.K)
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
     servers = entity_servers(resp)
 
@@ -206,9 +179,7 @@ def run_psi_remote(
     refuse the queries.  The responder's public shape comes from the setup
     exchange.
     """
-    cost = _direction_cost(initiator.size, initiator.K, len(addresses))
-    if cost is None:
-        raise InfeasibleError("responder must run at least two databases")
+    cost = psi_direction_cost(initiator.size, len(addresses), initiator.K)
     backend = transport.TcpBackend(addresses)
     try:
         return _intersect(initiator, backend, None, seed_client, None, cost, forward_result)

@@ -153,7 +153,7 @@ def build_query_table(
     """
     K, P, N, q = params.K, params.P, params.N, params.q
     if P == K:
-        raise ParamError("P == K is served by download_all, not by query tables")
+        raise ParamError("P == K is served by the download-all path, not by query tables")
     desired = tuple(sorted(set(desired)))
     if len(desired) != P or any(not 0 <= m < K for m in desired):
         raise ParamError(f"desired must be P={P} distinct messages in [0, {K})")
@@ -381,14 +381,8 @@ def decode(table: QueryTable, answers: list[list[int]]) -> DecodedMessages:
     return out
 
 
-def download_all(store: MessageStore) -> list[list[int]]:
-    """P = K degenerate path: everything from one database, no shared randomness."""
-    if store.K < 1:
-        raise ParamError("store holds no messages")
-    return [list(m) for m in store.messages]
-
-
 def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
+    """P = K degenerate path: every stored symbol from one database, no shared randomness."""
     parse_download_all(payload)
     return list(store.flat)
 

@@ -17,6 +17,7 @@ from privset.params import (
     alpha_profile,
     cost_ledger,
     lspir_cost,
+    psi_optimal_cost,
     repetition_factor,
 )
 from privset.psi import EntityConfig, generate_set, run_psi
@@ -219,10 +220,7 @@ def test_criterion_9_psi_sweep():
         res = run_psi(e1, e2, seed_client=rng.randrange(1 << 30), seed_cr=rng.randrange(1 << 30))
         assert res.intersection == s1 & s2, (K, s1, s2)
         assert res.download_symbols == res.optimal_cost, (K, len(s1), len(s2))
-        # when both directions fall in the two-sided formula's range, the
-        # measured cost equals min(ceil(P1*N2/(N2-1)), ceil(P2*N1/(N1-1)))
-        if 1 <= len(s1) <= K - 1 and 1 <= len(s2) <= K - 1:
-            from privset.params import psi_optimal_cost
-
-            assert res.download_symbols == psi_optimal_cost(len(s1), e1.n_databases, len(s2), e2.n_databases)[0]
+        # min(ceil(P1*N2/(N2-1)), ceil(P2*N1/(N1-1))), with empty and full sets priced too
+        optimum = psi_optimal_cost(len(s1), e1.n_databases, len(s2), e2.n_databases, K)
+        assert (res.download_symbols, res.initiator) == optimum, (K, len(s1), len(s2))
     return "1000 instances"

@@ -176,9 +176,11 @@ def test_store_is_flattened_once():
 def test_each_database_gets_at_most_one_vector_per_block():
     plan, *_ = run_once(5, 3, 3, L=2, seed=6)
     for j, block_coords in enumerate(plan.coords):
-        holders = [db for db in range(3) for bq in plan.queries[db] if bq.block == j]
+        block = [bq for db in range(3) for bq in plan.queries[db] if bq.block == j]
+        holders = [bq.db for bq in block]
         assert len(holders) == len(set(holders)) == 1 + len(block_coords)
-        assert plan.base_db[j] in holders
+        (base,) = [bq for bq in block if bq.probe_coord is None]
+        assert base.db not in [bq.db for bq in block if bq.probe_coord is not None]
 
 
 def test_count_mismatch_detected():

@@ -76,6 +76,12 @@ def test_usage_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_params_ignores_the_environment(monkeypatch, capsys):
+    monkeypatch.setenv("PRIVSET_SEED_CR", "abc")
+    code, _, _ = run_cli(capsys, "params", "--K", "3", "--P", "1", "--N", "2")
+    assert code == EXIT_OK
+
+
 def test_table_run_rejects_a_non_prime_modulus(capsys):
     code, out, err = run_cli(capsys, "table", "--K", "3", "--P", "1", "--N", "2", "--q", "4", "--run")
     assert code == EXIT_USAGE
@@ -197,6 +203,12 @@ def test_audit_command_pass_and_fail(capsys):
         "--mutant", "no_base_mask", "--machine",
     )
     assert code == EXIT_AUDIT
+
+
+def test_block_audit_rejects_a_single_database(capsys):
+    code, _, err = run_cli(capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "1")
+    assert code == EXIT_USAGE
+    assert "two databases" in err
 
 
 def test_table_run_executes_and_decodes(capsys):

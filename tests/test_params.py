@@ -146,3 +146,14 @@ def test_psi_optimal_cost_directionality():
     assert initiator == 2 and cost == -(-2 * 2 // 1)
     with pytest.raises(InfeasibleError):
         psi_optimal_cost(3, 1, 3, 1)
+
+
+def test_psi_optimal_cost_empty_and_full_sets():
+    # an empty set sends no query, so it needs no second database
+    assert psi_optimal_cost(0, 1, 3, 1, K=5) == (0, 1)
+    assert psi_optimal_cost(3, 1, 0, 1, K=5) == (0, 2)
+    # a full set downloads all K bits from one database: 10 beats ceil(6*2/1) = 12
+    assert psi_optimal_cost(10, 2, 6, 2, K=10) == (10, 1)
+    assert psi_optimal_cost(10, 2, 6, 2) == (12, 2)  # without K no set is full
+    with pytest.raises(InfeasibleError):
+        psi_optimal_cost(2, 1, 3, 1, K=5)

@@ -4,11 +4,10 @@ from random import Random
 import pytest
 
 from privset.field import DOMAIN_CLIENT, domain_rng
-from privset.params import InfeasibleError, ParamError, SchemeParams
+from privset.params import InfeasibleError, ParamError, SchemeParams, psi_optimal_cost
 from privset.psi import (
     EntityConfig,
     IncidenceVector,
-    choose_initiator,
     generate_set,
     run_psi,
     run_psi_remote,
@@ -97,12 +96,14 @@ def test_equal_sets():
 
 
 def test_direction_choice():
-    assert choose_initiator(FIG_E1, FIG_E2) == (1, 8)
-    e1 = EntityConfig(1, 10, 3, frozenset(range(9)))
-    e2 = EntityConfig(2, 10, 3, frozenset({0, 1}))
-    assert choose_initiator(e1, e2) == (2, 3)
+    assert psi_optimal_cost(4, 2, 6, 2, 10) == (8, 1)  # FIG_E1 against FIG_E2
+    assert psi_optimal_cost(9, 3, 2, 3, 10) == (3, 2)
     with pytest.raises(InfeasibleError):
-        choose_initiator(EntityConfig(1, 4, 1, frozenset({1})), EntityConfig(2, 4, 1, frozenset({2})))
+        psi_optimal_cost(1, 1, 1, 1, 4)
+    with pytest.raises(InfeasibleError):
+        run_psi(EntityConfig(1, 4, 1, frozenset({1})), EntityConfig(2, 4, 1, frozenset({2})))
+    with pytest.raises(ParamError):
+        run_psi(EntityConfig(1, 4, 2, frozenset({1})), EntityConfig(2, 5, 2, frozenset({2})))
 
 
 def test_empty_and_full_set_edges():

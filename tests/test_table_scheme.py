@@ -11,14 +11,15 @@ from privset.table_scheme import (
     CR_HIDDEN,
     CR_SIDEINFO,
     ProtocolFault,
+    answer_download_all,
     answer_queries,
     answer_wire_query,
     build_query_table,
     decode,
-    download_all,
     build_query_table as build,
     render_text,
 )
+from privset.wire import encode_download_all
 
 
 def make_run(K, P, N, q=2, desired=None, seed=0, reps=None):
@@ -226,9 +227,8 @@ def test_out_of_range_reference_is_a_fault():
 
 def test_download_all_path():
     store = MessageStore.generate(2, 1, 2, seed=3)
-    got = download_all(store)
-    assert got == store.messages
-    assert sum(len(m) for m in got) == 2  # K*L symbols, no randomness involved
+    got = answer_download_all(encode_download_all(), store, CommonRandomnessPool(2, []))
+    assert got == list(store.flat)  # K*L symbols, no randomness involved
     with pytest.raises(ParamError):
         build_query_table(SchemeParams(K=3, P=3, N=2), (0, 1, 2), Random(0))
 
