@@ -1,7 +1,6 @@
 """Exact verification of the privacy and reliability guarantees at desk scale.
 
-Three kinds of checks, all in exact arithmetic (Fractions over F_q; zero
-means zero):
+Three kinds of checks, all in exact arithmetic (zero means zero):
 
 * reliability: decode output equals the stored symbols, every trial;
 * user privacy: the view of each single database - query, answer, messages,
@@ -9,6 +8,10 @@ means zero):
   desired;
 * database privacy: the querying side's whole view leaves the posterior of
   every undesired symbol exactly uniform.
+
+Every enumerated atom (a strategy draw, message realization and randomness
+realization, or one permutation) is equally likely, so a distribution is a
+``Counter`` of integer atom counts and a distance is one exact ``Fraction``.
 
 The linear one-round scheme is small enough to enumerate outright: every
 strategy draw, message realization, and randomness realization is visited
@@ -33,6 +36,7 @@ fail them is itself broken, and the test suite insists they fail.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -44,6 +48,7 @@ from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
 DEFAULT_BUDGET = 2**24
+_MECHANISM_SAMPLES = 40  # sampled component draws checked against the factorization
 
 
 class AuditBudgetExceeded(RuntimeError):
@@ -99,9 +104,14 @@ def _check_budget(atoms: int, budget: int) -> None:
         raise AuditBudgetExceeded(f"{atoms} atoms exceed the {budget} budget; refusing to sample")
 
 
-def total_variation(p: dict, q: dict) -> Fraction:
-    keys = set(p) | set(q)
-    return sum((abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0))) for k in keys), Fraction(0)) / 2
+def total_variation(p: Counter, q: Counter, atoms: int) -> Fraction:
+    """Distance between two distributions given as counts of ``atoms`` equally likely atoms each."""
+    return Fraction(sum(abs(p[k] - q[k]) for k in p.keys() | q.keys()), 2 * atoms)
+
+
+def _uniform_posteriors(groups: dict[object, Counter], n_values: int) -> bool:
+    """True iff every view's counts cover all ``n_values`` undesired values equally often."""
+    return all(len(counts) == n_values and len(set(counts.values())) == 1 for counts in groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -132,62 +142,65 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
     raise ParamError(f"unknown block mutant {mutant!r}")
 
 
-def _enum_block_strategies(params: SchemeParams, desired: tuple[int, ...], mutant: str | None, budget: int):
-    """Yield (weight, plan) over the whole strategy space, exactly."""
-    P, L, N, q, K = params.P, params.L, params.N, params.q, params.K
-    PL = P * L
-    n_blocks = lspir_cost(P, N, L)[1]
-    n_syms = n_blocks * K * L
-    n_perms = factorial(PL)
-    _check_budget(n_perms * q**n_syms, budget)
-    weight = Fraction(1, n_perms * q**n_syms)
-    for order in permutations(range(PL)):
-        for draws in product(range(q), repeat=n_syms):
-            rng = _ScriptedRandom([order], list(draws))
-            plan = block_scheme.plan_blocks(params, desired, rng)
-            assert rng.exhausted()
-            yield weight, _block_mutate(plan, mutant)
-
-
 def _block_pool(params: SchemeParams, symbols: tuple[int, ...], mutant: str | None) -> CommonRandomnessPool:
     if mutant == BLOCK_MUTANT_NO_CR:
         symbols = tuple(0 for _ in symbols)
     return CommonRandomnessPool(params.q, list(symbols))
 
 
+def _block_atoms(params: SchemeParams) -> int:
+    """Equally likely (strategy, messages, randomness) atoms of one desired set."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    return factorial(P * L) * q ** (n_blocks * K * L) * q ** (K * L) * q**n_blocks
+
+
+def _block_runs(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
+    """Visit every strategy draw, message realization and randomness realization once.
+
+    Yields ``(strategy, wires, w_flat, s_vals, answers)``: the strategy draw's
+    index, its per-database wire queries, the flat message symbols, the pool
+    symbols, and every database's answer.
+    """
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    stores = [
+        (w_flat, MessageStore(q, [list(w_flat[m * L : (m + 1) * L]) for m in range(K)]))
+        for w_flat in product(range(q), repeat=K * L)
+    ]
+    pools = [(s_vals, _block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
+    draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
+    for strategy, (order, values) in enumerate(draws):
+        rng = _ScriptedRandom([order], list(values))
+        plan = block_scheme.plan_blocks(params, desired, rng)
+        assert rng.exhausted()
+        plan = _block_mutate(plan, mutant)
+        wires = tuple(plan.wire_query(db) for db in range(N))
+        for w_flat, store in stores:
+            for s_vals, pool in pools:
+                answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
+                yield strategy, wires, w_flat, s_vals, answers
+
+
 def audit_block_user_privacy(
     params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
-    w_space = q ** (K * L)
-    s_space = q**n_blocks
-    strat = factorial(P * L) * q ** (n_blocks * K * L)
-    _check_budget(strat * w_space * s_space * 2, budget)
+    atoms = _block_atoms(params)
+    _check_budget(2 * atoms, budget)
 
-    desired_sets = list(combinations(range(K), P))
-    dists: list[list[dict]] = []  # per desired set, per database
-    for desired in desired_sets:
-        per_db: list[dict] = [{} for _ in range(N)]
-        for weight, plan in _enum_block_strategies(params, desired, mutant, budget):
-            wires = [plan.wire_query(db) for db in range(N)]
-            for w_flat in product(range(q), repeat=K * L):
-                store = MessageStore(q, [list(w_flat[m * L : (m + 1) * L]) for m in range(K)])
-                for s_vals in product(range(q), repeat=n_blocks):
-                    pool = _block_pool(params, s_vals, mutant)
-                    wgt = weight * Fraction(1, w_space * s_space)
-                    for db in range(N):
-                        ans = tuple(block_scheme.answer_wire_query(wires[db], store, pool))
-                        key = (wires[db], ans, w_flat, s_vals)
-                        per_db[db][key] = per_db[db].get(key, Fraction(0)) + wgt
+    dists: list[list[Counter]] = []  # per desired set, per database
+    for desired in combinations(range(params.K), params.P):
+        per_db = [Counter() for _ in range(params.N)]
+        for _, wires, w_flat, s_vals, answers in _block_runs(params, desired, mutant):
+            for db, dist in enumerate(per_db):
+                dist[wires[db], answers[db], w_flat, s_vals] += 1
         dists.append(per_db)
 
-    worst = Fraction(0)
-    for db in range(N):
-        base = dists[0][db]
-        for other in dists[1:]:
-            worst = max(worst, total_variation(base, other[db]))
+    worst = max(
+        (total_variation(dists[0][db], other[db], atoms) for other in dists[1:] for db in range(params.N)),
+        default=Fraction(0),
+    )
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
@@ -196,35 +209,16 @@ def audit_block_db_privacy(
 ) -> Verdict:
     """Posterior of the undesired symbols given the querying side's whole view
     must equal the uniform prior, for every view of nonzero probability."""
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    desired = tuple(range(P))
-    n_blocks = lspir_cost(P, N, L)[1]
-    w_space = q ** (K * L)
-    s_space = q**n_blocks
-    strat = factorial(P * L) * q ** (n_blocks * K * L)
-    _check_budget(strat * w_space * s_space, budget)
+    K, P, L = params.K, params.P, params.L
+    _check_budget(_block_atoms(params), budget)
 
-    undesired_coords = [m * L + s for m in range(K) if m not in set(desired) for s in range(L)]
-    groups: dict = {}
-    fidx = 0
-    for weight, plan in _enum_block_strategies(params, desired, mutant, budget):
-        fidx += 1
-        wires = tuple(plan.wire_query(db) for db in range(N))
-        for w_flat in product(range(q), repeat=K * L):
-            store = MessageStore(q, [list(w_flat[m * L : (m + 1) * L]) for m in range(K)])
-            for s_vals in product(range(q), repeat=n_blocks):
-                pool = _block_pool(params, s_vals, mutant)
-                answers = tuple(tuple(block_scheme.answer_wire_query(wires[db], store, pool)) for db in range(N))
-                view = (fidx, wires, answers)
-                wbar = tuple(w_flat[c] for c in undesired_coords)
-                groups.setdefault(view, {})
-                groups[view][wbar] = groups[view].get(wbar, 0) + 1
+    undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
+    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for strategy, wires, w_flat, _, answers in _block_runs(params, tuple(range(P)), mutant):
+        groups[strategy, wires, answers][tuple(w_flat[c] for c in undesired_coords)] += 1
 
-    expected = q ** len(undesired_coords)
-    for view, counts in groups.items():
-        values = set(counts.values())
-        if len(counts) != expected or len(values) != 1:
-            return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
+    if not _uniform_posteriors(groups, params.q ** len(undesired_coords)):
+        return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
     return Verdict(True, Fraction(0), f"{len(groups)} views checked, posterior uniform in all")
 
 
@@ -241,9 +235,9 @@ def _identity_orders(K: int, L: int, pool: int) -> list[tuple[int, ...]]:
     return [tuple(range(L)) for _ in range(K)] + [tuple(range(pool))]
 
 
-def _table_build(params: SchemeParams, desired, orders, mutant: str | None, reps=None):
+def _table_build(params: SchemeParams, desired, orders, mutant: str | None):
     rng = _ScriptedRandom(list(orders), [])
-    table = table_scheme.build_query_table(params, desired, rng, reps=reps)
+    table = table_scheme.build_query_table(params, desired, rng)
     if mutant == TABLE_MUTANT_NO_INDEX_PERM:
         table.msg_perm = [list(range(table.L_store)) for _ in range(params.K)]
     elif mutant == TABLE_MUTANT_NO_POOL_RELABEL:
@@ -251,10 +245,10 @@ def _table_build(params: SchemeParams, desired, orders, mutant: str | None, reps
     return table
 
 
-def _table_shape(params: SchemeParams):
-    """L_store and pool size for scripted builds (identity probe build)."""
+def _table_shape(params: SchemeParams) -> tuple[int, int]:
+    """L_store and pool size, which no strategy draw or desired set changes."""
     probe = table_scheme.build_query_table(params, tuple(range(params.P)), Random(0))
-    return probe.L_store, probe.pool_size, probe.reps
+    return probe.L_store, probe.pool_size
 
 
 def _skeleton(view: wire.TableQuery):
@@ -274,12 +268,20 @@ def _table_views(table: table_scheme.QueryTable) -> list[wire.TableQuery]:
     return [wire.parse_table_query(payload) for payload in table.wire_queries()]
 
 
+def _component_tv(structs: list[tuple[int, ...]], size: int) -> Fraction:
+    """Largest total variation between the image of ``structs[0]`` and of each
+    other structure under a uniform permutation of ``range(size)``, over every
+    permutation."""
+    dists = [Counter() for _ in structs]
+    for perm in permutations(range(size)):
+        for dist, struct in zip(dists, structs):
+            dist[tuple(perm[i] for i in struct)] += 1
+    atoms = factorial(size)
+    return max((total_variation(dists[0], other, atoms) for other in dists[1:]), default=Fraction(0))
+
+
 def audit_table_user_privacy(
-    params: SchemeParams,
-    mutant: str | None = None,
-    budget: int = DEFAULT_BUDGET,
-    mechanism_samples: int = 40,
-    reps: int | None = None,
+    params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Exact equality of each database's query distribution across desired sets.
 
@@ -291,17 +293,14 @@ def audit_table_user_privacy(
     messages and randomness via the scripted build being data-free).
     """
     K, P, N = params.K, params.P, params.N
-    L_store, pool_size, eff_reps = _table_shape(params)
-    if reps is not None:
-        probe = table_scheme.build_query_table(params, tuple(range(P)), Random(0), reps=reps)
-        L_store, pool_size, eff_reps = probe.L_store, probe.pool_size, probe.reps
+    L_store, pool_size = _table_shape(params)
     _check_budget(max(factorial(L_store), factorial(pool_size)), budget)
 
     desired_sets = list(combinations(range(K), P))
     ident = _identity_orders(K, L_store, pool_size)
     views: dict[tuple, list[wire.TableQuery]] = {}
     for desired in desired_sets:
-        views[desired] = _table_views(_table_build(params, desired, ident, mutant, reps=reps))
+        views[desired] = _table_views(_table_build(params, desired, ident, mutant))
 
     # Premise 1: identical skeletons and counts across desired sets.
     base = views[desired_sets[0]]
@@ -326,7 +325,7 @@ def audit_table_user_privacy(
     # Premise 3 (mechanism): the emitted query equals the component draw
     # applied to the identity-build structure, for sampled draws.
     check_rng = Random(2024)
-    for _ in range(mechanism_samples):
+    for _ in range(_MECHANISM_SAMPLES):
         comp = check_rng.randrange(K + 1)
         orders = list(ident)
         size = L_store if comp < K else pool_size
@@ -334,7 +333,7 @@ def audit_table_user_privacy(
         check_rng.shuffle(perm)
         orders[comp] = tuple(perm)
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
-        got = _table_views(_table_build(params, desired, orders, mutant, reps=reps))
+        got = _table_views(_table_build(params, desired, orders, mutant))
         ref = views[desired]
         for db in range(N):
             if comp < K:
@@ -353,35 +352,16 @@ def audit_table_user_privacy(
 
     # Premise 4: the scripted build never touched messages or randomness, so
     # queries are independent of (W, S) by construction; re-assert by replay.
-    if _table_views(_table_build(params, desired_sets[0], ident, mutant, reps=reps)) != base:
+    if _table_views(_table_build(params, desired_sets[0], ident, mutant)) != base:
         return Verdict(False, Fraction(1), "query generation is not deterministic in the strategy draw")
 
     # Exhaustive component distributions, compared across desired sets.
     worst = Fraction(0)
-    w_msg = Fraction(1, factorial(L_store))
-    w_pool = Fraction(1, factorial(pool_size))
     for db in range(N):
+        by_desired = [views[desired][db] for desired in desired_sets]
         for m in range(K):
-            dists = []
-            for desired in desired_sets:
-                struct = _msg_indices(views[desired][db], m)
-                dist: dict = {}
-                for perm in permutations(range(L_store)):
-                    key = tuple(perm[i] for i in struct)
-                    dist[key] = dist.get(key, Fraction(0)) + w_msg
-                dists.append(dist)
-            for other in dists[1:]:
-                worst = max(worst, total_variation(dists[0], other))
-        dists = []
-        for desired in desired_sets:
-            struct = _visible_ids(views[desired][db])
-            dist = {}
-            for perm in permutations(range(pool_size)):
-                key = tuple(perm[i] for i in struct)
-                dist[key] = dist.get(key, Fraction(0)) + w_pool
-            dists.append(dist)
-        for other in dists[1:]:
-            worst = max(worst, total_variation(dists[0], other))
+            worst = max(worst, _component_tv([_msg_indices(v, m) for v in by_desired], L_store))
+        worst = max(worst, _component_tv([_visible_ids(v) for v in by_desired], pool_size))
 
     return Verdict(worst == 0, worst, f"max component total variation {worst}")
 
@@ -470,17 +450,31 @@ def recoverable_coordinates(
     return frozenset(recoverable)
 
 
+def _retrieved_coordinates(table: table_scheme.QueryTable) -> frozenset[int]:
+    """The message coordinates a table run is meant to reveal: its desired fresh symbols."""
+    return frozenset(
+        m * table.L_store + table.msg_perm[m][idx]
+        for m in table.desired
+        for idx in range(table.msg_fresh[m])
+    )
+
+
+def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
+    """Pool ids of the hidden masking symbols, over every database."""
+    return [
+        table.pool_perm[spec.cr_slot]
+        for db_sums in table.sums
+        for spec in db_sums
+        if spec.cr_kind == table_scheme.CR_HIDDEN
+    ]
+
+
 def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
     """Recoverable coordinates of a table run must be exactly the retrieved ones."""
     n_coords = table.K * table.L_store
     payloads = table.wire_queries()
     rec = recoverable_coordinates(payloads, n_coords, table.pool_size, table.q, table.L_store)
-    expected = frozenset(
-        m * table.L_store + table.msg_perm[m][idx]
-        for m in table.desired
-        for idx in range(table.msg_fresh[m])
-    )
-    return LeakageReport(rec, expected)
+    return LeakageReport(rec, _retrieved_coordinates(table))
 
 
 def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
@@ -493,11 +487,7 @@ def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
 
 
 def audit_table_db_privacy(
-    params: SchemeParams,
-    mutant: str | None = None,
-    budget: int = DEFAULT_BUDGET,
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
-    reps: int | None = None,
+    params: SchemeParams, mutant: str | None = None, seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 ) -> Verdict:
     """Posterior-equals-prior for undesired symbols, via exact elimination.
 
@@ -509,34 +499,21 @@ def audit_table_db_privacy(
     masking symbols publicly known (zero) values, which adds their rows to
     the recoverable span.
     """
-    K, P, N = params.K, params.P, params.N
+    K, P = params.K, params.P
     for seed in seeds:
         for desired in combinations(range(K), P):
-            table = table_scheme.build_query_table(params, desired, Random(seed), reps=reps)
+            table = table_scheme.build_query_table(params, desired, Random(seed))
             payloads = table.wire_queries()
-            n_coords = K * table.L_store
-            pool_size = table.pool_size
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                # Hidden symbols made public: append rows revealing them.
-                extra = []
-                for db in range(N):
-                    for spec in table.sums[db]:
-                        if spec.cr_kind == table_scheme.CR_HIDDEN:
-                            # a synthetic plain download of the hidden symbol
-                            extra.append(wire.encode_table_query([table.pool_perm[spec.cr_slot]], []))
-                payloads = payloads + extra
-            rec = recoverable_coordinates(payloads, n_coords, pool_size, params.q, table.L_store)
-            expected = frozenset(
-                m * table.L_store + table.msg_perm[m][idx]
-                for m in table.desired
-                for idx in range(table.msg_fresh[m])
-            )
+                # Hidden symbols made public: a synthetic plain download of each.
+                payloads += [wire.encode_table_query([pid], []) for pid in _hidden_ids(table)]
+            rec = recoverable_coordinates(payloads, K * table.L_store, table.pool_size, params.q, table.L_store)
+            expected = _retrieved_coordinates(table)
             if rec != expected:
-                extra_coords = rec - expected
                 return Verdict(
                     False,
                     Fraction(1),
-                    f"client view pins {len(extra_coords)} coordinates outside the desired set",
+                    f"client view pins {len(rec - expected)} coordinates outside the desired set",
                 )
     return Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
 
@@ -546,43 +523,35 @@ def audit_table_db_privacy_enumerated(
     mutant: str | None = None,
     budget: int = DEFAULT_BUDGET,
     seeds: tuple[int, ...] = (0, 1, 2),
-    reps: int | None = None,
 ) -> Verdict:
     """Literal posterior check by enumerating every (W, S) pair, for instances
     whose q**(K*L + pool) fits the budget (conditioning on the strategy draw)."""
     K, P, N, q = params.K, params.P, params.N, params.q
-    probe = table_scheme.build_query_table(params, tuple(range(P)), Random(0), reps=reps)
-    n_coords = K * probe.L_store
-    _check_budget((q**n_coords) * (q**probe.pool_size) * len(seeds), budget)
+    L_store, pool_size = _table_shape(params)
+    n_coords = K * L_store
+    _check_budget((q**n_coords) * (q**pool_size) * len(seeds), budget)
 
+    desired = tuple(range(P))
+    undesired = range(P, K)
     for seed in seeds:
-        desired = tuple(range(P))
-        table = table_scheme.build_query_table(params, desired, Random(seed), reps=reps)
+        table = table_scheme.build_query_table(params, desired, Random(seed))
         wires = table.wire_queries()
-        undesired = [m for m in range(K) if m not in set(desired)]
-        groups: dict = {}
+        hidden = _hidden_ids(table) if mutant == TABLE_MUTANT_NO_HIDDEN_CR else []
+        groups: defaultdict[tuple, Counter] = defaultdict(Counter)
         for w_flat in product(range(q), repeat=n_coords):
-            store = MessageStore(q, [list(w_flat[m * table.L_store : (m + 1) * table.L_store]) for m in range(K)])
-            for s_vals in product(range(q), repeat=table.pool_size):
-                pool = CommonRandomnessPool(q, list(s_vals))
-                if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                    syms = list(s_vals)
-                    for db in range(N):
-                        for spec in table.sums[db]:
-                            if spec.cr_kind == table_scheme.CR_HIDDEN:
-                                syms[table.pool_perm[spec.cr_slot]] = 0
-                    pool = CommonRandomnessPool(q, syms)
+            store = MessageStore(q, [list(w_flat[m * L_store : (m + 1) * L_store]) for m in range(K)])
+            for s_vals in product(range(q), repeat=pool_size):
+                syms = list(s_vals)
+                for pid in hidden:
+                    syms[pid] = 0
+                pool = CommonRandomnessPool(q, syms)
                 answers = tuple(
                     tuple(table_scheme.answer_wire_query(wires[db], store, pool)) for db in range(N)
                 )
-                wbar = tuple(w_flat[m * table.L_store : (m + 1) * table.L_store] for m in undesired)
-                groups.setdefault(answers, {})
-                groups[answers][wbar] = groups[answers].get(wbar, 0) + 1
+                groups[answers][tuple(w_flat[m * L_store : (m + 1) * L_store] for m in undesired)] += 1
 
-        expected = q ** (len(undesired) * table.L_store)
-        for counts in groups.values():
-            if len(counts) != expected or len(set(counts.values())) != 1:
-                return Verdict(False, Fraction(1), "posterior of undesired messages differs from prior")
+        if not _uniform_posteriors(groups, q ** (len(undesired) * L_store)):
+            return Verdict(False, Fraction(1), "posterior of undesired messages differs from prior")
     return Verdict(True, Fraction(0), "enumerated posterior equals prior for all strategy draws checked")
 
 
@@ -591,12 +560,12 @@ def audit_table_db_privacy_enumerated(
 # ---------------------------------------------------------------------------
 
 
-def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0, reps: int | None = None) -> Verdict:
+def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) -> Verdict:
     rng = Random(seed)
     K, P, N, q = params.K, params.P, params.N, params.q
     for _ in range(trials):
         desired = tuple(sorted(rng.sample(range(K), P)))
-        table = table_scheme.build_query_table(params, desired, Random(rng.randrange(1 << 30)), reps=reps)
+        table = table_scheme.build_query_table(params, desired, Random(rng.randrange(1 << 30)))
         store = MessageStore.generate(K, table.L_store, q, seed=rng.randrange(1 << 30))
         pool = CommonRandomnessPool.generate(table.pool_size, q, seed=rng.randrange(1 << 30))
         answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(N)]

@@ -12,8 +12,8 @@ audit       run the exact privacy/reliability audits
 
 Every subcommand is deterministic given its seeds.  ``--machine`` switches
 to line-oriented JSON records (one object per line, each carrying a
-``record`` discriminator).  Exit codes: 0 success, 2 usage error,
-3 protocol/transport fault, 4 audit failure.
+``record`` discriminator).  Exit codes: 0 success, 2 usage error or an
+audit refused for its budget, 3 protocol/transport fault, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -471,12 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParamError, InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except audit_mod.AuditBudgetExceeded as exc:
+        print(f"audit refused: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (wire.ProtocolFault, transport.InsufficientRandomness) as exc:
         print(f"protocol fault: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
-    except audit_mod.AuditBudgetExceeded as exc:
-        print(f"audit refused: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
 
 
 if __name__ == "__main__":

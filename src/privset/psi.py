@@ -26,15 +26,13 @@ from .storage import CommonRandomnessPool, MessageStore
 class EntityConfig:
     """One participant: its public shape and its private elements.
 
-    The set size is public; the elements are private.  ``gen_prob`` only
-    matters for random instance generation.
+    The set size is public; the elements are private.
     """
 
     entity_id: int  # 1 or 2
     K: int
     n_databases: int
     elements: frozenset[int]
-    gen_prob: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if self.entity_id not in (1, 2):
@@ -105,13 +103,16 @@ class PsiResult:
 
     intersection: frozenset[int]
     initiator: int
-    download_symbols: int
     optimal_cost: int
     transcript: transport.Transcript
 
     @property
     def cardinality(self) -> int:
         return len(self.intersection)
+
+    @property
+    def download_symbols(self) -> int:
+        return self.transcript.downloaded_symbols
 
 
 def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
@@ -217,7 +218,6 @@ def _intersect(
         "seed_client": seed_client,
         "seed_cr": seed_cr,
         "q": 2,
-        "timestamp": transport.now_stamp(),
     }
 
     if len(desired) == 0:
@@ -241,7 +241,6 @@ def _intersect(
     return PsiResult(
         intersection=intersection,
         initiator=init.entity_id,
-        download_symbols=client.meter.total,
         optimal_cost=optimal_cost,
         transcript=transport.Transcript(meta=meta, records=client.records),
     )

@@ -8,8 +8,10 @@ is a fixed binary framing; the randomness pool is installed through a
 separate administrative path and the client connection rejects provisioning
 frames outright.
 
-The download meter counts answer field symbols only, never framing bytes,
-matching how the schemes' costs are defined.
+A ``Transcript`` records every query and answer of a run and is the one
+record of what was downloaded: ``downloaded_symbols`` counts answer field
+symbols only, never framing bytes, matching how the schemes' costs are
+defined.  Its bytes depend only on the run's seeds and sets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import logging
 import socket
 import struct
 import threading
-import time
 from dataclasses import dataclass, field as dc_field
 
 from . import block_scheme, table_scheme, wire
@@ -193,20 +194,6 @@ class Transcript:
         return "\n".join(lines)
 
 
-class Meter:
-    """Counts downloaded field symbols, per database and in total."""
-
-    def __init__(self, n_databases: int):
-        self.per_db = [0] * n_databases
-
-    def add(self, db: int, n_symbols: int) -> None:
-        self.per_db[db] += n_symbols
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_db)
-
-
 class Client:
     """Issues queries to one entity's databases over either backend.
 
@@ -216,7 +203,6 @@ class Client:
 
     def __init__(self, backend: "SimBackend | TcpBackend"):
         self.backend = backend
-        self.meter = Meter(backend.n_databases)
         self.records: list[list[tuple[bytes, bytes]]] = [[] for _ in range(backend.n_databases)]
         self._next_query_id = 0
 
@@ -251,7 +237,6 @@ class Client:
         got_qid, symbols = wire.parse_answer(reply)
         if got_qid != qid:
             raise wire.ProtocolFault(f"answer id {got_qid} does not match query id {qid}")
-        self.meter.add(db, len(symbols))
         self.records[db].append((payload, reply))
         return symbols
 
@@ -445,7 +430,3 @@ def replay_answers(transcript: Transcript, store: MessageStore, pool: CommonRand
             if handler is None or wire.encode_answer(qid, handler(body, store, pool)) != ans:
                 return False
     return True
-
-
-def now_stamp() -> float:
-    return time.time()

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -16,7 +17,11 @@ class TestBlockUserPrivacy:
         v = audit.audit_block_user_privacy(
             SchemeParams(K=3, P=1, N=2, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
         )
-        assert not v.ok and v.distance > 0
+        assert not v.ok and v.distance == 1
+        v = audit.audit_block_user_privacy(
+            SchemeParams(K=3, P=2, N=2, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
+        )
+        assert not v.ok and v.distance == Fraction(1, 2)
 
     def test_budget_refusal(self):
         with pytest.raises(audit.AuditBudgetExceeded):

@@ -211,6 +211,12 @@ def test_block_audit_rejects_a_single_database(capsys):
     assert "two databases" in err
 
 
+def test_refused_audit_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3")
+    assert code == EXIT_USAGE
+    assert "audit refused" in err
+
+
 def test_table_run_executes_and_decodes(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--K", "3", "--P", "1", "--N", "3",

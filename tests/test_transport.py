@@ -192,6 +192,13 @@ def test_transcript_save_load_and_replay(tmp_path):
             Transcript.load(str(cut))
 
 
+def test_saved_transcripts_are_identical_for_equal_seeds(tmp_path):
+    paths = [tmp_path / "a.transcript", tmp_path / "b.transcript"]
+    for path in paths:
+        run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2).transcript.save(str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_tcp_pool_serves_setup_and_queries():
     servers = small_servers()
     provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
