@@ -347,7 +347,7 @@ def cmd_audit(args) -> int:
         if args.mutant is None:
             verdicts["reliability"] = audit_mod.audit_reliability_block(params, trials=args.trials)
     else:
-        verdicts["user_privacy"] = audit_mod.audit_table_user_privacy(params, mutant=args.mutant, budget=args.budget)
+        verdicts["user_privacy"] = audit_mod.audit_table_user_privacy(params, mutant=args.mutant)
         verdicts["db_privacy"] = audit_mod.audit_table_db_privacy(params, mutant=args.mutant)
         if args.mutant is None:
             verdicts["reliability"] = audit_mod.audit_reliability_table(params, trials=args.trials)
@@ -452,8 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--budget", type=int, default=audit_mod.DEFAULT_BUDGET)
+    p.add_argument("--trials", type=int, default=50, help="reliability trials, at least 1")
+    p.add_argument("--budget", type=int, default=audit_mod.DEFAULT_BUDGET,
+                   help="atom budget of the exhaustive --scheme block audits")
     p.add_argument("--mutant", default=None,
                    help="negative control: no_base_mask, no_cr, no_index_permutation, "
                         "no_pool_relabel, no_hidden_cr")

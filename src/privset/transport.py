@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import socket
-import struct
 import threading
 from dataclasses import dataclass, field as dc_field
 
@@ -138,51 +137,13 @@ class Transcript:
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(b"PRIVSET-TRANSCRIPT v1\n")
-            meta = json.dumps(self.meta, sort_keys=True).encode()
-            fh.write(struct.pack("<I", len(meta)) + meta)
-            fh.write(struct.pack("<I", len(self.records)))
-            for db_records in self.records:
-                fh.write(struct.pack("<I", len(db_records)))
-                for qry, ans in db_records:
-                    fh.write(struct.pack("<I", len(qry)) + qry)
-                    fh.write(struct.pack("<I", len(ans)) + ans)
+            fh.write(wire.encode_transcript(self.meta, self.records))
 
     @classmethod
     def load(cls, path: str) -> "Transcript":
         with open(path, "rb") as fh:
-            header = fh.readline()
-            if header != b"PRIVSET-TRANSCRIPT v1\n":
-                raise wire.TransportError("not a transcript file")
-
-            def read(n: int) -> bytes:
-                data = fh.read(n)
-                if len(data) != n:
-                    raise wire.TransportError("truncated transcript")
-                return data
-
-            def read_u32() -> int:
-                return struct.unpack("<I", read(4))[0]
-
-            def read_block() -> bytes:
-                return read(read_u32())
-
-            try:
-                meta = json.loads(read_block())
-            except ValueError:
-                meta = None
-            if not isinstance(meta, dict):
-                raise wire.TransportError("transcript metadata is not a JSON object")
-            records: list[list[tuple[bytes, bytes]]] = []
-            for _ in range(read_u32()):
-                n_rec = read_u32()
-                db_records = []
-                for _ in range(n_rec):
-                    qry = read_block()
-                    ans = read_block()
-                    db_records.append((qry, ans))
-                records.append(db_records)
-            return cls(meta=meta, records=records)
+            meta, records = wire.parse_transcript(fh.read())
+        return cls(meta=meta, records=records)
 
     def dump_text(self) -> str:
         lines = [f"meta: {json.dumps(self.meta, sort_keys=True)}"]

@@ -1,4 +1,5 @@
-"""Byte layout of every frame, query, answer and error the protocol sends.
+"""Byte layout of every frame, query, answer and error the protocol sends,
+and of the transcript file a run saves.
 
 This is the only module that knows a layout.  Each format is one
 ``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p`` for every
@@ -6,8 +7,8 @@ well-formed ``p``.  A parser raises ProtocolFault on anything else
 (truncation, trailing bytes, a count that overruns the payload, a vector
 length or reference outside the bounds it is given) and never struct.error
 or IndexError, so a database can turn any client query into an answer or an
-ERROR reply.  Frames, answers and errors are what a client reads; faults in
-them are TransportError, a ProtocolFault.
+ERROR reply.  Frames, answers, errors and transcripts are what a client
+reads; faults in them are TransportError, a ProtocolFault.
 
 All integers are little-endian:
 
@@ -19,10 +20,13 @@ All integers are little-endian:
     download-all  3
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
+    transcript    "PRIVSET-TRANSCRIPT v1\n" | length u32 | JSON metadata
+                    | n u32 | n x (m u32 | m x (length u32 | query | length u32 | answer))
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -55,6 +59,7 @@ _TERM = struct.Struct("<BI")
 _SUM_FORMATS = ["B" + "BI" * t + "I" for t in range(256)]  # t | t x (message, position) | pool id
 
 FRAME_HEADER_SIZE = _FRAME.size
+TRANSCRIPT_HEADER = b"PRIVSET-TRANSCRIPT v1\n"
 
 
 class ProtocolFault(RuntimeError):
@@ -236,3 +241,42 @@ def parse_error(payload: bytes) -> tuple[int, str]:
         return _U16.unpack_from(payload)[0], payload[_U16.size :].decode()
     except UnicodeDecodeError:
         raise TransportError("error message is not UTF-8") from None
+
+
+def encode_transcript(meta: dict, records: Sequence[Sequence[tuple[bytes, bytes]]]) -> bytes:
+    """A saved run: its metadata, then per database its (query, answer) payloads."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    out = [TRANSCRIPT_HEADER, _U32.pack(len(meta_bytes)), meta_bytes, _U32.pack(len(records))]
+    for db_records in records:
+        out.append(_U32.pack(len(db_records)))
+        for qry, ans in db_records:
+            out += [_U32.pack(len(qry)), qry, _U32.pack(len(ans)), ans]
+    return b"".join(out)
+
+
+def parse_transcript(data: bytes) -> tuple[dict, list[list[tuple[bytes, bytes]]]]:
+    """(metadata, per-database (query, answer) payloads) of a saved run."""
+    if not data.startswith(TRANSCRIPT_HEADER):
+        raise TransportError("not a transcript file")
+    off = len(TRANSCRIPT_HEADER)
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        off += n
+        if off > len(data):
+            raise TransportError("truncated transcript")
+        return data[off - n : off]
+
+    def u32() -> int:
+        return _U32.unpack(take(_U32.size))[0]
+
+    raw_meta = take(u32())
+    try:
+        meta = json.loads(raw_meta)
+    except ValueError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise TransportError("transcript metadata is not a JSON object")
+    records = [[(take(u32()), take(u32())) for _ in range(u32())] for _ in range(u32())]
+    _check_end(off, data, "transcript", TransportError)
+    return meta, records

@@ -180,6 +180,9 @@ def test_criterion_7_privacy_audits():
     assert v.ok and v.distance == 0, "table user privacy"
     v = audit.audit_table_db_privacy(SchemeParams(K=3, P=1, N=2))
     assert v.ok, "table db privacy"
+    n3 = SchemeParams(K=3, P=1, N=3)  # the paper's N=3 worked example
+    v = audit.audit_table_user_privacy(n3)
+    assert v.ok and v.distance == 0, "N=3 table user privacy"
 
     # negative controls must fail both audit kinds
     v = audit.audit_block_user_privacy(SchemeParams(K=3, P=1, N=2, L=1, q=2),
@@ -191,6 +194,8 @@ def test_criterion_7_privacy_audits():
     v = audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2),
                                        mutant=audit.TABLE_MUTANT_NO_INDEX_PERM)
     assert not v.ok
+    for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
+        assert not audit.audit_table_user_privacy(n3, mutant=mutant), f"N=3 {mutant}"
     v = audit.audit_table_db_privacy(SchemeParams(K=3, P=1, N=2),
                                      mutant=audit.TABLE_MUTANT_NO_HIDDEN_CR)
     assert not v.ok

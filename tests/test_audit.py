@@ -1,4 +1,7 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -60,6 +63,52 @@ class TestTableUserPrivacy:
         for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
             v = audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2), mutant=mutant)
             assert not v.ok
+
+
+def enumerated_component_tv(structs, size):
+    """Reference for the closed form: the largest total variation between the
+    image of ``structs[0]`` and of each other structure under a uniform
+    permutation of ``range(size)``, over every permutation."""
+    dists = [Counter() for _ in structs]
+    for perm in permutations(range(size)):
+        for dist, struct in zip(dists, structs):
+            dist[tuple(map(perm.__getitem__, struct))] += 1
+    return max(
+        (audit.total_variation(dists[0], other, factorial(size)) for other in dists[1:]), default=Fraction(0)
+    )
+
+
+# Every table instance small enough to enumerate: max(L_store, pool size)! <= 8!.
+ENUMERABLE_TABLES = [
+    SchemeParams(K=2, P=1, N=2),
+    SchemeParams(K=3, P=1, N=2),
+    SchemeParams(K=3, P=2, N=2),
+    SchemeParams(K=3, P=2, N=3),
+    SchemeParams(K=2, P=1, N=2, q=3),
+    SchemeParams(K=3, P=1, N=2, q=3),
+]
+
+
+@pytest.mark.parametrize("params", ENUMERABLE_TABLES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
+def test_closed_form_matches_enumerated_components(params):
+    L_store, pool_size = audit._table_shape(params)
+    assert factorial(max(L_store, pool_size)) <= 40320
+    ident = audit._identity_orders(params.K, L_store, pool_size)
+    for mutant in (None, audit.TABLE_MUTANT_NO_HIDDEN_CR):
+        views = [
+            audit._table_views(audit._table_build(params, desired, ident, mutant))
+            for desired in combinations(range(params.K), params.P)
+        ]
+        worst = Fraction(0)
+        for db in range(params.N):
+            by_desired = [v[db] for v in views]
+            for m in range(params.K):
+                worst = max(worst, enumerated_component_tv([audit._msg_indices(v, m) for v in by_desired], L_store))
+            worst = max(worst, enumerated_component_tv([audit._visible_ids(v) for v in by_desired], pool_size))
+        v = audit.audit_table_user_privacy(params, mutant=mutant)
+        assert v.ok and worst == 0 and v.distance == worst
+    for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
+        assert not audit.audit_table_user_privacy(params, mutant=mutant)
 
 
 class TestTableDbPrivacy:

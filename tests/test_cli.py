@@ -212,9 +212,32 @@ def test_block_audit_rejects_a_single_database(capsys):
 
 
 def test_refused_audit_is_a_usage_error(capsys):
-    code, _, err = run_cli(capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3")
+    code, _, err = run_cli(
+        capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--budget", "255"
+    )
     assert code == EXIT_USAGE
     assert "audit refused" in err
+
+
+def test_paper_n3_table_audit_passes(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3", "--machine")
+    assert code == EXIT_OK
+    records = machine_records(out)
+    assert len(records) == 3 and all(r["ok"] for r in records)
+    for mutant in ("no_index_permutation", "no_pool_relabel"):
+        code, _, _ = run_cli(
+            capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3", "--mutant", mutant
+        )
+        assert code == EXIT_AUDIT
+
+
+def test_reliability_audit_without_trials_is_a_usage_error(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "2", "--trials", trials
+        )
+        assert code == EXIT_USAGE
+        assert "at least one trial" in err and "PASS" not in out
 
 
 def test_table_run_executes_and_decodes(capsys):

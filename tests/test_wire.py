@@ -15,15 +15,18 @@ E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
 E2 = EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
 
 
-def seeded_traffic():
-    """(query payloads, answer payloads) of seeded intersection runs."""
-    runs = [
+def seeded_runs():
+    return [
         run_psi(E1, E2, seed_client=11, seed_cr=22),
         run_psi(EntityConfig(1, 6, 2, frozenset(range(6))), EntityConfig(2, 6, 2, frozenset({1, 2, 4, 5}))),
         run_psi(EntityConfig(1, 12, 3, frozenset({2, 5, 7})), EntityConfig(2, 12, 3, frozenset(range(1, 12))),
                 seed_client=4, seed_cr=5),
     ]
-    records = [rec for res in runs for db in res.transcript.records for rec in db]
+
+
+def seeded_traffic():
+    """(query payloads, answer payloads) of seeded intersection runs."""
+    records = [rec for res in seeded_runs() for db in res.transcript.records for rec in db]
     return [q for q, _ in records], [a for _, a in records]
 
 
@@ -71,6 +74,10 @@ def test_encode_inverts_parse_on_seeded_payloads():
         assert wire.encode_table_query(*wire.parse_table_query(body)) == body
     for payload in server_errors():
         assert wire.encode_error(*wire.parse_error(payload)) == payload
+    for res in seeded_runs():
+        data = wire.encode_transcript(res.transcript.meta, res.transcript.records)
+        assert wire.parse_transcript(data) == (res.transcript.meta, res.transcript.records)
+        assert wire.encode_transcript(*wire.parse_transcript(data)) == data
 
 
 def test_every_truncation_and_trailing_byte_is_a_fault():
@@ -105,6 +112,10 @@ def test_client_side_parsers_raise_transport_errors():
         wire.parse_answer(b"\x00\x00")
     with pytest.raises(TransportError):
         wire.parse_frame(b"PSI1")
+    empty = wire.encode_transcript({}, [])
+    for data in (empty[:-1], empty + b"\x00", empty[1:], wire.TRANSCRIPT_HEADER + b"\x02\x00\x00\x00[]"):
+        with pytest.raises(TransportError):
+            wire.parse_transcript(data)
 
 
 def test_block_body_layout():
