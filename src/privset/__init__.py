@@ -1,7 +1,7 @@
 """Private set intersection over replicated, non-colluding databases.
 
-The package layers, bottom to top: seeded randomness streams and uniform
-symbol sampling (``field``), the structural/cost mathematics (``params``),
+The package layers, bottom to top: seeded randomness streams, uniform
+symbol sampling and packed query vectors (``field``), the structural/cost mathematics (``params``),
 the byte layout of every protocol message (``wire``), two private
 retrieval schemes (``table_scheme`` for capacity-achieving joint retrieval,
 ``block_scheme`` for fixed message lengths), the intersection protocol

@@ -44,6 +44,7 @@ from math import factorial
 from random import Random
 
 from . import block_scheme, table_scheme, wire
+from .field import lane_bits, unpack
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -76,8 +77,8 @@ class LeakageReport:
 
 
 class _ScriptedRandom:
-    """Replays prescribed outcomes for shuffle/randrange so strategy spaces
-    can be enumerated exactly instead of sampled."""
+    """Replays prescribed outcomes for shuffle/randrange/getrandbits so
+    strategy spaces can be enumerated exactly instead of sampled."""
 
     def __init__(self, shuffle_orders: list[tuple[int, ...]], randrange_values: list[int]):
         self._orders = list(shuffle_orders)
@@ -94,6 +95,10 @@ class _ScriptedRandom:
         if not 0 <= v < n:
             raise ValueError("scripted randrange value out of range")
         return v
+
+    def getrandbits(self, k: int) -> int:
+        """k scripted ``randrange(2)`` values; value i gives bit i."""
+        return sum(self.randrange(2) << i for i in range(k))
 
     def exhausted(self) -> bool:
         return not self._orders and not self._values
@@ -126,14 +131,13 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
     if mutant is None:
         return plan
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
-        KL = plan.params.K * plan.params.L
+        lane = lane_bits(plan.params.q)
         for db in range(plan.params.N):
             new = []
             for bq in plan.queries[db]:
                 if bq.probe_coord is not None:
-                    unit = bytearray(KL)
-                    unit[bq.probe_coord] = 1
-                    bq = block_scheme.BlockQuery(bq.block, bq.db, bytes(unit), bq.cr_id, bq.probe_coord)
+                    unit = 1 << (bq.probe_coord * lane)
+                    bq = block_scheme.BlockQuery(bq.block, bq.db, unit, bq.cr_id, bq.probe_coord)
                 new.append(bq)
             plan.queries[db] = new
         return plan
@@ -229,6 +233,12 @@ def audit_block_db_privacy(
 TABLE_MUTANT_NO_INDEX_PERM = "no_index_permutation"
 TABLE_MUTANT_NO_POOL_RELABEL = "no_pool_relabel"
 TABLE_MUTANT_NO_HIDDEN_CR = "no_hidden_cr"
+_TABLE_MUTANTS = (TABLE_MUTANT_NO_INDEX_PERM, TABLE_MUTANT_NO_POOL_RELABEL, TABLE_MUTANT_NO_HIDDEN_CR)
+
+
+def _check_table_mutant(mutant: str | None) -> None:
+    if mutant is not None and mutant not in _TABLE_MUTANTS:
+        raise ParamError(f"unknown table mutant {mutant!r}")
 
 
 def _identity_orders(K: int, L: int, pool: int) -> list[tuple[int, ...]]:
@@ -278,6 +288,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     verified on sampled draws, and each factor's distance then follows in
     closed form from premises 1-2 instead of being enumerated.
     """
+    _check_table_mutant(mutant)
     K, P, N = params.K, params.P, params.N
     L_store, pool_size = _table_shape(params)
 
@@ -372,10 +383,10 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int, store
                 row[col] = (row[col] + 1) % q
             rows.append(row)
     elif tag == wire.BLOCK_QUERY_TAG:
-        for cr_id, vec in wire.parse_block_query(payload):
+        for cr_id, length, vec in wire.parse_block_query(payload, q):
             row = [0] * width
             row[cr_id] = 1
-            for c, coeff in enumerate(vec):
+            for c, coeff in enumerate(unpack(vec, length, q)):
                 row[pool_size + c] = coeff % q
             rows.append(row)
     else:
@@ -481,6 +492,7 @@ def audit_table_db_privacy(
     masking symbols publicly known (zero) values, which adds their rows to
     the recoverable span.
     """
+    _check_table_mutant(mutant)
     K, P = params.K, params.P
     for seed in seeds:
         for desired in combinations(range(K), P):
@@ -508,6 +520,7 @@ def audit_table_db_privacy_enumerated(
 ) -> Verdict:
     """Literal posterior check by enumerating every (W, S) pair, for instances
     whose q**(K*L + pool) fits the budget (conditioning on the strategy draw)."""
+    _check_table_mutant(mutant)
     K, P, N, q = params.K, params.P, params.N, params.q
     L_store, pool_size = _table_shape(params)
     n_coords = K * L_store

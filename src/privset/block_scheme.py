@@ -11,6 +11,11 @@ block, never revealed) blocks everything else.
 Costs are exact: P*L + #blocks = ceil(N*P*L/(N-1)) answers downloaded and
 #blocks = ceil(P*L/(N-1)) shared symbols consumed.  Every vector any single
 database sees is uniform, so its view is independent of the desired set.
+
+Vectors are packed ints (``field.lane_bits``).  Over F_2, the intersection
+protocol's field, a probe is c_j ^ (1 << t) and an answer is one AND and one
+popcount against the store's packed vector: the XOR retrieval of Chor,
+Goldreich, Kushilevitz and Sudan with the shared symbol added.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from operator import mul
 from random import Random
 from typing import Sequence
 
-from .field import sample_uniform
+from .field import lane_bits, sample_uniform, unpack
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
@@ -29,11 +34,11 @@ from .wire import ProtocolFault, encode_block_query, parse_block_query
 
 @dataclass(frozen=True)
 class BlockQuery:
-    """One query vector for one database: a byte per coefficient in [0, q), plus the block's pool slot."""
+    """One query vector for one database: a packed vector over F_q, plus the block's pool slot."""
 
     block: int
     db: int
-    vector: bytes
+    vector: int
     cr_id: int
     probe_coord: int | None  # desired coordinate this probe targets; None for the base
 
@@ -59,7 +64,8 @@ class BlockPlan:
         return self.n_blocks
 
     def wire_query(self, db: int) -> bytes:
-        return encode_block_query([(bq.cr_id, bq.vector) for bq in self.queries[db]])
+        KL, q = self.params.K * self.params.L, self.params.q
+        return encode_block_query([(bq.cr_id, KL, bq.vector) for bq in self.queries[db]], q)
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.params.N)]
@@ -85,17 +91,21 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     rng.shuffle(coords_flat)
 
     width = N - 1
+    lane = lane_bits(q)
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
     for j, block_coords in enumerate(coords):
         base = j % N
-        base_vec = bytes(sample_uniform(rng, K * L, q))
+        base_vec = sample_uniform(rng, K * L, q)
         queries[base].append(BlockQuery(j, base, base_vec, j, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
-            probe = bytearray(base_vec)
-            probe[t] = (probe[t] + 1) % q
-            queries[db].append(BlockQuery(j, db, bytes(probe), j, t))
+            if q == 2:
+                probe = base_vec ^ (1 << t)
+            else:  # raise lane t by 1 mod q
+                c = base_vec >> (t * lane) & 0xFF
+                probe = base_vec + (((c + 1) % q - c) << (t * lane))
+            queries[db].append(BlockQuery(j, db, probe, j, t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -104,7 +114,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
 
 
 def answer_block(vector: Sequence[int], store: MessageStore, cr_symbol: int) -> int:
-    """<vector, flattened store> + cr, in F_q."""
+    """<vector, flattened store> + cr, in F_q, over unpacked coefficients: the explicit-loop reference."""
     if len(vector) != store.K * store.L:
         raise ParamError(f"query vector length {len(vector)} != K*L = {store.K * store.L}")
     acc = cr_symbol
@@ -115,9 +125,13 @@ def answer_block(vector: Sequence[int], store: MessageStore, cr_symbol: int) -> 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """One symbol per block-query entry: <vector, flattened store> + its pool symbol."""
-    flat, q = store.flat, store.q
-    entries = parse_block_query(payload, store.K * store.L, len(pool.symbols))
-    return [(sum(map(mul, vec, flat)) + pool.symbols[cr_id]) % q for cr_id, vec in entries]
+    KL, q, symbols = store.K * store.L, store.q, pool.symbols
+    entries = parse_block_query(payload, q, KL, len(symbols))
+    if q == 2:
+        w = store.packed
+        return [((vec & w).bit_count() + symbols[cr_id]) & 1 for cr_id, _, vec in entries]
+    flat = store.flat
+    return [(sum(map(mul, unpack(vec, KL, q), flat)) + symbols[cr_id]) % q for cr_id, _, vec in entries]
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:

@@ -33,6 +33,7 @@ from .params import (
     ParamError,
     SchemeParams,
     alpha_profile,
+    check_modulus,
     cost_ledger,
     lspir_cost,
     repetition_factor,
@@ -312,14 +313,15 @@ def cmd_psi_verify(args) -> int:
         if K != meta.get("K"):
             problems.append("responder set file disagrees with the transcript's K")
         else:
-            bits = psi.to_incidence(elements, K).bits
-            store = MessageStore.from_bits(list(bits))
+            store = MessageStore.from_bits(psi.to_incidence(elements, K).bits)
+            q = meta.get("q")
+            check_modulus(q)
             required = 0
             for db_records in transcript.records:
                 for qry, _ in db_records:
                     _, body = wire.parse_query(qry)
                     if body[0] == wire.BLOCK_QUERY_TAG:
-                        required = max([required] + [cr_id + 1 for cr_id, _ in wire.parse_block_query(body)])
+                        required = max([required] + [cr_id + 1 for cr_id, _, _ in wire.parse_block_query(body, q)])
             pool = CommonRandomnessPool.generate(required, 2, meta["seed_cr"])
             if not transport.replay_answers(transcript, store, pool):
                 problems.append("recorded answers do not replay against the given store")
@@ -340,6 +342,8 @@ def cmd_psi_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     params = SchemeParams(K=args.K, P=args.P, N=args.N, L=args.L, q=args.q)
+    if args.trials < 1:
+        raise ParamError(f"a reliability audit needs at least one trial, got {args.trials}")
     verdicts: dict[str, audit_mod.Verdict] = {}
     if args.scheme == "block":
         verdicts["user_privacy"] = audit_mod.audit_block_user_privacy(params, mutant=args.mutant, budget=args.budget)

@@ -47,15 +47,24 @@ class EntityConfig:
         return len(self.elements)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class IncidenceVector:
-    """Length-K bit vector marking set membership; a sufficient statistic for the set."""
+    """Length-K bit vector marking set membership, one byte per element; a sufficient statistic for the set."""
 
-    bits: tuple[int, ...]
+    bits: bytes
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            bits = bytes(self.bits)
+        except (TypeError, ValueError):
+            raise ParamError("incidence bits must be 0 or 1") from None
+        if bits.translate(None, b"\x00\x01"):
             raise ParamError("incidence bits must be 0 or 1")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def K(self) -> int:
@@ -63,24 +72,32 @@ class IncidenceVector:
 
     @property
     def weight(self) -> int:
-        return sum(self.bits)
+        return self.bits.count(1)
 
     def elements(self) -> frozenset[int]:
         return frozenset(j for j, b in enumerate(self.bits) if b)
 
     def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return self.bits.translate(_BIT_DIGITS).decode()
 
     @classmethod
     def from_string(cls, s: str) -> "IncidenceVector":
-        return cls(tuple(int(c) for c in s.strip()))
+        s = s.strip()
+        if not set(s) <= {"0", "1"}:
+            raise ParamError("an incidence string holds only the characters 0 and 1")
+        return cls(s.encode().translate(_DIGIT_BITS))
 
 
 def to_incidence(elements, K: int) -> IncidenceVector:
-    elements = set(elements)
-    if any(not 0 <= e < K for e in elements):
-        raise ParamError("set elements must lie in [0, K)")
-    return IncidenceVector(tuple(1 if j in elements else 0 for j in range(K)))
+    bits = bytearray(K)
+    try:
+        for e in elements:
+            if e < 0:  # a negative index would wrap; one past K raises IndexError itself
+                raise IndexError
+            bits[e] = 1
+    except IndexError:
+        raise ParamError("set elements must lie in [0, K)") from None
+    return IncidenceVector(bytes(bits))
 
 
 def generate_set(K: int, prob, rng: Random) -> frozenset[int]:
@@ -117,8 +134,7 @@ class PsiResult:
 
 def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
     """The entity's databases, each holding its incidence vector as K one-bit messages."""
-    bits = to_incidence(entity.elements, entity.K).bits
-    store = MessageStore.from_bits(list(bits))
+    store = MessageStore.from_bits(to_incidence(entity.elements, entity.K).bits)
     info = {"entity": entity.entity_id, "K": entity.K, "P": entity.size, "N": entity.n_databases}
     return transport.make_entity_servers(store, entity.n_databases, info)
 

@@ -7,42 +7,52 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .field import DOMAIN_COMMON_RANDOMNESS, DOMAIN_MESSAGES, domain_rng, sample_uniform
+from .field import DOMAIN_COMMON_RANDOMNESS, DOMAIN_MESSAGES, domain_rng, pack, sample_symbols
 from .params import check_modulus
 
 
-@dataclass
 class MessageStore:
-    """K messages of L symbols each over F_q; every database of an entity holds a replica."""
+    """K messages of L symbols each over F_q; every database of an entity holds a replica.
 
-    q: int
-    messages: list[list[int]]
+    Built from the nested ``messages`` lists or, by ``from_bits``, from the
+    flat symbols; the other layout and the packed vector are derived on
+    first use and cached.
+    """
 
-    def __post_init__(self):
-        check_modulus(self.q)  # answers are sums mod q, sent one byte each
-
-    @property
-    def K(self) -> int:
-        return len(self.messages)
-
-    @property
-    def L(self) -> int:
-        return len(self.messages[0]) if self.messages else 0
+    def __init__(self, q: int, messages: list[list[int]]):
+        check_modulus(q)  # answers are sums mod q, sent one byte each
+        self.q = q
+        self.K = len(messages)
+        self.L = len(messages[0]) if messages else 0
+        self.messages = messages
 
     @cached_property
-    def flat(self) -> tuple[int, ...]:
-        """Row-major flattening, built on first use; global coordinate of (msg, sym) is msg*L + sym."""
-        return tuple(chain.from_iterable(self.messages))
+    def messages(self) -> list[list[int]]:
+        flat, L = self.flat, self.L
+        return [list(flat[i : i + L]) for i in range(0, len(flat), L)]
+
+    @cached_property
+    def flat(self) -> bytes:
+        """Row-major flattening, one byte per symbol; global coordinate of (msg, sym) is msg*L + sym."""
+        return bytes(chain.from_iterable(self.messages))
+
+    @cached_property
+    def packed(self) -> int:
+        """The flattening as one packed vector (``field.pack``), what an F_2 answer ANDs with."""
+        return pack(self.flat, self.q)
 
     @classmethod
     def generate(cls, K: int, L: int, q: int, seed: int) -> "MessageStore":
         rng = domain_rng(seed, DOMAIN_MESSAGES)
-        return cls(q=q, messages=[sample_uniform(rng, L, q) for _ in range(K)])
+        return cls(q=q, messages=[sample_symbols(rng, L, q) for _ in range(K)])
 
     @classmethod
-    def from_bits(cls, bits: list[int]) -> "MessageStore":
-        """K one-bit messages (the incidence-vector layout)."""
-        return cls(q=2, messages=[[b] for b in bits])
+    def from_bits(cls, bits) -> "MessageStore":
+        """K one-bit messages (the incidence-vector layout), from a sequence of 0/1 values."""
+        store = cls.__new__(cls)
+        store.q, store.K, store.L = 2, len(bits), 1
+        store.flat = bytes(bits)
+        return store
 
 
 @dataclass
@@ -68,4 +78,4 @@ class CommonRandomnessPool:
     @classmethod
     def generate(cls, size: int, q: int, seed: int) -> "CommonRandomnessPool":
         rng = domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
-        return cls(q=q, symbols=sample_uniform(rng, size, q))
+        return cls(q=q, symbols=sample_symbols(rng, size, q))

@@ -16,7 +16,8 @@ All integers are little-endian:
     query         query id u32 | body
     table body    1 | n u32 | n x pool id u32
                     | m u32 | m x (t u8 | t x (message u8 | position u32) | pool id u32)
-    block body    2 | n u32 | n x (pool id u32 | length u32 | length x coefficient u8)
+    block body    2 | n u32 | n x (pool id u32 | length u32 | ceil(length * w / 8) bytes)
+                    a packed vector: coefficient i in lane i, w = 1 bit over F_2, else 8
     download-all  3
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
@@ -30,6 +31,8 @@ import json
 import struct
 from itertools import chain
 from typing import NamedTuple, Sequence
+
+from .field import lane_bits
 
 MAGIC = b"PSI1"
 VERSION = 1
@@ -122,21 +125,28 @@ def parse_query(payload: bytes) -> tuple[int, bytes]:
     return _U32.unpack_from(payload)[0], payload[_U32.size :]
 
 
-def encode_block_query(entries: Sequence[tuple[int, Sequence[int]]]) -> bytes:
-    """Block body from (pool id, coefficient vector) entries, coefficients < 256."""
+def _vector_bytes(length: int, lane: int) -> int:
+    return (length * lane + 7) // 8
+
+
+def encode_block_query(entries: Sequence[tuple[int, int, int]], q: int) -> bytes:
+    """Block body from (pool id, length, packed vector) entries over F_q."""
+    lane = lane_bits(q)
     out = [_U8.pack(BLOCK_QUERY_TAG), _U32.pack(len(entries))]
-    for pool_id, vector in entries:
-        out.append(_PAIR.pack(pool_id, len(vector)))
-        out.append(bytes(vector))
+    for pool_id, length, vector in entries:
+        out.append(_PAIR.pack(pool_id, length))
+        out.append(vector.to_bytes(_vector_bytes(length, lane), "little"))
     return b"".join(out)
 
 
 def parse_block_query(
-    body: bytes, vec_len: int | None = None, pool_size: int | None = None
-) -> list[tuple[int, bytes]]:
-    """(pool id, coefficient bytes) per entry; optionally checks that every
-    vector has ``vec_len`` coefficients and every pool id is below ``pool_size``."""
+    body: bytes, q: int, vec_len: int | None = None, pool_size: int | None = None
+) -> list[tuple[int, int, int]]:
+    """(pool id, length, packed vector) per entry of a body over F_q; optionally
+    checks that every vector has ``vec_len`` coefficients and every pool id is
+    below ``pool_size``.  Padding bits past the last F_2 coefficient must be 0."""
     _check_tag(body, BLOCK_QUERY_TAG)
+    lane = lane_bits(q)
     entries = []
     try:
         (n,) = _U32.unpack_from(body, 1)
@@ -145,12 +155,16 @@ def parse_block_query(
             pool_id, length = _PAIR.unpack_from(body, off)
             if vec_len is not None and length != vec_len:
                 raise ProtocolFault(f"query vector length {length} != {vec_len}")
-            off += _PAIR.size + length
-            entries.append((pool_id, body[off - length : off]))
+            start = off + _PAIR.size
+            off = start + _vector_bytes(length, lane)
+            vector = int.from_bytes(body[start:off], "little")
+            if vector >> length * lane:
+                raise ProtocolFault("padding bits set past the last coefficient")
+            entries.append((pool_id, length, vector))
     except struct.error:
         raise ProtocolFault("truncated query payload") from None
     _check_end(off, body, "query payload")
-    _check_slots((pool_id for pool_id, _ in entries), pool_size)
+    _check_slots((pool_id for pool_id, _, _ in entries), pool_size)
     return entries
 
 

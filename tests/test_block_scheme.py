@@ -11,6 +11,7 @@ from privset.block_scheme import (
     plan_blocks,
 )
 from privset.audit import _ScriptedRandom
+from privset.field import lane_bits, unpack
 from privset.params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
@@ -154,21 +155,25 @@ def test_per_database_marginal_uniformity_exact():
 
 
 def test_probe_is_base_plus_unit_vector():
-    plan, *_ = run_once(4, 2, 3, L=2, q=5, seed=2)
-    for j, block_coords in enumerate(plan.coords):
-        vecs = {bq.probe_coord: bq.vector for db in range(3) for bq in plan.queries[db] if bq.block == j}
-        base = vecs.pop(None)
-        assert type(base) is bytes and len(base) == 8 and max(base) < 5
-        assert sorted(vecs) == sorted(block_coords)
-        for t, vec in vecs.items():
-            assert type(vec) is bytes
-            assert [(v - b) % 5 for v, b in zip(vec, base)] == [1 if i == t else 0 for i in range(8)]
+    for q in (5, 2):
+        plan, *_ = run_once(4, 2, 3, L=2, q=q, seed=2)
+        for j, block_coords in enumerate(plan.coords):
+            vecs = {bq.probe_coord: bq.vector for db in range(3) for bq in plan.queries[db] if bq.block == j}
+            base = vecs.pop(None)
+            assert type(base) is int and base >> (8 * lane_bits(q)) == 0
+            base = unpack(base, 8, q)
+            assert max(base) < q
+            assert sorted(vecs) == sorted(block_coords)
+            for t, vec in vecs.items():
+                assert type(vec) is int
+                vec = unpack(vec, 8, q)
+                assert [(v - b) % q for v, b in zip(vec, base)] == [1 if i == t else 0 for i in range(8)]
 
 
 def test_store_is_flattened_once():
     plan, store, pool, answers = run_once(4, 2, 2, L=2)
     flat = store.flat
-    assert flat == tuple(s for m in store.messages for s in m)
+    assert flat == bytes(s for m in store.messages for s in m)
     assert [answer_wire_query(plan.wire_query(db), store, pool) for db in range(2)] == answers
     assert store.flat is flat
 

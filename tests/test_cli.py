@@ -122,6 +122,13 @@ def test_psi_gen_and_run_roundtrip(tmp_path, capsys):
     assert rec["download_symbols"] == rec["optimal_cost"]
 
 
+def test_psi_gen_files_are_fixed_by_the_seed(tmp_path, capsys):
+    code, *_ = run_cli(capsys, "psi", "gen", "--K", "12", "--seed", "7", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    assert (tmp_path / "entity1.incidence").read_text() == "# privset incidence v1 K=12\n010111011110\n"
+    assert (tmp_path / "entity1.set").read_text() == "# privset set v1 K=12\n1\n3\n4\n5\n7\n8\n9\n10\n"
+
+
 def test_psi_run_flagship_over_tcp(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set2 = tmp_path / "e2.set"
@@ -165,6 +172,30 @@ def test_psi_verify_detects_tampering(tmp_path, capsys):
         capsys, "psi", "verify", "--transcript", str(transcript), "--responder-set", str(wrong)
     )
     assert code == EXIT_PROTOCOL
+
+
+def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
+    from privset import transport
+
+    set1 = tmp_path / "e1.set"
+    set2 = tmp_path / "e2.set"
+    set1.write_text("# privset set v1 K=20\n0\n3\n11\n")
+    set2.write_text("# privset set v1 K=20\n1\n3\n11\n19\n")
+    path = tmp_path / "run.transcript"
+    code, *_ = run_cli(
+        capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2),
+        "--seed-client", "1", "--seed-cr", "2", "--save-transcript", str(path),
+    )
+    assert code == EXIT_OK
+    code, *_ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
+    assert code == EXIT_OK
+    # the same packed bytes read as F_3 vectors (one byte per coefficient) are truncated
+    transcript = transport.Transcript.load(str(path))
+    assert transcript.meta["q"] == 2
+    transcript.meta["q"] = 3
+    transcript.save(str(path))
+    code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
+    assert code == EXIT_PROTOCOL and "truncated" in err
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
@@ -238,6 +269,22 @@ def test_reliability_audit_without_trials_is_a_usage_error(capsys):
         )
         assert code == EXIT_USAGE
         assert "at least one trial" in err and "PASS" not in out
+    # checked before any audit runs, and also under a mutant (which runs no reliability audit)
+    for extra in (["--P", "2"], ["--P", "1", "--mutant", "no_cr"], ["--P", "1", "--mutant", "no_base_mask"]):
+        code, out, err = run_cli(
+            capsys, "audit", "--scheme", "block", "--K", "3", "--N", "2", "--trials", "0", *extra
+        )
+        assert code == EXIT_USAGE
+        assert "at least one trial" in err and out == ""
+
+
+def test_table_audit_rejects_block_mutants(capsys):
+    for mutant in ("no_base_mask", "no_cr"):
+        code, out, err = run_cli(
+            capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "2", "--mutant", mutant
+        )
+        assert code == EXIT_USAGE
+        assert "unknown table mutant" in err and out == ""
 
 
 def test_table_run_executes_and_decodes(capsys):

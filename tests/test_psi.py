@@ -48,6 +48,25 @@ def test_incidence_rejects_bad_input():
         IncidenceVector((0, 2))
 
 
+def test_incidence_string_holds_only_zeros_and_ones():
+    assert IncidenceVector.from_string(" 0110\n").bits == bytes([0, 1, 1, 0])
+    for text in ("01x", "0 1", "012", "01\u0661"):
+        with pytest.raises(ParamError):
+            IncidenceVector.from_string(text)
+    for bits in ((0, -1), (1, 256), ("0", "1")):
+        with pytest.raises(ParamError):
+            IncidenceVector(bits)
+
+
+def test_incidence_vector_is_one_byte_per_element():
+    vec = to_incidence({0, 3, 9}, 10)
+    assert vec.bits == bytes([1, 0, 0, 1, 0, 0, 0, 0, 0, 1])
+    store = MessageStore.from_bits(vec.bits)
+    assert (store.K, store.L, store.flat) == (10, 1, vec.bits)
+    assert store.messages == [[b] for b in vec.bits]
+    assert store.packed == 0b10_0000_1001
+
+
 def test_generate_set_reproducible():
     a = generate_set(12, Fraction(1, 2), Random(5))
     b = generate_set(12, Fraction(1, 2), Random(5))

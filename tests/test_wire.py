@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privset import block_scheme, table_scheme, wire
+from privset.field import pack, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
@@ -46,8 +47,9 @@ def server_errors():
         (bare, MSG_QUERY, wire.encode_query(0, bytes([2, 0, 0, 0, 0]))),
         (provisioned, MSG_QUERY, b"\x00\x00"),
         (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
-        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query([(5, [1, 0, 1])]))),
-        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, [1, 0])]))),
+        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query([(5, 3, 0b101)], 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, 2, 0b01)], 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0b1101]))),
     ]
     out = []
     for srv, mtype, payload in frames:
@@ -64,7 +66,7 @@ def test_encode_inverts_parse_on_seeded_payloads():
         qid, body = wire.parse_query(payload)
         assert wire.encode_query(qid, body) == payload
         if body[0] == wire.BLOCK_QUERY_TAG:
-            assert wire.encode_block_query(wire.parse_block_query(body)) == body
+            assert wire.encode_block_query(wire.parse_block_query(body, 2), 2) == body
         else:
             wire.parse_download_all(body)
             assert wire.encode_download_all() == body
@@ -84,7 +86,7 @@ def test_every_truncation_and_trailing_byte_is_a_fault():
     queries, answers = seeded_traffic()
     bodies = [wire.parse_query(q)[1] for q in queries] + seeded_table_bodies()
     parsers = {
-        wire.BLOCK_QUERY_TAG: wire.parse_block_query,
+        wire.BLOCK_QUERY_TAG: lambda b: wire.parse_block_query(b, 2),
         wire.TABLE_QUERY_TAG: wire.parse_table_query,
         wire.DOWNLOAD_ALL_TAG: wire.parse_download_all,
     }
@@ -119,20 +121,25 @@ def test_client_side_parsers_raise_transport_errors():
 
 
 def test_block_body_layout():
-    # tag, entry count, then per entry: pool id, vector length, one byte per coefficient
-    body = wire.encode_block_query([(5, [2, 0, 1])])
+    # tag, entry count, then per entry: pool id, vector length, the packed vector;
+    # over F_3 one byte per coefficient
+    body = wire.encode_block_query([(5, 3, pack([2, 0, 1], 3))], 3)
     u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
     assert body == bytes([2]) + u32(1) + u32(5) + u32(3) + bytes([2, 0, 1])
-    assert wire.parse_block_query(body) == [(5, bytes([2, 0, 1]))]
+    assert wire.parse_block_query(body, 3) == [(5, 3, 0x010002)]
+    # over F_2 one bit per coefficient, coefficient i in bit i, the last byte zero-padded
+    body = wire.encode_block_query([(5, 10, 0b10_0000_0101)], 2)
+    assert body == bytes([2]) + u32(1) + u32(5) + u32(10) + bytes([0b101, 0b10])
+    assert wire.parse_block_query(body, 2) == [(5, 10, 0b10_0000_0101)]
 
 
 def test_parsers_check_the_bounds_they_are_given():
-    block = wire.encode_block_query([(0, [1, 0, 1]), (3, [0, 1, 1])])
-    assert wire.parse_block_query(block, 3, 4) == [(0, b"\x01\x00\x01"), (3, b"\x00\x01\x01")]
+    block = wire.encode_block_query([(0, 3, 0b101), (3, 3, 0b110)], 2)
+    assert wire.parse_block_query(block, 2, 3, 4) == [(0, 3, 0b101), (3, 3, 0b110)]
     with pytest.raises(ProtocolFault, match="vector length"):
-        wire.parse_block_query(block, 4)
+        wire.parse_block_query(block, 2, 4)
     with pytest.raises(ProtocolFault, match="slot 3"):
-        wire.parse_block_query(block, 3, 3)
+        wire.parse_block_query(block, 2, 3, 3)
     table = wire.encode_table_query([4], [([(0, 1), (2, 0)], 1)])
     assert wire.parse_table_query(table, 3, 2, 5) == wire.TableQuery((4,), ((((0, 1), (2, 0)), 1),))
     with pytest.raises(ProtocolFault, match="missing symbol"):
@@ -149,8 +156,9 @@ ALL_PARSERS = [
     wire.parse_frame,
     wire.parse_frame_header,
     wire.parse_query,
-    wire.parse_block_query,
-    lambda b: wire.parse_block_query(b, 3, 2),
+    lambda b: wire.parse_block_query(b, 2),
+    lambda b: wire.parse_block_query(b, 2, 3, 2),
+    lambda b: wire.parse_block_query(b, 5, 3, 2),
     wire.parse_table_query,
     lambda b: wire.parse_table_query(b, 3, 1, 2),
     wire.parse_download_all,
@@ -167,7 +175,8 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 
 
 _VALID_QUERIES = [
-    wire.encode_query(7, wire.encode_block_query([(0, [1, 0, 1]), (1, [0, 1, 1])])),
+    wire.encode_query(7, wire.encode_block_query([(0, 3, 0b101), (1, 3, 0b110)], 2)),
+    wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 0, 0)], 2)),
     wire.encode_query(8, wire.encode_table_query([1], [([(0, 0), (2, 0)], 0)])),
     wire.encode_query(9, wire.encode_download_all()),
 ]
@@ -200,10 +209,88 @@ def test_fuzzed_queries_get_an_answer_or_an_error(payload):
                 pass
 
 
+packed_entries = st.lists(
+    st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.integers(0, 3), st.just(n), st.integers(0, (1 << n) - 1))
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(packed_entries, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
+def test_fuzzed_packed_bodies_parse_back_or_fault(entries, pos, value, cut):
+    body = wire.encode_block_query(entries, 2)
+    assert wire.parse_block_query(body, 2) == entries
+    mutated = _mutate(body, pos, value, cut)
+    try:
+        parsed = wire.parse_block_query(mutated, 2)
+    except ProtocolFault:
+        parsed = None
+    if parsed is not None:
+        assert wire.encode_block_query(parsed, 2) == mutated
+    store = MessageStore.from_bits([1, 0, 1])
+    (srv,) = make_entity_servers(store, 1, {"K": 3})
+    provision_cr([srv], CommonRandomnessPool.generate(4, 2, seed=0), 4)
+    rtype, reply = srv.handle_client_frame(MSG_QUERY, wire.encode_query(0, mutated))
+    assert rtype in (MSG_ANSWER, MSG_ERROR)
+
+
+def test_packed_parser_faults():
+    body = wire.encode_block_query([(0, 10, 0b11_0000_0001), (1, 10, 0b1)], 2)
+    for cut in range(len(body)):
+        with pytest.raises(ProtocolFault):
+            wire.parse_block_query(body[:cut], 2)
+    with pytest.raises(ProtocolFault, match="trailing"):
+        wire.parse_block_query(body + b"\x00", 2)
+    for vec_len in (9, 11, 16):
+        with pytest.raises(ProtocolFault, match="vector length"):
+            wire.parse_block_query(body, 2, vec_len)
+    # each of the 6 padding bits past coefficient 9 of the first entry's second byte
+    for bit in range(2, 8):
+        padded = bytearray(body)
+        padded[1 + 4 + 8 + 1] |= 1 << bit
+        with pytest.raises(ProtocolFault, match="padding"):
+            wire.parse_block_query(bytes(padded), 2)
+    # the same bytes read over F_3 are one byte per coefficient: too short for length 10
+    with pytest.raises(ProtocolFault):
+        wire.parse_block_query(body, 3)
+
+
 def test_block_answer_matches_reference_evaluation():
     plan = block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2), (1, 4), Random(3))
     store = MessageStore.generate(6, 2, 2, seed=1)
     pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=2)
     for db in range(3):
-        want = [block_scheme.answer_block(bq.vector, store, pool.symbols[bq.cr_id]) for bq in plan.queries[db]]
+        want = [
+            block_scheme.answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.cr_id])
+            for bq in plan.queries[db]
+        ]
         assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
+
+
+@pytest.mark.parametrize("KL", [1, 7, 8, 9, 64, 1000])
+def test_packed_f2_answer_matches_the_explicit_loop(KL):
+    rng = Random(KL)
+    for K, L in ((KL, 1), (1, KL)):
+        store = MessageStore(2, [[rng.randrange(2) for _ in range(L)] for _ in range(K)])
+        pool = CommonRandomnessPool(2, [0, 1, 1])
+        vectors = [0, (1 << KL) - 1, 1 << (KL - 1)] + [rng.getrandbits(KL) for _ in range(5)]
+        entries = [(i % 3, KL, vec) for i, vec in enumerate(vectors)]
+        want = [block_scheme.answer_block(unpack(vec, KL, 2), store, pool.symbols[cr]) for cr, _, vec in entries]
+        assert block_scheme.answer_wire_query(wire.encode_block_query(entries, 2), store, pool) == want
+
+
+def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
+    e1 = EntityConfig(1, 40, 3, frozenset({1, 8, 9, 17, 30}))
+    e2 = EntityConfig(2, 40, 3, frozenset(range(0, 40, 3)))
+    sim = run_psi(e1, e2, backend="sim", seed_client=3, seed_cr=4)
+    tcp = run_psi(e1, e2, backend="tcp", seed_client=3, seed_cr=4)
+    assert sim.intersection == tcp.intersection == e1.elements & e2.elements
+    assert sim.transcript.records == tcp.transcript.records
+    assert wire.encode_transcript(sim.transcript.meta, sim.transcript.records) == wire.encode_transcript(
+        tcp.transcript.meta, tcp.transcript.records
+    )
+    # one bit per coefficient: a K=40 vector travels as 5 bytes
+    _, body = wire.parse_query(sim.transcript.records[0][0][0])
+    assert len(body) == 1 + 4 + len(wire.parse_block_query(body, 2)) * (8 + 5)
