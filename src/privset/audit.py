@@ -132,14 +132,8 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
         return plan
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
         lane = lane_bits(plan.params.q)
-        for db in range(plan.params.N):
-            new = []
-            for bq in plan.queries[db]:
-                if bq.probe_coord is not None:
-                    unit = 1 << (bq.probe_coord * lane)
-                    bq = block_scheme.BlockQuery(bq.block, bq.db, unit, bq.cr_id, bq.probe_coord)
-                new.append(bq)
-            plan.queries[db] = new
+        for qs in plan.queries:  # each probe becomes the bare unit vector of its coordinate
+            qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=1 << (bq.probe_coord * lane)) for bq in qs]
         return plan
     if mutant == BLOCK_MUTANT_NO_CR:
         return plan  # handled at pool construction
@@ -565,7 +559,7 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
         table = table_scheme.build_query_table(params, desired, Random(rng.randrange(1 << 30)))
         store = MessageStore.generate(K, table.L_store, q, seed=rng.randrange(1 << 30))
         pool = CommonRandomnessPool.generate(table.pool_size, q, seed=rng.randrange(1 << 30))
-        answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(N)]
+        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
         decoded = table_scheme.decode(table, answers)
         for m in desired:
             for pos, val in decoded.values[m].items():

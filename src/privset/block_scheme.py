@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import lane_bits, sample_uniform, unpack
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
@@ -32,14 +32,11 @@ from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up he
 from .wire import ProtocolFault, encode_block_query, parse_block_query
 
 
-@dataclass(frozen=True)
-class BlockQuery:
-    """One query vector for one database: a packed vector over F_q, plus the block's pool slot."""
+class BlockQuery(NamedTuple):
+    """One query vector for one database: a packed vector over F_q; block j is masked by pool slot j."""
 
     block: int
-    db: int
     vector: int
-    cr_id: int
     probe_coord: int | None  # desired coordinate this probe targets; None for the base
 
 
@@ -65,7 +62,7 @@ class BlockPlan:
 
     def wire_query(self, db: int) -> bytes:
         KL, q = self.params.K * self.params.L, self.params.q
-        return encode_block_query([(bq.cr_id, KL, bq.vector) for bq in self.queries[db]], q)
+        return encode_block_query([(bq.block, KL, bq.vector) for bq in self.queries[db]], q)
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.params.N)]
@@ -97,7 +94,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     for j, block_coords in enumerate(coords):
         base = j % N
         base_vec = sample_uniform(rng, K * L, q)
-        queries[base].append(BlockQuery(j, base, base_vec, j, None))
+        queries[base].append(BlockQuery(j, base_vec, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
             if q == 2:
@@ -105,7 +102,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
             else:  # raise lane t by 1 mod q
                 c = base_vec >> (t * lane) & 0xFF
                 probe = base_vec + (((c + 1) % q - c) << (t * lane))
-            queries[db].append(BlockQuery(j, db, probe, j, t))
+            queries[db].append(BlockQuery(j, probe, t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -160,9 +157,3 @@ def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
     out = {t: (v - base[j]) % q for j, t, v in probes}
     assert len(out) == plan.params.P * plan.params.L
     return out
-
-
-def decoded_messages(plan: BlockPlan, coords: dict[int, int]) -> dict[int, list[int]]:
-    """Regroup decoded coordinates into per-message symbol lists."""
-    L = plan.params.L
-    return {m: [coords[m * L + s] for s in range(L)] for m in plan.desired}

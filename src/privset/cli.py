@@ -12,8 +12,9 @@ audit       run the exact privacy/reliability audits
 
 Every subcommand is deterministic given its seeds.  ``--machine`` switches
 to line-oriented JSON records (one object per line, each carrying a
-``record`` discriminator).  Exit codes: 0 success, 2 usage error or an
-audit refused for its budget, 3 protocol/transport fault, 4 audit failure.
+``record`` discriminator).  Exit codes: 0 success, 2 usage error (a file or
+port that cannot be used included) or an audit refused for its budget,
+3 protocol/transport fault, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def cmd_table(args) -> int:
     if args.run:
         store = MessageStore.generate(args.K, table.L_store, args.q, seed=args.seed_msg)
         pool = CommonRandomnessPool.generate(table.pool_size, args.q, seed=args.seed_cr)
-        answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(args.N)]
+        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(args.N)]
         decoded = table_scheme.decode(table, answers)
         decoded_ok = all(
             val == store.messages[m][pos]
@@ -156,7 +157,7 @@ def _write_set(path: str, K: int, elements) -> None:
 def read_set(path: str) -> tuple[int, frozenset[int]]:
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith(SET_HEADER):
+        if not header.startswith(SET_HEADER) or "K=" not in header:
             raise ParamError(f"{path} is not a set file")
         K = int(header.split("K=")[1])
         elems = frozenset(int(line) for line in fh if line.strip())
@@ -167,6 +168,13 @@ def _write_incidence(path: str, vec: psi.IncidenceVector) -> None:
     with open(path, "w") as fh:
         fh.write(f"{INCIDENCE_HEADER} K={vec.K}\n")
         fh.write(vec.as_string() + "\n")
+
+
+def _address(entry: str) -> tuple[str, int]:
+    host, sep, port = entry.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ParamError(f"address {entry!r} is not host:port")
+    return host, int(port)
 
 
 def cmd_psi_gen(args) -> int:
@@ -215,10 +223,7 @@ def cmd_psi_run(args) -> int:
             raise ParamError("--connect requires --set1 (the local entity's set)")
         K, s1 = read_set(args.set1)
         local = psi.EntityConfig(1, K, 2, s1)
-        addresses = []
-        for hostport in args.connect.split(","):
-            host, port = hostport.rsplit(":", 1)
-            addresses.append((host, int(port)))
+        addresses = [_address(entry) for entry in args.connect.split(",")]
         result = psi.run_psi_remote(
             local, addresses, seed_client=args.seed_client, forward_result=not args.no_forward
         )
@@ -277,8 +282,8 @@ def cmd_psi_serve(args) -> int:
     servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
     pool = CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr)
     transport.provision_cr(servers, pool, 0)
-    host, base_port = args.listen.rsplit(":", 1)
-    pool_srv = transport.TcpServerPool(servers, host=host, base_port=int(base_port))
+    host, base_port = _address(args.listen)
+    pool_srv = transport.TcpServerPool(servers, host=host, base_port=base_port)
     pool_srv.start()
     print(json.dumps({
         "record": "psi_serve",
@@ -473,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, InfeasibleError, ValueError) as exc:
+    except (ParamError, InfeasibleError, ValueError, OSError) as exc:  # OSError: a file or port we cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except audit_mod.AuditBudgetExceeded as exc:

@@ -34,10 +34,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
+from typing import NamedTuple
 
 from .params import (
     AlphaProfile,
-    CostLedger,
     ParamError,
     SchemeParams,
     alpha_profile,
@@ -53,13 +53,10 @@ CR_HIDDEN = "hidden"
 CR_SIDEINFO = "sideinfo"
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(NamedTuple):
     """One downloaded sum: its terms, randomness slot, and decode bookkeeping."""
 
     round_k: int
-    stage: int
-    subset: tuple[int, ...]
     terms: tuple[tuple[int, int], ...]  # (message, structural index), sorted by message
     cr_slot: int
     cr_kind: str
@@ -79,20 +76,13 @@ class QueryTable:
     desired: tuple[int, ...]
     reps: int  # effective stage multiplier (repetition factor or override)
     profile: AlphaProfile
-    ledger: CostLedger
     plain_slots: list[list[int]]  # per database, canonical pool slots served plainly
-    plain_rounds: list[list[int]]  # round that allocated each plain slot (rendering)
     sums: list[list[SumSpec]]  # per database, in round/stage/subset order
     msg_fresh: list[int]  # fresh symbol count per message
     L_store: int
     pool_size: int
     msg_perm: list[list[int]]  # structural index -> store position, per message
     pool_perm: list[int]  # canonical slot -> pool id
-
-    @property
-    def multiplier(self) -> int:
-        """Effective count of rational repetitions: reps times the profile scale."""
-        return self.reps * self.profile.scale
 
     @property
     def total_downloads(self) -> int:
@@ -106,9 +96,6 @@ class QueryTable:
     def rate(self) -> Fraction:
         return Fraction(self.total_desired_symbols, self.total_downloads)
 
-    def stages(self, k: int) -> int:
-        return self.reps * self.profile.alpha[k - 1]
-
     def wire_query(self, db: int) -> bytes:
         """Binary query payload for one database (permuted indices, relabeled slots)."""
         return encode_table_query(
@@ -121,21 +108,6 @@ class QueryTable:
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.N)]
-
-
-def pool_size_required(K: int, P: int, N: int, reps: int, profile: AlphaProfile | None = None) -> int:
-    """Distinct randomness symbols one run consumes across all databases.
-
-    The builder's stage counts are ``reps * alpha`` with the integerized
-    profile, so any integerization scale multiplies the budget too.
-    """
-    if profile is None:
-        profile = alpha_profile(K, P, N)
-    ledger = cost_ledger(K, P, N, profile)
-    total = reps * profile.scale * N * ledger.randomness
-    if total.denominator != 1:
-        raise ParamError("repetition count does not yield an integer randomness budget")
-    return int(total)
 
 
 def build_query_table(
@@ -161,11 +133,11 @@ def build_query_table(
     profile = alpha_profile(K, P, N)
     if reps is None:
         reps = repetition_factor(K, P, N, profile)
-    ledger = cost_ledger(K, P, N, profile)
+    if reps < 1:
+        raise ParamError(f"the repetition count must be at least 1, got {reps}")
     desired_set = set(desired)
 
     plain_slots: list[list[int]] = [[] for _ in range(N)]
-    plain_rounds: list[list[int]] = [[] for _ in range(N)]
     sums: list[list[SumSpec]] = [[] for _ in range(N)]
     msg_fresh = [0] * K
     next_slot = 0
@@ -204,7 +176,6 @@ def build_query_table(
                     ids.append(next_slot)
                     next_slot += 1
                 plain_slots[db].extend(ids)
-                plain_rounds[db].extend([k] * quota)
                 round_plain.append(ids)
             for consumer in range(N):
                 for m in range(N):
@@ -212,18 +183,21 @@ def build_query_table(
                         plain_queue[consumer].extend(round_plain[m])
 
         round_fresh: list[tuple[int, int, int]] = []  # (origin db, msg, idx)
+        # Each k-subset split into its desired and undesired members, once per round.
+        splits = [
+            (subset, tuple(m for m in subset if m in desired_set), tuple(m for m in subset if m not in desired_set))
+            for subset in combinations(range(K), k)
+        ]
 
         for db in range(N):
-            for stage in range(n_stages):
-                for subset in combinations(range(K), k):
-                    des = [m for m in subset if m in desired_set]
-                    und = tuple(m for m in subset if m not in desired_set)
+            for _ in range(n_stages):
+                for subset, des, und in splits:
                     if not des:
                         # Pure sum: all fresh, hidden randomness.
                         terms = tuple(take_fresh(m) for m in subset)
                         slot = next_slot
                         next_slot += 1
-                        spec = SumSpec(k, stage, subset, terms, slot, CR_HIDDEN)
+                        spec = SumSpec(k, terms, slot, CR_HIDDEN)
                         pos = len(sums[db])
                         sums[db].append(spec)
                         for consumer in range(N):
@@ -254,7 +228,7 @@ def build_query_table(
                         ref_spec = sums[origin][pos]
                         terms = tuple(sorted([fresh] + reused + list(ref_spec.terms)))
                         spec = SumSpec(
-                            k, stage, subset, terms, ref_spec.cr_slot, CR_SIDEINFO,
+                            k, terms, ref_spec.cr_slot, CR_SIDEINFO,
                             ref=(origin, pos), fresh=fresh, reused=tuple(reused),
                         )
                     else:
@@ -266,7 +240,7 @@ def build_query_table(
                         slot = queue.popleft()
                         terms = tuple(sorted([fresh] + reused))
                         spec = SumSpec(
-                            k, stage, subset, terms, slot, CR_DOWNLOADED,
+                            k, terms, slot, CR_DOWNLOADED,
                             fresh=fresh, reused=tuple(reused),
                         )
                     sums[db].append(spec)
@@ -280,7 +254,11 @@ def build_query_table(
 
     L_store = max(msg_fresh)
     pool_size = next_slot
-    expected_pool = pool_size_required(K, P, N, reps, profile)
+    # The stage counts are reps * alpha with the integerized profile, so the
+    # integerization scale multiplies the ledger's randomness budget too.
+    expected_pool = reps * profile.scale * N * cost_ledger(K, P, N, profile).randomness
+    if expected_pool.denominator != 1:
+        raise ParamError("repetition count does not yield an integer randomness budget")
     if pool_size != expected_pool:
         raise ProtocolFault(f"allocated {pool_size} randomness slots, ledger says {expected_pool}")
 
@@ -293,8 +271,8 @@ def build_query_table(
     rng.shuffle(pool_perm)
 
     return QueryTable(
-        K=K, P=P, N=N, q=q, desired=desired, reps=reps, profile=profile, ledger=ledger,
-        plain_slots=plain_slots, plain_rounds=plain_rounds, sums=sums,
+        K=K, P=P, N=N, q=q, desired=desired, reps=reps, profile=profile,
+        plain_slots=plain_slots, sums=sums,
         msg_fresh=msg_fresh, L_store=L_store, pool_size=pool_size,
         msg_perm=msg_perm, pool_perm=pool_perm,
     )
@@ -311,11 +289,6 @@ def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnes
             acc += messages[msg][idx]
         out.append(acc % store.q)
     return out
-
-
-def answer_queries(table: QueryTable, db: int, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    """Convenience in-process evaluation of database ``db``'s answer."""
-    return answer_wire_query(table.wire_query(db), store, pool)
 
 
 @dataclass

@@ -210,11 +210,21 @@ class Client:
                 answers[db] = self.query(db, bodies[db])
 
         if self.backend.concurrent:
-            threads = [threading.Thread(target=one, args=(db,)) for db in range(len(bodies))]
+            errors: list[Exception] = []
+
+            def guarded(db: int) -> None:
+                try:
+                    one(db)
+                except Exception as exc:  # raised again below, on the calling thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=guarded, args=(db,)) for db in range(len(bodies))]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            if errors:
+                raise errors[0]
         else:
             for db in range(len(bodies)):
                 one(db)
@@ -273,10 +283,18 @@ class TcpBackend:
         return self._socks[db]
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        """One frame out, one frame back; a failure closes and forgets the connection."""
         with self._locks[db]:
-            s = self._sock(db)
-            s.sendall(wire.encode_frame(msg_type, payload))
-            return _read_frame(s)
+            try:
+                s = self._sock(db)
+                s.sendall(wire.encode_frame(msg_type, payload))
+                return _read_frame(s)
+            except (OSError, wire.TransportError) as exc:  # the stream is unusable past either
+                if self._socks[db] is not None:
+                    self._socks[db].close()
+                    self._socks[db] = None
+                host, port = self.addresses[db]
+                raise wire.TransportError(f"database {db} at {host}:{port}: {exc}") from exc
 
     def query_roundtrip(self, db: int, payload: bytes) -> list[tuple[int, bytes]]:
         return [self.roundtrip(db, wire.MSG_QUERY, payload)]
@@ -327,7 +345,12 @@ class TcpServerPool:
             port = self.base_port + i if self.base_port else 0
             lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            lsock.bind((self.host, port))
+            try:
+                lsock.bind((self.host, port))
+            except OSError:  # e.g. the port is taken: release what started, then report
+                lsock.close()
+                self.stop()
+                raise
             lsock.listen(4)
             lsock.settimeout(0.2)
             self._listeners.append(lsock)

@@ -67,7 +67,7 @@ def test_criterion_2_small_example_end_to_end():
         assert table.rate == Fraction(2, 3)
         store = MessageStore.generate(3, table.L_store, 2, seed=seed * 3 + 1)
         pool = CommonRandomnessPool.generate(table.pool_size, 2, seed=seed * 3 + 2)
-        answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(3)]
+        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(3)]
         decoded = table_scheme.decode(table, answers)
         m = seed % 3
         assert decoded.as_vector(m, 54) == store.messages[m]
@@ -86,7 +86,7 @@ def test_criterion_3_asymmetric_example_end_to_end():
     assert table.rate == Fraction(1, 2)
     store = MessageStore.generate(5, table.L_store, 2, seed=1)
     pool = CommonRandomnessPool.generate(table.pool_size, 2, seed=2)
-    answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(2)]
+    answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(2)]
     decoded = table_scheme.decode(table, answers)
     for m in (0, 1, 2):
         for pos, val in decoded.values[m].items():
@@ -124,7 +124,7 @@ def test_criterion_4_capacity_identity_grid():
         assert table.pool_size == Fraction(P * measured_l_batch, N - 1), (K, P, N)
         store = MessageStore.generate(K, table.L_store, 2, seed=K + P + N)
         pool = CommonRandomnessPool.generate(table.pool_size, 2, seed=K * P * N)
-        answers = [table_scheme.answer_queries(table, db, store, pool) for db in range(N)]
+        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
         decoded = table_scheme.decode(table, answers)
         for m in range(P):
             for pos, val in decoded.values[m].items():

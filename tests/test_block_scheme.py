@@ -7,7 +7,6 @@ from privset.block_scheme import (
     answer_block,
     answer_wire_query,
     decode_blocks,
-    decoded_messages,
     plan_blocks,
 )
 from privset.audit import _ScriptedRandom
@@ -95,7 +94,7 @@ def test_answer_rejects_wrong_length():
 def test_decode_minimal():
     plan, store, _, answers = run_once(3, 1, 2)
     coords = decode_blocks(plan, answers)
-    assert decoded_messages(plan, coords)[0] == store.messages[0]
+    assert [coords[s] for s in range(plan.params.L)] == store.messages[0]
 
 
 def test_decode_fig_instance_bits():
@@ -120,9 +119,8 @@ def test_decode_random_grid():
         desired = tuple(sorted(rng.sample(range(K), P)))
         plan, store, _, answers = run_once(K, P, N, L=L, desired=desired, seed=rng.randrange(1 << 30))
         coords = decode_blocks(plan, answers)
-        msgs = decoded_messages(plan, coords)
         for m in desired:
-            assert msgs[m] == store.messages[m]
+            assert [coords[m * L + s] for s in range(L)] == store.messages[m]
 
 
 def test_cost_exactness_grid():
@@ -181,11 +179,11 @@ def test_store_is_flattened_once():
 def test_each_database_gets_at_most_one_vector_per_block():
     plan, *_ = run_once(5, 3, 3, L=2, seed=6)
     for j, block_coords in enumerate(plan.coords):
-        block = [bq for db in range(3) for bq in plan.queries[db] if bq.block == j]
-        holders = [bq.db for bq in block]
+        block = [(db, bq) for db in range(3) for bq in plan.queries[db] if bq.block == j]
+        holders = [db for db, _ in block]
         assert len(holders) == len(set(holders)) == 1 + len(block_coords)
-        (base,) = [bq for bq in block if bq.probe_coord is None]
-        assert base.db not in [bq.db for bq in block if bq.probe_coord is not None]
+        (base_db,) = [db for db, bq in block if bq.probe_coord is None]
+        assert base_db not in [db for db, bq in block if bq.probe_coord is not None]
 
 
 def test_count_mismatch_detected():

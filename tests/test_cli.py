@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -74,6 +75,62 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "params", "--K", "3", "--P", "5", "--N", "2")
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_table_repetition_count_below_one_is_a_usage_error(capsys, reps):
+    code, out, err = run_cli(capsys, "table", "--K", "3", "--P", "1", "--N", "2", "--reps", reps)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: the repetition count must be at least 1") and not out
+
+
+def test_io_errors_are_usage_errors(tmp_path, capsys):
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    missing = str(tmp_path / "missing")
+    no_k = tmp_path / "no-k.set"
+    no_k.write_text("# privset set v1\n1\n")
+    for argv in (
+        ["psi", "run", "--set1", missing, "--set2", missing],
+        ["psi", "run", "--set1", str(no_k), "--set2", str(no_k)],
+        ["psi", "verify", "--transcript", missing],
+        ["psi", "gen", "--K", "4", "--out-dir", str(set1 / "sub")],
+        ["psi", "run", "--K", "6", "--save-transcript", str(tmp_path / "no-dir" / "t.bin")],
+        ["psi", "run", "--set1", str(set1), "--connect", "localhost"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "'localhost' is not host:port" in err
+
+
+def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
+    import subprocess
+    import sys
+
+    set2 = tmp_path / "e2.set"
+    set2.write_text("# privset set v1 K=10\n0\n2\n")
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "privset.cli", "psi", "serve", "--set", str(set2), "--listen", f"127.0.0.1:{port}"],
+            capture_output=True, text=True, timeout=30,
+        )
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr and not out.stdout
+
+
+def test_psi_run_against_a_closed_port_is_a_transport_fault(tmp_path, capsys):
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    with socket.socket() as sock:  # bound, then released: nothing listens on the port
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{port}")
+    assert code == EXIT_PROTOCOL
+    assert err.startswith(f"protocol fault: database 0 at 127.0.0.1:{port}") and err.count("\n") == 1
 
 
 def test_params_ignores_the_environment(monkeypatch, capsys):

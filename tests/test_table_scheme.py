@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from privset.params import ParamError, SchemeParams
+from privset.params import ParamError, SchemeParams, cost_ledger
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
     CR_DOWNLOADED,
@@ -12,7 +12,6 @@ from privset.table_scheme import (
     CR_SIDEINFO,
     ProtocolFault,
     answer_download_all,
-    answer_queries,
     answer_wire_query,
     build_query_table,
     decode,
@@ -28,7 +27,7 @@ def make_run(K, P, N, q=2, desired=None, seed=0, reps=None):
     table = build_query_table(params, desired, Random(seed), reps=reps)
     store = MessageStore.generate(K, table.L_store, q, seed=seed + 1)
     pool = CommonRandomnessPool.generate(table.pool_size, q, seed=seed + 2)
-    answers = [answer_queries(table, db, store, pool) for db in range(N)]
+    answers = [answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
     return table, store, pool, answers
 
 
@@ -38,7 +37,7 @@ class TestWorkedExampleSmall:
     def test_structure_counts(self):
         table, *_ = make_run(3, 1, 3)
         assert table.reps == 2
-        assert [table.stages(k) for k in (1, 2, 3)] == [2, 4, 8]
+        assert [table.reps * table.profile.alpha[k - 1] for k in (1, 2, 3)] == [2, 4, 8]
         for db in range(3):
             per_round = Counter(s.round_k for s in table.sums[db])
             assert per_round == {1: 6, 2: 12, 3: 8}
@@ -60,9 +59,12 @@ class TestWorkedExampleAsymmetric:
 
     def test_structure_counts(self):
         table, *_ = make_run(5, 3, 2, desired=(0, 1, 2), reps=1)
-        assert [table.stages(k) for k in (1, 2, 3, 4, 5)] == [3, 1, 0, 0, 1]
+        assert [table.reps * table.profile.alpha[k - 1] for k in (1, 2, 3, 4, 5)] == [3, 1, 0, 0, 1]
         for db in range(2):
-            rounds = [r for r in table.plain_rounds[db]]
+            # database db's plain slots mask the all-desired sums of the other database
+            plain = set(table.plain_slots[db])
+            rounds = [s.round_k for s in table.sums[1 - db] if s.cr_kind == CR_DOWNLOADED and s.cr_slot in plain]
+            assert len(rounds) == len(plain)
             assert rounds.count(1) == 9 and rounds.count(2) == 3
         assert table.total_downloads == 76
         assert table.total_desired_symbols == 38
@@ -117,7 +119,7 @@ def test_all_zero_store_and_pool_give_zero_answers():
     store = MessageStore(2, [[0] * table.L_store for _ in range(3)])
     pool = CommonRandomnessPool(2, [0] * table.pool_size)
     for db in range(2):
-        assert all(v == 0 for v in answer_queries(table, db, store, pool))
+        assert all(v == 0 for v in answer_wire_query(table.wire_query(db), store, pool))
 
 
 def test_fresh_symbol_discipline():
@@ -178,7 +180,7 @@ def test_each_pure_sum_consumed_once_per_other_database():
 def test_plain_quota_matches_ledger():
     for K, P, N in [(3, 1, 3), (4, 2, 2), (5, 3, 2), (3, 2, 2)]:
         table, *_ = make_run(K, P, N)
-        expected = table.multiplier * N * table.ledger.D2
+        expected = table.reps * table.profile.scale * N * cost_ledger(K, P, N).D2
         assert expected.denominator == 1
         assert sum(len(p) for p in table.plain_slots) == int(expected)
 
@@ -223,6 +225,12 @@ def test_out_of_range_reference_is_a_fault():
     small_pool = CommonRandomnessPool(2, [0])
     with pytest.raises(ProtocolFault):
         answer_wire_query(table.wire_query(0), store, small_pool)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_repetition_count_below_one_is_refused(reps):
+    with pytest.raises(ParamError, match="repetition count"):
+        build_query_table(SchemeParams(K=3, P=1, N=2), (0,), Random(0), reps=reps)
 
 
 def test_download_all_path():

@@ -2,7 +2,7 @@ import pytest
 
 from privset import transport, wire
 from privset.params import SchemeParams
-from privset.psi import EntityConfig, run_psi
+from privset.psi import EntityConfig, run_psi, run_psi_remote
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
 from privset.transport import (
@@ -245,3 +245,36 @@ def test_handler_failure_closes_only_that_connection(monkeypatch):
         assert all(t.is_alive() for t in pool._threads)
         mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
         assert mtype == MSG_SETUP
+
+
+def test_broken_connection_is_closed_and_forgotten(monkeypatch):
+    def broken(payload, store, pool):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.DOWNLOAD_ALL_TAG, broken)
+    with TcpServerPool(small_servers()) as pool:
+        backend = TcpBackend(pool.addresses)
+        with pytest.raises(TransportError, match="database 0 at 127.0.0.1:"):
+            backend.roundtrip(0, MSG_QUERY, wire.encode_query(0, encode_download_all()))
+        assert backend._socks[0] is None
+        assert backend.roundtrip(0, MSG_SETUP, b"")[0] == MSG_SETUP  # a fresh connection
+        backend.close()
+
+
+def closed_port() -> int:
+    """A loopback port that was just bound and released, so nothing listens on it."""
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_refused_connection_is_a_transport_error():
+    port = closed_port()
+    backend = TcpBackend([("127.0.0.1", port)] * 2)
+    with pytest.raises(TransportError, match=f"database 0 at 127.0.0.1:{port}"):
+        transport.Client(backend).setup_info()
+    assert backend._socks == [None, None]
+    with pytest.raises(TransportError):
+        run_psi_remote(E1, [("127.0.0.1", port)] * 2)

@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -263,7 +264,7 @@ def test_block_answer_matches_reference_evaluation():
     pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=2)
     for db in range(3):
         want = [
-            block_scheme.answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.cr_id])
+            block_scheme.answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.block])
             for bq in plan.queries[db]
         ]
         assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
@@ -294,3 +295,37 @@ def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
     # one bit per coefficient: a K=40 vector travels as 5 bytes
     _, body = wire.parse_query(sim.transcript.records[0][0][0])
     assert len(body) == 1 + 4 + len(wire.parse_block_query(body, 2)) * (8 + 5)
+
+
+# SHA-256 over the joined payloads of seeded runs. A deliberate change to a
+# byte layout or to a scheme's draws updates these values and says why.
+GOLDEN_WIRE_DIGESTS = {
+    "table K=3 P=1 N=3": "ce87c57e2f5d80d91b8da3f51a01f87e5667e8866ced98638863d87257ac5e8c",
+    "table K=5 P=3 N=2 reps=1": "91d0b0de12d2c10b6937984499f7b66d8134d643481ffd28cc2bb25588c1e5ee",
+    "block K=6 P=2 N=3 L=2": "2681b6fb5d9410f14db65904d113dd752e79a5fb30743f50d21640de77c732ce",
+    "block K=6 P=2 N=3 L=2 q=5": "ba2bca2fdca62453e7a79452f0bd2e4c0ab8cb79657cb1809545556749d22c8c",
+    "flagship transcript": "682da3a548729fce8828cc8d89d1ad631a9afc52ca6e32f741f6bcd8ec7ce6b3",
+}
+
+
+def test_seeded_wire_bytes_match_the_golden_digests():
+    def digest(payloads):
+        return hashlib.sha256(b"".join(payloads)).hexdigest()
+
+    flagship = run_psi(E1, E2, seed_client=11, seed_cr=22).transcript
+    got = {
+        "table K=3 P=1 N=3": digest(
+            table_scheme.build_query_table(SchemeParams(K=3, P=1, N=3), (0,), Random(0)).wire_queries()
+        ),
+        "table K=5 P=3 N=2 reps=1": digest(
+            table_scheme.build_query_table(SchemeParams(K=5, P=3, N=2), (0, 1, 2), Random(0), reps=1).wire_queries()
+        ),
+        "block K=6 P=2 N=3 L=2": digest(
+            block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2), (1, 4), Random(0)).wire_queries()
+        ),
+        "block K=6 P=2 N=3 L=2 q=5": digest(
+            block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2, q=5), (1, 4), Random(0)).wire_queries()
+        ),
+        "flagship transcript": digest([wire.encode_transcript(flagship.meta, flagship.records)]),
+    }
+    assert got == GOLDEN_WIRE_DIGESTS
