@@ -162,10 +162,7 @@ def _block_runs(params: SchemeParams, desired: tuple[int, ...], mutant: str | No
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
-    stores = [
-        (w_flat, MessageStore(q, [list(w_flat[m * L : (m + 1) * L]) for m in range(K)]))
-        for w_flat in product(range(q), repeat=K * L)
-    ]
+    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
     pools = [(s_vals, _block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
     draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
     for strategy, (order, values) in enumerate(draws):
@@ -255,12 +252,13 @@ def _table_shape(params: SchemeParams) -> tuple[int, int]:
     return probe.L_store, probe.pool_size
 
 
-def _skeleton(view: wire.TableQuery):
-    return (len(view.plain_ids), tuple(tuple(m for m, _ in terms) for terms, _ in view.sums))
+def _skeleton(view: wire.TableQuery, L: int):
+    return (len(view.plain_ids), tuple(tuple(c // L for c in terms) for terms, _ in view.sums))
 
 
-def _msg_indices(view: wire.TableQuery, msg: int) -> tuple[int, ...]:
-    return tuple(idx for terms, _ in view.sums for m, idx in terms if m == msg)
+def _msg_indices(view: wire.TableQuery, msg: int, L: int) -> tuple[int, ...]:
+    """Positions of message ``msg`` in the order the view's terms name them."""
+    return tuple(c % L for terms, _ in view.sums for c in terms if c // L == msg)
 
 
 def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
@@ -296,7 +294,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     base = views[desired_sets[0]]
     for desired in desired_sets[1:]:
         for db in range(N):
-            if _skeleton(views[desired][db]) != _skeleton(base[db]):
+            if _skeleton(views[desired][db], L_store) != _skeleton(base[db], L_store):
                 return Verdict(False, Fraction(1), f"query skeleton differs at database {db}")
 
     # Premise 2: within one database every position reference is distinct per
@@ -305,7 +303,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
         for db in range(N):
             v = views[desired][db]
             for m in range(K):
-                idxs = _msg_indices(v, m)
+                idxs = _msg_indices(v, m, L_store)
                 if len(set(idxs)) != len(idxs):
                     return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
             ids = _visible_ids(v)
@@ -327,11 +325,11 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
         ref = views[desired]
         for db in range(N):
             if comp < K:
-                want = tuple(perm[i] for i in _msg_indices(ref[db], comp))
-                if _msg_indices(got[db], comp) != want:
+                want = tuple(perm[i] for i in _msg_indices(ref[db], comp, L_store))
+                if _msg_indices(got[db], comp, L_store) != want:
                     return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
                 for other in range(K):
-                    if other != comp and _msg_indices(got[db], other) != _msg_indices(ref[db], other):
+                    if other != comp and _msg_indices(got[db], other, L_store) != _msg_indices(ref[db], other, L_store):
                         return Verdict(False, Fraction(1), "component draws are not independent")
                 if _visible_ids(got[db]) != _visible_ids(ref[db]):
                     return Verdict(False, Fraction(1), "pool labels changed under a message draw")
@@ -358,7 +356,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int, store_L: int) -> list[list[int]]:
+def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
     """Coefficient rows over [pool ids | message coordinates] for one query payload."""
     tag = payload[0]
     width = pool_size + n_coords
@@ -372,9 +370,8 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int, store
         for terms, pid in view.sums:
             row = [0] * width
             row[pid] = 1
-            for m, idx in terms:
-                col = pool_size + m * store_L + idx
-                row[col] = (row[col] + 1) % q
+            for c in terms:
+                row[pool_size + c] = (row[pool_size + c] + 1) % q
             rows.append(row)
     elif tag == wire.BLOCK_QUERY_TAG:
         for cr_id, length, vec in wire.parse_block_query(payload, q):
@@ -388,9 +385,7 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int, store
     return rows
 
 
-def recoverable_coordinates(
-    wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int, store_L: int
-) -> frozenset[int]:
+def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int) -> frozenset[int]:
     """Gaussian elimination over the full client view.
 
     Unknowns are every message coordinate and every pool symbol.  A message
@@ -400,7 +395,7 @@ def recoverable_coordinates(
     """
     rows: list[list[int]] = []
     for payload in wire_payloads:
-        rows.extend(_rows_from_wire(payload, n_coords, pool_size, q, store_L))
+        rows.extend(_rows_from_wire(payload, n_coords, pool_size, q))
 
     width = pool_size + n_coords
     basis: list[list[int]] = []  # echelon rows, pivot column strictly increasing
@@ -460,7 +455,7 @@ def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
     """Recoverable coordinates of a table run must be exactly the retrieved ones."""
     n_coords = table.K * table.L_store
     payloads = table.wire_queries()
-    rec = recoverable_coordinates(payloads, n_coords, table.pool_size, table.q, table.L_store)
+    rec = recoverable_coordinates(payloads, n_coords, table.pool_size, table.q)
     return LeakageReport(rec, _retrieved_coordinates(table))
 
 
@@ -468,7 +463,7 @@ def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
     params = plan.params
     n_coords = params.K * params.L
     payloads = plan.wire_queries()
-    rec = recoverable_coordinates(payloads, n_coords, plan.pool_size_required(), params.q, params.L)
+    rec = recoverable_coordinates(payloads, n_coords, plan.pool_size_required(), params.q)
     expected = frozenset(c for blk in plan.coords for c in blk)
     return LeakageReport(rec, expected)
 
@@ -495,7 +490,7 @@ def audit_table_db_privacy(
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
                 # Hidden symbols made public: a synthetic plain download of each.
                 payloads += [wire.encode_table_query([pid], []) for pid in _hidden_ids(table)]
-            rec = recoverable_coordinates(payloads, K * table.L_store, table.pool_size, params.q, table.L_store)
+            rec = recoverable_coordinates(payloads, K * table.L_store, table.pool_size, params.q)
             expected = _retrieved_coordinates(table)
             if rec != expected:
                 return Verdict(
@@ -528,7 +523,7 @@ def audit_table_db_privacy_enumerated(
         hidden = _hidden_ids(table) if mutant == TABLE_MUTANT_NO_HIDDEN_CR else []
         groups: defaultdict[tuple, Counter] = defaultdict(Counter)
         for w_flat in product(range(q), repeat=n_coords):
-            store = MessageStore(q, [list(w_flat[m * L_store : (m + 1) * L_store]) for m in range(K)])
+            store = MessageStore(q, L_store, bytes(w_flat))
             for s_vals in product(range(q), repeat=pool_size):
                 syms = list(s_vals)
                 for pid in hidden:
@@ -560,11 +555,9 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
         store = MessageStore.generate(K, table.L_store, q, seed=rng.randrange(1 << 30))
         pool = CommonRandomnessPool.generate(table.pool_size, q, seed=rng.randrange(1 << 30))
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
-        decoded = table_scheme.decode(table, answers)
-        for m in desired:
-            for pos, val in decoded.values[m].items():
-                if val != store.messages[m][pos]:
-                    return Verdict(False, Fraction(1), f"decode mismatch at message {m} position {pos}")
+        for c, val in table_scheme.decode(table, answers).items():
+            if val != store.flat[c]:
+                return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")
     return Verdict(True, Fraction(0), f"{trials} trials decoded exactly")
 
 
@@ -579,9 +572,7 @@ def audit_reliability_block(params: SchemeParams, trials: int, seed: int = 0) ->
         store = MessageStore.generate(K, L, q, seed=rng.randrange(1 << 30))
         pool = CommonRandomnessPool.generate(plan.pool_size_required(), q, seed=rng.randrange(1 << 30))
         answers = [block_scheme.answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
-        coords = block_scheme.decode_blocks(plan, answers)
-        for m in desired:
-            for s in range(L):
-                if coords[m * L + s] != store.messages[m][s]:
-                    return Verdict(False, Fraction(1), f"decode mismatch at message {m} symbol {s}")
+        for c, val in block_scheme.decode_blocks(plan, answers).items():
+            if val != store.flat[c]:
+                return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")
     return Verdict(True, Fraction(0), f"{trials} trials decoded exactly")

@@ -124,12 +124,7 @@ def cmd_table(args) -> int:
         store = MessageStore.generate(args.K, table.L_store, args.q, seed=args.seed_msg)
         pool = CommonRandomnessPool.generate(table.pool_size, args.q, seed=args.seed_cr)
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(args.N)]
-        decoded = table_scheme.decode(table, answers)
-        decoded_ok = all(
-            val == store.messages[m][pos]
-            for m in desired
-            for pos, val in decoded.values[m].items()
-        )
+        decoded_ok = all(val == store.flat[c] for c, val in table_scheme.decode(table, answers).items())
         summary["decoded_ok"] = decoded_ok
         if not decoded_ok:
             raise wire.ProtocolFault("decode mismatch against the generated store")
@@ -201,7 +196,10 @@ def cmd_psi_gen(args) -> int:
 
 
 def _load_entities(args) -> tuple[psi.EntityConfig, psi.EntityConfig]:
-    if args.set1 and args.set2:
+    if args.set1 or args.set2:
+        if not (args.set1 and args.set2):
+            given, missing = ("--set1", "--set2") if args.set1 else ("--set2", "--set1")
+            raise ParamError(f"{given} needs {missing}: a local run reads both entities' set files")
         K1, s1 = read_set(args.set1)
         K2, s2 = read_set(args.set2)
         if K1 != K2:
@@ -227,51 +225,40 @@ def cmd_psi_run(args) -> int:
         result = psi.run_psi_remote(
             local, addresses, seed_client=args.seed_client, forward_result=not args.no_forward
         )
-        if args.save_transcript:
-            result.transcript.save(args.save_transcript)
-        record = {
-            "record": "psi_result",
-            "K": K, "P1": local.size,
-            "initiator": result.initiator,
-            "intersection": sorted(result.intersection),
-            "cardinality": result.cardinality,
-            "download_symbols": result.download_symbols,
-            "optimal_cost": result.optimal_cost,
-            "transport": "tcp",
+        shape = {"K": K, "P1": local.size, "transport": "tcp"}
+        initiator = f"local entity against {len(addresses)} remote databases"
+        optimum = "this direction's optimum"
+    else:
+        e1, e2 = _load_entities(args)
+        result = psi.run_psi(
+            e1, e2,
+            backend=args.transport,
+            seed_client=args.seed_client,
+            seed_cr=args.seed_cr,
+            forward_result=not args.no_forward,
+        )
+        shape = {
+            "K": e1.K, "P1": e1.size, "P2": e2.size,
+            "N1": e1.n_databases, "N2": e2.n_databases,
+            "transport": args.transport,
         }
-        human = "\n".join([
-            f"initiator: local entity against {len(addresses)} remote databases",
-            f"intersection ({result.cardinality} elements): {sorted(result.intersection)}",
-            f"downloaded symbols: {result.download_symbols} (this direction's optimum {result.optimal_cost})",
-        ])
-        _emit(args, record, human)
-        return EXIT_OK
-
-    e1, e2 = _load_entities(args)
-    result = psi.run_psi(
-        e1, e2,
-        backend=args.transport,
-        seed_client=args.seed_client,
-        seed_cr=args.seed_cr,
-        forward_result=not args.no_forward,
-    )
+        initiator = f"entity {result.initiator}"
+        optimum = "optimum"
     if args.save_transcript:
         result.transcript.save(args.save_transcript)
     record = {
         "record": "psi_result",
-        "K": e1.K, "P1": e1.size, "P2": e2.size,
-        "N1": e1.n_databases, "N2": e2.n_databases,
+        **shape,
         "initiator": result.initiator,
         "intersection": sorted(result.intersection),
         "cardinality": result.cardinality,
         "download_symbols": result.download_symbols,
         "optimal_cost": result.optimal_cost,
-        "transport": args.transport,
     }
     human = "\n".join([
-        f"initiator: entity {result.initiator}",
+        f"initiator: {initiator}",
         f"intersection ({result.cardinality} elements): {sorted(result.intersection)}",
-        f"downloaded symbols: {result.download_symbols} (optimum {result.optimal_cost})",
+        f"downloaded symbols: {result.download_symbols} ({optimum} {result.optimal_cost})",
     ])
     _emit(args, record, human)
     return EXIT_OK

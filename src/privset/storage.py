@@ -5,36 +5,26 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .field import DOMAIN_COMMON_RANDOMNESS, DOMAIN_MESSAGES, domain_rng, pack, sample_symbols
-from .params import check_modulus
+from .params import ParamError, check_modulus
 
 
 class MessageStore:
     """K messages of L symbols each over F_q; every database of an entity holds a replica.
 
-    Built from the nested ``messages`` lists or, by ``from_bits``, from the
-    flat symbols; the other layout and the packed vector are derived on
-    first use and cached.
+    ``flat`` holds the K*L symbols row-major, one byte each: symbol s of
+    message m sits at global coordinate m*L + s, the one address that the
+    query bodies, the decoders and the audits use.  The packed vector is
+    derived on first use and cached.
     """
 
-    def __init__(self, q: int, messages: list[list[int]]):
+    def __init__(self, q: int, L: int, flat):
         check_modulus(q)  # answers are sums mod q, sent one byte each
-        self.q = q
-        self.K = len(messages)
-        self.L = len(messages[0]) if messages else 0
-        self.messages = messages
-
-    @cached_property
-    def messages(self) -> list[list[int]]:
-        flat, L = self.flat, self.L
-        return [list(flat[i : i + L]) for i in range(0, len(flat), L)]
-
-    @cached_property
-    def flat(self) -> bytes:
-        """Row-major flattening, one byte per symbol; global coordinate of (msg, sym) is msg*L + sym."""
-        return bytes(chain.from_iterable(self.messages))
+        if L < 1 or len(flat) % L:
+            raise ParamError(f"{len(flat)} symbols do not split into messages of length L={L} >= 1")
+        self.q, self.L, self.flat = q, L, bytes(flat)
+        self.K = len(self.flat) // L
 
     @cached_property
     def packed(self) -> int:
@@ -43,16 +33,12 @@ class MessageStore:
 
     @classmethod
     def generate(cls, K: int, L: int, q: int, seed: int) -> "MessageStore":
-        rng = domain_rng(seed, DOMAIN_MESSAGES)
-        return cls(q=q, messages=[sample_symbols(rng, L, q) for _ in range(K)])
+        return cls(q, L, sample_symbols(domain_rng(seed, DOMAIN_MESSAGES), K * L, q))
 
     @classmethod
     def from_bits(cls, bits) -> "MessageStore":
         """K one-bit messages (the incidence-vector layout), from a sequence of 0/1 values."""
-        store = cls.__new__(cls)
-        store.q, store.K, store.L = 2, len(bits), 1
-        store.flat = bytes(bits)
-        return store
+        return cls(2, 1, bits)
 
 
 @dataclass

@@ -29,7 +29,7 @@ these make the per-database view independent of which messages are desired.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -97,11 +97,13 @@ class QueryTable:
         return Fraction(self.total_desired_symbols, self.total_downloads)
 
     def wire_query(self, db: int) -> bytes:
-        """Binary query payload for one database (permuted indices, relabeled slots)."""
+        """Binary query payload for one database: each term's structural index
+        permuted to its store coordinate msg*L_store + position, slots relabeled."""
+        L, msg_perm, pool_perm = self.L_store, self.msg_perm, self.pool_perm
         return encode_table_query(
-            [self.pool_perm[slot] for slot in self.plain_slots[db]],
+            [pool_perm[slot] for slot in self.plain_slots[db]],
             [
-                ([(msg, self.msg_perm[msg][idx]) for msg, idx in s.terms], self.pool_perm[s.cr_slot])
+                ([msg * L + msg_perm[msg][idx] for msg, idx in s.terms], pool_perm[s.cr_slot])
                 for s in self.sums[db]
             ],
         )
@@ -280,32 +282,20 @@ def build_query_table(
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """Evaluate one database's answer: plain slots first, then one symbol per sum."""
-    query = parse_table_query(payload, store.K, store.L, len(pool.symbols))
-    messages, symbols = store.messages, pool.symbols
+    query = parse_table_query(payload, len(store.flat), len(pool.symbols))
+    flat, symbols, q = store.flat, pool.symbols, store.q
     out = [symbols[pid] for pid in query.plain_ids]
     for terms, pid in query.sums:
         acc = symbols[pid]
-        for msg, idx in terms:
-            acc += messages[msg][idx]
-        out.append(acc % store.q)
+        for c in terms:
+            acc += flat[c]
+        out.append(acc % q)
     return out
 
 
-@dataclass
-class DecodedMessages:
-    """Recovered symbols per desired message, keyed by store position."""
-
-    values: dict[int, dict[int, int]] = dc_field(default_factory=dict)
-
-    def as_vector(self, msg: int, length: int) -> list[int]:
-        got = self.values[msg]
-        if sorted(got) != list(range(length)):
-            raise ProtocolFault(f"message {msg} was only partially recovered")
-        return [got[i] for i in range(length)]
-
-
-def decode(table: QueryTable, answers: list[list[int]]) -> DecodedMessages:
-    """Recover every desired symbol from the N answer strings.
+def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
+    """Recover every desired symbol from the N answer strings, keyed by its
+    store coordinate msg*L_store + position.
 
     Walks rounds in order, subtracting plainly downloaded randomness,
     embedded pure sums, and previously recovered symbols.  Structural
@@ -347,11 +337,12 @@ def decode(table: QueryTable, answers: list[list[int]]) -> DecodedMessages:
             v = (v - decoded[term]) % q
         decoded[spec.fresh] = v
 
-    out = DecodedMessages()
-    for msg in table.desired:
-        perm = table.msg_perm[msg]
-        out.values[msg] = {perm[idx]: decoded[(msg, idx)] for idx in range(table.msg_fresh[msg])}
-    return out
+    L = table.L_store
+    return {
+        msg * L + table.msg_perm[msg][idx]: decoded[(msg, idx)]
+        for msg in table.desired
+        for idx in range(table.msg_fresh[msg])
+    }
 
 
 def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:

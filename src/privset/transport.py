@@ -106,7 +106,7 @@ def make_entity_servers(store: MessageStore, n_databases: int, public_info: dict
 def provision_cr(servers: list[DatabaseServer], pool: CommonRandomnessPool, required_size: int) -> list[str]:
     """Install the same pool on every replica; returns the per-database digests."""
     digests = [srv.provision(pool, required_size) for srv in servers]
-    if len(set(digests)) != 1:
+    if len(set(digests)) > 1:
         raise wire.ProtocolFault("replicas report differing pool digests")
     return digests
 
@@ -405,12 +405,13 @@ class TcpServerPool:
 
 
 def replay_answers(transcript: Transcript, store: MessageStore, pool: CommonRandomnessPool) -> bool:
-    """Re-run every recorded query against the given store/pool; True iff all
-    answer bytes reproduce exactly."""
-    for db_records in transcript.records:
-        for qry, ans in db_records:
-            qid, body = wire.parse_query(qry)
-            handler = QUERY_HANDLERS.get(body[0])
-            if handler is None or wire.encode_answer(qid, handler(body, store, pool)) != ans:
-                return False
-    return True
+    """Send every recorded query to a fresh server per recorded database, each
+    holding the given store and pool; True iff every reply is the recorded
+    answer.  A query the server refuses with an ERROR reply is a mismatch."""
+    servers = make_entity_servers(store, len(transcript.records))
+    provision_cr(servers, pool, 0)
+    return all(
+        srv.handle_client_frame(wire.MSG_QUERY, qry) == (wire.MSG_ANSWER, ans)
+        for srv, db_records in zip(servers, transcript.records)
+        for qry, ans in db_records
+    )

@@ -14,8 +14,8 @@ All integers are little-endian:
 
     frame         "PSI1" | version u8 | type u8 | length u32 | payload
     query         query id u32 | body
-    table body    1 | n u32 | n x pool id u32
-                    | m u32 | m x (t u8 | t x (message u8 | position u32) | pool id u32)
+    table body    1 | n u32 | n x pool id u32 | m u32 | m x (t u8 | t x coordinate u32 | pool id u32)
+                    a term's coordinate is m*L + s for symbol s of message m
     block body    2 | n u32 | n x (pool id u32 | length u32 | ceil(length * w / 8) bytes)
                     a packed vector: coefficient i in lane i, w = 1 bit over F_2, else 8
     download-all  3
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .field import lane_bits
@@ -58,8 +57,7 @@ _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _PAIR = struct.Struct("<II")  # block entry head (pool id, length); answer head (query id, count)
-_TERM = struct.Struct("<BI")
-_SUM_FORMATS = ["B" + "BI" * t + "I" for t in range(256)]  # t | t x (message, position) | pool id
+_SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
 
 FRAME_HEADER_SIZE = _FRAME.size
 TRANSCRIPT_HEADER = b"PRIVSET-TRANSCRIPT v1\n"
@@ -172,29 +170,24 @@ class TableQuery(NamedTuple):
     """A parsed table body: plainly served pool ids, then one entry per sum."""
 
     plain_ids: tuple[int, ...]
-    sums: tuple[tuple[tuple[tuple[int, int], ...], int], ...]  # ((message, position) terms, pool id)
+    sums: tuple[tuple[tuple[int, ...], int], ...]  # (coordinate terms, pool id)
 
 
-def encode_table_query(
-    plain_ids: Sequence[int], sums: Sequence[tuple[Sequence[tuple[int, int]], int]]
-) -> bytes:
+def encode_table_query(plain_ids: Sequence[int], sums: Sequence[tuple[Sequence[int], int]]) -> bytes:
     fmt = [f"<BI{len(plain_ids)}II"]
     values = [TABLE_QUERY_TAG, len(plain_ids), *plain_ids, len(sums)]
     for terms, pool_id in sums:
         fmt.append(_SUM_FORMATS[len(terms)])
         values.append(len(terms))
-        values.extend(chain.from_iterable(terms))
+        values.extend(terms)
         values.append(pool_id)
     return struct.pack("".join(fmt), *values)
 
 
-def parse_table_query(
-    body: bytes, K: int | None = None, L: int | None = None, pool_size: int | None = None
-) -> TableQuery:
-    """Parse a table body; optionally checks that every term names one of K
-    messages of L symbols and every pool id is below ``pool_size``."""
+def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int | None = None) -> TableQuery:
+    """Parse a table body; optionally checks that every term's coordinate is
+    below ``n_coords`` and every pool id is below ``pool_size``."""
     _check_tag(body, TABLE_QUERY_TAG)
-    view = memoryview(body)
     sums = []
     try:
         (n_plain,) = _U32.unpack_from(body, 1)
@@ -203,19 +196,17 @@ def parse_table_query(
         (n_sums,) = _U32.unpack_from(body, off)
         off += _U32.size
         for _ in range(n_sums):
-            end = off + 1 + _TERM.size * body[off]
-            # A short term run is caught by the pool id read past it.
-            terms = tuple(_TERM.iter_unpack(view[off + 1 : end]))
-            sums.append((terms, _U32.unpack_from(body, end)[0]))
-            off = end + _U32.size
+            t = body[off]
+            values = struct.unpack_from(f"<{t + 1}I", body, off + 1)  # t coordinates, then the pool id
+            sums.append((values[:t], values[t]))
+            off += 1 + _U32.size * (t + 1)
     except (struct.error, IndexError):
         raise ProtocolFault("truncated query payload") from None
     _check_end(off, body, "query payload")
-    if K is not None:
-        for terms, _ in sums:
-            for msg, pos in terms:
-                if msg >= K or pos >= L:
-                    raise ProtocolFault(f"query references missing symbol ({msg}, {pos})")
+    if n_coords is not None:
+        top = max((max(terms, default=-1) for terms, _ in sums), default=-1)
+        if top >= n_coords:
+            raise ProtocolFault(f"query references missing symbol at coordinate {top}")
     _check_slots(plain_ids + tuple(pool_id for _, pool_id in sums), pool_size)
     return TableQuery(plain_ids, tuple(sums))
 

@@ -70,7 +70,7 @@ def test_criterion_2_small_example_end_to_end():
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(3)]
         decoded = table_scheme.decode(table, answers)
         m = seed % 3
-        assert decoded.as_vector(m, 54) == store.messages[m]
+        assert decoded == {m * 54 + s: store.flat[m * 54 + s] for s in range(54)}  # exactly message m
         checked += 1
     return f"{checked} seeds decoded"
 
@@ -88,9 +88,9 @@ def test_criterion_3_asymmetric_example_end_to_end():
     pool = CommonRandomnessPool.generate(table.pool_size, 2, seed=2)
     answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(2)]
     decoded = table_scheme.decode(table, answers)
-    for m in (0, 1, 2):
-        for pos, val in decoded.values[m].items():
-            assert val == store.messages[m][pos]
+    assert {c // table.L_store for c in decoded} == {0, 1, 2}
+    for c, val in decoded.items():
+        assert val == store.flat[c]
 
 
 @criterion(4, "rate = 1-1/N and shared randomness = P*L/(N-1) exactly across the K<=8 grid", 300.0)
@@ -126,9 +126,9 @@ def test_criterion_4_capacity_identity_grid():
         pool = CommonRandomnessPool.generate(table.pool_size, 2, seed=K * P * N)
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
         decoded = table_scheme.decode(table, answers)
-        for m in range(P):
-            for pos, val in decoded.values[m].items():
-                assert val == store.messages[m][pos]
+        assert {c // table.L_store for c in decoded} == set(range(P)), (K, P, N)
+        for c, val in decoded.items():
+            assert val == store.flat[c]
         executed += 1
     return f"{len(GRID)} cells verified in rationals, {executed} also executed end-to-end"
 
@@ -149,8 +149,7 @@ def test_criterion_5_block_cost_grid():
                 assert sum(len(a) for a in answers) == D
                 assert plan.pool_size_required() == HS
                 coords = block_scheme.decode_blocks(plan, answers)
-                for m in range(P):
-                    assert [coords[m * L + s] for s in range(L)] == store.messages[m]
+                assert coords == {c: store.flat[c] for c in range(P * L)}  # exactly messages 0..P-1
                 cells += 1
     return f"{cells} cells executed"
 

@@ -103,7 +103,8 @@ def test_closed_form_matches_enumerated_components(params):
         for db in range(params.N):
             by_desired = [v[db] for v in views]
             for m in range(params.K):
-                worst = max(worst, enumerated_component_tv([audit._msg_indices(v, m) for v in by_desired], L_store))
+                positions = [audit._msg_indices(v, m, L_store) for v in by_desired]
+                worst = max(worst, enumerated_component_tv(positions, L_store))
             worst = max(worst, enumerated_component_tv([audit._visible_ids(v) for v in by_desired], pool_size))
         v = audit.audit_table_user_privacy(params, mutant=mutant)
         assert v.ok and worst == 0 and v.distance == worst
@@ -182,7 +183,7 @@ class TestSymbolicLeakage:
         base = [1, 1, 0]
         probe = [0, 1, 0]  # base + e_0 over F_2
         payloads = [block_payload([(base, 0)]), block_payload([(probe, 0)])]
-        rec = audit.recoverable_coordinates(payloads, 3, 1, 2, 1)
+        rec = audit.recoverable_coordinates(payloads, 3, 1, 2)
         assert rec == frozenset({0})
         # revealing the shared symbol (a synthetic plain download of pool id 0)
         # exposes the base combination and with it the undesired coordinate 1
@@ -192,5 +193,5 @@ class TestSymbolicLeakage:
             + struct.pack("<I", 0)
             + struct.pack("<I", 0)
         )
-        leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2, 1)
+        leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2)
         assert leaked == frozenset({0, 1})

@@ -10,7 +10,7 @@ from privset.block_scheme import (
     plan_blocks,
 )
 from privset.audit import _ScriptedRandom
-from privset.field import lane_bits, unpack
+from privset.field import DOMAIN_MESSAGES, domain_rng, lane_bits, sample_symbols, unpack
 from privset.params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
@@ -52,19 +52,19 @@ def test_answer_zero_vector_returns_randomness():
 
 
 def test_answer_block_annihilator_and_selector():
-    store = MessageStore(5, [[3], [1], [4]])
+    store = MessageStore(5, 1, [3, 1, 4])
     assert answer_block(bytes(3), store, 0) == 0
     for j in range(3):
         e = [1 if i == j else 0 for i in range(3)]
-        assert answer_block(e, store, 0) == store.messages[j][0]
-        assert answer_block(e, store, 2) == (store.messages[j][0] + 2) % 5
+        assert answer_block(e, store, 0) == store.flat[j]
+        assert answer_block(e, store, 2) == (store.flat[j] + 2) % 5
 
 
 def test_answer_block_linear_random():
     # <a + b, W> + s = (<a, W> + s) + (<b, W> + s) - s over F_5: the decode relies on it.
     rng = Random(1)
     for _ in range(50):
-        store = MessageStore(5, [[rng.randrange(5) for _ in range(2)] for _ in range(3)])
+        store = MessageStore(5, 2, [rng.randrange(5) for _ in range(6)])
         a, b = ([rng.randrange(5) for _ in range(6)] for _ in range(2))
         s = rng.randrange(5)
         ab = [(x + y) % 5 for x, y in zip(a, b)]
@@ -72,21 +72,21 @@ def test_answer_block_linear_random():
 
 
 def test_answer_telescoping_pair():
-    store = MessageStore(2, [[1], [0], [1]])
+    store = MessageStore(2, 1, [1, 0, 1])
     base = bytes([1, 1, 0])
     probe = bytes([1, 1, 1])  # base + e_2
     cr = 1
-    assert (answer_block(probe, store, cr) - answer_block(base, store, cr)) % 2 == store.messages[2][0]
+    assert (answer_block(probe, store, cr) - answer_block(base, store, cr)) % 2 == store.flat[2]
 
 
 def test_answer_hand_case():
     # q=2, W=(1,0,1), c=(1,1,0), cr=1: <c,W> = 1, plus cr -> 0
-    store = MessageStore(2, [[1], [0], [1]])
+    store = MessageStore(2, 1, [1, 0, 1])
     assert answer_block([1, 1, 0], store, 1) == 0
 
 
 def test_answer_rejects_wrong_length():
-    store = MessageStore(2, [[1], [0]])
+    store = MessageStore(2, 1, [1, 0])
     with pytest.raises(ParamError):
         answer_block([1], store, 0)
 
@@ -94,7 +94,7 @@ def test_answer_rejects_wrong_length():
 def test_decode_minimal():
     plan, store, _, answers = run_once(3, 1, 2)
     coords = decode_blocks(plan, answers)
-    assert [coords[s] for s in range(plan.params.L)] == store.messages[0]
+    assert coords == {s: store.flat[s] for s in range(plan.params.L)}  # exactly message 0's coordinates
 
 
 def test_decode_fig_instance_bits():
@@ -119,8 +119,7 @@ def test_decode_random_grid():
         desired = tuple(sorted(rng.sample(range(K), P)))
         plan, store, _, answers = run_once(K, P, N, L=L, desired=desired, seed=rng.randrange(1 << 30))
         coords = decode_blocks(plan, answers)
-        for m in desired:
-            assert [coords[m * L + s] for s in range(L)] == store.messages[m]
+        assert coords == {m * L + s: store.flat[m * L + s] for m in desired for s in range(L)}
 
 
 def test_cost_exactness_grid():
@@ -171,7 +170,8 @@ def test_probe_is_base_plus_unit_vector():
 def test_store_is_flattened_once():
     plan, store, pool, answers = run_once(4, 2, 2, L=2)
     flat = store.flat
-    assert flat == bytes(s for m in store.messages for s in m)
+    # row-major: the generator's stream, message after message (run_once seeds the store with 1)
+    assert flat == bytes(sample_symbols(domain_rng(1, DOMAIN_MESSAGES), 4 * 2, 2))
     assert [answer_wire_query(plan.wire_query(db), store, pool) for db in range(2)] == answers
     assert store.flat is flat
 

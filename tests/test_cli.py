@@ -90,18 +90,20 @@ def test_io_errors_are_usage_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing")
     no_k = tmp_path / "no-k.set"
     no_k.write_text("# privset set v1\n1\n")
-    for argv in (
-        ["psi", "run", "--set1", missing, "--set2", missing],
-        ["psi", "run", "--set1", str(no_k), "--set2", str(no_k)],
-        ["psi", "verify", "--transcript", missing],
-        ["psi", "gen", "--K", "4", "--out-dir", str(set1 / "sub")],
-        ["psi", "run", "--K", "6", "--save-transcript", str(tmp_path / "no-dir" / "t.bin")],
-        ["psi", "run", "--set1", str(set1), "--connect", "localhost"],
+    for argv, says in (
+        (["psi", "run", "--set1", missing, "--set2", missing], ""),
+        (["psi", "run", "--set1", str(no_k), "--set2", str(no_k)], ""),
+        (["psi", "verify", "--transcript", missing], ""),
+        (["psi", "gen", "--K", "4", "--out-dir", str(set1 / "sub")], ""),
+        (["psi", "run", "--K", "6", "--save-transcript", str(tmp_path / "no-dir" / "t.bin")], ""),
+        (["psi", "run", "--set1", str(set1), "--connect", "localhost"], "'localhost' is not host:port"),
+        (["psi", "run", "--set1", str(set1)], "--set1 needs --set2"),
+        (["psi", "run", "--set2", str(set1)], "--set2 needs --set1"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    assert "'localhost' is not host:port" in err
+        assert says in err, (argv, err)
 
 
 def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):

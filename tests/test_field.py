@@ -44,12 +44,12 @@ def test_pack_and_unpack_are_inverse():
 
 def test_inner_product_hand_case():
     # q=2: (1,1,0).(1,0,1) = 1*1 + 1*0 + 0*1 = 1; a zero randomness symbol leaves the bare product
-    store = MessageStore(2, [[1], [0], [1]])
+    store = MessageStore(2, 1, [1, 0, 1])
     assert answer_block(bytes([1, 1, 0]), store, 0) == 1
 
 
 def test_vector_length_mismatch():
     # a 2-symbol query vector against a 1-message store
-    store = MessageStore(2, [[1]])
+    store = MessageStore(2, 1, [1])
     with pytest.raises(ParamError):
         answer_block(bytes([1, 0]), store, 0)

@@ -30,9 +30,15 @@ def test_non_prime_modulus_rejected():
         with pytest.raises(ParamError, match="prime"):
             SchemeParams(K=3, P=1, N=2, q=q)
         with pytest.raises(ParamError, match="prime"):
-            MessageStore(q, [[0], [1]])
+            MessageStore(q, 1, [0, 1])
     for q in (2, 3, 251):
         assert SchemeParams(K=3, P=1, N=2, q=q).q == q
+    # The store's one constructor refuses a message length below 1 and a flat
+    # length that is not a whole number of messages.
+    for L, flat in ((0, []), (0, [0, 1]), (-1, [0]), (2, [0, 1, 0]), (3, [1])):
+        with pytest.raises(ParamError, match="messages of length"):
+            MessageStore(2, L, flat)
+    assert (MessageStore(2, 2, [0, 1, 1, 0]).K, MessageStore(2, 3, []).K) == (2, 0)
 
 
 def test_alpha_worked_examples():

@@ -63,7 +63,7 @@ def test_incidence_vector_is_one_byte_per_element():
     assert vec.bits == bytes([1, 0, 0, 1, 0, 0, 0, 0, 0, 1])
     store = MessageStore.from_bits(vec.bits)
     assert (store.K, store.L, store.flat) == (10, 1, vec.bits)
-    assert store.messages == [[b] for b in vec.bits]
+    assert [store.flat[m * store.L : (m + 1) * store.L] for m in range(store.K)] == [bytes([b]) for b in vec.bits]
     assert store.packed == 0b10_0000_1001
 
 

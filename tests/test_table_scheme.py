@@ -51,7 +51,7 @@ class TestWorkedExampleSmall:
     def test_decode_roundtrip(self):
         table, store, _, answers = make_run(3, 1, 3)
         got = decode(table, answers)
-        assert got.as_vector(0, 54) == store.messages[0]
+        assert got == {c: store.flat[c] for c in range(54)}  # exactly message 0's coordinates
 
 
 class TestWorkedExampleAsymmetric:
@@ -75,10 +75,11 @@ class TestWorkedExampleAsymmetric:
     def test_decode_partial_message(self):
         table, store, _, answers = make_run(5, 3, 2, desired=(0, 1, 2), reps=1)
         got = decode(table, answers)
-        assert sorted(len(got.values[m]) for m in (0, 1, 2)) == [12, 13, 13]
-        for m in (0, 1, 2):
-            for pos, val in got.values[m].items():
-                assert val == store.messages[m][pos]
+        per_message = Counter(c // table.L_store for c in got)
+        assert set(per_message) == {0, 1, 2}
+        assert sorted(per_message.values()) == [12, 13, 13]
+        for c, val in got.items():
+            assert val == store.flat[c]
 
     def test_symmetric_repetition_balances_lengths(self):
         table, *_ = make_run(5, 3, 2, desired=(0, 1, 2))
@@ -97,7 +98,7 @@ def test_single_stage_subtraction():
     # Minimal case: one desired 1-sum masked by a plainly served symbol.
     table, store, pool, answers = make_run(2, 1, 2)
     got = decode(table, answers)
-    assert got.as_vector(0, table.L_store) == store.messages[0]
+    assert got == {c: store.flat[c] for c in range(table.L_store)}  # exactly message 0's coordinates
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -108,15 +109,15 @@ def test_decode_grid(K, P, N, q):
         desired = tuple(sorted(rng.sample(range(K), P)))
         table, store, _, answers = make_run(K, P, N, q=q, desired=desired, seed=seed)
         got = decode(table, answers)
-        for m in desired:
-            for pos, val in got.values[m].items():
-                assert val == store.messages[m][pos]
+        assert {c // table.L_store for c in got} == set(desired)
+        for c, val in got.items():
+            assert val == store.flat[c]
 
 
 def test_all_zero_store_and_pool_give_zero_answers():
     params = SchemeParams(K=3, P=1, N=2)
     table = build_query_table(params, (0,), Random(0))
-    store = MessageStore(2, [[0] * table.L_store for _ in range(3)])
+    store = MessageStore(2, table.L_store, bytes(3 * table.L_store))
     pool = CommonRandomnessPool(2, [0] * table.pool_size)
     for db in range(2):
         assert all(v == 0 for v in answer_wire_query(table.wire_query(db), store, pool))
@@ -219,7 +220,7 @@ def test_inconsistent_answers_detected():
 
 def test_out_of_range_reference_is_a_fault():
     table, store, pool, _ = make_run(3, 1, 2)
-    small_store = MessageStore(2, [[0]] * 3)
+    small_store = MessageStore(2, 1, bytes(3))
     with pytest.raises(ProtocolFault):
         answer_wire_query(table.wire_query(0), small_store, pool)
     small_pool = CommonRandomnessPool(2, [0])

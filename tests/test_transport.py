@@ -192,6 +192,19 @@ def test_transcript_save_load_and_replay(tmp_path):
             Transcript.load(str(cut))
 
 
+def test_replay_counts_a_refused_recorded_query_as_a_mismatch():
+    res = run_psi(E1, E2, backend="sim", seed_client=3, seed_cr=4)
+    store = MessageStore.from_bits([1, 0, 1, 0, 1, 1, 1, 1, 0, 0])
+    pool = CommonRandomnessPool.generate(4, 2, seed=4)
+    assert replay_answers(res.transcript, store, pool)
+    qry, ans = res.transcript.records[0][0]
+    assert qry[4] == wire.BLOCK_QUERY_TAG  # query id u32, then the body's scheme tag
+    for tag in (wire.TABLE_QUERY_TAG, 9):
+        records = [list(db_records) for db_records in res.transcript.records]
+        records[0][0] = (qry[:4] + bytes([tag]) + qry[5:], ans)
+        assert not replay_answers(Transcript(res.transcript.meta, records), store, pool)
+
+
 def test_saved_transcripts_are_identical_for_equal_seeds(tmp_path):
     paths = [tmp_path / "a.transcript", tmp_path / "b.transcript"]
     for path in paths:

@@ -1,10 +1,13 @@
+import ast
 import hashlib
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import privset
 from privset import block_scheme, table_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
@@ -134,6 +137,15 @@ def test_block_body_layout():
     assert wire.parse_block_query(body, 2) == [(5, 10, 0b10_0000_0101)]
 
 
+def test_table_body_layout():
+    # tag, plain count, plain pool ids, sum count, then per sum: term count,
+    # one u32 coordinate m*L + s per term, the masking pool id
+    body = wire.encode_table_query([4], [([1, 4], 1)])
+    u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
+    assert body == bytes([1]) + u32(1) + u32(4) + u32(1) + bytes([2]) + u32(1) + u32(4) + u32(1)
+    assert wire.parse_table_query(body) == ((4,), (((1, 4), 1),))
+
+
 def test_parsers_check_the_bounds_they_are_given():
     block = wire.encode_block_query([(0, 3, 0b101), (3, 3, 0b110)], 2)
     assert wire.parse_block_query(block, 2, 3, 4) == [(0, 3, 0b101), (3, 3, 0b110)]
@@ -141,14 +153,16 @@ def test_parsers_check_the_bounds_they_are_given():
         wire.parse_block_query(block, 2, 4)
     with pytest.raises(ProtocolFault, match="slot 3"):
         wire.parse_block_query(block, 2, 3, 3)
-    table = wire.encode_table_query([4], [([(0, 1), (2, 0)], 1)])
-    assert wire.parse_table_query(table, 3, 2, 5) == wire.TableQuery((4,), ((((0, 1), (2, 0)), 1),))
+    # terms (0, 1) and (2, 0) of a K=3, L=2 store: coordinates 1 and 4
+    table = wire.encode_table_query([4], [([1, 4], 1)])
+    assert wire.parse_table_query(table, 6, 5) == wire.TableQuery((4,), (((1, 4), 1),))
+    assert wire.parse_table_query(table, 5, 5) == wire.parse_table_query(table)
     with pytest.raises(ProtocolFault, match="missing symbol"):
-        wire.parse_table_query(table, 2, 2, 5)
+        wire.parse_table_query(table, 4, 5)  # K=2, L=2
     with pytest.raises(ProtocolFault, match="missing symbol"):
-        wire.parse_table_query(table, 3, 1, 5)
+        wire.parse_table_query(table, 3, 5)  # K=3, L=1
     with pytest.raises(ProtocolFault, match="slot 4"):
-        wire.parse_table_query(table, 3, 2, 4)
+        wire.parse_table_query(table, 6, 4)
     with pytest.raises(ProtocolFault):
         wire.parse_table_query(block)
 
@@ -161,7 +175,7 @@ ALL_PARSERS = [
     lambda b: wire.parse_block_query(b, 2, 3, 2),
     lambda b: wire.parse_block_query(b, 5, 3, 2),
     wire.parse_table_query,
-    lambda b: wire.parse_table_query(b, 3, 1, 2),
+    lambda b: wire.parse_table_query(b, 3, 2),
     wire.parse_download_all,
     wire.parse_answer,
     wire.parse_error,
@@ -178,7 +192,7 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 _VALID_QUERIES = [
     wire.encode_query(7, wire.encode_block_query([(0, 3, 0b101), (1, 3, 0b110)], 2)),
     wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 0, 0)], 2)),
-    wire.encode_query(8, wire.encode_table_query([1], [([(0, 0), (2, 0)], 0)])),
+    wire.encode_query(8, wire.encode_table_query([1], [([0, 2], 0)])),
     wire.encode_query(9, wire.encode_download_all()),
 ]
 
@@ -237,6 +251,27 @@ def test_fuzzed_packed_bodies_parse_back_or_fault(entries, pos, value, cut):
     assert rtype in (MSG_ANSWER, MSG_ERROR)
 
 
+table_bodies = st.tuples(
+    st.lists(st.integers(0, 2**32 - 1), max_size=4),
+    st.lists(st.tuples(st.lists(st.integers(0, 2**32 - 1), max_size=5), st.integers(0, 2**32 - 1)), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(table_bodies, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
+def test_fuzzed_table_bodies_parse_back_or_fault(query, pos, value, cut):
+    plain_ids, sums = query
+    body = wire.encode_table_query(plain_ids, sums)
+    assert wire.parse_table_query(body) == (tuple(plain_ids), tuple((tuple(t), pid) for t, pid in sums))
+    mutated = _mutate(body, pos, value, cut)
+    try:
+        parsed = wire.parse_table_query(mutated)
+    except ProtocolFault:
+        parsed = None
+    if parsed is not None:
+        assert wire.encode_table_query(*parsed) == mutated
+
+
 def test_packed_parser_faults():
     body = wire.encode_block_query([(0, 10, 0b11_0000_0001), (1, 10, 0b1)], 2)
     for cut in range(len(body)):
@@ -274,7 +309,7 @@ def test_block_answer_matches_reference_evaluation():
 def test_packed_f2_answer_matches_the_explicit_loop(KL):
     rng = Random(KL)
     for K, L in ((KL, 1), (1, KL)):
-        store = MessageStore(2, [[rng.randrange(2) for _ in range(L)] for _ in range(K)])
+        store = MessageStore(2, L, [rng.randrange(2) for _ in range(K * L)])
         pool = CommonRandomnessPool(2, [0, 1, 1])
         vectors = [0, (1 << KL) - 1, 1 << (KL - 1)] + [rng.getrandbits(KL) for _ in range(5)]
         entries = [(i % 3, KL, vec) for i, vec in enumerate(vectors)]
@@ -299,9 +334,11 @@ def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
 
 # SHA-256 over the joined payloads of seeded runs. A deliberate change to a
 # byte layout or to a scheme's draws updates these values and says why.
+# The table values changed when a table term became one u32 coordinate m*L + s
+# instead of a (message u8, position u32) pair.
 GOLDEN_WIRE_DIGESTS = {
-    "table K=3 P=1 N=3": "ce87c57e2f5d80d91b8da3f51a01f87e5667e8866ced98638863d87257ac5e8c",
-    "table K=5 P=3 N=2 reps=1": "91d0b0de12d2c10b6937984499f7b66d8134d643481ffd28cc2bb25588c1e5ee",
+    "table K=3 P=1 N=3": "ca1d1afa3757fd1958a997a378f868bcda030e6de0568afcc868578f951b5220",
+    "table K=5 P=3 N=2 reps=1": "08e600f58c81f4612ea97154bbf44ef57d838179108d1ae7710be24ec11d314e",
     "block K=6 P=2 N=3 L=2": "2681b6fb5d9410f14db65904d113dd752e79a5fb30743f50d21640de77c732ce",
     "block K=6 P=2 N=3 L=2 q=5": "ba2bca2fdca62453e7a79452f0bd2e4c0ab8cb79657cb1809545556749d22c8c",
     "flagship transcript": "682da3a548729fce8828cc8d89d1ad631a9afc52ca6e32f741f6bcd8ec7ce6b3",
@@ -329,3 +366,16 @@ def test_seeded_wire_bytes_match_the_golden_digests():
         "flagship transcript": digest([wire.encode_transcript(flagship.meta, flagship.records)]),
     }
     assert got == GOLDEN_WIRE_DIGESTS
+
+
+def test_wire_is_the_only_module_that_imports_struct():
+    # One wire codec: every byte layout lives in privset/wire.py.
+    importers = set()
+    for path in Path(privset.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] == "struct" for name in names):
+                importers.add(path.name)
+    assert importers == {"wire.py"}
