@@ -195,7 +195,17 @@ def cmd_psi_gen(args) -> int:
     return EXIT_OK
 
 
+# ``psi run`` flags that only a local run reads, with their defaults.  The
+# parser leaves them None, so a --connect run can tell that one was given.
+LOCAL_RUN_DEFAULTS = {
+    "K": 10, "n1": 2, "n2": 2, "q1": 0.5, "q2": 0.5, "seed_sets": 0, "transport": "sim", "seed_cr": 0,
+}
+
+
 def _load_entities(args) -> tuple[psi.EntityConfig, psi.EntityConfig]:
+    for dest, default in LOCAL_RUN_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.set1 or args.set2:
         if not (args.set1 and args.set2):
             given, missing = ("--set1", "--set2") if args.set1 else ("--set2", "--set1")
@@ -217,6 +227,10 @@ def _load_entities(args) -> tuple[psi.EntityConfig, psi.EntityConfig]:
 
 def cmd_psi_run(args) -> int:
     if args.connect:
+        local_only = ("set2", *LOCAL_RUN_DEFAULTS)
+        given = ["--" + dest.replace("_", "-") for dest in local_only if getattr(args, dest) is not None]
+        if given:
+            raise ParamError(f"--connect intersects against remote databases; it does not take {', '.join(given)}")
         if not args.set1:
             raise ParamError("--connect requires --set1 (the local entity's set)")
         K, s1 = read_set(args.set1)
@@ -305,7 +319,9 @@ def cmd_psi_verify(args) -> int:
         if K != meta.get("K"):
             problems.append("responder set file disagrees with the transcript's K")
         else:
-            store = MessageStore.from_bits(psi.to_incidence(elements, K).bits)
+            # The replay store is the responder's own store; it depends on K and its set alone.
+            responder = 2 if meta.get("initiator") == 1 else 1
+            store = psi.EntityConfig(responder, K, max(1, len(transcript.records)), elements).store
             q = meta.get("q")
             check_modulus(q)
             required = 0
@@ -407,17 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psi_gen)
 
     p = psi_sub.add_parser("run", help="run one intersection")
-    p.add_argument("--K", type=int, default=10)
-    p.add_argument("--n1", type=int, default=2, help="databases of entity 1")
-    p.add_argument("--n2", type=int, default=2, help="databases of entity 2")
-    p.add_argument("--set1", help="set file for entity 1")
-    p.add_argument("--set2", help="set file for entity 2")
-    p.add_argument("--q1", type=float, default=0.5)
-    p.add_argument("--q2", type=float, default=0.5)
-    p.add_argument("--seed-sets", type=int, default=0)
-    p.add_argument("--transport", choices=["sim", "tcp"], default="sim")
+    local = {dest: f"(local runs only, default {default})" for dest, default in LOCAL_RUN_DEFAULTS.items()}
+    p.add_argument("--K", type=int, help=f"field size for generated sets {local['K']}")
+    p.add_argument("--n1", type=int, help=f"databases of entity 1 {local['n1']}")
+    p.add_argument("--n2", type=int, help=f"databases of entity 2 {local['n2']}")
+    p.add_argument("--set1", help="set file for entity 1, the local entity under --connect")
+    p.add_argument("--set2", help="set file for entity 2 (local runs only)")
+    p.add_argument("--q1", type=float, help=f"inclusion probability for entity 1 {local['q1']}")
+    p.add_argument("--q2", type=float, help=f"inclusion probability for entity 2 {local['q2']}")
+    p.add_argument("--seed-sets", type=int, help=f"seed for generated sets {local['seed_sets']}")
+    p.add_argument("--transport", choices=["sim", "tcp"], help=f"transport backend {local['transport']}")
     p.add_argument("--seed-client", type=int, default=0)
-    p.add_argument("--seed-cr", type=int, default=0)
+    p.add_argument("--seed-cr", type=int, help=f"randomness pool seed {local['seed_cr']}")
     p.add_argument("--no-forward", action="store_true", help="skip forwarding the result")
     p.add_argument("--save-transcript", help="write the binary transcript here")
     p.add_argument("--connect", help="comma-separated host:port list of externally served databases")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Callable
 
@@ -26,7 +27,10 @@ from .storage import CommonRandomnessPool, MessageStore
 class EntityConfig:
     """One participant: its public shape and its private elements.
 
-    The set size is public; the elements are private.
+    The set size is public; the elements are private.  The entity stores its
+    set once: ``store`` is built on first use and shared by every later
+    intersection against this entity, while each run still gets fresh
+    servers and a fresh pool.
     """
 
     entity_id: int  # 1 or 2
@@ -45,6 +49,14 @@ class EntityConfig:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def store(self) -> MessageStore:
+        """The incidence vector as K one-bit messages, what each of the entity's databases holds.
+
+        Cached in the instance ``__dict__``, outside ``repr``, ``==`` and ``hash``.
+        """
+        return MessageStore.from_bits(to_incidence(self.elements, self.K).bits)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -133,10 +145,9 @@ class PsiResult:
 
 
 def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
-    """The entity's databases, each holding its incidence vector as K one-bit messages."""
-    store = MessageStore.from_bits(to_incidence(entity.elements, entity.K).bits)
+    """Fresh databases for one session, each holding the entity's store."""
     info = {"entity": entity.entity_id, "K": entity.K, "P": entity.size, "N": entity.n_databases}
-    return transport.make_entity_servers(store, entity.n_databases, info)
+    return transport.make_entity_servers(entity.store, entity.n_databases, info)
 
 
 def run_psi(

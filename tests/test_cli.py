@@ -1,5 +1,9 @@
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,41 @@ def test_psi_run_against_a_closed_port_is_a_transport_fault(tmp_path, capsys):
     code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{port}")
     assert code == EXIT_PROTOCOL
     assert err.startswith(f"protocol fault: database 0 at 127.0.0.1:{port}") and err.count("\n") == 1
+
+
+def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, capsys):
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    set2 = tmp_path / "e2.set"
+    set2.write_text("# privset set v1 K=12\n0\n2\n")
+    with socket.socket() as sock:  # bound, then released: a connection attempt would be refused (exit 3)
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    connect = ["--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{port}"]
+    code, _, err = run_cli(
+        capsys, "psi", "run", *connect, "--set2", str(set2), "--transport", "sim", "--seed-cr", "5"
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in ("--set2", "--transport", "--seed-cr")), err
+    for flag, value in (
+        ("--set2", str(set2)), ("--transport", "tcp"), ("--seed-cr", "0"), ("--n1", "2"), ("--n2", "3"),
+        ("--K", "10"), ("--q1", "0.5"), ("--q2", "0.25"), ("--seed-sets", "0"),
+    ):
+        code, _, err = run_cli(capsys, "psi", "run", *connect, flag, value)
+        assert code == EXIT_USAGE, flag
+        assert err.startswith("error: ") and flag in err, (flag, err)
+
+
+def test_python_dash_m_privset_runs_from_a_checkout(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "privset", "params", "--K", "3", "--P", "1", "--N", "3"],
+        capture_output=True, text=True, timeout=30, cwd=tmp_path, env=env,
+    )
+    assert out.returncode == EXIT_OK, out.stderr
+    assert "rate = 2/3" in out.stdout
 
 
 def test_params_ignores_the_environment(monkeypatch, capsys):
@@ -398,3 +437,6 @@ def test_help_lists_flags(capsys):
     out = capsys.readouterr().out
     for flag in ("--transport", "--seed-client", "--seed-cr", "--set1", "--save-transcript"):
         assert flag in out
+    out = " ".join(out.split())
+    for default in ("default 10", "default sim", "default 0.5", "default 2", "default 0"):
+        assert default in out, default  # the local-run flags still state their defaults

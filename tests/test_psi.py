@@ -1,4 +1,7 @@
+import ast
+import dataclasses
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,7 +16,8 @@ from privset.psi import (
     run_psi_remote,
     to_incidence,
 )
-from privset import block_scheme, transport
+import privset
+from privset import block_scheme, psi, transport, wire
 from privset.storage import MessageStore
 from privset.wire import ProtocolFault
 
@@ -183,3 +187,68 @@ def test_correctness_sweep_small():
         res = run_psi(e1, e2, seed_client=rng.randrange(1 << 30), seed_cr=rng.randrange(1 << 30))
         assert res.intersection == s1 & s2
         assert res.download_symbols == res.optimal_cost
+
+
+def test_responder_store_is_built_once_across_runs(monkeypatch):
+    calls, sessions = [], []
+
+    def counting_to_incidence(elements, K):
+        calls.append(K)
+        return to_incidence(elements, K)
+
+    def recording_entity_servers(entity):
+        servers = entity_servers(entity)
+        sessions.append(servers)
+        return servers
+
+    entity_servers = psi.entity_servers
+    monkeypatch.setattr(psi, "to_incidence", counting_to_incidence)
+    monkeypatch.setattr(psi, "entity_servers", recording_entity_servers)
+    e1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+    e2 = EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+    first = run_psi(e1, e2, seed_client=11, seed_cr=22)
+    second = run_psi(e1, e2, seed_client=12, seed_cr=23)
+    assert first.intersection == second.intersection == frozenset({0, 2})
+    assert calls == [10]
+    a, b = sessions
+    # One shared immutable store; the servers, their pools and their query logs are per run.
+    assert all(srv.store is e2.store for srv in a + b)
+    assert not {id(srv) for srv in a} & {id(srv) for srv in b}
+    assert a[0].pool is not b[0].pool
+    assert a[0].seen_queries is not b[0].seen_queries
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_runs_against_a_cached_store_match_a_fresh_entity(backend):
+    e1 = EntityConfig(1, 12, 2, frozenset({0, 3, 5, 9}))
+    e2 = EntityConfig(2, 12, 3, frozenset({0, 1, 3, 4, 8, 9, 11}))
+    for seed_client, seed_cr in ((1, 2), (3, 4)):
+        cached = run_psi(e1, e2, backend=backend, seed_client=seed_client, seed_cr=seed_cr)
+        fresh_e2 = EntityConfig(2, 12, 3, frozenset({0, 1, 3, 4, 8, 9, 11}))
+        fresh = run_psi(e1, fresh_e2, backend=backend, seed_client=seed_client, seed_cr=seed_cr)
+        assert cached.intersection == fresh.intersection == frozenset({0, 3, 9})
+        assert cached.download_symbols == fresh.download_symbols
+        assert wire.encode_transcript(cached.transcript.meta, cached.transcript.records) == wire.encode_transcript(
+            fresh.transcript.meta, fresh.transcript.records
+        )
+
+
+def test_cached_store_stays_out_of_equality_hash_and_repr():
+    e = EntityConfig(2, 10, 2, frozenset({0, 2, 4}))
+    fresh = EntityConfig(2, 10, 2, frozenset({0, 2, 4}))
+    assert e.store.flat == bytes([1, 0, 1, 0, 1, 0, 0, 0, 0, 0])
+    assert "store" in vars(e) and "store" not in vars(fresh)
+    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+    moved = dataclasses.replace(e, elements=frozenset({1, 9}))
+    assert moved.store is not e.store
+    assert moved.store.flat == bytes([0, 1, 0, 0, 0, 0, 0, 0, 0, 1])
+
+
+def test_psi_is_the_only_module_that_builds_an_incidence_store():
+    # One store recipe: EntityConfig.store.
+    callers = set()
+    for path in Path(privset.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "from_bits":
+                callers.add(path.name)
+    assert callers == {"psi.py"}
