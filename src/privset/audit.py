@@ -501,44 +501,6 @@ def audit_table_db_privacy(
     return Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
 
 
-def audit_table_db_privacy_enumerated(
-    params: SchemeParams,
-    mutant: str | None = None,
-    budget: int = DEFAULT_BUDGET,
-    seeds: tuple[int, ...] = (0, 1, 2),
-) -> Verdict:
-    """Literal posterior check by enumerating every (W, S) pair, for instances
-    whose q**(K*L + pool) fits the budget (conditioning on the strategy draw)."""
-    _check_table_mutant(mutant)
-    K, P, N, q = params.K, params.P, params.N, params.q
-    L_store, pool_size = _table_shape(params)
-    n_coords = K * L_store
-    _check_budget((q**n_coords) * (q**pool_size) * len(seeds), budget)
-
-    desired = tuple(range(P))
-    undesired = range(P, K)
-    for seed in seeds:
-        table = table_scheme.build_query_table(params, desired, Random(seed))
-        wires = table.wire_queries()
-        hidden = _hidden_ids(table) if mutant == TABLE_MUTANT_NO_HIDDEN_CR else []
-        groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for w_flat in product(range(q), repeat=n_coords):
-            store = MessageStore(q, L_store, bytes(w_flat))
-            for s_vals in product(range(q), repeat=pool_size):
-                syms = list(s_vals)
-                for pid in hidden:
-                    syms[pid] = 0
-                pool = CommonRandomnessPool(q, syms)
-                answers = tuple(
-                    tuple(table_scheme.answer_wire_query(wires[db], store, pool)) for db in range(N)
-                )
-                groups[answers][tuple(w_flat[m * L_store : (m + 1) * L_store] for m in undesired)] += 1
-
-        if not _uniform_posteriors(groups, q ** (len(undesired) * L_store)):
-            return Verdict(False, Fraction(1), "posterior of undesired messages differs from prior")
-    return Verdict(True, Fraction(0), "enumerated posterior equals prior for all strategy draws checked")
-
-
 # ---------------------------------------------------------------------------
 # Reliability
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 from random import Random
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .field import lane_bits, sample_uniform, unpack
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
@@ -108,16 +108,6 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     D, HS = lspir_cost(P, N, L)
     assert plan.total_queries == D and plan.n_blocks == HS
     return plan
-
-
-def answer_block(vector: Sequence[int], store: MessageStore, cr_symbol: int) -> int:
-    """<vector, flattened store> + cr, in F_q, over unpacked coefficients: the explicit-loop reference."""
-    if len(vector) != store.K * store.L:
-        raise ParamError(f"query vector length {len(vector)} != K*L = {store.K * store.L}")
-    acc = cr_symbol
-    for c, w in zip(vector, store.flat):
-        acc += c * w
-    return acc % store.q
 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:

@@ -10,9 +10,9 @@ psi serve   run one entity's databases as TCP servers
 psi verify  re-check a saved transcript
 audit       run the exact privacy/reliability audits
 
-Every subcommand is deterministic given its seeds.  ``--machine`` switches
-to line-oriented JSON records (one object per line, each carrying a
-``record`` discriminator).  Exit codes: 0 success, 2 usage error (a file or
+Every subcommand is deterministic given its seeds (an unseeded ``psi serve``
+draws its pool from ``secrets``).  ``--machine`` switches to line-oriented
+JSON records (one object per line, each carrying a ``record`` discriminator).  Exit codes: 0 success, 2 usage error (a file or
 port that cannot be used included) or an audit refused for its budget,
 3 protocol/transport fault, 4 audit failure.
 """
@@ -22,7 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
+import time
 from fractions import Fraction
 from random import Random
 
@@ -281,7 +283,10 @@ def cmd_psi_run(args) -> int:
 def cmd_psi_serve(args) -> int:
     K, elements = read_set(args.set)
     servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
-    pool = CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr)
+    if args.seed_cr is None:
+        pool = CommonRandomnessPool(2, [secrets.randbelow(2) for _ in range(args.pool_size)])
+    else:
+        pool = CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr)
     transport.provision_cr(servers, pool, 0)
     host, base_port = _address(args.listen)
     pool_srv = transport.TcpServerPool(servers, host=host, base_port=base_port)
@@ -293,8 +298,6 @@ def cmd_psi_serve(args) -> int:
     }))
     sys.stdout.flush()
     try:
-        import time
-
         while True:
             time.sleep(0.5)
     except KeyboardInterrupt:
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-databases", type=int, default=2)
     p.add_argument("--listen", default="127.0.0.1:0", help="host:base_port (0 = ephemeral)")
     p.add_argument("--pool-size", type=int, default=1024)
-    p.add_argument("--seed-cr", type=int, default=0)
+    p.add_argument("--seed-cr", type=int, help="seed for a reproducible pool (default: symbols drawn from secrets)")
     _add_common(p)
     p.set_defaults(func=cmd_psi_serve)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from random import Random
-from typing import Callable
 
 from . import block_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
@@ -60,7 +59,6 @@ class EntityConfig:
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -82,22 +80,8 @@ class IncidenceVector:
     def K(self) -> int:
         return len(self.bits)
 
-    @property
-    def weight(self) -> int:
-        return self.bits.count(1)
-
-    def elements(self) -> frozenset[int]:
-        return frozenset(j for j, b in enumerate(self.bits) if b)
-
     def as_string(self) -> str:
         return self.bits.translate(_BIT_DIGITS).decode()
-
-    @classmethod
-    def from_string(cls, s: str) -> "IncidenceVector":
-        s = s.strip()
-        if not set(s) <= {"0", "1"}:
-            raise ParamError("an incidence string holds only the characters 0 and 1")
-        return cls(s.encode().translate(_DIGIT_BITS))
 
 
 def to_incidence(elements, K: int) -> IncidenceVector:
@@ -162,35 +146,32 @@ def run_psi(
 ) -> PsiResult:
     """Execute one full intersection run over the chosen backend.
 
-    The initiator's queries are a deterministic function of its own set and
-    ``seed_client`` alone; the responder's set enters only through the
-    answers.  The result is identical across the simulated and TCP backends
-    for the same seeds.
+    The responder is stood up as ``psi serve`` stands it up: fresh databases,
+    provisioned before the first frame with the direction's D - P shared
+    symbols (0 for an empty or full set) drawn from ``seed_cr``.  ``sim``
+    queries them in process and ``tcp`` serves them on loopback to
+    ``run_psi_remote``: one flow, one result for the same seeds.  The
+    initiator's queries depend on its own set and ``seed_client`` alone.
     """
     if e1.K != e2.K:
         raise ParamError("entities must agree on the field size K")
+    if backend not in ("sim", "tcp"):
+        raise ParamError(f"unknown backend {backend!r}")
+    if backend == "tcp" and faults is not None:
+        raise ParamError("fault injection is only supported on the simulated backend")
     optimal_cost, initiator_id = psi_optimal_cost(e1.size, e1.n_databases, e2.size, e2.n_databases, e1.K)
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
     servers = entity_servers(resp)
-
-    def install_pool(required: int) -> None:
-        transport.provision_cr(servers, CommonRandomnessPool.generate(required, 2, seed_cr), required)
-
-    def run(net: transport.SimBackend | transport.TcpBackend) -> PsiResult:
-        return _intersect(init, net, install_pool, seed_client, seed_cr, optimal_cost, forward_result)
+    shared = optimal_cost - init.size
+    transport.provision_cr(servers, CommonRandomnessPool.generate(shared, 2, seed_cr), shared)
 
     if backend == "sim":
-        return run(transport.SimBackend(servers, faults))
-    if backend == "tcp":
-        if faults is not None:
-            raise ParamError("fault injection is only supported on the simulated backend")
+        result = _intersect(init, transport.SimBackend(servers, faults), seed_client, optimal_cost, forward_result)
+    else:
         with transport.TcpServerPool(servers) as pool:
-            tcp = transport.TcpBackend(pool.addresses)
-            try:
-                return run(tcp)
-            finally:
-                tcp.close()
-    raise ParamError(f"unknown backend {backend!r}")
+            result = run_psi_remote(init, pool.addresses, seed_client=seed_client, forward_result=forward_result)
+    result.transcript.meta["seed_cr"] = seed_cr
+    return result
 
 
 def run_psi_remote(
@@ -210,7 +191,7 @@ def run_psi_remote(
     cost = psi_direction_cost(initiator.size, len(addresses), initiator.K)
     backend = transport.TcpBackend(addresses)
     try:
-        return _intersect(initiator, backend, None, seed_client, None, cost, forward_result)
+        return _intersect(initiator, backend, seed_client, cost, forward_result)
     finally:
         backend.close()
 
@@ -218,17 +199,14 @@ def run_psi_remote(
 def _intersect(
     init: EntityConfig,
     backend: transport.SimBackend | transport.TcpBackend,
-    install_pool: Callable[[int], None] | None,
     seed_client: int,
-    seed_cr: int | None,
     optimal_cost: int,
     forward_result: bool,
 ) -> PsiResult:
-    """The initiator's side of one intersection against the responder's databases.
+    """The initiator's side of one intersection against the responder's provisioned databases.
 
-    ``install_pool(required)`` provisions the responder's shared randomness
-    once the plan says how much it needs; it is None when the responder
-    already holds a pool (and ``seed_cr`` is then unknown to the initiator).
+    The pool seed is the responder's, so the transcript meta leaves ``seed_cr``
+    unknown (None); ``run_psi``, which provisioned the pool, fills it in.
     """
     client = transport.Client(backend)
     if client.setup_info().get("K") != init.K:
@@ -243,7 +221,7 @@ def _intersect(
         "P_initiator": len(desired),
         "N_responder": backend.n_databases,
         "seed_client": seed_client,
-        "seed_cr": seed_cr,
+        "seed_cr": None,
         "q": 2,
     }
 
@@ -257,8 +235,6 @@ def _intersect(
     else:
         params = SchemeParams(K=K, P=len(desired), N=backend.n_databases, L=1, q=2)
         plan = block_scheme.plan_blocks(params, desired, domain_rng(seed_client, DOMAIN_CLIENT))
-        if install_pool is not None:
-            install_pool(plan.pool_size_required())
         bits = block_scheme.decode_blocks(plan, client.query_all(plan.wire_queries()))
 
     intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)

@@ -310,7 +310,7 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got)
+        chunk = sock.recv(min(n - got, 1 << 16))  # 64 KiB at most: memory follows the bytes, not a forged length
         if not chunk:
             raise wire.TransportError("connection closed mid-frame")
         chunks.append(chunk)

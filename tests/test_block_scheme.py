@@ -3,8 +3,8 @@ from random import Random
 
 import pytest
 
+from conftest import answer_block
 from privset.block_scheme import (
-    answer_block,
     answer_wire_query,
     decode_blocks,
     plan_blocks,

@@ -128,6 +128,39 @@ def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr and not out.stdout
 
 
+def test_psi_serve_draws_an_unseeded_pool_from_secrets(tmp_path, capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from privset import cli, transport
+    from privset.storage import CommonRandomnessPool
+
+    set_path = tmp_path / "e.set"
+    set_path.write_text("# privset set v1 K=10\n0\n2\n")
+    pools = []
+    provision_cr = transport.provision_cr
+
+    def recording_provision_cr(servers, pool, required):
+        pools.append(pool.symbols)
+        return provision_cr(servers, pool, required)
+
+    def interrupt(seconds):  # stands in for Ctrl-C once the databases are up
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(transport, "provision_cr", recording_provision_cr)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(sleep=interrupt))
+    serve = ["psi", "serve", "--set", str(set_path), "--pool-size", "128"]
+    for seed in (None, None, "0", "7"):
+        code, out, _ = run_cli(capsys, *serve, *(["--seed-cr", seed] if seed else []))
+        assert code == EXIT_OK and json.loads(out)["record"] == "psi_serve"
+    unseeded_a, unseeded_b, seeded_0, seeded_7 = pools
+    assert seeded_0 == CommonRandomnessPool.generate(128, 2, 0).symbols
+    assert seeded_7 == CommonRandomnessPool.generate(128, 2, 7).symbols
+    # Two unseeded pools of 128 uniform bits agree with each other, or with seed 0's, with probability 2**-128.
+    assert len(unseeded_a) == len(unseeded_b) == 128 and set(unseeded_a + unseeded_b) <= {0, 1}
+    assert unseeded_a != unseeded_b
+    assert seeded_0 not in (unseeded_a, unseeded_b)
+
+
 def test_psi_run_against_a_closed_port_is_a_transport_fault(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n")

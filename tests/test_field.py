@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from privset.block_scheme import answer_block
+from conftest import answer_block
 from privset.field import domain_rng, pack, sample_symbols, sample_uniform, unpack
 from privset.params import ParamError
 from privset.storage import MessageStore

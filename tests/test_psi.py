@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from privset.field import DOMAIN_CLIENT, domain_rng
-from privset.params import InfeasibleError, ParamError, SchemeParams, psi_optimal_cost
+from privset.params import InfeasibleError, ParamError, SchemeParams, psi_direction_cost, psi_optimal_cost
 from privset.psi import (
     EntityConfig,
     IncidenceVector,
@@ -18,7 +18,7 @@ from privset.psi import (
 )
 import privset
 from privset import block_scheme, psi, transport, wire
-from privset.storage import MessageStore
+from privset.storage import CommonRandomnessPool, MessageStore
 from privset.wire import ProtocolFault
 
 ALPHABET = "abcdefghij"
@@ -40,9 +40,10 @@ def test_incidence_examples():
 
 def test_incidence_roundtrip_and_weight():
     vec = to_incidence({1, 3}, 5)
-    assert vec.weight == 2
-    assert vec.elements() == frozenset({1, 3})
-    assert IncidenceVector.from_string(vec.as_string()) == vec
+    assert vec.bits == bytes([0, 1, 0, 1, 0])
+    assert vec.as_string() == "01010"
+    assert IncidenceVector(vec.bits) == vec
+    assert IncidenceVector(list(vec.bits)).bits == vec.bits
 
 
 def test_incidence_rejects_bad_input():
@@ -53,11 +54,9 @@ def test_incidence_rejects_bad_input():
 
 
 def test_incidence_string_holds_only_zeros_and_ones():
-    assert IncidenceVector.from_string(" 0110\n").bits == bytes([0, 1, 1, 0])
-    for text in ("01x", "0 1", "012", "01\u0661"):
-        with pytest.raises(ParamError):
-            IncidenceVector.from_string(text)
-    for bits in ((0, -1), (1, 256), ("0", "1")):
+    assert IncidenceVector(bytes([0, 1, 1, 0])).as_string() == "0110"
+    assert IncidenceVector(b"").as_string() == ""
+    for bits in ((0, -1), (1, 256), ("0", "1"), (0, 2), b"01", None):
         with pytest.raises(ParamError):
             IncidenceVector(bits)
 
@@ -150,6 +149,56 @@ def test_remote_full_set_rejects_a_short_answer():
     with transport.TcpServerPool(servers) as pool:
         with pytest.raises(ProtocolFault, match="wrong length"):
             run_psi_remote(EntityConfig(1, 6, 1, frozenset(range(6))), pool.addresses)
+
+
+ONE_FLOW_INSTANCES = {
+    "blocks": (
+        EntityConfig(1, 12, 2, frozenset({0, 3, 5, 9})),
+        EntityConfig(2, 12, 3, frozenset({0, 1, 3, 4, 8, 9, 11})),
+    ),
+    "empty": (EntityConfig(1, 6, 2, frozenset()), EntityConfig(2, 6, 2, frozenset({1, 2}))),
+    "full": (EntityConfig(1, 6, 2, frozenset(range(6))), EntityConfig(2, 6, 2, frozenset({1, 4, 2, 5}))),
+}
+
+
+@pytest.mark.parametrize("name", ONE_FLOW_INSTANCES)
+def test_local_tcp_run_is_a_remote_run_against_databases_it_serves(name, monkeypatch):
+    e1, e2 = ONE_FLOW_INSTANCES[name]
+    seed_client, seed_cr = 5, 6
+    D = psi_direction_cost(e1.size, e2.n_databases, e1.K)
+    shared = CommonRandomnessPool.generate(D - e1.size, 2, seed_cr).symbols
+
+    served, remote_calls = [], []
+    entity_servers, run_remote = psi.entity_servers, psi.run_psi_remote
+
+    def recording_entity_servers(entity):
+        served.append(entity_servers(entity))
+        return served[-1]
+
+    def recording_remote(initiator, addresses, **kwargs):
+        # Every responder database is provisioned with the direction's D - P symbols before the first frame.
+        assert all(srv.pool.symbols == shared and not srv.query_served for srv in served[-1])
+        remote_calls.append((initiator, len(addresses)))
+        return run_remote(initiator, addresses, **kwargs)
+
+    monkeypatch.setattr(psi, "entity_servers", recording_entity_servers)
+    monkeypatch.setattr(psi, "run_psi_remote", recording_remote)
+    local = run_psi(e1, e2, backend="tcp", seed_client=seed_client, seed_cr=seed_cr)
+    assert remote_calls == [(e1, e2.n_databases)]
+    sim = run_psi(e1, e2, backend="sim", seed_client=seed_client, seed_cr=seed_cr)
+    assert len(remote_calls) == 1 and all(srv.pool.symbols == shared for srv in served[-1])
+    monkeypatch.undo()
+
+    servers = psi.entity_servers(e2)
+    transport.provision_cr(servers, CommonRandomnessPool.generate(D - e1.size, 2, seed_cr), 0)
+    with transport.TcpServerPool(servers) as pool:
+        remote = run_psi_remote(e1, pool.addresses, seed_client=seed_client)
+
+    assert local.transcript.records == remote.transcript.records == sim.transcript.records
+    assert local.intersection == remote.intersection == sim.intersection == e1.elements & e2.elements
+    assert local.optimal_cost == remote.optimal_cost == sim.optimal_cost == D
+    assert local.transcript.meta == sim.transcript.meta == {**remote.transcript.meta, "seed_cr": seed_cr}
+    assert remote.transcript.meta["seed_cr"] is None
 
 
 def test_queries_do_not_depend_on_responder_set():

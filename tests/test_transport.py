@@ -1,3 +1,9 @@
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from privset import transport, wire
@@ -291,3 +297,38 @@ def test_refused_connection_is_a_transport_error():
     assert backend._socks == [None, None]
     with pytest.raises(TransportError):
         run_psi_remote(E1, [("127.0.0.1", port)] * 2)
+
+
+# A database whose address space is capped at 1 GiB, far below the 4 GiB a
+# forged frame length claims; it prints its port and serves until stdin closes.
+CAPPED_SERVER = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from privset.storage import MessageStore
+from privset.transport import TcpServerPool, make_entity_servers
+with TcpServerPool(make_entity_servers(MessageStore.from_bits([1, 0, 1]), 1, {"K": 3})) as pool:
+    print(pool.addresses[0][1], flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_a_forged_frame_length_does_not_wedge_the_database():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CAPPED_SERVER], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    try:
+        port = int(proc.stdout.readline())
+        forged = encode_frame(MSG_SETUP, b"")[: wire.FRAME_HEADER_SIZE - 4] + (0xFFFFFFFF).to_bytes(4, "little")
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(forged)
+        backend = TcpBackend([("127.0.0.1", port)], timeout=5)
+        try:
+            mtype, payload = backend.roundtrip(0, MSG_SETUP, b"")
+        finally:
+            backend.close()
+        assert mtype == MSG_SETUP and payload == b'{"K": 3}'
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=10)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import privset
+from conftest import answer_block
 from privset import block_scheme, table_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
@@ -299,7 +300,7 @@ def test_block_answer_matches_reference_evaluation():
     pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=2)
     for db in range(3):
         want = [
-            block_scheme.answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.block])
+            answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.block])
             for bq in plan.queries[db]
         ]
         assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
@@ -313,7 +314,7 @@ def test_packed_f2_answer_matches_the_explicit_loop(KL):
         pool = CommonRandomnessPool(2, [0, 1, 1])
         vectors = [0, (1 << KL) - 1, 1 << (KL - 1)] + [rng.getrandbits(KL) for _ in range(5)]
         entries = [(i % 3, KL, vec) for i, vec in enumerate(vectors)]
-        want = [block_scheme.answer_block(unpack(vec, KL, 2), store, pool.symbols[cr]) for cr, _, vec in entries]
+        want = [answer_block(unpack(vec, KL, 2), store, pool.symbols[cr]) for cr, _, vec in entries]
         assert block_scheme.answer_wire_query(wire.encode_block_query(entries, 2), store, pool) == want
 
 
