@@ -39,6 +39,7 @@ from .params import (
     check_modulus,
     cost_ledger,
     lspir_cost,
+    psi_direction_cost,
     repetition_factor,
 )
 from .storage import CommonRandomnessPool, MessageStore
@@ -325,15 +326,17 @@ def cmd_psi_verify(args) -> int:
             # The replay store is the responder's own store; it depends on K and its set alone.
             responder = 2 if meta.get("initiator") == 1 else 1
             store = psi.EntityConfig(responder, K, max(1, len(transcript.records)), elements).store
-            q = meta.get("q")
+            P, N, q = meta.get("P_initiator"), meta.get("N_responder"), meta.get("q")
+            if not (isinstance(P, int) and isinstance(N, int)):
+                raise ParamError("transcript metadata lacks the run's P_initiator and N_responder")
+            shared = psi_direction_cost(P, N, K) - P  # the pool the run had: run_psi provisions D - P symbols
             check_modulus(q)
-            required = 0
-            for db_records in transcript.records:
+            for db_records in transcript.records:  # every recorded vector is read over the transcript's field
                 for qry, _ in db_records:
                     _, body = wire.parse_query(qry)
                     if body[0] == wire.BLOCK_QUERY_TAG:
-                        required = max([required] + [cr_id + 1 for cr_id, _, _ in wire.parse_block_query(body, q)])
-            pool = CommonRandomnessPool.generate(required, 2, meta["seed_cr"])
+                        wire.parse_block_query(body, q, pool_size=shared)
+            pool = CommonRandomnessPool.generate(shared, 2, meta["seed_cr"])
             if not transport.replay_answers(transcript, store, pool):
                 problems.append("recorded answers do not replay against the given store")
     record = {

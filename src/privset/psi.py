@@ -142,7 +142,6 @@ def run_psi(
     seed_client: int = 0,
     seed_cr: int = 0,
     forward_result: bool = True,
-    faults: transport.FaultPlan | None = None,
 ) -> PsiResult:
     """Execute one full intersection run over the chosen backend.
 
@@ -157,8 +156,6 @@ def run_psi(
         raise ParamError("entities must agree on the field size K")
     if backend not in ("sim", "tcp"):
         raise ParamError(f"unknown backend {backend!r}")
-    if backend == "tcp" and faults is not None:
-        raise ParamError("fault injection is only supported on the simulated backend")
     optimal_cost, initiator_id = psi_optimal_cost(e1.size, e1.n_databases, e2.size, e2.n_databases, e1.K)
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
     servers = entity_servers(resp)
@@ -166,7 +163,7 @@ def run_psi(
     transport.provision_cr(servers, CommonRandomnessPool.generate(shared, 2, seed_cr), shared)
 
     if backend == "sim":
-        result = _intersect(init, transport.SimBackend(servers, faults), seed_client, optimal_cost, forward_result)
+        result = _intersect(init, transport.SimBackend(servers), seed_client, optimal_cost, forward_result)
     else:
         with transport.TcpServerPool(servers) as pool:
             result = run_psi_remote(init, pool.addresses, seed_client=seed_client, forward_result=forward_result)
@@ -186,8 +183,10 @@ def run_psi_remote(
     The local entity always initiates; the responder must have provisioned a
     pool large enough for ceil(P*1/(N-1)) shared symbols, else its databases
     refuse the queries.  The responder's public shape comes from the setup
-    exchange.
+    exchange.  A repeated address is refused: it would get two query shares.
     """
+    if len(set(addresses)) != len(addresses):
+        raise ParamError("each database must be addressed once: a repeated address would receive two query shares")
     cost = psi_direction_cost(initiator.size, len(addresses), initiator.K)
     backend = transport.TcpBackend(addresses)
     try:
@@ -209,7 +208,8 @@ def _intersect(
     unknown (None); ``run_psi``, which provisioned the pool, fills it in.
     """
     client = transport.Client(backend)
-    if client.setup_info().get("K") != init.K:
+    info = client.setup_info()
+    if info.get("K") != init.K:
         raise ParamError("setup exchange reports a different field size")
 
     K = init.K
@@ -233,6 +233,8 @@ def _intersect(
             raise wire.ProtocolFault("download-all answer has wrong length")
         bits = dict(enumerate(symbols))
     else:
+        if info.get("N") != backend.n_databases:  # one share per database the responder runs, no more, no fewer
+            raise ParamError(f"setup exchange reports N={info.get('N')}, not the {backend.n_databases} databases queried")
         params = SchemeParams(K=K, P=len(desired), N=backend.n_databases, L=1, q=2)
         plan = block_scheme.plan_blocks(params, desired, domain_rng(seed_client, DOMAIN_CLIENT))
         bits = block_scheme.decode_blocks(plan, client.query_all(plan.wire_queries()))

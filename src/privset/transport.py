@@ -20,7 +20,7 @@ import json
 import logging
 import socket
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import block_scheme, table_scheme, wire
 from .storage import CommonRandomnessPool, MessageStore
@@ -71,7 +71,7 @@ class DatabaseServer:
         if msg_type == wire.MSG_QUERY:
             return self._handle_query(payload)
         if msg_type == wire.MSG_SETUP:
-            return wire.MSG_SETUP, json.dumps(self.public_info, sort_keys=True).encode()
+            return wire.MSG_SETUP, wire.encode_setup(self.public_info)
         if msg_type == wire.MSG_RESULT_FORWARD:
             return wire.MSG_RESULT_FORWARD, b"ack"
         if msg_type == wire.MSG_CR_PROVISION:
@@ -112,19 +112,6 @@ def provision_cr(servers: list[DatabaseServer], pool: CommonRandomnessPool, requ
 
 
 @dataclass
-class FaultPlan:
-    """Deterministic fault injection for the simulated network.
-
-    ``drop``/``duplicate`` name (db, query_index) pairs whose answers are
-    dropped or delivered twice.  Faults surface as decode/transport errors,
-    never as silently wrong results.
-    """
-
-    drop: set[tuple[int, int]] = dc_field(default_factory=set)
-    duplicate: set[tuple[int, int]] = dc_field(default_factory=set)
-
-
-@dataclass
 class Transcript:
     """Client-side record of one run: every query and answer, per database."""
 
@@ -158,8 +145,8 @@ class Transcript:
 class Client:
     """Issues queries to one entity's databases over either backend.
 
-    One QUERY frame per database per request batch; answers are matched by
-    query id so arbitrary arrival order is tolerated.
+    Each frame is one roundtrip: the client sends it and reads the next reply
+    on that database's stream, which must answer the query id it sent.
     """
 
     def __init__(self, backend: "SimBackend | TcpBackend"):
@@ -167,14 +154,14 @@ class Client:
         self.records: list[list[tuple[bytes, bytes]]] = [[] for _ in range(backend.n_databases)]
         self._next_query_id = 0
 
-    def setup_info(self, db: int = 0) -> dict:
-        mtype, payload = self.backend.roundtrip(db, wire.MSG_SETUP, b"")
+    def setup_info(self) -> dict:
+        mtype, payload = self.backend.roundtrip(0, wire.MSG_SETUP, b"")
         if mtype != wire.MSG_SETUP:
             raise wire.TransportError("setup exchange failed")
-        return json.loads(payload)
+        return wire.parse_setup(payload)
 
-    def forward_result(self, payload: bytes, db: int = 0) -> None:
-        mtype, _ = self.backend.roundtrip(db, wire.MSG_RESULT_FORWARD, payload)
+    def forward_result(self, payload: bytes) -> None:
+        mtype, _ = self.backend.roundtrip(0, wire.MSG_RESULT_FORWARD, payload)
         if mtype != wire.MSG_RESULT_FORWARD:
             raise wire.TransportError("result forwarding failed")
 
@@ -182,12 +169,7 @@ class Client:
         qid = self._next_query_id
         self._next_query_id += 1
         payload = wire.encode_query(qid, body)
-        replies = self.backend.query_roundtrip(db, payload)
-        if len(replies) == 0:
-            raise wire.TransportError(f"answer from database {db} was lost")
-        if len(replies) > 1:
-            raise wire.ProtocolFault(f"duplicate answers from database {db} for query {qid}")
-        mtype, reply = replies[0]
+        mtype, reply = self.backend.roundtrip(db, wire.MSG_QUERY, payload)
         if mtype == wire.MSG_ERROR:
             code, message = wire.parse_error(reply)
             if code == wire.ERR_NOT_PROVISIONED:
@@ -202,44 +184,15 @@ class Client:
         return symbols
 
     def query_all(self, bodies: list[bytes]) -> list[list[int]]:
-        """One batch: bodies[db] goes to database db; empty bodies are skipped."""
-        answers: list[list[int]] = [[] for _ in range(self.backend.n_databases)]
-
-        def one(db: int) -> None:
-            if bodies[db]:
-                answers[db] = self.query(db, bodies[db])
-
-        if self.backend.concurrent:
-            errors: list[Exception] = []
-
-            def guarded(db: int) -> None:
-                try:
-                    one(db)
-                except Exception as exc:  # raised again below, on the calling thread
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=guarded, args=(db,)) for db in range(len(bodies))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if errors:
-                raise errors[0]
-        else:
-            for db in range(len(bodies)):
-                one(db)
-        return answers
+        """One batch: bodies[db] goes to database db, in database order; empty bodies are skipped."""
+        return [self.query(db, body) if body else [] for db, body in enumerate(bodies)]
 
 
 class SimBackend:
-    """In-process deterministic network with optional fault injection."""
+    """In-process deterministic network: every frame is encoded and parsed as on the wire."""
 
-    concurrent = False
-
-    def __init__(self, servers: list[DatabaseServer], faults: FaultPlan | None = None):
+    def __init__(self, servers: list[DatabaseServer]):
         self.servers = servers
-        self.faults = faults or FaultPlan()
-        self._query_count = [0] * len(servers)
 
     @property
     def n_databases(self) -> int:
@@ -250,21 +203,9 @@ class SimBackend:
         rtype, rbody = self.servers[db].handle_client_frame(mtype, body)
         return wire.parse_frame(wire.encode_frame(rtype, rbody))
 
-    def query_roundtrip(self, db: int, payload: bytes) -> list[tuple[int, bytes]]:
-        idx = self._query_count[db]
-        self._query_count[db] += 1
-        reply = self.roundtrip(db, wire.MSG_QUERY, payload)
-        if (db, idx) in self.faults.drop:
-            return []
-        if (db, idx) in self.faults.duplicate:
-            return [reply, reply]
-        return [reply]
-
 
 class TcpBackend:
     """Client side of the TCP backend; one connection per database."""
-
-    concurrent = True
 
     def __init__(self, addresses: list[tuple[str, int]], timeout: float = 10.0):
         self.addresses = addresses
@@ -278,8 +219,7 @@ class TcpBackend:
 
     def _sock(self, db: int) -> socket.socket:
         if self._socks[db] is None:
-            s = socket.create_connection(self.addresses[db], timeout=self.timeout)
-            self._socks[db] = s
+            self._socks[db] = socket.create_connection(self.addresses[db], timeout=self.timeout)
         return self._socks[db]
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
@@ -295,9 +235,6 @@ class TcpBackend:
                     self._socks[db] = None
                 host, port = self.addresses[db]
                 raise wire.TransportError(f"database {db} at {host}:{port}: {exc}") from exc
-
-    def query_roundtrip(self, db: int, payload: bytes) -> list[tuple[int, bytes]]:
-        return [self.roundtrip(db, wire.MSG_QUERY, payload)]
 
     def close(self) -> None:
         for s in self._socks:

@@ -13,6 +13,7 @@ reads; faults in them are TransportError, a ProtocolFault.
 All integers are little-endian:
 
     frame         "PSI1" | version u8 | type u8 | length u32 | payload
+    setup         JSON object with sorted keys: the responder's public shape
     query         query id u32 | body
     table body    1 | n u32 | n x pool id u32 | m u32 | m x (t u8 | t x coordinate u32 | pool id u32)
                     a term's coordinate is m*L + s for symbol s of message m
@@ -21,7 +22,7 @@ All integers are little-endian:
     download-all  3
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
-    transcript    "PRIVSET-TRANSCRIPT v1\n" | length u32 | JSON metadata
+    transcript    "PRIVSET-TRANSCRIPT v1\n" | length u32 | metadata, laid out as setup
                     | n u32 | n x (m u32 | m x (length u32 | query | length u32 | answer))
 """
 
@@ -110,6 +111,21 @@ def parse_frame(data: bytes) -> tuple[int, bytes]:
     if len(data) != _FRAME.size + length:
         raise TransportError("frame length mismatch")
     return msg_type, data[_FRAME.size :]
+
+
+def encode_setup(info: dict) -> bytes:
+    return json.dumps(info, sort_keys=True).encode()
+
+
+def parse_setup(payload: bytes, what: str = "setup reply") -> dict:
+    """A JSON object: a setup reply, or the metadata of a transcript."""
+    try:
+        obj = json.loads(payload)
+    except ValueError:  # UnicodeDecodeError included
+        obj = None
+    if not isinstance(obj, dict):
+        raise TransportError(f"{what} is not a JSON object")
+    return obj
 
 
 def encode_query(query_id: int, body: bytes) -> bytes:
@@ -250,7 +266,7 @@ def parse_error(payload: bytes) -> tuple[int, str]:
 
 def encode_transcript(meta: dict, records: Sequence[Sequence[tuple[bytes, bytes]]]) -> bytes:
     """A saved run: its metadata, then per database its (query, answer) payloads."""
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    meta_bytes = encode_setup(meta)
     out = [TRANSCRIPT_HEADER, _U32.pack(len(meta_bytes)), meta_bytes, _U32.pack(len(records))]
     for db_records in records:
         out.append(_U32.pack(len(db_records)))
@@ -275,13 +291,7 @@ def parse_transcript(data: bytes) -> tuple[dict, list[list[tuple[bytes, bytes]]]
     def u32() -> int:
         return _U32.unpack(take(_U32.size))[0]
 
-    raw_meta = take(u32())
-    try:
-        meta = json.loads(raw_meta)
-    except ValueError:
-        meta = None
-    if not isinstance(meta, dict):
-        raise TransportError("transcript metadata is not a JSON object")
+    meta = parse_setup(take(u32()), "transcript metadata")
     records = [[(take(u32()), take(u32())) for _ in range(u32())] for _ in range(u32())]
     _check_end(off, data, "transcript", TransportError)
     return meta, records

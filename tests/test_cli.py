@@ -16,6 +16,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def closed_ports() -> tuple[int, int]:
+    """Two distinct loopback ports, bound together and then released, so nothing listens on them."""
+    with socket.socket() as a, socket.socket() as b:
+        a.bind(("127.0.0.1", 0))
+        b.bind(("127.0.0.1", 0))
+        return a.getsockname()[1], b.getsockname()[1]
+
+
 def machine_records(out: str):
     return [json.loads(line) for line in out.strip().splitlines()]
 
@@ -164,12 +172,30 @@ def test_psi_serve_draws_an_unseeded_pool_from_secrets(tmp_path, capsys, monkeyp
 def test_psi_run_against_a_closed_port_is_a_transport_fault(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n")
-    with socket.socket() as sock:  # bound, then released: nothing listens on the port
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{port}")
+    port, other = closed_ports()
+    code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{other}")
     assert code == EXIT_PROTOCOL
     assert err.startswith(f"protocol fault: database 0 at 127.0.0.1:{port}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reply", [b"[1]", b"7", b"\xff"])
+def test_psi_run_against_a_malformed_setup_reply_is_a_transport_fault(reply, tmp_path, capsys, monkeypatch):
+    from privset import transport, wire
+    from privset.storage import MessageStore
+
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=3\n0\n")
+    servers = transport.make_entity_servers(MessageStore.from_bits([1, 0, 1]), 2)
+    for srv in servers:
+        def handle(msg_type, payload, honest=srv.handle_client_frame):
+            return (wire.MSG_SETUP, reply) if msg_type == wire.MSG_SETUP else honest(msg_type, payload)
+
+        monkeypatch.setattr(srv, "handle_client_frame", handle)
+    with transport.TcpServerPool(servers) as pool:
+        connect = ",".join(f"{host}:{port}" for host, port in pool.addresses)
+        code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", connect)
+    assert code == EXIT_PROTOCOL
+    assert err == "protocol fault: setup reply is not a JSON object\n"
 
 
 def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, capsys):
@@ -177,10 +203,8 @@ def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, cap
     set1.write_text("# privset set v1 K=10\n0\n1\n")
     set2 = tmp_path / "e2.set"
     set2.write_text("# privset set v1 K=12\n0\n2\n")
-    with socket.socket() as sock:  # bound, then released: a connection attempt would be refused (exit 3)
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-    connect = ["--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{port}"]
+    port, other = closed_ports()  # a connection attempt would be refused (exit 3)
+    connect = ["--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{other}"]
     code, _, err = run_cli(
         capsys, "psi", "run", *connect, "--set2", str(set2), "--transport", "sim", "--seed-cr", "5"
     )
@@ -327,6 +351,49 @@ def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
     transcript.save(str(path))
     code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
     assert code == EXIT_PROTOCOL and "truncated" in err
+
+
+def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
+    from privset import transport, wire
+    from privset.storage import CommonRandomnessPool
+
+    set1 = tmp_path / "e1.set"
+    set2 = tmp_path / "e2.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
+    set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    # P=4 against N=2 provisions D - P = 4 slots.  Slot 4 lies past them; take a
+    # seed whose symbol there equals slot 0's, so a pool sized from the recorded
+    # slots would replay the moved entry.
+    symbols = {seed: CommonRandomnessPool.generate(5, 2, seed).symbols for seed in range(64)}
+    seed_cr = next(seed for seed, pool in symbols.items() if pool[4] == pool[0])
+    path = tmp_path / "run.transcript"
+    code, *_ = run_cli(
+        capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2),
+        "--seed-cr", str(seed_cr), "--save-transcript", str(path),
+    )
+    assert code == EXIT_OK
+    verify = ["psi", "verify", "--transcript", str(path), "--responder-set", str(set2), "--machine"]
+    code, out, _ = run_cli(capsys, *verify)
+    assert code == EXIT_OK and machine_records(out)[0]["replayed"] is True
+
+    transcript = transport.Transcript.load(str(path))
+    assert transcript.meta["P_initiator"] == 4 and transcript.meta["N_responder"] == 2
+    qry, ans = transcript.records[0][0]
+    query_id, body = wire.parse_query(qry)
+    entries = wire.parse_block_query(body, 2)
+    moved = [(4 if pool_id == 0 else pool_id, length, vector) for pool_id, length, vector in entries]
+    assert moved != entries
+    transcript.records[0][0] = (wire.encode_query(query_id, wire.encode_block_query(moved, 2)), ans)
+    transcript.save(str(path))
+    code, out, err = run_cli(capsys, *verify)
+    assert code == EXIT_PROTOCOL
+    assert "slot 4 outside the provisioned pool" in err and '"replayed": true' not in out
+    # Without the run's shape in its metadata the pool cannot be sized: a usage error, not a traceback.
+    for key in ("P_initiator", "N_responder"):
+        broken = transport.Transcript({k: v for k, v in transcript.meta.items() if k != key}, transcript.records)
+        broken.save(str(path))
+        code, _, err = run_cli(capsys, *verify)
+        assert code == EXIT_USAGE and "P_initiator and N_responder" in err
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):

@@ -2,18 +2,19 @@ import os
 import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from privset import transport, wire
-from privset.params import SchemeParams
-from privset.psi import EntityConfig, run_psi, run_psi_remote
+from privset.params import ParamError, SchemeParams
+from privset.psi import EntityConfig, entity_servers, run_psi, run_psi_remote
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
 from privset.transport import (
     DatabaseServer,
-    FaultPlan,
     InsufficientRandomness,
     SimBackend,
     TcpBackend,
@@ -137,16 +138,24 @@ def test_cost_meter_counts_symbols_only():
     assert raw_bytes > 8  # framing/ids excluded from the meter
 
 
-def test_dropped_answer_surfaces_as_error():
-    faults = FaultPlan(drop={(0, 0)})
-    with pytest.raises(TransportError):
-        run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2, faults=faults)
+def test_dropped_answer_surfaces_as_error(faulty_streams):
+    faulty_streams(drop={(0, MSG_QUERY)})
+    with pytest.raises(TransportError, match="timed out"):
+        run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2)
 
 
-def test_duplicated_answer_surfaces_as_error():
-    faults = FaultPlan(duplicate={(1, 0)})
-    with pytest.raises(ProtocolFault):
-        run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2, faults=faults)
+def test_duplicated_answer_surfaces_as_error(faulty_streams):
+    # The copy of database 0's answer is read as the reply to the result forward that follows it.
+    faulty_streams(duplicate={(0, MSG_QUERY)})
+    with pytest.raises(ProtocolFault, match="result forwarding failed"):
+        run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2)
+    # A second query on the same database reads the first query's answer again.
+    servers = small_servers()
+    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    client = transport.Client(transport.SimBackend(servers))
+    assert client.query(0, encode_download_all()) == [1, 0, 1]
+    with pytest.raises(ProtocolFault, match="answer id 0 does not match query id 1"):
+        client.query(0, encode_download_all())
 
 
 def test_non_collusion_each_database_sees_only_its_queries():
@@ -280,23 +289,81 @@ def test_broken_connection_is_closed_and_forgotten(monkeypatch):
         backend.close()
 
 
-def closed_port() -> int:
-    """A loopback port that was just bound and released, so nothing listens on it."""
-    import socket
-
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
+def closed_ports(n: int) -> list[int]:
+    """n distinct loopback ports, bound together and then released, so nothing listens on them."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 def test_refused_connection_is_a_transport_error():
-    port = closed_port()
-    backend = TcpBackend([("127.0.0.1", port)] * 2)
-    with pytest.raises(TransportError, match=f"database 0 at 127.0.0.1:{port}"):
+    addresses = [("127.0.0.1", port) for port in closed_ports(2)]
+    backend = TcpBackend(addresses)
+    with pytest.raises(TransportError, match=f"database 0 at 127.0.0.1:{addresses[0][1]}"):
         transport.Client(backend).setup_info()
     assert backend._socks == [None, None]
     with pytest.raises(TransportError):
-        run_psi_remote(E1, [("127.0.0.1", port)] * 2)
+        run_psi_remote(E1, addresses)
+
+
+def test_the_client_never_sends_two_shares_to_one_database():
+    # Two shares of one block query XOR to a unit vector: together they name a desired element.
+    init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
+    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))))
+    wide = entity_servers(EntityConfig(2, 40, 3, frozenset(range(0, 40, 3))))
+    for group in (servers, wide):
+        provision_cr(group, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    with TcpServerPool(servers) as pool, TcpServerPool(wide) as wide_pool:
+        with pytest.raises(ParamError, match="repeated address"):
+            run_psi_remote(init, [pool.addresses[0], pool.addresses[0]])
+        with pytest.raises(ParamError, match="setup exchange reports N=3, not the 2 databases queried"):
+            run_psi_remote(init, wide_pool.addresses[:2])
+    assert all(srv.seen_queries == [] for srv in servers + wide)
+
+
+def test_a_tcp_intersection_starts_no_client_thread(monkeypatch):
+    servers = entity_servers(E2)
+    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    with TcpServerPool(servers) as pool:
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the client started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        result = run_psi_remote(E1, pool.addresses, seed_client=1)
+        monkeypatch.undo()
+    assert result.intersection == E1.elements & E2.elements
+
+
+def test_a_hung_database_times_out_and_serves_again_once_released(monkeypatch):
+    release = threading.Event()
+
+    def hang(payload, store, pool):
+        release.wait(10)
+        return list(store.flat)
+
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.DOWNLOAD_ALL_TAG, hang)
+    with TcpServerPool(small_servers()) as pool:
+        backend = TcpBackend(pool.addresses, timeout=0.5)
+        start = time.monotonic()
+        try:
+            with pytest.raises(TransportError, match="database 0 at 127.0.0.1:"):
+                transport.Client(backend).query(0, encode_download_all())
+        finally:
+            release.set()
+        assert time.monotonic() - start < 5
+        assert backend._socks[0] is None
+        backend = TcpBackend(pool.addresses)
+        try:
+            mtype, payload = backend.roundtrip(0, MSG_SETUP, b"")
+        finally:
+            backend.close()
+        assert mtype == MSG_SETUP and b'"K": 3' in payload
 
 
 # A database whose address space is capped at 1 GiB, far below the 4 GiB a

@@ -81,6 +81,8 @@ def test_encode_inverts_parse_on_seeded_payloads():
         assert wire.encode_table_query(*wire.parse_table_query(body)) == body
     for payload in server_errors():
         assert wire.encode_error(*wire.parse_error(payload)) == payload
+    setup = wire.encode_setup({"entity": 2, "K": 10, "P": 6, "N": 2})
+    assert wire.encode_setup(wire.parse_setup(setup)) == setup
     for res in seeded_runs():
         data = wire.encode_transcript(res.transcript.meta, res.transcript.records)
         assert wire.parse_transcript(data) == (res.transcript.meta, res.transcript.records)
@@ -119,6 +121,9 @@ def test_client_side_parsers_raise_transport_errors():
         wire.parse_answer(b"\x00\x00")
     with pytest.raises(TransportError):
         wire.parse_frame(b"PSI1")
+    for payload in (b"[1]", b"7", b"\xff", b"{", b""):
+        with pytest.raises(TransportError, match="setup reply is not a JSON object"):
+            wire.parse_setup(payload)
     empty = wire.encode_transcript({}, [])
     for data in (empty[:-1], empty + b"\x00", empty[1:], wire.TRANSCRIPT_HEADER + b"\x02\x00\x00\x00[]"):
         with pytest.raises(TransportError):
