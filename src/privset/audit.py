@@ -14,8 +14,11 @@ realization) is equally likely, so a distribution is a ``Counter`` of
 integer atom counts and a distance is one exact ``Fraction``.
 
 The linear one-round scheme is small enough to enumerate outright: every
-strategy draw, message realization, and randomness realization is visited
-and the joint distributions are compared literally.
+strategy draw, message realization and randomness realization is an atom of
+the joint distributions compared.  Each distinct query body is answered once
+per (message, randomness) realization and its atoms are weighted by the
+number of strategy draws that emit it, so the distributions are the ones a
+literal visit of every atom would count.
 
 The query-table scheme's strategy space (one permutation per message plus a
 pool relabeling) is astronomically large, so its user-privacy audit is
@@ -40,7 +43,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 from . import block_scheme, table_scheme, wire
@@ -153,28 +156,55 @@ def _block_atoms(params: SchemeParams) -> int:
     return factorial(P * L) * q ** (n_blocks * K * L) * q ** (K * L) * q**n_blocks
 
 
-def _block_runs(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
-    """Visit every strategy draw, message realization and randomness realization once.
-
-    Yields ``(strategy, wires, w_flat, s_vals, answers)``: the strategy draw's
-    index, its per-database wire queries, the flat message symbols, the pool
-    symbols, and every database's answer.
-    """
+def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
+    """Every strategy draw's per-database wire queries, one tuple per draw."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
-    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
-    pools = [(s_vals, _block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
-    draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
-    for strategy, (order, values) in enumerate(draws):
+    n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
+    for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
         rng = _ScriptedRandom([order], list(values))
         plan = block_scheme.plan_blocks(params, desired, rng)
         assert rng.exhausted()
         plan = _block_mutate(plan, mutant)
-        wires = tuple(plan.wire_query(db) for db in range(N))
-        for w_flat, store in stores:
-            for s_vals, pool in pools:
-                answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
-                yield strategy, wires, w_flat, s_vals, answers
+        yield tuple(plan.wire_query(db) for db in range(N))
+
+
+def _block_answerer(params: SchemeParams, mutant: str | None):
+    """Every (W, S) realization, and a function giving a wire body's answer in each.
+
+    A body is answered once per realization however many strategy draws emit
+    it; the cache lives only as long as the audit call that built it.
+    """
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
+    pools = [(s, _block_pool(params, s, mutant)) for s in product(range(q), repeat=lspir_cost(P, N, L)[1])]
+    realizations = [(w_flat, s_vals, store, pool) for w_flat, store in stores for s_vals, pool in pools]
+    cache: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+
+    def answers(body: bytes) -> tuple[tuple[int, ...], ...]:
+        if body not in cache:
+            cache[body] = tuple(tuple(block_scheme.answer_wire_query(body, st, pl)) for _, _, st, pl in realizations)
+        return cache[body]
+
+    return realizations, answers
+
+
+def _block_user_dists(params: SchemeParams, mutant: str | None) -> list[list[Counter]]:
+    """Per desired set, per database: atom counts of (Q_n, A_n, W, S), each body's
+    atoms weighted by the number of strategy draws that emit it there."""
+    realizations, answers = _block_answerer(params, mutant)
+    dists: list[list[Counter]] = []
+    for desired in combinations(range(params.K), params.P):
+        emitted = [Counter() for _ in range(params.N)]
+        for wires in _block_draws(params, desired, mutant):
+            for db, body in enumerate(wires):
+                emitted[db][body] += 1
+        per_db = [Counter() for _ in range(params.N)]
+        for dist, bodies in zip(per_db, emitted):
+            for body, draws in bodies.items():
+                for (w_flat, s_vals, _, _), answer in zip(realizations, answers(body)):
+                    dist[body, answer, w_flat, s_vals] += draws
+        dists.append(per_db)
+    return dists
 
 
 def audit_block_user_privacy(
@@ -182,16 +212,8 @@ def audit_block_user_privacy(
 ) -> Verdict:
     """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
     atoms = _block_atoms(params)
-    _check_budget(2 * atoms, budget)
-
-    dists: list[list[Counter]] = []  # per desired set, per database
-    for desired in combinations(range(params.K), params.P):
-        per_db = [Counter() for _ in range(params.N)]
-        for _, wires, w_flat, s_vals, answers in _block_runs(params, desired, mutant):
-            for db, dist in enumerate(per_db):
-                dist[wires[db], answers[db], w_flat, s_vals] += 1
-        dists.append(per_db)
-
+    _check_budget(comb(params.K, params.P) * atoms, budget)  # every desired set is enumerated
+    dists = _block_user_dists(params, mutant)
     worst = max(
         (total_variation(dists[0][db], other[db], atoms) for other in dists[1:] for db in range(params.N)),
         default=Fraction(0),
@@ -199,20 +221,26 @@ def audit_block_user_privacy(
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
+def _block_db_groups(params: SchemeParams, mutant: str | None) -> defaultdict[tuple, Counter]:
+    """Per querying-side view (strategy, wires, answers): counts of the undesired symbols."""
+    K, P, L = params.K, params.P, params.L
+    undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
+    realizations, answers = _block_answerer(params, mutant)
+    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for strategy, wires in enumerate(_block_draws(params, tuple(range(P)), mutant)):
+        for (w_flat, _, _, _), answer in zip(realizations, zip(*map(answers, wires))):
+            groups[strategy, wires, answer][tuple(w_flat[c] for c in undesired_coords)] += 1
+    return groups
+
+
 def audit_block_db_privacy(
     params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Posterior of the undesired symbols given the querying side's whole view
     must equal the uniform prior, for every view of nonzero probability."""
-    K, P, L = params.K, params.P, params.L
     _check_budget(_block_atoms(params), budget)
-
-    undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
-    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-    for strategy, wires, w_flat, _, answers in _block_runs(params, tuple(range(P)), mutant):
-        groups[strategy, wires, answers][tuple(w_flat[c] for c in undesired_coords)] += 1
-
-    if not _uniform_posteriors(groups, params.q ** len(undesired_coords)):
+    groups = _block_db_groups(params, mutant)
+    if not _uniform_posteriors(groups, params.q ** ((params.K - params.P) * params.L)):
         return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
     return Verdict(True, Fraction(0), f"{len(groups)} views checked, posterior uniform in all")
 

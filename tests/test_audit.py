@@ -7,35 +7,40 @@ from random import Random
 import pytest
 
 from privset import audit, block_scheme, table_scheme
-from privset.params import SchemeParams
+from privset.params import SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 
 
 class TestBlockUserPrivacy:
+    # N=2 has one probe per block, N=3 (as psi-wide runs) two probes on two databases
     def test_passes_exactly(self):
-        for P in (1, 2):
-            v = audit.audit_block_user_privacy(SchemeParams(K=3, P=P, N=2, L=1, q=2))
+        for P, N in product((1, 2), (2, 3)):
+            v = audit.audit_block_user_privacy(SchemeParams(K=3, P=P, N=N, L=1, q=2))
             assert v.ok and v.distance == 0
 
     def test_negative_control_fails(self):
-        v = audit.audit_block_user_privacy(
-            SchemeParams(K=3, P=1, N=2, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
-        )
-        assert not v.ok and v.distance == 1
-        v = audit.audit_block_user_privacy(
-            SchemeParams(K=3, P=2, N=2, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
-        )
-        assert not v.ok and v.distance == Fraction(1, 2)
+        for (P, distance), N in product(((1, 1), (2, Fraction(1, 2))), (2, 3)):
+            v = audit.audit_block_user_privacy(
+                SchemeParams(K=3, P=P, N=N, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
+            )
+            assert not v.ok and v.distance == distance
 
     def test_budget_refusal(self):
         with pytest.raises(audit.AuditBudgetExceeded):
             audit.audit_block_user_privacy(SchemeParams(K=4, P=2, N=2, L=3, q=2))
 
+    def test_budget_counts_every_desired_set(self):
+        # 32,768 atoms per desired set, C(4, 2) = 6 desired sets
+        params = SchemeParams(K=4, P=2, N=2, L=1, q=2)
+        assert audit._block_atoms(params) == 32768
+        with pytest.raises(audit.AuditBudgetExceeded, match="196608 atoms"):
+            audit.audit_block_user_privacy(params, budget=6 * 32768 - 1)
+
 
 class TestBlockDbPrivacy:
     def test_passes_exactly(self):
-        for P in (1, 2):
-            v = audit.audit_block_db_privacy(SchemeParams(K=3, P=P, N=2, L=1, q=2))
+        for P, N in product((1, 2), (2, 3)):
+            v = audit.audit_block_db_privacy(SchemeParams(K=3, P=P, N=N, L=1, q=2))
             assert v.ok
 
     def test_q3_smoke(self):
@@ -45,10 +50,89 @@ class TestBlockDbPrivacy:
         assert v.ok and v.distance == 0
 
     def test_negative_control_fails(self):
-        v = audit.audit_block_db_privacy(
-            SchemeParams(K=3, P=1, N=2, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_CR
-        )
-        assert not v.ok
+        for P, N in ((1, 2), (1, 3), (2, 3)):
+            v = audit.audit_block_db_privacy(
+                SchemeParams(K=3, P=P, N=N, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_CR
+            )
+            assert not v.ok
+
+
+def enumerated_block_runs(params, desired, mutant):
+    """Reference for the grouped enumeration: visit every strategy draw,
+    message realization and randomness realization once, answering every
+    database's query afresh each time.
+
+    Yields ``(strategy, wires, w_flat, s_vals, answers)``: the strategy draw's
+    index, its per-database wire queries, the flat message symbols, the pool
+    symbols, and every database's answer.
+    """
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
+    pools = [(s_vals, audit._block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
+    draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
+    for strategy, (order, values) in enumerate(draws):
+        rng = audit._ScriptedRandom([order], list(values))
+        plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
+        assert rng.exhausted()
+        wires = tuple(plan.wire_query(db) for db in range(N))
+        for w_flat, store in stores:
+            for s_vals, pool in pools:
+                answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
+                yield strategy, wires, w_flat, s_vals, answers
+
+
+def enumerated_block_user_dists(params, mutant):
+    dists = []  # per desired set, per database
+    for desired in combinations(range(params.K), params.P):
+        per_db = [Counter() for _ in range(params.N)]
+        for _, wires, w_flat, s_vals, answers in enumerated_block_runs(params, desired, mutant):
+            for db, dist in enumerate(per_db):
+                dist[wires[db], answers[db], w_flat, s_vals] += 1
+        dists.append(per_db)
+    return dists
+
+
+def enumerated_block_db_groups(params, mutant):
+    K, P, L = params.K, params.P, params.L
+    undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
+    groups = defaultdict(Counter)
+    for strategy, wires, w_flat, _, answers in enumerated_block_runs(params, tuple(range(P)), mutant):
+        groups[strategy, wires, answers][tuple(w_flat[c] for c in undesired_coords)] += 1
+    return groups
+
+
+GROUPED_BLOCK_INSTANCES = [
+    SchemeParams(K=3, P=1, N=2, L=1, q=2),
+    SchemeParams(K=3, P=2, N=2, L=1, q=2),
+    SchemeParams(K=3, P=2, N=3, L=1, q=2),
+    SchemeParams(K=2, P=1, N=2, L=1, q=3),
+]
+
+
+@pytest.mark.parametrize("mutant", [None, audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR])
+@pytest.mark.parametrize("params", GROUPED_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
+def test_grouped_enumeration_matches_every_run(params, mutant):
+    assert audit._block_user_dists(params, mutant) == enumerated_block_user_dists(params, mutant)
+    assert audit._block_db_groups(params, mutant) == enumerated_block_db_groups(params, mutant)
+
+
+def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
+    answer, calls = block_scheme.answer_wire_query, []
+
+    def counted(payload, store, pool):
+        calls.append(payload)
+        return answer(payload, store, pool)
+
+    monkeypatch.setattr(block_scheme, "answer_wire_query", counted)
+    params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
+    # 64 distinct bodies, 8 message x 4 randomness realizations each; answering
+    # every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2 calls
+    assert audit.audit_block_user_privacy(params)
+    assert len(calls) == 2048 and len(set(calls)) == 64
+    calls.clear()
+    assert audit.audit_block_db_privacy(params)
+    assert len(calls) == 2048 and len(set(calls)) == 64
 
 
 class TestTableUserPrivacy:

@@ -448,6 +448,15 @@ def test_refused_audit_is_a_usage_error(capsys):
     assert "audit refused" in err
 
 
+def test_block_audit_budget_counts_every_desired_set(capsys):
+    # 6 desired sets of 32,768 atoms each: over the budget, though one set is not
+    code, _, err = run_cli(
+        capsys, "audit", "--scheme", "block", "--K", "4", "--P", "2", "--N", "2", "--budget", "100000"
+    )
+    assert code == EXIT_USAGE
+    assert "audit refused: 196608 atoms" in err
+
+
 def test_paper_n3_table_audit_passes(capsys):
     code, out, _ = run_cli(capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3", "--machine")
     assert code == EXIT_OK
