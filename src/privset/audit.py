@@ -15,10 +15,11 @@ integer atom counts and a distance is one exact ``Fraction``.
 
 The linear one-round scheme is small enough to enumerate outright: every
 strategy draw, message realization and randomness realization is an atom of
-the joint distributions compared.  Each distinct query body is answered once
-per (message, randomness) realization and its atoms are weighted by the
-number of strategy draws that emit it, so the distributions are the ones a
-literal visit of every atom would count.
+the joint distributions compared.  Each distinct query body is parsed once
+per audit call and evaluated in every (message, randomness) realization by
+the server's own evaluator; its atoms are weighted by the number of strategy
+draws that emit it, so the distributions are the ones a literal visit of
+every atom would count.
 
 The query-table scheme's strategy space (one permutation per message plus a
 pool relabeling) is astronomically large, so its user-privacy audit is
@@ -164,25 +165,27 @@ def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | N
         rng = _ScriptedRandom([order], list(values))
         plan = block_scheme.plan_blocks(params, desired, rng)
         assert rng.exhausted()
-        plan = _block_mutate(plan, mutant)
-        yield tuple(plan.wire_query(db) for db in range(N))
+        yield tuple(_block_mutate(plan, mutant).wire_queries())
 
 
 def _block_answerer(params: SchemeParams, mutant: str | None):
     """Every (W, S) realization, and a function giving a wire body's answer in each.
 
-    A body is answered once per realization however many strategy draws emit
-    it; the cache lives only as long as the audit call that built it.
+    A body is parsed once and evaluated once per realization however many
+    strategy draws emit it; the cache lives only as long as the audit call
+    that built it.
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
-    pools = [(s, _block_pool(params, s, mutant)) for s in product(range(q), repeat=lspir_cost(P, N, L)[1])]
+    n_blocks = lspir_cost(P, N, L)[1]
+    pools = [(s, _block_pool(params, s, mutant)) for s in product(range(q), repeat=n_blocks)]
     realizations = [(w_flat, s_vals, store, pool) for w_flat, store in stores for s_vals, pool in pools]
     cache: dict[bytes, tuple[tuple[int, ...], ...]] = {}
 
     def answers(body: bytes) -> tuple[tuple[int, ...], ...]:
-        if body not in cache:
-            cache[body] = tuple(tuple(block_scheme.answer_wire_query(body, st, pl)) for _, _, st, pl in realizations)
+        if body not in cache:  # parsed as the server parses it, so a body it would refuse raises here
+            entries = wire.parse_block_query(body, q, K * L, n_blocks)
+            cache[body] = tuple(tuple(block_scheme.answer_entries(entries, st, pl)) for _, _, st, pl in realizations)
         return cache[body]
 
     return realizations, answers
@@ -192,18 +195,19 @@ def _block_user_dists(params: SchemeParams, mutant: str | None) -> list[list[Cou
     """Per desired set, per database: atom counts of (Q_n, A_n, W, S), each body's
     atoms weighted by the number of strategy draws that emit it there."""
     realizations, answers = _block_answerer(params, mutant)
+    keys: dict[bytes, list[tuple]] = {}  # body -> its (body, answer, W, S) key in each realization
     dists: list[list[Counter]] = []
     for desired in combinations(range(params.K), params.P):
         emitted = [Counter() for _ in range(params.N)]
         for wires in _block_draws(params, desired, mutant):
             for db, body in enumerate(wires):
                 emitted[db][body] += 1
-        per_db = [Counter() for _ in range(params.N)]
-        for dist, bodies in zip(per_db, emitted):
+        dists.append([Counter() for _ in emitted])
+        for dist, bodies in zip(dists[-1], emitted):
             for body, draws in bodies.items():
-                for (w_flat, s_vals, _, _), answer in zip(realizations, answers(body)):
-                    dist[body, answer, w_flat, s_vals] += draws
-        dists.append(per_db)
+                if body not in keys:
+                    keys[body] = [(body, a, w, s) for (w, s, _, _), a in zip(realizations, answers(body))]
+                dist.update(dict.fromkeys(keys[body], draws))
     return dists
 
 
@@ -226,10 +230,11 @@ def _block_db_groups(params: SchemeParams, mutant: str | None) -> defaultdict[tu
     K, P, L = params.K, params.P, params.L
     undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
     realizations, answers = _block_answerer(params, mutant)
+    undesired = [tuple(w_flat[c] for c in undesired_coords) for w_flat, _, _, _ in realizations]
     groups: defaultdict[tuple, Counter] = defaultdict(Counter)
     for strategy, wires in enumerate(_block_draws(params, tuple(range(P)), mutant)):
-        for (w_flat, _, _, _), answer in zip(realizations, zip(*map(answers, wires))):
-            groups[strategy, wires, answer][tuple(w_flat[c] for c in undesired_coords)] += 1
+        for symbols, answer in zip(undesired, zip(*map(answers, wires))):
+            groups[strategy, wires, answer][symbols] += 1
     return groups
 
 

@@ -112,13 +112,17 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """One symbol per block-query entry: <vector, flattened store> + its pool symbol."""
-    KL, q, symbols = store.K * store.L, store.q, pool.symbols
-    entries = parse_block_query(payload, q, KL, len(symbols))
+    return answer_entries(parse_block_query(payload, store.q, store.K * store.L, len(pool.symbols)), store, pool)
+
+
+def answer_entries(entries, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
+    """One symbol per (pool id, length, vector) entry, as ``parse_block_query`` returns them for this store and pool."""
+    q, symbols = store.q, pool.symbols
     if q == 2:
         w = store.packed
         return [((vec & w).bit_count() + symbols[cr_id]) & 1 for cr_id, _, vec in entries]
     flat = store.flat
-    return [(sum(map(mul, unpack(vec, KL, q), flat)) + symbols[cr_id]) % q for cr_id, _, vec in entries]
+    return [(sum(map(mul, unpack(vec, length, q), flat)) + symbols[cr_id]) % q for cr_id, length, vec in entries]
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:

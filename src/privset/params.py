@@ -11,12 +11,16 @@ whole parameter grid):
     D1 = N*U1 + (N-1)*D2                 rate identity, gives R = 1 - 1/N
     U1 + D2 = (D1 - U1)/(N-1)            randomness identity
     (N-1)*alpha_j = sum_p C(P,p)*alpha_{j+p}   for j <= K-P   side-info balance
+
+``alpha_profile``, ``repetition_factor`` and ``cost_ledger`` are pure and cached:
+each argument tuple is computed, and its identities checked, once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, isqrt, lcm
 
 
@@ -83,6 +87,7 @@ class AlphaProfile:
         return tuple(Fraction(a, self.scale) for a in self.alpha)
 
 
+@cache
 def alpha_profile(K: int, P: int, N: int) -> AlphaProfile:
     """Stage profile of the query-table scheme.
 
@@ -118,6 +123,7 @@ def alpha_profile(K: int, P: int, N: int) -> AlphaProfile:
     return AlphaProfile(K=K, P=P, N=N, alpha=alpha, scale=scale)
 
 
+@cache
 def repetition_factor(K: int, P: int, N: int, profile: AlphaProfile | None = None) -> int:
     """Number of repetitions needed for a symmetric scheme.
 
@@ -172,6 +178,7 @@ class CostLedger:
         return Fraction(self.N * (self.D1 - self.U1), self.P)
 
 
+@cache
 def cost_ledger(K: int, P: int, N: int, profile: AlphaProfile | None = None) -> CostLedger:
     if profile is None:
         profile = alpha_profile(K, P, N)

@@ -219,7 +219,13 @@ class TcpBackend:
 
     def _sock(self, db: int) -> socket.socket:
         if self._socks[db] is None:
-            self._socks[db] = socket.create_connection(self.addresses[db], timeout=self.timeout)
+            s = socket.create_connection(self.addresses[db], timeout=self.timeout)
+            peer = s.getpeername()
+            same = [i for i, o in enumerate(self._socks) if o is not None and o.getpeername() == peer]
+            if same:  # two spellings of one server: it would get two query shares
+                s.close()
+                raise wire.TransportError(f"databases {same[0]} and {db} both reach {peer[0]}:{peer[1]}")
+            self._socks[db] = s
         return self._socks[db]
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:

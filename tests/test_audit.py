@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from privset import audit, block_scheme, table_scheme
+from privset import audit, block_scheme, table_scheme, wire
 from privset.params import SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 
@@ -118,21 +118,29 @@ def test_grouped_enumeration_matches_every_run(params, mutant):
 
 
 def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
-    answer, calls = block_scheme.answer_wire_query, []
+    parse, evaluate = wire.parse_block_query, block_scheme.answer_entries
+    parsed, evaluated = [], []
 
-    def counted(payload, store, pool):
-        calls.append(payload)
-        return answer(payload, store, pool)
+    def counted_parse(body, *args):
+        parsed.append(body)
+        return parse(body, *args)
 
-    monkeypatch.setattr(block_scheme, "answer_wire_query", counted)
+    def counted_evaluate(entries, store, pool):
+        evaluated.append(tuple(entries))
+        return evaluate(entries, store, pool)
+
+    monkeypatch.setattr(wire, "parse_block_query", counted_parse)
+    monkeypatch.setattr(block_scheme, "answer_entries", counted_evaluate)
     params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
-    # 64 distinct bodies, 8 message x 4 randomness realizations each; answering
-    # every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2 calls
-    assert audit.audit_block_user_privacy(params)
-    assert len(calls) == 2048 and len(set(calls)) == 64
-    calls.clear()
-    assert audit.audit_block_db_privacy(params)
-    assert len(calls) == 2048 and len(set(calls)) == 64
+    # 64 distinct bodies, each parsed once and evaluated in the 8 message x 4
+    # randomness realizations; answering every run afresh takes 3 x 128 x 32 x 2
+    # and 128 x 32 x 2 evaluations, each after a parse of its own
+    for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
+        parsed.clear()
+        evaluated.clear()
+        assert verdict(params)
+        assert len(parsed) == len(set(parsed)) == 64
+        assert len(evaluated) == 2048 and len(set(evaluated)) == 64
 
 
 class TestTableUserPrivacy:

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from privset.params import (
+    AlphaProfile,
     InfeasibleError,
     ParamError,
     SchemeParams,
@@ -62,6 +64,28 @@ def test_alpha_rejects_degenerate():
         alpha_profile(3, 3, 2)
     with pytest.raises(InfeasibleError):
         alpha_profile(3, 1, 1)
+
+
+def test_cached_cost_functions_share_frozen_values_and_never_cache_a_fault():
+    for K, P, N in ((3, 1, 3), (5, 3, 2), (4, 2, 2)):
+        profile = alpha_profile(K, P, N)
+        assert alpha_profile(K, P, N) is profile
+        assert repetition_factor(K, P, N) == repetition_factor(K, P, N, profile) == repetition_factor(K, P, N)
+        assert cost_ledger(K, P, N) == cost_ledger(K, P, N, profile) == cost_ledger(K, P, N)
+        with pytest.raises(FrozenInstanceError):
+            profile.alpha = (0,) * K
+        with pytest.raises(FrozenInstanceError):
+            cost_ledger(K, P, N).D1 = Fraction(0)
+    assert alpha_profile(3, 1, 3).alpha == (1, 2, 4) and cost_ledger(3, 1, 3).D1 == 13
+    malformed = AlphaProfile(K=3, P=1, N=3, alpha=(1, 2, 5), scale=1)
+    for _ in range(3):  # a fault is raised afresh by every call, never cached
+        with pytest.raises(ParamError, match="P == K"):
+            alpha_profile(3, 3, 2)
+        for fn in (alpha_profile, repetition_factor, cost_ledger):
+            with pytest.raises(InfeasibleError):
+                fn(3, 1, 1)
+        with pytest.raises(ParamError, match="rate identity"):
+            cost_ledger(3, 1, 3, malformed)
 
 
 def test_alpha_balance_identity_grid():

@@ -326,6 +326,19 @@ def test_the_client_never_sends_two_shares_to_one_database():
     assert all(srv.seen_queries == [] for srv in servers + wide)
 
 
+def test_two_spellings_of_one_database_get_one_share():
+    init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
+    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))))
+    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    with TcpServerPool(servers) as pool:
+        port = pool.addresses[0][1]
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=f"databases 0 and 1 both reach 127.0.0.1:{port}"):
+            run_psi_remote(init, [("127.0.0.1", port), ("localhost", port)])
+        assert time.monotonic() - start < 5  # refused on connect, not after the 10 s read timeout
+    assert len(servers[0].seen_queries) == 1 and servers[1].seen_queries == []
+
+
 def test_a_tcp_intersection_starts_no_client_thread(monkeypatch):
     servers = entity_servers(E2)
     provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
