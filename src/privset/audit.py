@@ -19,7 +19,12 @@ the joint distributions compared.  Each distinct query body is parsed once
 per audit call and evaluated in every (message, randomness) realization by
 the server's own evaluator; its atoms are weighted by the number of strategy
 draws that emit it, so the distributions are the ones a literal visit of
-every atom would count.
+every atom would count.  Atoms and views are counted by integer labels, not
+by nested tuples: with R realizations, the atom (body, answer, W, S) of the
+b-th distinct body in realization r is label b*R + r, and a body's answer in
+realization r is labelled by the first realization giving the same answer,
+so a strategy draw's view is its tuple of per-database answer labels.  Both
+labellings are one to one, so every count is the literal one.
 
 The query-table scheme's strategy space (one permutation per message plus a
 pool relabeling) is astronomically large, so its user-privacy audit is
@@ -40,11 +45,12 @@ fail them is itself broken, and the test suite insists they fail.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from math import comb, factorial
+from operator import sub
 from random import Random
 
 from . import block_scheme, table_scheme, wire
@@ -115,12 +121,16 @@ def _check_budget(atoms: int, budget: int) -> None:
 
 def total_variation(p: Counter, q: Counter, atoms: int) -> Fraction:
     """Distance between two distributions given as counts of ``atoms`` equally likely atoms each."""
-    return Fraction(sum(abs(p[k] - q[k]) for k in p.keys() | q.keys()), 2 * atoms)
+    keys = p.keys() | q.keys()
+    return Fraction(sum(map(abs, map(sub, map(p.__getitem__, keys), map(q.__getitem__, keys)))), 2 * atoms)
 
 
-def _uniform_posteriors(groups: dict[object, Counter], n_values: int) -> bool:
-    """True iff every view's counts cover all ``n_values`` undesired values equally often."""
-    return all(len(counts) == n_values and len(set(counts.values())) == 1 for counts in groups.values())
+def _uniform_posteriors(pairs: Counter, n_values: int) -> bool:
+    """True iff, in counts of (view, undesired value) pairs, every view covers
+    all ``n_values`` undesired values equally often."""
+    views = [view for view, _ in pairs]
+    spread = Counter(views)  # distinct undesired values seen with each view
+    return set(spread.values()) == {n_values} and len(set(zip(views, pairs.values()))) == len(spread)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +201,30 @@ def _block_answerer(params: SchemeParams, mutant: str | None):
     return realizations, answers
 
 
-def _block_user_dists(params: SchemeParams, mutant: str | None) -> list[list[Counter]]:
-    """Per desired set, per database: atom counts of (Q_n, A_n, W, S), each body's
-    atoms weighted by the number of strategy draws that emit it there."""
+def _block_user_dists(params: SchemeParams, mutant: str | None) -> tuple[list[list[Counter]], list[bytes]]:
+    """Per desired set, per database: atom counts of (Q_n, A_n, W, S) by integer label,
+    and the labelled bodies in label order.
+
+    The first time a body is emitted it is answered in all R realizations and
+    gets the labels b*R .. b*R + R - 1, b its place in label order: label
+    b*R + r stands for the atom (body, its answer in realization r, W_r, S_r).
+    Each label counts the strategy draws that emit its body there.
+    """
     realizations, answers = _block_answerer(params, mutant)
-    keys: dict[bytes, list[tuple]] = {}  # body -> its (body, answer, W, S) key in each realization
+    R = len(realizations)
+    labels: dict[bytes, tuple[int, ...]] = {}  # body -> its run of R labels, shared by every Counter
     dists: list[list[Counter]] = []
     for desired in combinations(range(params.K), params.P):
-        emitted = [Counter() for _ in range(params.N)]
-        for wires in _block_draws(params, desired, mutant):
-            for db, body in enumerate(wires):
-                emitted[db][body] += 1
-        dists.append([Counter() for _ in emitted])
-        for dist, bodies in zip(dists[-1], emitted):
-            for body, draws in bodies.items():
-                if body not in keys:
-                    keys[body] = [(body, a, w, s) for (w, s, _, _), a in zip(realizations, answers(body))]
-                dist.update(dict.fromkeys(keys[body], draws))
-    return dists
+        dists.append([])
+        for bodies in zip(*_block_draws(params, desired, mutant)):
+            draws = Counter(bodies)
+            for body in draws:
+                if body not in labels:
+                    answers(body)  # parsed and evaluated as the server would, so a body it refuses raises
+                    labels[body] = tuple(range(len(labels) * R, (len(labels) + 1) * R))
+            runs = (zip(labels[body], repeat(n)) for body, n in draws.items())
+            dists[-1].append(Counter(dict(chain.from_iterable(runs))))
+    return dists, list(labels)
 
 
 def audit_block_user_privacy(
@@ -217,7 +233,7 @@ def audit_block_user_privacy(
     """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
     atoms = _block_atoms(params)
     _check_budget(comb(params.K, params.P) * atoms, budget)  # every desired set is enumerated
-    dists = _block_user_dists(params, mutant)
+    dists, _ = _block_user_dists(params, mutant)
     worst = max(
         (total_variation(dists[0][db], other[db], atoms) for other in dists[1:] for db in range(params.N)),
         default=Fraction(0),
@@ -225,17 +241,28 @@ def audit_block_user_privacy(
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
-def _block_db_groups(params: SchemeParams, mutant: str | None) -> defaultdict[tuple, Counter]:
-    """Per querying-side view (strategy, wires, answers): counts of the undesired symbols."""
+def _block_db_views(params: SchemeParams, mutant: str | None):
+    """Per strategy draw of desired set (0..P-1): its wires and the counts of
+    (answer labels, undesired symbols) over every (W, S) realization.
+
+    A body's answer label in realization r is the first realization whose
+    answer equals it, so the labels of a strategy draw name its per-database
+    answers one to one and, with its wires, the querying side's view.
+    """
     K, P, L = params.K, params.P, params.L
     undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
     realizations, answers = _block_answerer(params, mutant)
     undesired = [tuple(w_flat[c] for c in undesired_coords) for w_flat, _, _, _ in realizations]
-    groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-    for strategy, wires in enumerate(_block_draws(params, tuple(range(P)), mutant)):
-        for symbols, answer in zip(undesired, zip(*map(answers, wires))):
-            groups[strategy, wires, answer][symbols] += 1
-    return groups
+    codes: dict[bytes, list[int]] = {}  # body -> its answer label in each realization
+
+    def labelled(body: bytes) -> list[int]:
+        if body not in codes:
+            first: dict[tuple[int, ...], int] = {}
+            codes[body] = [first.setdefault(a, r) for r, a in enumerate(answers(body))]
+        return codes[body]
+
+    for wires in _block_draws(params, tuple(range(P)), mutant):
+        yield wires, Counter(zip(zip(*map(labelled, wires)), undesired))
 
 
 def audit_block_db_privacy(
@@ -244,10 +271,14 @@ def audit_block_db_privacy(
     """Posterior of the undesired symbols given the querying side's whole view
     must equal the uniform prior, for every view of nonzero probability."""
     _check_budget(_block_atoms(params), budget)
-    groups = _block_db_groups(params, mutant)
-    if not _uniform_posteriors(groups, params.q ** ((params.K - params.P) * params.L)):
+    n_values = params.q ** ((params.K - params.P) * params.L)
+    uniform, n_views = True, 0
+    for _, pairs in _block_db_views(params, mutant):  # every view is visited, as in a literal enumeration
+        uniform &= _uniform_posteriors(pairs, n_values)
+        n_views += len(pairs) // n_values  # exact once every view covers all n_values
+    if not uniform:
         return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
-    return Verdict(True, Fraction(0), f"{len(groups)} views checked, posterior uniform in all")
+    return Verdict(True, Fraction(0), f"{n_views} views checked, posterior uniform in all")
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +421,13 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
 
 
 def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
-    """Coefficient rows over [pool ids | message coordinates] for one query payload."""
+    """Coefficient rows over [pool ids | message coordinates] for one query payload,
+    parsed with the server's bounds, so a payload the server refuses raises ProtocolFault."""
     tag = payload[0]
     width = pool_size + n_coords
     rows: list[list[int]] = []
     if tag == wire.TABLE_QUERY_TAG:
-        view = wire.parse_table_query(payload)
+        view = wire.parse_table_query(payload, n_coords, pool_size)
         for pid in view.plain_ids:
             row = [0] * width
             row[pid] = 1
@@ -407,7 +439,7 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
                 row[pool_size + c] = (row[pool_size + c] + 1) % q
             rows.append(row)
     elif tag == wire.BLOCK_QUERY_TAG:
-        for cr_id, length, vec in wire.parse_block_query(payload, q):
+        for cr_id, length, vec in wire.parse_block_query(payload, q, n_coords, pool_size):
             row = [0] * width
             row[cr_id] = 1
             for c, coeff in enumerate(unpack(vec, length, q)):

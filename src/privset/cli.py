@@ -11,7 +11,8 @@ psi verify  re-check a saved transcript
 audit       run the exact privacy/reliability audits
 
 Every subcommand is deterministic given its seeds (an unseeded ``psi serve``
-draws its pool from ``secrets``).  ``--machine`` switches to line-oriented
+draws its pool, and an unseeded ``psi run --connect`` its query strategy,
+from ``secrets``).  ``--machine`` switches to line-oriented
 JSON records (one object per line, each carrying a ``record`` discriminator).  Exit codes: 0 success, 2 usage error (a file or
 port that cannot be used included) or an audit refused for its budget,
 3 protocol/transport fault, 4 audit failure.
@@ -250,7 +251,7 @@ def cmd_psi_run(args) -> int:
         result = psi.run_psi(
             e1, e2,
             backend=args.transport,
-            seed_client=args.seed_client,
+            seed_client=0 if args.seed_client is None else args.seed_client,
             seed_cr=args.seed_cr,
             forward_result=not args.no_forward,
         )
@@ -439,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q2", type=float, help=f"inclusion probability for entity 2 {local['q2']}")
     p.add_argument("--seed-sets", type=int, help=f"seed for generated sets {local['seed_sets']}")
     p.add_argument("--transport", choices=["sim", "tcp"], help=f"transport backend {local['transport']}")
-    p.add_argument("--seed-client", type=int, default=0)
+    p.add_argument("--seed-client", type=int,
+                   help="query strategy seed (local runs default 0; under --connect, drawn from secrets if not given)")
     p.add_argument("--seed-cr", type=int, help=f"randomness pool seed {local['seed_cr']}")
     p.add_argument("--no-forward", action="store_true", help="skip forwarding the result")
     p.add_argument("--save-transcript", help="write the binary transcript here")

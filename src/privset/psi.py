@@ -11,6 +11,7 @@ answers pin down only the probed bits.
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -175,7 +176,7 @@ def run_psi_remote(
     initiator: EntityConfig,
     addresses: list[tuple[str, int]],
     *,
-    seed_client: int = 0,
+    seed_client: int | None = None,
     forward_result: bool = True,
 ) -> PsiResult:
     """Intersect against databases served elsewhere (see the ``psi serve`` CLI).
@@ -184,6 +185,9 @@ def run_psi_remote(
     pool large enough for ceil(P*1/(N-1)) shared symbols, else its databases
     refuse the queries.  The responder's public shape comes from the setup
     exchange.  A repeated address is refused: it would get two query shares.
+    Without ``seed_client`` the query strategy is drawn from ``secrets``: a
+    seed the databases could guess would let each of them recompute the base
+    vectors and read the desired set off its own query share.
     """
     if len(set(addresses)) != len(addresses):
         raise ParamError("each database must be addressed once: a repeated address would receive two query shares")
@@ -198,14 +202,16 @@ def run_psi_remote(
 def _intersect(
     init: EntityConfig,
     backend: transport.SimBackend | transport.TcpBackend,
-    seed_client: int,
+    seed_client: int | None,
     optimal_cost: int,
     forward_result: bool,
 ) -> PsiResult:
     """The initiator's side of one intersection against the responder's provisioned databases.
 
-    The pool seed is the responder's, so the transcript meta leaves ``seed_cr``
-    unknown (None); ``run_psi``, which provisioned the pool, fills it in.
+    The strategy comes from ``domain_rng(seed_client, DOMAIN_CLIENT)``, or
+    from ``secrets`` when ``seed_client`` is None.  The pool seed is the
+    responder's, so the transcript meta leaves ``seed_cr`` unknown (None);
+    ``run_psi``, which provisioned the pool, fills it in.
     """
     client = transport.Client(backend)
     info = client.setup_info()
@@ -236,7 +242,8 @@ def _intersect(
         if info.get("N") != backend.n_databases:  # one share per database the responder runs, no more, no fewer
             raise ParamError(f"setup exchange reports N={info.get('N')}, not the {backend.n_databases} databases queried")
         params = SchemeParams(K=K, P=len(desired), N=backend.n_databases, L=1, q=2)
-        plan = block_scheme.plan_blocks(params, desired, domain_rng(seed_client, DOMAIN_CLIENT))
+        rng = secrets.SystemRandom() if seed_client is None else domain_rng(seed_client, DOMAIN_CLIENT)
+        plan = block_scheme.plan_blocks(params, desired, rng)
         bits = block_scheme.decode_blocks(plan, client.query_all(plan.wire_queries()))
 
     intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)

@@ -11,12 +11,19 @@ from privset.params import SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 
 
+K4_TWO_BLOCKS = SchemeParams(K=4, P=2, N=2, L=1, q=2)  # a base and a probe at each database
+
+
 class TestBlockUserPrivacy:
     # N=2 has one probe per block, N=3 (as psi-wide runs) two probes on two databases
     def test_passes_exactly(self):
         for P, N in product((1, 2), (2, 3)):
             v = audit.audit_block_user_privacy(SchemeParams(K=3, P=P, N=N, L=1, q=2))
             assert v.ok and v.distance == 0
+        v = audit.audit_block_user_privacy(K4_TWO_BLOCKS)
+        assert v.ok and v.distance == 0
+        v = audit.audit_block_user_privacy(K4_TWO_BLOCKS, mutant=audit.BLOCK_MUTANT_NO_CR)
+        assert v.ok and v.distance == 0  # the shared symbols protect the databases, not the user
 
     def test_negative_control_fails(self):
         for (P, distance), N in product(((1, 1), (2, Fraction(1, 2))), (2, 3)):
@@ -24,6 +31,8 @@ class TestBlockUserPrivacy:
                 SchemeParams(K=3, P=P, N=N, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
             )
             assert not v.ok and v.distance == distance
+        v = audit.audit_block_user_privacy(K4_TWO_BLOCKS, mutant=audit.BLOCK_MUTANT_NO_BASE_MASK)
+        assert not v.ok and v.distance == 1
 
     def test_budget_refusal(self):
         with pytest.raises(audit.AuditBudgetExceeded):
@@ -42,6 +51,8 @@ class TestBlockDbPrivacy:
         for P, N in product((1, 2), (2, 3)):
             v = audit.audit_block_db_privacy(SchemeParams(K=3, P=P, N=N, L=1, q=2))
             assert v.ok
+        v = audit.audit_block_db_privacy(K4_TWO_BLOCKS)
+        assert v.ok and v.detail == "8192 views checked, posterior uniform in all"
 
     def test_q3_smoke(self):
         v = audit.audit_block_db_privacy(SchemeParams(K=2, P=1, N=2, L=1, q=3))
@@ -55,6 +66,17 @@ class TestBlockDbPrivacy:
                 SchemeParams(K=3, P=P, N=N, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_CR
             )
             assert not v.ok
+        for mutant in (audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR):
+            assert not audit.audit_block_db_privacy(K4_TWO_BLOCKS, mutant=mutant)
+
+
+def block_realizations(params, mutant):
+    """Every (W, S) realization as ``(w_flat, s_vals, store, pool)``, messages outer, randomness inner."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
+    pools = [(s_vals, audit._block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
+    return [(w_flat, s_vals, store, pool) for w_flat, store in stores for s_vals, pool in pools]
 
 
 def enumerated_block_runs(params, desired, mutant):
@@ -68,18 +90,16 @@ def enumerated_block_runs(params, desired, mutant):
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
-    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
-    pools = [(s_vals, audit._block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
+    realizations = block_realizations(params, mutant)
     draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
     for strategy, (order, values) in enumerate(draws):
         rng = audit._ScriptedRandom([order], list(values))
         plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
         assert rng.exhausted()
         wires = tuple(plan.wire_query(db) for db in range(N))
-        for w_flat, store in stores:
-            for s_vals, pool in pools:
-                answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
-                yield strategy, wires, w_flat, s_vals, answers
+        for w_flat, s_vals, store, pool in realizations:
+            answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
+            yield strategy, wires, w_flat, s_vals, answers
 
 
 def enumerated_block_user_dists(params, mutant):
@@ -102,6 +122,41 @@ def enumerated_block_db_groups(params, mutant):
     return groups
 
 
+def read_block_user_dists(params, mutant):
+    """The audit's labelled distributions with every label mapped back to its
+    literal atom (body, answer, W, S); the answer is computed here afresh."""
+    dists, bodies = audit._block_user_dists(params, mutant)
+    realizations = block_realizations(params, mutant)
+
+    def atom(label):
+        body = bodies[label // len(realizations)]
+        w_flat, s_vals, store, pool = realizations[label % len(realizations)]
+        return body, tuple(block_scheme.answer_wire_query(body, store, pool)), w_flat, s_vals
+
+    read = [[Counter({atom(label): n for label, n in dist.items()}) for dist in per_db] for per_db in dists]
+    # no two labels name one atom
+    assert [list(map(len, per_db)) for per_db in read] == [list(map(len, per_db)) for per_db in dists]
+    return read
+
+
+def read_block_db_groups(params, mutant):
+    """The audit's labelled (answer labels, undesired symbols) counts regrouped
+    by the literal view (strategy, wires, answers); an answer label is the
+    realization whose answer it names, so the answer is computed here afresh."""
+    realizations = block_realizations(params, mutant)
+    groups, labelled = defaultdict(Counter), {}
+    for strategy, (wires, pairs) in enumerate(audit._block_db_views(params, mutant)):
+        for (labels, symbols), n in pairs.items():
+            answers = tuple(
+                tuple(block_scheme.answer_wire_query(body, realizations[r][2], realizations[r][3]))
+                for body, r in zip(wires, labels)
+            )
+            view = strategy, wires, answers
+            assert labelled.setdefault(view, labels) == labels  # one label tuple per view
+            groups[view][symbols] = n
+    return groups
+
+
 GROUPED_BLOCK_INSTANCES = [
     SchemeParams(K=3, P=1, N=2, L=1, q=2),
     SchemeParams(K=3, P=2, N=2, L=1, q=2),
@@ -113,8 +168,15 @@ GROUPED_BLOCK_INSTANCES = [
 @pytest.mark.parametrize("mutant", [None, audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR])
 @pytest.mark.parametrize("params", GROUPED_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
 def test_grouped_enumeration_matches_every_run(params, mutant):
-    assert audit._block_user_dists(params, mutant) == enumerated_block_user_dists(params, mutant)
-    assert audit._block_db_groups(params, mutant) == enumerated_block_db_groups(params, mutant)
+    assert read_block_user_dists(params, mutant) == enumerated_block_user_dists(params, mutant)
+    assert read_block_db_groups(params, mutant) == enumerated_block_db_groups(params, mutant)
+
+
+def test_uniform_posteriors_need_every_value_equally_often_in_each_view():
+    even = Counter({("v", 0): 2, ("v", 1): 2, ("w", 0): 1, ("w", 1): 1})  # views may differ in weight
+    assert audit._uniform_posteriors(even, 2)
+    assert not audit._uniform_posteriors(even + Counter({("v", 0): 1}), 2)  # v sees both values, unequally
+    assert not audit._uniform_posteriors(Counter({("v", 0): 2, ("w", 0): 1, ("w", 1): 1}), 2)  # v misses value 1
 
 
 def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
@@ -219,7 +281,7 @@ def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
         table = table_scheme.build_query_table(params, tuple(range(P)), Random(seed))
         wires = table.wire_queries()
         hidden = audit._hidden_ids(table) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []
-        groups = defaultdict(Counter)
+        pairs = Counter()  # (answers, undesired symbols)
         for w_flat in product(range(q), repeat=n_coords):
             store = MessageStore(q, L_store, bytes(w_flat))
             for s_vals in product(range(q), repeat=pool_size):
@@ -228,8 +290,8 @@ def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
                     syms[pid] = 0
                 pool = CommonRandomnessPool(q, syms)
                 answers = tuple(tuple(table_scheme.answer_wire_query(wires[db], store, pool)) for db in range(N))
-                groups[answers][tuple(w_flat[m * L_store : (m + 1) * L_store] for m in undesired)] += 1
-        if not audit._uniform_posteriors(groups, q ** (len(undesired) * L_store)):
+                pairs[answers, tuple(w_flat[m * L_store : (m + 1) * L_store] for m in undesired)] += 1
+        if not audit._uniform_posteriors(pairs, q ** (len(undesired) * L_store)):
             return False
     return True
 
@@ -315,3 +377,15 @@ class TestSymbolicLeakage:
         )
         leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2)
         assert leaked == frozenset({0, 1})
+
+    def test_refuses_what_the_server_refuses(self):
+        # n_coords 3 over a 2-slot pool: a pool id far past the pool, a plain
+        # table id past it, and e_0 on the slot one past it (which must not
+        # read as an unmasked query for coordinate 0)
+        for payload in (
+            wire.encode_block_query([(9, 3, 0)], 2),
+            wire.encode_table_query([5], []),
+            wire.encode_block_query([(2, 3, 1)], 2),
+        ):
+            with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
+                audit.recoverable_coordinates([payload], 3, 2, 2)

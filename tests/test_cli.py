@@ -10,6 +10,14 @@ import pytest
 from privset.cli import EXIT_AUDIT, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, read_set
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment for a ``python -m privset...`` subprocess that runs this checkout's sources."""
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -119,9 +127,6 @@ def test_io_errors_are_usage_errors(tmp_path, capsys):
 
 
 def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
-    import subprocess
-    import sys
-
     set2 = tmp_path / "e2.set"
     set2.write_text("# privset set v1 K=10\n0\n2\n")
     with socket.socket() as taken:
@@ -130,7 +135,7 @@ def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
         port = taken.getsockname()[1]
         out = subprocess.run(
             [sys.executable, "-m", "privset.cli", "psi", "serve", "--set", str(set2), "--listen", f"127.0.0.1:{port}"],
-            capture_output=True, text=True, timeout=30,
+            capture_output=True, text=True, timeout=30, env=checkout_env(),
         )
     assert out.returncode == EXIT_USAGE
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr and not out.stdout
@@ -221,11 +226,9 @@ def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, cap
 
 
 def test_python_dash_m_privset_runs_from_a_checkout(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-m", "privset", "params", "--K", "3", "--P", "1", "--N", "3"],
-        capture_output=True, text=True, timeout=30, cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=30, cwd=tmp_path, env=checkout_env(),
     )
     assert out.returncode == EXIT_OK, out.stderr
     assert "rate = 2/3" in out.stdout
@@ -418,6 +421,28 @@ def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, 
     assert "pool seed" in err and "do not replay" not in out
 
 
+def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys):
+    from privset import psi, transport
+    from privset.storage import CommonRandomnessPool
+
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
+    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})))
+    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    transcript = tmp_path / "remote.transcript"
+    with transport.TcpServerPool(servers) as pool:
+        connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
+        for _ in range(2):
+            code, out, _ = run_cli(
+                capsys, "psi", "run", "--set1", str(set1), "--connect", connect,
+                "--save-transcript", str(transcript), "--machine",
+            )
+            assert code == EXIT_OK and machine_records(out)[0]["intersection"] == [0, 2]
+    assert transport.Transcript.load(str(transcript)).meta["seed_client"] is None
+    first, second = servers[0].seen_queries
+    assert first != second  # no fixed default seed: each run plans afresh
+
+
 def test_audit_command_pass_and_fail(capsys):
     code, out, _ = run_cli(
         capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--machine"
@@ -506,11 +531,6 @@ def test_table_run_executes_and_decodes(capsys):
 
 
 def test_serve_and_connect_roundtrip(tmp_path):
-    import json as _json
-    import subprocess
-    import sys
-    import time
-
     set2 = tmp_path / "e2.set"
     set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
     set1 = tmp_path / "e1.set"
@@ -519,19 +539,19 @@ def test_serve_and_connect_roundtrip(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "privset.cli", "psi", "serve", "--set", str(set2),
          "--n-databases", "2", "--pool-size", "64", "--seed-cr", "3"],
-        stdout=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, text=True, env=checkout_env(),
     )
     try:
         line = proc.stdout.readline()
-        info = _json.loads(line)
+        info = json.loads(line)
         addresses = ",".join(info["addresses"])
         out = subprocess.run(
             [sys.executable, "-m", "privset.cli", "psi", "run", "--set1", str(set1),
              "--connect", addresses, "--seed-client", "11", "--machine"],
-            capture_output=True, text=True, timeout=30,
+            capture_output=True, text=True, timeout=30, env=checkout_env(),
         )
         assert out.returncode == EXIT_OK, out.stderr
-        rec = _json.loads(out.stdout.strip())
+        rec = json.loads(out.stdout.strip())
         assert rec["intersection"] == [0, 2]
         assert rec["download_symbols"] == 8
     finally:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from privset import transport, wire
+from privset import block_scheme, transport, wire
+from privset.field import DOMAIN_CLIENT, domain_rng
 from privset.params import ParamError, SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi, run_psi_remote
 from privset.storage import CommonRandomnessPool, MessageStore
@@ -337,6 +338,27 @@ def test_two_spellings_of_one_database_get_one_share():
             run_psi_remote(init, [("127.0.0.1", port), ("localhost", port)])
         assert time.monotonic() - start < 5  # refused on connect, not after the 10 s read timeout
     assert len(servers[0].seen_queries) == 1 and servers[1].seen_queries == []
+
+
+def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
+    # Database 1 replans with the default seed 0 and XORs each vector it received
+    # with the planned base vector of its block: a unit vector names a desired element.
+    init = EntityConfig(1, 64, 2, frozenset({3, 17, 40, 41, 60}))
+    guess = block_scheme.plan_blocks(SchemeParams(K=64, P=5, N=2, L=1, q=2), init.elements, domain_rng(0, DOMAIN_CLIENT))
+    bases = {bq.block: bq.vector for qs in guess.queries for bq in qs if bq.probe_coord is None}
+
+    def named_by_guess(**seed):
+        servers = entity_servers(EntityConfig(2, 64, 2, frozenset(range(0, 64, 3))))
+        provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+        with TcpServerPool(servers) as pool:
+            result = run_psi_remote(init, pool.addresses, **seed)
+        assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
+        (body,) = servers[1].seen_queries
+        diffs = [vec ^ bases[block] for block, _, vec in wire.parse_block_query(body, 2)]
+        return {diff.bit_length() - 1 for diff in diffs if diff.bit_count() == 1}
+
+    assert named_by_guess(seed_client=0) == {3, 17, 60}  # the guess works on a client seeded 0
+    assert named_by_guess() == set()
 
 
 def test_a_tcp_intersection_starts_no_client_thread(monkeypatch):
