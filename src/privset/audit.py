@@ -37,7 +37,12 @@ privacy for instances too large to enumerate uses exact Gaussian
 elimination over the wire coefficient matrix: for a linear scheme the
 posterior is uniform on the complement of the recoverable span, so
 posterior-equals-prior is equivalent to the span containing no undesired
-coordinate functional.
+coordinate functional.  Each wire row is one packed int in
+``field.lane_bits(q)`` lanes, pool ids first and message coordinates after
+them, so a row operation is one XOR over F_2.  Rows are eliminated on their
+lowest nonzero lane; the rows left without a pool lane are brought to
+reduced form, and a coordinate is recoverable iff its reduced row is its
+unit vector.
 
 Mutated schemes (negative controls) are first-class: an audit that cannot
 fail them is itself broken, and the test suite insists they fail.
@@ -54,7 +59,7 @@ from operator import sub
 from random import Random
 
 from . import block_scheme, table_scheme, wire
-from .field import lane_bits, unpack
+from .field import lane_bits, pack, unpack
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -201,30 +206,32 @@ def _block_answerer(params: SchemeParams, mutant: str | None):
     return realizations, answers
 
 
-def _block_user_dists(params: SchemeParams, mutant: str | None) -> tuple[list[list[Counter]], list[bytes]]:
-    """Per desired set, per database: atom counts of (Q_n, A_n, W, S) by integer label,
-    and the labelled bodies in label order.
+def _block_user_dists(params: SchemeParams, mutant: str | None):
+    """Per desired set in turn: the per-database atom counts of (Q_n, A_n, W, S)
+    by integer label, and the labelled bodies so far (body -> its labels), in
+    label order.
 
     The first time a body is emitted it is answered in all R realizations and
     gets the labels b*R .. b*R + R - 1, b its place in label order: label
     b*R + r stands for the atom (body, its answer in realization r, W_r, S_r).
-    Each label counts the strategy draws that emit its body there.
+    Each label counts the strategy draws that emit its body there.  A desired
+    set's counts are yielded without being kept, so only the ones the caller
+    holds stay alive.
     """
     realizations, answers = _block_answerer(params, mutant)
     R = len(realizations)
     labels: dict[bytes, tuple[int, ...]] = {}  # body -> its run of R labels, shared by every Counter
-    dists: list[list[Counter]] = []
+
+    def counted(bodies: tuple[bytes, ...]) -> Counter:
+        draws = Counter(bodies)
+        for body in draws:
+            if body not in labels:
+                answers(body)  # parsed and evaluated as the server would, so a body it refuses raises
+                labels[body] = tuple(range(len(labels) * R, (len(labels) + 1) * R))
+        return Counter(dict(chain.from_iterable(zip(labels[body], repeat(n)) for body, n in draws.items())))
+
     for desired in combinations(range(params.K), params.P):
-        dists.append([])
-        for bodies in zip(*_block_draws(params, desired, mutant)):
-            draws = Counter(bodies)
-            for body in draws:
-                if body not in labels:
-                    answers(body)  # parsed and evaluated as the server would, so a body it refuses raises
-                    labels[body] = tuple(range(len(labels) * R, (len(labels) + 1) * R))
-            runs = (zip(labels[body], repeat(n)) for body, n in draws.items())
-            dists[-1].append(Counter(dict(chain.from_iterable(runs))))
-    return dists, list(labels)
+        yield [counted(bodies) for bodies in zip(*_block_draws(params, desired, mutant))], labels
 
 
 def audit_block_user_privacy(
@@ -233,11 +240,13 @@ def audit_block_user_privacy(
     """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
     atoms = _block_atoms(params)
     _check_budget(comb(params.K, params.P) * atoms, budget)  # every desired set is enumerated
-    dists, _ = _block_user_dists(params, mutant)
-    worst = max(
-        (total_variation(dists[0][db], other[db], atoms) for other in dists[1:] for db in range(params.N)),
-        default=Fraction(0),
-    )
+    sets = _block_user_dists(params, mutant)
+    first, _ = next(sets)
+
+    def distance(dists_and_labels) -> Fraction:  # drops the set's counts on return, before the next is built
+        return max(map(total_variation, first, dists_and_labels[0], repeat(atoms)))
+
+    worst = max(map(distance, sets), default=Fraction(0))
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
@@ -420,80 +429,89 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
-    """Coefficient rows over [pool ids | message coordinates] for one query payload,
-    parsed with the server's bounds, so a payload the server refuses raises ProtocolFault."""
-    tag = payload[0]
-    width = pool_size + n_coords
-    rows: list[list[int]] = []
-    if tag == wire.TABLE_QUERY_TAG:
+def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[int]:
+    """Packed coefficient rows, in ``lane_bits(q)`` lanes, of one query payload:
+    pool id p in lane p, message coordinate c in lane ``pool_size + c``.
+
+    Each body is parsed with the server's bounds, so a payload the server
+    refuses raises ProtocolFault.  A download-all body reads as one plain row
+    per coordinate, the symbols the server answers it with.  A block lane may
+    hold any byte over odd q: each row's lowest lane is its pool id's, with
+    coefficient 1, so elimination combines it before storing it, and
+    ``_combine`` reads every lane mod q.
+    """
+    if not payload:
+        raise wire.ProtocolFault("empty query body")
+    lane = lane_bits(q)
+    if payload[0] == wire.TABLE_QUERY_TAG:
         view = wire.parse_table_query(payload, n_coords, pool_size)
-        for pid in view.plain_ids:
-            row = [0] * width
-            row[pid] = 1
-            rows.append(row)
+        rows = [1 << pid * lane for pid in view.plain_ids]
         for terms, pid in view.sums:
-            row = [0] * width
-            row[pid] = 1
+            row = 1 << pid * lane
             for c in terms:
-                row[pool_size + c] = (row[pool_size + c] + 1) % q
+                shift = (pool_size + c) * lane
+                if q == 2:
+                    row ^= 1 << shift
+                else:  # raise lane c by 1 mod q
+                    v = row >> shift & 0xFF
+                    row += ((v + 1) % q - v) << shift
             rows.append(row)
-    elif tag == wire.BLOCK_QUERY_TAG:
-        for cr_id, length, vec in wire.parse_block_query(payload, q, n_coords, pool_size):
-            row = [0] * width
-            row[cr_id] = 1
-            for c, coeff in enumerate(unpack(vec, length, q)):
-                row[pool_size + c] = coeff % q
-            rows.append(row)
-    else:
-        raise ParamError(f"cannot derive coefficients for scheme tag {tag}")
-    return rows
+        return rows
+    if payload[0] == wire.BLOCK_QUERY_TAG:
+        entries = wire.parse_block_query(payload, q, n_coords, pool_size)
+        return [vec << pool_size * lane | 1 << pid * lane for pid, _, vec in entries]
+    if payload[0] == wire.DOWNLOAD_ALL_TAG:
+        wire.parse_download_all(payload)
+        return [1 << (pool_size + c) * lane for c in range(n_coords)]
+    raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
+
+
+def _combine(row: int, coeff: int, other: int, width: int, q: int) -> int:
+    """row + coeff * other over F_q, lane by lane; over F_2 (coeff 1) one XOR."""
+    if q == 2:
+        return row ^ other
+    return pack([(a + coeff * b) % q for a, b in zip(unpack(row, width, q), unpack(other, width, q))], q)
 
 
 def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int) -> frozenset[int]:
-    """Gaussian elimination over the full client view.
+    """The message coordinates the whole client view pins, by exact elimination.
 
-    Unknowns are every message coordinate and every pool symbol.  A message
-    coordinate is recoverable iff its indicator functional lies in the span
-    of rows that eliminate all pool unknowns (pool columns are ordered first,
-    so echelon rows pivoting past them carry no randomness).
+    Unknowns are every pool symbol and every message coordinate, one lane
+    each of a packed row, pool ids first.  Forward elimination keys each
+    basis row on its lowest nonzero lane, scaled to 1 there, so a row whose
+    pivot lies past the pool lanes carries no randomness.  Back-substitution
+    brings those pool-free rows to reduced form, and coordinate t is
+    recoverable iff its reduced row is exactly e_t.
     """
-    rows: list[list[int]] = []
-    for payload in wire_payloads:
-        rows.extend(_rows_from_wire(payload, n_coords, pool_size, q))
-
+    lane = lane_bits(q)
+    full = (1 << lane) - 1
     width = pool_size + n_coords
-    basis: list[list[int]] = []  # echelon rows, pivot column strictly increasing
-    pivots: list[int] = []
-    for row in rows:
-        row = row[:]
-        for b, pcol in zip(basis, pivots):
-            if row[pcol]:
-                factor = row[pcol] * pow(b[pcol], q - 2, q) % q
-                row = [(r - factor * bb) % q for r, bb in zip(row, b)]
-        lead = next((c for c in range(width) if row[c]), None)
-        if lead is None:
-            continue
-        ins = 0
-        while ins < len(pivots) and pivots[ins] < lead:
-            ins += 1
-        basis.insert(ins, row)
-        pivots.insert(ins, lead)
+    pivots: dict[int, int] = {}  # lowest nonzero lane -> basis row, coefficient 1 there
+    for payload in wire_payloads:
+        for row in _rows_from_wire(payload, n_coords, pool_size, q):
+            while row:
+                lead = ((row & -row).bit_length() - 1) // lane
+                coeff = row >> lead * lane & full
+                if lead not in pivots:
+                    pivots[lead] = _combine(0, pow(coeff, q - 2, q), row, width, q)
+                    break
+                row = _combine(row, q - coeff, pivots[lead], width, q)
 
-    msg_rows = [b for b, p in zip(basis, pivots) if p >= pool_size]
-    msg_pivots = [p - pool_size for p in pivots if p >= pool_size]
-    coord_rows = [r[pool_size:] for r in msg_rows]
-
-    recoverable = set()
-    for t in range(n_coords):
-        vec = [0] * n_coords
-        vec[t] = 1
-        for b, pcol in zip(coord_rows, msg_pivots):
-            if vec[pcol]:
-                factor = vec[pcol] * pow(b[pcol], q - 2, q) % q
-                vec = [(v - factor * bb) % q for v, bb in zip(vec, b)]
-        if not any(vec):
-            recoverable.add(t)
+    free = sorted((lead for lead in pivots if lead >= pool_size), reverse=True)
+    free_lanes = sum(full << lead * lane for lead in free)
+    reduced: dict[int, int] = {}  # pool-free rows, zero at every other pool-free pivot
+    recoverable = []
+    for lead in free:  # every pivot above this one is already reduced
+        row = pivots[lead]
+        hits = (row & free_lanes) ^ (1 << lead * lane)  # the other pool-free pivots the row still holds
+        while hits:
+            b = ((hits & -hits).bit_length() - 1) // lane
+            coeff = hits >> b * lane & full
+            hits ^= coeff << b * lane
+            row = _combine(row, q - coeff, reduced[b], width, q)
+        reduced[lead] = row
+        if row == 1 << lead * lane:
+            recoverable.append(lead - pool_size)
     return frozenset(recoverable)
 
 

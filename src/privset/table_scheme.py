@@ -28,10 +28,10 @@ these make the per-database view independent of which messages are desired.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
 from random import Random
 from typing import NamedTuple
@@ -137,24 +137,21 @@ def build_query_table(
         reps = repetition_factor(K, P, N, profile)
     if reps < 1:
         raise ParamError(f"the repetition count must be at least 1, got {reps}")
-    desired_set = set(desired)
+    is_desired = set(desired).__contains__
+    others = [[c for c in range(N) if c != db] for db in range(N)]  # each database's peers
 
     plain_slots: list[list[int]] = [[] for _ in range(N)]
     sums: list[list[SumSpec]] = [[] for _ in range(N)]
     msg_fresh = [0] * K
+    fresh_count = msg_fresh.__getitem__
     next_slot = 0
 
     # pure_supply[(consumer, subset)] -> deque of (origin db, position); each pure
     # sum is consumable once at each other database.
-    pure_supply: dict[tuple[int, tuple[int, ...]], deque] = {}
+    pure_supply: defaultdict[tuple[int, tuple[int, ...]], deque] = defaultdict(deque)
     # reuse[(consumer, msg)] -> deque of structural indices recovered at other
     # databases in earlier rounds, not yet reused at this one.
-    reuse: dict[tuple[int, int], deque] = {}
-
-    def take_fresh(msg: int) -> tuple[int, int]:
-        idx = msg_fresh[msg]
-        msg_fresh[msg] += 1
-        return (msg, idx)
+    reuse: defaultdict[tuple[int, int], deque] = defaultdict(deque)
 
     for k in range(1, K + 1):
         n_stages = reps * profile.alpha[k - 1]
@@ -162,7 +159,7 @@ def build_query_table(
             continue
 
         # Plainly served randomness for this round's all-desired sums.
-        plain_queue: dict[int, deque] = {db: deque() for db in range(N)}
+        plain_queue: list[deque] = [deque() for _ in range(N)]
         if k <= min(P, K - P):
             quota_num = reps * comb(P, k) * profile.alpha[k - 1]
             if quota_num % (N - 1):
@@ -173,43 +170,40 @@ def build_query_table(
             quota = quota_num // (N - 1)
             round_plain = []
             for db in range(N):
-                ids = []
-                for _ in range(quota):
-                    ids.append(next_slot)
-                    next_slot += 1
+                ids = range(next_slot, next_slot + quota)
+                next_slot += quota
                 plain_slots[db].extend(ids)
                 round_plain.append(ids)
             for consumer in range(N):
-                for m in range(N):
-                    if m != consumer:
-                        plain_queue[consumer].extend(round_plain[m])
+                for m in others[consumer]:
+                    plain_queue[consumer].extend(round_plain[m])
 
         round_fresh: list[tuple[int, int, int]] = []  # (origin db, msg, idx)
         # Each k-subset split into its desired and undesired members, once per round.
         splits = [
-            (subset, tuple(m for m in subset if m in desired_set), tuple(m for m in subset if m not in desired_set))
+            (subset, tuple(filter(is_desired, subset)), tuple(filterfalse(is_desired, subset)))
             for subset in combinations(range(K), k)
         ]
 
         for db in range(N):
+            db_sums, peers = sums[db], others[db]
             for _ in range(n_stages):
                 for subset, des, und in splits:
                     if not des:
                         # Pure sum: all fresh, hidden randomness.
-                        terms = tuple(take_fresh(m) for m in subset)
-                        slot = next_slot
+                        terms = tuple(zip(subset, map(fresh_count, subset)))
+                        for m in subset:
+                            msg_fresh[m] += 1
+                        for consumer in peers:
+                            pure_supply[consumer, subset].append((db, len(db_sums)))
+                        db_sums.append(SumSpec(k, terms, next_slot, CR_HIDDEN))
                         next_slot += 1
-                        spec = SumSpec(k, terms, slot, CR_HIDDEN)
-                        pos = len(sums[db])
-                        sums[db].append(spec)
-                        for consumer in range(N):
-                            if consumer != db:
-                                pure_supply.setdefault((consumer, subset), deque()).append((db, pos))
                         continue
 
-                    fresh_msg = min(des, key=lambda m: (msg_fresh[m], m))
-                    fresh = take_fresh(fresh_msg)
-                    round_fresh.append((db, fresh[0], fresh[1]))
+                    fresh_msg = min(des, key=fresh_count)  # fewest fresh symbols, then lowest index
+                    fresh = (fresh_msg, msg_fresh[fresh_msg])
+                    msg_fresh[fresh_msg] += 1
+                    round_fresh.append((db, fresh_msg, fresh[1]))
                     reused = []
                     for m in des:
                         if m == fresh_msg:
@@ -220,6 +214,7 @@ def build_query_table(
                                 f"no recovered symbol of message {m} available for reuse at database {db}"
                             )
                         reused.append((m, queue.popleft()))
+                    terms = [fresh, *reused]
                     if und:
                         supply = pure_supply.get((db, und))
                         if not supply:
@@ -228,10 +223,10 @@ def build_query_table(
                             )
                         origin, pos = supply.popleft()
                         ref_spec = sums[origin][pos]
-                        terms = tuple(sorted([fresh] + reused + list(ref_spec.terms)))
+                        terms += ref_spec.terms
+                        terms.sort()
                         spec = SumSpec(
-                            k, terms, ref_spec.cr_slot, CR_SIDEINFO,
-                            ref=(origin, pos), fresh=fresh, reused=tuple(reused),
+                            k, tuple(terms), ref_spec.cr_slot, CR_SIDEINFO, (origin, pos), fresh, tuple(reused)
                         )
                     else:
                         queue = plain_queue[db]
@@ -239,20 +234,15 @@ def build_query_table(
                             raise ProtocolFault(
                                 f"no plainly served randomness left for database {db} in round {k}"
                             )
-                        slot = queue.popleft()
-                        terms = tuple(sorted([fresh] + reused))
-                        spec = SumSpec(
-                            k, terms, slot, CR_DOWNLOADED,
-                            fresh=fresh, reused=tuple(reused),
-                        )
-                    sums[db].append(spec)
+                        terms.sort()
+                        spec = SumSpec(k, tuple(terms), queue.popleft(), CR_DOWNLOADED, None, fresh, tuple(reused))
+                    db_sums.append(spec)
 
         # Symbols recovered this round become reusable side information at the
         # other databases from the next round on.
         for origin, msg, idx in round_fresh:
-            for consumer in range(N):
-                if consumer != origin:
-                    reuse.setdefault((consumer, msg), deque()).append(idx)
+            for consumer in others[origin]:
+                reuse[consumer, msg].append(idx)
 
     L_store = max(msg_fresh)
     pool_size = next_slot

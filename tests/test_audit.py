@@ -5,9 +5,12 @@ from math import factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privset import audit, block_scheme, table_scheme, wire
-from privset.params import SchemeParams, lspir_cost
+from privset import audit, block_scheme, field, table_scheme, wire
+from privset.field import unpack
+from privset.params import ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 
 
@@ -125,7 +128,8 @@ def enumerated_block_db_groups(params, mutant):
 def read_block_user_dists(params, mutant):
     """The audit's labelled distributions with every label mapped back to its
     literal atom (body, answer, W, S); the answer is computed here afresh."""
-    dists, bodies = audit._block_user_dists(params, mutant)
+    sets = list(audit._block_user_dists(params, mutant))
+    dists, bodies = [per_db for per_db, _ in sets], list(sets[-1][1])
     realizations = block_realizations(params, mutant)
 
     def atom(label):
@@ -203,6 +207,137 @@ def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
         assert verdict(params)
         assert len(parsed) == len(set(parsed)) == 64
         assert len(evaluated) == 2048 and len(set(evaluated)) == 64
+
+
+# The dense elimination the packed kernel in ``audit.recoverable_coordinates``
+# replaced, kept as its oracle: one list of pool_size + n_coords coefficients
+# per row, and a fresh unit vector re-reduced for every coordinate.
+
+
+def dense_rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
+    """Coefficient rows over [pool ids | message coordinates] for one query payload,
+    parsed with the server's bounds, so a payload the server refuses raises ProtocolFault."""
+    tag = payload[0]
+    width = pool_size + n_coords
+    rows: list[list[int]] = []
+    if tag == wire.TABLE_QUERY_TAG:
+        view = wire.parse_table_query(payload, n_coords, pool_size)
+        for pid in view.plain_ids:
+            row = [0] * width
+            row[pid] = 1
+            rows.append(row)
+        for terms, pid in view.sums:
+            row = [0] * width
+            row[pid] = 1
+            for c in terms:
+                row[pool_size + c] = (row[pool_size + c] + 1) % q
+            rows.append(row)
+    elif tag == wire.BLOCK_QUERY_TAG:
+        for cr_id, length, vec in wire.parse_block_query(payload, q, n_coords, pool_size):
+            row = [0] * width
+            row[cr_id] = 1
+            for c, coeff in enumerate(unpack(vec, length, q)):
+                row[pool_size + c] = coeff % q
+            rows.append(row)
+    else:
+        raise ParamError(f"cannot derive coefficients for scheme tag {tag}")
+    return rows
+
+
+def dense_recoverable_coordinates(
+    wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int
+) -> frozenset[int]:
+    """Gaussian elimination over the full client view.
+
+    Unknowns are every message coordinate and every pool symbol.  A message
+    coordinate is recoverable iff its indicator functional lies in the span
+    of rows that eliminate all pool unknowns (pool columns are ordered first,
+    so echelon rows pivoting past them carry no randomness).
+    """
+    rows: list[list[int]] = []
+    for payload in wire_payloads:
+        rows.extend(dense_rows_from_wire(payload, n_coords, pool_size, q))
+
+    width = pool_size + n_coords
+    basis: list[list[int]] = []  # echelon rows, pivot column strictly increasing
+    pivots: list[int] = []
+    for row in rows:
+        row = row[:]
+        for b, pcol in zip(basis, pivots):
+            if row[pcol]:
+                factor = row[pcol] * pow(b[pcol], q - 2, q) % q
+                row = [(r - factor * bb) % q for r, bb in zip(row, b)]
+        lead = next((c for c in range(width) if row[c]), None)
+        if lead is None:
+            continue
+        ins = 0
+        while ins < len(pivots) and pivots[ins] < lead:
+            ins += 1
+        basis.insert(ins, row)
+        pivots.insert(ins, lead)
+
+    msg_rows = [b for b, p in zip(basis, pivots) if p >= pool_size]
+    msg_pivots = [p - pool_size for p in pivots if p >= pool_size]
+    coord_rows = [r[pool_size:] for r in msg_rows]
+
+    recoverable = set()
+    for t in range(n_coords):
+        vec = [0] * n_coords
+        vec[t] = 1
+        for b, pcol in zip(coord_rows, msg_pivots):
+            if vec[pcol]:
+                factor = vec[pcol] * pow(b[pcol], q - 2, q) % q
+                vec = [(v - factor * bb) % q for v, bb in zip(vec, b)]
+        if not any(vec):
+            recoverable.add(t)
+    return frozenset(recoverable)
+
+
+def oracle_views():
+    """(name, payloads, n_coords, pool_size, q, hidden pool ids) of seeded honest runs."""
+    for K, P, N, q, reps in ((3, 1, 2, 2, None), (3, 1, 3, 2, None), (5, 3, 2, 2, 1), (3, 1, 2, 3, None)):
+        params = SchemeParams(K=K, P=P, N=N, q=q)
+        table = table_scheme.build_query_table(params, tuple(range(P)), Random(3), reps=reps)
+        name = f"table K{K}P{P}N{N}q{q}" + (f" reps={reps}" if reps else "")
+        yield name, table.wire_queries(), K * table.L_store, table.pool_size, q, audit._hidden_ids(table)
+    for K, P, N, L, q, desired in ((64, 8, 3, 1, 2, tuple(range(3, 64, 8))), (4, 2, 3, 2, 5, (1, 2))):
+        plan = block_scheme.plan_blocks(SchemeParams(K=K, P=P, N=N, L=L, q=q), desired, Random(3))
+        n_blocks = plan.pool_size_required()
+        yield f"block K{K}P{P}N{N}L{L}q{q}", plan.wire_queries(), K * L, n_blocks, q, list(range(n_blocks))
+
+
+ORACLE_VIEWS = {name: view for name, *view in oracle_views()}
+
+
+@pytest.mark.parametrize("name", ORACLE_VIEWS)
+def test_packed_elimination_matches_the_dense_oracle(name):
+    payloads, n_coords, pool_size, q, hidden = ORACLE_VIEWS[name]
+    honest = audit.recoverable_coordinates(payloads, n_coords, pool_size, q)
+    assert honest == dense_recoverable_coordinates(payloads, n_coords, pool_size, q)
+    revealed = payloads + [wire.encode_table_query(hidden, [])]  # every hidden symbol as a plain download
+    leaked = audit.recoverable_coordinates(revealed, n_coords, pool_size, q)
+    assert leaked == dense_recoverable_coordinates(revealed, n_coords, pool_size, q)
+    assert honest <= leaked
+
+
+@pytest.mark.parametrize("name", ORACLE_VIEWS)
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name, data):
+    payloads, n_coords, pool_size, q, _ = ORACLE_VIEWS[name]
+    # sparse vectors pin single coordinates once their masks cancel; any byte
+    # is a legal lane over odd q, read mod q
+    sparse = st.lists(st.integers(0, n_coords - 1), max_size=3).map(
+        lambda coords: field.pack([coords.count(c) for c in range(n_coords)], q)
+    )
+    dense = st.lists(st.integers(0, 1 if q == 2 else 255), min_size=n_coords, max_size=n_coords).map(
+        lambda coeffs: field.pack(coeffs, q)
+    )
+    entries = st.tuples(st.integers(0, pool_size - 1), st.just(n_coords), sparse | dense)
+    bodies = data.draw(st.lists(st.lists(entries, min_size=1, max_size=3), max_size=4))
+    extra = [wire.encode_block_query(body, q) for body in bodies]
+    got = audit.recoverable_coordinates(payloads + extra, n_coords, pool_size, q)
+    assert got == dense_recoverable_coordinates(payloads + extra, n_coords, pool_size, q)
 
 
 class TestTableUserPrivacy:
@@ -377,6 +512,16 @@ class TestSymbolicLeakage:
         )
         leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2)
         assert leaked == frozenset({0, 1})
+
+    def test_empty_payload_is_a_protocol_fault(self):
+        with pytest.raises(wire.ProtocolFault, match="empty query body"):
+            audit.recoverable_coordinates([b""], 3, 2, 2)
+        with pytest.raises(wire.ProtocolFault, match="unknown scheme tag 9"):  # as the server refuses it
+            audit.recoverable_coordinates([b"\x09"], 3, 2, 2)
+
+    def test_download_all_reads_as_every_coordinate(self):
+        # the server answers download-all with every stored symbol and no pool symbol
+        assert audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2) == frozenset({0, 1, 2})
 
     def test_refuses_what_the_server_refuses(self):
         # n_coords 3 over a 2-slot pool: a pool id far past the pool, a plain

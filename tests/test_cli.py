@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import socket
@@ -492,6 +493,45 @@ def test_paper_n3_table_audit_passes(capsys):
             capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3", "--mutant", mutant
         )
         assert code == EXIT_AUDIT
+
+
+# SHA-256 of ``privset audit --machine`` stdout.  Each verdict's ok, distance
+# and detail are fixed by the scheme and the audit's arithmetic, so a change
+# that only speeds an audit up leaves every value here as it is.
+GOLDEN_AUDIT_DIGESTS = {
+    "table K=3 P=1 N=2": "4fc6925092cb95ecbeb1ab8846bcdb2abc78ea5e66c1d9dda13927679398dbde",
+    "table K=3 P=1 N=3": "4fc6925092cb95ecbeb1ab8846bcdb2abc78ea5e66c1d9dda13927679398dbde",
+    "table K=3 P=1 N=3 no_index_permutation": "23310c4b26462c33334a4728b1b4dfa6932e64ae71fcf8ba0132fb18a2965832",
+    "table K=3 P=1 N=3 no_pool_relabel": "a4857ab560076473bc7d19f9ed5193dda81333186ce5c0f01d080a6f52cf1cdc",
+    "table K=3 P=1 N=3 no_hidden_cr": "9f605b78f0990310032b5a6a5b782e9df0ad64c962f6b0d31d37780966821135",
+    "block K=3 P=1 N=2": "ccfadc05277000786e9c52130b162fd9a8bbf66332d673b5a5d039f535f40290",
+    "block K=3 P=1 N=2 no_base_mask": "e65b921781480a781a8fd9184ddb7758d893b8a6f152baa74c16b85e7328e1b5",
+    "block K=3 P=1 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
+    "block K=3 P=2 N=2": "f117b53fa6cd5f21d3dc91d14b2fedf0516239d937abe9499511aa4b2e8db3f3",
+    "block K=3 P=2 N=2 no_base_mask": "c2cb816933b4f013f2b5eeaacb7b0b7f4e1e517fc3f2299e52f88126f07f6f3b",
+    "block K=3 P=2 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
+}
+
+
+def audit_cases():
+    """(name, argv, mutant) of each pinned ``audit --machine`` run."""
+    cases = [("table", 1, N, None) for N in (2, 3)]
+    cases += [("table", 1, 3, m) for m in ("no_index_permutation", "no_pool_relabel", "no_hidden_cr")]
+    cases += [("block", P, 2, m) for P in (1, 2) for m in (None, "no_base_mask", "no_cr")]
+    for scheme, P, N, mutant in cases:
+        argv = ["--scheme", scheme, "--K", "3", "--P", str(P), "--N", str(N)]
+        if mutant is not None:
+            argv += ["--mutant", mutant]
+        yield " ".join([scheme, f"K=3 P={P} N={N}"] + ([mutant] if mutant else [])), argv, mutant
+
+
+def test_audit_machine_output_matches_the_golden_digests(capsys):
+    got = {}
+    for name, argv, mutant in audit_cases():
+        code, out, _ = run_cli(capsys, "audit", *argv, "--machine")
+        assert code == (EXIT_OK if mutant is None else EXIT_AUDIT), name
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GOLDEN_AUDIT_DIGESTS
 
 
 def test_reliability_audit_without_trials_is_a_usage_error(capsys):

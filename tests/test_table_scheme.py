@@ -1,10 +1,11 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from privset.params import ParamError, SchemeParams, cost_ledger
+from privset.params import ParamError, SchemeParams, alpha_profile, cost_ledger, repetition_factor
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
     CR_DOWNLOADED,
@@ -251,3 +252,30 @@ def test_render_text_layout():
     assert any("+s" in line for line in body)
     col0 = [line.split("|")[0].strip() for line in body]
     assert "" in col0
+
+
+# SHA-256 over every criterion-4 grid cell with at most 20,000 predicted
+# downloads (61 cells), built with that criterion's seed: each cell's
+# (L_store, pool_size, msg_fresh, plain_slots, sums, msg_perm, pool_perm) and
+# wire bytes.  A change to the builder that keeps its output keeps this value.
+GOLDEN_BUILD_DIGEST = "9370ef7e91ddad0e6e1379e3e10d8c0f915c19604a670d81f904e27d1d47bbd8"
+
+
+def test_grid_builds_match_the_golden_digest():
+    from test_acceptance import GRID
+
+    h, cells = hashlib.sha256(), 0
+    for K, P, N in GRID:
+        profile = alpha_profile(K, P, N)
+        ledger = cost_ledger(K, P, N, profile)
+        predicted = repetition_factor(K, P, N, profile) * profile.scale * N * (ledger.D1 + ledger.D2)
+        if predicted > 20_000:
+            continue
+        table = build_query_table(SchemeParams(K=K, P=P, N=N), tuple(range(P)), Random(K * 100 + P * 10 + N))
+        sums = [[tuple(spec) for spec in db_sums] for db_sums in table.sums]
+        fields = (table.L_store, table.pool_size, table.msg_fresh, table.plain_slots, sums)
+        h.update(repr(fields + (table.msg_perm, table.pool_perm)).encode())
+        h.update(b"".join(table.wire_queries()))
+        cells += 1
+    assert cells == 61
+    assert h.hexdigest() == GOLDEN_BUILD_DIGEST
