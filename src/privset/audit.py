@@ -16,15 +16,15 @@ integer atom counts and a distance is one exact ``Fraction``.
 The linear one-round scheme is small enough to enumerate outright: every
 strategy draw, message realization and randomness realization is an atom of
 the joint distributions compared.  Each distinct query body is parsed once
-per audit call and evaluated in every (message, randomness) realization by
-the server's own evaluator; its atoms are weighted by the number of strategy
-draws that emit it, so the distributions are the ones a literal visit of
-every atom would count.  Atoms and views are counted by integer labels, not
-by nested tuples: with R realizations, the atom (body, answer, W, S) of the
-b-th distinct body in realization r is label b*R + r, and a body's answer in
-realization r is labelled by the first realization giving the same answer,
-so a strategy draw's view is its tuple of per-database answer labels.  Both
-labellings are one to one, so every count is the literal one.
+per audit call with the server's bounds.  A database's answer is a function
+of (Q_n, W, S), and (W, S) is uniform and independent of the strategy draw,
+so the user-privacy distance over atoms (Q_n, A_n, W, S) is exactly the
+distance between the per-database counts of strategy draws per body; that
+audit evaluates no answer.  The database-privacy audit answers each body
+once per (W, S) realization with the server's own evaluator and labels the
+answer in realization r by the first realization giving the same answer, so
+a strategy draw's view is its tuple of per-database answer labels, one to
+one with its answers.
 
 The query-table scheme's strategy space (one permutation per message plus a
 pool relabeling) is astronomically large, so its user-privacy audit is
@@ -53,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product, repeat
+from itertools import combinations, permutations, product, repeat
 from math import comb, factorial
 from operator import sub
 from random import Random
@@ -144,19 +144,20 @@ def _uniform_posteriors(pairs: Counter, n_values: int) -> bool:
 
 BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
 BLOCK_MUTANT_NO_CR = "no_cr"
+_BLOCK_MUTANTS = (BLOCK_MUTANT_NO_BASE_MASK, BLOCK_MUTANT_NO_CR)
+
+
+def _check_block_mutant(mutant: str | None) -> None:
+    if mutant is not None and mutant not in _BLOCK_MUTANTS:
+        raise ParamError(f"unknown block mutant {mutant!r}")
 
 
 def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_scheme.BlockPlan:
-    if mutant is None:
-        return plan
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
         lane = lane_bits(plan.params.q)
         for qs in plan.queries:  # each probe becomes the bare unit vector of its coordinate
             qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=1 << (bq.probe_coord * lane)) for bq in qs]
-        return plan
-    if mutant == BLOCK_MUTANT_NO_CR:
-        return plan  # handled at pool construction
-    raise ParamError(f"unknown block mutant {mutant!r}")
+    return plan  # no_cr is handled at pool construction
 
 
 def _block_pool(params: SchemeParams, symbols: tuple[int, ...], mutant: str | None) -> CommonRandomnessPool:
@@ -165,11 +166,16 @@ def _block_pool(params: SchemeParams, symbols: tuple[int, ...], mutant: str | No
     return CommonRandomnessPool(params.q, list(symbols))
 
 
+def _block_draws_count(params: SchemeParams) -> int:
+    """Equally likely strategy draws of one desired set: a shuffle and one base vector per block."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    return factorial(P * L) * q ** (lspir_cost(P, N, L)[1] * K * L)
+
+
 def _block_atoms(params: SchemeParams) -> int:
     """Equally likely (strategy, messages, randomness) atoms of one desired set."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
-    return factorial(P * L) * q ** (n_blocks * K * L) * q ** (K * L) * q**n_blocks
+    return _block_draws_count(params) * q ** (K * L + lspir_cost(P, N, L)[1])
 
 
 def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
@@ -183,70 +189,40 @@ def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | N
         yield tuple(_block_mutate(plan, mutant).wire_queries())
 
 
-def _block_answerer(params: SchemeParams, mutant: str | None):
-    """Every (W, S) realization, and a function giving a wire body's answer in each.
+def _block_user_dists(params: SchemeParams, mutant: str | None):
+    """Per desired set in turn: each database's count of the strategy draws
+    emitting each query body.
 
-    A body is parsed once and evaluated once per realization however many
-    strategy draws emit it; the cache lives only as long as the audit call
-    that built it.
+    Each distinct body is parsed once, with the server's bounds, so a body the
+    server would refuse raises ProtocolFault; no answer is evaluated.  A
+    desired set's counts are yielded without being kept.
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
     n_blocks = lspir_cost(P, N, L)[1]
-    pools = [(s, _block_pool(params, s, mutant)) for s in product(range(q), repeat=n_blocks)]
-    realizations = [(w_flat, s_vals, store, pool) for w_flat, store in stores for s_vals, pool in pools]
-    cache: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-
-    def answers(body: bytes) -> tuple[tuple[int, ...], ...]:
-        if body not in cache:  # parsed as the server parses it, so a body it would refuse raises here
-            entries = wire.parse_block_query(body, q, K * L, n_blocks)
-            cache[body] = tuple(tuple(block_scheme.answer_entries(entries, st, pl)) for _, _, st, pl in realizations)
-        return cache[body]
-
-    return realizations, answers
-
-
-def _block_user_dists(params: SchemeParams, mutant: str | None):
-    """Per desired set in turn: the per-database atom counts of (Q_n, A_n, W, S)
-    by integer label, and the labelled bodies so far (body -> its labels), in
-    label order.
-
-    The first time a body is emitted it is answered in all R realizations and
-    gets the labels b*R .. b*R + R - 1, b its place in label order: label
-    b*R + r stands for the atom (body, its answer in realization r, W_r, S_r).
-    Each label counts the strategy draws that emit its body there.  A desired
-    set's counts are yielded without being kept, so only the ones the caller
-    holds stay alive.
-    """
-    realizations, answers = _block_answerer(params, mutant)
-    R = len(realizations)
-    labels: dict[bytes, tuple[int, ...]] = {}  # body -> its run of R labels, shared by every Counter
-
-    def counted(bodies: tuple[bytes, ...]) -> Counter:
-        draws = Counter(bodies)
-        for body in draws:
-            if body not in labels:
-                answers(body)  # parsed and evaluated as the server would, so a body it refuses raises
-                labels[body] = tuple(range(len(labels) * R, (len(labels) + 1) * R))
-        return Counter(dict(chain.from_iterable(zip(labels[body], repeat(n)) for body, n in draws.items())))
-
-    for desired in combinations(range(params.K), params.P):
-        yield [counted(bodies) for bodies in zip(*_block_draws(params, desired, mutant))], labels
+    parsed: set[bytes] = set()
+    for desired in combinations(range(K), P):
+        counts = [Counter(bodies) for bodies in zip(*_block_draws(params, desired, mutant))]
+        for body in set().union(*counts) - parsed:
+            wire.parse_block_query(body, q, K * L, n_blocks)
+            parsed.add(body)
+        yield counts
 
 
 def audit_block_user_privacy(
     params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
-    """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets."""
-    atoms = _block_atoms(params)
-    _check_budget(comb(params.K, params.P) * atoms, budget)  # every desired set is enumerated
+    """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets.
+
+    A_n is a function of (Q_n, W, S), and (W, S) is uniform and independent
+    of the strategy draw, so the distance over full atoms is exactly the
+    distance between the per-database query-body distributions.
+    """
+    _check_block_mutant(mutant)
+    _check_budget(comb(params.K, params.P) * _block_atoms(params), budget)  # every desired set is enumerated
+    draws = _block_draws_count(params)
     sets = _block_user_dists(params, mutant)
-    first, _ = next(sets)
-
-    def distance(dists_and_labels) -> Fraction:  # drops the set's counts on return, before the next is built
-        return max(map(total_variation, first, dists_and_labels[0], repeat(atoms)))
-
-    worst = max(map(distance, sets), default=Fraction(0))
+    first = next(sets)
+    worst = max((d for counts in sets for d in map(total_variation, first, counts, repeat(draws))), default=Fraction(0))
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
@@ -254,20 +230,32 @@ def _block_db_views(params: SchemeParams, mutant: str | None):
     """Per strategy draw of desired set (0..P-1): its wires and the counts of
     (answer labels, undesired symbols) over every (W, S) realization.
 
-    A body's answer label in realization r is the first realization whose
-    answer equals it, so the labels of a strategy draw name its per-database
-    answers one to one and, with its wires, the querying side's view.
+    Realizations run messages outer, randomness inner.  Each distinct body is
+    parsed once, with the server's bounds, and answered once per realization
+    by the server's evaluator.  Its answer label in realization r is the first
+    realization whose answer equals it, so the labels of a strategy draw name
+    its per-database answers one to one and, with its wires, the querying
+    side's view.
     """
-    K, P, L = params.K, params.P, params.L
-    undesired_coords = [m * L + s for m in range(P, K) for s in range(L)]
-    realizations, answers = _block_answerer(params, mutant)
-    undesired = [tuple(w_flat[c] for c in undesired_coords) for w_flat, _, _, _ in realizations]
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    pools = [_block_pool(params, s, mutant) for s in product(range(q), repeat=n_blocks)]
+    realizations = [
+        (w_flat[P * L :], MessageStore(q, L, bytes(w_flat)), pool)
+        for w_flat in product(range(q), repeat=K * L)
+        for pool in pools
+    ]
+    undesired = [symbols for symbols, _, _ in realizations]
     codes: dict[bytes, list[int]] = {}  # body -> its answer label in each realization
 
     def labelled(body: bytes) -> list[int]:
-        if body not in codes:
+        if body not in codes:  # parsed as the server parses it, so a body it would refuse raises here
+            entries = wire.parse_block_query(body, q, K * L, n_blocks)
             first: dict[tuple[int, ...], int] = {}
-            codes[body] = [first.setdefault(a, r) for r, a in enumerate(answers(body))]
+            codes[body] = [
+                first.setdefault(tuple(block_scheme.answer_entries(entries, store, pool)), r)
+                for r, (_, store, pool) in enumerate(realizations)
+            ]
         return codes[body]
 
     for wires in _block_draws(params, tuple(range(P)), mutant):
@@ -279,6 +267,7 @@ def audit_block_db_privacy(
 ) -> Verdict:
     """Posterior of the undesired symbols given the querying side's whole view
     must equal the uniform prior, for every view of nonzero probability."""
+    _check_block_mutant(mutant)
     _check_budget(_block_atoms(params), budget)
     n_values = params.q ** ((params.K - params.P) * params.L)
     uniform, n_views = True, 0

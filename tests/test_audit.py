@@ -126,20 +126,19 @@ def enumerated_block_db_groups(params, mutant):
 
 
 def read_block_user_dists(params, mutant):
-    """The audit's labelled distributions with every label mapped back to its
-    literal atom (body, answer, W, S); the answer is computed here afresh."""
-    sets = list(audit._block_user_dists(params, mutant))
-    dists, bodies = [per_db for per_db, _ in sets], list(sets[-1][1])
+    """The audit's per-database body counts with each body crossed with every
+    (W, S) realization into its literal atoms (body, answer, W, S); the answer
+    is computed here afresh."""
     realizations = block_realizations(params, mutant)
-
-    def atom(label):
-        body = bodies[label // len(realizations)]
-        w_flat, s_vals, store, pool = realizations[label % len(realizations)]
-        return body, tuple(block_scheme.answer_wire_query(body, store, pool)), w_flat, s_vals
-
-    read = [[Counter({atom(label): n for label, n in dist.items()}) for dist in per_db] for per_db in dists]
-    # no two labels name one atom
-    assert [list(map(len, per_db)) for per_db in read] == [list(map(len, per_db)) for per_db in dists]
+    read = []
+    for per_db in audit._block_user_dists(params, mutant):
+        read.append([])
+        for dist in per_db:
+            atoms = Counter()
+            for (body, n), (w_flat, s_vals, store, pool) in product(dist.items(), realizations):
+                atoms[body, tuple(block_scheme.answer_wire_query(body, store, pool)), w_flat, s_vals] += n
+            assert len(atoms) == len(dist) * len(realizations)  # no two (body, W, S) name one atom
+            read[-1].append(atoms)
     return read
 
 
@@ -198,15 +197,27 @@ def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
     monkeypatch.setattr(wire, "parse_block_query", counted_parse)
     monkeypatch.setattr(block_scheme, "answer_entries", counted_evaluate)
     params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
-    # 64 distinct bodies, each parsed once and evaluated in the 8 message x 4
-    # randomness realizations; answering every run afresh takes 3 x 128 x 32 x 2
-    # and 128 x 32 x 2 evaluations, each after a parse of its own
-    for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
+    # 64 distinct bodies, each parsed once.  User privacy compares body counts
+    # and evaluates none; db privacy evaluates each body in the 8 message x 4
+    # randomness realizations.  Answering every run afresh takes 3 x 128 x 32
+    # x 2 and 128 x 32 x 2 evaluations, each after a parse of its own.
+    for verdict, n_evaluated in ((audit.audit_block_user_privacy, 0), (audit.audit_block_db_privacy, 2048)):
         parsed.clear()
         evaluated.clear()
         assert verdict(params)
         assert len(parsed) == len(set(parsed)) == 64
-        assert len(evaluated) == 2048 and len(set(evaluated)) == 64
+        assert len(evaluated) == n_evaluated and len(set(evaluated)) == min(n_evaluated, 64)
+
+
+def test_block_audits_refuse_a_body_the_server_refuses(monkeypatch):
+    def out_of_pool(plan, db):  # every entry names slot n_blocks, one past the provisioned pool
+        KL, q = plan.params.K * plan.params.L, plan.params.q
+        return wire.encode_block_query([(plan.n_blocks, KL, bq.vector) for bq in plan.queries[db]], q)
+
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", out_of_pool)
+    for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
+        with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
+            verdict(SchemeParams(K=3, P=1, N=2, L=1, q=2))
 
 
 # The dense elimination the packed kernel in ``audit.recoverable_coordinates``

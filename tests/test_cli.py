@@ -559,6 +559,16 @@ def test_table_audit_rejects_block_mutants(capsys):
         assert "unknown table mutant" in err and out == ""
 
 
+def test_block_audit_rejects_table_mutants(capsys):
+    # K=6 P=2 N=2 is over the atom budget: the mutant is refused before the budget is checked
+    for K, P, mutant in ((3, 1, "no_index_permutation"), (3, 1, "no_hidden_cr"), (6, 2, "bogus")):
+        code, out, err = run_cli(
+            capsys, "audit", "--scheme", "block", "--K", str(K), "--P", str(P), "--N", "2", "--mutant", mutant
+        )
+        assert code == EXIT_USAGE
+        assert "unknown block mutant" in err and out == ""
+
+
 def test_table_run_executes_and_decodes(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--K", "3", "--P", "1", "--N", "3",
