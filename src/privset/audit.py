@@ -6,25 +6,20 @@ Three kinds of checks, all in exact arithmetic (zero means zero):
 * user privacy: the view of each single database - query, answer, messages,
   shared randomness - has identical distribution whichever messages are
   desired;
-* database privacy: the querying side's whole view leaves the posterior of
-  every undesired symbol exactly uniform.
+* database privacy: the querying side's whole view and all undesired
+  messages together have zero mutual information.
 
 Every enumerated atom (a strategy draw, message realization and randomness
 realization) is equally likely, so a distribution is a ``Counter`` of
 integer atom counts and a distance is one exact ``Fraction``.
 
-The linear one-round scheme is small enough to enumerate outright: every
-strategy draw, message realization and randomness realization is an atom of
-the joint distributions compared.  Each distinct query body is parsed once
-per audit call with the server's bounds.  A database's answer is a function
-of (Q_n, W, S), and (W, S) is uniform and independent of the strategy draw,
-so the user-privacy distance over atoms (Q_n, A_n, W, S) is exactly the
-distance between the per-database counts of strategy draws per body; that
-audit evaluates no answer.  The database-privacy audit answers each body
-once per (W, S) realization with the server's own evaluator and labels the
-answer in realization r by the first realization giving the same answer, so
-a strategy draw's view is its tuple of per-database answer labels, one to
-one with its answers.
+The linear one-round scheme's user-privacy audit enumerates every strategy
+draw of every desired set.  A database's answer is a function of
+(Q_n, W, S), and (W, S) is uniform and independent of the strategy draw, so
+the distance over atoms (Q_n, A_n, W, S) is exactly the distance between the
+per-database counts of strategy draws per body.  Each distinct body is
+parsed once per audit call with the server's bounds, and no answer is
+evaluated.
 
 The query-table scheme's strategy space (one permutation per message plus a
 pool relabeling) is astronomically large, so its user-privacy audit is
@@ -32,17 +27,22 @@ factored: the factorization premises (identical skeletons across desired
 sets, distinct indices within each structure, the emitted query being the
 component draw applied to a fixed pattern, queries independent of messages
 and randomness) are verified mechanically, and the first two give every
-component's distance in closed form, so nothing is enumerated.  Database
-privacy for instances too large to enumerate uses exact Gaussian
-elimination over the wire coefficient matrix: for a linear scheme the
-posterior is uniform on the complement of the recoverable span, so
-posterior-equals-prior is equivalent to the span containing no undesired
-coordinate functional.  Each wire row is one packed int in
+component's distance in closed form, so nothing is enumerated.
+
+Database privacy, for both schemes, is exact Gaussian elimination over the
+wire coefficient matrix of one strategy draw at a time: every draw of the
+linear scheme, sampled draws of the table scheme.  For a linear scheme with
+uniform W and S, the view is independent of the undesired messages jointly
+iff the message span it pins, once the pool symbols are eliminated, meets
+the undesired coordinates only in 0, since the fibers of a linear map all
+have one size (the argument of Sun & Jafar, *The Capacity of Symmetric
+Private Information Retrieval*).  Each wire row is one packed int in
 ``field.lane_bits(q)`` lanes, pool ids first and message coordinates after
-them, so a row operation is one XOR over F_2.  Rows are eliminated on their
-lowest nonzero lane; the rows left without a pool lane are brought to
-reduced form, and a coordinate is recoverable iff its reduced row is its
-unit vector.
+them, so a row operation is one XOR over F_2.  Rows are keyed on their
+first nonzero lane in the order pool, desired coordinates, undesired
+coordinates, so the rows keyed on undesired lanes span that meet; the rows
+left without a pool lane are brought to reduced form, and a coordinate is
+pinned outright iff its reduced row is its unit vector.
 
 Mutated schemes (negative controls) are first-class: an audit that cannot
 fail them is itself broken, and the test suite insists they fail.
@@ -57,6 +57,7 @@ from itertools import combinations, permutations, product, repeat
 from math import comb, factorial
 from operator import sub
 from random import Random
+from typing import NamedTuple
 
 from . import block_scheme, table_scheme, wire
 from .field import lane_bits, pack, unpack
@@ -83,12 +84,13 @@ class Verdict:
 
 @dataclass
 class LeakageReport:
-    recoverable: frozenset[int]
-    expected: frozenset[int]
+    recoverable: frozenset[int]  # the coordinates the view pins outright
+    expected: frozenset[int]  # the coordinates the run retrieves
+    undesired: tuple[int, ...]  # ``PinnedSpan.undesired``: what the view pins of undesired messages
 
     @property
     def ok(self) -> bool:
-        return self.recoverable == self.expected
+        return self.recoverable == self.expected and not self.undesired
 
 
 class _ScriptedRandom:
@@ -130,16 +132,8 @@ def total_variation(p: Counter, q: Counter, atoms: int) -> Fraction:
     return Fraction(sum(map(abs, map(sub, map(p.__getitem__, keys), map(q.__getitem__, keys)))), 2 * atoms)
 
 
-def _uniform_posteriors(pairs: Counter, n_values: int) -> bool:
-    """True iff, in counts of (view, undesired value) pairs, every view covers
-    all ``n_values`` undesired values equally often."""
-    views = [view for view, _ in pairs]
-    spread = Counter(views)  # distinct undesired values seen with each view
-    return set(spread.values()) == {n_values} and len(set(zip(views, pairs.values()))) == len(spread)
-
-
 # ---------------------------------------------------------------------------
-# Linear (block) scheme: full enumeration
+# Linear (block) scheme: every strategy draw
 # ---------------------------------------------------------------------------
 
 BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
@@ -157,13 +151,7 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
         lane = lane_bits(plan.params.q)
         for qs in plan.queries:  # each probe becomes the bare unit vector of its coordinate
             qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=1 << (bq.probe_coord * lane)) for bq in qs]
-    return plan  # no_cr is handled at pool construction
-
-
-def _block_pool(params: SchemeParams, symbols: tuple[int, ...], mutant: str | None) -> CommonRandomnessPool:
-    if mutant == BLOCK_MUTANT_NO_CR:
-        symbols = tuple(0 for _ in symbols)
-    return CommonRandomnessPool(params.q, list(symbols))
+    return plan  # no_cr changes no query: the database-privacy audit makes the pool public
 
 
 def _block_draws_count(params: SchemeParams) -> int:
@@ -226,54 +214,38 @@ def audit_block_user_privacy(
     return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
 
 
-def _block_db_views(params: SchemeParams, mutant: str | None):
-    """Per strategy draw of desired set (0..P-1): its wires and the counts of
-    (answer labels, undesired symbols) over every (W, S) realization.
-
-    Realizations run messages outer, randomness inner.  Each distinct body is
-    parsed once, with the server's bounds, and answered once per realization
-    by the server's evaluator.  Its answer label in realization r is the first
-    realization whose answer equals it, so the labels of a strategy draw name
-    its per-database answers one to one and, with its wires, the querying
-    side's view.
-    """
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
-    pools = [_block_pool(params, s, mutant) for s in product(range(q), repeat=n_blocks)]
-    realizations = [
-        (w_flat[P * L :], MessageStore(q, L, bytes(w_flat)), pool)
-        for w_flat in product(range(q), repeat=K * L)
-        for pool in pools
-    ]
-    undesired = [symbols for symbols, _, _ in realizations]
-    codes: dict[bytes, list[int]] = {}  # body -> its answer label in each realization
-
-    def labelled(body: bytes) -> list[int]:
-        if body not in codes:  # parsed as the server parses it, so a body it would refuse raises here
-            entries = wire.parse_block_query(body, q, K * L, n_blocks)
-            first: dict[tuple[int, ...], int] = {}
-            codes[body] = [
-                first.setdefault(tuple(block_scheme.answer_entries(entries, store, pool)), r)
-                for r, (_, store, pool) in enumerate(realizations)
-            ]
-        return codes[body]
-
-    for wires in _block_draws(params, tuple(range(P)), mutant):
-        yield wires, Counter(zip(zip(*map(labelled, wires)), undesired))
-
-
 def audit_block_db_privacy(
     params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Posterior of the undesired symbols given the querying side's whole view
-    must equal the uniform prior, for every view of nonzero probability."""
+    must equal the uniform prior, for every view of nonzero probability.
+
+    Every strategy draw of desired set (0..P-1) is visited, and its wires are
+    checked by exact elimination (the client knows its own draw, so the check
+    conditions on it): the posterior is uniform iff the pinned span holds no
+    functional of undesired coordinates alone.  A draw's answers are a linear
+    image of the uniform (W, S), so it has q^rank views.  The ``no_cr``
+    mutant is modeled as the pool made public: a synthetic plain download of
+    each pool id.
+    """
     _check_block_mutant(mutant)
     _check_budget(_block_atoms(params), budget)
-    n_values = params.q ** ((params.K - params.P) * params.L)
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
+    public = [wire.encode_table_query([pid], []) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
+    parsed: dict[bytes, list[int]] = {}  # each distinct body parsed once, with the server's bounds
+
+    def rows(body: bytes) -> list[int]:
+        if body not in parsed:
+            parsed[body] = _rows_from_wire(body, n_coords, n_blocks, q)
+        return parsed[body]
+
     uniform, n_views = True, 0
-    for _, pairs in _block_db_views(params, mutant):  # every view is visited, as in a literal enumeration
-        uniform &= _uniform_posteriors(pairs, n_values)
-        n_views += len(pairs) // n_values  # exact once every view covers all n_values
+    for wires in _block_draws(params, tuple(range(P)), mutant):  # every draw is visited, as in a literal enumeration
+        view = [row for body in (*wires, *public) for row in rows(body)]
+        span = _eliminate(view, n_coords, n_blocks, q, range(P * L))
+        uniform &= not span.undesired
+        n_views += q**span.rank
     if not uniform:
         return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
     return Verdict(True, Fraction(0), f"{n_views} views checked, posterior uniform in all")
@@ -462,35 +434,46 @@ def _combine(row: int, coeff: int, other: int, width: int, q: int) -> int:
     return pack([(a + coeff * b) % q for a, b in zip(unpack(row, width, q), unpack(other, width, q))], q)
 
 
-def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int) -> frozenset[int]:
-    """The message coordinates the whole client view pins, by exact elimination.
+class PinnedSpan(NamedTuple):
+    """The message functionals a view pins once every pool symbol is eliminated."""
 
-    Unknowns are every pool symbol and every message coordinate, one lane
-    each of a packed row, pool ids first.  Forward elimination keys each
-    basis row on its lowest nonzero lane, scaled to 1 there, so a row whose
-    pivot lies past the pool lanes carries no randomness.  Back-substitution
-    brings those pool-free rows to reduced form, and coordinate t is
-    recoverable iff its reduced row is exactly e_t.
+    coordinates: frozenset[int]  # the message coordinates pinned outright
+    undesired: tuple[int, ...]  # reduced basis of the pinned functionals of undesired coordinates alone, packed
+    rank: int  # rank of the view's rows over the pool symbols and the coordinates
+
+
+def _eliminate(rows, n_coords: int, pool_size: int, q: int, desired) -> PinnedSpan:
+    """Exact elimination of packed rows (``_rows_from_wire``) over pool and coordinate lanes.
+
+    Each basis row is keyed on its first nonzero lane, scaled to 1 there,
+    in the order pool lanes, ``desired`` coordinate lanes, the other
+    (undesired) coordinate lanes.  The rows keyed past the pool lanes span
+    the pinned span V, and those keyed on undesired lanes span V's meet with
+    the undesired coordinates.  Back-substitution brings the pool-free rows
+    to reduced form, and coordinate t is pinned iff its reduced row is e_t.
     """
     lane = lane_bits(q)
     full = (1 << lane) - 1
     width = pool_size + n_coords
-    pivots: dict[int, int] = {}  # lowest nonzero lane -> basis row, coefficient 1 there
-    for payload in wire_payloads:
-        for row in _rows_from_wire(payload, n_coords, pool_size, q):
-            while row:
-                lead = ((row & -row).bit_length() - 1) // lane
-                coeff = row >> lead * lane & full
-                if lead not in pivots:
-                    pivots[lead] = _combine(0, pow(coeff, q - 2, q), row, width, q)
-                    break
-                row = _combine(row, q - coeff, pivots[lead], width, q)
+    first = (1 << pool_size * lane) - 1 | sum(full << (pool_size + c) * lane for c in desired)
+    pivots: dict[int, int] = {}  # first nonzero lane -> basis row, coefficient 1 there
+    for row in rows:
+        while row:
+            low = row & first or row
+            lead = ((low & -low).bit_length() - 1) // lane
+            coeff = row >> lead * lane & full
+            if lead not in pivots:
+                pivots[lead] = _combine(0, pow(coeff, q - 2, q), row, width, q)
+                break
+            row = _combine(row, q - coeff, pivots[lead], width, q)
 
-    free = sorted((lead for lead in pivots if lead >= pool_size), reverse=True)
+    def undesired(lead: int) -> bool:
+        return not first >> lead * lane & 1
+
+    free = sorted((lead for lead in pivots if lead >= pool_size), key=lambda b: (undesired(b), b), reverse=True)
     free_lanes = sum(full << lead * lane for lead in free)
     reduced: dict[int, int] = {}  # pool-free rows, zero at every other pool-free pivot
-    recoverable = []
-    for lead in free:  # every pivot above this one is already reduced
+    for lead in free:  # every pivot after this one in that order is already reduced
         row = pivots[lead]
         hits = (row & free_lanes) ^ (1 << lead * lane)  # the other pool-free pivots the row still holds
         while hits:
@@ -499,9 +482,25 @@ def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size
             hits ^= coeff << b * lane
             row = _combine(row, q - coeff, reduced[b], width, q)
         reduced[lead] = row
-        if row == 1 << lead * lane:
-            recoverable.append(lead - pool_size)
-    return frozenset(recoverable)
+    return PinnedSpan(
+        frozenset(lead - pool_size for lead, row in reduced.items() if row == 1 << lead * lane),
+        tuple(row >> pool_size * lane for lead, row in reduced.items() if undesired(lead)),
+        len(pivots),
+    )
+
+
+def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int, desired) -> PinnedSpan:
+    """What the whole client view pins of the messages, by exact elimination.
+
+    Unknowns are every pool symbol and every message coordinate.  For a
+    linear scheme with uniform messages and randomness, the view leaves the
+    undesired messages jointly independent iff ``undesired`` is empty: the
+    pinned span meets the coordinates outside ``desired`` only in 0 (the
+    argument of Sun & Jafar, *The Capacity of Symmetric Private Information
+    Retrieval*).
+    """
+    rows = [row for payload in wire_payloads for row in _rows_from_wire(payload, n_coords, pool_size, q)]
+    return _eliminate(rows, n_coords, pool_size, q, desired)
 
 
 def _retrieved_coordinates(table: table_scheme.QueryTable) -> frozenset[int]:
@@ -523,21 +522,24 @@ def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
     ]
 
 
+def _table_leakage(table: table_scheme.QueryTable, payloads: list[bytes]) -> LeakageReport:
+    L = table.L_store
+    desired = [m * L + i for m in table.desired for i in range(L)]
+    span = recoverable_coordinates(payloads, table.K * L, table.pool_size, table.q, desired)
+    return LeakageReport(span.coordinates, _retrieved_coordinates(table), span.undesired)
+
+
 def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
-    """Recoverable coordinates of a table run must be exactly the retrieved ones."""
-    n_coords = table.K * table.L_store
-    payloads = table.wire_queries()
-    rec = recoverable_coordinates(payloads, n_coords, table.pool_size, table.q)
-    return LeakageReport(rec, _retrieved_coordinates(table))
+    """A table run must pin exactly the retrieved coordinates and nothing of the undesired messages."""
+    return _table_leakage(table, table.wire_queries())
 
 
 def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
     params = plan.params
-    n_coords = params.K * params.L
-    payloads = plan.wire_queries()
-    rec = recoverable_coordinates(payloads, n_coords, plan.pool_size_required(), params.q)
-    expected = frozenset(c for blk in plan.coords for c in blk)
-    return LeakageReport(rec, expected)
+    n_coords, pool_size = params.K * params.L, plan.pool_size_required()
+    expected = frozenset(c for blk in plan.coords for c in blk)  # every coordinate of the desired messages
+    span = recoverable_coordinates(plan.wire_queries(), n_coords, pool_size, params.q, expected)
+    return LeakageReport(span.coordinates, expected, span.undesired)
 
 
 def audit_table_db_privacy(
@@ -546,30 +548,24 @@ def audit_table_db_privacy(
     """Posterior-equals-prior for undesired symbols, via exact elimination.
 
     For every sampled strategy draw (the client knows its own draw, so the
-    check conditions on it), a zero-leakage span certifies the exact
-    uniformity of the posterior: the view pins message functionals only
-    inside the desired span, and fibers of a linear map all have one size.
-    Hidden-randomness removal is modeled by giving the undesired sums'
-    masking symbols publicly known (zero) values, which adds their rows to
-    the recoverable span.
+    check conditions on it), a pinned span that meets the undesired
+    coordinates only in 0 certifies the exact uniformity of the posterior:
+    fibers of a linear map all have one size.  Hidden-randomness removal is
+    modeled by giving the undesired sums' masking symbols publicly known
+    values: a synthetic plain download of each.
     """
     _check_table_mutant(mutant)
-    K, P = params.K, params.P
     for seed in seeds:
-        for desired in combinations(range(K), P):
+        for desired in combinations(range(params.K), params.P):
             table = table_scheme.build_query_table(params, desired, Random(seed))
             payloads = table.wire_queries()
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                # Hidden symbols made public: a synthetic plain download of each.
                 payloads += [wire.encode_table_query([pid], []) for pid in _hidden_ids(table)]
-            rec = recoverable_coordinates(payloads, K * table.L_store, table.pool_size, params.q)
-            expected = _retrieved_coordinates(table)
-            if rec != expected:
-                return Verdict(
-                    False,
-                    Fraction(1),
-                    f"client view pins {len(rec - expected)} coordinates outside the desired set",
-                )
+            report = _table_leakage(table, payloads)
+            if report.undesired:
+                outside = len(report.recoverable - report.expected)
+                what = f"{outside} coordinates" if outside else f"{len(report.undesired)} functionals"
+                return Verdict(False, Fraction(1), f"client view pins {what} outside the desired set")
     return Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
 
 

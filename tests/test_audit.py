@@ -73,12 +73,27 @@ class TestBlockDbPrivacy:
             assert not audit.audit_block_db_privacy(K4_TWO_BLOCKS, mutant=mutant)
 
 
+def uniform_posteriors(pairs: Counter, n_values: int) -> bool:
+    """True iff, in counts of (view, undesired value) pairs, every view covers
+    all ``n_values`` undesired values equally often."""
+    views = [view for view, _ in pairs]
+    spread = Counter(views)  # distinct undesired values seen with each view
+    return set(spread.values()) == {n_values} and len(set(zip(views, pairs.values()))) == len(spread)
+
+
+def block_pool(params, symbols, mutant):
+    """The pool the literal enumeration answers with: all zero under ``no_cr``."""
+    if mutant == audit.BLOCK_MUTANT_NO_CR:
+        symbols = tuple(0 for _ in symbols)
+    return CommonRandomnessPool(params.q, list(symbols))
+
+
 def block_realizations(params, mutant):
     """Every (W, S) realization as ``(w_flat, s_vals, store, pool)``, messages outer, randomness inner."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
     stores = [(w_flat, MessageStore(q, L, bytes(w_flat))) for w_flat in product(range(q), repeat=K * L)]
-    pools = [(s_vals, audit._block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
+    pools = [(s_vals, block_pool(params, s_vals, mutant)) for s_vals in product(range(q), repeat=n_blocks)]
     return [(w_flat, s_vals, store, pool) for w_flat, store in stores for s_vals, pool in pools]
 
 
@@ -142,22 +157,21 @@ def read_block_user_dists(params, mutant):
     return read
 
 
-def read_block_db_groups(params, mutant):
-    """The audit's labelled (answer labels, undesired symbols) counts regrouped
-    by the literal view (strategy, wires, answers); an answer label is the
-    realization whose answer it names, so the answer is computed here afresh."""
-    realizations = block_realizations(params, mutant)
-    groups, labelled = defaultdict(Counter), {}
-    for strategy, (wires, pairs) in enumerate(audit._block_db_views(params, mutant)):
-        for (labels, symbols), n in pairs.items():
-            answers = tuple(
-                tuple(block_scheme.answer_wire_query(body, realizations[r][2], realizations[r][3]))
-                for body, r in zip(wires, labels)
-            )
-            view = strategy, wires, answers
-            assert labelled.setdefault(view, labels) == labels  # one label tuple per view
-            groups[view][symbols] = n
-    return groups
+def literal_block_db_privacy(params, mutant):
+    """The literal posterior check over every run: whether every view leaves
+    the undesired symbols uniform, and the number of distinct views."""
+    groups = enumerated_block_db_groups(params, mutant)
+    pairs = Counter({(view, value): n for view, counts in groups.items() for value, n in counts.items()})
+    return uniform_posteriors(pairs, params.q ** ((params.K - params.P) * params.L)), len(groups)
+
+
+def assert_db_verdict_is_literal(params, mutant=None):
+    uniform, n_views = literal_block_db_privacy(params, mutant)
+    v = audit.audit_block_db_privacy(params, mutant=mutant)
+    assert v.ok == uniform
+    if uniform:
+        assert v.detail == f"{n_views} views checked, posterior uniform in all"
+    return v
 
 
 GROUPED_BLOCK_INSTANCES = [
@@ -172,41 +186,91 @@ GROUPED_BLOCK_INSTANCES = [
 @pytest.mark.parametrize("params", GROUPED_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
 def test_grouped_enumeration_matches_every_run(params, mutant):
     assert read_block_user_dists(params, mutant) == enumerated_block_user_dists(params, mutant)
-    assert read_block_db_groups(params, mutant) == enumerated_block_db_groups(params, mutant)
+    assert_db_verdict_is_literal(params, mutant)
+
+
+def merged_slot_wire_query(plan, db):
+    """A tampered client: block 1's entries reuse slot 0, so one mask covers two blocks."""
+    KL, q = plan.params.K * plan.params.L, plan.params.q
+    return wire.encode_block_query([(0 if bq.block == 1 else bq.block, KL, bq.vector) for bq in plan.queries[db]], q)
+
+
+@pytest.mark.parametrize("params", [GROUPED_BLOCK_INSTANCES[1], K4_TWO_BLOCKS], ids=lambda p: f"K{p.K}P{p.P}N{p.N}")
+def test_merged_slot_tamper_fails_the_verdict_and_the_literal_check(monkeypatch, params):
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", merged_slot_wire_query)
+    v = assert_db_verdict_is_literal(params)
+    assert not v.ok
+
+
+def literal_posteriors_uniform(answer, wires, K, L, q, pool_size, desired, public=()):
+    """The literal posterior check of one strategy draw: its ``wires``
+    answered by ``answer`` over every (W, S) pair, with the pool ids in
+    ``public`` known to be 0.  True iff every posterior of the undesired
+    messages equals the uniform prior."""
+    undesired = [c for c in range(K * L) if c // L not in desired]
+    pairs = Counter()  # (answers, undesired symbols)
+    for w_flat in product(range(q), repeat=K * L):
+        store = MessageStore(q, L, bytes(w_flat))
+        for s_vals in product(range(q), repeat=pool_size):
+            pool = CommonRandomnessPool(q, [0 if pid in public else s for pid, s in enumerate(s_vals)])
+            answers = tuple(tuple(answer(body, store, pool)) for body in wires)
+            pairs[answers, tuple(w_flat[c] for c in undesired)] += 1
+    return uniform_posteriors(pairs, q ** len(undesired))
+
+
+@pytest.mark.parametrize(
+    "params, n_leaking, n_unit_blind",
+    [(K4_TWO_BLOCKS, 145, 47), (SchemeParams(K=3, P=1, N=2, L=2, q=2), 184, 129)],
+    ids=["K4P2N2", "K3P1N2L2"],
+)
+def test_symbolic_leakage_flags_every_merged_slot_plan_that_leaks(monkeypatch, params, n_leaking, n_unit_blind):
+    # n_unit_blind of the leaking plans pin no undesired coordinate outright,
+    # only sums of them, so a per-coordinate check would pass them
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", merged_slot_wire_query)
+    K, P, L, q = params.K, params.P, params.L, params.q
+    leaking = unit_blind = 0
+    for seed in range(200):
+        plan = block_scheme.plan_blocks(params, tuple(range(P)), Random(seed))
+        rep = audit.symbolic_leakage_block(plan)
+        wires = plan.wire_queries()
+        leaks = not literal_posteriors_uniform(block_scheme.answer_wire_query, wires, K, L, q, plan.n_blocks, range(P))
+        assert rep.ok != leaks, seed
+        leaking += leaks
+        unit_blind += leaks and rep.recoverable == rep.expected
+    assert (leaking, unit_blind) == (n_leaking, n_unit_blind)
 
 
 def test_uniform_posteriors_need_every_value_equally_often_in_each_view():
     even = Counter({("v", 0): 2, ("v", 1): 2, ("w", 0): 1, ("w", 1): 1})  # views may differ in weight
-    assert audit._uniform_posteriors(even, 2)
-    assert not audit._uniform_posteriors(even + Counter({("v", 0): 1}), 2)  # v sees both values, unequally
-    assert not audit._uniform_posteriors(Counter({("v", 0): 2, ("w", 0): 1, ("w", 1): 1}), 2)  # v misses value 1
+    assert uniform_posteriors(even, 2)
+    assert not uniform_posteriors(even + Counter({("v", 0): 1}), 2)  # v sees both values, unequally
+    assert not uniform_posteriors(Counter({("v", 0): 2, ("w", 0): 1, ("w", 1): 1}), 2)  # v misses value 1
 
 
 def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
-    parse, evaluate = wire.parse_block_query, block_scheme.answer_entries
-    parsed, evaluated = [], []
+    parse, answer = wire.parse_block_query, block_scheme.answer_wire_query
+    parsed, answered = [], []
 
     def counted_parse(body, *args):
         parsed.append(body)
         return parse(body, *args)
 
-    def counted_evaluate(entries, store, pool):
-        evaluated.append(tuple(entries))
-        return evaluate(entries, store, pool)
+    def counted_answer(body, store, pool):
+        answered.append(body)
+        return answer(body, store, pool)
 
     monkeypatch.setattr(wire, "parse_block_query", counted_parse)
-    monkeypatch.setattr(block_scheme, "answer_entries", counted_evaluate)
+    monkeypatch.setattr(block_scheme, "answer_wire_query", counted_answer)
     params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
     # 64 distinct bodies, each parsed once.  User privacy compares body counts
-    # and evaluates none; db privacy evaluates each body in the 8 message x 4
-    # randomness realizations.  Answering every run afresh takes 3 x 128 x 32
-    # x 2 and 128 x 32 x 2 evaluations, each after a parse of its own.
-    for verdict, n_evaluated in ((audit.audit_block_user_privacy, 0), (audit.audit_block_db_privacy, 2048)):
+    # and db privacy eliminates each draw's rows, so neither answers a body.
+    # Answering every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2
+    # answers, each after a parse of its own.
+    for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
         parsed.clear()
-        evaluated.clear()
         assert verdict(params)
         assert len(parsed) == len(set(parsed)) == 64
-        assert len(evaluated) == n_evaluated and len(set(evaluated)) == min(n_evaluated, 64)
+    assert answered == []
 
 
 def test_block_audits_refuse_a_body_the_server_refuses(monkeypatch):
@@ -304,17 +368,47 @@ def dense_recoverable_coordinates(
     return frozenset(recoverable)
 
 
+def dense_rank(rows: list[list[int]], q: int) -> int:
+    basis: list[list[int]] = []  # each row zero at the leading column of every row before it
+    for row in rows:
+        row = [x % q for x in row]
+        for b in basis:
+            lead = next(c for c, x in enumerate(b) if x)
+            if row[lead]:
+                factor = row[lead] * pow(b[lead], q - 2, q) % q
+                row = [(x - factor * y) % q for x, y in zip(row, b)]
+        if any(row):
+            basis.append(row)
+    return len(basis)
+
+
+def assert_packed_matches_dense(payloads, n_coords, pool_size, q, desired):
+    """The packed span against the dense oracle: its pinned coordinates, its
+    rank, and the dimension of its meet with the undesired coordinates, which
+    is rank(rows) - rank(rows with the undesired columns zeroed)."""
+    span = audit.recoverable_coordinates(payloads, n_coords, pool_size, q, desired)
+    assert span.coordinates == dense_recoverable_coordinates(payloads, n_coords, pool_size, q)
+    rows = [row for payload in payloads for row in dense_rows_from_wire(payload, n_coords, pool_size, q)]
+    kept = set(range(pool_size)) | {pool_size + c for c in desired}
+    projected = [[x if c in kept else 0 for c, x in enumerate(row)] for row in rows]
+    assert span.rank == dense_rank(rows, q)
+    assert len(span.undesired) == span.rank - dense_rank(projected, q)
+    return span
+
+
 def oracle_views():
-    """(name, payloads, n_coords, pool_size, q, hidden pool ids) of seeded honest runs."""
+    """(name, payloads, n_coords, pool_size, q, hidden pool ids, desired coordinates) of seeded honest runs."""
     for K, P, N, q, reps in ((3, 1, 2, 2, None), (3, 1, 3, 2, None), (5, 3, 2, 2, 1), (3, 1, 2, 3, None)):
         params = SchemeParams(K=K, P=P, N=N, q=q)
         table = table_scheme.build_query_table(params, tuple(range(P)), Random(3), reps=reps)
         name = f"table K{K}P{P}N{N}q{q}" + (f" reps={reps}" if reps else "")
-        yield name, table.wire_queries(), K * table.L_store, table.pool_size, q, audit._hidden_ids(table)
+        L = table.L_store
+        yield name, table.wire_queries(), K * L, table.pool_size, q, audit._hidden_ids(table), range(P * L)
     for K, P, N, L, q, desired in ((64, 8, 3, 1, 2, tuple(range(3, 64, 8))), (4, 2, 3, 2, 5, (1, 2))):
         plan = block_scheme.plan_blocks(SchemeParams(K=K, P=P, N=N, L=L, q=q), desired, Random(3))
         n_blocks = plan.pool_size_required()
-        yield f"block K{K}P{P}N{N}L{L}q{q}", plan.wire_queries(), K * L, n_blocks, q, list(range(n_blocks))
+        coords = [m * L + s for m in desired for s in range(L)]
+        yield f"block K{K}P{P}N{N}L{L}q{q}", plan.wire_queries(), K * L, n_blocks, q, list(range(n_blocks)), coords
 
 
 ORACLE_VIEWS = {name: view for name, *view in oracle_views()}
@@ -322,20 +416,19 @@ ORACLE_VIEWS = {name: view for name, *view in oracle_views()}
 
 @pytest.mark.parametrize("name", ORACLE_VIEWS)
 def test_packed_elimination_matches_the_dense_oracle(name):
-    payloads, n_coords, pool_size, q, hidden = ORACLE_VIEWS[name]
-    honest = audit.recoverable_coordinates(payloads, n_coords, pool_size, q)
-    assert honest == dense_recoverable_coordinates(payloads, n_coords, pool_size, q)
+    payloads, n_coords, pool_size, q, hidden, desired = ORACLE_VIEWS[name]
+    honest = assert_packed_matches_dense(payloads, n_coords, pool_size, q, desired)
+    assert honest.undesired == ()
     revealed = payloads + [wire.encode_table_query(hidden, [])]  # every hidden symbol as a plain download
-    leaked = audit.recoverable_coordinates(revealed, n_coords, pool_size, q)
-    assert leaked == dense_recoverable_coordinates(revealed, n_coords, pool_size, q)
-    assert honest <= leaked
+    leaked = assert_packed_matches_dense(revealed, n_coords, pool_size, q, desired)
+    assert honest.coordinates <= leaked.coordinates and leaked.undesired
 
 
 @pytest.mark.parametrize("name", ORACLE_VIEWS)
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name, data):
-    payloads, n_coords, pool_size, q, _ = ORACLE_VIEWS[name]
+    payloads, n_coords, pool_size, q, _, desired = ORACLE_VIEWS[name]
     # sparse vectors pin single coordinates once their masks cancel; any byte
     # is a legal lane over odd q, read mod q
     sparse = st.lists(st.integers(0, n_coords - 1), max_size=3).map(
@@ -347,8 +440,7 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
     entries = st.tuples(st.integers(0, pool_size - 1), st.just(n_coords), sparse | dense)
     bodies = data.draw(st.lists(st.lists(entries, min_size=1, max_size=3), max_size=4))
     extra = [wire.encode_block_query(body, q) for body in bodies]
-    got = audit.recoverable_coordinates(payloads + extra, n_coords, pool_size, q)
-    assert got == dense_recoverable_coordinates(payloads + extra, n_coords, pool_size, q)
+    assert_packed_matches_dense(payloads + extra, n_coords, pool_size, q, desired)
 
 
 class TestTableUserPrivacy:
@@ -413,33 +505,47 @@ def test_closed_form_matches_enumerated_components(params):
         assert not audit.audit_table_user_privacy(params, mutant=mutant)
 
 
+def literal_table_posteriors_uniform(table, public=()):
+    wires = table.wire_queries()
+    K, L, q, pool_size = table.K, table.L_store, table.q, table.pool_size
+    return literal_posteriors_uniform(table_scheme.answer_wire_query, wires, K, L, q, pool_size, table.desired, public)
+
+
 def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
-    """Reference for the elimination verdict: the literal posterior check,
-    enumerating every (W, S) pair for each strategy draw (the client knows its
-    own draw, so the check conditions on it).  True iff every posterior of
-    the undesired messages equals the uniform prior."""
-    K, P, N, q = params.K, params.P, params.N, params.q
+    """Reference for the elimination verdict: the literal posterior check of
+    each strategy draw (the client knows its own draw, so the check
+    conditions on it)."""
     L_store, pool_size = audit._table_shape(params)
-    n_coords = K * L_store
-    assert (q**n_coords) * (q**pool_size) * len(seeds) <= audit.DEFAULT_BUDGET
-    undesired = range(P, K)
+    assert params.q ** (params.K * L_store + pool_size) * len(seeds) <= audit.DEFAULT_BUDGET
     for seed in seeds:
-        table = table_scheme.build_query_table(params, tuple(range(P)), Random(seed))
-        wires = table.wire_queries()
+        table = table_scheme.build_query_table(params, tuple(range(params.P)), Random(seed))
         hidden = audit._hidden_ids(table) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []
-        pairs = Counter()  # (answers, undesired symbols)
-        for w_flat in product(range(q), repeat=n_coords):
-            store = MessageStore(q, L_store, bytes(w_flat))
-            for s_vals in product(range(q), repeat=pool_size):
-                syms = list(s_vals)
-                for pid in hidden:
-                    syms[pid] = 0
-                pool = CommonRandomnessPool(q, syms)
-                answers = tuple(tuple(table_scheme.answer_wire_query(wires[db], store, pool)) for db in range(N))
-                pairs[answers, tuple(w_flat[m * L_store : (m + 1) * L_store] for m in undesired)] += 1
-        if not audit._uniform_posteriors(pairs, q ** (len(undesired) * L_store)):
+        if not literal_table_posteriors_uniform(table, hidden):
             return False
     return True
+
+
+def merged_hidden_tables(params):
+    """Seed-0 tables of every desired set with two hidden masks moved onto one pool id, every pair."""
+    for desired in combinations(range(params.K), params.P):
+        hidden = audit._hidden_ids(table_scheme.build_query_table(params, desired, Random(0)))
+        for a, b in combinations(hidden, 2):
+            table = table_scheme.build_query_table(params, desired, Random(0))
+            table.pool_perm[table.pool_perm.index(b)] = a
+            yield table
+
+
+def test_merged_hidden_ids_are_pinned_jointly():
+    # the two masked sums' difference is a functional of undesired symbols
+    # that pins none of them on its own: a per-coordinate check passes it
+    for params, n_merged in ((SchemeParams(K=2, P=1, N=2), 2), (SchemeParams(K=3, P=1, N=2), 45)):
+        tables = list(merged_hidden_tables(params))
+        assert len(tables) == n_merged
+        for table in tables:
+            rep = audit.symbolic_leakage_table(table)
+            assert rep.recoverable == rep.expected and rep.undesired and not rep.ok
+            if params.K == 2:  # small enough for the literal posterior check
+                assert not literal_table_posteriors_uniform(table)
 
 
 class TestTableDbPrivacy:
@@ -511,8 +617,8 @@ class TestSymbolicLeakage:
         base = [1, 1, 0]
         probe = [0, 1, 0]  # base + e_0 over F_2
         payloads = [block_payload([(base, 0)]), block_payload([(probe, 0)])]
-        rec = audit.recoverable_coordinates(payloads, 3, 1, 2)
-        assert rec == frozenset({0})
+        span = audit.recoverable_coordinates(payloads, 3, 1, 2, (0,))
+        assert span.coordinates == frozenset({0}) and span.undesired == ()
         # revealing the shared symbol (a synthetic plain download of pool id 0)
         # exposes the base combination and with it the undesired coordinate 1
         reveal = (
@@ -521,18 +627,32 @@ class TestSymbolicLeakage:
             + struct.pack("<I", 0)
             + struct.pack("<I", 0)
         )
-        leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2)
-        assert leaked == frozenset({0, 1})
+        leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2, (0,))
+        assert leaked.coordinates == frozenset({0, 1}) and leaked.undesired == (field.pack([0, 1, 0], 2),)
+
+    def test_a_sum_of_undesired_messages_is_pinned_jointly(self):
+        # K=4 over two slots: database 0 gets e_0 and e_2 + e_3, database 1
+        # the zero vector on both slots, so the view pins W0 and W2 + W3 and
+        # no undesired message on its own
+        e = [field.pack([int(c == t) for c in range(4)], 2) for t in range(4)]
+        payloads = [
+            wire.encode_block_query([(0, 4, e[0]), (1, 4, e[2] ^ e[3])], 2),
+            wire.encode_block_query([(0, 4, 0), (1, 4, 0)], 2),
+        ]
+        span = audit.recoverable_coordinates(payloads, 4, 2, 2, (0,))
+        assert span.coordinates == frozenset({0})  # all a per-coordinate check would see
+        assert span.undesired == (e[2] ^ e[3],) and span.rank == 4
 
     def test_empty_payload_is_a_protocol_fault(self):
         with pytest.raises(wire.ProtocolFault, match="empty query body"):
-            audit.recoverable_coordinates([b""], 3, 2, 2)
+            audit.recoverable_coordinates([b""], 3, 2, 2, ())
         with pytest.raises(wire.ProtocolFault, match="unknown scheme tag 9"):  # as the server refuses it
-            audit.recoverable_coordinates([b"\x09"], 3, 2, 2)
+            audit.recoverable_coordinates([b"\x09"], 3, 2, 2, ())
 
     def test_download_all_reads_as_every_coordinate(self):
         # the server answers download-all with every stored symbol and no pool symbol
-        assert audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2) == frozenset({0, 1, 2})
+        span = audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2, ())
+        assert span.coordinates == frozenset({0, 1, 2})
 
     def test_refuses_what_the_server_refuses(self):
         # n_coords 3 over a 2-slot pool: a pool id far past the pool, a plain
@@ -544,4 +664,4 @@ class TestSymbolicLeakage:
             wire.encode_block_query([(2, 3, 1)], 2),
         ):
             with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
-                audit.recoverable_coordinates([payload], 3, 2, 2)
+                audit.recoverable_coordinates([payload], 3, 2, 2, ())

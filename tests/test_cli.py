@@ -510,19 +510,29 @@ GOLDEN_AUDIT_DIGESTS = {
     "block K=3 P=2 N=2": "f117b53fa6cd5f21d3dc91d14b2fedf0516239d937abe9499511aa4b2e8db3f3",
     "block K=3 P=2 N=2 no_base_mask": "c2cb816933b4f013f2b5eeaacb7b0b7f4e1e517fc3f2299e52f88126f07f6f3b",
     "block K=3 P=2 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
+    "block K=3 P=2 N=3": "0c12834165a0966aa5162f5ad13d51454141c5a63259fb185b1096923b15a7c8",
+    "block K=3 P=2 N=3 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
+    "block K=2 P=1 N=2 q=3": "8f206e002dc06d9ea0fcf103498e12f07fe8a41c7802c9cdc5a302bfdf906c1d",
+    "block K=2 P=1 N=2 q=3 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
 }
 
 
 def audit_cases():
     """(name, argv, mutant) of each pinned ``audit --machine`` run."""
-    cases = [("table", 1, N, None) for N in (2, 3)]
-    cases += [("table", 1, 3, m) for m in ("no_index_permutation", "no_pool_relabel", "no_hidden_cr")]
-    cases += [("block", P, 2, m) for P in (1, 2) for m in (None, "no_base_mask", "no_cr")]
-    for scheme, P, N, mutant in cases:
-        argv = ["--scheme", scheme, "--K", "3", "--P", str(P), "--N", str(N)]
+    cases = [("table", 3, 1, N, 2, None) for N in (2, 3)]
+    cases += [("table", 3, 1, 3, 2, m) for m in ("no_index_permutation", "no_pool_relabel", "no_hidden_cr")]
+    cases += [("block", 3, P, 2, 2, m) for P in (1, 2) for m in (None, "no_base_mask", "no_cr")]
+    cases += [("block", K, P, N, q, m) for K, P, N, q in ((3, 2, 3, 2), (2, 1, 2, 3)) for m in (None, "no_cr")]
+    for scheme, K, P, N, q, mutant in cases:
+        argv = ["--scheme", scheme, "--K", str(K), "--P", str(P), "--N", str(N)]
+        name = [scheme, f"K={K} P={P} N={N}"]
+        if q != 2:
+            argv += ["--q", str(q)]
+            name.append(f"q={q}")
         if mutant is not None:
             argv += ["--mutant", mutant]
-        yield " ".join([scheme, f"K=3 P={P} N={N}"] + ([mutant] if mutant else [])), argv, mutant
+            name.append(mutant)
+        yield " ".join(name), argv, mutant
 
 
 def test_audit_machine_output_matches_the_golden_digests(capsys):

@@ -195,23 +195,6 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
     return bytes(data)
 
 
-def served_and_split_answers(body: bytes, store: MessageStore, pool: CommonRandomnessPool):
-    """The served block answer and ``answer_entries`` over the server's parse, each
-    as its answer list or as its fault message."""
-    outcomes = []
-    for answer in (
-        lambda: block_scheme.answer_wire_query(body, store, pool),
-        lambda: block_scheme.answer_entries(
-            wire.parse_block_query(body, store.q, store.K * store.L, len(pool)), store, pool
-        ),
-    ):
-        try:
-            outcomes.append(answer())
-        except ProtocolFault as exc:
-            outcomes.append(f"{type(exc).__name__}: {exc}")
-    return outcomes
-
-
 _VALID_QUERIES = [
     wire.encode_query(7, wire.encode_block_query([(0, 3, 0b101), (1, 3, 0b110)], 2)),
     wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 0, 0)], 2)),
@@ -239,8 +222,6 @@ def test_fuzzed_queries_get_an_answer_or_an_error(payload):
             wire.parse_answer(body)
         else:
             wire.parse_error(body)
-    served, split = served_and_split_answers(payload[4:], store, provisioned.pool)
-    assert served == split
     for parse in ALL_PARSERS:
         for data in (payload, payload[4:]):
             try:
@@ -274,13 +255,28 @@ def test_fuzzed_packed_bodies_parse_back_or_fault(entries, pos, value, cut):
     provision_cr([srv], CommonRandomnessPool.generate(4, 2, seed=0), 4)
     rtype, reply = srv.handle_client_frame(MSG_QUERY, wire.encode_query(0, mutated))
     assert rtype in (MSG_ANSWER, MSG_ERROR)
-    for sent in (body, mutated):
-        served, split = served_and_split_answers(sent, store, srv.pool)
-        assert served == split
+
+
+def served_answer(body: bytes, store: MessageStore, pool: CommonRandomnessPool):
+    """The served block answer, or its fault message."""
+    try:
+        return block_scheme.answer_wire_query(body, store, pool)
+    except ProtocolFault as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reference_answer(body: bytes, store: MessageStore, pool: CommonRandomnessPool):
+    """``answer_block`` over the server's parse, or the parse's fault message."""
+    KL, q = store.K * store.L, store.q
+    try:
+        entries = wire.parse_block_query(body, q, KL, len(pool))
+    except ProtocolFault as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [answer_block(unpack(vec, KL, q), store, pool.symbols[cr]) for cr, _, vec in entries]
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_the_split_answer_is_the_served_answer_on_seeded_bodies(q):
+def test_the_served_answer_is_the_reference_on_seeded_bodies(q):
     rng = Random(q)
     params = SchemeParams(K=7, P=3, N=3, L=2, q=q)
     store = MessageStore.generate(params.K, params.L, q, seed=q)
@@ -289,19 +285,16 @@ def test_the_split_answer_is_the_served_answer_on_seeded_bodies(q):
         plan = block_scheme.plan_blocks(params, rng.sample(range(params.K), params.P), Random(seed))
         pool = CommonRandomnessPool.generate(plan.n_blocks, q, seed=seed)
         for body in plan.wire_queries():
-            entries = wire.parse_block_query(body, q)
-            want = [answer_block(unpack(vec, n, q), store, pool.symbols[cr]) for cr, n, vec in entries]
-            assert served_and_split_answers(body, store, pool) == [want, want]
+            assert served_answer(body, store, pool) == reference_answer(body, store, pool)
             mutated = _mutate(body, rng.randrange(64), rng.randrange(256), rng.randrange(len(body) + 8))
-            served, split = served_and_split_answers(mutated, store, pool)
-            assert served == split
+            served = served_answer(mutated, store, pool)
+            assert served == reference_answer(mutated, store, pool)
             answered += isinstance(served, list)
             faulted += isinstance(served, str)
-        # one slot short: every database's body names the last block's slot, and both paths refuse it
+        # one slot short: every database's body names the last block's slot, and the server refuses it
         short = CommonRandomnessPool(q, pool.symbols[:-1])
         for body in plan.wire_queries():
-            served, split = served_and_split_answers(body, store, short)
-            assert served == split and "slot" in served
+            assert "slot" in served_answer(body, store, short)
     assert answered and faulted
 
 
