@@ -9,29 +9,32 @@ Three kinds of checks, all in exact arithmetic (zero means zero):
 * database privacy: the querying side's whole view and all undesired
   messages together have zero mutual information.
 
-Every enumerated atom (a strategy draw, message realization and randomness
-realization) is equally likely, so a distribution is a ``Counter`` of
-integer atom counts and a distance is one exact ``Fraction``.
+A database's answer is a function of its query, the messages and the
+randomness, which are uniform and independent of the strategy draw, so both
+user-privacy audits compare query distributions only, and both are factored:
+premises checked mechanically on the parsed wire bodies of scripted builds,
+each body parsed with the server's bounds, then the distance in closed form.
+Nothing is enumerated and no answer is evaluated.
 
-The linear one-round scheme's user-privacy audit enumerates every strategy
-draw of every desired set.  A database's answer is a function of
-(Q_n, W, S), and (W, S) is uniform and independent of the strategy draw, so
-the distance over atoms (Q_n, A_n, W, S) is exactly the distance between the
-per-database counts of strategy draws per body.  Each distinct body is
-parsed once per audit call with the server's bounds, and no answer is
-evaluated.
+The linear one-round scheme's premises, per database: one slot sequence for
+every (desired set, shuffle order) pair, no slot twice, and each emitted
+vector equal to its slot's base vector plus the vector the all-zero base
+draw emits at that position.  Each database then sees independent uniform
+vectors on fixed slots (the argument of Chor, Goldreich, Kushilevitz &
+Sudan, *Private Information Retrieval*).  Every pair is checked while there
+are at most ``_MECHANISM_SAMPLES`` of them; past that, that many sampled
+pairs are.
 
-The query-table scheme's strategy space (one permutation per message plus a
-pool relabeling) is astronomically large, so its user-privacy audit is
-factored: the factorization premises (identical skeletons across desired
-sets, distinct indices within each structure, the emitted query being the
+The query-table scheme's strategy space is one permutation per message plus
+a pool relabeling.  Its premises (identical skeletons across desired sets,
+distinct indices within each structure, the emitted query being the
 component draw applied to a fixed pattern, queries independent of messages
-and randomness) are verified mechanically, and the first two give every
-component's distance in closed form, so nothing is enumerated.
+and randomness) give every component's distance in closed form.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
 wire coefficient matrix of one strategy draw at a time: every draw of the
-linear scheme, sampled draws of the table scheme.  For a linear scheme with
+linear scheme (refused past a strategy-draw budget), sampled draws of the
+table scheme.  For a linear scheme with
 uniform W and S, the view is independent of the undesired messages jointly
 iff the message span it pins, once the pool symbols are eliminated, meets
 the undesired coordinates only in 0, since the fibers of a linear map all
@@ -50,22 +53,21 @@ fail them is itself broken, and the test suite insists they fail.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product, repeat
+from itertools import combinations, permutations, product
 from math import comb, factorial
-from operator import sub
 from random import Random
 from typing import NamedTuple
 
 from . import block_scheme, table_scheme, wire
-from .field import lane_bits, pack, unpack
+from .field import lane_bits, pack, sample_uniform, unpack
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
 DEFAULT_BUDGET = 2**24
-_MECHANISM_SAMPLES = 40  # sampled component draws checked against the factorization
+_MECHANISM_SAMPLES = 40  # sampled draws checked against a factorization's premises
 
 
 class AuditBudgetExceeded(RuntimeError):
@@ -95,41 +97,33 @@ class LeakageReport:
 
 class _ScriptedRandom:
     """Replays prescribed outcomes for shuffle/randrange/getrandbits so
-    strategy spaces can be enumerated exactly instead of sampled."""
+    strategy draws can be chosen instead of sampled."""
 
-    def __init__(self, shuffle_orders: list[tuple[int, ...]], randrange_values: list[int]):
-        self._orders = list(shuffle_orders)
-        self._values = list(randrange_values)
+    def __init__(self, shuffle_orders: list[tuple[int, ...]], randrange_values):
+        self._orders = deque(shuffle_orders)
+        self._values = deque(randrange_values)
 
     def shuffle(self, x: list) -> None:
-        order = self._orders.pop(0)
+        order = self._orders.popleft()
         if len(order) != len(x):
             raise ValueError("scripted shuffle length mismatch")
         x[:] = [x[i] for i in order]
 
     def randrange(self, n: int) -> int:
-        v = self._values.pop(0)
+        v = self._values.popleft()
         if not 0 <= v < n:
             raise ValueError("scripted randrange value out of range")
         return v
 
     def getrandbits(self, k: int) -> int:
         """k scripted ``randrange(2)`` values; value i gives bit i."""
-        return sum(self.randrange(2) << i for i in range(k))
+        bits = [self._values.popleft() for _ in range(k)]
+        if not set(bits) <= {0, 1}:
+            raise ValueError("scripted randrange value out of range")
+        return pack(bits, 2)
 
     def exhausted(self) -> bool:
         return not self._orders and not self._values
-
-
-def _check_budget(atoms: int, budget: int) -> None:
-    if atoms > budget:
-        raise AuditBudgetExceeded(f"{atoms} atoms exceed the {budget} budget; refusing to sample")
-
-
-def total_variation(p: Counter, q: Counter, atoms: int) -> Fraction:
-    """Distance between two distributions given as counts of ``atoms`` equally likely atoms each."""
-    keys = p.keys() | q.keys()
-    return Fraction(sum(map(abs, map(sub, map(p.__getitem__, keys), map(q.__getitem__, keys)))), 2 * atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +154,12 @@ def _block_draws_count(params: SchemeParams) -> int:
     return factorial(P * L) * q ** (lspir_cost(P, N, L)[1] * K * L)
 
 
-def _block_atoms(params: SchemeParams) -> int:
-    """Equally likely (strategy, messages, randomness) atoms of one desired set."""
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    return _block_draws_count(params) * q ** (K * L + lspir_cost(P, N, L)[1])
+def _block_plan(params: SchemeParams, desired, order, values, mutant: str | None) -> block_scheme.BlockPlan:
+    """The plan of one strategy draw: shuffle ``order`` and the base vectors' scripted symbols ``values``."""
+    rng = _ScriptedRandom([order], values)
+    plan = block_scheme.plan_blocks(params, desired, rng)
+    assert rng.exhausted()
+    return _block_mutate(plan, mutant)
 
 
 def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
@@ -171,47 +167,45 @@ def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | N
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
     for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
-        rng = _ScriptedRandom([order], list(values))
-        plan = block_scheme.plan_blocks(params, desired, rng)
-        assert rng.exhausted()
-        yield tuple(_block_mutate(plan, mutant).wire_queries())
+        yield tuple(_block_plan(params, desired, order, values, mutant).wire_queries())
 
 
-def _block_user_dists(params: SchemeParams, mutant: str | None):
-    """Per desired set in turn: each database's count of the strategy draws
-    emitting each query body.
+def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:
+    """Exact distributional equality of each database's query across desired sets.
 
-    Each distinct body is parsed once, with the server's bounds, so a body the
-    server would refuse raises ProtocolFault; no answer is evaluated.  A
-    desired set's counts are yielded without being kept.
-    """
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
-    parsed: set[bytes] = set()
-    for desired in combinations(range(K), P):
-        counts = [Counter(bodies) for bodies in zip(*_block_draws(params, desired, mutant))]
-        for body in set().union(*counts) - parsed:
-            wire.parse_block_query(body, q, K * L, n_blocks)
-            parsed.add(body)
-        yield counts
-
-
-def audit_block_user_privacy(
-    params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
-) -> Verdict:
-    """Exact distributional equality of (Q_n, A_n, W, S) across all desired sets.
-
-    A_n is a function of (Q_n, W, S), and (W, S) is uniform and independent
-    of the strategy draw, so the distance over full atoms is exactly the
-    distance between the per-database query-body distributions.
+    Each checked (desired set, shuffle order) pair is built once with every
+    base vector 0 and once with seeded base vectors, and the premises in the
+    module docstring are checked on the parsed bodies; a failure names its premise.
     """
     _check_block_mutant(mutant)
-    _check_budget(comb(params.K, params.P) * _block_atoms(params), budget)  # every desired set is enumerated
-    draws = _block_draws_count(params)
-    sets = _block_user_dists(params, mutant)
-    first = next(sets)
-    worst = max((d for counts in sets for d in map(total_variation, first, counts, repeat(draws))), default=Fraction(0))
-    return Verdict(worst == 0, worst, f"max per-database total variation {worst}")
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
+    rng, scope = Random(2024), ""
+    if comb(K, P) * factorial(P * L) <= _MECHANISM_SAMPLES:
+        pairs = product(combinations(range(K), P), permutations(range(P * L)))
+    else:
+        pairs = [(sorted(rng.sample(range(K), P)), rng.sample(range(P * L), P * L)) for _ in range(_MECHANISM_SAMPLES)]
+        scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
+
+    def views(desired, order, values) -> list[list[tuple[int, int, int]]]:
+        bodies = _block_plan(params, desired, order, values, mutant).wire_queries()
+        return [wire.parse_block_query(body, q, n_coords, n_blocks) for body in bodies]
+
+    slots: dict[int, list[int]] = {}  # each database's slot sequence, fixed by its first build
+    for desired, order in pairs:
+        bases = [sample_uniform(rng, n_coords, q) for _ in range(n_blocks)]
+        shifts = views(desired, order, bytes(n_blocks * n_coords))
+        drawn = views(desired, order, b"".join(unpack(base, n_coords, q) for base in bases))
+        for db in range(N):
+            for got in ([pid for pid, _, _ in shifts[db]], [pid for pid, _, _ in drawn[db]]):
+                if slots.setdefault(db, got) != got:
+                    return Verdict(False, Fraction(1), f"slot sequence differs at database {db}")
+                if len(set(got)) != len(got):
+                    return Verdict(False, Fraction(1), f"a slot appears twice at database {db}")
+            for (pid, _, shift), (_, _, vec) in zip(shifts[db], drawn[db]):
+                if vec != _combine(shift, 1, bases[pid], n_coords, q):
+                    return Verdict(False, Fraction(1), f"a vector at database {db} is not its slot's base plus a shift")
+    return Verdict(True, Fraction(0), f"max per-database total variation 0{scope}")
 
 
 def audit_block_db_privacy(
@@ -229,7 +223,10 @@ def audit_block_db_privacy(
     each pool id.
     """
     _check_block_mutant(mutant)
-    _check_budget(_block_atoms(params), budget)
+    draws = _block_draws_count(params)
+    if draws > budget:  # a count too long to print in decimal is given as a power of 2
+        shown = draws if draws.bit_length() <= 64 else f"over 2^{draws.bit_length() - 1}"
+        raise AuditBudgetExceeded(f"{shown} strategy draws exceed the {budget} budget; refusing to sample")
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
     public = [wire.encode_table_query([pid], []) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
@@ -300,8 +297,8 @@ def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
 
 
 def _table_views(table: table_scheme.QueryTable) -> list[wire.TableQuery]:
-    """The per-database wire queries, parsed: the audit works on wire bytes only."""
-    return [wire.parse_table_query(payload) for payload in table.wire_queries()]
+    """The per-database wire queries, parsed with the server's bounds: the audit works on wire bytes only."""
+    return [wire.parse_table_query(body, table.K * table.L_store, table.pool_size) for body in table.wire_queries()]
 
 
 def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:

@@ -361,7 +361,7 @@ def cmd_audit(args) -> int:
         raise ParamError(f"a reliability audit needs at least one trial, got {args.trials}")
     verdicts: dict[str, audit_mod.Verdict] = {}
     if args.scheme == "block":
-        verdicts["user_privacy"] = audit_mod.audit_block_user_privacy(params, mutant=args.mutant, budget=args.budget)
+        verdicts["user_privacy"] = audit_mod.audit_block_user_privacy(params, mutant=args.mutant)
         verdicts["db_privacy"] = audit_mod.audit_block_db_privacy(params, mutant=args.mutant, budget=args.budget)
         if args.mutant is None:
             verdicts["reliability"] = audit_mod.audit_reliability_block(params, trials=args.trials)
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--trials", type=int, default=50, help="reliability trials, at least 1")
     p.add_argument("--budget", type=int, default=audit_mod.DEFAULT_BUDGET,
-                   help="atom budget of the exhaustive --scheme block audits")
+                   help="strategy-draw budget of the block database-privacy audit")
     p.add_argument("--mutant", default=None,
                    help="negative control: no_base_mask, no_cr, no_index_permutation, "
                         "no_pool_relabel, no_hidden_cr")

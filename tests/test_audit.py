@@ -30,23 +30,30 @@ class TestBlockUserPrivacy:
 
     def test_negative_control_fails(self):
         for (P, distance), N in product(((1, 1), (2, Fraction(1, 2))), (2, 3)):
-            v = audit.audit_block_user_privacy(
-                SchemeParams(K=3, P=P, N=N, L=1, q=2), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK
-            )
-            assert not v.ok and v.distance == distance
+            params = SchemeParams(K=3, P=P, N=N, L=1, q=2)
+            assert body_count_distance(params, audit.BLOCK_MUTANT_NO_BASE_MASK) == distance
+            v = audit.audit_block_user_privacy(params, mutant=audit.BLOCK_MUTANT_NO_BASE_MASK)
+            assert not v.ok and v.distance == 1
+        assert body_count_distance(K4_TWO_BLOCKS, audit.BLOCK_MUTANT_NO_BASE_MASK) == 1
         v = audit.audit_block_user_privacy(K4_TWO_BLOCKS, mutant=audit.BLOCK_MUTANT_NO_BASE_MASK)
         assert not v.ok and v.distance == 1
 
-    def test_budget_refusal(self):
-        with pytest.raises(audit.AuditBudgetExceeded):
-            audit.audit_block_user_privacy(SchemeParams(K=4, P=2, N=2, L=3, q=2))
-
-    def test_budget_counts_every_desired_set(self):
-        # 32,768 atoms per desired set, C(4, 2) = 6 desired sets
-        params = SchemeParams(K=4, P=2, N=2, L=1, q=2)
-        assert audit._block_atoms(params) == 32768
-        with pytest.raises(audit.AuditBudgetExceeded, match="196608 atoms"):
-            audit.audit_block_user_privacy(params, budget=6 * 32768 - 1)
+    def test_psi_serve_size(self, monkeypatch):
+        # K=256 has C(256, 8) * 8! (desired set, shuffle order) pairs: the
+        # premises are checked on sampled draws
+        params = SchemeParams(K=256, P=8, N=2, L=1, q=2)
+        v = audit.audit_block_user_privacy(params)
+        assert v.ok and v.distance == 0
+        assert v.detail == "max per-database total variation 0, premises checked on 40 sampled strategy draws"
+        v = audit.audit_block_user_privacy(params, mutant=audit.BLOCK_MUTANT_NO_BASE_MASK)
+        assert not v.ok and v.detail == "a vector at database 0 is not its slot's base plus a shift"
+        # no_cr changes no query; its leak shows in the elimination of one draw with the pool public
+        plan = block_scheme.plan_blocks(params, tuple(range(8)), Random(0))
+        public = [wire.encode_table_query(range(plan.n_blocks), [])]
+        assert audit.recoverable_coordinates(plan.wire_queries() + public, 256, plan.n_blocks, 2, range(8)).undesired
+        monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", base_and_probes_together)
+        v = audit.audit_block_user_privacy(params)
+        assert not v.ok and v.detail == "a slot appears twice at database 0"
 
 
 class TestBlockDbPrivacy:
@@ -62,6 +69,19 @@ class TestBlockDbPrivacy:
         assert v.ok
         v = audit.audit_block_user_privacy(SchemeParams(K=2, P=1, N=2, L=1, q=3))
         assert v.ok and v.distance == 0
+
+    def test_budget_refusal(self):
+        with pytest.raises(audit.AuditBudgetExceeded):
+            audit.audit_block_db_privacy(SchemeParams(K=4, P=2, N=2, L=3, q=2))
+        # psi-wide's shape: 32! x 2^(16 x 16384) draws, too many digits to print
+        with pytest.raises(audit.AuditBudgetExceeded, match=r"^over 2\^262261 strategy draws exceed"):
+            audit.audit_block_db_privacy(SchemeParams(K=16384, P=32, N=3, L=1, q=2))
+
+    def test_budget_counts_strategy_draws(self):
+        # 2! shuffles times 2^(2 blocks x 4 coordinates) base vectors
+        assert audit._block_draws_count(K4_TWO_BLOCKS) == 512
+        with pytest.raises(audit.AuditBudgetExceeded, match="512 strategy draws exceed the 511 budget"):
+            audit.audit_block_db_privacy(K4_TWO_BLOCKS, budget=511)
 
     def test_negative_control_fails(self):
         for P, N in ((1, 2), (1, 3), (2, 3)):
@@ -140,21 +160,42 @@ def enumerated_block_db_groups(params, mutant):
     return groups
 
 
-def read_block_user_dists(params, mutant):
-    """The audit's per-database body counts with each body crossed with every
-    (W, S) realization into its literal atoms (body, answer, W, S); the answer
-    is computed here afresh."""
+def total_variation(p: Counter, q: Counter, atoms: int) -> Fraction:
+    """Distance between two distributions given as counts of ``atoms`` equally likely atoms each."""
+    return Fraction(sum(abs(p[key] - q[key]) for key in p.keys() | q.keys()), 2 * atoms)
+
+
+def block_body_counts(params, mutant):
+    """The body-count oracle: per desired set, each database's count of the
+    strategy draws emitting each query body, over every draw."""
+    return [
+        [Counter(bodies) for bodies in zip(*audit._block_draws(params, desired, mutant))]
+        for desired in combinations(range(params.K), params.P)
+    ]
+
+
+def body_count_distance(params, mutant):
+    """The largest per-database distance between the first desired set's body counts and another's."""
+    first, *rest = block_body_counts(params, mutant)
+    draws = audit._block_draws_count(params)
+    return max(total_variation(p, q, draws) for counts in rest for p, q in zip(first, counts))
+
+
+def crossed_block_user_dists(params, mutant):
+    """The oracle's body counts with each body crossed with every (W, S)
+    realization into its literal atoms (body, answer, W, S); the answer is
+    computed here afresh."""
     realizations = block_realizations(params, mutant)
-    read = []
-    for per_db in audit._block_user_dists(params, mutant):
-        read.append([])
+    crossed = []
+    for per_db in block_body_counts(params, mutant):
+        crossed.append([])
         for dist in per_db:
             atoms = Counter()
             for (body, n), (w_flat, s_vals, store, pool) in product(dist.items(), realizations):
                 atoms[body, tuple(block_scheme.answer_wire_query(body, store, pool)), w_flat, s_vals] += n
             assert len(atoms) == len(dist) * len(realizations)  # no two (body, W, S) name one atom
-            read[-1].append(atoms)
-    return read
+            crossed[-1].append(atoms)
+    return crossed
 
 
 def literal_block_db_privacy(params, mutant):
@@ -185,8 +226,61 @@ GROUPED_BLOCK_INSTANCES = [
 @pytest.mark.parametrize("mutant", [None, audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR])
 @pytest.mark.parametrize("params", GROUPED_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
 def test_grouped_enumeration_matches_every_run(params, mutant):
-    assert read_block_user_dists(params, mutant) == enumerated_block_user_dists(params, mutant)
+    literal = enumerated_block_user_dists(params, mutant)
+    assert crossed_block_user_dists(params, mutant) == literal
+    atoms = audit._block_draws_count(params) * len(block_realizations(params, mutant))
+    first, *rest = literal
+    assert body_count_distance(params, mutant) == max(
+        total_variation(p, q, atoms) for per_db in rest for p, q in zip(first, per_db)
+    )
     assert_db_verdict_is_literal(params, mutant)
+
+
+# The instances the closed-form user-privacy verdict is checked against the
+# body-count oracle on: every pair is listed in each.
+CLOSED_FORM_BLOCK_INSTANCES = GROUPED_BLOCK_INSTANCES + [
+    SchemeParams(K=3, P=1, N=3, L=1, q=2),
+    K4_TWO_BLOCKS,
+    SchemeParams(K=3, P=1, N=2, L=2, q=2),
+    SchemeParams(K=5, P=2, N=2, L=1, q=2),
+]
+
+
+@pytest.mark.parametrize("mutant", [None, audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR])
+@pytest.mark.parametrize("params", CLOSED_FORM_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}L{p.L}q{p.q}")
+def test_closed_form_user_verdict_matches_the_body_count_oracle(params, mutant):
+    distance = body_count_distance(params, mutant)
+    v = audit.audit_block_user_privacy(params, mutant=mutant)
+    assert v.ok == (distance == 0)
+    assert v.distance == (distance if v.ok else 1)
+
+
+def base_and_probes_together(plan, db):
+    """A tampered client: database 0 gets every entry, so it holds each block's base and its probes."""
+    KL, q = plan.params.K * plan.params.L, plan.params.q
+    entries = [(bq.block, KL, bq.vector) for qs in plan.queries for bq in qs] if db == 0 else []
+    return wire.encode_block_query(entries, q)
+
+
+def reversed_when_message_0_is_desired(plan, db):
+    """A tampered client: each database lists its entries backwards when message 0 is desired."""
+    KL, q = plan.params.K * plan.params.L, plan.params.q
+    entries = [(bq.block, KL, bq.vector) for bq in plan.queries[db]]
+    return wire.encode_block_query(entries[::-1] if 0 in plan.desired else entries, q)
+
+
+@pytest.mark.parametrize(
+    "tamper, premise",
+    [
+        (base_and_probes_together, "a slot appears twice at database 0"),
+        (reversed_when_message_0_is_desired, "slot sequence differs at database 0"),
+    ],
+)
+def test_slot_tampers_fail_the_verdict_and_the_oracle(monkeypatch, tamper, premise):
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", tamper)
+    assert body_count_distance(K4_TWO_BLOCKS, None) > 0
+    v = audit.audit_block_user_privacy(K4_TWO_BLOCKS)
+    assert not v.ok and v.distance == 1 and v.detail == premise
 
 
 def merged_slot_wire_query(plan, db):
@@ -262,14 +356,16 @@ def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
     monkeypatch.setattr(wire, "parse_block_query", counted_parse)
     monkeypatch.setattr(block_scheme, "answer_wire_query", counted_answer)
     params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
-    # 64 distinct bodies, each parsed once.  User privacy compares body counts
-    # and db privacy eliminates each draw's rows, so neither answers a body.
-    # Answering every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2
+    # User privacy parses each of its builds' bodies: two builds of N bodies
+    # for each of the 3 x 2! (desired set, shuffle order) pairs.  Db privacy
+    # parses its 64 distinct bodies once each.  Neither answers a body;
+    # answering every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2
     # answers, each after a parse of its own.
-    for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
-        parsed.clear()
-        assert verdict(params)
-        assert len(parsed) == len(set(parsed)) == 64
+    assert audit.audit_block_user_privacy(params)
+    assert len(parsed) == 6 * 2 * params.N
+    parsed.clear()
+    assert audit.audit_block_db_privacy(params)
+    assert len(parsed) == len(set(parsed)) == 64
     assert answered == []
 
 
@@ -457,6 +553,27 @@ class TestTableUserPrivacy:
             v = audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2), mutant=mutant)
             assert not v.ok
 
+    @pytest.mark.parametrize("tamper, fault", [("pool id", "outside the provisioned pool"), ("coordinate", "missing symbol")])
+    def test_refuses_what_the_server_refuses(self, monkeypatch, tamper, fault):
+        # database 0's body gains a plain pool id one past the pool, or its
+        # first sum a term one past the store's last coordinate: the server
+        # answers either with ERR_BAD_QUERY
+        wire_query = table_scheme.QueryTable.wire_query
+
+        def tampered(table, db):
+            view = wire.parse_table_query(wire_query(table, db))
+            plain, sums = list(view.plain_ids), list(view.sums)
+            if db == 0 and tamper == "pool id":
+                plain.append(table.pool_size)
+            elif db == 0:
+                (terms, pid), *rest = sums
+                sums = [((*terms, table.K * table.L_store), pid), *rest]
+            return wire.encode_table_query(plain, sums)
+
+        monkeypatch.setattr(table_scheme.QueryTable, "wire_query", tampered)
+        with pytest.raises(wire.ProtocolFault, match=fault):
+            audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2))
+
 
 def enumerated_component_tv(structs, size):
     """Reference for the closed form: the largest total variation between the
@@ -467,7 +584,7 @@ def enumerated_component_tv(structs, size):
         for dist, struct in zip(dists, structs):
             dist[tuple(map(perm.__getitem__, struct))] += 1
     return max(
-        (audit.total_variation(dists[0], other, factorial(size)) for other in dists[1:]), default=Fraction(0)
+        (total_variation(dists[0], other, factorial(size)) for other in dists[1:]), default=Fraction(0)
     )
 
 

@@ -468,19 +468,19 @@ def test_block_audit_rejects_a_single_database(capsys):
 
 def test_refused_audit_is_a_usage_error(capsys):
     code, _, err = run_cli(
-        capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--budget", "255"
+        capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--budget", "7"
     )
     assert code == EXIT_USAGE
     assert "audit refused" in err
 
 
-def test_block_audit_budget_counts_every_desired_set(capsys):
-    # 6 desired sets of 32,768 atoms each: over the budget, though one set is not
+def test_block_audit_budget_counts_strategy_draws(capsys):
+    # 2! shuffles times 2^(2 blocks x 4 coordinates) base vectors
     code, _, err = run_cli(
-        capsys, "audit", "--scheme", "block", "--K", "4", "--P", "2", "--N", "2", "--budget", "100000"
+        capsys, "audit", "--scheme", "block", "--K", "4", "--P", "2", "--N", "2", "--budget", "511"
     )
     assert code == EXIT_USAGE
-    assert "audit refused: 196608 atoms" in err
+    assert "audit refused: 512 strategy draws exceed the 511 budget" in err
 
 
 def test_paper_n3_table_audit_passes(capsys):
@@ -505,10 +505,10 @@ GOLDEN_AUDIT_DIGESTS = {
     "table K=3 P=1 N=3 no_pool_relabel": "a4857ab560076473bc7d19f9ed5193dda81333186ce5c0f01d080a6f52cf1cdc",
     "table K=3 P=1 N=3 no_hidden_cr": "9f605b78f0990310032b5a6a5b782e9df0ad64c962f6b0d31d37780966821135",
     "block K=3 P=1 N=2": "ccfadc05277000786e9c52130b162fd9a8bbf66332d673b5a5d039f535f40290",
-    "block K=3 P=1 N=2 no_base_mask": "e65b921781480a781a8fd9184ddb7758d893b8a6f152baa74c16b85e7328e1b5",
+    "block K=3 P=1 N=2 no_base_mask": "020772442a89323497f85df2e58b061cccf6a50d05ca176b382c658ac659afc2",
     "block K=3 P=1 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
     "block K=3 P=2 N=2": "f117b53fa6cd5f21d3dc91d14b2fedf0516239d937abe9499511aa4b2e8db3f3",
-    "block K=3 P=2 N=2 no_base_mask": "c2cb816933b4f013f2b5eeaacb7b0b7f4e1e517fc3f2299e52f88126f07f6f3b",
+    "block K=3 P=2 N=2 no_base_mask": "31ffb83429303676c345ede0711f01223411fef01d7e68e3d3fa0e5919f12dd9",
     "block K=3 P=2 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
     "block K=3 P=2 N=3": "0c12834165a0966aa5162f5ad13d51454141c5a63259fb185b1096923b15a7c8",
     "block K=3 P=2 N=3 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
@@ -570,8 +570,8 @@ def test_table_audit_rejects_block_mutants(capsys):
 
 
 def test_block_audit_rejects_table_mutants(capsys):
-    # K=6 P=2 N=2 is over the atom budget: the mutant is refused before the budget is checked
-    for K, P, mutant in ((3, 1, "no_index_permutation"), (3, 1, "no_hidden_cr"), (6, 2, "bogus")):
+    # K=8 P=3 N=2 is over the strategy-draw budget: the mutant is refused before the budget is checked
+    for K, P, mutant in ((3, 1, "no_index_permutation"), (3, 1, "no_hidden_cr"), (8, 3, "bogus")):
         code, out, err = run_cli(
             capsys, "audit", "--scheme", "block", "--K", str(K), "--P", str(P), "--N", "2", "--mutant", mutant
         )
