@@ -32,20 +32,26 @@ component draw applied to a fixed pattern, queries independent of messages
 and randomness) give every component's distance in closed form.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
-wire coefficient matrix of one strategy draw at a time: every draw of the
-linear scheme (refused past a strategy-draw budget), sampled draws of the
-table scheme.  For a linear scheme with
+wire coefficient matrix of a strategy draw.  For a linear scheme with
 uniform W and S, the view is independent of the undesired messages jointly
 iff the message span it pins, once the pool symbols are eliminated, meets
 the undesired coordinates only in 0, since the fibers of a linear map all
 have one size (the argument of Sun & Jafar, *The Capacity of Symmetric
-Private Information Retrieval*).  Each wire row is one packed int in
-``field.lane_bits(q)`` lanes, pool ids first and message coordinates after
-them, so a row operation is one XOR over F_2.  Rows are keyed on their
-first nonzero lane in the order pool, desired coordinates, undesired
-coordinates, so the rows keyed on undesired lanes span that meet; the rows
-left without a pool lane are brought to reduced form, and a coordinate is
-pinned outright iff its reduced row is its unit vector.
+Private Information Retrieval*).  The table scheme's check runs on sampled
+draws.  The linear scheme's decides every base draw of one shuffle order
+from two builds: with every base vector 0, and with distinct nonzero seeded
+bases.  Each row's base part (seeded minus zero-base vector) must be 0 or
+one block's base.  If two rows on one pool slot have different base parts,
+their difference is free of pool symbols and some base draw makes it an
+undesired unit vector, so the check fails.  Otherwise each slot's base part
+cancels against its pool symbol, every base draw pins the zero-base view's
+span with its rank, and one elimination decides them all.  Each wire row is
+one packed int in ``field.lane_bits(q)`` lanes, pool ids first and message
+coordinates after them, so a row operation is one XOR over F_2.  Rows are
+keyed on their first nonzero lane in the order pool, desired coordinates,
+undesired coordinates, so the rows keyed on undesired lanes span that meet;
+the rows left without a pool lane are brought to reduced form, and a
+coordinate is pinned outright iff its reduced row is its unit vector.
 
 Mutated schemes (negative controls) are first-class: an audit that cannot
 fail them is itself broken, and the test suite insists they fail.
@@ -66,12 +72,7 @@ from .field import lane_bits, pack, sample_uniform, unpack
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
-DEFAULT_BUDGET = 2**24
 _MECHANISM_SAMPLES = 40  # sampled draws checked against a factorization's premises
-
-
-class AuditBudgetExceeded(RuntimeError):
-    """The instance is not exhaustively enumerable within budget; refusing to sample."""
 
 
 @dataclass
@@ -127,7 +128,7 @@ class _ScriptedRandom:
 
 
 # ---------------------------------------------------------------------------
-# Linear (block) scheme: every strategy draw
+# Linear (block) scheme: two scripted builds per checked shuffle order
 # ---------------------------------------------------------------------------
 
 BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
@@ -148,55 +149,59 @@ def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_sch
     return plan  # no_cr changes no query: the database-privacy audit makes the pool public
 
 
-def _block_draws_count(params: SchemeParams) -> int:
-    """Equally likely strategy draws of one desired set: a shuffle and one base vector per block."""
+def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, ...] | None = None):
+    """The checked (desired set, shuffle order) pairs, each built twice.
+
+    The pairs are ``desired`` (every desired set if None) with every shuffle
+    order while there are at most ``_MECHANISM_SAMPLES`` of them, else that
+    many sampled pairs.  Returns the builds and the scope said in a passing
+    detail.  A build is ``(bases, zero, seeded)``: seeded base vectors that
+    are distinct and nonzero (redrawn until they are; there are fewer blocks
+    than nonzero vectors), then each database's parsed wire entries of the
+    plan with every base vector 0 and of the plan with ``bases``.
+    """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    return factorial(P * L) * q ** (lspir_cost(P, N, L)[1] * K * L)
+    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
+    rng, scope = Random(2024), ""
+    if (comb(K, P) if desired is None else 1) * factorial(P * L) <= _MECHANISM_SAMPLES:
+        pairs = product(combinations(range(K), P) if desired is None else [desired], permutations(range(P * L)))
+    else:
+        pairs = [
+            (sorted(rng.sample(range(K), P)) if desired is None else desired, rng.sample(range(P * L), P * L))
+            for _ in range(_MECHANISM_SAMPLES)
+        ]
+        scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
 
+    def views(desired, order, values) -> list[list[tuple[int, int, int]]]:
+        """The parsed bodies of the draw of shuffle ``order`` and the base vectors' scripted symbols ``values``."""
+        rng = _ScriptedRandom([order], values)
+        plan = _block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
+        assert rng.exhausted()
+        return [wire.parse_block_query(body, q, n_coords, n_blocks) for body in plan.wire_queries()]
 
-def _block_plan(params: SchemeParams, desired, order, values, mutant: str | None) -> block_scheme.BlockPlan:
-    """The plan of one strategy draw: shuffle ``order`` and the base vectors' scripted symbols ``values``."""
-    rng = _ScriptedRandom([order], values)
-    plan = block_scheme.plan_blocks(params, desired, rng)
-    assert rng.exhausted()
-    return _block_mutate(plan, mutant)
+    def builds():
+        for desired, order in pairs:
+            bases = [0]
+            while 0 in bases or len(set(bases)) < n_blocks:
+                bases = [sample_uniform(rng, n_coords, q) for _ in range(n_blocks)]
+            zero = views(desired, order, bytes(n_blocks * n_coords))
+            yield bases, zero, views(desired, order, b"".join(unpack(base, n_coords, q) for base in bases))
 
-
-def _block_draws(params: SchemeParams, desired: tuple[int, ...], mutant: str | None):
-    """Every strategy draw's per-database wire queries, one tuple per draw."""
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
-    for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
-        yield tuple(_block_plan(params, desired, order, values, mutant).wire_queries())
+    return builds(), scope
 
 
 def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:
     """Exact distributional equality of each database's query across desired sets.
 
-    Each checked (desired set, shuffle order) pair is built once with every
-    base vector 0 and once with seeded base vectors, and the premises in the
-    module docstring are checked on the parsed bodies; a failure names its premise.
+    The premises in the module docstring are checked on the parsed bodies of
+    every build of ``_block_builds``; a failure names its premise.
     """
     _check_block_mutant(mutant)
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
-    rng, scope = Random(2024), ""
-    if comb(K, P) * factorial(P * L) <= _MECHANISM_SAMPLES:
-        pairs = product(combinations(range(K), P), permutations(range(P * L)))
-    else:
-        pairs = [(sorted(rng.sample(range(K), P)), rng.sample(range(P * L), P * L)) for _ in range(_MECHANISM_SAMPLES)]
-        scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
-
-    def views(desired, order, values) -> list[list[tuple[int, int, int]]]:
-        bodies = _block_plan(params, desired, order, values, mutant).wire_queries()
-        return [wire.parse_block_query(body, q, n_coords, n_blocks) for body in bodies]
-
+    n_coords, q = params.K * params.L, params.q
+    builds, scope = _block_builds(params, mutant)
     slots: dict[int, list[int]] = {}  # each database's slot sequence, fixed by its first build
-    for desired, order in pairs:
-        bases = [sample_uniform(rng, n_coords, q) for _ in range(n_blocks)]
-        shifts = views(desired, order, bytes(n_blocks * n_coords))
-        drawn = views(desired, order, b"".join(unpack(base, n_coords, q) for base in bases))
-        for db in range(N):
+    for bases, shifts, drawn in builds:
+        for db in range(params.N):
             for got in ([pid for pid, _, _ in shifts[db]], [pid for pid, _, _ in drawn[db]]):
                 if slots.setdefault(db, got) != got:
                     return Verdict(False, Fraction(1), f"slot sequence differs at database {db}")
@@ -208,44 +213,39 @@ def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     return Verdict(True, Fraction(0), f"max per-database total variation 0{scope}")
 
 
-def audit_block_db_privacy(
-    params: SchemeParams, mutant: str | None = None, budget: int = DEFAULT_BUDGET
-) -> Verdict:
+def audit_block_db_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:
     """Posterior of the undesired symbols given the querying side's whole view
     must equal the uniform prior, for every view of nonzero probability.
 
-    Every strategy draw of desired set (0..P-1) is visited, and its wires are
-    checked by exact elimination (the client knows its own draw, so the check
-    conditions on it): the posterior is uniform iff the pinned span holds no
-    functional of undesired coordinates alone.  A draw's answers are a linear
-    image of the uniform (W, S), so it has q^rank views.  The ``no_cr``
-    mutant is modeled as the pool made public: a synthetic plain download of
-    each pool id.
+    Each shuffle order of desired set (0..P-1) that ``_block_builds`` checks
+    is decided exactly for every base draw at once, by the two-build argument
+    in the module docstring.  The ``no_cr`` mutant is modeled as the pool made
+    public: one plain download, vector 0, of each pool id.
     """
     _check_block_mutant(mutant)
-    draws = _block_draws_count(params)
-    if draws > budget:  # a count too long to print in decimal is given as a power of 2
-        shown = draws if draws.bit_length() <= 64 else f"over 2^{draws.bit_length() - 1}"
-        raise AuditBudgetExceeded(f"{shown} strategy draws exceed the {budget} budget; refusing to sample")
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
-    public = [wire.encode_table_query([pid], []) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
-    parsed: dict[bytes, list[int]] = {}  # each distinct body parsed once, with the server's bounds
-
-    def rows(body: bytes) -> list[int]:
-        if body not in parsed:
-            parsed[body] = _rows_from_wire(body, n_coords, n_blocks, q)
-        return parsed[body]
-
-    uniform, n_views = True, 0
-    for wires in _block_draws(params, tuple(range(P)), mutant):  # every draw is visited, as in a literal enumeration
-        view = [row for body in (*wires, *public) for row in rows(body)]
-        span = _eliminate(view, n_coords, n_blocks, q, range(P * L))
-        uniform &= not span.undesired
-        n_views += q**span.rank
-    if not uniform:
-        return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
-    return Verdict(True, Fraction(0), f"{n_views} views checked, posterior uniform in all")
+    n_coords, n_blocks, lane = K * L, lspir_cost(P, N, L)[1], lane_bits(q)
+    public = [(pid, n_coords, 0) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
+    builds, scope = _block_builds(params, mutant, tuple(range(P)))
+    n_views = 0
+    for bases, zero, seeded in builds:
+        zero_rows, seeded_rows = [e for v in zero for e in v] + public, [e for v in seeded for e in v] + public
+        if [pid for pid, _, _ in zero_rows] != [pid for pid, _, _ in seeded_rows]:
+            return Verdict(False, Fraction(1), "slot sequence differs between the zero-base and seeded builds")
+        parts: dict[int, int] = {}  # pool slot -> the base part of its rows
+        for (pid, _, vec), (_, _, seeded_vec) in zip(zero_rows, seeded_rows):
+            part = _combine(seeded_vec, q - 1, vec, n_coords, q)
+            if part and part not in bases:
+                return Verdict(False, Fraction(1), "a vector's base part is neither 0 nor one block's base")
+            if parts.setdefault(pid, part) != part:
+                return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
+        rows = [vec << n_blocks * lane | 1 << pid * lane for pid, _, vec in zero_rows]
+        span = _eliminate(rows, n_coords, n_blocks, q, range(P * L))
+        if span.undesired:
+            return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
+        n_views += q ** (n_blocks * n_coords + span.rank)
+    detail = f"posterior uniform in all views{scope}" if scope else f"{n_views} views checked, posterior uniform in all"
+    return Verdict(True, Fraction(0), detail)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ audit       run the exact privacy/reliability audits
 
 Every subcommand is deterministic given its seeds (an unseeded ``psi serve``
 draws its pool, and an unseeded ``psi run --connect`` its query strategy,
-from ``secrets``).  ``--machine`` switches to line-oriented
-JSON records (one object per line, each carrying a ``record`` discriminator).  Exit codes: 0 success, 2 usage error (a file or
-port that cannot be used included) or an audit refused for its budget,
-3 protocol/transport fault, 4 audit failure.
+from ``secrets``).  ``--machine`` switches to line-oriented JSON records (one
+object per line, each carrying a ``record`` discriminator).  Exit codes: 0
+success, 2 usage error (a file or port that cannot be used included), 3
+protocol/transport fault, 4 audit failure.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def _write_incidence(path: str, vec: psi.IncidenceVector) -> None:
 
 def _address(entry: str) -> tuple[str, int]:
     host, sep, port = entry.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ParamError(f"address {entry!r} is not host:port")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ParamError(f"address {entry!r} is not host:port with a port in 0-65535")
     return host, int(port)
 
 
@@ -328,8 +328,8 @@ def cmd_psi_verify(args) -> int:
             responder = 2 if meta.get("initiator") == 1 else 1
             store = psi.EntityConfig(responder, K, max(1, len(transcript.records)), elements).store
             P, N, q = meta.get("P_initiator"), meta.get("N_responder"), meta.get("q")
-            if not (isinstance(P, int) and isinstance(N, int)):
-                raise ParamError("transcript metadata lacks the run's P_initiator and N_responder")
+            if not (type(P) is int and type(N) is int and 0 <= P <= K):
+                raise ParamError("transcript metadata lacks the run's P_initiator and N_responder (integers, P from 0 to K)")
             shared = psi_direction_cost(P, N, K) - P  # the pool the run had: run_psi provisions D - P symbols
             check_modulus(q)
             for db_records in transcript.records:  # every recorded vector is read over the transcript's field
@@ -362,7 +362,7 @@ def cmd_audit(args) -> int:
     verdicts: dict[str, audit_mod.Verdict] = {}
     if args.scheme == "block":
         verdicts["user_privacy"] = audit_mod.audit_block_user_privacy(params, mutant=args.mutant)
-        verdicts["db_privacy"] = audit_mod.audit_block_db_privacy(params, mutant=args.mutant, budget=args.budget)
+        verdicts["db_privacy"] = audit_mod.audit_block_db_privacy(params, mutant=args.mutant)
         if args.mutant is None:
             verdicts["reliability"] = audit_mod.audit_reliability_block(params, trials=args.trials)
     else:
@@ -474,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=1)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--trials", type=int, default=50, help="reliability trials, at least 1")
-    p.add_argument("--budget", type=int, default=audit_mod.DEFAULT_BUDGET,
-                   help="strategy-draw budget of the block database-privacy audit")
     p.add_argument("--mutant", default=None,
                    help="negative control: no_base_mask, no_cr, no_index_permutation, "
                         "no_pool_relabel, no_hidden_cr")
@@ -492,9 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParamError, InfeasibleError, ValueError, OSError) as exc:  # OSError: a file or port we cannot use
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except audit_mod.AuditBudgetExceeded as exc:
-        print(f"audit refused: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (wire.ProtocolFault, transport.InsufficientRandomness) as exc:
         print(f"protocol fault: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 
 from . import block_scheme, table_scheme, wire
+from .params import ParamError
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import MSG_ERROR, encode_frame  # noqa: F401  (looked up here by callers)
 
@@ -284,6 +285,8 @@ class TcpServerPool:
         self.addresses: list[tuple[str, int]] = []
 
     def start(self) -> None:
+        if self.base_port + len(self.servers) - 1 > 65535:  # checked before any listener is bound
+            raise ParamError(f"{len(self.servers)} databases from port {self.base_port} run past port 65535")
         for i, srv in enumerate(self.servers):
             port = self.base_port + i if self.base_port else 0
             lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -70,19 +70,6 @@ class TestBlockDbPrivacy:
         v = audit.audit_block_user_privacy(SchemeParams(K=2, P=1, N=2, L=1, q=3))
         assert v.ok and v.distance == 0
 
-    def test_budget_refusal(self):
-        with pytest.raises(audit.AuditBudgetExceeded):
-            audit.audit_block_db_privacy(SchemeParams(K=4, P=2, N=2, L=3, q=2))
-        # psi-wide's shape: 32! x 2^(16 x 16384) draws, too many digits to print
-        with pytest.raises(audit.AuditBudgetExceeded, match=r"^over 2\^262261 strategy draws exceed"):
-            audit.audit_block_db_privacy(SchemeParams(K=16384, P=32, N=3, L=1, q=2))
-
-    def test_budget_counts_strategy_draws(self):
-        # 2! shuffles times 2^(2 blocks x 4 coordinates) base vectors
-        assert audit._block_draws_count(K4_TWO_BLOCKS) == 512
-        with pytest.raises(audit.AuditBudgetExceeded, match="512 strategy draws exceed the 511 budget"):
-            audit.audit_block_db_privacy(K4_TWO_BLOCKS, budget=511)
-
     def test_negative_control_fails(self):
         for P, N in ((1, 2), (1, 3), (2, 3)):
             v = audit.audit_block_db_privacy(
@@ -91,6 +78,40 @@ class TestBlockDbPrivacy:
             assert not v.ok
         for mutant in (audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR):
             assert not audit.audit_block_db_privacy(K4_TWO_BLOCKS, mutant=mutant)
+
+
+def block_draws_count(params):
+    """Equally likely strategy draws of one desired set: a shuffle and one base vector per block."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    return factorial(P * L) * q ** (lspir_cost(P, N, L)[1] * K * L)
+
+
+def block_draws(params, desired, mutant):
+    """Every strategy draw's per-database wire queries, one tuple per draw."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
+    for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
+        rng = audit._ScriptedRandom([order], values)
+        plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
+        assert rng.exhausted()
+        yield tuple(plan.wire_queries())
+
+
+def per_draw_block_db_privacy(params, mutant):
+    """The per-draw elimination oracle: every strategy draw of desired set
+    (0..P-1) eliminated on its own, the pool made public under ``no_cr``.
+    Returns whether no draw's view pins an undesired functional, and the
+    number of views, q^rank for each draw."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    n_blocks = lspir_cost(P, N, L)[1]
+    no_cr = mutant == audit.BLOCK_MUTANT_NO_CR
+    public = [wire.encode_table_query([pid], []) for pid in range(n_blocks)] if no_cr else []
+    uniform, n_views = True, 0
+    for wires in block_draws(params, tuple(range(P)), mutant):
+        span = audit.recoverable_coordinates([*wires, *public], K * L, n_blocks, q, range(P * L))
+        uniform &= not span.undesired
+        n_views += q**span.rank
+    return uniform, n_views
 
 
 def uniform_posteriors(pairs: Counter, n_values: int) -> bool:
@@ -169,7 +190,7 @@ def block_body_counts(params, mutant):
     """The body-count oracle: per desired set, each database's count of the
     strategy draws emitting each query body, over every draw."""
     return [
-        [Counter(bodies) for bodies in zip(*audit._block_draws(params, desired, mutant))]
+        [Counter(bodies) for bodies in zip(*block_draws(params, desired, mutant))]
         for desired in combinations(range(params.K), params.P)
     ]
 
@@ -177,7 +198,7 @@ def block_body_counts(params, mutant):
 def body_count_distance(params, mutant):
     """The largest per-database distance between the first desired set's body counts and another's."""
     first, *rest = block_body_counts(params, mutant)
-    draws = audit._block_draws_count(params)
+    draws = block_draws_count(params)
     return max(total_variation(p, q, draws) for counts in rest for p, q in zip(first, counts))
 
 
@@ -228,7 +249,7 @@ GROUPED_BLOCK_INSTANCES = [
 def test_grouped_enumeration_matches_every_run(params, mutant):
     literal = enumerated_block_user_dists(params, mutant)
     assert crossed_block_user_dists(params, mutant) == literal
-    atoms = audit._block_draws_count(params) * len(block_realizations(params, mutant))
+    atoms = block_draws_count(params) * len(block_realizations(params, mutant))
     first, *rest = literal
     assert body_count_distance(params, mutant) == max(
         total_variation(p, q, atoms) for per_db in rest for p, q in zip(first, per_db)
@@ -253,6 +274,16 @@ def test_closed_form_user_verdict_matches_the_body_count_oracle(params, mutant):
     v = audit.audit_block_user_privacy(params, mutant=mutant)
     assert v.ok == (distance == 0)
     assert v.distance == (distance if v.ok else 1)
+
+
+@pytest.mark.parametrize("mutant", [None, audit.BLOCK_MUTANT_NO_BASE_MASK, audit.BLOCK_MUTANT_NO_CR])
+@pytest.mark.parametrize("params", CLOSED_FORM_BLOCK_INSTANCES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}L{p.L}q{p.q}")
+def test_closed_form_db_verdict_matches_the_per_draw_oracle(params, mutant):
+    uniform, n_views = per_draw_block_db_privacy(params, mutant)
+    v = audit.audit_block_db_privacy(params, mutant=mutant)
+    assert v.ok == uniform and v.distance == (0 if uniform else 1)
+    if uniform:
+        assert v.detail == f"{n_views} views checked, posterior uniform in all"
 
 
 def base_and_probes_together(plan, db):
@@ -294,6 +325,33 @@ def test_merged_slot_tamper_fails_the_verdict_and_the_literal_check(monkeypatch,
     monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", merged_slot_wire_query)
     v = assert_db_verdict_is_literal(params)
     assert not v.ok
+
+
+def slot_moved_wire_query(a, b):
+    """A tampered client: slot ``b``'s entries move onto slot ``a``, so one mask covers two blocks."""
+    def wire_query(plan, db):
+        KL, q = plan.params.K * plan.params.L, plan.params.q
+        entries = [(a if bq.block == b else bq.block, KL, bq.vector) for bq in plan.queries[db]]
+        return wire.encode_block_query(entries, q)
+
+    return wire_query
+
+
+# Randomness tightness: every instance has two blocks, and moving either one's
+# slot onto the other's lets the view pin an undesired functional.
+@pytest.mark.parametrize(
+    "params",
+    [K4_TWO_BLOCKS, SchemeParams(K=5, P=2, N=2), SchemeParams(K=3, P=1, N=2, L=2), SchemeParams(K=3, P=2, N=2, q=3)],
+    ids=lambda p: f"K{p.K}P{p.P}N{p.N}L{p.L}q{p.q}",
+)
+def test_every_slot_merge_fails_the_db_verdict_and_the_per_draw_oracle(monkeypatch, params):
+    n_blocks = lspir_cost(params.P, params.N, params.L)[1]
+    assert n_blocks == 2
+    for a, b in permutations(range(n_blocks), 2):
+        monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", slot_moved_wire_query(a, b))
+        v = audit.audit_block_db_privacy(params)
+        assert not v.ok and v.detail == "posterior of undesired symbols differs from prior", (a, b)
+        assert not per_draw_block_db_privacy(params, None)[0], (a, b)
 
 
 def literal_posteriors_uniform(answer, wires, K, L, q, pool_size, desired, public=()):
@@ -356,16 +414,16 @@ def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
     monkeypatch.setattr(wire, "parse_block_query", counted_parse)
     monkeypatch.setattr(block_scheme, "answer_wire_query", counted_answer)
     params = SchemeParams(K=3, P=2, N=2, L=1, q=2)
-    # User privacy parses each of its builds' bodies: two builds of N bodies
-    # for each of the 3 x 2! (desired set, shuffle order) pairs.  Db privacy
-    # parses its 64 distinct bodies once each.  Neither answers a body;
+    # Each audit parses each of its builds' bodies: two builds of N bodies for
+    # each of the 3 x 2! (desired set, shuffle order) pairs of user privacy
+    # and the 2! shuffle orders of db privacy.  Neither answers a body;
     # answering every run afresh takes 3 x 128 x 32 x 2 and 128 x 32 x 2
     # answers, each after a parse of its own.
     assert audit.audit_block_user_privacy(params)
     assert len(parsed) == 6 * 2 * params.N
     parsed.clear()
     assert audit.audit_block_db_privacy(params)
-    assert len(parsed) == len(set(parsed)) == 64
+    assert len(parsed) == 2 * 2 * params.N
     assert answered == []
 
 
@@ -628,12 +686,15 @@ def literal_table_posteriors_uniform(table, public=()):
     return literal_posteriors_uniform(table_scheme.answer_wire_query, wires, K, L, q, pool_size, table.desired, public)
 
 
+LITERAL_TABLE_BUDGET = 2**24  # (W, S) realizations the literal table check may visit
+
+
 def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
     """Reference for the elimination verdict: the literal posterior check of
     each strategy draw (the client knows its own draw, so the check
     conditions on it)."""
     L_store, pool_size = audit._table_shape(params)
-    assert params.q ** (params.K * L_store + pool_size) * len(seeds) <= audit.DEFAULT_BUDGET
+    assert params.q ** (params.K * L_store + pool_size) * len(seeds) <= LITERAL_TABLE_BUDGET
     for seed in seeds:
         table = table_scheme.build_query_table(params, tuple(range(params.P)), Random(seed))
         hidden = audit._hidden_ids(table) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []

@@ -142,6 +142,21 @@ def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr and not out.stdout
 
 
+@pytest.mark.parametrize("listen, n_databases", [("127.0.0.1:70000", "1"), ("127.0.0.1:65535", "2")])
+def test_psi_serve_on_a_port_past_65535_is_a_usage_error(tmp_path, listen, n_databases):
+    # with two databases from port 65535, database 1 would get port 65536: nothing is bound
+    set2 = tmp_path / "e2.set"
+    set2.write_text("# privset set v1 K=10\n0\n2\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "privset.cli", "psi", "serve", "--set", str(set2), "--listen", listen,
+         "--n-databases", n_databases],
+        capture_output=True, text=True, timeout=30, env=checkout_env(),
+    )
+    assert out.returncode == EXIT_USAGE
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr and not out.stdout
+
+
 def test_psi_serve_draws_an_unseeded_pool_from_secrets(tmp_path, capsys, monkeypatch):
     from types import SimpleNamespace
 
@@ -355,6 +370,14 @@ def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
     transcript.save(str(path))
     code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
     assert code == EXIT_PROTOCOL and "truncated" in err
+    # metadata from an untrusted file: a list-valued q, a boolean P or a P past K is a usage error
+    honest = {**transcript.meta, "q": 2}
+    for key, value in (("q", [2]), ("q", True), ("P_initiator", True), ("P_initiator", 21), ("N_responder", 2.0)):
+        transcript.meta = {**honest, key: value}
+        transcript.save(str(path))
+        code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
+        assert code == EXIT_USAGE, key
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, (key, err)
 
 
 def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
@@ -466,21 +489,20 @@ def test_block_audit_rejects_a_single_database(capsys):
     assert "two databases" in err
 
 
-def test_refused_audit_is_a_usage_error(capsys):
-    code, _, err = run_cli(
-        capsys, "audit", "--scheme", "block", "--K", "3", "--P", "1", "--N", "2", "--budget", "7"
-    )
-    assert code == EXIT_USAGE
-    assert "audit refused" in err
-
-
-def test_block_audit_budget_counts_strategy_draws(capsys):
-    # 2! shuffles times 2^(2 blocks x 4 coordinates) base vectors
-    code, _, err = run_cli(
-        capsys, "audit", "--scheme", "block", "--K", "4", "--P", "2", "--N", "2", "--budget", "511"
-    )
-    assert code == EXIT_USAGE
-    assert "audit refused: 512 strategy draws exceed the 511 budget" in err
+def test_block_audit_runs_at_the_psi_serve_size(capsys):
+    argv = ["audit", "--scheme", "block", "--K", "256", "--P", "8", "--N", "2", "--machine"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    records = machine_records(out)
+    assert [r["check"] for r in records] == ["user_privacy", "db_privacy", "reliability"]
+    assert all(r["ok"] for r in records)
+    sampled = ", premises checked on 40 sampled strategy draws"
+    assert records[0]["detail"] == "max per-database total variation 0" + sampled
+    assert records[1]["detail"] == "posterior uniform in all views" + sampled
+    for mutant in ("no_cr", "no_base_mask"):
+        code, out, _ = run_cli(capsys, *argv, "--mutant", mutant)
+        assert code == EXIT_AUDIT
+        assert not machine_records(out)[1]["ok"]
 
 
 def test_paper_n3_table_audit_passes(capsys):
@@ -570,7 +592,7 @@ def test_table_audit_rejects_block_mutants(capsys):
 
 
 def test_block_audit_rejects_table_mutants(capsys):
-    # K=8 P=3 N=2 is over the strategy-draw budget: the mutant is refused before the budget is checked
+    # the mutant is refused before any audit runs, at K=8 P=3 N=2 as at K=3
     for K, P, mutant in ((3, 1, "no_index_permutation"), (3, 1, "no_hidden_cr"), (8, 3, "bogus")):
         code, out, err = run_cli(
             capsys, "audit", "--scheme", "block", "--K", str(K), "--P", str(P), "--N", "2", "--mutant", mutant
