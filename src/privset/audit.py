@@ -29,7 +29,10 @@ The query-table scheme's strategy space is one permutation per message plus
 a pool relabeling.  Its premises (identical skeletons across desired sets,
 distinct indices within each structure, the emitted query being the
 component draw applied to a fixed pattern, queries independent of messages
-and randomness) give every component's distance in closed form.
+and randomness) give every component's distance in closed form.  The
+scheme's rng-free structure (``table_scheme.table_structure``) is built once
+per desired set within each verdict, and premise 3 is checked on the draw
+applied to it; only the determinism replay builds a structure again.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
 wire coefficient matrix of a strategy draw.  For a linear scheme with
@@ -267,20 +270,15 @@ def _identity_orders(K: int, L: int, pool: int) -> list[tuple[int, ...]]:
     return [tuple(range(L)) for _ in range(K)] + [tuple(range(pool))]
 
 
-def _table_build(params: SchemeParams, desired, orders, mutant: str | None):
+def _table_build(structure: table_scheme.TableStructure, orders, mutant: str | None):
+    """The draw of scripted shuffle ``orders`` over ``structure``, edited as ``mutant`` says."""
     rng = _ScriptedRandom(list(orders), [])
-    table = table_scheme.build_query_table(params, desired, rng)
+    table = table_scheme.draw(structure, rng)
     if mutant == TABLE_MUTANT_NO_INDEX_PERM:
-        table.msg_perm = [list(range(table.L_store)) for _ in range(params.K)]
+        table.msg_perm = [list(range(table.L_store)) for _ in range(table.K)]
     elif mutant == TABLE_MUTANT_NO_POOL_RELABEL:
         table.pool_perm = list(range(table.pool_size))
     return table
-
-
-def _table_shape(params: SchemeParams) -> tuple[int, int]:
-    """L_store and pool size, which no strategy draw or desired set changes."""
-    probe = table_scheme.build_query_table(params, tuple(range(params.P)), Random(0))
-    return probe.L_store, probe.pool_size
 
 
 def _skeleton(view: wire.TableQuery, L: int):
@@ -309,17 +307,20 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     per-database distinctness, query independence of messages and randomness
     via the scripted build being data-free) are checked, the factorization is
     verified on sampled draws, and each factor's distance then follows in
-    closed form from premises 1-2 instead of being enumerated.
+    closed form from premises 1-2 instead of being enumerated.  Each desired
+    set's structure is built once, and premise 3 is checked on draws over
+    it; premise 4's replay builds its structure afresh.
     """
     _check_table_mutant(mutant)
     K, P, N = params.K, params.P, params.N
-    L_store, pool_size = _table_shape(params)
-
     desired_sets = list(combinations(range(K), P))
+    structures = {desired: table_scheme.table_structure(params, desired) for desired in desired_sets}
+    first = structures[desired_sets[0]]  # its L_store and pool size, which no desired set changes
+    L_store, pool_size = first.L_store, first.pool_size
     ident = _identity_orders(K, L_store, pool_size)
     views: dict[tuple, list[wire.TableQuery]] = {}
     for desired in desired_sets:
-        views[desired] = _table_views(_table_build(params, desired, ident, mutant))
+        views[desired] = _table_views(_table_build(structures[desired], ident, mutant))
 
     # Premise 1: identical skeletons and counts across desired sets.
     base = views[desired_sets[0]]
@@ -352,7 +353,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
         check_rng.shuffle(perm)
         orders[comp] = tuple(perm)
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
-        got = _table_views(_table_build(params, desired, orders, mutant))
+        got = _table_views(_table_build(structures[desired], orders, mutant))
         ref = views[desired]
         for db in range(N):
             if comp < K:
@@ -370,8 +371,10 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
                     return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
 
     # Premise 4: the scripted build never touched messages or randomness, so
-    # queries are independent of (W, S) by construction; re-assert by replay.
-    if _table_views(_table_build(params, desired_sets[0], ident, mutant)) != base:
+    # queries are independent of (W, S) by construction; re-assert by replay
+    # of a freshly built structure.
+    replay = _table_build(table_scheme.table_structure(params, desired_sets[0]), ident, mutant)
+    if _table_views(replay) != base:
         return Verdict(False, Fraction(1), "query generation is not deterministic in the strategy draw")
 
     # Every component distance is 0 in closed form: a uniform permutation maps
@@ -552,9 +555,12 @@ def audit_table_db_privacy(
     values: a synthetic plain download of each.
     """
     _check_table_mutant(mutant)
+    structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
     for seed in seeds:
         for desired in combinations(range(params.K), params.P):
-            table = table_scheme.build_query_table(params, desired, Random(seed))
+            if desired not in structures:
+                structures[desired] = table_scheme.table_structure(params, desired)
+            table = table_scheme.draw(structures[desired], Random(seed))
             payloads = table.wire_queries()
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
                 payloads += [wire.encode_table_query([pid], []) for pid in _hidden_ids(table)]
@@ -576,9 +582,12 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
         raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
     rng = Random(seed)
     K, P, N, q = params.K, params.P, params.N, params.q
+    structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
     for _ in range(trials):
         desired = tuple(sorted(rng.sample(range(K), P)))
-        table = table_scheme.build_query_table(params, desired, Random(rng.randrange(1 << 30)))
+        if desired not in structures:
+            structures[desired] = table_scheme.table_structure(params, desired)
+        table = table_scheme.draw(structures[desired], Random(rng.randrange(1 << 30)))
         store = MessageStore.generate(K, table.L_store, q, seed=rng.randrange(1 << 30))
         pool = CommonRandomnessPool.generate(table.pool_size, q, seed=rng.randrange(1 << 30))
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]

@@ -21,9 +21,14 @@ Construction rules, per database:
 Each pure sum is consumed exactly once at each of the other N-1 databases,
 which is what the stage profile's balance identity guarantees is possible.
 
-The querying side's private randomness is one uniform permutation of symbol
-positions per message plus one uniform relabeling of the randomness pool;
-these make the per-database view independent of which messages are desired.
+A table is built in two steps.  :func:`table_structure` lays out the sums
+above; it takes no randomness, so its output is a function of the public
+parameters and the desired set alone.  :func:`draw` then applies the querying
+side's private randomness: one uniform permutation of symbol positions per
+message plus one uniform relabeling of the randomness pool.  These make the
+per-database view independent of which messages are desired.
+:func:`build_query_table` is the two steps in turn; a structure may be drawn
+any number of times, and its draws share its lists, which nothing mutates.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ class SumSpec(NamedTuple):
 
 
 @dataclass
-class QueryTable:
-    """Full client-side plan for one protocol run plus the wire randomization."""
+class TableStructure:
+    """The rng-free half of a query table: which sums each database downloads,
+    by structural index and canonical pool slot."""
 
     K: int
     P: int
@@ -81,6 +87,12 @@ class QueryTable:
     msg_fresh: list[int]  # fresh symbol count per message
     L_store: int
     pool_size: int
+
+
+@dataclass
+class QueryTable(TableStructure):
+    """Full client-side plan for one protocol run plus the wire randomization."""
+
     msg_perm: list[list[int]]  # structural index -> store position, per message
     pool_perm: list[int]  # canonical slot -> pool id
 
@@ -125,6 +137,16 @@ def build_query_table(
     repetition factor; the default restores per-message symmetry, while
     e.g. ``reps=1`` gives the smallest (possibly asymmetric) run.
     """
+    return draw(table_structure(params, desired, reps), rng)
+
+
+def table_structure(
+    params: SchemeParams,
+    desired: set[int] | tuple[int, ...] | list[int],
+    reps: int | None = None,
+) -> TableStructure:
+    """The sums of every database for one desired set, before any strategy draw
+    (``build_query_table``'s arguments, less the rng)."""
     K, P, N, q = params.K, params.P, params.N, params.q
     if P == K:
         raise ParamError("P == K is served by the download-all path, not by query tables")
@@ -254,20 +276,25 @@ def build_query_table(
     if pool_size != expected_pool:
         raise ProtocolFault(f"allocated {pool_size} randomness slots, ledger says {expected_pool}")
 
-    msg_perm = []
-    for _ in range(K):
-        perm = list(range(L_store))
-        rng.shuffle(perm)
-        msg_perm.append(perm)
-    pool_perm = list(range(pool_size))
-    rng.shuffle(pool_perm)
-
-    return QueryTable(
+    return TableStructure(
         K=K, P=P, N=N, q=q, desired=desired, reps=reps, profile=profile,
         plain_slots=plain_slots, sums=sums,
         msg_fresh=msg_fresh, L_store=L_store, pool_size=pool_size,
-        msg_perm=msg_perm, pool_perm=pool_perm,
     )
+
+
+def draw(structure: TableStructure, rng: Random) -> QueryTable:
+    """One strategy draw over ``structure``: K position shuffles, one per
+    message in order, then the pool shuffle.  The table shares the
+    structure's lists."""
+    msg_perm = []
+    for _ in range(structure.K):
+        perm = list(range(structure.L_store))
+        rng.shuffle(perm)
+        msg_perm.append(perm)
+    pool_perm = list(range(structure.pool_size))
+    rng.shuffle(pool_perm)
+    return QueryTable(**vars(structure), msg_perm=msg_perm, pool_perm=pool_perm)
 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:

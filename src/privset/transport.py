@@ -29,9 +29,10 @@ from .wire import MSG_ERROR, encode_frame  # noqa: F401  (looked up here by call
 
 _log = logging.getLogger(__name__)
 
-# Scheme tag -> answer evaluator over (payload, store, pool).
+# Scheme tag -> answer evaluator over (payload, store, pool).  A served
+# database speaks only PSI: the table tag is not served, since one table body
+# can mask every coordinate with one plainly served symbol.
 QUERY_HANDLERS = {
-    table_scheme.TABLE_QUERY_TAG: table_scheme.answer_wire_query,
     block_scheme.BLOCK_QUERY_TAG: block_scheme.answer_wire_query,
     wire.DOWNLOAD_ALL_TAG: table_scheme.answer_download_all,
 }

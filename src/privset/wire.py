@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .field import lane_bits
@@ -59,6 +60,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _PAIR = struct.Struct("<II")  # block entry head (pool id, length); answer head (query id, count)
 _SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
+_SUM_VALUES = [struct.Struct(f"<{t + 1}I") for t in range(256)]  # a sum's t coordinates, then its pool id
 
 FRAME_HEADER_SIZE = _FRAME.size
 TRANSCRIPT_HEADER = b"PRIVSET-TRANSCRIPT v1\n"
@@ -205,6 +207,7 @@ def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int |
     below ``n_coords`` and every pool id is below ``pool_size``."""
     _check_tag(body, TABLE_QUERY_TAG)
     sums = []
+    append = sums.append
     try:
         (n_plain,) = _U32.unpack_from(body, 1)
         plain_ids = struct.unpack_from(f"<{n_plain}I", body, 1 + _U32.size)
@@ -213,17 +216,18 @@ def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int |
         off += _U32.size
         for _ in range(n_sums):
             t = body[off]
-            values = struct.unpack_from(f"<{t + 1}I", body, off + 1)  # t coordinates, then the pool id
-            sums.append((values[:t], values[t]))
+            values = _SUM_VALUES[t].unpack_from(body, off + 1)
+            append((values[:t], values[t]))
             off += 1 + _U32.size * (t + 1)
     except (struct.error, IndexError):
         raise ProtocolFault("truncated query payload") from None
     _check_end(off, body, "query payload")
+    terms, pool_ids = zip(*sums) if sums else ((), ())
     if n_coords is not None:
-        top = max((max(terms, default=-1) for terms, _ in sums), default=-1)
+        top = max(chain.from_iterable(terms), default=-1)
         if top >= n_coords:
             raise ProtocolFault(f"query references missing symbol at coordinate {top}")
-    _check_slots(plain_ids + tuple(pool_id for _, pool_id in sums), pool_size)
+    _check_slots(plain_ids + pool_ids, pool_size)
     return TableQuery(plain_ids, tuple(sums))
 
 

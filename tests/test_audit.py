@@ -1,3 +1,4 @@
+import copy
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -632,6 +633,37 @@ class TestTableUserPrivacy:
         with pytest.raises(wire.ProtocolFault, match=fault):
             audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2))
 
+    def test_draws_leave_their_structure_unchanged(self):
+        # the verdict draws many tables over one structure per desired set
+        # and edits some of them as a mutant; none may reach the structure
+        structure = table_scheme.table_structure(SchemeParams(K=3, P=1, N=2), (1,))
+        before = copy.deepcopy(structure)
+        first = table_scheme.draw(structure, Random(1))
+        wires = first.wire_queries()
+        table_scheme.draw(structure, Random(2))
+        orders = audit._identity_orders(3, structure.L_store, structure.pool_size)
+        for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
+            audit._table_build(structure, orders, mutant).wire_queries()
+        assert structure == before
+        assert first.wire_queries() == wires
+
+    def test_a_structure_that_changes_between_builds_fails(self, monkeypatch):
+        # premise 4's replay builds its structure afresh: a build that
+        # depends on anything but the public parameters and desired set shows
+        built = Counter()
+        table_structure = table_scheme.table_structure
+
+        def drifting(params, desired, reps=None):
+            structure = table_structure(params, desired, reps)
+            built[desired] += 1
+            if built[desired] > 1:  # the second build of one desired set reverses database 0's sums
+                structure.sums[0].reverse()
+            return structure
+
+        monkeypatch.setattr(table_scheme, "table_structure", drifting)
+        v = audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2))
+        assert not v.ok and v.detail == "query generation is not deterministic in the strategy draw"
+
 
 def enumerated_component_tv(structs, size):
     """Reference for the closed form: the largest total variation between the
@@ -659,14 +691,12 @@ ENUMERABLE_TABLES = [
 
 @pytest.mark.parametrize("params", ENUMERABLE_TABLES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
 def test_closed_form_matches_enumerated_components(params):
-    L_store, pool_size = audit._table_shape(params)
+    structures = [table_scheme.table_structure(params, desired) for desired in combinations(range(params.K), params.P)]
+    L_store, pool_size = structures[0].L_store, structures[0].pool_size
     assert factorial(max(L_store, pool_size)) <= 40320
     ident = audit._identity_orders(params.K, L_store, pool_size)
     for mutant in (None, audit.TABLE_MUTANT_NO_HIDDEN_CR):
-        views = [
-            audit._table_views(audit._table_build(params, desired, ident, mutant))
-            for desired in combinations(range(params.K), params.P)
-        ]
+        views = [audit._table_views(audit._table_build(structure, ident, mutant)) for structure in structures]
         worst = Fraction(0)
         for db in range(params.N):
             by_desired = [v[db] for v in views]
@@ -693,7 +723,8 @@ def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
     """Reference for the elimination verdict: the literal posterior check of
     each strategy draw (the client knows its own draw, so the check
     conditions on it)."""
-    L_store, pool_size = audit._table_shape(params)
+    structure = table_scheme.table_structure(params, tuple(range(params.P)))
+    L_store, pool_size = structure.L_store, structure.pool_size
     assert params.q ** (params.K * L_store + pool_size) * len(seeds) <= LITERAL_TABLE_BUDGET
     for seed in seeds:
         table = table_scheme.build_query_table(params, tuple(range(params.P)), Random(seed))

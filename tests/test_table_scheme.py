@@ -17,7 +17,9 @@ from privset.table_scheme import (
     build_query_table,
     decode,
     build_query_table as build,
+    draw,
     render_text,
+    table_structure,
 )
 from privset.wire import encode_download_all
 
@@ -185,6 +187,19 @@ def test_plain_quota_matches_ledger():
         expected = table.reps * table.profile.scale * N * cost_ledger(K, P, N).D2
         assert expected.denominator == 1
         assert sum(len(p) for p in table.plain_slots) == int(expected)
+
+
+@pytest.mark.parametrize("K, P, N, reps", [(3, 1, 2, None), (3, 1, 3, None), (5, 3, 2, 1), (4, 2, 2, 1)])
+def test_build_is_a_draw_over_the_structure(K, P, N, reps):
+    params = SchemeParams(K=K, P=P, N=N)
+    for desired in [tuple(range(P)), tuple(range(K - P, K))]:
+        structure = table_structure(params, desired, reps)
+        for seed in (0, 7):
+            table = build_query_table(params, desired, Random(seed), reps=reps)
+            drawn = draw(structure, Random(seed))
+            assert drawn == table  # every field, the permutations included
+            assert vars(structure) == {name: getattr(table, name) for name in vars(structure)}
+            assert drawn.wire_queries() == table.wire_queries()
 
 
 def test_table_shape_is_desired_set_independent():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from privset import block_scheme, transport, wire
+from privset import block_scheme, table_scheme, transport, wire
 from privset.field import DOMAIN_CLIENT, domain_rng
 from privset.params import ParamError, SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi, run_psi_remote
@@ -260,6 +260,27 @@ def test_malformed_query_over_tcp_gets_error_and_database_survives():
         assert all(t.is_alive() for t in pool._threads)
         mtype, payload = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
         assert mtype == MSG_SETUP and b'"K": 3' in payload
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_served_database_refuses_a_table_query(backend):
+    # one table body downloads slot 0 plainly and masks each of the K unit
+    # sums with that same slot: each sum minus the plain symbol is one bit of
+    # the responder's set, so a database that answered it would leak the set
+    responder = EntityConfig(2, 12, 2, frozenset({1, 4, 5, 9}))
+    servers = entity_servers(responder)
+    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    body = wire.encode_table_query([0], [([t], 0) for t in range(12)])
+    plain, *sums = table_scheme.answer_wire_query(body, responder.store, servers[0].pool)
+    assert {t for t, v in enumerate(sums) if v != plain} == {1, 4, 5, 9}  # what the body would pin
+    payload = wire.encode_query(0, body)
+    if backend == "sim":
+        mtype, reply = SimBackend(servers).roundtrip(0, MSG_QUERY, payload)
+    else:
+        with TcpServerPool(servers) as pool:
+            mtype, reply = _tcp_roundtrip(pool.addresses[0], MSG_QUERY, payload)
+    assert mtype == MSG_ERROR
+    assert parse_error(reply) == (wire.ERR_BAD_QUERY, "unknown scheme tag 1")
 
 
 def test_handler_failure_closes_only_that_connection(monkeypatch):
