@@ -71,7 +71,7 @@ from random import Random
 from typing import NamedTuple
 
 from . import block_scheme, table_scheme, wire
-from .field import lane_bits, pack, sample_uniform, unpack
+from .field import lane_bits, pack, raise_lane, sample_uniform, unpack
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -146,9 +146,9 @@ def _check_block_mutant(mutant: str | None) -> None:
 
 def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_scheme.BlockPlan:
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
-        lane = lane_bits(plan.params.q)
+        q = plan.params.q
         for qs in plan.queries:  # each probe becomes the bare unit vector of its coordinate
-            qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=1 << (bq.probe_coord * lane)) for bq in qs]
+            qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=raise_lane(0, bq.probe_coord, q)) for bq in qs]
     return plan  # no_cr changes no query: the database-privacy audit makes the pool public
 
 
@@ -410,12 +410,7 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
         for terms, pid in view.sums:
             row = 1 << pid * lane
             for c in terms:
-                shift = (pool_size + c) * lane
-                if q == 2:
-                    row ^= 1 << shift
-                else:  # raise lane c by 1 mod q
-                    v = row >> shift & 0xFF
-                    row += ((v + 1) % q - v) << shift
+                row = raise_lane(row, pool_size + c, q)
             rows.append(row)
         return rows
     if payload[0] == wire.BLOCK_QUERY_TAG:
@@ -513,12 +508,12 @@ def _retrieved_coordinates(table: table_scheme.QueryTable) -> frozenset[int]:
 
 
 def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
-    """Pool ids of the hidden masking symbols, over every database."""
+    """Pool ids of the pure sums' masking slots, over every database."""
     return [
         table.pool_perm[spec.cr_slot]
         for db_sums in table.sums
         for spec in db_sums
-        if spec.cr_kind == table_scheme.CR_HIDDEN
+        if spec.fresh is None
     ]
 
 

@@ -25,7 +25,7 @@ from operator import mul
 from random import Random
 from typing import NamedTuple
 
-from .field import lane_bits, sample_uniform, unpack
+from .field import raise_lane, sample_uniform, unpack
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
@@ -88,7 +88,6 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     rng.shuffle(coords_flat)
 
     width = N - 1
-    lane = lane_bits(q)
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
     for j, block_coords in enumerate(coords):
@@ -97,12 +96,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
         queries[base].append(BlockQuery(j, base_vec, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
-            if q == 2:
-                probe = base_vec ^ (1 << t)
-            else:  # raise lane t by 1 mod q
-                c = base_vec >> (t * lane) & 0xFF
-                probe = base_vec + (((c + 1) % q - c) << (t * lane))
-            queries[db].append(BlockQuery(j, probe, t))
+            queries[db].append(BlockQuery(j, raise_lane(base_vec, t, q), t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)

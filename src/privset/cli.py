@@ -177,11 +177,11 @@ def _address(entry: str) -> tuple[str, int]:
 
 
 def cmd_psi_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     rng = Random(args.seed)
+    sets = [psi.generate_set(args.K, prob, rng) for prob in (args.q1, args.q2)]
+    os.makedirs(args.out_dir, exist_ok=True)
     paths = []
-    for i, prob in ((1, args.q1), (2, args.q2)):
-        elements = psi.generate_set(args.K, prob, rng)
+    for i, elements in enumerate(sets, 1):
         set_path = os.path.join(args.out_dir, f"entity{i}.set")
         inc_path = os.path.join(args.out_dir, f"entity{i}.incidence")
         _write_set(set_path, args.K, elements)
@@ -283,6 +283,8 @@ def cmd_psi_run(args) -> int:
 
 
 def cmd_psi_serve(args) -> int:
+    if args.pool_size < 0:
+        raise ParamError(f"--pool-size must be >= 0, got {args.pool_size}")
     K, elements = read_set(args.set)
     servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
     if args.seed_cr is None:

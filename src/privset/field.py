@@ -64,6 +64,15 @@ def pack(coeffs, q: int) -> int:
     return int.from_bytes(bytes(coeffs), "little")
 
 
+def raise_lane(vec: int, t: int, q: int) -> int:
+    """The packed vector with coefficient t raised by 1 mod q; over F_2 one XOR."""
+    if q == 2:
+        return vec ^ (1 << t)
+    shift = t * 8
+    c = vec >> shift & 0xFF
+    return vec + (((c + 1) % q - c) << shift)
+
+
 def unpack(vec: int, length: int, q: int) -> bytes:
     """The first ``length`` coefficients of a packed vector, one byte each."""
     if q == 2:

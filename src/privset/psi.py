@@ -41,6 +41,8 @@ class EntityConfig:
     def __post_init__(self):
         if self.entity_id not in (1, 2):
             raise ParamError("entity_id must be 1 or 2")
+        if self.K < 1:
+            raise ParamError("K must be >= 1")
         if any(not 0 <= e < self.K for e in self.elements):
             raise ParamError("set elements must lie in [0, K)")
         if self.n_databases < 1:
@@ -103,6 +105,8 @@ def generate_set(K: int, prob, rng: Random) -> frozenset[int]:
     The probability is handled as an exact rational so generation stays
     integer-only and reproducible.
     """
+    if K < 1:
+        raise ParamError("K must be >= 1")
     prob = Fraction(prob).limit_denominator(10**6)
     if not 0 < prob < 1:
         raise ParamError("inclusion probability must lie strictly between 0 and 1")
@@ -164,7 +168,7 @@ def run_psi(
     transport.provision_cr(servers, CommonRandomnessPool.generate(shared, 2, seed_cr), shared)
 
     if backend == "sim":
-        result = _intersect(init, transport.SimBackend(servers), seed_client, optimal_cost, forward_result)
+        result = _intersect(init, transport.SimBackend(servers), seed_client, forward_result)
     else:
         with transport.TcpServerPool(servers) as pool:
             result = run_psi_remote(init, pool.addresses, seed_client=seed_client, forward_result=forward_result)
@@ -191,10 +195,9 @@ def run_psi_remote(
     """
     if len(set(addresses)) != len(addresses):
         raise ParamError("each database must be addressed once: a repeated address would receive two query shares")
-    cost = psi_direction_cost(initiator.size, len(addresses), initiator.K)
     backend = transport.TcpBackend(addresses)
     try:
-        return _intersect(initiator, backend, seed_client, cost, forward_result)
+        return _intersect(initiator, backend, seed_client, forward_result)
     finally:
         backend.close()
 
@@ -203,7 +206,6 @@ def _intersect(
     init: EntityConfig,
     backend: transport.SimBackend | transport.TcpBackend,
     seed_client: int | None,
-    optimal_cost: int,
     forward_result: bool,
 ) -> PsiResult:
     """The initiator's side of one intersection against the responder's provisioned databases.
@@ -213,6 +215,7 @@ def _intersect(
     responder's, so the transcript meta leaves ``seed_cr`` unknown (None);
     ``run_psi``, which provisioned the pool, fills it in.
     """
+    optimal_cost = psi_direction_cost(init.size, backend.n_databases, init.K)
     client = transport.Client(backend)
     info = client.setup_info()
     if info.get("K") != init.K:

@@ -9,17 +9,19 @@ Construction rules, per database:
 
 * every k-subset of messages appears once per stage of round k;
 * a sum with no desired message is *pure*: all its symbols are fresh and it
-  is masked by a hidden randomness symbol the querying side never sees;
-* a sum made only of desired messages carries one fresh symbol, reuses
-  already-recovered symbols for the other members, and is masked by a
-  randomness symbol served plainly by another database;
-* a sum mixing desired and undesired messages carries one fresh desired
-  symbol (plus already-recovered desired ones) and embeds, verbatim, a pure
-  sum downloaded at another database - subtracting that download unmasks the
-  fresh symbol.
+  is masked by its own randomness slot, which the querying side never sees
+  on its own;
+* a sum with a desired message carries one fresh desired symbol and reuses
+  already-recovered symbols for its other desired members.  Made only of
+  desired messages, it is masked by a slot another database serves plainly;
+  mixing in undesired messages, it embeds, verbatim, a pure sum downloaded
+  at another database, slot included.
 
-Each pure sum is consumed exactly once at each of the other N-1 databases,
-which is what the stage profile's balance identity guarantees is possible.
+Either way the querying side knows one value on the sum's slot (the plain
+download, or the pure sum's answer), and subtracting it and the reused
+symbols unmasks the fresh symbol.  Each pure sum is consumed exactly once at
+each of the other N-1 databases, which is what the stage profile's balance
+identity guarantees is possible.
 
 A table is built in two steps.  :func:`table_structure` lays out the sums
 above; it takes no randomness, so its output is a function of the public
@@ -53,21 +55,18 @@ from .storage import CommonRandomnessPool, MessageStore
 from .wire import TABLE_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
 from .wire import ProtocolFault, encode_table_query, parse_download_all, parse_table_query
 
-CR_DOWNLOADED = "downloaded"
-CR_HIDDEN = "hidden"
-CR_SIDEINFO = "sideinfo"
-
-
 class SumSpec(NamedTuple):
-    """One downloaded sum: its terms, randomness slot, and decode bookkeeping."""
+    """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
 
-    round_k: int
+    A pure sum has no ``fresh`` symbol.  Any other sum is decoded by one rule:
+    its answer minus the one known value on ``cr_slot`` (a plain download or
+    a pure sum's answer) minus its ``reused`` symbols is its ``fresh`` symbol.
+    """
+
     terms: tuple[tuple[int, int], ...]  # (message, structural index), sorted by message
     cr_slot: int
-    cr_kind: str
-    ref: tuple[int, int] | None = None  # (database, sum position) of the embedded pure sum
-    fresh: tuple[int, int] | None = None
-    reused: tuple[tuple[int, int], ...] = ()
+    fresh: tuple[int, int] | None = None  # the desired symbol this sum yields; None for a pure sum
+    reused: tuple[tuple[int, int], ...] = ()  # recovered in earlier rounds, subtracted to decode
 
 
 @dataclass
@@ -168,8 +167,8 @@ def table_structure(
     fresh_count = msg_fresh.__getitem__
     next_slot = 0
 
-    # pure_supply[(consumer, subset)] -> deque of (origin db, position); each pure
-    # sum is consumable once at each other database.
+    # pure_supply[(consumer, subset)] -> deque of pure sums over subset at other
+    # databases; each pure sum is consumable once at each other database.
     pure_supply: defaultdict[tuple[int, tuple[int, ...]], deque] = defaultdict(deque)
     # reuse[(consumer, msg)] -> deque of structural indices recovered at other
     # databases in earlier rounds, not yet reused at this one.
@@ -212,13 +211,13 @@ def table_structure(
             for _ in range(n_stages):
                 for subset, des, und in splits:
                     if not des:
-                        # Pure sum: all fresh, hidden randomness.
-                        terms = tuple(zip(subset, map(fresh_count, subset)))
+                        # Pure sum: all fresh, masked by its own slot.
+                        pure = SumSpec(tuple(zip(subset, map(fresh_count, subset))), next_slot)
                         for m in subset:
                             msg_fresh[m] += 1
                         for consumer in peers:
-                            pure_supply[consumer, subset].append((db, len(db_sums)))
-                        db_sums.append(SumSpec(k, terms, next_slot, CR_HIDDEN))
+                            pure_supply[consumer, subset].append(pure)
+                        db_sums.append(pure)
                         next_slot += 1
                         continue
 
@@ -243,22 +242,18 @@ def table_structure(
                             raise ProtocolFault(
                                 f"no pure sum over {und} available for database {db} in round {k}"
                             )
-                        origin, pos = supply.popleft()
-                        ref_spec = sums[origin][pos]
-                        terms += ref_spec.terms
-                        terms.sort()
-                        spec = SumSpec(
-                            k, tuple(terms), ref_spec.cr_slot, CR_SIDEINFO, (origin, pos), fresh, tuple(reused)
-                        )
+                        pure = supply.popleft()
+                        terms += pure.terms
+                        slot = pure.cr_slot
                     else:
                         queue = plain_queue[db]
                         if not queue:
                             raise ProtocolFault(
                                 f"no plainly served randomness left for database {db} in round {k}"
                             )
-                        terms.sort()
-                        spec = SumSpec(k, tuple(terms), queue.popleft(), CR_DOWNLOADED, None, fresh, tuple(reused))
-                    db_sums.append(spec)
+                        slot = queue.popleft()
+                    terms.sort()
+                    db_sums.append(SumSpec(tuple(terms), slot, fresh, tuple(reused)))
 
         # Symbols recovered this round become reusable side information at the
         # other databases from the next round on.
@@ -314,45 +309,37 @@ def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
     """Recover every desired symbol from the N answer strings, keyed by its
     store coordinate msg*L_store + position.
 
-    Walks rounds in order, subtracting plainly downloaded randomness,
-    embedded pure sums, and previously recovered symbols.  Structural
-    inconsistencies (wrong lengths, out-of-range symbols) raise
+    Every plain download and every pure sum's answer is the known value on
+    its slot.  Each other sum, in round order, yields its fresh symbol: its
+    answer minus the known value on its slot minus its reused symbols.
+    Structural inconsistencies (wrong lengths, out-of-range symbols) raise
     ProtocolFault; they indicate a transport or replication fault.
     """
     q = table.q
     if len(answers) != table.N:
         raise ProtocolFault(f"expected {table.N} answer strings, got {len(answers)}")
-    plain_vals: dict[int, int] = {}
-    sum_vals: list[list[int]] = []
+    known: dict[int, int] = {}  # pool slot -> its plain download or its pure sum's answer
+    masked: list[tuple[SumSpec, int]] = []  # sums with a fresh symbol, with their answers
     for db in range(table.N):
-        ans = answers[db]
-        n_plain = len(table.plain_slots[db])
-        if len(ans) != n_plain + len(table.sums[db]):
+        ans, plain, db_sums = answers[db], table.plain_slots[db], table.sums[db]
+        if len(ans) != len(plain) + len(db_sums):
             raise ProtocolFault(f"answer length mismatch at database {db}")
         if any(not 0 <= v < q for v in ans):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
-        for slot, v in zip(table.plain_slots[db], ans[:n_plain]):
-            plain_vals[slot] = v
-        sum_vals.append(list(ans[n_plain:]))
+        known.update(zip(plain, ans))
+        for spec, v in zip(db_sums, ans[len(plain):]):
+            if spec.fresh is None:
+                known[spec.cr_slot] = v
+            else:
+                masked.append((spec, v))
 
     decoded: dict[tuple[int, int], int] = {}
-    order = sorted(
-        ((db, pos) for db in range(table.N) for pos in range(len(table.sums[db]))),
-        key=lambda t: (table.sums[t[0]][t[1]].round_k, t[0], t[1]),
-    )
-    for db, pos in order:
-        spec = table.sums[db][pos]
-        if spec.cr_kind == CR_HIDDEN:
-            continue
-        v = sum_vals[db][pos]
-        if spec.cr_kind == CR_DOWNLOADED:
-            v = (v - plain_vals[spec.cr_slot]) % q
-        else:
-            ref_db, ref_pos = spec.ref
-            v = (v - sum_vals[ref_db][ref_pos]) % q
+    masked.sort(key=lambda sv: len(sv[0].terms))  # stable: round order, then database and position
+    for spec, v in masked:
+        v -= known[spec.cr_slot]
         for term in spec.reused:
-            v = (v - decoded[term]) % q
-        decoded[spec.fresh] = v
+            v -= decoded[term]
+        decoded[spec.fresh] = v % q
 
     L = table.L_store
     return {
@@ -388,11 +375,11 @@ def render_text(table: QueryTable) -> str:
         rows = [f"s{table.pool_perm[slot] + 1}" for slot in table.plain_slots[db]]
         if rows:
             rows.append("")
-        last_round = None
+        last_k = None
         for spec in table.sums[db]:
-            if last_round is not None and spec.round_k != last_round:
+            if last_k is not None and len(spec.terms) != last_k:
                 rows.append("")
-            last_round = spec.round_k
+            last_k = len(spec.terms)
             rows.append(sum_text(spec))
         columns.append(rows)
 

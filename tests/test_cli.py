@@ -157,6 +157,30 @@ def test_psi_serve_on_a_port_past_65535_is_a_usage_error(tmp_path, listen, n_dat
     assert "Traceback" not in out.stderr and not out.stdout
 
 
+def test_bad_counts_are_usage_errors_before_any_port_is_bound(tmp_path, capsys, monkeypatch):
+    from privset import transport
+
+    def no_bind(*args, **kwargs):
+        raise AssertionError("a port was bound")
+
+    monkeypatch.setattr(transport, "TcpServerPool", no_bind)
+    set_path = tmp_path / "e.set"
+    set_path.write_text("# privset set v1 K=10\n0\n2\n")
+    empty = tmp_path / "empty.set"
+    empty.write_text("# privset set v1 K=0\n")
+    for argv, says in (
+        (["psi", "serve", "--set", str(set_path), "--pool-size", "-5"], "--pool-size must be >= 0, got -5"),
+        (["psi", "gen", "--K", "0", "--out-dir", str(tmp_path / "gen0")], "K must be >= 1"),
+        (["psi", "gen", "--K", "-3", "--out-dir", str(tmp_path / "gen-3")], "K must be >= 1"),
+        (["psi", "run", "--set1", str(empty), "--set2", str(empty)], "K must be >= 1"),
+        (["psi", "serve", "--set", str(empty)], "K must be >= 1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and not out, argv
+        assert err == f"error: {says}\n", (argv, err)
+    assert not (tmp_path / "gen0").exists() and not (tmp_path / "gen-3").exists()
+
+
 def test_psi_serve_draws_an_unseeded_pool_from_secrets(tmp_path, capsys, monkeypatch):
     from types import SimpleNamespace
 

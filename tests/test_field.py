@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from conftest import answer_block
-from privset.field import domain_rng, pack, sample_symbols, sample_uniform, unpack
+from privset.field import domain_rng, pack, raise_lane, sample_symbols, sample_uniform, unpack
 from privset.params import ParamError
 from privset.storage import MessageStore
 
@@ -40,6 +40,16 @@ def test_pack_and_unpack_are_inverse():
             assert unpack(pack(coeffs, q), length, q) == coeffs
     assert pack([1, 0, 1, 1], 2) == 0b1101  # coefficient i in bit i
     assert pack([1, 2], 3) == 0x0201  # coefficient i in byte i
+
+
+def test_raise_lane_adds_one_to_one_coefficient_mod_q():
+    rng = Random(9)
+    for q in (2, 3, 5):
+        coeffs = bytes(rng.randrange(q) for _ in range(9)) + bytes([q - 1])
+        for t in range(len(coeffs)):
+            raised = bytearray(coeffs)
+            raised[t] = (raised[t] + 1) % q
+            assert unpack(raise_lane(pack(coeffs, q), t, q), len(coeffs), q) == raised
 
 
 def test_inner_product_hand_case():

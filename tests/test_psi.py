@@ -93,6 +93,14 @@ def test_generate_set_rejects_degenerate_probability():
         generate_set(4, 1, Random(0))
 
 
+def test_an_entity_needs_at_least_one_element_of_the_field():
+    for K in (0, -3):
+        with pytest.raises(ParamError, match=r"^K must be >= 1$"):
+            EntityConfig(1, K, 2, frozenset())
+        with pytest.raises(ParamError, match=r"^K must be >= 1$"):
+            generate_set(K, Fraction(1, 2), Random(0))
+
+
 def test_flagship_instance():
     res = run_psi(FIG_E1, FIG_E2, seed_client=11, seed_cr=22)
     assert letters(res.intersection) == {"a", "c"}

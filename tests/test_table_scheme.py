@@ -8,9 +8,6 @@ import pytest
 from privset.params import ParamError, SchemeParams, alpha_profile, cost_ledger, repetition_factor
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
-    CR_DOWNLOADED,
-    CR_HIDDEN,
-    CR_SIDEINFO,
     ProtocolFault,
     answer_download_all,
     answer_wire_query,
@@ -42,7 +39,7 @@ class TestWorkedExampleSmall:
         assert table.reps == 2
         assert [table.reps * table.profile.alpha[k - 1] for k in (1, 2, 3)] == [2, 4, 8]
         for db in range(3):
-            per_round = Counter(s.round_k for s in table.sums[db])
+            per_round = Counter(len(s.terms) for s in table.sums[db])  # a k-sum is in round k
             assert per_round == {1: 6, 2: 12, 3: 8}
             assert len(table.plain_slots[db]) == 1
         assert table.total_downloads == 81
@@ -66,7 +63,7 @@ class TestWorkedExampleAsymmetric:
         for db in range(2):
             # database db's plain slots mask the all-desired sums of the other database
             plain = set(table.plain_slots[db])
-            rounds = [s.round_k for s in table.sums[1 - db] if s.cr_kind == CR_DOWNLOADED and s.cr_slot in plain]
+            rounds = [len(s.terms) for s in table.sums[1 - db] if s.cr_slot in plain]
             assert len(rounds) == len(plain)
             assert rounds.count(1) == 9 and rounds.count(2) == 3
         assert table.total_downloads == 76
@@ -94,7 +91,7 @@ class TestWorkedExampleAsymmetric:
 def test_structural_zero_rounds_emit_nothing():
     table, *_ = make_run(5, 3, 2, desired=(0, 1, 2), reps=1)
     for db in range(2):
-        assert all(s.round_k not in (3, 4) for s in table.sums[db])
+        assert all(len(s.terms) not in (3, 4) for s in table.sums[db])
 
 
 def test_single_stage_subtraction():
@@ -104,13 +101,23 @@ def test_single_stage_subtraction():
     assert got == {c: store.flat[c] for c in range(table.L_store)}  # exactly message 0's coordinates
 
 
+def decode_cell(K, P, N, reps=None):
+    """A decode-grid cell, named K-P-N, plus -reps1 when the repetition count is overridden."""
+    return pytest.param(K, P, N, reps, id=f"{K}-{P}-{N}" + (f"-reps{reps}" if reps else ""))
+
+
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("K,P,N", [(2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 2), (4, 3, 2)])
-def test_decode_grid(K, P, N, q):
+@pytest.mark.parametrize(
+    "K,P,N,reps",
+    [decode_cell(*cell) for cell in [(2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 2, 3), (5, 2, 2), (4, 3, 2)]]
+    # asymmetric tables: both cells default to 3 repetitions
+    + [decode_cell(4, 3, 2, reps=1), decode_cell(5, 3, 2, reps=1)],
+)
+def test_decode_grid(K, P, N, reps, q):
     rng = Random(100 * K + 10 * P + N + q)
     for seed in range(5):
         desired = tuple(sorted(rng.sample(range(K), P)))
-        table, store, _, answers = make_run(K, P, N, q=q, desired=desired, seed=seed)
+        table, store, _, answers = make_run(K, P, N, q=q, desired=desired, seed=seed, reps=reps)
         got = decode(table, answers)
         assert {c // table.L_store for c in got} == set(desired)
         for c, val in got.items():
@@ -141,44 +148,38 @@ def test_fresh_symbol_discipline():
 def test_randomness_tags_follow_the_rules():
     table, *_ = make_run(4, 2, 2)
     desired = set(table.desired)
-    hidden_ids = set()
+    served = {slot: db for db, slots in enumerate(table.plain_slots) for slot in slots}
+    pure = {s.cr_slot: (db, s) for db in range(table.N) for s in table.sums[db] if s.fresh is None}
     for db in range(table.N):
+        slot_uses = Counter(s.cr_slot for s in table.sums[db])
         for s in table.sums[db]:
             kinds = {m for m, _ in s.terms}
-            n_des = len(kinds & desired)
-            if n_des == 0:
-                assert s.cr_kind == CR_HIDDEN
-                hidden_ids.add(s.cr_slot)
-            elif kinds <= desired:
-                assert s.cr_kind == CR_DOWNLOADED
+            if not kinds & desired:
+                # a pure sum yields nothing; its slot masks no other sum at its
+                # database and is never served plainly
+                assert s.fresh is None and not s.reused
+                assert slot_uses[s.cr_slot] == 1 and s.cr_slot not in served
+                continue
+            # the fresh and reused symbols are exactly the desired terms
+            assert {s.fresh, *s.reused} == {t for t in s.terms if t[0] in desired}
+            if kinds <= desired:
+                # an all-desired sum's slot is served plainly by another database
+                assert s.cr_slot in served and served[s.cr_slot] != db
             else:
-                assert s.cr_kind == CR_SIDEINFO
-                origin, pos = s.ref
-                ref = table.sums[origin][pos]
+                # a mixed sum embeds the pure sum on its slot, from another database
+                assert s.cr_slot in pure
+                origin, embedded = pure[s.cr_slot]
                 assert origin != db
-                assert ref.cr_kind == CR_HIDDEN
-                undesired_terms = tuple(t for t in s.terms if t[0] not in desired)
-                assert undesired_terms == ref.terms
-    # hidden ids never appear among plainly served slots
-    served = {slot for slots in table.plain_slots for slot in slots}
-    assert not (hidden_ids & served)
+                assert tuple(t for t in s.terms if t[0] not in desired) == embedded.terms
 
 
 def test_each_pure_sum_consumed_once_per_other_database():
     table, *_ = make_run(3, 1, 3)
-    consumers: dict[tuple[int, int], list[int]] = {}
-    for db in range(table.N):
-        for s in table.sums[db]:
-            if s.cr_kind == CR_SIDEINFO:
-                consumers.setdefault(s.ref, []).append(db)
-    for (origin, _), dbs in consumers.items():
-        assert sorted(dbs) == sorted(set(dbs))
-        assert origin not in dbs
-    # every pure sum is consumed exactly N-1 times
-    for db in range(table.N):
-        for pos, s in enumerate(table.sums[db]):
-            if s.cr_kind == CR_HIDDEN:
-                assert len(consumers.get((db, pos), [])) == table.N - 1
+    uses = [Counter(s.cr_slot for s in table.sums[db] if s.fresh is not None) for db in range(table.N)]
+    pure_sums = [(db, s) for db in range(table.N) for s in table.sums[db] if s.fresh is None]
+    assert pure_sums
+    for db, s in pure_sums:
+        assert [uses[c][s.cr_slot] for c in range(table.N)] == [int(c != db) for c in range(table.N)]
 
 
 def test_plain_quota_matches_ledger():
@@ -203,13 +204,13 @@ def test_build_is_a_draw_over_the_structure(K, P, N, reps):
 
 
 def test_table_shape_is_desired_set_independent():
-    # The multiset of (round, term-count) and the per-message reference counts
+    # The multiset of term counts (each sum's round) and the per-message reference counts
     # do not depend on which messages are desired.
     shapes = []
     refcounts = []
     for desired in [(0,), (1,), (2,)]:
         table, *_ = make_run(3, 1, 2, desired=desired)
-        shapes.append([Counter((s.round_k, len(s.terms)) for s in table.sums[db]) for db in range(2)])
+        shapes.append([Counter(len(s.terms) for s in table.sums[db]) for db in range(2)])
         refcounts.append(
             [Counter(m for s in table.sums[db] for m, _ in s.terms) for db in range(2)]
         )
@@ -267,13 +268,17 @@ def test_render_text_layout():
     assert any("+s" in line for line in body)
     col0 = [line.split("|")[0].strip() for line in body]
     assert "" in col0
+    # after the plain downloads, one block of rows per round, each row a k-sum plus its slot
+    blocks = "\n".join(col0).strip().split("\n\n")
+    assert [{row.count("+") for row in block.split("\n")} for block in blocks[1:]] == [{1}, {2}, {3}]
 
 
 # SHA-256 over every criterion-4 grid cell with at most 20,000 predicted
 # downloads (61 cells), built with that criterion's seed: each cell's
-# (L_store, pool_size, msg_fresh, plain_slots, sums, msg_perm, pool_perm) and
-# wire bytes.  A change to the builder that keeps its output keeps this value.
-GOLDEN_BUILD_DIGEST = "9370ef7e91ddad0e6e1379e3e10d8c0f915c19604a670d81f904e27d1d47bbd8"
+# (L_store, pool_size, msg_fresh, plain_slots, sums, msg_perm, pool_perm), each
+# sum as (terms, cr_slot, fresh, reused), and wire bytes.  A change to the
+# builder that keeps its output keeps this value.
+GOLDEN_BUILD_DIGEST = "baf336feed0546c7058bae1b681c6d37a16d8f05d91f0bf0f3c3e9fb91b31174"
 
 
 def test_grid_builds_match_the_golden_digest():
