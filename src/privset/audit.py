@@ -26,13 +26,16 @@ are at most ``_MECHANISM_SAMPLES`` of them; past that, that many sampled
 pairs are.
 
 The query-table scheme's strategy space is one permutation per message plus
-a pool relabeling.  Its premises (identical skeletons across desired sets,
-distinct indices within each structure, the emitted query being the
-component draw applied to a fixed pattern, queries independent of messages
-and randomness) give every component's distance in closed form.  The
-scheme's rng-free structure (``table_scheme.table_structure``) is built once
-per desired set within each verdict, and premise 3 is checked on the draw
-applied to it; only the determinism replay builds a structure again.
+a pool relabeling.  Its premises, on each desired set's identity view (every
+permutation the identity): (1) identical skeletons across desired sets;
+(2) no store coordinate and no pool id twice within one database's view, in
+one pass over it; (3) on sampled draws of one component, each database's
+emitted view equals its identity view with that draw applied, one equality
+that also pins the skeleton and the components not drawn; (4) a replay from
+a fresh structure gives the same identity views.  They give every
+component's distance in closed form.  The scheme's rng-free structure
+(``table_scheme.table_structure``) is built once per desired set within each
+verdict; only premise 4's replay builds one again.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
 wire coefficient matrix of a strategy draw.  For a linear scheme with
@@ -62,7 +65,7 @@ fail them is itself broken, and the test suite insists they fail.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -285,9 +288,17 @@ def _skeleton(view: wire.TableQuery, L: int):
     return (len(view.plain_ids), tuple(tuple(c // L for c in terms) for terms, _ in view.sums))
 
 
-def _msg_indices(view: wire.TableQuery, msg: int, L: int) -> tuple[int, ...]:
-    """Positions of message ``msg`` in the order the view's terms name them."""
-    return tuple(c % L for terms, _ in view.sums for c in terms if c // L == msg)
+def _relabel(view: wire.TableQuery, comp: int, perm, L: int, K: int) -> wire.TableQuery:
+    """``view`` under one component draw: message ``comp``'s positions through
+    ``perm`` for ``comp < K``, every pool id through ``perm`` for ``comp == K``."""
+    if comp == K:
+        return wire.TableQuery(
+            tuple(perm[pid] for pid in view.plain_ids), tuple((terms, perm[pid]) for terms, pid in view.sums)
+        )
+    lo = comp * L
+    return view._replace(sums=tuple(
+        (tuple(lo + perm[c - lo] if c // L == comp else c for c in terms), pid) for terms, pid in view.sums
+    ))
 
 
 def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
@@ -303,13 +314,11 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     """Exact equality of each database's query distribution across desired sets.
 
     The query factorizes as (fixed skeleton, per-message position draws, pool
-    relabeling draw).  The structural premises (identical skeletons,
-    per-database distinctness, query independence of messages and randomness
-    via the scripted build being data-free) are checked, the factorization is
-    verified on sampled draws, and each factor's distance then follows in
-    closed form from premises 1-2 instead of being enumerated.  Each desired
-    set's structure is built once, and premise 3 is checked on draws over
-    it; premise 4's replay builds its structure afresh.
+    relabeling draw).  The premises in the module docstring are checked on
+    each desired set's identity view: premise 2 in one pass over each view's
+    store coordinates and one over its pool ids, premise 3 as one comparison
+    per database and sampled draw with ``_relabel`` of the identity view.
+    Each factor's distance then follows in closed form from premises 1-2.
     """
     _check_table_mutant(mutant)
     K, P, N = params.K, params.P, params.N
@@ -329,21 +338,21 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
             if _skeleton(views[desired][db], L_store) != _skeleton(base[db], L_store):
                 return Verdict(False, Fraction(1), f"query skeleton differs at database {db}")
 
-    # Premise 2: within one database every position reference is distinct per
-    # message and every randomness id is seen at most once.
+    # Premise 2: within one database every store coordinate (message, position)
+    # and every randomness id is seen at most once.
     for desired in desired_sets:
         for db in range(N):
             v = views[desired][db]
-            for m in range(K):
-                idxs = _msg_indices(v, m, L_store)
-                if len(set(idxs)) != len(idxs):
-                    return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
+            coords = [c for terms, _ in v.sums for c in terms]
+            if len(set(coords)) != len(coords):
+                m = min(c // L_store for c, n in Counter(coords).items() if n > 1)
+                return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
             ids = _visible_ids(v)
             if len(set(ids)) != len(ids):
                 return Verdict(False, Fraction(1), f"repeated randomness id at database {db}")
 
-    # Premise 3 (mechanism): the emitted query equals the component draw
-    # applied to the identity-build structure, for sampled draws.
+    # Premise 3 (mechanism): for sampled draws of one component, the emitted
+    # view is the identity view with the draw applied, skeleton and all.
     check_rng = Random(2024)
     for _ in range(_MECHANISM_SAMPLES):
         comp = check_rng.randrange(K + 1)
@@ -354,21 +363,11 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
         orders[comp] = tuple(perm)
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
         got = _table_views(_table_build(structures[desired], orders, mutant))
-        ref = views[desired]
         for db in range(N):
-            if comp < K:
-                want = tuple(perm[i] for i in _msg_indices(ref[db], comp, L_store))
-                if _msg_indices(got[db], comp, L_store) != want:
+            if got[db] != _relabel(views[desired][db], comp, perm, L_store, K):
+                if comp < K:
                     return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
-                for other in range(K):
-                    if other != comp and _msg_indices(got[db], other, L_store) != _msg_indices(ref[db], other, L_store):
-                        return Verdict(False, Fraction(1), "component draws are not independent")
-                if _visible_ids(got[db]) != _visible_ids(ref[db]):
-                    return Verdict(False, Fraction(1), "pool labels changed under a message draw")
-            else:
-                want_ids = tuple(perm[i] for i in _visible_ids(ref[db]))
-                if _visible_ids(got[db]) != want_ids:
-                    return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
+                return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
 
     # Premise 4: the scripted build never touched messages or randomness, so
     # queries are independent of (W, S) by construction; re-assert by replay

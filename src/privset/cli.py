@@ -67,8 +67,8 @@ def _frac(f: Fraction) -> str:
 
 def cmd_params(args) -> int:
     profile = alpha_profile(args.K, args.P, args.N)
-    nu = repetition_factor(args.K, args.P, args.N, profile)
-    ledger = cost_ledger(args.K, args.P, args.N, profile)
+    nu = repetition_factor(args.K, args.P, args.N)
+    ledger = cost_ledger(args.K, args.P, args.N)
     mult = nu * profile.scale
     table_L = mult * ledger.message_length_per_rep
     table_D = mult * args.N * (ledger.D1 + ledger.D2)
@@ -102,6 +102,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_table(args) -> int:
+    params = SchemeParams(K=args.K, P=args.P, N=args.N, L=args.L, q=args.q)
     if args.P == args.K:
         msg = (
             f"P equals K: retrieving every message needs no private scheme; "
@@ -109,7 +110,6 @@ def cmd_table(args) -> int:
         )
         _emit(args, {"record": "table", "advice": "download_all", "cost": args.K * args.L}, msg)
         return EXIT_OK
-    params = SchemeParams(K=args.K, P=args.P, N=args.N, q=args.q)
     desired = tuple(range(args.P)) if not args.desired else tuple(args.desired)
     rng = domain_rng(args.seed_client, DOMAIN_CLIENT)
     table = table_scheme.build_query_table(params, desired, rng, reps=args.reps)

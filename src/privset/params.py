@@ -124,7 +124,7 @@ def alpha_profile(K: int, P: int, N: int) -> AlphaProfile:
 
 
 @cache
-def repetition_factor(K: int, P: int, N: int, profile: AlphaProfile | None = None) -> int:
+def repetition_factor(K: int, P: int, N: int) -> int:
     """Number of repetitions needed for a symmetric scheme.
 
     nu_0 is the smallest integer making alpha_K * N * nu_0 / P an integer
@@ -133,8 +133,7 @@ def repetition_factor(K: int, P: int, N: int, profile: AlphaProfile | None = Non
     C(P,k) * alpha_k * nu_k / (N-1) an integer (integer per-database quota
     of plainly served randomness in round k).  The result is their lcm.
     """
-    if profile is None:
-        profile = alpha_profile(K, P, N)
+    profile = alpha_profile(K, P, N)
     alpha_k_top = profile.rational(K)
     num = alpha_k_top.numerator * N
     den = alpha_k_top.denominator * P
@@ -179,10 +178,8 @@ class CostLedger:
 
 
 @cache
-def cost_ledger(K: int, P: int, N: int, profile: AlphaProfile | None = None) -> CostLedger:
-    if profile is None:
-        profile = alpha_profile(K, P, N)
-    al = profile.rationals()
+def cost_ledger(K: int, P: int, N: int) -> CostLedger:
+    al = alpha_profile(K, P, N).rationals()
     D1 = sum((comb(K, k) * al[k - 1] for k in range(1, K + 1)), Fraction(0))
     U1 = sum((comb(K - P, k) * al[k - 1] for k in range(1, K - P + 1)), Fraction(0))
     U2 = sum((comb(P, k) * al[k - 1] for k in range(1, min(P, K - P) + 1)), Fraction(0))

@@ -155,7 +155,7 @@ def table_structure(
 
     profile = alpha_profile(K, P, N)
     if reps is None:
-        reps = repetition_factor(K, P, N, profile)
+        reps = repetition_factor(K, P, N)
     if reps < 1:
         raise ParamError(f"the repetition count must be at least 1, got {reps}")
     is_desired = set(desired).__contains__
@@ -265,7 +265,7 @@ def table_structure(
     pool_size = next_slot
     # The stage counts are reps * alpha with the integerized profile, so the
     # integerization scale multiplies the ledger's randomness budget too.
-    expected_pool = reps * profile.scale * N * cost_ledger(K, P, N, profile).randomness
+    expected_pool = reps * profile.scale * N * cost_ledger(K, P, N).randomness
     if expected_pool.denominator != 1:
         raise ParamError("repetition count does not yield an integer randomness budget")
     if pool_size != expected_pool:

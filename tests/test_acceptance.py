@@ -102,8 +102,8 @@ def test_criterion_4_capacity_identity_grid():
     executed = 0
     for K, P, N in GRID:
         profile = alpha_profile(K, P, N)
-        ledger = cost_ledger(K, P, N, profile)
-        nu = repetition_factor(K, P, N, profile)
+        ledger = cost_ledger(K, P, N)
+        nu = repetition_factor(K, P, N)
         mult = nu * profile.scale
         # exact rational identities on every grid point
         assert ledger.rate == 1 - Fraction(1, N), (K, P, N)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -355,6 +356,52 @@ def test_every_slot_merge_fails_the_db_verdict_and_the_per_draw_oracle(monkeypat
         assert not per_draw_block_db_privacy(params, None)[0], (a, b)
 
 
+K3_ONE_BLOCK = SchemeParams(K=3, P=1, N=2)  # one block: its base at database 0, its probe at database 1
+
+
+def probe_at_e2(plan):
+    """Database 1's probe becomes base ^ e_2, so the two answers pin the undesired W2."""
+    (base,), (probe,) = plan.queries
+    plan.queries[1] = [probe._replace(vector=base.vector ^ (1 << 2))]
+
+
+def probe_lowest_bit(plan):
+    """Database 1's probe keeps only its lowest bit, so its base part is (base & 1)."""
+    (probe,) = plan.queries[1]
+    plan.queries[1] = [probe._replace(vector=probe.vector & 1)]
+
+
+def base_repeated_when_nonzero(plan):
+    """Database 0's first entry is sent twice when its base vector is nonzero."""
+    first = plan.queries[0][0]
+    if first.vector:
+        plan.queries[0].insert(0, first)
+
+
+@pytest.mark.parametrize(
+    "edit, leaks, detail",
+    [
+        (probe_at_e2, True, "posterior of undesired symbols differs from prior"),
+        (probe_lowest_bit, False, "a vector's base part is neither 0 nor one block's base"),
+        (base_repeated_when_nonzero, False, "slot sequence differs between the zero-base and seeded builds"),
+    ],
+)
+def test_plan_tampers_reach_each_db_verdict_failure(monkeypatch, edit, leaks, detail):
+    # the per-draw oracle finds a leak only in the first: the two-build
+    # premises are sufficient, not necessary
+    plan_blocks = block_scheme.plan_blocks
+
+    def tampered(params, desired, rng):
+        plan = plan_blocks(params, desired, rng)
+        edit(plan)
+        return plan
+
+    monkeypatch.setattr(block_scheme, "plan_blocks", tampered)
+    v = audit.audit_block_db_privacy(K3_ONE_BLOCK)
+    assert not v.ok and v.distance == 1 and v.detail == detail
+    assert per_draw_block_db_privacy(K3_ONE_BLOCK, None)[0] == (not leaks)
+
+
 def literal_posteriors_uniform(answer, wires, K, L, q, pool_size, desired, public=()):
     """The literal posterior check of one strategy draw: its ``wires``
     answered by ``answer`` over every (W, S) pair, with the pool ids in
@@ -665,6 +712,11 @@ class TestTableUserPrivacy:
         assert not v.ok and v.detail == "query generation is not deterministic in the strategy draw"
 
 
+def message_positions(view, m, L):
+    """Positions of message ``m`` in the order the view's terms name them."""
+    return tuple(c % L for terms, _ in view.sums for c in terms if c // L == m)
+
+
 def enumerated_component_tv(structs, size):
     """Reference for the closed form: the largest total variation between the
     image of ``structs[0]`` and of each other structure under a uniform
@@ -689,25 +741,103 @@ ENUMERABLE_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("params", ENUMERABLE_TABLES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
-def test_closed_form_matches_enumerated_components(params):
+def enumerated_table_user_leak(params, mutant=None):
+    """Reference for the closed form, over the identity builds of every
+    desired set's structure: whether a skeleton differs at some database, and
+    the largest enumerated total variation over (database, component), a
+    component being one message's positions or the pool ids."""
     structures = [table_scheme.table_structure(params, desired) for desired in combinations(range(params.K), params.P)]
     L_store, pool_size = structures[0].L_store, structures[0].pool_size
     assert factorial(max(L_store, pool_size)) <= 40320
     ident = audit._identity_orders(params.K, L_store, pool_size)
+    views = [audit._table_views(audit._table_build(structure, ident, mutant)) for structure in structures]
+    skeletons_differ, worst = False, Fraction(0)
+    for db in range(params.N):
+        by_desired = [v[db] for v in views]
+        skeletons_differ |= len({audit._skeleton(v, L_store) for v in by_desired}) > 1
+        for m in range(params.K):
+            positions = [message_positions(v, m, L_store) for v in by_desired]
+            worst = max(worst, enumerated_component_tv(positions, L_store))
+        worst = max(worst, enumerated_component_tv([audit._visible_ids(v) for v in by_desired], pool_size))
+    return skeletons_differ, worst
+
+
+@pytest.mark.parametrize("params", ENUMERABLE_TABLES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
+def test_closed_form_matches_enumerated_components(params):
     for mutant in (None, audit.TABLE_MUTANT_NO_HIDDEN_CR):
-        views = [audit._table_views(audit._table_build(structure, ident, mutant)) for structure in structures]
-        worst = Fraction(0)
-        for db in range(params.N):
-            by_desired = [v[db] for v in views]
-            for m in range(params.K):
-                positions = [audit._msg_indices(v, m, L_store) for v in by_desired]
-                worst = max(worst, enumerated_component_tv(positions, L_store))
-            worst = max(worst, enumerated_component_tv([audit._visible_ids(v) for v in by_desired], pool_size))
+        skeletons_differ, worst = enumerated_table_user_leak(params, mutant)
         v = audit.audit_table_user_privacy(params, mutant=mutant)
-        assert v.ok and worst == 0 and v.distance == worst
+        assert v.ok and not skeletons_differ and worst == 0 and v.distance == worst
     for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
         assert not audit.audit_table_user_privacy(params, mutant=mutant)
+
+
+def single_sum_tampers(sums, K):
+    """Tampers of one of ``sums`` (one database's), as (sum index, replacement)
+    pairs: per term, the term pointed at another position its message has on
+    that database, and moved to the next message; per sum, the next sum's
+    pool slot."""
+    positions = defaultdict(set)
+    for spec in sums:
+        for m, idx in spec.terms:
+            positions[m].add(idx)
+    for i, spec in enumerate(sums):
+        for j, (m, idx) in enumerate(spec.terms):
+            others = sorted(positions[m] - {idx})
+            for term in [(m, p) for p in others[:1]] + [((m + 1) % K, idx)]:
+                yield i, spec._replace(terms=(*spec.terms[:j], term, *spec.terms[j + 1:]))
+        yield i, spec._replace(cr_slot=sums[(i + 1) % len(sums)].cr_slot)
+
+
+# Per shape: tampers, then (premise-1/2 detail, tampers failing with it).
+SUM_TAMPER_SHAPES = [
+    (SchemeParams(K=2, P=1, N=2), 11, {
+        "query skeleton differs at database 0": 4,
+        "repeated position of message 0 at database 0": 2,
+        "repeated position of message 1 at database 0": 2,
+        "repeated randomness id at database 0": 3,
+    }),
+    (SchemeParams(K=3, P=2, N=2), 16, {
+        "query skeleton differs at database 0": 6,
+        "repeated position of message 0 at database 0": 2,
+        "repeated position of message 1 at database 0": 2,
+        "repeated position of message 2 at database 0": 2,
+        "repeated randomness id at database 0": 4,
+    }),
+]
+
+
+@pytest.mark.parametrize("params, n_tampers, failures", SUM_TAMPER_SHAPES, ids=["K2P1N2", "K3P2N2"])
+def test_single_sum_tampers_fail_the_user_verdict_wherever_the_enumeration_leaks(
+    monkeypatch, params, n_tampers, failures
+):
+    # Each tamper edits one sum of database 0 in the first desired set's
+    # structure, on every build of it (premise 4's replay included).  A leak
+    # is a skeleton that differs or a nonzero component distance; a verdict
+    # that fails without one is a false alarm, counted: the premises are
+    # sufficient, not necessary.
+    honest = table_scheme.table_structure
+    first = tuple(range(params.P))
+    misses, false_alarms, details = [], 0, Counter()
+    tampers = list(single_sum_tampers(honest(params, first).sums[0], params.K))
+    for i, spec in tampers:
+        def tampered(params, desired, reps=None, i=i, spec=spec):
+            structure = honest(params, desired, reps)
+            if structure.desired != first:
+                return structure
+            db0 = [*structure.sums[0][:i], spec, *structure.sums[0][i + 1:]]  # a new list: draws share the lists
+            return dataclasses.replace(structure, sums=[db0, *structure.sums[1:]])
+
+        monkeypatch.setattr(table_scheme, "table_structure", tampered)
+        skeletons_differ, worst = enumerated_table_user_leak(params)
+        v = audit.audit_table_user_privacy(params)
+        leak = skeletons_differ or worst > 0
+        if leak and v.ok:
+            misses.append((i, spec))
+        false_alarms += not leak and not v.ok
+        details[v.detail] += not v.ok
+    assert (len(tampers), misses, false_alarms) == (n_tampers, [], 0)
+    assert +details == failures
 
 
 def literal_table_posteriors_uniform(table, public=()):

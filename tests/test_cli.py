@@ -92,6 +92,22 @@ def test_table_advises_download_all(capsys):
     assert "download all" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--K", "0", "--P", "0", "--N", "2"), "K must be >= 1"),
+        (("--K", "-2", "--P", "-2", "--N", "2"), "K must be >= 1"),
+        (("--K", "3", "--P", "3", "--N", "0", "--q", "4"), "N must be >= 1"),
+        (("--K", "3", "--P", "3", "--N", "2", "--L", "0"), "L must be >= 1"),
+        (("--K", "3", "--P", "3", "--N", "2", "--q", "4"), "q must be a prime"),
+    ],
+)
+def test_table_checks_its_inputs_before_the_download_all_advice(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {message}") and not out
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "params", "--K", "3", "--P", "5", "--N", "2")
     assert code == EXIT_USAGE

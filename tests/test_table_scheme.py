@@ -287,8 +287,8 @@ def test_grid_builds_match_the_golden_digest():
     h, cells = hashlib.sha256(), 0
     for K, P, N in GRID:
         profile = alpha_profile(K, P, N)
-        ledger = cost_ledger(K, P, N, profile)
-        predicted = repetition_factor(K, P, N, profile) * profile.scale * N * (ledger.D1 + ledger.D2)
+        ledger = cost_ledger(K, P, N)
+        predicted = repetition_factor(K, P, N) * profile.scale * N * (ledger.D1 + ledger.D2)
         if predicted > 20_000:
             continue
         table = build_query_table(SchemeParams(K=K, P=P, N=N), tuple(range(P)), Random(K * 100 + P * 10 + N))
