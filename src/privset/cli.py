@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 import time
 from fractions import Fraction
@@ -287,11 +286,7 @@ def cmd_psi_serve(args) -> int:
         raise ParamError(f"--pool-size must be >= 0, got {args.pool_size}")
     K, elements = read_set(args.set)
     servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
-    if args.seed_cr is None:
-        pool = CommonRandomnessPool(2, [secrets.randbelow(2) for _ in range(args.pool_size)])
-    else:
-        pool = CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr)
-    transport.provision_cr(servers, pool, 0)
+    transport.provision_cr(servers, CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr), 0)
     host, base_port = _address(args.listen)
     pool_srv = transport.TcpServerPool(servers, host=host, base_port=base_port)
     pool_srv.start()

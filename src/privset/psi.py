@@ -15,10 +15,11 @@ import secrets
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from random import Random
 
 from . import block_scheme, transport, wire
-from .field import DOMAIN_CLIENT, domain_rng
+from .field import DOMAIN_CLIENT, domain_rng, sample_below
 from .params import ParamError, SchemeParams, psi_direction_cost, psi_optimal_cost
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -43,7 +44,7 @@ class EntityConfig:
             raise ParamError("entity_id must be 1 or 2")
         if self.K < 1:
             raise ParamError("K must be >= 1")
-        if any(not 0 <= e < self.K for e in self.elements):
+        if self.elements and not (0 <= min(self.elements) and max(self.elements) < self.K):
             raise ParamError("set elements must lie in [0, K)")
         if self.n_databases < 1:
             raise ParamError("need at least one database")
@@ -103,16 +104,20 @@ def generate_set(K: int, prob, rng: Random) -> frozenset[int]:
     """Each field element joins independently with the given probability.
 
     The probability is handled as an exact rational so generation stays
-    integer-only and reproducible.
+    integer-only and reproducible: element j joins when the j-th
+    ``rng.randrange(denominator)`` falls below the numerator.  The K draws
+    come in one ``field.sample_below`` batch, turned into inclusion flags in
+    one pass.
     """
     if K < 1:
         raise ParamError("K must be >= 1")
     prob = Fraction(prob).limit_denominator(10**6)
     if not 0 < prob < 1:
         raise ParamError("inclusion probability must lie strictly between 0 and 1")
-    return frozenset(
-        j for j in range(K) if rng.randrange(prob.denominator) < prob.numerator
-    )
+    num, den = prob.numerator, prob.denominator
+    draws = sample_below(rng, K, den)
+    flags = draws.translate(bytes(v < num for v in range(256))) if den <= 255 else map(num.__gt__, draws)
+    return frozenset(compress(range(K), flags))
 
 
 @dataclass

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import secrets
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +35,9 @@ class MessageStore:
 
     @classmethod
     def generate(cls, K: int, L: int, q: int, seed: int) -> "MessageStore":
+        check_modulus(q)
+        if K < 0:
+            raise ParamError(f"a store holds K >= 0 messages, got K={K}")
         return cls(q, L, sample_symbols(domain_rng(seed, DOMAIN_MESSAGES), K * L, q))
 
     @classmethod
@@ -46,11 +51,12 @@ class CommonRandomnessPool:
     """Randomness shared identically by all N databases of one entity.
 
     Never sent to the querying side except mixed into sums or served at the
-    protocol's explicitly downloaded slots.
+    protocol's explicitly downloaded slots.  ``symbols`` holds one symbol per
+    slot; a generated pool holds them as ``bytes``.
     """
 
     q: int
-    symbols: list[int]
+    symbols: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -62,6 +68,13 @@ class CommonRandomnessPool:
         return h.hexdigest()
 
     @classmethod
-    def generate(cls, size: int, q: int, seed: int) -> "CommonRandomnessPool":
-        rng = domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
+    def generate(cls, size: int, q: int, seed: int | None = None) -> "CommonRandomnessPool":
+        """``size`` uniform symbols of F_q from the seeded stream, or without a seed from ``secrets``.
+
+        ``secrets.SystemRandom`` returns uniform bits, so its batched symbols are uniform too.
+        """
+        check_modulus(q)
+        if size < 0:
+            raise ParamError(f"a pool holds size >= 0 symbols, got {size}")
+        rng = secrets.SystemRandom() if seed is None else domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
         return cls(q=q, symbols=sample_symbols(rng, size, q))

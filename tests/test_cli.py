@@ -343,6 +343,24 @@ def test_psi_gen_files_are_fixed_by_the_seed(tmp_path, capsys):
     assert (tmp_path / "entity1.set").read_text() == "# privset set v1 K=12\n1\n3\n4\n5\n7\n8\n9\n10\n"
 
 
+# SHA-256 of each file ``psi gen --K 16384 --seed 3`` writes, captured before
+# ``generate_set`` drew its K values in one ``field.sample_below`` batch (one
+# randrange per element then).  The batch is pure speed: none may change.
+GOLDEN_GEN_DIGESTS = {
+    "entity1.incidence": "cac8efdf361777949998fac8b65fbf85bc186e2f1df0396e8567d13646b89679",
+    "entity1.set": "092b9eb8b79dce719a0d7d1a4cd864ca0b40956e155a15775786643d78f784e3",
+    "entity2.incidence": "c21e03a3eab598dbd85bd75ca46e3e52bb72f30ed659c1a47e09d7409939ec86",
+    "entity2.set": "86369b7d79aeb0bd24daea0c543acce9e5ff060840c359c202e84749dde465b2",
+}
+
+
+def test_psi_gen_files_at_paper_scale_match_the_golden_digests(tmp_path, capsys):
+    code, *_ = run_cli(capsys, "psi", "gen", "--K", "16384", "--seed", "3", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert got == GOLDEN_GEN_DIGESTS
+
+
 def test_psi_run_flagship_over_tcp(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set2 = tmp_path / "e2.set"
