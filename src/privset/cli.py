@@ -270,6 +270,7 @@ def cmd_psi_run(args) -> int:
         "intersection": sorted(result.intersection),
         "cardinality": result.cardinality,
         "download_symbols": result.download_symbols,
+        "upload_bytes": result.transcript.upload_bytes,
         "optimal_cost": result.optimal_cost,
     }
     human = "\n".join([
@@ -333,7 +334,7 @@ def cmd_psi_verify(args) -> int:
                 for qry, _ in db_records:
                     _, body = wire.parse_query(qry)
                     if body[0] == wire.BLOCK_QUERY_TAG:
-                        wire.parse_block_query(body, q, pool_size=shared)
+                        wire.parse_block_query(body, q, K, pool_size=shared)
             pool = CommonRandomnessPool.generate(shared, 2, meta["seed_cr"])
             if not transport.replay_answers(transcript, store, pool):
                 problems.append("recorded answers do not replay against the given store")
@@ -341,6 +342,7 @@ def cmd_psi_verify(args) -> int:
         "record": "psi_verify",
         "meta": meta,
         "download_symbols": measured,
+        "upload_bytes": transcript.upload_bytes,
         "replayed": bool(args.responder_set) and not problems,
         "problems": problems,
     }

@@ -252,7 +252,9 @@ def _intersect(
         params = SchemeParams(K=K, P=len(desired), N=backend.n_databases, L=1, q=2)
         rng = secrets.SystemRandom() if seed_client is None else domain_rng(seed_client, DOMAIN_CLIENT)
         plan = block_scheme.plan_blocks(params, desired, rng)
-        bits = block_scheme.decode_blocks(plan, client.query_all(plan.wire_queries()))
+        # A database with no entries (P < N - 1) gets no frame at all.
+        bodies = [body if qs else b"" for body, qs in zip(plan.wire_queries(), plan.queries)]
+        bits = block_scheme.decode_blocks(plan, client.query_all(bodies))
 
     intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
     if forward_result:

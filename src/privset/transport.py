@@ -11,7 +11,8 @@ frames outright.
 A ``Transcript`` records every query and answer of a run and is the one
 record of what was downloaded: ``downloaded_symbols`` counts answer field
 symbols only, never framing bytes, matching how the schemes' costs are
-defined.  Its bytes depend only on the run's seeds and sets.
+defined.  ``upload_bytes`` counts the query payloads sent, also without
+framing.  Its bytes depend only on the run's seeds and sets.
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ class Transcript:
     @property
     def downloaded_symbols(self) -> int:
         return sum(len(wire.parse_answer(ans)[1]) for db_records in self.records for _, ans in db_records)
+
+    @property
+    def upload_bytes(self) -> int:
+        """Query payload bytes sent, framing excluded."""
+        return sum(len(qry) for db_records in self.records for qry, _ in db_records)
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

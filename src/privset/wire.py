@@ -4,8 +4,8 @@ and of the transcript file a run saves.
 This is the only module that knows a layout.  Each format is one
 ``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p`` for every
 well-formed ``p``.  A parser raises ProtocolFault on anything else
-(truncation, trailing bytes, a count that overruns the payload, a vector
-length or reference outside the bounds it is given) and never struct.error
+(truncation, trailing bytes, a count that overruns the payload, a
+reference outside the bounds it is given) and never struct.error
 or IndexError, so a database can turn any client query into an answer or an
 ERROR reply.  Frames, answers, errors and transcripts are what a client
 reads; faults in them are TransportError, a ProtocolFault.
@@ -17,12 +17,13 @@ All integers are little-endian:
     query         query id u32 | body
     table body    1 | n u32 | n x pool id u32 | m u32 | m x (t u8 | t x coordinate u32 | pool id u32)
                     a term's coordinate is m*L + s for symbol s of message m
-    block body    2 | n u32 | n x (pool id u32 | length u32 | ceil(length * w / 8) bytes)
-                    a packed vector: coefficient i in lane i, w = 1 bit over F_2, else 8
+    block body    2 | n u32 | n x (pool id u32 | ceil(K*L * w / 8) bytes)
+                    a packed vector of the store's K*L coefficients, known to both sides
+                    and not sent: coefficient i in lane i, w = 1 bit over F_2, else 8
     download-all  3
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
-    transcript    "PRIVSET-TRANSCRIPT v1\n" | length u32 | metadata, laid out as setup
+    transcript    "PRIVSET-TRANSCRIPT v2\n" | length u32 | metadata, laid out as setup
                     | n u32 | n x (m u32 | m x (length u32 | query | length u32 | answer))
 """
 
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence
 from .field import lane_bits
 
 MAGIC = b"PSI1"
-VERSION = 1
+VERSION = 2  # 2: block entries carry no vector length
 
 MSG_SETUP = 1
 MSG_CR_PROVISION = 2
@@ -58,12 +59,13 @@ _FRAME = struct.Struct("<4sBBI")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_PAIR = struct.Struct("<II")  # block entry head (pool id, length); answer head (query id, count)
+_PAIR = struct.Struct("<II")  # answer head (query id, count)
 _SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
 _SUM_VALUES = [struct.Struct(f"<{t + 1}I") for t in range(256)]  # a sum's t coordinates, then its pool id
 
 FRAME_HEADER_SIZE = _FRAME.size
-TRANSCRIPT_HEADER = b"PRIVSET-TRANSCRIPT v1\n"
+_TRANSCRIPT_NAME = b"PRIVSET-TRANSCRIPT "
+TRANSCRIPT_HEADER = _TRANSCRIPT_NAME + b"v2\n"
 
 
 class ProtocolFault(RuntimeError):
@@ -146,40 +148,37 @@ def _vector_bytes(length: int, lane: int) -> int:
 
 
 def encode_block_query(entries: Sequence[tuple[int, int, int]], q: int) -> bytes:
-    """Block body from (pool id, length, packed vector) entries over F_q."""
+    """Block body from (pool id, length, packed vector) entries over F_q; the
+    length is not sent, so every entry must have the same one."""
     lane = lane_bits(q)
+    lengths = {length for _, length, _ in entries}
+    if len(lengths) > 1:
+        raise ProtocolFault(f"block entries differ in vector length: {sorted(lengths)}")
+    size = _vector_bytes(lengths.pop(), lane) if lengths else 0
     out = [_U8.pack(BLOCK_QUERY_TAG), _U32.pack(len(entries))]
-    for pool_id, length, vector in entries:
-        out.append(_PAIR.pack(pool_id, length))
-        out.append(vector.to_bytes(_vector_bytes(length, lane), "little"))
+    for pool_id, _, vector in entries:
+        out.append(_U32.pack(pool_id))
+        out.append(vector.to_bytes(size, "little"))
     return b"".join(out)
 
 
-def parse_block_query(
-    body: bytes, q: int, vec_len: int | None = None, pool_size: int | None = None
-) -> list[tuple[int, int, int]]:
-    """(pool id, length, packed vector) per entry of a body over F_q; optionally
-    checks that every vector has ``vec_len`` coefficients and every pool id is
-    below ``pool_size``.  Padding bits past the last F_2 coefficient must be 0."""
+def parse_block_query(body: bytes, q: int, vec_len: int, pool_size: int | None = None) -> list[tuple[int, int, int]]:
+    """(pool id, ``vec_len``, packed vector) per entry of a body of ``vec_len``-
+    coefficient vectors over F_q; optionally checks that every pool id is below
+    ``pool_size``.  Padding bits past the last F_2 coefficient must be 0."""
     _check_tag(body, BLOCK_QUERY_TAG)
     lane = lane_bits(q)
+    if len(body) < 1 + _U32.size:
+        raise ProtocolFault("truncated query payload")
+    (n,) = _U32.unpack_from(body, 1)
+    stride = _U32.size + _vector_bytes(vec_len, lane)
+    _check_end(1 + _U32.size + n * stride, body, "query payload")
     entries = []
-    try:
-        (n,) = _U32.unpack_from(body, 1)
-        off = 1 + _U32.size
-        for _ in range(n):
-            pool_id, length = _PAIR.unpack_from(body, off)
-            if vec_len is not None and length != vec_len:
-                raise ProtocolFault(f"query vector length {length} != {vec_len}")
-            start = off + _PAIR.size
-            off = start + _vector_bytes(length, lane)
-            vector = int.from_bytes(body[start:off], "little")
-            if vector >> length * lane:
-                raise ProtocolFault("padding bits set past the last coefficient")
-            entries.append((pool_id, length, vector))
-    except struct.error:
-        raise ProtocolFault("truncated query payload") from None
-    _check_end(off, body, "query payload")
+    for off in range(1 + _U32.size, len(body), stride):
+        vector = int.from_bytes(body[off + _U32.size : off + stride], "little")
+        if vector >> vec_len * lane:
+            raise ProtocolFault("padding bits set past the last coefficient")
+        entries.append((_U32.unpack_from(body, off)[0], vec_len, vector))
     _check_slots((pool_id for pool_id, _, _ in entries), pool_size)
     return entries
 
@@ -282,6 +281,10 @@ def encode_transcript(meta: dict, records: Sequence[Sequence[tuple[bytes, bytes]
 def parse_transcript(data: bytes) -> tuple[dict, list[list[tuple[bytes, bytes]]]]:
     """(metadata, per-database (query, answer) payloads) of a saved run."""
     if not data.startswith(TRANSCRIPT_HEADER):
+        name = data[:64].partition(b"\n")[0]
+        if name.startswith(_TRANSCRIPT_NAME):
+            version = name[len(_TRANSCRIPT_NAME) :].decode(errors="replace")
+            raise TransportError(f"unsupported transcript version {version}")
         raise TransportError("not a transcript file")
     off = len(TRANSCRIPT_HEADER)
 

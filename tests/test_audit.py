@@ -950,7 +950,7 @@ class TestSymbolicLeakage:
             parts = [struct.pack("<B", block_scheme.BLOCK_QUERY_TAG), struct.pack("<I", len(vectors_and_ids))]
             for vec, cid in vectors_and_ids:
                 parts.append(struct.pack("<I", cid))
-                parts.append(struct.pack("<I", len(vec)) + bytes([sum(c << i for i, c in enumerate(vec))]))
+                parts.append(bytes([sum(c << i for i, c in enumerate(vec))]))
             return b"".join(parts)
 
         base = [1, 1, 0]

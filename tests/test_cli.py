@@ -465,7 +465,7 @@ def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
     assert transcript.meta["P_initiator"] == 4 and transcript.meta["N_responder"] == 2
     qry, ans = transcript.records[0][0]
     query_id, body = wire.parse_query(qry)
-    entries = wire.parse_block_query(body, 2)
+    entries = wire.parse_block_query(body, 2, 10)
     moved = [(4 if pool_id == 0 else pool_id, length, vector) for pool_id, length, vector in entries]
     assert moved != entries
     transcript.records[0][0] = (wire.encode_query(query_id, wire.encode_block_query(moved, 2)), ans)
@@ -479,6 +479,43 @@ def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
         broken.save(str(path))
         code, _, err = run_cli(capsys, *verify)
         assert code == EXIT_USAGE and "P_initiator and N_responder" in err
+
+
+def test_psi_run_and_verify_report_the_upload_bytes(tmp_path, capsys):
+    from privset import transport
+
+    set1 = tmp_path / "e1.set"
+    set2 = tmp_path / "e2.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
+    set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    path = tmp_path / "run.transcript"
+    code, out, _ = run_cli(
+        capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2),
+        "--seed-client", "11", "--seed-cr", "22", "--save-transcript", str(path), "--machine",
+    )
+    assert code == EXIT_OK
+    sizes = [len(qry) for db_records in transport.Transcript.load(str(path)).records for qry, _ in db_records]
+    # P=4 against N=2: each database gets 4 entries of a u32 pool id and 2 vector bytes
+    assert sizes == [4 + 5 + 4 * (4 + 2)] * 2
+    assert machine_records(out)[0]["upload_bytes"] == sum(sizes) == 66
+    code, out, _ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+    assert code == EXIT_OK and machine_records(out)[0]["upload_bytes"] == 66
+
+
+def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
+    from privset import transport, wire
+
+    path = tmp_path / "run.transcript"
+    code, *_ = run_cli(capsys, "psi", "run", "--save-transcript", str(path))
+    assert code == EXIT_OK
+    data = path.read_bytes()
+    assert data.startswith(b"PRIVSET-TRANSCRIPT v2\n")
+    path.write_bytes(b"PRIVSET-TRANSCRIPT v1\n" + data[len(b"PRIVSET-TRANSCRIPT v2\n") :])
+    with pytest.raises(wire.TransportError, match="unsupported transcript version v1"):
+        transport.Transcript.load(str(path))
+    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path))
+    assert code == EXIT_PROTOCOL and out == ""
+    assert err == "protocol fault: unsupported transcript version v1\n"
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):

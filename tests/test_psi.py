@@ -209,6 +209,22 @@ def test_local_tcp_run_is_a_remote_run_against_databases_it_serves(name, monkeyp
     assert remote.transcript.meta["seed_cr"] is None
 
 
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_database_with_no_entries_gets_no_frame(backend, monkeypatch):
+    # P=1 against N=3 is one block, its base at database 0 and its probe at
+    # database 1: database 2 holds no entry, so it is never sent a query
+    served = []
+    entity_servers = psi.entity_servers
+    monkeypatch.setattr(psi, "entity_servers", lambda entity: served.append(entity_servers(entity)) or served[-1])
+    e1 = EntityConfig(1, 10, 3, frozenset({3}))
+    e2 = EntityConfig(2, 10, 3, frozenset({1, 3, 5, 7}))
+    res = run_psi(e1, e2, backend=backend, seed_client=1, seed_cr=2)
+    assert res.intersection == {3} and res.download_symbols == res.optimal_cost == 2
+    assert [len(db_records) for db_records in res.transcript.records] == [1, 1, 0]
+    (servers,) = served
+    assert [len(srv.seen_queries) for srv in servers] == [1, 1, 0] and not servers[2].query_served
+
+
 def test_queries_do_not_depend_on_responder_set():
     # Same seed, two responder sets of the same public size but different
     # private contents: identical query bytes.

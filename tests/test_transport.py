@@ -55,6 +55,45 @@ def test_frame_roundtrip():
     assert parse_frame(frame) == (MSG_QUERY, b"hello")
 
 
+def version_1(frame: bytes) -> bytes:
+    """The frame as a peer of the previous wire version sends it."""
+    return frame[:4] + bytes([1]) + frame[5:]
+
+
+def test_the_client_refuses_a_version_1_frame():
+    reply = version_1(encode_frame(MSG_SETUP, b'{"K": 3}'))
+    with pytest.raises(TransportError, match="unsupported version 1"):
+        parse_frame(reply)
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        lsock.settimeout(5)
+
+        def old_peer():
+            conn, _ = lsock.accept()
+            with conn:
+                transport._read_frame(conn)
+                conn.sendall(reply)
+
+        t = threading.Thread(target=old_peer, daemon=True)
+        t.start()
+        backend = TcpBackend([lsock.getsockname()], timeout=5)
+        try:
+            with pytest.raises(TransportError, match="unsupported version 1"):
+                transport.Client(backend).setup_info()
+        finally:
+            backend.close()
+            t.join(5)
+        assert not t.is_alive()
+
+
+def test_a_served_database_closes_a_connection_that_sends_a_version_1_frame():
+    with TcpServerPool(small_servers()) as pool:
+        with socket.create_connection(pool.addresses[0], timeout=5) as sock:
+            sock.sendall(version_1(encode_frame(MSG_SETUP, b"")))
+            assert sock.recv(64) == b""  # closed without an answer
+        mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
+        assert mtype == MSG_SETUP
+
+
 def test_frame_rejects_corruption():
     frame = encode_frame(MSG_QUERY, b"hello")
     with pytest.raises(TransportError):
@@ -120,7 +159,7 @@ def test_unprovisioned_query_refused():
     servers = small_servers()
     backend = SimBackend(servers)
     client = transport.Client(backend)
-    body = bytes([2]) + (1).to_bytes(4, "little") + (0).to_bytes(4, "little") + (3).to_bytes(4, "little") + bytes(3)
+    body = bytes([2]) + (1).to_bytes(4, "little") + (0).to_bytes(4, "little") + bytes(1)
     with pytest.raises(InsufficientRandomness):
         client.query(0, body)
 
@@ -375,7 +414,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
             result = run_psi_remote(init, pool.addresses, **seed)
         assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
         (body,) = servers[1].seen_queries
-        diffs = [vec ^ bases[block] for block, _, vec in wire.parse_block_query(body, 2)]
+        diffs = [vec ^ bases[block] for block, _, vec in wire.parse_block_query(body, 2, 64)]
         return {diff.bit_length() - 1 for diff in diffs if diff.bit_count() == 1}
 
     assert named_by_guess(seed_client=0) == {3, 17, 60}  # the guess works on a client seeded 0

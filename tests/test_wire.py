@@ -1,5 +1,6 @@
 import ast
 import hashlib
+from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
@@ -12,9 +13,9 @@ from conftest import answer_block
 from privset import block_scheme, table_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
-from privset.psi import EntityConfig, run_psi
+from privset.psi import EntityConfig, entity_servers, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
-from privset.transport import make_entity_servers, provision_cr
+from privset.transport import SimBackend, TcpBackend, TcpServerPool, make_entity_servers, provision_cr
 from privset.wire import MSG_ANSWER, MSG_ERROR, MSG_QUERY, ProtocolFault, TransportError
 
 E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
@@ -31,9 +32,9 @@ def seeded_runs():
 
 
 def seeded_traffic():
-    """(query payloads, answer payloads) of seeded intersection runs."""
-    records = [rec for res in seeded_runs() for db in res.transcript.records for rec in db]
-    return [q for q, _ in records], [a for _, a in records]
+    """((K, query payload) pairs, answer payloads) of seeded intersection runs."""
+    records = [(res.transcript.meta["K"], rec) for res in seeded_runs() for db in res.transcript.records for rec in db]
+    return [(K, q) for K, (q, _) in records], [a for _, (_, a) in records]
 
 
 def seeded_table_bodies():
@@ -53,8 +54,8 @@ def server_errors():
         (provisioned, MSG_QUERY, b"\x00\x00"),
         (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
         (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query([(5, 3, 0b101)], 2))),
-        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, 2, 0b01)], 2))),
-        (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0b1101]))),
+        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, 9, 0b01)], 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 1, 0, 0, 0, 0, 0, 0, 0, 0b1101]))),
     ]
     out = []
     for srv, mtype, payload in frames:
@@ -66,12 +67,12 @@ def server_errors():
 
 def test_encode_inverts_parse_on_seeded_payloads():
     queries, answers = seeded_traffic()
-    assert {wire.parse_query(q)[1][0] for q in queries} == {wire.BLOCK_QUERY_TAG, wire.DOWNLOAD_ALL_TAG}
-    for payload in queries:
+    assert {wire.parse_query(q)[1][0] for _, q in queries} == {wire.BLOCK_QUERY_TAG, wire.DOWNLOAD_ALL_TAG}
+    for K, payload in queries:
         qid, body = wire.parse_query(payload)
         assert wire.encode_query(qid, body) == payload
         if body[0] == wire.BLOCK_QUERY_TAG:
-            assert wire.encode_block_query(wire.parse_block_query(body, 2), 2) == body
+            assert wire.encode_block_query(wire.parse_block_query(body, 2, K), 2) == body
         else:
             wire.parse_download_all(body)
             assert wire.encode_download_all() == body
@@ -91,19 +92,19 @@ def test_encode_inverts_parse_on_seeded_payloads():
 
 def test_every_truncation_and_trailing_byte_is_a_fault():
     queries, answers = seeded_traffic()
-    bodies = [wire.parse_query(q)[1] for q in queries] + seeded_table_bodies()
+    bodies = [(K, wire.parse_query(q)[1]) for K, q in queries[:4]] + [(None, b) for b in seeded_table_bodies()[-2:]]
     parsers = {
-        wire.BLOCK_QUERY_TAG: lambda b: wire.parse_block_query(b, 2),
-        wire.TABLE_QUERY_TAG: wire.parse_table_query,
-        wire.DOWNLOAD_ALL_TAG: wire.parse_download_all,
+        wire.BLOCK_QUERY_TAG: lambda b, K: wire.parse_block_query(b, 2, K),
+        wire.TABLE_QUERY_TAG: lambda b, K: wire.parse_table_query(b),
+        wire.DOWNLOAD_ALL_TAG: lambda b, K: wire.parse_download_all(b),
     }
-    for body in bodies[:4] + bodies[-2:]:
+    for K, body in bodies:
         parse = parsers[body[0]]
         for cut in range(len(body)):
             with pytest.raises(ProtocolFault):
-                parse(body[:cut])
+                parse(body[:cut], K)
         with pytest.raises(ProtocolFault):
-            parse(body + b"\x00")
+            parse(body + b"\x00", K)
     for payload in answers[:3]:
         for cut in range(len(payload)):
             with pytest.raises(TransportError):
@@ -131,16 +132,20 @@ def test_client_side_parsers_raise_transport_errors():
 
 
 def test_block_body_layout():
-    # tag, entry count, then per entry: pool id, vector length, the packed vector;
-    # over F_3 one byte per coefficient
+    # tag, entry count, then per entry: pool id and the packed vector, whose
+    # length K*L both sides know and the body does not carry; over F_3 one
+    # byte per coefficient
     body = wire.encode_block_query([(5, 3, pack([2, 0, 1], 3))], 3)
     u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
-    assert body == bytes([2]) + u32(1) + u32(5) + u32(3) + bytes([2, 0, 1])
-    assert wire.parse_block_query(body, 3) == [(5, 3, 0x010002)]
+    assert body == bytes([2]) + u32(1) + u32(5) + bytes([2, 0, 1])
+    assert wire.parse_block_query(body, 3, 3) == [(5, 3, 0x010002)]
     # over F_2 one bit per coefficient, coefficient i in bit i, the last byte zero-padded
-    body = wire.encode_block_query([(5, 10, 0b10_0000_0101)], 2)
-    assert body == bytes([2]) + u32(1) + u32(5) + u32(10) + bytes([0b101, 0b10])
-    assert wire.parse_block_query(body, 2) == [(5, 10, 0b10_0000_0101)]
+    body = wire.encode_block_query([(5, 10, 0b10_0000_0101), (1, 10, 0b1)], 2)
+    assert body == bytes([2]) + u32(2) + u32(5) + bytes([0b101, 0b10]) + u32(1) + bytes([1, 0])
+    assert wire.parse_block_query(body, 2, 10) == [(5, 10, 0b10_0000_0101), (1, 10, 0b1)]
+    assert wire.encode_block_query([], 2) == bytes([2]) + u32(0)
+    with pytest.raises(ProtocolFault, match="differ in vector length"):
+        wire.encode_block_query([(0, 3, 0b101), (1, 4, 0b101)], 2)
 
 
 def test_table_body_layout():
@@ -155,8 +160,10 @@ def test_table_body_layout():
 def test_parsers_check_the_bounds_they_are_given():
     block = wire.encode_block_query([(0, 3, 0b101), (3, 3, 0b110)], 2)
     assert wire.parse_block_query(block, 2, 3, 4) == [(0, 3, 0b101), (3, 3, 0b110)]
-    with pytest.raises(ProtocolFault, match="vector length"):
-        wire.parse_block_query(block, 2, 4)
+    with pytest.raises(ProtocolFault, match="truncated"):  # 9 coefficients take 2 bytes, not 1
+        wire.parse_block_query(block, 2, 9)
+    with pytest.raises(ProtocolFault, match="padding"):  # 0b101 and 0b110 set a bit past coefficient 1
+        wire.parse_block_query(block, 2, 2)
     with pytest.raises(ProtocolFault, match="slot 3"):
         wire.parse_block_query(block, 2, 3, 3)
     # terms (0, 1) and (2, 0) of a K=3, L=2 store: coordinates 1 and 4
@@ -177,7 +184,8 @@ ALL_PARSERS = [
     wire.parse_frame,
     wire.parse_frame_header,
     wire.parse_query,
-    lambda b: wire.parse_block_query(b, 2),
+    lambda b: wire.parse_block_query(b, 2, 11),
+    lambda b: wire.parse_block_query(b, 2, 0),
     lambda b: wire.parse_block_query(b, 2, 3, 2),
     lambda b: wire.parse_block_query(b, 5, 3, 2),
     wire.parse_table_query,
@@ -197,7 +205,7 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 
 _VALID_QUERIES = [
     wire.encode_query(7, wire.encode_block_query([(0, 3, 0b101), (1, 3, 0b110)], 2)),
-    wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 0, 0)], 2)),
+    wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 11, 0)], 2)),
     wire.encode_query(8, wire.encode_table_query([1], [([0, 2], 0)])),
     wire.encode_query(9, wire.encode_download_all()),
 ]
@@ -230,26 +238,29 @@ def test_fuzzed_queries_get_an_answer_or_an_error(payload):
                 pass
 
 
-packed_entries = st.lists(
-    st.integers(0, 40).flatmap(
-        lambda n: st.tuples(st.integers(0, 3), st.just(n), st.integers(0, (1 << n) - 1))
-    ),
-    max_size=4,
+packed_entries = st.integers(0, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, 3), st.just(n), st.integers(0, (1 << n) - 1)), max_size=4)
+    )
 )
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(packed_entries, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
-def test_fuzzed_packed_bodies_parse_back_or_fault(entries, pos, value, cut):
+def test_fuzzed_packed_bodies_parse_back_or_fault(shape, pos, value, cut):
+    n, entries = shape
     body = wire.encode_block_query(entries, 2)
-    assert wire.parse_block_query(body, 2) == entries
+    assert wire.parse_block_query(body, 2, n) == entries
     mutated = _mutate(body, pos, value, cut)
     try:
-        parsed = wire.parse_block_query(mutated, 2)
+        parsed = wire.parse_block_query(mutated, 2, n)
     except ProtocolFault:
         parsed = None
     if parsed is not None:
         assert wire.encode_block_query(parsed, 2) == mutated
+    else:  # refused only for its tag, its size against its count, or a padding bit (n not a multiple of 8)
+        count = int.from_bytes(mutated[1:5], "little")
+        assert mutated[:1] != b"\x02" or len(mutated) != 5 + count * (4 + (n + 7) // 8) or n % 8
     store = MessageStore.from_bits([1, 0, 1])
     (srv,) = make_entity_servers(store, 1, {"K": 3})
     provision_cr([srv], CommonRandomnessPool.generate(4, 2, seed=0), 4)
@@ -323,21 +334,56 @@ def test_packed_parser_faults():
     body = wire.encode_block_query([(0, 10, 0b11_0000_0001), (1, 10, 0b1)], 2)
     for cut in range(len(body)):
         with pytest.raises(ProtocolFault):
-            wire.parse_block_query(body[:cut], 2)
+            wire.parse_block_query(body[:cut], 2, 10)
     with pytest.raises(ProtocolFault, match="trailing"):
-        wire.parse_block_query(body + b"\x00", 2)
-    for vec_len in (9, 11, 16):
-        with pytest.raises(ProtocolFault, match="vector length"):
-            wire.parse_block_query(body, 2, vec_len)
+        wire.parse_block_query(body + b"\x00", 2, 10)
+    # the count says 2 entries of 4 + 2 bytes; any other size is refused by name
+    with pytest.raises(ProtocolFault, match="trailing"):
+        wire.parse_block_query(body, 2, 8)  # 8 coefficients take 1 byte
+    with pytest.raises(ProtocolFault, match="truncated"):
+        wire.parse_block_query(body, 2, 17)  # 17 take 3
+    with pytest.raises(ProtocolFault, match="padding"):
+        wire.parse_block_query(body, 2, 9)  # 9 take 2, but the first vector sets coefficient 9
     # each of the 6 padding bits past coefficient 9 of the first entry's second byte
     for bit in range(2, 8):
         padded = bytearray(body)
-        padded[1 + 4 + 8 + 1] |= 1 << bit
+        padded[1 + 4 + 4 + 1] |= 1 << bit
         with pytest.raises(ProtocolFault, match="padding"):
-            wire.parse_block_query(bytes(padded), 2)
+            wire.parse_block_query(bytes(padded), 2, 10)
     # the same bytes read over F_3 are one byte per coefficient: too short for length 10
-    with pytest.raises(ProtocolFault):
-        wire.parse_block_query(body, 3)
+    with pytest.raises(ProtocolFault, match="truncated"):
+        wire.parse_block_query(body, 3, 10)
+
+
+@contextmanager
+def connected(servers, backend: str):
+    """A SimBackend over ``servers``, or a TcpBackend to them served on loopback."""
+    if backend == "sim":
+        yield SimBackend(servers)
+        return
+    with TcpServerPool(servers) as pool:
+        link = TcpBackend(pool.addresses)
+        try:
+            yield link
+        finally:
+            link.close()
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_its_count(backend):
+    # K=10: an entry is a 4-byte pool id and 2 vector bytes, so a body of
+    # count n is exactly 5 + 6n bytes; every other size is ERR_BAD_QUERY
+    servers = entity_servers(EntityConfig(2, 10, 1, frozenset({1, 4})))
+    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=0), 4)
+    with connected(servers, backend) as link:
+        for n in range(4):
+            for size in range(5, 30):
+                body = (bytes([2]) + n.to_bytes(4, "little") + bytes(size))[:size]
+                mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(size, body))
+                if size == 5 + 6 * n:
+                    assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (size, [servers[0].pool.symbols[0]] * n)
+                else:
+                    assert mtype == MSG_ERROR and wire.parse_error(reply)[0] == wire.ERR_BAD_QUERY, (n, size)
 
 
 def test_block_answer_matches_reference_evaluation():
@@ -364,9 +410,10 @@ def test_packed_f2_answer_matches_the_explicit_loop(KL):
         assert block_scheme.answer_wire_query(wire.encode_block_query(entries, 2), store, pool) == want
 
 
-def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
-    e1 = EntityConfig(1, 40, 3, frozenset({1, 8, 9, 17, 30}))
-    e2 = EntityConfig(2, 40, 3, frozenset(range(0, 40, 3)))
+@pytest.mark.parametrize("N", [2, 3])
+def test_sim_and_tcp_runs_send_and_receive_the_same_bytes(N):
+    e1 = EntityConfig(1, 40, N, frozenset({1, 8, 9, 17, 30}))
+    e2 = EntityConfig(2, 40, N, frozenset(range(0, 40, 3)))
     sim = run_psi(e1, e2, backend="sim", seed_client=3, seed_cr=4)
     tcp = run_psi(e1, e2, backend="tcp", seed_client=3, seed_cr=4)
     assert sim.intersection == tcp.intersection == e1.elements & e2.elements
@@ -374,21 +421,28 @@ def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
     assert wire.encode_transcript(sim.transcript.meta, sim.transcript.records) == wire.encode_transcript(
         tcp.transcript.meta, tcp.transcript.records
     )
-    # one bit per coefficient: a K=40 vector travels as 5 bytes
-    _, body = wire.parse_query(sim.transcript.records[0][0][0])
-    assert len(body) == 1 + 4 + len(wire.parse_block_query(body, 2)) * (8 + 5)
+    # Upload guard: every query payload is its u32 id, the tag and count, and
+    # per entry a u32 pool id and the K=40 vector in one bit per coefficient,
+    # 5 bytes.  The entry count is the answer's symbol count.
+    for run in (sim, tcp):
+        sizes = [(len(qry), len(wire.parse_answer(ans)[1])) for db in run.transcript.records for qry, ans in db]
+        assert len(sizes) == N and all(size == 4 + 5 + n * (4 + 5) for size, n in sizes)
 
 
 # SHA-256 over the joined payloads of seeded runs. A deliberate change to a
 # byte layout or to a scheme's draws updates these values and says why.
 # The table values changed when a table term became one u32 coordinate m*L + s
-# instead of a (message u8, position u32) pair.
+# instead of a (message u8, position u32) pair.  The block values and the
+# flagship transcript changed when block entries stopped carrying their
+# vector length (K*L, known to both sides); the transcript also moved to the
+# "PRIVSET-TRANSCRIPT v2" header.  Each new value is the old bytes with the
+# u32 lengths cut out and that header renamed.  Neither table value changed.
 GOLDEN_WIRE_DIGESTS = {
     "table K=3 P=1 N=3": "ca1d1afa3757fd1958a997a378f868bcda030e6de0568afcc868578f951b5220",
     "table K=5 P=3 N=2 reps=1": "08e600f58c81f4612ea97154bbf44ef57d838179108d1ae7710be24ec11d314e",
-    "block K=6 P=2 N=3 L=2": "2681b6fb5d9410f14db65904d113dd752e79a5fb30743f50d21640de77c732ce",
-    "block K=6 P=2 N=3 L=2 q=5": "ba2bca2fdca62453e7a79452f0bd2e4c0ab8cb79657cb1809545556749d22c8c",
-    "flagship transcript": "682da3a548729fce8828cc8d89d1ad631a9afc52ca6e32f741f6bcd8ec7ce6b3",
+    "block K=6 P=2 N=3 L=2": "9a6f1b1b8c47264cd3f580885769ef748b75e2eb32d82d345158b679db738b2e",
+    "block K=6 P=2 N=3 L=2 q=5": "11700a82687d2bdac2e63630432c32be6c375bf98688437e23f46cd50d24badd",
+    "flagship transcript": "6c5cae7c62c3005ebf2b4cd475b0cb7aff4aceba68a7c298715caac2ffff26bd",
 }
 
 
