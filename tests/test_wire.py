@@ -410,23 +410,23 @@ def test_packed_f2_answer_matches_the_explicit_loop(KL):
         assert block_scheme.answer_wire_query(wire.encode_block_query(entries, 2), store, pool) == want
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_sim_and_tcp_runs_send_and_receive_the_same_bytes(N):
-    e1 = EntityConfig(1, 40, N, frozenset({1, 8, 9, 17, 30}))
-    e2 = EntityConfig(2, 40, N, frozenset(range(0, 40, 3)))
-    sim = run_psi(e1, e2, backend="sim", seed_client=3, seed_cr=4)
-    tcp = run_psi(e1, e2, backend="tcp", seed_client=3, seed_cr=4)
-    assert sim.intersection == tcp.intersection == e1.elements & e2.elements
-    assert sim.transcript.records == tcp.transcript.records
-    assert wire.encode_transcript(sim.transcript.meta, sim.transcript.records) == wire.encode_transcript(
-        tcp.transcript.meta, tcp.transcript.records
-    )
-    # Upload guard: every query payload is its u32 id, the tag and count, and
-    # per entry a u32 pool id and the K=40 vector in one bit per coefficient,
-    # 5 bytes.  The entry count is the answer's symbol count.
-    for run in (sim, tcp):
-        sizes = [(len(qry), len(wire.parse_answer(ans)[1])) for db in run.transcript.records for qry, ans in db]
-        assert len(sizes) == N and all(size == 4 + 5 + n * (4 + 5) for size, n in sizes)
+def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
+    for N in (2, 3):
+        e1 = EntityConfig(1, 40, N, frozenset({1, 8, 9, 17, 30}))
+        e2 = EntityConfig(2, 40, N, frozenset(range(0, 40, 3)))
+        sim = run_psi(e1, e2, backend="sim", seed_client=3, seed_cr=4)
+        tcp = run_psi(e1, e2, backend="tcp", seed_client=3, seed_cr=4)
+        assert sim.intersection == tcp.intersection == e1.elements & e2.elements
+        assert sim.transcript.records == tcp.transcript.records
+        assert wire.encode_transcript(sim.transcript.meta, sim.transcript.records) == wire.encode_transcript(
+            tcp.transcript.meta, tcp.transcript.records
+        )
+        # Upload guard: every query payload is its u32 id, the tag and count, and
+        # per entry a u32 pool id and the K=40 vector in one bit per coefficient,
+        # 5 bytes.  The entry count is the answer's symbol count.
+        for run in (sim, tcp):
+            sizes = [(len(qry), len(wire.parse_answer(ans)[1])) for db in run.transcript.records for qry, ans in db]
+            assert len(sizes) == N and all(size == 4 + 5 + n * (4 + 5) for size, n in sizes)
 
 
 # SHA-256 over the joined payloads of seeded runs. A deliberate change to a
