@@ -16,14 +16,14 @@ premises checked mechanically on the parsed wire bodies of scripted builds,
 each body parsed with the server's bounds, then the distance in closed form.
 Nothing is enumerated and no answer is evaluated.
 
-The linear one-round scheme's premises, per database: one slot sequence for
-every (desired set, shuffle order) pair, no slot twice, and each emitted
-vector equal to its slot's base vector plus the vector the all-zero base
-draw emits at that position.  Each database then sees independent uniform
-vectors on fixed slots (the argument of Chor, Goldreich, Kushilevitz &
-Sudan, *Private Information Retrieval*).  Every pair is checked while there
-are at most ``_MECHANISM_SAMPLES`` of them; past that, that many sampled
-pairs are.
+The linear one-round scheme's premises, per database: one slot run (first
+slot, entry count; the codec puts entry i on slot first + i) for every
+(desired set, shuffle order) pair, and each emitted vector equal to its slot's
+base vector plus the vector the all-zero base draw emits at that position.
+Each database then sees independent uniform vectors on fixed slots (the
+argument of Chor, Goldreich, Kushilevitz & Sudan, *Private Information
+Retrieval*).  Every pair is checked while there are at most
+``_MECHANISM_SAMPLES`` of them; past that, that many sampled pairs are.
 
 The query-table scheme's strategy space is one permutation per message plus
 a pool relabeling.  Its premises, on each desired set's identity view (every
@@ -163,8 +163,8 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
     many sampled pairs.  Returns the builds and the scope said in a passing
     detail.  A build is ``(bases, zero, seeded)``: seeded base vectors that
     are distinct and nonzero (redrawn until they are; there are fewer blocks
-    than nonzero vectors), then each database's parsed wire entries of the
-    plan with every base vector 0 and of the plan with ``bases``.
+    than nonzero vectors), then each database's parsed (first slot, vectors)
+    body of the plan with every base vector 0 and of the plan with ``bases``.
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
@@ -178,7 +178,7 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
         ]
         scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
 
-    def views(desired, order, values) -> list[list[tuple[int, int, int]]]:
+    def views(desired, order, values) -> list[tuple[int, list[int]]]:
         """The parsed bodies of the draw of shuffle ``order`` and the base vectors' scripted symbols ``values``."""
         rng = _ScriptedRandom([order], values)
         plan = _block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
@@ -205,16 +205,14 @@ def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     _check_block_mutant(mutant)
     n_coords, q = params.K * params.L, params.q
     builds, scope = _block_builds(params, mutant)
-    slots: dict[int, list[int]] = {}  # each database's slot sequence, fixed by its first build
+    runs: dict[int, tuple[int, int]] = {}  # each database's (first slot, entry count), fixed by its first build
     for bases, shifts, drawn in builds:
         for db in range(params.N):
-            for got in ([pid for pid, _, _ in shifts[db]], [pid for pid, _, _ in drawn[db]]):
-                if slots.setdefault(db, got) != got:
+            for first, vectors in (shifts[db], drawn[db]):
+                if runs.setdefault(db, (first, len(vectors))) != (first, len(vectors)):
                     return Verdict(False, Fraction(1), f"slot sequence differs at database {db}")
-                if len(set(got)) != len(got):
-                    return Verdict(False, Fraction(1), f"a slot appears twice at database {db}")
-            for (pid, _, shift), (_, _, vec) in zip(shifts[db], drawn[db]):
-                if vec != _combine(shift, 1, bases[pid], n_coords, q):
+            for (slot, shift), vec in zip(_slot_entries([shifts[db]]), drawn[db][1]):
+                if vec != _combine(shift, 1, bases[slot], n_coords, q):
                     return Verdict(False, Fraction(1), f"a vector at database {db} is not its slot's base plus a shift")
     return Verdict(True, Fraction(0), f"max per-database total variation 0{scope}")
 
@@ -231,21 +229,21 @@ def audit_block_db_privacy(params: SchemeParams, mutant: str | None = None) -> V
     _check_block_mutant(mutant)
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_coords, n_blocks, lane = K * L, lspir_cost(P, N, L)[1], lane_bits(q)
-    public = [(pid, n_coords, 0) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
+    public = [(pid, 0) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
     builds, scope = _block_builds(params, mutant, tuple(range(P)))
     n_views = 0
     for bases, zero, seeded in builds:
-        zero_rows, seeded_rows = [e for v in zero for e in v] + public, [e for v in seeded for e in v] + public
-        if [pid for pid, _, _ in zero_rows] != [pid for pid, _, _ in seeded_rows]:
+        if [(first, len(vectors)) for first, vectors in zero] != [(first, len(vectors)) for first, vectors in seeded]:
             return Verdict(False, Fraction(1), "slot sequence differs between the zero-base and seeded builds")
+        zero_rows = [*_slot_entries(zero), *public]
         parts: dict[int, int] = {}  # pool slot -> the base part of its rows
-        for (pid, _, vec), (_, _, seeded_vec) in zip(zero_rows, seeded_rows):
+        for (pid, vec), (_, seeded_vec) in zip(zero_rows, [*_slot_entries(seeded), *public]):
             part = _combine(seeded_vec, q - 1, vec, n_coords, q)
             if part and part not in bases:
                 return Verdict(False, Fraction(1), "a vector's base part is neither 0 nor one block's base")
             if parts.setdefault(pid, part) != part:
                 return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
-        rows = [vec << n_blocks * lane | 1 << pid * lane for pid, _, vec in zero_rows]
+        rows = [vec << n_blocks * lane | 1 << pid * lane for pid, vec in zero_rows]
         span = _eliminate(rows, n_coords, n_blocks, q, range(P * L))
         if span.undesired:
             return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
@@ -413,12 +411,17 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
             rows.append(row)
         return rows
     if payload[0] == wire.BLOCK_QUERY_TAG:
-        entries = wire.parse_block_query(payload, q, n_coords, pool_size)
-        return [vec << pool_size * lane | 1 << pid * lane for pid, _, vec in entries]
+        entries = _slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)])
+        return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
     if payload[0] == wire.DOWNLOAD_ALL_TAG:
         wire.parse_download_all(payload)
         return [1 << (pool_size + c) * lane for c in range(n_coords)]
     raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
+
+
+def _slot_entries(bodies) -> list[tuple[int, int]]:
+    """(pool slot, vector) of every entry of parsed block bodies, entry i of a body on slot first + i."""
+    return [(first + i, vec) for first, vectors in bodies for i, vec in enumerate(vectors)]
 
 
 def _combine(row: int, coeff: int, other: int, width: int, q: int) -> int:
@@ -530,7 +533,7 @@ def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
 
 def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
     params = plan.params
-    n_coords, pool_size = params.K * params.L, plan.pool_size_required()
+    n_coords, pool_size = params.K * params.L, plan.n_blocks
     expected = frozenset(c for blk in plan.coords for c in blk)  # every coordinate of the desired messages
     span = recoverable_coordinates(plan.wire_queries(), n_coords, pool_size, params.q, expected)
     return LeakageReport(span.coordinates, expected, span.undesired)
@@ -600,7 +603,7 @@ def audit_reliability_block(params: SchemeParams, trials: int, seed: int = 0) ->
         desired = tuple(sorted(rng.sample(range(K), P)))
         plan = block_scheme.plan_blocks(params, desired, Random(rng.randrange(1 << 30)))
         store = MessageStore.generate(K, L, q, seed=rng.randrange(1 << 30))
-        pool = CommonRandomnessPool.generate(plan.pool_size_required(), q, seed=rng.randrange(1 << 30))
+        pool = CommonRandomnessPool.generate(plan.n_blocks, q, seed=rng.randrange(1 << 30))
         answers = [block_scheme.answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
         for c, val in block_scheme.decode_blocks(plan, answers).items():
             if val != store.flat[c]:

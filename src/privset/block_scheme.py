@@ -12,6 +12,10 @@ Costs are exact: P*L + #blocks = ceil(N*P*L/(N-1)) answers downloaded and
 #blocks = ceil(P*L/(N-1)) shared symbols consumed.  Every vector any single
 database sees is uniform, so its view is independent of the desired set.
 
+Every block but the last, partial one reaches every database, so entry i of
+each database's list is block i's.  On the wire the list is one slot run from
+slot 0 (``wire.encode_block_query``): entry i is masked by pool slot i.
+
 Vectors are packed ints (``field.lane_bits``).  Over F_2, the intersection
 protocol's field, a probe is c_j ^ (1 << t) and an answer is one AND and one
 popcount against the store's packed vector: the XOR retrieval of Chor,
@@ -33,9 +37,8 @@ from .wire import ProtocolFault, encode_block_query, parse_block_query
 
 
 class BlockQuery(NamedTuple):
-    """One query vector for one database: a packed vector over F_q; block j is masked by pool slot j."""
+    """One packed query vector over F_q; entry i of a database's list is block i's, on pool slot first + i."""
 
-    block: int
     vector: int
     probe_coord: int | None  # desired coordinate this probe targets; None for the base
 
@@ -47,7 +50,7 @@ class BlockPlan:
     params: SchemeParams
     desired: tuple[int, ...]  # message indices
     coords: list[list[int]]  # per block, the desired global coordinates covered
-    queries: list[list[BlockQuery]]  # per database, in block order
+    queries: list[list[BlockQuery]]  # per database, entry i of block i
 
     @property
     def n_blocks(self) -> int:
@@ -57,12 +60,10 @@ class BlockPlan:
     def total_queries(self) -> int:
         return sum(len(qs) for qs in self.queries)
 
-    def pool_size_required(self) -> int:
-        return self.n_blocks
-
     def wire_query(self, db: int) -> bytes:
+        """Database ``db``'s entries as one slot run from slot 0."""
         KL, q = self.params.K * self.params.L, self.params.q
-        return encode_block_query([(bq.block, KL, bq.vector) for bq in self.queries[db]], q)
+        return encode_block_query(0, [bq.vector for bq in self.queries[db]], KL, q)
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.params.N)]
@@ -93,10 +94,10 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     for j, block_coords in enumerate(coords):
         base = j % N
         base_vec = sample_uniform(rng, K * L, q)
-        queries[base].append(BlockQuery(j, base_vec, None))
+        queries[base].append(BlockQuery(base_vec, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
-            queries[db].append(BlockQuery(j, raise_lane(base_vec, t, q), t))
+            queries[db].append(BlockQuery(raise_lane(base_vec, t, q), t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -105,14 +106,15 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
 
 
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    """One symbol per block-query entry: <vector, flattened store> + its pool symbol."""
+    """One symbol per block-query entry: <vector, flattened store> + its slot's pool symbol."""
     KL, q, symbols = store.K * store.L, store.q, pool.symbols
-    entries = parse_block_query(payload, q, KL, len(symbols))
+    first, vectors = parse_block_query(payload, q, KL, len(symbols))
+    masks = symbols[first : first + len(vectors)]
     if q == 2:
         w = store.packed
-        return [((vec & w).bit_count() + symbols[cr_id]) & 1 for cr_id, _, vec in entries]
+        return [((vec & w).bit_count() + s) & 1 for vec, s in zip(vectors, masks)]
     flat = store.flat
-    return [(sum(map(mul, unpack(vec, KL, q), flat)) + symbols[cr_id]) % q for cr_id, _, vec in entries]
+    return [(sum(map(mul, unpack(vec, KL, q), flat)) + s) % q for vec, s in zip(vectors, masks)]
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
@@ -133,11 +135,11 @@ def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
     base: dict[int, int] = {}  # block -> base answer
     probes: list[tuple[int, int, int]] = []  # (block, coordinate, probe answer)
     for db in range(N):
-        for bq, v in zip(plan.queries[db], answers[db]):
+        for j, (bq, v) in enumerate(zip(plan.queries[db], answers[db])):
             if bq.probe_coord is None:
-                base[bq.block] = v
+                base[j] = v
             else:
-                probes.append((bq.block, bq.probe_coord, v))
+                probes.append((j, bq.probe_coord, v))
     out = {t: (v - base[j]) % q for j, t, v in probes}
     assert len(out) == plan.params.P * plan.params.L
     return out

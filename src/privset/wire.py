@@ -17,13 +17,14 @@ All integers are little-endian:
     query         query id u32 | body
     table body    1 | n u32 | n x pool id u32 | m u32 | m x (t u8 | t x coordinate u32 | pool id u32)
                     a term's coordinate is m*L + s for symbol s of message m
-    block body    2 | n u32 | n x (pool id u32 | ceil(K*L * w / 8) bytes)
-                    a packed vector of the store's K*L coefficients, known to both sides
-                    and not sent: coefficient i in lane i, w = 1 bit over F_2, else 8
+    block body    2 | first slot u32 | n u32 | n x ceil(K*L * w / 8) bytes
+                    entry i is a packed vector of the store's K*L coefficients, masked
+                    by pool slot first + i; K*L is known to both sides and not sent:
+                    coefficient i in lane i, w = 1 bit over F_2, else 8
     download-all  3
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
-    transcript    "PRIVSET-TRANSCRIPT v2\n" | length u32 | metadata, laid out as setup
+    transcript    "PRIVSET-TRANSCRIPT v3\n" | length u32 | metadata, laid out as setup
                     | n u32 | n x (m u32 | m x (length u32 | query | length u32 | answer))
 """
 
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 from .field import lane_bits
 
 MAGIC = b"PSI1"
-VERSION = 2  # 2: block entries carry no vector length
+VERSION = 3  # 3: a block body names one slot run, entry i on slot first + i
 
 MSG_SETUP = 1
 MSG_CR_PROVISION = 2
@@ -59,13 +60,13 @@ _FRAME = struct.Struct("<4sBBI")
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_PAIR = struct.Struct("<II")  # answer head (query id, count)
+_PAIR = struct.Struct("<II")  # answer head (query id, count); block head (first slot, count)
 _SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
 _SUM_VALUES = [struct.Struct(f"<{t + 1}I") for t in range(256)]  # a sum's t coordinates, then its pool id
 
 FRAME_HEADER_SIZE = _FRAME.size
 _TRANSCRIPT_NAME = b"PRIVSET-TRANSCRIPT "
-TRANSCRIPT_HEADER = _TRANSCRIPT_NAME + b"v2\n"
+TRANSCRIPT_HEADER = _TRANSCRIPT_NAME + b"v%d\n" % VERSION
 
 
 class ProtocolFault(RuntimeError):
@@ -143,44 +144,36 @@ def parse_query(payload: bytes) -> tuple[int, bytes]:
     return _U32.unpack_from(payload)[0], payload[_U32.size :]
 
 
-def _vector_bytes(length: int, lane: int) -> int:
-    return (length * lane + 7) // 8
+def _vector_bytes(length: int, q: int) -> int:
+    return (length * lane_bits(q) + 7) // 8
 
 
-def encode_block_query(entries: Sequence[tuple[int, int, int]], q: int) -> bytes:
-    """Block body from (pool id, length, packed vector) entries over F_q; the
-    length is not sent, so every entry must have the same one."""
-    lane = lane_bits(q)
-    lengths = {length for _, length, _ in entries}
-    if len(lengths) > 1:
-        raise ProtocolFault(f"block entries differ in vector length: {sorted(lengths)}")
-    size = _vector_bytes(lengths.pop(), lane) if lengths else 0
-    out = [_U8.pack(BLOCK_QUERY_TAG), _U32.pack(len(entries))]
-    for pool_id, _, vector in entries:
-        out.append(_U32.pack(pool_id))
-        out.append(vector.to_bytes(size, "little"))
-    return b"".join(out)
+def encode_block_query(first: int, vectors: Sequence[int], length: int, q: int) -> bytes:
+    """Block body of packed ``length``-coefficient vectors over F_q, entry i on pool slot ``first + i``."""
+    size = _vector_bytes(length, q)
+    head = _U8.pack(BLOCK_QUERY_TAG) + _PAIR.pack(first, len(vectors))
+    return b"".join([head, *(v.to_bytes(size, "little") for v in vectors)])
 
 
-def parse_block_query(body: bytes, q: int, vec_len: int, pool_size: int | None = None) -> list[tuple[int, int, int]]:
-    """(pool id, ``vec_len``, packed vector) per entry of a body of ``vec_len``-
-    coefficient vectors over F_q; optionally checks that every pool id is below
-    ``pool_size``.  Padding bits past the last F_2 coefficient must be 0."""
+def parse_block_query(body: bytes, q: int, length: int, pool_size: int | None = None) -> tuple[int, list[int]]:
+    """(first slot, packed vectors) of a body of ``length``-coefficient vectors
+    over F_q; optionally checks that the run ends within ``pool_size`` slots.
+    Padding bits past the last F_2 coefficient must be 0."""
     _check_tag(body, BLOCK_QUERY_TAG)
-    lane = lane_bits(q)
-    if len(body) < 1 + _U32.size:
+    size = _vector_bytes(length, q)
+    if not size:
+        raise ProtocolFault("block vectors need at least one coefficient")
+    if len(body) < 1 + _PAIR.size:
         raise ProtocolFault("truncated query payload")
-    (n,) = _U32.unpack_from(body, 1)
-    stride = _U32.size + _vector_bytes(vec_len, lane)
-    _check_end(1 + _U32.size + n * stride, body, "query payload")
-    entries = []
-    for off in range(1 + _U32.size, len(body), stride):
-        vector = int.from_bytes(body[off + _U32.size : off + stride], "little")
-        if vector >> vec_len * lane:
-            raise ProtocolFault("padding bits set past the last coefficient")
-        entries.append((_U32.unpack_from(body, off)[0], vec_len, vector))
-    _check_slots((pool_id for pool_id, _, _ in entries), pool_size)
-    return entries
+    first, n = _PAIR.unpack_from(body, 1)
+    _check_end(1 + _PAIR.size + n * size, body, "query payload")
+    if pool_size is not None and first + n > pool_size:
+        raise ProtocolFault(f"randomness slot {first + n - 1} outside the provisioned pool")
+    vectors = [int.from_bytes(body[off : off + size], "little") for off in range(1 + _PAIR.size, len(body), size)]
+    bits = length * lane_bits(q)
+    if any(vector >> bits for vector in vectors):
+        raise ProtocolFault("padding bits set past the last coefficient")
+    return first, vectors
 
 
 class TableQuery(NamedTuple):

@@ -144,10 +144,10 @@ def test_criterion_5_block_cost_grid():
                 plan = block_scheme.plan_blocks(params, tuple(range(P)), Random(cells))
                 D, HS = lspir_cost(P, N, L)
                 store = MessageStore.generate(K, L, 2, seed=cells + 1)
-                pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=cells + 2)
+                pool = CommonRandomnessPool.generate(plan.n_blocks, 2, seed=cells + 2)
                 answers = [block_scheme.answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
                 assert sum(len(a) for a in answers) == D
-                assert plan.pool_size_required() == HS
+                assert plan.n_blocks == HS
                 coords = block_scheme.decode_blocks(plan, answers)
                 assert coords == {c: store.flat[c] for c in range(P * L)}  # exactly messages 0..P-1
                 cells += 1

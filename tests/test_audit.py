@@ -53,9 +53,10 @@ class TestBlockUserPrivacy:
         plan = block_scheme.plan_blocks(params, tuple(range(8)), Random(0))
         public = [wire.encode_table_query(range(plan.n_blocks), [])]
         assert audit.recoverable_coordinates(plan.wire_queries() + public, 256, plan.n_blocks, 2, range(8)).undesired
+        # every entry at database 0: its run of 16 passes the 8-slot pool, which the codec refuses
         monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", base_and_probes_together)
-        v = audit.audit_block_user_privacy(params)
-        assert not v.ok and v.detail == "a slot appears twice at database 0"
+        with pytest.raises(wire.ProtocolFault, match="slot 15 outside the provisioned pool"):
+            audit.audit_block_user_privacy(params)
 
 
 class TestBlockDbPrivacy:
@@ -89,7 +90,7 @@ def block_draws_count(params):
 
 
 def block_draws(params, desired, mutant):
-    """Every strategy draw's per-database wire queries, one tuple per draw."""
+    """Every strategy draw's wire queries (``BlockPlan.wire_queries``), one tuple per draw."""
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
     for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
@@ -146,8 +147,8 @@ def enumerated_block_runs(params, desired, mutant):
     database's query afresh each time.
 
     Yields ``(strategy, wires, w_flat, s_vals, answers)``: the strategy draw's
-    index, its per-database wire queries, the flat message symbols, the pool
-    symbols, and every database's answer.
+    index, its wire queries (``BlockPlan.wire_queries``), the flat message
+    symbols, the pool symbols, and every query's answer.
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
@@ -157,7 +158,7 @@ def enumerated_block_runs(params, desired, mutant):
         rng = audit._ScriptedRandom([order], list(values))
         plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
         assert rng.exhausted()
-        wires = tuple(plan.wire_query(db) for db in range(N))
+        wires = tuple(plan.wire_queries())
         for w_flat, s_vals, store, pool in realizations:
             answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
             yield strategy, wires, w_flat, s_vals, answers
@@ -291,56 +292,83 @@ def test_closed_form_db_verdict_matches_the_per_draw_oracle(params, mutant):
 def base_and_probes_together(plan, db):
     """A tampered client: database 0 gets every entry, so it holds each block's base and its probes."""
     KL, q = plan.params.K * plan.params.L, plan.params.q
-    entries = [(bq.block, KL, bq.vector) for qs in plan.queries for bq in qs] if db == 0 else []
-    return wire.encode_block_query(entries, q)
+    return wire.encode_block_query(0, [bq.vector for qs in plan.queries for bq in qs] if db == 0 else [], KL, q)
 
 
 def reversed_when_message_0_is_desired(plan, db):
-    """A tampered client: each database lists its entries backwards when message 0 is desired."""
+    """A tampered client: each database lists its vectors backwards when message 0 is desired."""
     KL, q = plan.params.K * plan.params.L, plan.params.q
-    entries = [(bq.block, KL, bq.vector) for bq in plan.queries[db]]
-    return wire.encode_block_query(entries[::-1] if 0 in plan.desired else entries, q)
+    vectors = [bq.vector for bq in plan.queries[db]]
+    return wire.encode_block_query(0, vectors[::-1] if 0 in plan.desired else vectors, KL, q)
 
 
+def entry_dropped_when_message_0_is_desired(plan, db):
+    """A tampered client: database 0 drops its last entry when message 0 is desired."""
+    KL, q = plan.params.K * plan.params.L, plan.params.q
+    vectors = [bq.vector for bq in plan.queries[db]]
+    return wire.encode_block_query(0, vectors[:-1] if db == 0 and 0 in plan.desired else vectors, KL, q)
+
+
+# The first two ids are the ones these cases had when a body carried a pool
+# id per entry, and name the premise each tamper reached then.  A slot run
+# cannot repeat a slot, so the codec now refuses the first tamper.  It cannot
+# reorder slots either: the reversed vectors sit on the honest slots, each
+# under another block's mask, so no database's body distribution moves (the
+# oracle reads 0) and the verdict still refuses the tamper on its vector
+# premise, which is sufficient, not necessary.
 @pytest.mark.parametrize(
-    "tamper, premise",
+    "tamper, outcome, oracle_fails",
     [
-        (base_and_probes_together, "a slot appears twice at database 0"),
-        (reversed_when_message_0_is_desired, "slot sequence differs at database 0"),
+        pytest.param(
+            base_and_probes_together, "randomness slot 3 outside the provisioned pool", True,
+            id="base_and_probes_together-a slot appears twice at database 0",
+        ),
+        pytest.param(
+            reversed_when_message_0_is_desired, "a vector at database 0 is not its slot's base plus a shift", False,
+            id="reversed_when_message_0_is_desired-slot sequence differs at database 0",
+        ),
+        (entry_dropped_when_message_0_is_desired, "slot sequence differs at database 0", True),
     ],
 )
-def test_slot_tampers_fail_the_verdict_and_the_oracle(monkeypatch, tamper, premise):
+def test_slot_tampers_fail_the_verdict_and_the_oracle(monkeypatch, tamper, outcome, oracle_fails):
     monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", tamper)
-    assert body_count_distance(K4_TWO_BLOCKS, None) > 0
+    assert (body_count_distance(K4_TWO_BLOCKS, None) > 0) == oracle_fails
+    if "outside the provisioned pool" in outcome:
+        with pytest.raises(wire.ProtocolFault, match=outcome):
+            audit.audit_block_user_privacy(K4_TWO_BLOCKS)
+        return
     v = audit.audit_block_user_privacy(K4_TWO_BLOCKS)
-    assert not v.ok and v.distance == 1 and v.detail == premise
+    assert not v.ok and v.distance == 1 and v.detail == outcome
 
 
-def merged_slot_wire_query(plan, db):
-    """A tampered client: block 1's entries reuse slot 0, so one mask covers two blocks."""
-    KL, q = plan.params.K * plan.params.L, plan.params.q
-    return wire.encode_block_query([(0 if bq.block == 1 else bq.block, KL, bq.vector) for bq in plan.queries[db]], q)
+def slot_moved_wire_queries(a, b):
+    """A tampered client: block ``b``'s entries move onto slot ``a``, so one mask covers two blocks.
+
+    A body is one slot run and cannot name a slot twice, so the tampered
+    client sends every entry as a body of its own."""
+    def wire_queries(plan):
+        KL, q = plan.params.K * plan.params.L, plan.params.q
+        return [
+            wire.encode_block_query(a if j == b else j, [bq.vector], KL, q)
+            for qs in plan.queries for j, bq in enumerate(qs)
+        ]
+
+    return wire_queries
+
+
+merged_slot_wire_queries = slot_moved_wire_queries(0, 1)  # block 1's entries reuse slot 0
 
 
 @pytest.mark.parametrize("params", [GROUPED_BLOCK_INSTANCES[1], K4_TWO_BLOCKS], ids=lambda p: f"K{p.K}P{p.P}N{p.N}")
 def test_merged_slot_tamper_fails_the_verdict_and_the_literal_check(monkeypatch, params):
-    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", merged_slot_wire_query)
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_queries", merged_slot_wire_queries)
     v = assert_db_verdict_is_literal(params)
     assert not v.ok
 
 
-def slot_moved_wire_query(a, b):
-    """A tampered client: slot ``b``'s entries move onto slot ``a``, so one mask covers two blocks."""
-    def wire_query(plan, db):
-        KL, q = plan.params.K * plan.params.L, plan.params.q
-        entries = [(a if bq.block == b else bq.block, KL, bq.vector) for bq in plan.queries[db]]
-        return wire.encode_block_query(entries, q)
-
-    return wire_query
-
-
 # Randomness tightness: every instance has two blocks, and moving either one's
-# slot onto the other's lets the view pin an undesired functional.
+# slot onto the other's lets the view pin an undesired functional.  The same
+# entries sent one body each, on their own slots, leak nothing.
 @pytest.mark.parametrize(
     "params",
     [K4_TWO_BLOCKS, SchemeParams(K=5, P=2, N=2), SchemeParams(K=3, P=1, N=2, L=2), SchemeParams(K=3, P=2, N=2, q=3)],
@@ -349,8 +377,10 @@ def slot_moved_wire_query(a, b):
 def test_every_slot_merge_fails_the_db_verdict_and_the_per_draw_oracle(monkeypatch, params):
     n_blocks = lspir_cost(params.P, params.N, params.L)[1]
     assert n_blocks == 2
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_queries", slot_moved_wire_queries(0, 0))
+    assert audit.audit_block_db_privacy(params) and per_draw_block_db_privacy(params, None)[0]
     for a, b in permutations(range(n_blocks), 2):
-        monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", slot_moved_wire_query(a, b))
+        monkeypatch.setattr(block_scheme.BlockPlan, "wire_queries", slot_moved_wire_queries(a, b))
         v = audit.audit_block_db_privacy(params)
         assert not v.ok and v.detail == "posterior of undesired symbols differs from prior", (a, b)
         assert not per_draw_block_db_privacy(params, None)[0], (a, b)
@@ -378,12 +408,25 @@ def base_repeated_when_nonzero(plan):
         plan.queries[0].insert(0, first)
 
 
+def base_dropped_when_nonzero(plan):
+    """Database 0's first entry is not sent when its base vector is nonzero."""
+    if plan.queries[0][0].vector:
+        del plan.queries[0][0]
+
+
 @pytest.mark.parametrize(
     "edit, leaks, detail",
     [
         (probe_at_e2, True, "posterior of undesired symbols differs from prior"),
         (probe_lowest_bit, False, "a vector's base part is neither 0 nor one block's base"),
-        (base_repeated_when_nonzero, False, "slot sequence differs between the zero-base and seeded builds"),
+        # The id is the one this case had when a body carried a pool id per
+        # entry and the duplicate sat on slot 0 again.  In a slot run it sits
+        # on slot 1, past the one-slot pool, and the codec refuses it.
+        pytest.param(
+            base_repeated_when_nonzero, None, "randomness slot 1 outside the provisioned pool",
+            id="base_repeated_when_nonzero-False-slot sequence differs between the zero-base and seeded builds",
+        ),
+        (base_dropped_when_nonzero, False, "slot sequence differs between the zero-base and seeded builds"),
     ],
 )
 def test_plan_tampers_reach_each_db_verdict_failure(monkeypatch, edit, leaks, detail):
@@ -397,6 +440,11 @@ def test_plan_tampers_reach_each_db_verdict_failure(monkeypatch, edit, leaks, de
         return plan
 
     monkeypatch.setattr(block_scheme, "plan_blocks", tampered)
+    if leaks is None:  # the server refuses the tampered body, and so do both checks
+        for check in (audit.audit_block_db_privacy, lambda params: per_draw_block_db_privacy(params, None)):
+            with pytest.raises(wire.ProtocolFault, match=detail):
+                check(K3_ONE_BLOCK)
+        return
     v = audit.audit_block_db_privacy(K3_ONE_BLOCK)
     assert not v.ok and v.distance == 1 and v.detail == detail
     assert per_draw_block_db_privacy(K3_ONE_BLOCK, None)[0] == (not leaks)
@@ -426,7 +474,7 @@ def literal_posteriors_uniform(answer, wires, K, L, q, pool_size, desired, publi
 def test_symbolic_leakage_flags_every_merged_slot_plan_that_leaks(monkeypatch, params, n_leaking, n_unit_blind):
     # n_unit_blind of the leaking plans pin no undesired coordinate outright,
     # only sums of them, so a per-coordinate check would pass them
-    monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", merged_slot_wire_query)
+    monkeypatch.setattr(block_scheme.BlockPlan, "wire_queries", merged_slot_wire_queries)
     K, P, L, q = params.K, params.P, params.L, params.q
     leaking = unit_blind = 0
     for seed in range(200):
@@ -476,9 +524,9 @@ def test_block_audits_answer_each_body_once_per_realization(monkeypatch):
 
 
 def test_block_audits_refuse_a_body_the_server_refuses(monkeypatch):
-    def out_of_pool(plan, db):  # every entry names slot n_blocks, one past the provisioned pool
+    def out_of_pool(plan, db):  # every run starts at slot n_blocks, one past the provisioned pool
         KL, q = plan.params.K * plan.params.L, plan.params.q
-        return wire.encode_block_query([(plan.n_blocks, KL, bq.vector) for bq in plan.queries[db]], q)
+        return wire.encode_block_query(plan.n_blocks, [bq.vector for bq in plan.queries[db]], KL, q)
 
     monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", out_of_pool)
     for verdict in (audit.audit_block_user_privacy, audit.audit_block_db_privacy):
@@ -510,10 +558,11 @@ def dense_rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) 
                 row[pool_size + c] = (row[pool_size + c] + 1) % q
             rows.append(row)
     elif tag == wire.BLOCK_QUERY_TAG:
-        for cr_id, length, vec in wire.parse_block_query(payload, q, n_coords, pool_size):
+        first, vectors = wire.parse_block_query(payload, q, n_coords, pool_size)
+        for i, vec in enumerate(vectors):
             row = [0] * width
-            row[cr_id] = 1
-            for c, coeff in enumerate(unpack(vec, length, q)):
+            row[first + i] = 1
+            for c, coeff in enumerate(unpack(vec, n_coords, q)):
                 row[pool_size + c] = coeff % q
             rows.append(row)
     else:
@@ -608,7 +657,7 @@ def oracle_views():
         yield name, table.wire_queries(), K * L, table.pool_size, q, audit._hidden_ids(table), range(P * L)
     for K, P, N, L, q, desired in ((64, 8, 3, 1, 2, tuple(range(3, 64, 8))), (4, 2, 3, 2, 5, (1, 2))):
         plan = block_scheme.plan_blocks(SchemeParams(K=K, P=P, N=N, L=L, q=q), desired, Random(3))
-        n_blocks = plan.pool_size_required()
+        n_blocks = plan.n_blocks
         coords = [m * L + s for m in desired for s in range(L)]
         yield f"block K{K}P{P}N{N}L{L}q{q}", plan.wire_queries(), K * L, n_blocks, q, list(range(n_blocks)), coords
 
@@ -639,9 +688,11 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
     dense = st.lists(st.integers(0, 1 if q == 2 else 255), min_size=n_coords, max_size=n_coords).map(
         lambda coeffs: field.pack(coeffs, q)
     )
-    entries = st.tuples(st.integers(0, pool_size - 1), st.just(n_coords), sparse | dense)
-    bodies = data.draw(st.lists(st.lists(entries, min_size=1, max_size=3), max_size=4))
-    extra = [wire.encode_block_query(body, q) for body in bodies]
+    # each extra body is a run of 1 to 3 entries within the pool; runs may overlap
+    runs = st.integers(1, min(3, pool_size)).flatmap(
+        lambda n: st.tuples(st.integers(0, pool_size - n), st.lists(sparse | dense, min_size=n, max_size=n))
+    )
+    extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in data.draw(st.lists(runs, max_size=4))]
     assert_packed_matches_dense(payloads + extra, n_coords, pool_size, q, desired)
 
 
@@ -945,17 +996,16 @@ class TestSymbolicLeakage:
     def test_exact_span_with_and_without_mask(self):
         import struct
 
-        def block_payload(vectors_and_ids):
+        def block_payload(first, vectors):
             # F_2 vectors of at most 8 coefficients: one packed byte each
-            parts = [struct.pack("<B", block_scheme.BLOCK_QUERY_TAG), struct.pack("<I", len(vectors_and_ids))]
-            for vec, cid in vectors_and_ids:
-                parts.append(struct.pack("<I", cid))
+            parts = [struct.pack("<BII", block_scheme.BLOCK_QUERY_TAG, first, len(vectors))]
+            for vec in vectors:
                 parts.append(bytes([sum(c << i for i, c in enumerate(vec))]))
             return b"".join(parts)
 
         base = [1, 1, 0]
         probe = [0, 1, 0]  # base + e_0 over F_2
-        payloads = [block_payload([(base, 0)]), block_payload([(probe, 0)])]
+        payloads = [block_payload(0, [base]), block_payload(0, [probe])]
         span = audit.recoverable_coordinates(payloads, 3, 1, 2, (0,))
         assert span.coordinates == frozenset({0}) and span.undesired == ()
         # revealing the shared symbol (a synthetic plain download of pool id 0)
@@ -975,8 +1025,8 @@ class TestSymbolicLeakage:
         # no undesired message on its own
         e = [field.pack([int(c == t) for c in range(4)], 2) for t in range(4)]
         payloads = [
-            wire.encode_block_query([(0, 4, e[0]), (1, 4, e[2] ^ e[3])], 2),
-            wire.encode_block_query([(0, 4, 0), (1, 4, 0)], 2),
+            wire.encode_block_query(0, [e[0], e[2] ^ e[3]], 4, 2),
+            wire.encode_block_query(0, [0, 0], 4, 2),
         ]
         span = audit.recoverable_coordinates(payloads, 4, 2, 2, (0,))
         assert span.coordinates == frozenset({0})  # all a per-coordinate check would see
@@ -994,13 +1044,14 @@ class TestSymbolicLeakage:
         assert span.coordinates == frozenset({0, 1, 2})
 
     def test_refuses_what_the_server_refuses(self):
-        # n_coords 3 over a 2-slot pool: a pool id far past the pool, a plain
-        # table id past it, and e_0 on the slot one past it (which must not
-        # read as an unmasked query for coordinate 0)
+        # n_coords 3 over a 2-slot pool: a run far past the pool, a plain
+        # table id past it, e_0 on the slot one past it (which must not read
+        # as an unmasked query for coordinate 0), and a run of three from slot 0
         for payload in (
-            wire.encode_block_query([(9, 3, 0)], 2),
+            wire.encode_block_query(9, [0], 3, 2),
             wire.encode_table_query([5], []),
-            wire.encode_block_query([(2, 3, 1)], 2),
+            wire.encode_block_query(2, [1], 3, 2),
+            wire.encode_block_query(0, [1, 2, 4], 3, 2),
         ):
             with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
                 audit.recoverable_coordinates([payload], 3, 2, 2, ())

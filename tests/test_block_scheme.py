@@ -21,7 +21,7 @@ def run_once(K, P, N, L=1, q=2, desired=None, seed=0):
     desired = tuple(range(P)) if desired is None else desired
     plan = plan_blocks(params, desired, Random(seed))
     store = MessageStore.generate(K, L, q, seed=seed + 1)
-    pool = CommonRandomnessPool.generate(plan.pool_size_required(), q, seed=seed + 2)
+    pool = CommonRandomnessPool.generate(plan.n_blocks, q, seed=seed + 2)
     answers = [answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
     return plan, store, pool, answers
 
@@ -30,7 +30,6 @@ def test_minimal_plan_shape():
     plan, *_ = run_once(3, 1, 2)
     assert plan.n_blocks == 1
     assert plan.total_queries == 2
-    assert plan.pool_size_required() == 1
 
 
 def test_plan_shape_four_of_ten():
@@ -43,7 +42,6 @@ def test_plan_shape_wide():
     plan, *_ = run_once(4, 3, 4, L=5)
     assert plan.n_blocks == 5
     assert plan.total_queries == 20
-    assert plan.pool_size_required() == 5
 
 
 def test_answer_zero_vector_returns_randomness():
@@ -103,7 +101,7 @@ def test_decode_fig_instance_bits():
     store = MessageStore.from_bits(bits)
     params = SchemeParams(K=10, P=4, N=2, L=1, q=2)
     plan = plan_blocks(params, (0, 1, 2, 3), Random(3))
-    pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=4)
+    pool = CommonRandomnessPool.generate(plan.n_blocks, 2, seed=4)
     answers = [answer_wire_query(plan.wire_query(db), store, pool) for db in range(2)]
     coords = decode_blocks(plan, answers)
     assert [coords[j] for j in range(4)] == [1, 0, 1, 0]
@@ -128,7 +126,7 @@ def test_cost_exactness_grid():
         D, HS = lspir_cost(P, N, L)
         assert plan.total_queries == D
         assert sum(len(a) for a in answers) == D
-        assert plan.pool_size_required() == HS
+        assert plan.n_blocks == HS
 
 
 def test_per_database_marginal_uniformity_exact():
@@ -155,7 +153,7 @@ def test_probe_is_base_plus_unit_vector():
     for q in (5, 2):
         plan, *_ = run_once(4, 2, 3, L=2, q=q, seed=2)
         for j, block_coords in enumerate(plan.coords):
-            vecs = {bq.probe_coord: bq.vector for db in range(3) for bq in plan.queries[db] if bq.block == j}
+            vecs = {qs[j].probe_coord: qs[j].vector for qs in plan.queries if len(qs) > j}
             base = vecs.pop(None)
             assert type(base) is int and base >> (8 * lane_bits(q)) == 0
             base = unpack(base, 8, q)
@@ -179,11 +177,28 @@ def test_store_is_flattened_once():
 def test_each_database_gets_at_most_one_vector_per_block():
     plan, *_ = run_once(5, 3, 3, L=2, seed=6)
     for j, block_coords in enumerate(plan.coords):
-        block = [(db, bq) for db in range(3) for bq in plan.queries[db] if bq.block == j]
+        block = [(db, qs[j]) for db, qs in enumerate(plan.queries) if len(qs) > j]
         holders = [db for db, _ in block]
         assert len(holders) == len(set(holders)) == 1 + len(block_coords)
         (base_db,) = [db for db, bq in block if bq.probe_coord is None]
         assert base_db not in [db for db, bq in block if bq.probe_coord is not None]
+
+
+def test_entry_i_of_every_database_is_block_i():
+    # What lets a body name one slot run: at every shape, each database's
+    # entry i is block i, whose base sits at database i mod N and whose
+    # probes are that base plus a unit vector of one of its coordinates.
+    views = 0
+    for N, P, L in product(range(2, 9), range(1, 40), range(1, 4)):
+        plan = plan_blocks(SchemeParams(K=40, P=P, N=N, L=L), tuple(range(P)), Random(P))
+        for db, qs in enumerate(plan.queries):
+            assert len(qs) <= plan.n_blocks
+            for j, bq in enumerate(qs):
+                base = plan.queries[j % N][j]
+                assert bq.probe_coord is None if db == j % N else bq.probe_coord in plan.coords[j]
+                assert bq.vector == base.vector ^ (0 if bq.probe_coord is None else 1 << bq.probe_coord)
+            views += 1
+    assert views == 4095
 
 
 def test_count_mismatch_detected():

@@ -447,10 +447,10 @@ def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
     set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
     set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
     # P=4 against N=2 provisions D - P = 4 slots.  Slot 4 lies past them; take a
-    # seed whose symbol there equals slot 0's, so a pool sized from the recorded
-    # slots would replay the moved entry.
+    # seed whose five symbols are equal, so a pool sized from the recorded
+    # slots would replay the run moved up one slot.
     symbols = {seed: CommonRandomnessPool.generate(5, 2, seed).symbols for seed in range(64)}
-    seed_cr = next(seed for seed, pool in symbols.items() if pool[4] == pool[0])
+    seed_cr = next(seed for seed, pool in symbols.items() if len(set(pool)) == 1)
     path = tmp_path / "run.transcript"
     code, *_ = run_cli(
         capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2),
@@ -465,10 +465,9 @@ def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
     assert transcript.meta["P_initiator"] == 4 and transcript.meta["N_responder"] == 2
     qry, ans = transcript.records[0][0]
     query_id, body = wire.parse_query(qry)
-    entries = wire.parse_block_query(body, 2, 10)
-    moved = [(4 if pool_id == 0 else pool_id, length, vector) for pool_id, length, vector in entries]
-    assert moved != entries
-    transcript.records[0][0] = (wire.encode_query(query_id, wire.encode_block_query(moved, 2)), ans)
+    first, vectors = wire.parse_block_query(body, 2, 10)
+    assert (first, len(vectors)) == (0, 4)
+    transcript.records[0][0] = (wire.encode_query(query_id, wire.encode_block_query(1, vectors, 10, 2)), ans)
     transcript.save(str(path))
     code, out, err = run_cli(capsys, *verify)
     assert code == EXIT_PROTOCOL
@@ -495,11 +494,11 @@ def test_psi_run_and_verify_report_the_upload_bytes(tmp_path, capsys):
     )
     assert code == EXIT_OK
     sizes = [len(qry) for db_records in transport.Transcript.load(str(path)).records for qry, _ in db_records]
-    # P=4 against N=2: each database gets 4 entries of a u32 pool id and 2 vector bytes
-    assert sizes == [4 + 5 + 4 * (4 + 2)] * 2
-    assert machine_records(out)[0]["upload_bytes"] == sum(sizes) == 66
+    # P=4 against N=2: each database gets one run of 4 entries of 2 vector bytes
+    assert sizes == [4 + 9 + 4 * 2] * 2
+    assert machine_records(out)[0]["upload_bytes"] == sum(sizes) == 42
     code, out, _ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
-    assert code == EXIT_OK and machine_records(out)[0]["upload_bytes"] == 66
+    assert code == EXIT_OK and machine_records(out)[0]["upload_bytes"] == 42
 
 
 def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
@@ -509,8 +508,8 @@ def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
     code, *_ = run_cli(capsys, "psi", "run", "--save-transcript", str(path))
     assert code == EXIT_OK
     data = path.read_bytes()
-    assert data.startswith(b"PRIVSET-TRANSCRIPT v2\n")
-    path.write_bytes(b"PRIVSET-TRANSCRIPT v1\n" + data[len(b"PRIVSET-TRANSCRIPT v2\n") :])
+    assert data.startswith(b"PRIVSET-TRANSCRIPT v3\n")
+    path.write_bytes(b"PRIVSET-TRANSCRIPT v1\n" + data[len(b"PRIVSET-TRANSCRIPT v3\n") :])
     with pytest.raises(wire.TransportError, match="unsupported transcript version v1"):
         transport.Transcript.load(str(path))
     code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path))

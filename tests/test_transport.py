@@ -405,7 +405,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
     # with the planned base vector of its block: a unit vector names a desired element.
     init = EntityConfig(1, 64, 2, frozenset({3, 17, 40, 41, 60}))
     guess = block_scheme.plan_blocks(SchemeParams(K=64, P=5, N=2, L=1, q=2), init.elements, domain_rng(0, DOMAIN_CLIENT))
-    bases = {bq.block: bq.vector for qs in guess.queries for bq in qs if bq.probe_coord is None}
+    bases = {j: bq.vector for qs in guess.queries for j, bq in enumerate(qs) if bq.probe_coord is None}
 
     def named_by_guess(**seed):
         servers = entity_servers(EntityConfig(2, 64, 2, frozenset(range(0, 64, 3))))
@@ -414,7 +414,8 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
             result = run_psi_remote(init, pool.addresses, **seed)
         assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
         (body,) = servers[1].seen_queries
-        diffs = [vec ^ bases[block] for block, _, vec in wire.parse_block_query(body, 2, 64)]
+        first, vectors = wire.parse_block_query(body, 2, 64)
+        diffs = [vec ^ bases[first + i] for i, vec in enumerate(vectors)]
         return {diff.bit_length() - 1 for diff in diffs if diff.bit_count() == 1}
 
     assert named_by_guess(seed_client=0) == {3, 17, 60}  # the guess works on a client seeded 0

@@ -50,12 +50,12 @@ def server_errors():
     frames = [
         (bare, 42, b""),
         (bare, wire.MSG_CR_PROVISION, b""),
-        (bare, MSG_QUERY, wire.encode_query(0, bytes([2, 0, 0, 0, 0]))),
+        (bare, MSG_QUERY, wire.encode_query(0, wire.encode_block_query(0, [], 3, 2))),
         (provisioned, MSG_QUERY, b"\x00\x00"),
         (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
-        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query([(5, 3, 0b101)], 2))),
-        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query([(0, 9, 0b01)], 2))),
-        (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 1, 0, 0, 0, 0, 0, 0, 0, 0b1101]))),
+        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query(5, [0b101], 3, 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query(0, [0b01], 9, 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 0, 0, 0, 0, 1, 0, 0, 0, 0b1101]))),
     ]
     out = []
     for srv, mtype, payload in frames:
@@ -72,7 +72,7 @@ def test_encode_inverts_parse_on_seeded_payloads():
         qid, body = wire.parse_query(payload)
         assert wire.encode_query(qid, body) == payload
         if body[0] == wire.BLOCK_QUERY_TAG:
-            assert wire.encode_block_query(wire.parse_block_query(body, 2, K), 2) == body
+            assert wire.encode_block_query(*wire.parse_block_query(body, 2, K), K, 2) == body
         else:
             wire.parse_download_all(body)
             assert wire.encode_download_all() == body
@@ -132,20 +132,19 @@ def test_client_side_parsers_raise_transport_errors():
 
 
 def test_block_body_layout():
-    # tag, entry count, then per entry: pool id and the packed vector, whose
-    # length K*L both sides know and the body does not carry; over F_3 one
-    # byte per coefficient
-    body = wire.encode_block_query([(5, 3, pack([2, 0, 1], 3))], 3)
+    # tag, first slot, entry count, then per entry the packed vector alone:
+    # entry i sits on slot first + i, and the vector length K*L is known to
+    # both sides and not carried; over F_3 one byte per coefficient
+    body = wire.encode_block_query(5, [pack([2, 0, 1], 3)], 3, 3)
     u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
-    assert body == bytes([2]) + u32(1) + u32(5) + bytes([2, 0, 1])
-    assert wire.parse_block_query(body, 3, 3) == [(5, 3, 0x010002)]
+    assert body == bytes([2]) + u32(5) + u32(1) + bytes([2, 0, 1])
+    assert wire.parse_block_query(body, 3, 3) == (5, [0x010002])
     # over F_2 one bit per coefficient, coefficient i in bit i, the last byte zero-padded
-    body = wire.encode_block_query([(5, 10, 0b10_0000_0101), (1, 10, 0b1)], 2)
-    assert body == bytes([2]) + u32(2) + u32(5) + bytes([0b101, 0b10]) + u32(1) + bytes([1, 0])
-    assert wire.parse_block_query(body, 2, 10) == [(5, 10, 0b10_0000_0101), (1, 10, 0b1)]
-    assert wire.encode_block_query([], 2) == bytes([2]) + u32(0)
-    with pytest.raises(ProtocolFault, match="differ in vector length"):
-        wire.encode_block_query([(0, 3, 0b101), (1, 4, 0b101)], 2)
+    body = wire.encode_block_query(5, [0b10_0000_0101, 0b1], 10, 2)
+    assert body == bytes([2]) + u32(5) + u32(2) + bytes([0b101, 0b10]) + bytes([1, 0])
+    assert wire.parse_block_query(body, 2, 10) == (5, [0b10_0000_0101, 0b1])
+    assert wire.encode_block_query(7, [], 10, 2) == bytes([2]) + u32(7) + u32(0)
+    assert wire.parse_block_query(bytes([2]) + u32(7) + u32(0), 2, 10) == (7, [])
 
 
 def test_table_body_layout():
@@ -158,14 +157,16 @@ def test_table_body_layout():
 
 
 def test_parsers_check_the_bounds_they_are_given():
-    block = wire.encode_block_query([(0, 3, 0b101), (3, 3, 0b110)], 2)
-    assert wire.parse_block_query(block, 2, 3, 4) == [(0, 3, 0b101), (3, 3, 0b110)]
+    block = wire.encode_block_query(2, [0b101, 0b110], 3, 2)  # slots 2 and 3
+    assert wire.parse_block_query(block, 2, 3, 4) == (2, [0b101, 0b110])
     with pytest.raises(ProtocolFault, match="truncated"):  # 9 coefficients take 2 bytes, not 1
         wire.parse_block_query(block, 2, 9)
     with pytest.raises(ProtocolFault, match="padding"):  # 0b101 and 0b110 set a bit past coefficient 1
         wire.parse_block_query(block, 2, 2)
     with pytest.raises(ProtocolFault, match="slot 3"):
         wire.parse_block_query(block, 2, 3, 3)
+    with pytest.raises(ProtocolFault, match="slot 1 outside"):  # an empty run past the pool names no slot in it
+        wire.parse_block_query(wire.encode_block_query(2, [], 3, 2), 2, 3, 1)
     # terms (0, 1) and (2, 0) of a K=3, L=2 store: coordinates 1 and 4
     table = wire.encode_table_query([4], [([1, 4], 1)])
     assert wire.parse_table_query(table, 6, 5) == wire.TableQuery((4,), (((1, 4), 1),))
@@ -204,8 +205,8 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 
 
 _VALID_QUERIES = [
-    wire.encode_query(7, wire.encode_block_query([(0, 3, 0b101), (1, 3, 0b110)], 2)),
-    wire.encode_query(6, wire.encode_block_query([(1, 11, 0b101_1010_0101), (0, 11, 0)], 2)),
+    wire.encode_query(7, wire.encode_block_query(0, [0b101, 0b110], 3, 2)),
+    wire.encode_query(6, wire.encode_block_query(1, [0b101_1010_0101, 0], 11, 2)),
     wire.encode_query(8, wire.encode_table_query([1], [([0, 2], 0)])),
     wire.encode_query(9, wire.encode_download_all()),
 ]
@@ -238,29 +239,27 @@ def test_fuzzed_queries_get_an_answer_or_an_error(payload):
                 pass
 
 
-packed_entries = st.integers(0, 40).flatmap(
-    lambda n: st.tuples(
-        st.just(n), st.lists(st.tuples(st.integers(0, 3), st.just(n), st.integers(0, (1 << n) - 1)), max_size=4)
-    )
+packed_runs = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 3), st.lists(st.integers(0, (1 << n) - 1), max_size=4))
 )
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(packed_entries, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
+@given(packed_runs, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
 def test_fuzzed_packed_bodies_parse_back_or_fault(shape, pos, value, cut):
-    n, entries = shape
-    body = wire.encode_block_query(entries, 2)
-    assert wire.parse_block_query(body, 2, n) == entries
+    n, first, vectors = shape
+    body = wire.encode_block_query(first, vectors, n, 2)
+    assert wire.parse_block_query(body, 2, n) == (first, vectors)
     mutated = _mutate(body, pos, value, cut)
     try:
         parsed = wire.parse_block_query(mutated, 2, n)
     except ProtocolFault:
         parsed = None
     if parsed is not None:
-        assert wire.encode_block_query(parsed, 2) == mutated
+        assert wire.encode_block_query(*parsed, n, 2) == mutated
     else:  # refused only for its tag, its size against its count, or a padding bit (n not a multiple of 8)
-        count = int.from_bytes(mutated[1:5], "little")
-        assert mutated[:1] != b"\x02" or len(mutated) != 5 + count * (4 + (n + 7) // 8) or n % 8
+        count = int.from_bytes(mutated[5:9], "little")
+        assert mutated[:1] != b"\x02" or len(mutated) != 9 + count * ((n + 7) // 8) or n % 8
     store = MessageStore.from_bits([1, 0, 1])
     (srv,) = make_entity_servers(store, 1, {"K": 3})
     provision_cr([srv], CommonRandomnessPool.generate(4, 2, seed=0), 4)
@@ -280,10 +279,10 @@ def reference_answer(body: bytes, store: MessageStore, pool: CommonRandomnessPoo
     """``answer_block`` over the server's parse, or the parse's fault message."""
     KL, q = store.K * store.L, store.q
     try:
-        entries = wire.parse_block_query(body, q, KL, len(pool))
+        first, vectors = wire.parse_block_query(body, q, KL, len(pool))
     except ProtocolFault as exc:
         return f"{type(exc).__name__}: {exc}"
-    return [answer_block(unpack(vec, KL, q), store, pool.symbols[cr]) for cr, _, vec in entries]
+    return [answer_block(unpack(vec, KL, q), store, pool.symbols[first + i]) for i, vec in enumerate(vectors)]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -302,7 +301,7 @@ def test_the_served_answer_is_the_reference_on_seeded_bodies(q):
             assert served == reference_answer(mutated, store, pool)
             answered += isinstance(served, list)
             faulted += isinstance(served, str)
-        # one slot short: every database's body names the last block's slot, and the server refuses it
+        # one slot short: every database's run reaches the last block's slot, and the server refuses it
         short = CommonRandomnessPool(q, pool.symbols[:-1])
         for body in plan.wire_queries():
             assert "slot" in served_answer(body, store, short)
@@ -331,13 +330,13 @@ def test_fuzzed_table_bodies_parse_back_or_fault(query, pos, value, cut):
 
 
 def test_packed_parser_faults():
-    body = wire.encode_block_query([(0, 10, 0b11_0000_0001), (1, 10, 0b1)], 2)
+    body = wire.encode_block_query(0, [0b11_0000_0001, 0b1], 10, 2)
     for cut in range(len(body)):
         with pytest.raises(ProtocolFault):
             wire.parse_block_query(body[:cut], 2, 10)
     with pytest.raises(ProtocolFault, match="trailing"):
         wire.parse_block_query(body + b"\x00", 2, 10)
-    # the count says 2 entries of 4 + 2 bytes; any other size is refused by name
+    # the count says 2 entries of 2 bytes; any other size is refused by name
     with pytest.raises(ProtocolFault, match="trailing"):
         wire.parse_block_query(body, 2, 8)  # 8 coefficients take 1 byte
     with pytest.raises(ProtocolFault, match="truncated"):
@@ -347,12 +346,15 @@ def test_packed_parser_faults():
     # each of the 6 padding bits past coefficient 9 of the first entry's second byte
     for bit in range(2, 8):
         padded = bytearray(body)
-        padded[1 + 4 + 4 + 1] |= 1 << bit
+        padded[1 + 4 + 4 + 1] |= 1 << bit  # tag, first slot, count, then the vector's first byte
         with pytest.raises(ProtocolFault, match="padding"):
             wire.parse_block_query(bytes(padded), 2, 10)
     # the same bytes read over F_3 are one byte per coefficient: too short for length 10
     with pytest.raises(ProtocolFault, match="truncated"):
         wire.parse_block_query(body, 3, 10)
+    # a vector of no coefficients takes no bytes, so its count would bound nothing
+    with pytest.raises(ProtocolFault, match="at least one coefficient"):
+        wire.parse_block_query(bytes([2]) + bytes(4) + (2**32 - 1).to_bytes(4, "little"), 2, 0)
 
 
 @contextmanager
@@ -371,17 +373,17 @@ def connected(servers, backend: str):
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
 def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_its_count(backend):
-    # K=10: an entry is a 4-byte pool id and 2 vector bytes, so a body of
-    # count n is exactly 5 + 6n bytes; every other size is ERR_BAD_QUERY
+    # K=10: an entry is 2 vector bytes, so a body of count n is exactly
+    # 9 + 2n bytes; every other size is ERR_BAD_QUERY
     servers = entity_servers(EntityConfig(2, 10, 1, frozenset({1, 4})))
     provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=0), 4)
     with connected(servers, backend) as link:
         for n in range(4):
-            for size in range(5, 30):
-                body = (bytes([2]) + n.to_bytes(4, "little") + bytes(size))[:size]
+            for size in range(1, 30):
+                body = (bytes([2]) + bytes(4) + n.to_bytes(4, "little") + bytes(size))[:size]
                 mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(size, body))
-                if size == 5 + 6 * n:
-                    assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (size, [servers[0].pool.symbols[0]] * n)
+                if size == 9 + 2 * n:
+                    assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (size, list(servers[0].pool.symbols[:n]))
                 else:
                     assert mtype == MSG_ERROR and wire.parse_error(reply)[0] == wire.ERR_BAD_QUERY, (n, size)
 
@@ -389,11 +391,11 @@ def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_it
 def test_block_answer_matches_reference_evaluation():
     plan = block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2), (1, 4), Random(3))
     store = MessageStore.generate(6, 2, 2, seed=1)
-    pool = CommonRandomnessPool.generate(plan.pool_size_required(), 2, seed=2)
+    pool = CommonRandomnessPool.generate(plan.n_blocks, 2, seed=2)
     for db in range(3):
         want = [
-            answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[bq.block])
-            for bq in plan.queries[db]
+            answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[j])
+            for j, bq in enumerate(plan.queries[db])
         ]
         assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
 
@@ -403,11 +405,10 @@ def test_packed_f2_answer_matches_the_explicit_loop(KL):
     rng = Random(KL)
     for K, L in ((KL, 1), (1, KL)):
         store = MessageStore(2, L, [rng.randrange(2) for _ in range(K * L)])
-        pool = CommonRandomnessPool(2, [0, 1, 1])
+        pool = CommonRandomnessPool(2, [0, 1, 1] * 3)
         vectors = [0, (1 << KL) - 1, 1 << (KL - 1)] + [rng.getrandbits(KL) for _ in range(5)]
-        entries = [(i % 3, KL, vec) for i, vec in enumerate(vectors)]
-        want = [answer_block(unpack(vec, KL, 2), store, pool.symbols[cr]) for cr, _, vec in entries]
-        assert block_scheme.answer_wire_query(wire.encode_block_query(entries, 2), store, pool) == want
+        want = [answer_block(unpack(vec, KL, 2), store, pool.symbols[1 + i]) for i, vec in enumerate(vectors)]
+        assert block_scheme.answer_wire_query(wire.encode_block_query(1, vectors, KL, 2), store, pool) == want
 
 
 def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
@@ -421,28 +422,29 @@ def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
         assert wire.encode_transcript(sim.transcript.meta, sim.transcript.records) == wire.encode_transcript(
             tcp.transcript.meta, tcp.transcript.records
         )
-        # Upload guard: every query payload is its u32 id, the tag and count, and
-        # per entry a u32 pool id and the K=40 vector in one bit per coefficient,
+        # Upload guard: every query payload is its u32 id, the tag, first slot
+        # and count, and per entry the K=40 vector in one bit per coefficient,
         # 5 bytes.  The entry count is the answer's symbol count.
         for run in (sim, tcp):
             sizes = [(len(qry), len(wire.parse_answer(ans)[1])) for db in run.transcript.records for qry, ans in db]
-            assert len(sizes) == N and all(size == 4 + 5 + n * (4 + 5) for size, n in sizes)
+            assert len(sizes) == N and all(size == 4 + 9 + n * 5 for size, n in sizes)
 
 
 # SHA-256 over the joined payloads of seeded runs. A deliberate change to a
 # byte layout or to a scheme's draws updates these values and says why.
 # The table values changed when a table term became one u32 coordinate m*L + s
 # instead of a (message u8, position u32) pair.  The block values and the
-# flagship transcript changed when block entries stopped carrying their
-# vector length (K*L, known to both sides); the transcript also moved to the
-# "PRIVSET-TRANSCRIPT v2" header.  Each new value is the old bytes with the
-# u32 lengths cut out and that header renamed.  Neither table value changed.
+# flagship transcript changed when a block body became one slot run (wire
+# version 3): each new value is the version-2 bytes with every entry's u32
+# pool id cut and the run's u32 first slot inserted after the tag, and the
+# transcript header renamed "PRIVSET-TRANSCRIPT v3".  Neither table value
+# changed.
 GOLDEN_WIRE_DIGESTS = {
     "table K=3 P=1 N=3": "ca1d1afa3757fd1958a997a378f868bcda030e6de0568afcc868578f951b5220",
     "table K=5 P=3 N=2 reps=1": "08e600f58c81f4612ea97154bbf44ef57d838179108d1ae7710be24ec11d314e",
-    "block K=6 P=2 N=3 L=2": "9a6f1b1b8c47264cd3f580885769ef748b75e2eb32d82d345158b679db738b2e",
-    "block K=6 P=2 N=3 L=2 q=5": "11700a82687d2bdac2e63630432c32be6c375bf98688437e23f46cd50d24badd",
-    "flagship transcript": "6c5cae7c62c3005ebf2b4cd475b0cb7aff4aceba68a7c298715caac2ffff26bd",
+    "block K=6 P=2 N=3 L=2": "4e7b1fc71c0a2c0b5a444a52ce92ecfb95c0b9caeadc00fe737400d3ba89e924",
+    "block K=6 P=2 N=3 L=2 q=5": "150e0922bce7a7f5882def202a28321b4ed7e86815ca74a1c4d542bfca764955",
+    "flagship transcript": "8c6958e24b55c97248c7edf115d370de49cd97332350e33497eea122bdef346d",
 }
 
 
