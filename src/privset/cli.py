@@ -29,7 +29,7 @@ from fractions import Fraction
 from random import Random
 
 from . import audit as audit_mod
-from . import psi, table_scheme, transport, wire
+from . import block_scheme, psi, table_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
 from .params import (
     InfeasibleError,
@@ -305,6 +305,42 @@ def cmd_psi_serve(args) -> int:
     return EXIT_OK
 
 
+def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q: int) -> list[str]:
+    """What the transcript of an honest run of its own shape shows, checked from
+    the transcript alone: the download is the direction's cost, and each
+    database got at most one body, every block body a run from one first slot
+    with the entry count ``plan_blocks`` lays out for (P, N)."""
+    if not 0 <= P <= K:
+        raise ParamError(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
+    check_modulus(q)  # every recorded vector is read over the transcript's field
+    problems = []
+    cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
+    if measured != cost:
+        problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
+    planned = [0] * N
+    if 0 < P < K:
+        planned = [len(qs) for qs in block_scheme.plan_blocks(SchemeParams(K, P, N), range(P), Random(0)).queries]
+    runs: dict[int, tuple[int, int]] = {}  # database -> (first slot, entry count) of its block body
+    for db, db_records in enumerate(transcript.records):
+        if len(db_records) > 1:
+            problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
+        for qry, _ in db_records:
+            body = wire.parse_query(qry)[1]
+            if body[0] == wire.BLOCK_QUERY_TAG:
+                first, vectors = wire.parse_block_query(body, q, K)
+                runs[db] = (first, len(vectors))
+    first = next(iter(runs.values()), (0, 0))[0]  # the first slot of the lowest database's run
+
+    def text(run):
+        return f"{run[1]} entries from slot {run[0]}" if run else "no block body"
+
+    for db in range(max(N, len(transcript.records))):
+        want = (first, planned[db]) if db < N and planned[db] else None
+        if runs.get(db) != want:
+            problems.append(f"database {db} got {text(runs.get(db))}; the run's shape lays out {text(want)}")
+    return problems
+
+
 def cmd_psi_verify(args) -> int:
     transcript = transport.Transcript.load(args.transcript)
     if args.dump:
@@ -312,7 +348,9 @@ def cmd_psi_verify(args) -> int:
         return EXIT_OK
     meta = transcript.meta
     measured = transcript.downloaded_symbols
-    problems = []
+    K, P, N, q = (meta.get(key) for key in ("K", "P_initiator", "N_responder", "q"))
+    shaped = all(type(v) is int for v in (K, P, N))
+    problems = _shape_problems(transcript, K, P, N, q) if shaped else []
     if args.responder_set:
         if meta.get("seed_cr") is None:
             raise ParamError(
@@ -325,12 +363,10 @@ def cmd_psi_verify(args) -> int:
             # The replay store is the responder's own store; it depends on K and its set alone.
             responder = 2 if meta.get("initiator") == 1 else 1
             store = psi.EntityConfig(responder, K, max(1, len(transcript.records)), elements).store
-            P, N, q = meta.get("P_initiator"), meta.get("N_responder"), meta.get("q")
-            if not (type(P) is int and type(N) is int and 0 <= P <= K):
+            if not shaped:
                 raise ParamError("transcript metadata lacks the run's P_initiator and N_responder (integers, P from 0 to K)")
             shared = psi_direction_cost(P, N, K) - P  # the pool the run had: run_psi provisions D - P symbols
-            check_modulus(q)
-            for db_records in transcript.records:  # every recorded vector is read over the transcript's field
+            for db_records in transcript.records:
                 for qry, _ in db_records:
                     _, body = wire.parse_query(qry)
                     if body[0] == wire.BLOCK_QUERY_TAG:

@@ -22,6 +22,7 @@ import logging
 import socket
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import block_scheme, table_scheme, wire
 from .params import ParamError
@@ -69,6 +70,18 @@ class DatabaseServer:
             )
         self.pool = pool
         return pool.digest()
+
+    @cached_property
+    def _forward_size(self) -> int:
+        """Bytes of a result forward naming every element of [0, K), comma-separated as ``psi`` sends it."""
+        return len(",".join(map(str, range(self.store.K))))
+
+    def max_payload(self) -> int:
+        """The largest legal client payload: a query whose block body fills the
+        pool from slot 0, or a result forward naming all of [0, K).  The
+        download-all query (5 bytes) is shorter than any block query (13 or more)."""
+        slots = len(self.pool) if self.pool is not None else 0
+        return max(wire.block_query_size(slots, self.store.K * self.store.L, self.store.q), self._forward_size)
 
     def handle_client_frame(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == wire.MSG_QUERY:
@@ -279,7 +292,9 @@ class TcpServerPool:
     """Runs each database server on its own localhost port, one thread each.
 
     Requests on a connection are handled strictly sequentially; databases
-    serve concurrently with respect to each other.
+    serve concurrently with respect to each other.  A frame whose header
+    announces more than the database's ``max_payload`` gets an ERROR reply
+    and the connection closes with its body unread.
     """
 
     def __init__(self, servers: list[DatabaseServer], host: str = "127.0.0.1", base_port: int = 0):
@@ -324,7 +339,13 @@ class TcpServerPool:
                 conn.settimeout(10.0)
                 while not self._stop.is_set():
                     try:
-                        msg_type, payload = _read_frame(conn)
+                        msg_type, length = wire.parse_frame_header(_read_exact(conn, wire.FRAME_HEADER_SIZE))
+                        limit = srv.max_payload()
+                        if length > limit:  # refused unread, which leaves the stream out of frame: reply, then close
+                            reason = f"a payload of {length} bytes exceeds the largest legal payload, {limit} bytes"
+                            conn.sendall(wire.encode_frame(MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, reason)))
+                            break
+                        payload = _read_exact(conn, length)
                     except (wire.TransportError, socket.timeout, OSError):
                         break
                     try:

@@ -148,6 +148,11 @@ def _vector_bytes(length: int, q: int) -> int:
     return (length * lane_bits(q) + 7) // 8
 
 
+def block_query_size(n: int, length: int, q: int) -> int:
+    """Payload bytes of a query whose block body carries ``n`` vectors of ``length`` coefficients over F_q."""
+    return _U32.size + 1 + _PAIR.size + n * _vector_bytes(length, q)
+
+
 def encode_block_query(first: int, vectors: Sequence[int], length: int, q: int) -> bytes:
     """Block body of packed ``length``-coefficient vectors over F_q, entry i on pool slot ``first + i``."""
     size = _vector_bytes(length, q)

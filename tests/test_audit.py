@@ -692,7 +692,8 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
     runs = st.integers(1, min(3, pool_size)).flatmap(
         lambda n: st.tuples(st.integers(0, pool_size - n), st.lists(sparse | dense, min_size=n, max_size=n))
     )
-    extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in data.draw(st.lists(runs, max_size=4))]
+    bodies = data.draw(st.lists(runs, max_size=4))
+    extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in bodies]
     assert_packed_matches_dense(payloads + extra, n_coords, pool_size, q, desired)
 
 

@@ -502,19 +502,79 @@ def test_psi_run_and_verify_report_the_upload_bytes(tmp_path, capsys):
 
 
 def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
+    # and a version-2 transcript: each earlier version is refused by name
     from privset import transport, wire
 
     path = tmp_path / "run.transcript"
     code, *_ = run_cli(capsys, "psi", "run", "--save-transcript", str(path))
     assert code == EXIT_OK
     data = path.read_bytes()
-    assert data.startswith(b"PRIVSET-TRANSCRIPT v3\n")
-    path.write_bytes(b"PRIVSET-TRANSCRIPT v1\n" + data[len(b"PRIVSET-TRANSCRIPT v3\n") :])
-    with pytest.raises(wire.TransportError, match="unsupported transcript version v1"):
-        transport.Transcript.load(str(path))
-    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path))
-    assert code == EXIT_PROTOCOL and out == ""
-    assert err == "protocol fault: unsupported transcript version v1\n"
+    assert wire.TRANSCRIPT_HEADER == b"PRIVSET-TRANSCRIPT v3\n" and data.startswith(wire.TRANSCRIPT_HEADER)
+    for version in (1, 2):
+        path.write_bytes(b"PRIVSET-TRANSCRIPT v%d\n" % version + data[len(wire.TRANSCRIPT_HEADER) :])
+        with pytest.raises(wire.TransportError, match=f"unsupported transcript version v{version}"):
+            transport.Transcript.load(str(path))
+        code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path))
+        assert code == EXIT_PROTOCOL and out == ""
+        assert err == f"protocol fault: unsupported transcript version v{version}\n"
+
+
+def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
+    from privset import psi, transport, wire
+    from privset.storage import CommonRandomnessPool
+
+    set1 = tmp_path / "e1.set"
+    set2 = tmp_path / "e2.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
+    set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    flagship, remote, path = tmp_path / "run.transcript", tmp_path / "remote.transcript", tmp_path / "t.transcript"
+    code, *_ = run_cli(
+        capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2),
+        "--seed-client", "11", "--seed-cr", "22", "--save-transcript", str(flagship),
+    )
+    assert code == EXIT_OK
+    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})))
+    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    with transport.TcpServerPool(servers) as pool:
+        connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
+        code, *_ = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", connect,
+                           "--save-transcript", str(remote))
+        assert code == EXIT_OK
+
+    def verify(transcript):
+        transcript.save(str(path))
+        code, out, _ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+        problems = machine_records(out)[0]["problems"]
+        assert code == (EXIT_PROTOCOL if problems else EXIT_OK)
+        return problems
+
+    for saved in (flagship, remote):  # P=4 against N=2: 4 entries from slot 0 at each database
+        honest = transport.Transcript.load(str(saved))
+        assert verify(honest) == []
+    (r0,), (r1,) = honest.records
+    # (a) one extra probe appended to database 0's body, and its answer
+    qid, body = wire.parse_query(r0[0])
+    first, vectors = wire.parse_block_query(body, 2, 10)
+    extra = (
+        wire.encode_query(qid, wire.encode_block_query(first, vectors + [1], 10, 2)),
+        wire.encode_answer(qid, wire.parse_answer(r0[1])[1] + [0]),
+    )
+    assert verify(transport.Transcript(honest.meta, [[extra], [r1]])) == [
+        "downloaded 9 symbols, not the 8 of P_initiator=4 against N_responder=2",
+        "database 0 got 5 entries from slot 0; the run's shape lays out 4 entries from slot 0",
+    ]
+    # (b) database 1's body moved to database 0
+    assert verify(transport.Transcript(honest.meta, [[r0, r1], []])) == [
+        "database 0 got 2 bodies, not at most one",
+        "database 1 got no block body; the run's shape lays out 4 entries from slot 0",
+    ]
+    # (b) database 1's run starts one slot later than database 0's
+    qid, body = wire.parse_query(r1[0])
+    _, vectors = wire.parse_block_query(body, 2, 10)
+    moved = (wire.encode_query(qid, wire.encode_block_query(1, vectors, 10, 2)), r1[1])
+    assert verify(transport.Transcript(honest.meta, [[r0], [moved]])) == [
+        "database 1 got 4 entries from slot 1; the run's shape lays out 4 entries from slot 0",
+    ]
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):

@@ -55,43 +55,87 @@ def test_frame_roundtrip():
     assert parse_frame(frame) == (MSG_QUERY, b"hello")
 
 
-def version_1(frame: bytes) -> bytes:
-    """The frame as a peer of the previous wire version sends it."""
-    return frame[:4] + bytes([1]) + frame[5:]
+OLD_VERSIONS = (1, 2)  # every frame version before wire.VERSION
+
+
+def old_version(frame: bytes, version: int) -> bytes:
+    """The frame as a peer of an earlier wire version sends it."""
+    return frame[:4] + bytes([version]) + frame[5:]
 
 
 def test_the_client_refuses_a_version_1_frame():
-    reply = version_1(encode_frame(MSG_SETUP, b'{"K": 3}'))
-    with pytest.raises(TransportError, match="unsupported version 1"):
-        parse_frame(reply)
-    with socket.create_server(("127.0.0.1", 0)) as lsock:
-        lsock.settimeout(5)
+    # and a version-2 frame: each earlier version is refused by name
+    assert OLD_VERSIONS == tuple(range(1, wire.VERSION))
+    for version in OLD_VERSIONS:
+        reply = old_version(encode_frame(MSG_SETUP, b'{"K": 3}'), version)
+        with pytest.raises(TransportError, match=f"unsupported version {version}"):
+            parse_frame(reply)
+        with socket.create_server(("127.0.0.1", 0)) as lsock:
+            lsock.settimeout(5)
 
-        def old_peer():
-            conn, _ = lsock.accept()
-            with conn:
-                transport._read_frame(conn)
-                conn.sendall(reply)
+            def old_peer():
+                conn, _ = lsock.accept()
+                with conn:
+                    transport._read_frame(conn)
+                    conn.sendall(reply)
 
-        t = threading.Thread(target=old_peer, daemon=True)
-        t.start()
-        backend = TcpBackend([lsock.getsockname()], timeout=5)
-        try:
-            with pytest.raises(TransportError, match="unsupported version 1"):
-                transport.Client(backend).setup_info()
-        finally:
-            backend.close()
-            t.join(5)
-        assert not t.is_alive()
+            t = threading.Thread(target=old_peer, daemon=True)
+            t.start()
+            backend = TcpBackend([lsock.getsockname()], timeout=5)
+            try:
+                with pytest.raises(TransportError, match=f"unsupported version {version}"):
+                    transport.Client(backend).setup_info()
+            finally:
+                backend.close()
+                t.join(5)
+            assert not t.is_alive()
 
 
 def test_a_served_database_closes_a_connection_that_sends_a_version_1_frame():
+    # and one that sends a version-2 frame; the next connection is served
     with TcpServerPool(small_servers()) as pool:
-        with socket.create_connection(pool.addresses[0], timeout=5) as sock:
-            sock.sendall(version_1(encode_frame(MSG_SETUP, b"")))
-            assert sock.recv(64) == b""  # closed without an answer
-        mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
-        assert mtype == MSG_SETUP
+        for version in OLD_VERSIONS:
+            with socket.create_connection(pool.addresses[0], timeout=5) as sock:
+                sock.sendall(old_version(encode_frame(MSG_SETUP, b""), version))
+                assert sock.recv(64) == b""  # closed without an answer
+            mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")
+            assert mtype == MSG_SETUP
+
+
+def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload():
+    # K=256 with 1024 slots, as psi-serve runs: a block run over the whole
+    # pool is the largest payload, 4 + 1 + 8 + 1024 * 32 bytes
+    servers = entity_servers(EntityConfig(2, 256, 2, frozenset(range(0, 256, 2))))
+    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=3), 0)
+    limit = 4 + 1 + 8 + 1024 * 32
+    assert servers[0].max_payload() == limit
+    with TcpServerPool(servers) as pool:
+        for length in (2**31, limit + 1):
+            with socket.create_connection(pool.addresses[0], timeout=5) as sock:
+                sock.sendall(wire.encode_frame(MSG_QUERY, b"")[:6] + length.to_bytes(4, "little"))
+                mtype, reply = transport._read_frame(sock)  # answered without reading a body
+                code, message = parse_error(reply)
+                assert mtype == MSG_ERROR and code == wire.ERR_BAD_QUERY
+                assert message == f"a payload of {length} bytes exceeds the largest legal payload, {limit} bytes"
+                assert sock.recv(64) == b""  # then closed
+            mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")  # the next connection is served
+            assert mtype == MSG_SETUP
+        # a payload of exactly the bound is read and answered: the whole pool's run
+        body = wire.encode_block_query(0, [0] * 1024, 256, 2)
+        mtype, reply = _tcp_roundtrip(pool.addresses[0], MSG_QUERY, wire.encode_query(0, body))
+        assert len(wire.encode_query(0, body)) == limit
+        assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (0, list(servers[0].pool.symbols))
+        local = EntityConfig(1, 256, 2, frozenset({3, 4, 100, 200}))
+        result = run_psi_remote(local, pool.addresses, seed_client=5)
+        assert result.intersection == {4, 100, 200}
+    # without a pool a result forward naming all of [0, K) is the largest payload
+    (bare,) = small_servers(1, bits=[0] * 10)
+    forward = ",".join(map(str, range(10))).encode()
+    assert bare.max_payload() == len(forward) == 19
+    with TcpServerPool([bare]) as pool:
+        assert _tcp_roundtrip(pool.addresses[0], wire.MSG_RESULT_FORWARD, forward) == (wire.MSG_RESULT_FORWARD, b"ack")
+        mtype, reply = _tcp_roundtrip(pool.addresses[0], wire.MSG_RESULT_FORWARD, forward + b",")
+        assert mtype == MSG_ERROR and parse_error(reply)[0] == wire.ERR_BAD_QUERY
 
 
 def test_frame_rejects_corruption():
@@ -159,7 +203,7 @@ def test_unprovisioned_query_refused():
     servers = small_servers()
     backend = SimBackend(servers)
     client = transport.Client(backend)
-    body = bytes([2]) + (1).to_bytes(4, "little") + (0).to_bytes(4, "little") + bytes(1)
+    body = wire.encode_block_query(0, [0], 3, 2)
     with pytest.raises(InsufficientRandomness):
         client.query(0, body)
 
@@ -305,14 +349,17 @@ def test_malformed_query_over_tcp_gets_error_and_database_survives():
 def test_served_database_refuses_a_table_query(backend):
     # one table body downloads slot 0 plainly and masks each of the K unit
     # sums with that same slot: each sum minus the plain symbol is one bit of
-    # the responder's set, so a database that answered it would leak the set
+    # the responder's set, so a database that answered it would leak the set.
+    # The 64-slot pool puts the 125-byte payload within the served frame bound
+    # (a block run over the whole pool, 141 bytes), so the tag is what is refused.
     responder = EntityConfig(2, 12, 2, frozenset({1, 4, 5, 9}))
     servers = entity_servers(responder)
-    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 4)
     body = wire.encode_table_query([0], [([t], 0) for t in range(12)])
     plain, *sums = table_scheme.answer_wire_query(body, responder.store, servers[0].pool)
     assert {t for t, v in enumerate(sums) if v != plain} == {1, 4, 5, 9}  # what the body would pin
     payload = wire.encode_query(0, body)
+    assert len(payload) == 125 and servers[0].max_payload() == 141
     if backend == "sim":
         mtype, reply = SimBackend(servers).roundtrip(0, MSG_QUERY, payload)
     else:

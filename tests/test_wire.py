@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import privset
 from conftest import answer_block
-from privset import block_scheme, table_scheme, wire
+from privset import audit, block_scheme, table_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi
@@ -374,9 +374,12 @@ def connected(servers, backend: str):
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
 def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_its_count(backend):
     # K=10: an entry is 2 vector bytes, so a body of count n is exactly
-    # 9 + 2n bytes; every other size is ERR_BAD_QUERY
+    # 9 + 2n bytes; every other size is ERR_BAD_QUERY.  A 16-slot pool puts
+    # every payload here within the served frame bound (45 bytes), so each
+    # one is read and parsed on one connection.
     servers = entity_servers(EntityConfig(2, 10, 1, frozenset({1, 4})))
-    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=0), 4)
+    provision_cr(servers, CommonRandomnessPool.generate(16, 2, seed=0), 4)
+    assert servers[0].max_payload() == 45
     with connected(servers, backend) as link:
         for n in range(4):
             for size in range(1, 30):
@@ -386,6 +389,28 @@ def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_it
                     assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (size, list(servers[0].pool.symbols[:n]))
                 else:
                     assert mtype == MSG_ERROR and wire.parse_error(reply)[0] == wire.ERR_BAD_QUERY, (n, size)
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_one_body_cannot_reuse_a_slot(backend):
+    # The slot-reuse repro against a served responder (K=12, set {1,4,5,9}):
+    # a zero vector and the K unit vectors, meant to share slot 0 so that each
+    # unit answer XOR the zero answer is one bit of the set.  Written as one
+    # body, they land on K + 1 distinct slots, and the view pins nothing.
+    K, elements = 12, frozenset({1, 4, 5, 9})
+    servers = entity_servers(EntityConfig(2, K, 2, elements))
+    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=6), 0)
+    symbols = servers[0].pool.symbols
+    body = wire.encode_block_query(0, [0] + [1 << t for t in range(K)], K, 2)
+    assert wire.parse_block_query(body, 2, K) == (0, [0] + [1 << t for t in range(K)])
+    with connected(servers, backend) as link:
+        mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(0, body))
+    assert mtype == MSG_ANSWER
+    zero, *units = wire.parse_answer(reply)[1]
+    assert zero == symbols[0]
+    assert units == [int(t in elements) ^ symbols[1 + t] for t in range(K)]  # each bit under a mask of its own
+    span = audit.recoverable_coordinates([body], K, len(symbols), 2, ())
+    assert span.coordinates == frozenset() and span.undesired == ()
 
 
 def test_block_answer_matches_reference_evaluation():
