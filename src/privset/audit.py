@@ -392,11 +392,11 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
     pool id p in lane p, message coordinate c in lane ``pool_size + c``.
 
     Each body is parsed with the server's bounds, so a payload the server
-    refuses raises ProtocolFault.  A download-all body reads as one plain row
-    per coordinate, the symbols the server answers it with.  A block lane may
-    hold any byte over odd q: each row's lowest lane is its pool id's, with
-    coefficient 1, so elimination combines it before storing it, and
-    ``_combine`` reads every lane mod q.
+    refuses raises ProtocolFault.  A download-all body, which the server
+    answers only over an empty pool, reads as one plain row per coordinate.
+    A block lane may hold any byte over odd q: each row's lowest lane is its
+    pool id's, with coefficient 1, so elimination combines it before storing
+    it, and ``_combine`` reads every lane mod q.
     """
     if not payload:
         raise wire.ProtocolFault("empty query body")
@@ -414,7 +414,7 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
         entries = _slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)])
         return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
     if payload[0] == wire.DOWNLOAD_ALL_TAG:
-        wire.parse_download_all(payload)
+        wire.parse_download_all(payload, pool_size)
         return [1 << (pool_size + c) * lane for c in range(n_coords)]
     raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
 

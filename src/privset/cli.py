@@ -5,14 +5,15 @@ Subcommands
 params      structural profile, repetition factor, cost ledger, rates
 table       render a query-table run with its cost summary
 psi gen     generate sets / incidence vectors to files
-psi run     execute an intersection over the simulated or TCP transport
+psi run     intersect two local entities' set files over the simulated or TCP transport
+psi connect intersect a local set file against databases that ``psi serve`` runs
 psi serve   run one entity's databases as TCP servers
 psi verify  re-check a saved transcript
 audit       run the exact privacy/reliability audits
 
 Every subcommand is deterministic given its seeds (an unseeded ``psi serve``
-draws its pool, and an unseeded ``psi run --connect`` its query strategy,
-from ``secrets``).  ``--machine`` switches to line-oriented JSON records (one
+draws its pool, and an unseeded ``psi connect`` its query strategy, from
+``secrets``).  ``--machine`` switches to line-oriented JSON records (one
 object per line, each carrying a ``record`` discriminator).  Exit codes: 0
 success, 2 usage error (a file or port that cannot be used included), 3
 protocol/transport fault, 4 audit failure.
@@ -198,69 +199,8 @@ def cmd_psi_gen(args) -> int:
     return EXIT_OK
 
 
-# ``psi run`` flags that only a local run reads, with their defaults.  The
-# parser leaves them None, so a --connect run can tell that one was given.
-LOCAL_RUN_DEFAULTS = {
-    "K": 10, "n1": 2, "n2": 2, "q1": 0.5, "q2": 0.5, "seed_sets": 0, "transport": "sim", "seed_cr": 0,
-}
-
-
-def _load_entities(args) -> tuple[psi.EntityConfig, psi.EntityConfig]:
-    for dest, default in LOCAL_RUN_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    if args.set1 or args.set2:
-        if not (args.set1 and args.set2):
-            given, missing = ("--set1", "--set2") if args.set1 else ("--set2", "--set1")
-            raise ParamError(f"{given} needs {missing}: a local run reads both entities' set files")
-        K1, s1 = read_set(args.set1)
-        K2, s2 = read_set(args.set2)
-        if K1 != K2:
-            raise ParamError("set files disagree on K")
-        K = K1
-    else:
-        rng = Random(args.seed_sets)
-        K = args.K
-        s1 = psi.generate_set(K, args.q1, rng)
-        s2 = psi.generate_set(K, args.q2, rng)
-    e1 = psi.EntityConfig(1, K, args.n1, s1)
-    e2 = psi.EntityConfig(2, K, args.n2, s2)
-    return e1, e2
-
-
-def cmd_psi_run(args) -> int:
-    if args.connect:
-        local_only = ("set2", *LOCAL_RUN_DEFAULTS)
-        given = ["--" + dest.replace("_", "-") for dest in local_only if getattr(args, dest) is not None]
-        if given:
-            raise ParamError(f"--connect intersects against remote databases; it does not take {', '.join(given)}")
-        if not args.set1:
-            raise ParamError("--connect requires --set1 (the local entity's set)")
-        K, s1 = read_set(args.set1)
-        local = psi.EntityConfig(1, K, 2, s1)
-        addresses = [_address(entry) for entry in args.connect.split(",")]
-        result = psi.run_psi_remote(
-            local, addresses, seed_client=args.seed_client, forward_result=not args.no_forward
-        )
-        shape = {"K": K, "P1": local.size, "transport": "tcp"}
-        initiator = f"local entity against {len(addresses)} remote databases"
-        optimum = "this direction's optimum"
-    else:
-        e1, e2 = _load_entities(args)
-        result = psi.run_psi(
-            e1, e2,
-            backend=args.transport,
-            seed_client=0 if args.seed_client is None else args.seed_client,
-            seed_cr=args.seed_cr,
-            forward_result=not args.no_forward,
-        )
-        shape = {
-            "K": e1.K, "P1": e1.size, "P2": e2.size,
-            "N1": e1.n_databases, "N2": e2.n_databases,
-            "transport": args.transport,
-        }
-        initiator = f"entity {result.initiator}"
-        optimum = "optimum"
+def _report_psi(args, result: psi.PsiResult, shape: dict, initiator: str, optimum: str) -> int:
+    """Save the transcript if asked, and print the ``psi_result`` record of a local or remote run."""
     if args.save_transcript:
         result.transcript.save(args.save_transcript)
     record = {
@@ -280,6 +220,27 @@ def cmd_psi_run(args) -> int:
     ])
     _emit(args, record, human)
     return EXIT_OK
+
+
+def cmd_psi_run(args) -> int:
+    (K1, s1), (K2, s2) = read_set(args.set1), read_set(args.set2)
+    if K1 != K2:
+        raise ParamError("set files disagree on K")
+    e1 = psi.EntityConfig(1, K1, args.n1, s1)
+    e2 = psi.EntityConfig(2, K2, args.n2, s2)
+    result = psi.run_psi(e1, e2, backend=args.transport, seed_client=args.seed_client, seed_cr=args.seed_cr)
+    shape = {"K": K1, "P1": e1.size, "P2": e2.size, "N1": args.n1, "N2": args.n2, "transport": args.transport}
+    return _report_psi(args, result, shape, f"entity {result.initiator}", "optimum")
+
+
+def cmd_psi_connect(args) -> int:
+    K, elements = read_set(args.set)
+    local = psi.EntityConfig(1, K, 2, elements)
+    addresses = [_address(entry) for entry in args.databases.split(",")]
+    result = psi.run_psi_remote(local, addresses, seed_client=args.seed_client)
+    shape = {"K": K, "P1": local.size, "transport": "tcp"}
+    initiator = f"local entity against {len(addresses)} remote databases"
+    return _report_psi(args, result, shape, initiator, "this direction's optimum")
 
 
 def cmd_psi_serve(args) -> int:
@@ -464,25 +425,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi_gen)
 
-    p = psi_sub.add_parser("run", help="run one intersection")
-    local = {dest: f"(local runs only, default {default})" for dest, default in LOCAL_RUN_DEFAULTS.items()}
-    p.add_argument("--K", type=int, help=f"field size for generated sets {local['K']}")
-    p.add_argument("--n1", type=int, help=f"databases of entity 1 {local['n1']}")
-    p.add_argument("--n2", type=int, help=f"databases of entity 2 {local['n2']}")
-    p.add_argument("--set1", help="set file for entity 1, the local entity under --connect")
-    p.add_argument("--set2", help="set file for entity 2 (local runs only)")
-    p.add_argument("--q1", type=float, help=f"inclusion probability for entity 1 {local['q1']}")
-    p.add_argument("--q2", type=float, help=f"inclusion probability for entity 2 {local['q2']}")
-    p.add_argument("--seed-sets", type=int, help=f"seed for generated sets {local['seed_sets']}")
-    p.add_argument("--transport", choices=["sim", "tcp"], help=f"transport backend {local['transport']}")
-    p.add_argument("--seed-client", type=int,
-                   help="query strategy seed (local runs default 0; under --connect, drawn from secrets if not given)")
-    p.add_argument("--seed-cr", type=int, help=f"randomness pool seed {local['seed_cr']}")
-    p.add_argument("--no-forward", action="store_true", help="skip forwarding the result")
+    p = psi_sub.add_parser("run", help="intersect two local entities' sets")
+    p.add_argument("--set1", required=True, help="set file for entity 1")
+    p.add_argument("--set2", required=True, help="set file for entity 2")
+    p.add_argument("--n1", type=int, default=2, help="databases of entity 1 (default %(default)s)")
+    p.add_argument("--n2", type=int, default=2, help="databases of entity 2 (default %(default)s)")
+    p.add_argument("--transport", choices=["sim", "tcp"], default="sim", help="transport backend (default %(default)s)")
+    p.add_argument("--seed-client", type=int, default=0, help="query strategy seed (default %(default)s)")
+    p.add_argument("--seed-cr", type=int, default=0, help="randomness pool seed (default %(default)s)")
     p.add_argument("--save-transcript", help="write the binary transcript here")
-    p.add_argument("--connect", help="comma-separated host:port list of externally served databases")
     _add_common(p)
     p.set_defaults(func=cmd_psi_run)
+
+    p = psi_sub.add_parser("connect", help="intersect a local set against served databases")
+    p.add_argument("--set", required=True, help="set file for the local entity, which initiates")
+    p.add_argument("--databases", required=True, help="comma-separated host:port list of the served databases")
+    p.add_argument("--seed-client", type=int, help="query strategy seed (default: drawn from secrets)")
+    p.add_argument("--save-transcript", help="write the binary transcript here")
+    _add_common(p)
+    p.set_defaults(func=cmd_psi_connect)
 
     p = psi_sub.add_parser("serve", help="serve one entity's databases over TCP")
     p.add_argument("--set", required=True, help="set file")

@@ -151,16 +151,17 @@ def run_psi(
     backend: str = "sim",
     seed_client: int = 0,
     seed_cr: int = 0,
-    forward_result: bool = True,
 ) -> PsiResult:
-    """Execute one full intersection run over the chosen backend.
+    """Execute one full intersection run over the chosen backend (``psi run``).
 
     The responder is stood up as ``psi serve`` stands it up: fresh databases,
     provisioned before the first frame with the direction's D - P shared
-    symbols (0 for an empty or full set) drawn from ``seed_cr``.  ``sim``
+    symbols drawn from ``seed_cr``.  That pool is empty for an empty or full
+    set, and only an empty pool answers a full set's download-all.  ``sim``
     queries them in process and ``tcp`` serves them on loopback to
     ``run_psi_remote``: one flow, one result for the same seeds.  The
-    initiator's queries depend on its own set and ``seed_client`` alone.
+    initiator's queries depend on its own set and ``seed_client`` alone, and
+    it forwards the result to database 0.
     """
     if e1.K != e2.K:
         raise ParamError("entities must agree on the field size K")
@@ -173,10 +174,10 @@ def run_psi(
     transport.provision_cr(servers, CommonRandomnessPool.generate(shared, 2, seed_cr), shared)
 
     if backend == "sim":
-        result = _intersect(init, transport.SimBackend(servers), seed_client, forward_result)
+        result = _intersect(init, transport.SimBackend(servers), seed_client)
     else:
         with transport.TcpServerPool(servers) as pool:
-            result = run_psi_remote(init, pool.addresses, seed_client=seed_client, forward_result=forward_result)
+            result = run_psi_remote(init, pool.addresses, seed_client=seed_client)
     result.transcript.meta["seed_cr"] = seed_cr
     return result
 
@@ -186,14 +187,15 @@ def run_psi_remote(
     addresses: list[tuple[str, int]],
     *,
     seed_client: int | None = None,
-    forward_result: bool = True,
 ) -> PsiResult:
-    """Intersect against databases served elsewhere (see the ``psi serve`` CLI).
+    """Intersect against databases served elsewhere (``psi connect`` against ``psi serve``).
 
     The local entity always initiates; the responder must have provisioned a
     pool large enough for ceil(P*1/(N-1)) shared symbols, else its databases
-    refuse the queries.  The responder's public shape comes from the setup
-    exchange.  A repeated address is refused: it would get two query shares.
+    refuse the queries.  A full-set initiator downloads all from database 0,
+    which answers only if its pool is empty (``psi serve --pool-size 0``).
+    The responder's public shape comes from the setup exchange.  A repeated
+    address is refused: it would get two query shares.
     Without ``seed_client`` the query strategy is drawn from ``secrets``: a
     seed the databases could guess would let each of them recompute the base
     vectors and read the desired set off its own query share.
@@ -202,7 +204,7 @@ def run_psi_remote(
         raise ParamError("each database must be addressed once: a repeated address would receive two query shares")
     backend = transport.TcpBackend(addresses)
     try:
-        return _intersect(initiator, backend, seed_client, forward_result)
+        return _intersect(initiator, backend, seed_client)
     finally:
         backend.close()
 
@@ -211,7 +213,6 @@ def _intersect(
     init: EntityConfig,
     backend: transport.SimBackend | transport.TcpBackend,
     seed_client: int | None,
-    forward_result: bool,
 ) -> PsiResult:
     """The initiator's side of one intersection against the responder's provisioned databases.
 
@@ -257,8 +258,7 @@ def _intersect(
         bits = block_scheme.decode_blocks(plan, client.query_all(bodies))
 
     intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
-    if forward_result:
-        client.forward_result(",".join(str(j) for j in sorted(intersection)).encode())
+    client.forward_result(",".join(str(j) for j in sorted(intersection)).encode())
 
     return PsiResult(
         intersection=intersection,

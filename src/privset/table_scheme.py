@@ -53,7 +53,7 @@ from .params import (
 )
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import TABLE_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
-from .wire import ProtocolFault, encode_table_query, parse_download_all, parse_table_query
+from .wire import ProtocolFault, encode_table_query, parse_table_query
 
 class SumSpec(NamedTuple):
     """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
@@ -347,12 +347,6 @@ def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
         for msg in table.desired
         for idx in range(table.msg_fresh[msg])
     }
-
-
-def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    """P = K degenerate path: every stored symbol from one database, no shared randomness."""
-    parse_download_all(payload)
-    return list(store.flat)
 
 
 def render_text(table: QueryTable) -> str:

@@ -24,19 +24,27 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import block_scheme, table_scheme, wire
+from . import block_scheme, wire
 from .params import ParamError
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import MSG_ERROR, encode_frame  # noqa: F401  (looked up here by callers)
 
 _log = logging.getLogger(__name__)
 
+
+def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
+    """Every stored symbol, unmasked: the P = K path, which needs no shared
+    randomness.  Only a database whose pool is empty answers it."""
+    wire.parse_download_all(payload, len(pool))
+    return list(store.flat)
+
+
 # Scheme tag -> answer evaluator over (payload, store, pool).  A served
 # database speaks only PSI: the table tag is not served, since one table body
 # can mask every coordinate with one plainly served symbol.
 QUERY_HANDLERS = {
     block_scheme.BLOCK_QUERY_TAG: block_scheme.answer_wire_query,
-    wire.DOWNLOAD_ALL_TAG: table_scheme.answer_download_all,
+    wire.DOWNLOAD_ALL_TAG: answer_download_all,
 }
 
 

@@ -21,7 +21,7 @@ All integers are little-endian:
                     entry i is a packed vector of the store's K*L coefficients, masked
                     by pool slot first + i; K*L is known to both sides and not sent:
                     coefficient i in lane i, w = 1 bit over F_2, else 8
-    download-all  3
+    download-all  3   served only by a database that holds no shared randomness
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
     transcript    "PRIVSET-TRANSCRIPT v3\n" | length u32 | metadata, laid out as setup
@@ -232,10 +232,14 @@ def encode_download_all() -> bytes:
     return _U8.pack(DOWNLOAD_ALL_TAG)
 
 
-def parse_download_all(body: bytes) -> None:
+def parse_download_all(body: bytes, pool_size: int | None = None) -> None:
+    """Optionally checks that a database of ``pool_size`` slots may answer it:
+    the answer is every symbol unmasked, so only one without a pool does."""
     _check_tag(body, DOWNLOAD_ALL_TAG)
     if len(body) != 1:
         raise ProtocolFault("download-all query carries no arguments")
+    if pool_size:
+        raise ProtocolFault(f"download-all is not served by a database holding {pool_size} shared randomness slots")
 
 
 def encode_answer(query_id: int, symbols: Sequence[int]) -> bytes:

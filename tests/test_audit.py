@@ -1040,9 +1040,12 @@ class TestSymbolicLeakage:
             audit.recoverable_coordinates([b"\x09"], 3, 2, 2, ())
 
     def test_download_all_reads_as_every_coordinate(self):
-        # the server answers download-all with every stored symbol and no pool symbol
-        span = audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2, ())
+        # a database without a pool answers download-all with every stored symbol;
+        # one with a pool refuses it, and so does the audit
+        span = audit.recoverable_coordinates([wire.encode_download_all()], 3, 0, 2, ())
         assert span.coordinates == frozenset({0, 1, 2})
+        with pytest.raises(wire.ProtocolFault, match="download-all is not served"):
+            audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2, ())
 
     def test_refuses_what_the_server_refuses(self):
         # n_coords 3 over a 2-slot pool: a run far past the pool, a plain

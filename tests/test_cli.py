@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -35,6 +37,16 @@ def closed_ports() -> tuple[int, int]:
 
 def machine_records(out: str):
     return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def argparse_refusal(capsys, *argv) -> str:
+    """The stderr of a command line the parser refuses: exit 2 with usage text, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and not out, argv
+    assert err.startswith("usage: privset") and "error: " in err, (argv, err)
+    return err
 
 
 def test_params_output(capsys):
@@ -132,15 +144,22 @@ def test_io_errors_are_usage_errors(tmp_path, capsys):
         (["psi", "run", "--set1", str(no_k), "--set2", str(no_k)], ""),
         (["psi", "verify", "--transcript", missing], ""),
         (["psi", "gen", "--K", "4", "--out-dir", str(set1 / "sub")], ""),
-        (["psi", "run", "--K", "6", "--save-transcript", str(tmp_path / "no-dir" / "t.bin")], ""),
-        (["psi", "run", "--set1", str(set1), "--connect", "localhost"], "'localhost' is not host:port"),
-        (["psi", "run", "--set1", str(set1)], "--set1 needs --set2"),
-        (["psi", "run", "--set2", str(set1)], "--set2 needs --set1"),
+        (["psi", "run", "--set1", str(set1), "--set2", str(set1), "--save-transcript", str(tmp_path / "no-dir" / "t")], ""),
+        (["psi", "connect", "--set", str(set1), "--databases", "localhost"], "'localhost' is not host:port"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert says in err, (argv, err)
+    # a local run reads both set files, and a remote one its set and the databases: the parser requires them
+    for argv, missing in (
+        (["run", "--set1", str(set1)], "--set2"),
+        (["run", "--set2", str(set1)], "--set1"),
+        (["connect", "--set", str(set1)], "--databases"),
+        (["connect", "--databases", "127.0.0.1:1"], "--set"),
+    ):
+        err = argparse_refusal(capsys, "psi", *argv)
+        assert err.endswith(f"error: the following arguments are required: {missing}\n"), (argv, err)
 
 
 def test_psi_serve_on_a_port_in_use_is_a_usage_error(tmp_path):
@@ -234,7 +253,7 @@ def test_psi_run_against_a_closed_port_is_a_transport_fault(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n")
     port, other = closed_ports()
-    code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{other}")
+    code, _, err = run_cli(capsys, "psi", "connect", "--set", str(set1), "--databases", f"127.0.0.1:{port},127.0.0.1:{other}")
     assert code == EXIT_PROTOCOL
     assert err.startswith(f"protocol fault: database 0 at 127.0.0.1:{port}") and err.count("\n") == 1
 
@@ -254,7 +273,7 @@ def test_psi_run_against_a_malformed_setup_reply_is_a_transport_fault(reply, tmp
         monkeypatch.setattr(srv, "handle_client_frame", handle)
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{host}:{port}" for host, port in pool.addresses)
-        code, _, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", connect)
+        code, _, err = run_cli(capsys, "psi", "connect", "--set", str(set1), "--databases", connect)
     assert code == EXIT_PROTOCOL
     assert err == "protocol fault: setup reply is not a JSON object\n"
 
@@ -265,20 +284,15 @@ def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, cap
     set2 = tmp_path / "e2.set"
     set2.write_text("# privset set v1 K=12\n0\n2\n")
     port, other = closed_ports()  # a connection attempt would be refused (exit 3)
-    connect = ["--set1", str(set1), "--connect", f"127.0.0.1:{port},127.0.0.1:{other}"]
-    code, _, err = run_cli(
-        capsys, "psi", "run", *connect, "--set2", str(set2), "--transport", "sim", "--seed-cr", "5"
-    )
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert all(flag in err for flag in ("--set2", "--transport", "--seed-cr")), err
+    connect = ["psi", "connect", "--set", str(set1), "--databases", f"127.0.0.1:{port},127.0.0.1:{other}"]
+    err = argparse_refusal(capsys, *connect, "--set2", str(set2), "--transport", "sim", "--seed-cr", "5")
+    assert err.endswith(f"error: unrecognized arguments: --set2 {set2} --transport sim --seed-cr 5\n"), err
     for flag, value in (
         ("--set2", str(set2)), ("--transport", "tcp"), ("--seed-cr", "0"), ("--n1", "2"), ("--n2", "3"),
         ("--K", "10"), ("--q1", "0.5"), ("--q2", "0.25"), ("--seed-sets", "0"),
     ):
-        code, _, err = run_cli(capsys, "psi", "run", *connect, flag, value)
-        assert code == EXIT_USAGE, flag
-        assert err.startswith("error: ") and flag in err, (flag, err)
+        err = argparse_refusal(capsys, *connect, flag, value)
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n"), (flag, err)
 
 
 def test_python_dash_m_privset_runs_from_a_checkout(tmp_path):
@@ -505,8 +519,10 @@ def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
     # and a version-2 transcript: each earlier version is refused by name
     from privset import transport, wire
 
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n2\n9\n")
     path = tmp_path / "run.transcript"
-    code, *_ = run_cli(capsys, "psi", "run", "--save-transcript", str(path))
+    code, *_ = run_cli(capsys, "psi", "run", "--set1", str(set1), "--set2", str(set1), "--save-transcript", str(path))
     assert code == EXIT_OK
     data = path.read_bytes()
     assert wire.TRANSCRIPT_HEADER == b"PRIVSET-TRANSCRIPT v3\n" and data.startswith(wire.TRANSCRIPT_HEADER)
@@ -537,7 +553,7 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
-        code, *_ = run_cli(capsys, "psi", "run", "--set1", str(set1), "--connect", connect,
+        code, *_ = run_cli(capsys, "psi", "connect", "--set", str(set1), "--databases", connect,
                            "--save-transcript", str(remote))
         assert code == EXIT_OK
 
@@ -612,7 +628,7 @@ def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys)
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
         for _ in range(2):
             code, out, _ = run_cli(
-                capsys, "psi", "run", "--set1", str(set1), "--connect", connect,
+                capsys, "psi", "connect", "--set", str(set1), "--databases", connect,
                 "--save-transcript", str(transcript), "--machine",
             )
             assert code == EXIT_OK and machine_records(out)[0]["intersection"] == [0, 2]
@@ -782,8 +798,8 @@ def test_serve_and_connect_roundtrip(tmp_path):
         info = json.loads(line)
         addresses = ",".join(info["addresses"])
         out = subprocess.run(
-            [sys.executable, "-m", "privset.cli", "psi", "run", "--set1", str(set1),
-             "--connect", addresses, "--seed-client", "11", "--machine"],
+            [sys.executable, "-m", "privset.cli", "psi", "connect", "--set", str(set1),
+             "--databases", addresses, "--seed-client", "11", "--machine"],
             capture_output=True, text=True, timeout=30, env=checkout_env(),
         )
         assert out.returncode == EXIT_OK, out.stderr
@@ -796,12 +812,60 @@ def test_serve_and_connect_roundtrip(tmp_path):
 
 
 def test_help_lists_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["psi", "run", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    for flag in ("--transport", "--seed-client", "--seed-cr", "--set1", "--save-transcript"):
-        assert flag in out
-    out = " ".join(out.split())
-    for default in ("default 10", "default sim", "default 0.5", "default 2", "default 0"):
-        assert default in out, default  # the local-run flags still state their defaults
+    def help_flags(command):
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        return set(re.findall(r"(?<![\w-])--[\w-]+", out)), " ".join(out.split())
+
+    flags, out = help_flags("run")
+    assert flags == {
+        "--help", "--set1", "--set2", "--n1", "--n2", "--transport", "--seed-client", "--seed-cr",
+        "--save-transcript", "--machine",
+    }
+    for stated in (
+        "databases of entity 1 (default 2)", "databases of entity 2 (default 2)", "transport backend (default sim)",
+        "query strategy seed (default 0)", "randomness pool seed (default 0)",
+    ):
+        assert stated in out, stated
+    flags, out = help_flags("connect")
+    assert flags == {"--help", "--set", "--databases", "--seed-client", "--save-transcript", "--machine"}
+    assert "query strategy seed (default: drawn from secrets)" in out
+
+
+def test_psi_run_on_psi_gen_files_reproduces_the_generated_run(tmp_path, capsys, monkeypatch):
+    # ``psi run`` generated its own sets with ``psi gen``'s draws until it took
+    # set files only; its bare ``--machine`` record then was this one.
+    monkeypatch.chdir(tmp_path)
+    code, *_ = run_cli(capsys, "psi", "gen", "--K", "10", "--out-dir", "g")
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, "psi", "run", "--set1", "g/entity1.set", "--set2", "g/entity2.set", "--machine")
+    assert code == EXIT_OK
+    assert machine_records(out) == [{
+        "K": 10, "N1": 2, "N2": 2, "P1": 2, "P2": 6, "cardinality": 1, "download_symbols": 4, "initiator": 1,
+        "intersection": [2], "optimal_cost": 4, "record": "psi_result", "transport": "sim", "upload_bytes": 34,
+    }]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``privset`` line of README's CLI block, in order, with its
+    continuations joined; the served pair (the ``&`` line and the lines naming
+    a ``PORT``) is left to ``test_serve_and_connect_roundtrip``."""
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S) if "\nprivset " in b)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("privset ")]
+    served = [line for line in lines if line.rstrip().endswith("&") or "PORT" in line]
+    assert len(served) == 2, served
+    return [shlex.split(line)[1:] for line in lines if line not in served]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert ["psi", "run"] in [argv[:2] for argv in commands]
+    for argv in commands:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == (EXIT_AUDIT if "--mutant" in argv else EXIT_OK), (argv, err)

@@ -9,7 +9,6 @@ from privset.params import ParamError, SchemeParams, alpha_profile, cost_ledger,
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
     ProtocolFault,
-    answer_download_all,
     answer_wire_query,
     build_query_table,
     decode,
@@ -18,6 +17,7 @@ from privset.table_scheme import (
     render_text,
     table_structure,
 )
+from privset.transport import answer_download_all
 from privset.wire import encode_download_all
 
 

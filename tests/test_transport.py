@@ -179,19 +179,20 @@ def test_provisioning_refuses_small_pool():
 
 
 def test_provisioning_after_query_is_a_fault():
+    # an empty pool: the one a database answers download-all on
     servers = small_servers()
-    pool = CommonRandomnessPool.generate(4, 2, seed=1)
-    provision_cr(servers, pool, 4)
+    pool = CommonRandomnessPool.generate(0, 2, seed=1)
+    provision_cr(servers, pool, 0)
     backend = SimBackend(servers)
     client = transport.Client(backend)
     client.query(0, encode_download_all())
     with pytest.raises(ProtocolFault):
-        servers[0].provision(pool, 4)
+        servers[0].provision(pool, 0)
 
 
 def test_query_replay_is_deterministic():
     servers = small_servers()
-    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    provision_cr(servers, CommonRandomnessPool.generate(0, 2, seed=1), 0)
     srv = servers[0]
     payload = b"\x00\x00\x00\x00" + encode_download_all()
     first = srv.handle_client_frame(MSG_QUERY, payload)
@@ -235,7 +236,7 @@ def test_duplicated_answer_surfaces_as_error(faulty_streams):
         run_psi(E1, E2, backend="sim", seed_client=1, seed_cr=2)
     # A second query on the same database reads the first query's answer again.
     servers = small_servers()
-    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    provision_cr(servers, CommonRandomnessPool.generate(0, 2, seed=1), 0)
     client = transport.Client(transport.SimBackend(servers))
     assert client.query(0, encode_download_all()) == [1, 0, 1]
     with pytest.raises(ProtocolFault, match="answer id 0 does not match query id 1"):
@@ -313,7 +314,7 @@ def test_saved_transcripts_are_identical_for_equal_seeds(tmp_path):
 
 def test_tcp_pool_serves_setup_and_queries():
     servers = small_servers()
-    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    provision_cr(servers, CommonRandomnessPool.generate(0, 2, seed=1), 0)
     with TcpServerPool(servers) as pool:
         backend = TcpBackend(pool.addresses)
         client = transport.Client(backend)

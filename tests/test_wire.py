@@ -15,7 +15,14 @@ from privset.field import pack, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
-from privset.transport import SimBackend, TcpBackend, TcpServerPool, make_entity_servers, provision_cr
+from privset.transport import (
+    SimBackend,
+    TcpBackend,
+    TcpServerPool,
+    make_entity_servers,
+    provision_cr,
+    replay_answers,
+)
 from privset.wire import MSG_ANSWER, MSG_ERROR, MSG_QUERY, ProtocolFault, TransportError
 
 E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
@@ -411,6 +418,46 @@ def test_one_body_cannot_reuse_a_slot(backend):
     assert units == [int(t in elements) ^ symbols[1 + t] for t in range(K)]  # each bit under a mask of its own
     span = audit.recoverable_coordinates([body], K, len(symbols), 2, ())
     assert span.coordinates == frozenset() and span.undesired == ()
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_only_a_database_without_shared_randomness_answers_download_all(backend):
+    # The download-all repro against a served responder (K=12, set {1,4,5,9}):
+    # one 1-byte body would be answered with the whole incidence vector.  With
+    # the 1024 slots psi serve provisions by default, every database refuses it,
+    # as the audit's parser does; an unprovisioned one, which can serve
+    # nothing else, still answers it.
+    K, elements = 12, frozenset({1, 4, 5, 9})
+    body = wire.encode_download_all()
+    servers = entity_servers(EntityConfig(2, K, 2, elements))
+    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=6), 0)
+    with connected(servers, backend) as link:
+        for db in range(2):
+            mtype, reply = link.roundtrip(db, MSG_QUERY, wire.encode_query(0, body))
+            assert mtype == MSG_ERROR
+            assert wire.parse_error(reply) == (
+                wire.ERR_BAD_QUERY, "download-all is not served by a database holding 1024 shared randomness slots"
+            )
+    with pytest.raises(ProtocolFault, match="download-all is not served"):
+        audit.recoverable_coordinates([body], K, 1024, 2, ())
+    with connected(entity_servers(EntityConfig(2, K, 2, elements)), backend) as link:
+        mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(0, body))
+    assert mtype == MSG_ANSWER and wire.parse_answer(reply)[1] == [int(t in elements) for t in range(K)]
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_full_set_initiator_downloads_all_from_an_empty_pool(backend):
+    # P = K needs no shared randomness: run_psi provisions D - P = 0 symbols,
+    # and the replay with that empty pool passes; a pool of one slot refuses it.
+    # The initiator's one database leaves the other direction no scheme.
+    K, elements = 12, frozenset({1, 4, 5, 9})
+    responder = EntityConfig(2, K, 2, elements)
+    result = run_psi(EntityConfig(1, K, 1, frozenset(range(K))), responder, backend=backend, seed_client=3, seed_cr=4)
+    assert (result.intersection, result.initiator) == (elements, 1)
+    assert result.download_symbols == result.optimal_cost == K
+    assert [[wire.parse_query(qry)[1] for qry, _ in db] for db in result.transcript.records] == [[wire.encode_download_all()], []]
+    assert replay_answers(result.transcript, responder.store, CommonRandomnessPool.generate(0, 2, seed=4))
+    assert not replay_answers(result.transcript, responder.store, CommonRandomnessPool.generate(1, 2, seed=4))
 
 
 def test_block_answer_matches_reference_evaluation():
