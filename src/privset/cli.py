@@ -247,8 +247,7 @@ def cmd_psi_serve(args) -> int:
     if args.pool_size < 0:
         raise ParamError(f"--pool-size must be >= 0, got {args.pool_size}")
     K, elements = read_set(args.set)
-    servers = psi.entity_servers(psi.EntityConfig(args.entity, K, args.n_databases, elements))
-    transport.provision_cr(servers, CommonRandomnessPool.generate(args.pool_size, 2, args.seed_cr), 0)
+    servers = psi.entity_servers(psi.EntityConfig(2, K, args.n_databases, elements), args.pool_size, args.seed_cr)
     host, base_port = _address(args.listen)
     pool_srv = transport.TcpServerPool(servers, host=host, base_port=base_port)
     pool_srv.start()
@@ -321,19 +320,12 @@ def cmd_psi_verify(args) -> int:
         if K != meta.get("K"):
             problems.append("responder set file disagrees with the transcript's K")
         else:
-            # The replay store is the responder's own store; it depends on K and its set alone.
-            responder = 2 if meta.get("initiator") == 1 else 1
-            store = psi.EntityConfig(responder, K, max(1, len(transcript.records)), elements).store
             if not shaped:
                 raise ParamError("transcript metadata lacks the run's P_initiator and N_responder (integers, P from 0 to K)")
-            shared = psi_direction_cost(P, N, K) - P  # the pool the run had: run_psi provisions D - P symbols
-            for db_records in transcript.records:
-                for qry, _ in db_records:
-                    _, body = wire.parse_query(qry)
-                    if body[0] == wire.BLOCK_QUERY_TAG:
-                        wire.parse_block_query(body, q, K, pool_size=shared)
-            pool = CommonRandomnessPool.generate(shared, 2, meta["seed_cr"])
-            if not transport.replay_answers(transcript, store, pool):
+            # The responder as run_psi stood it up: its own store, one database per record, D - P pool symbols.
+            responder = psi.EntityConfig(2 if meta.get("initiator") == 1 else 1, K, len(transcript.records), elements)
+            servers = psi.entity_servers(responder, psi_direction_cost(P, N, K) - P, meta["seed_cr"])
+            if not transport.replay_answers(transcript, servers):
                 problems.append("recorded answers do not replay against the given store")
     record = {
         "record": "psi_verify",
@@ -447,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = psi_sub.add_parser("serve", help="serve one entity's databases over TCP")
     p.add_argument("--set", required=True, help="set file")
-    p.add_argument("--entity", type=int, default=2)
     p.add_argument("--n-databases", type=int, default=2)
     p.add_argument("--listen", default="127.0.0.1:0", help="host:base_port (0 = ephemeral)")
     p.add_argument("--pool-size", type=int, default=1024)

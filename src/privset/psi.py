@@ -138,10 +138,18 @@ class PsiResult:
         return self.transcript.downloaded_symbols
 
 
-def entity_servers(entity: EntityConfig) -> list[transport.DatabaseServer]:
-    """Fresh databases for one session, each holding the entity's store."""
+def entity_servers(entity: EntityConfig, pool_size: int, seed_cr: int | None) -> list[transport.DatabaseServer]:
+    """The one responder stand-up: fresh databases, each holding the entity's
+    store, provisioned with one shared pool of ``pool_size`` symbols.
+
+    ``run_psi``, ``psi serve`` and ``psi verify``'s replay all stand the
+    responder up here.  The pool is drawn from ``seed_cr``, or from
+    ``secrets`` when it is None.
+    """
     info = {"entity": entity.entity_id, "K": entity.K, "P": entity.size, "N": entity.n_databases}
-    return transport.make_entity_servers(entity.store, entity.n_databases, info)
+    servers = transport.make_entity_servers(entity.store, entity.n_databases, info)
+    transport.provision_cr(servers, CommonRandomnessPool.generate(pool_size, 2, seed_cr), 0)
+    return servers
 
 
 def run_psi(
@@ -154,14 +162,14 @@ def run_psi(
 ) -> PsiResult:
     """Execute one full intersection run over the chosen backend (``psi run``).
 
-    The responder is stood up as ``psi serve`` stands it up: fresh databases,
-    provisioned before the first frame with the direction's D - P shared
-    symbols drawn from ``seed_cr``.  That pool is empty for an empty or full
-    set, and only an empty pool answers a full set's download-all.  ``sim``
-    queries them in process and ``tcp`` serves them on loopback to
-    ``run_psi_remote``: one flow, one result for the same seeds.  The
-    initiator's queries depend on its own set and ``seed_client`` alone, and
-    it forwards the result to database 0.
+    The responder is stood up by ``entity_servers``, as ``psi serve`` stands
+    it up: fresh databases, provisioned before the first frame with the
+    direction's D - P shared symbols drawn from ``seed_cr``.  That pool is
+    empty for an empty or full set, and only an empty pool answers a full
+    set's download-all.  ``sim`` queries them in process and ``tcp`` serves
+    them on loopback to ``run_psi_remote``: one flow, one result for the
+    same seeds.  The initiator's queries depend on its own set and
+    ``seed_client`` alone, and it forwards the result to database 0.
     """
     if e1.K != e2.K:
         raise ParamError("entities must agree on the field size K")
@@ -169,9 +177,7 @@ def run_psi(
         raise ParamError(f"unknown backend {backend!r}")
     optimal_cost, initiator_id = psi_optimal_cost(e1.size, e1.n_databases, e2.size, e2.n_databases, e1.K)
     init, resp = (e1, e2) if initiator_id == 1 else (e2, e1)
-    servers = entity_servers(resp)
-    shared = optimal_cost - init.size
-    transport.provision_cr(servers, CommonRandomnessPool.generate(shared, 2, seed_cr), shared)
+    servers = entity_servers(resp, optimal_cost - init.size, seed_cr)
 
     if backend == "sim":
         result = _intersect(init, transport.SimBackend(servers), seed_client)

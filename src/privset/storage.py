@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -60,12 +59,6 @@ class CommonRandomnessPool:
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(bytes([self.q % 251]))
-        h.update(b"".join(s.to_bytes(4, "little") for s in self.symbols))
-        return h.hexdigest()
 
     @classmethod
     def generate(cls, size: int, q: int, seed: int | None = None) -> "CommonRandomnessPool":

@@ -68,7 +68,7 @@ class DatabaseServer:
         self.public_info = public_info or {}
         self.seen_queries: list[bytes] = []  # instrumentation for non-collusion tests
 
-    def provision(self, pool: CommonRandomnessPool, required_size: int) -> str:
+    def provision(self, pool: CommonRandomnessPool, required_size: int) -> None:
         """Administrative path (entity-internal); never reachable from a client socket."""
         if self.query_served:
             raise wire.ProtocolFault("cannot provision randomness after queries have been served")
@@ -77,7 +77,6 @@ class DatabaseServer:
                 f"pool of {len(pool)} symbols below required {required_size}"
             )
         self.pool = pool
-        return pool.digest()
 
     @cached_property
     def _forward_size(self) -> int:
@@ -127,12 +126,14 @@ def make_entity_servers(store: MessageStore, n_databases: int, public_info: dict
     return [DatabaseServer(db, store, public_info) for db in range(n_databases)]
 
 
-def provision_cr(servers: list[DatabaseServer], pool: CommonRandomnessPool, required_size: int) -> list[str]:
-    """Install the same pool on every replica; returns the per-database digests."""
-    digests = [srv.provision(pool, required_size) for srv in servers]
-    if len(set(digests)) > 1:
-        raise wire.ProtocolFault("replicas report differing pool digests")
-    return digests
+def provision_cr(servers: list[DatabaseServer], pool: CommonRandomnessPool, required_size: int) -> None:
+    """Install the one pool object on every replica, refused below ``required_size`` symbols.
+
+    In the package only ``psi.entity_servers`` provisions, with
+    ``required_size`` 0: it draws the pool at the size the run needs.
+    """
+    for srv in servers:
+        srv.provision(pool, required_size)
 
 
 @dataclass
@@ -386,14 +387,13 @@ class TcpServerPool:
         self.stop()
 
 
-def replay_answers(transcript: Transcript, store: MessageStore, pool: CommonRandomnessPool) -> bool:
-    """Send every recorded query to a fresh server per recorded database, each
-    holding the given store and pool; True iff every reply is the recorded
-    answer.  A query the server refuses with an ERROR reply is a mismatch."""
-    servers = make_entity_servers(store, len(transcript.records))
-    provision_cr(servers, pool, 0)
+def replay_answers(transcript: Transcript, servers: list[DatabaseServer]) -> bool:
+    """Send every recorded query to the given server of its recorded database,
+    one server per database (``psi.entity_servers`` stands them up); True iff
+    every reply is the recorded answer.  A query the server refuses with an
+    ERROR reply, a slot run past its pool included, is a mismatch."""
     return all(
         srv.handle_client_frame(wire.MSG_QUERY, qry) == (wire.MSG_ANSWER, ans)
-        for srv, db_records in zip(servers, transcript.records)
+        for srv, db_records in zip(servers, transcript.records, strict=True)
         for qry, ans in db_records
     )

@@ -316,14 +316,6 @@ def test_table_run_rejects_a_non_prime_modulus(capsys):
     assert "prime" in err and "decoded" not in out
 
 
-def test_psi_serve_rejects_an_unknown_entity(tmp_path, capsys):
-    set_path = tmp_path / "e.set"
-    set_path.write_text("# privset set v1 K=4\n1\n")
-    code, _, err = run_cli(capsys, "psi", "serve", "--set", str(set_path), "--entity", "3")
-    assert code == EXIT_USAGE
-    assert "entity_id" in err
-
-
 def test_psi_gen_and_run_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "psi", "gen", "--K", "12", "--seed", "7", "--out-dir", str(tmp_path), "--machine"
@@ -484,8 +476,10 @@ def test_psi_verify_replays_against_the_pool_the_run_had(tmp_path, capsys):
     transcript.records[0][0] = (wire.encode_query(query_id, wire.encode_block_query(1, vectors, 10, 2)), ans)
     transcript.save(str(path))
     code, out, err = run_cli(capsys, *verify)
-    assert code == EXIT_PROTOCOL
-    assert "slot 4 outside the provisioned pool" in err and '"replayed": true' not in out
+    record = machine_records(out)[0]
+    assert code == EXIT_PROTOCOL and err == "" and record["replayed"] is False
+    # the replayed databases hold the run's 4 slots and refuse the run past them
+    assert "recorded answers do not replay against the given store" in record["problems"]
     # Without the run's shape in its metadata the pool cannot be sized: a usage error, not a traceback.
     for key in ("P_initiator", "N_responder"):
         broken = transport.Transcript({k: v for k, v in transcript.meta.items() if k != key}, transcript.records)
@@ -537,7 +531,6 @@ def test_psi_verify_refuses_a_version_1_transcript(tmp_path, capsys):
 
 def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     from privset import psi, transport, wire
-    from privset.storage import CommonRandomnessPool
 
     set1 = tmp_path / "e1.set"
     set2 = tmp_path / "e2.set"
@@ -549,8 +542,7 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
         "--seed-client", "11", "--seed-cr", "22", "--save-transcript", str(flagship),
     )
     assert code == EXIT_OK
-    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})))
-    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})), 64, 5)
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
         code, *_ = run_cli(capsys, "psi", "connect", "--set", str(set1), "--databases", connect,
@@ -617,12 +609,10 @@ def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, 
 
 def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys):
     from privset import psi, transport
-    from privset.storage import CommonRandomnessPool
 
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
-    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})))
-    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})), 64, 5)
     transcript = tmp_path / "remote.transcript"
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)

@@ -179,8 +179,8 @@ def test_local_tcp_run_is_a_remote_run_against_databases_it_serves(name, monkeyp
     served, remote_calls = [], []
     entity_servers, run_remote = psi.entity_servers, psi.run_psi_remote
 
-    def recording_entity_servers(entity):
-        served.append(entity_servers(entity))
+    def recording_entity_servers(*args):
+        served.append(entity_servers(*args))
         return served[-1]
 
     def recording_remote(initiator, addresses, **kwargs):
@@ -197,8 +197,7 @@ def test_local_tcp_run_is_a_remote_run_against_databases_it_serves(name, monkeyp
     assert len(remote_calls) == 1 and all(srv.pool.symbols == shared for srv in served[-1])
     monkeypatch.undo()
 
-    servers = psi.entity_servers(e2)
-    transport.provision_cr(servers, CommonRandomnessPool.generate(D - e1.size, 2, seed_cr), 0)
+    servers = psi.entity_servers(e2, D - e1.size, seed_cr)
     with transport.TcpServerPool(servers) as pool:
         remote = run_psi_remote(e1, pool.addresses, seed_client=seed_client)
 
@@ -215,7 +214,7 @@ def test_a_database_with_no_entries_gets_no_frame(backend, monkeypatch):
     # database 1: database 2 holds no entry, so it is never sent a query
     served = []
     entity_servers = psi.entity_servers
-    monkeypatch.setattr(psi, "entity_servers", lambda entity: served.append(entity_servers(entity)) or served[-1])
+    monkeypatch.setattr(psi, "entity_servers", lambda *args: served.append(entity_servers(*args)) or served[-1])
     e1 = EntityConfig(1, 10, 3, frozenset({3}))
     e2 = EntityConfig(2, 10, 3, frozenset({1, 3, 5, 7}))
     res = run_psi(e1, e2, backend=backend, seed_client=1, seed_cr=2)
@@ -269,8 +268,8 @@ def test_responder_store_is_built_once_across_runs(monkeypatch):
         calls.append(K)
         return to_incidence(elements, K)
 
-    def recording_entity_servers(entity):
-        servers = entity_servers(entity)
+    def recording_entity_servers(*args):
+        servers = entity_servers(*args)
         sessions.append(servers)
         return servers
 

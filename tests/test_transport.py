@@ -105,8 +105,7 @@ def test_a_served_database_closes_a_connection_that_sends_a_version_1_frame():
 def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload():
     # K=256 with 1024 slots, as psi-serve runs: a block run over the whole
     # pool is the largest payload, 4 + 1 + 8 + 1024 * 32 bytes
-    servers = entity_servers(EntityConfig(2, 256, 2, frozenset(range(0, 256, 2))))
-    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=3), 0)
+    servers = entity_servers(EntityConfig(2, 256, 2, frozenset(range(0, 256, 2))), 1024, 3)
     limit = 4 + 1 + 8 + 1024 * 32
     assert servers[0].max_payload() == limit
     with TcpServerPool(servers) as pool:
@@ -162,13 +161,6 @@ def test_client_channel_rejects_randomness_provisioning():
     mtype, payload = srv.handle_client_frame(MSG_CR_PROVISION, b"\x00" * 8)
     assert mtype == MSG_ERROR
     assert parse_error(payload)[0] == ERR_CHANNEL_SEPARATION
-
-
-def test_provisioning_digests_match():
-    servers = small_servers()
-    pool = CommonRandomnessPool.generate(4, 2, seed=1)
-    digests = provision_cr(servers, pool, 4)
-    assert len(set(digests)) == 1
 
 
 def test_provisioning_refuses_small_pool():
@@ -269,12 +261,9 @@ def test_transcript_save_load_and_replay(tmp_path):
     assert loaded.records == res.transcript.records
     assert loaded.downloaded_symbols == 8
 
-    bits = [1, 0, 1, 0, 1, 1, 1, 1, 0, 0]
-    store = MessageStore.from_bits(bits)
-    pool = CommonRandomnessPool.generate(4, 2, seed=4)
-    assert replay_answers(loaded, store, pool)
-    other_pool = CommonRandomnessPool.generate(4, 2, seed=5)
-    assert not replay_answers(loaded, store, other_pool)
+    # the responder stood up again with the run's 4 pool symbols from seed_cr=4; seed 5 draws other ones
+    assert replay_answers(loaded, entity_servers(E2, 4, 4))
+    assert not replay_answers(loaded, entity_servers(E2, 4, 5))
 
     dump = loaded.dump_text()
     assert "database 0" in dump and "meta:" in dump
@@ -294,15 +283,13 @@ def test_transcript_save_load_and_replay(tmp_path):
 
 def test_replay_counts_a_refused_recorded_query_as_a_mismatch():
     res = run_psi(E1, E2, backend="sim", seed_client=3, seed_cr=4)
-    store = MessageStore.from_bits([1, 0, 1, 0, 1, 1, 1, 1, 0, 0])
-    pool = CommonRandomnessPool.generate(4, 2, seed=4)
-    assert replay_answers(res.transcript, store, pool)
+    assert replay_answers(res.transcript, entity_servers(E2, 4, 4))
     qry, ans = res.transcript.records[0][0]
     assert qry[4] == wire.BLOCK_QUERY_TAG  # query id u32, then the body's scheme tag
     for tag in (wire.TABLE_QUERY_TAG, 9):
         records = [list(db_records) for db_records in res.transcript.records]
         records[0][0] = (qry[:4] + bytes([tag]) + qry[5:], ans)
-        assert not replay_answers(Transcript(res.transcript.meta, records), store, pool)
+        assert not replay_answers(Transcript(res.transcript.meta, records), entity_servers(E2, 4, 4))
 
 
 def test_saved_transcripts_are_identical_for_equal_seeds(tmp_path):
@@ -354,8 +341,7 @@ def test_served_database_refuses_a_table_query(backend):
     # The 64-slot pool puts the 125-byte payload within the served frame bound
     # (a block run over the whole pool, 141 bytes), so the tag is what is refused.
     responder = EntityConfig(2, 12, 2, frozenset({1, 4, 5, 9}))
-    servers = entity_servers(responder)
-    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 4)
+    servers = entity_servers(responder, 64, 1)
     body = wire.encode_table_query([0], [([t], 0) for t in range(12)])
     plain, *sums = table_scheme.answer_wire_query(body, responder.store, servers[0].pool)
     assert {t for t, v in enumerate(sums) if v != plain} == {1, 4, 5, 9}  # what the body would pin
@@ -423,10 +409,8 @@ def test_refused_connection_is_a_transport_error():
 def test_the_client_never_sends_two_shares_to_one_database():
     # Two shares of one block query XOR to a unit vector: together they name a desired element.
     init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
-    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))))
-    wide = entity_servers(EntityConfig(2, 40, 3, frozenset(range(0, 40, 3))))
-    for group in (servers, wide):
-        provision_cr(group, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))), 64, 1)
+    wide = entity_servers(EntityConfig(2, 40, 3, frozenset(range(0, 40, 3))), 64, 1)
     with TcpServerPool(servers) as pool, TcpServerPool(wide) as wide_pool:
         with pytest.raises(ParamError, match="repeated address"):
             run_psi_remote(init, [pool.addresses[0], pool.addresses[0]])
@@ -437,8 +421,7 @@ def test_the_client_never_sends_two_shares_to_one_database():
 
 def test_two_spellings_of_one_database_get_one_share():
     init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
-    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))))
-    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))), 64, 1)
     with TcpServerPool(servers) as pool:
         port = pool.addresses[0][1]
         start = time.monotonic()
@@ -456,8 +439,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
     bases = {j: bq.vector for qs in guess.queries for j, bq in enumerate(qs) if bq.probe_coord is None}
 
     def named_by_guess(**seed):
-        servers = entity_servers(EntityConfig(2, 64, 2, frozenset(range(0, 64, 3))))
-        provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+        servers = entity_servers(EntityConfig(2, 64, 2, frozenset(range(0, 64, 3))), 64, 1)
         with TcpServerPool(servers) as pool:
             result = run_psi_remote(init, pool.addresses, **seed)
         assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
@@ -471,8 +453,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
 
 
 def test_a_tcp_intersection_starts_no_client_thread(monkeypatch):
-    servers = entity_servers(E2)
-    provision_cr(servers, CommonRandomnessPool.generate(64, 2, seed=1), 0)
+    servers = entity_servers(E2, 64, 1)
     with TcpServerPool(servers) as pool:
 
         def no_thread(*args, **kwargs):

@@ -384,8 +384,7 @@ def test_a_served_database_refuses_every_block_body_whose_size_does_not_match_it
     # 9 + 2n bytes; every other size is ERR_BAD_QUERY.  A 16-slot pool puts
     # every payload here within the served frame bound (45 bytes), so each
     # one is read and parsed on one connection.
-    servers = entity_servers(EntityConfig(2, 10, 1, frozenset({1, 4})))
-    provision_cr(servers, CommonRandomnessPool.generate(16, 2, seed=0), 4)
+    servers = entity_servers(EntityConfig(2, 10, 1, frozenset({1, 4})), 16, 0)
     assert servers[0].max_payload() == 45
     with connected(servers, backend) as link:
         for n in range(4):
@@ -405,8 +404,7 @@ def test_one_body_cannot_reuse_a_slot(backend):
     # unit answer XOR the zero answer is one bit of the set.  Written as one
     # body, they land on K + 1 distinct slots, and the view pins nothing.
     K, elements = 12, frozenset({1, 4, 5, 9})
-    servers = entity_servers(EntityConfig(2, K, 2, elements))
-    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=6), 0)
+    servers = entity_servers(EntityConfig(2, K, 2, elements), 1024, 6)
     symbols = servers[0].pool.symbols
     body = wire.encode_block_query(0, [0] + [1 << t for t in range(K)], K, 2)
     assert wire.parse_block_query(body, 2, K) == (0, [0] + [1 << t for t in range(K)])
@@ -425,12 +423,11 @@ def test_only_a_database_without_shared_randomness_answers_download_all(backend)
     # The download-all repro against a served responder (K=12, set {1,4,5,9}):
     # one 1-byte body would be answered with the whole incidence vector.  With
     # the 1024 slots psi serve provisions by default, every database refuses it,
-    # as the audit's parser does; an unprovisioned one, which can serve
-    # nothing else, still answers it.
+    # as the audit's parser does; one provisioned with an empty pool, which
+    # can serve nothing else, still answers it.
     K, elements = 12, frozenset({1, 4, 5, 9})
     body = wire.encode_download_all()
-    servers = entity_servers(EntityConfig(2, K, 2, elements))
-    provision_cr(servers, CommonRandomnessPool.generate(1024, 2, seed=6), 0)
+    servers = entity_servers(EntityConfig(2, K, 2, elements), 1024, 6)
     with connected(servers, backend) as link:
         for db in range(2):
             mtype, reply = link.roundtrip(db, MSG_QUERY, wire.encode_query(0, body))
@@ -440,7 +437,7 @@ def test_only_a_database_without_shared_randomness_answers_download_all(backend)
             )
     with pytest.raises(ProtocolFault, match="download-all is not served"):
         audit.recoverable_coordinates([body], K, 1024, 2, ())
-    with connected(entity_servers(EntityConfig(2, K, 2, elements)), backend) as link:
+    with connected(entity_servers(EntityConfig(2, K, 2, elements), 0, 6), backend) as link:
         mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(0, body))
     assert mtype == MSG_ANSWER and wire.parse_answer(reply)[1] == [int(t in elements) for t in range(K)]
 
@@ -456,8 +453,8 @@ def test_a_full_set_initiator_downloads_all_from_an_empty_pool(backend):
     assert (result.intersection, result.initiator) == (elements, 1)
     assert result.download_symbols == result.optimal_cost == K
     assert [[wire.parse_query(qry)[1] for qry, _ in db] for db in result.transcript.records] == [[wire.encode_download_all()], []]
-    assert replay_answers(result.transcript, responder.store, CommonRandomnessPool.generate(0, 2, seed=4))
-    assert not replay_answers(result.transcript, responder.store, CommonRandomnessPool.generate(1, 2, seed=4))
+    assert replay_answers(result.transcript, entity_servers(responder, 0, 4))
+    assert not replay_answers(result.transcript, entity_servers(responder, 1, 4))
 
 
 def test_block_answer_matches_reference_evaluation():
