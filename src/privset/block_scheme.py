@@ -105,6 +105,18 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
     return plan
 
 
+def entry_count(db: int, P: int, N: int, L: int = 1) -> int:
+    """How many entries ``plan_blocks`` lays out for database ``db``, in closed form (P >= 1, N >= 2).
+
+    Each of the n - 1 full blocks reaches every database once; the last
+    block, of r coordinates, reaches its base database (n - 1) mod N and the
+    r databases after it.
+    """
+    n = -(-P * L // (N - 1))
+    r = P * L - (n - 1) * (N - 1)
+    return n - 1 + ((db - (n - 1)) % N <= r)
+
+
 def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """One symbol per block-query entry: <vector, flattened store> + its slot's pool symbol."""
     KL, q, symbols = store.K * store.L, store.q, pool.symbols

@@ -267,19 +267,19 @@ def cmd_psi_serve(args) -> int:
 
 def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q: int) -> list[str]:
     """What the transcript of an honest run of its own shape shows, checked from
-    the transcript alone: the download is the direction's cost, and each
-    database got at most one body, every block body a run from one first slot
-    with the entry count ``plan_blocks`` lays out for (P, N)."""
+    the transcript alone: one record per responder database, the download is
+    the direction's cost, and each database got at most one body, every block
+    body a run from one first slot with the entry count ``plan_blocks`` lays
+    out for (P, N).  Nothing is sized by the metadata's K, P or N."""
     if not 0 <= P <= K:
         raise ParamError(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
     check_modulus(q)  # every recorded vector is read over the transcript's field
+    if N != len(transcript.records):
+        return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
     cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
     if measured != cost:
         problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
-    planned = [0] * N
-    if 0 < P < K:
-        planned = [len(qs) for qs in block_scheme.plan_blocks(SchemeParams(K, P, N), range(P), Random(0)).queries]
     runs: dict[int, tuple[int, int]] = {}  # database -> (first slot, entry count) of its block body
     for db, db_records in enumerate(transcript.records):
         if len(db_records) > 1:
@@ -294,8 +294,9 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     def text(run):
         return f"{run[1]} entries from slot {run[0]}" if run else "no block body"
 
-    for db in range(max(N, len(transcript.records))):
-        want = (first, planned[db]) if db < N and planned[db] else None
+    for db in range(N):
+        count = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
+        want = (first, count) if count else None
         if runs.get(db) != want:
             problems.append(f"database {db} got {text(runs.get(db))}; the run's shape lays out {text(want)}")
     return problems
@@ -378,11 +379,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="privset", description=__doc__,
+    parser = argparse.ArgumentParser(prog="privset", description=__doc__, allow_abbrev=False,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", help="profile, repetition factor, ledger, rates")
+    p = sub.add_parser("params", help="profile, repetition factor, ledger, rates", allow_abbrev=False)
     p.add_argument("--K", type=int, required=True, help="number of messages")
     p.add_argument("--P", type=int, required=True, help="number of desired messages")
     p.add_argument("--N", type=int, required=True, help="databases per entity")
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("table", help="render a query-table run")
+    p = sub.add_parser("table", help="render a query-table run", allow_abbrev=False)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--P", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
@@ -405,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_table)
 
-    psi_parser = sub.add_parser("psi", help="set intersection commands")
+    psi_parser = sub.add_parser("psi", help="set intersection commands", allow_abbrev=False)
     psi_sub = psi_parser.add_subparsers(dest="psi_command", required=True)
 
-    p = psi_sub.add_parser("gen", help="generate sets and incidence vectors")
+    p = psi_sub.add_parser("gen", help="generate sets and incidence vectors", allow_abbrev=False)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--q1", type=float, default=0.5, help="inclusion probability for entity 1")
     p.add_argument("--q2", type=float, default=0.5, help="inclusion probability for entity 2")
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi_gen)
 
-    p = psi_sub.add_parser("run", help="intersect two local entities' sets")
+    p = psi_sub.add_parser("run", help="intersect two local entities' sets", allow_abbrev=False)
     p.add_argument("--set1", required=True, help="set file for entity 1")
     p.add_argument("--set2", required=True, help="set file for entity 2")
     p.add_argument("--n1", type=int, default=2, help="databases of entity 1 (default %(default)s)")
@@ -429,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi_run)
 
-    p = psi_sub.add_parser("connect", help="intersect a local set against served databases")
+    p = psi_sub.add_parser("connect", help="intersect a local set against served databases", allow_abbrev=False)
     p.add_argument("--set", required=True, help="set file for the local entity, which initiates")
     p.add_argument("--databases", required=True, help="comma-separated host:port list of the served databases")
     p.add_argument("--seed-client", type=int, help="query strategy seed (default: drawn from secrets)")
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi_connect)
 
-    p = psi_sub.add_parser("serve", help="serve one entity's databases over TCP")
+    p = psi_sub.add_parser("serve", help="serve one entity's databases over TCP", allow_abbrev=False)
     p.add_argument("--set", required=True, help="set file")
     p.add_argument("--n-databases", type=int, default=2)
     p.add_argument("--listen", default="127.0.0.1:0", help="host:base_port (0 = ephemeral)")
@@ -446,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_psi_serve)
 
-    p = psi_sub.add_parser("verify", help="re-check a saved transcript")
+    p = psi_sub.add_parser("verify", help="re-check a saved transcript", allow_abbrev=False)
     p.add_argument("--transcript", required=True)
     p.add_argument("--responder-set", help="set file enabling full answer replay")
     p.add_argument("--dump", action="store_true", help="print the text dump and exit")
     _add_common(p)
     p.set_defaults(func=cmd_psi_verify)
 
-    p = sub.add_parser("audit", help="run exact privacy and reliability audits")
+    p = sub.add_parser("audit", help="run exact privacy and reliability audits", allow_abbrev=False)
     p.add_argument("--scheme", choices=["table", "block"], required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--P", type=int, required=True)

@@ -264,7 +264,7 @@ def _intersect(
         bits = block_scheme.decode_blocks(plan, client.query_all(bodies))
 
     intersection = frozenset(j for j in desired if bits.get(j, 0) == 1)
-    client.forward_result(",".join(str(j) for j in sorted(intersection)).encode())
+    client.forward_result(wire.encode_result(intersection))
 
     return PsiResult(
         intersection=intersection,

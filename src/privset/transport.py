@@ -80,8 +80,7 @@ class DatabaseServer:
 
     @cached_property
     def _forward_size(self) -> int:
-        """Bytes of a result forward naming every element of [0, K), comma-separated as ``psi`` sends it."""
-        return len(",".join(map(str, range(self.store.K))))
+        return wire.result_size(self.store.K)
 
     def max_payload(self) -> int:
         """The largest legal client payload: a query whose block body fills the

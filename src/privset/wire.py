@@ -1,9 +1,9 @@
 """Byte layout of every frame, query, answer and error the protocol sends,
 and of the transcript file a run saves.
 
-This is the only module that knows a layout.  Each format is one
-``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p`` for every
-well-formed ``p``.  A parser raises ProtocolFault on anything else
+This is the only module that knows a layout.  Each format that is read
+back is one ``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p``
+for every well-formed ``p``.  A parser raises ProtocolFault on anything else
 (truncation, trailing bytes, a count that overruns the payload, a
 reference outside the bounds it is given) and never struct.error
 or IndexError, so a database can turn any client query into an answer or an
@@ -22,6 +22,8 @@ All integers are little-endian:
                     by pool slot first + i; K*L is known to both sides and not sent:
                     coefficient i in lane i, w = 1 bit over F_2, else 8
     download-all  3   served only by a database that holds no shared randomness
+    result        the intersection's elements in ascending ASCII decimal, comma-separated;
+                    a database acknowledges it unread
     answer        query id u32 | n u32 | n x symbol u8
     error         code u16 | UTF-8 message
     transcript    "PRIVSET-TRANSCRIPT v3\n" | length u32 | metadata, laid out as setup
@@ -240,6 +242,16 @@ def parse_download_all(body: bytes, pool_size: int | None = None) -> None:
         raise ProtocolFault("download-all query carries no arguments")
     if pool_size:
         raise ProtocolFault(f"download-all is not served by a database holding {pool_size} shared randomness slots")
+
+
+def encode_result(elements) -> bytes:
+    """The result forward's payload: the elements, ascending, comma-separated."""
+    return ",".join(map(str, sorted(elements))).encode()
+
+
+def result_size(K: int) -> int:
+    """Bytes of the longest result forward over [0, K): the one naming every element."""
+    return len(encode_result(range(K)))
 
 
 def encode_answer(query_id: int, symbols: Sequence[int]) -> bytes:

@@ -7,6 +7,7 @@ from conftest import answer_block
 from privset.block_scheme import (
     answer_wire_query,
     decode_blocks,
+    entry_count,
     plan_blocks,
 )
 from privset.audit import _ScriptedRandom
@@ -24,6 +25,12 @@ def run_once(K, P, N, L=1, q=2, desired=None, seed=0):
     pool = CommonRandomnessPool.generate(plan.n_blocks, q, seed=seed + 2)
     answers = [answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
     return plan, store, pool, answers
+
+
+def test_entry_count_is_the_plan_layout_in_closed_form():
+    for N, P, L in product(range(2, 9), range(1, 40), range(1, 4)):
+        plan = plan_blocks(SchemeParams(K=P + 1, P=P, N=N, L=L), range(P), Random(0))
+        assert [entry_count(db, P, N, L) for db in range(N)] == [len(qs) for qs in plan.queries], (N, P, L)
 
 
 def test_minimal_plan_shape():

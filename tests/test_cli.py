@@ -6,6 +6,7 @@ import shlex
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,28 @@ def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, cap
     ):
         err = argparse_refusal(capsys, *connect, flag, value)
         assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n"), (flag, err)
+
+
+def test_an_abbreviated_flag_is_refused_before_any_port_is_bound(tmp_path, capsys, monkeypatch):
+    # Prefix matching would read --seed as --seed-cr (a guessable pool) or
+    # --seed-client, and --trans as --transport: each is refused as unknown.
+    from privset import transport
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a port was bound or a connection made")
+
+    monkeypatch.setattr(transport.TcpServerPool, "start", no_socket)
+    monkeypatch.setattr(transport.TcpBackend, "roundtrip", no_socket)
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    port, other = closed_ports()
+    for argv, extra in (
+        (["psi", "serve", "--set", str(set1)], "--seed 5"),
+        (["psi", "connect", "--set", str(set1), "--databases", f"127.0.0.1:{port},127.0.0.1:{other}"], "--seed 5"),
+        (["psi", "run", "--set1", str(set1), "--set2", str(set1)], "--trans tcp"),
+    ):
+        err = argparse_refusal(capsys, *argv, *extra.split())
+        assert err.endswith(f"error: unrecognized arguments: {extra}\n"), (argv, err)
 
 
 def test_python_dash_m_privset_runs_from_a_checkout(tmp_path):
@@ -583,6 +606,26 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     assert verify(transport.Transcript(honest.meta, [[r0], [moved]])) == [
         "database 1 got 4 entries from slot 1; the run's shape lays out 4 entries from slot 0",
     ]
+
+
+def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
+    # A rewritten K or N_responder costs verify no work or memory in proportion to it.
+    from privset import psi, transport
+
+    e1 = psi.EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+    e2 = psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+    honest = psi.run_psi(e1, e2, seed_client=11, seed_cr=22).transcript
+    path = tmp_path / "t.transcript"
+    verify = ["psi", "verify", "--transcript", str(path), "--machine"]
+    for key, value in (("K", 2**40), ("N_responder", 10**9)):
+        transport.Transcript({**honest.meta, key: value}, honest.records).save(str(path))
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *verify)
+        assert time.monotonic() - start < 1 and code == EXIT_PROTOCOL, key
+        if key == "K":  # each recorded body is far shorter than 2**40-coefficient vectors
+            assert out == "" and err == "protocol fault: truncated query payload\n"
+        else:
+            assert machine_records(out)[0]["problems"] == ["the transcript records 2 databases, not N_responder=1000000000"]
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):

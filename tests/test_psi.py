@@ -324,3 +324,15 @@ def test_psi_is_the_only_module_that_builds_an_incidence_store():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "from_bits":
                 callers.add(path.name)
     assert callers == {"psi.py"}
+
+
+def test_psi_is_the_only_module_that_provisions_databases():
+    # One responder stand-up: psi.entity_servers.
+    callers = set()
+    for path in Path(privset.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name == "provision_cr":
+                    callers.add(path.name)
+    assert callers == {"psi.py"}

@@ -442,6 +442,11 @@ def test_only_a_database_without_shared_randomness_answers_download_all(backend)
     assert mtype == MSG_ANSWER and wire.parse_answer(reply)[1] == [int(t in elements) for t in range(K)]
 
 
+def test_a_result_forward_names_the_elements_in_ascending_order():
+    assert wire.encode_result({10, 0, 9}) == b"0,9,10" and wire.encode_result(()) == b""
+    assert [wire.result_size(K) for K in (1, 10, 11, 101)] == [1, 19, 22, 293]
+
+
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
 def test_a_full_set_initiator_downloads_all_from_an_empty_pool(backend):
     # P = K needs no shared randomness: run_psi provisions D - P = 0 symbols,
