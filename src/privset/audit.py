@@ -12,9 +12,11 @@ Three kinds of checks, all in exact arithmetic (zero means zero):
 A database's answer is a function of its query, the messages and the
 randomness, which are uniform and independent of the strategy draw, so both
 user-privacy audits compare query distributions only, and both are factored:
-premises checked mechanically on the parsed wire bodies of scripted builds,
-each body parsed with the server's bounds, then the distance in closed form.
-Nothing is enumerated and no answer is evaluated.
+premises checked mechanically on the queries of scripted builds, then the
+distance in closed form.  A block query is its wire body, parsed with the
+server's bounds.  A table query is its database's in-process view
+(``QueryTable.view``), checked by the bounds the table codec's parser
+applies.  Nothing is enumerated and no answer is evaluated.
 
 The linear one-round scheme's premises, per database: one slot run (first
 slot, entry count; the codec puts entry i on slot first + i) for every
@@ -38,7 +40,7 @@ component's distance in closed form.  The scheme's rng-free structure
 verdict; only premise 4's replay builds one again.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
-wire coefficient matrix of a strategy draw.  For a linear scheme with
+coefficient matrix of a strategy draw's queries.  For a linear scheme with
 uniform W and S, the view is independent of the undesired messages jointly
 iff the message span it pins, once the pool symbols are eliminated, meets
 the undesired coordinates only in 0, since the fibers of a linear map all
@@ -51,7 +53,7 @@ one block's base.  If two rows on one pool slot have different base parts,
 their difference is free of pool symbols and some base draw makes it an
 undesired unit vector, so the check fails.  Otherwise each slot's base part
 cancels against its pool symbol, every base draw pins the zero-base view's
-span with its rank, and one elimination decides them all.  Each wire row is
+span with its rank, and one elimination decides them all.  Each row is
 one packed int in ``field.lane_bits(q)`` lanes, pool ids first and message
 coordinates after them, so a row operation is one XOR over F_2.  Rows are
 keyed on their first nonzero lane in the order pool, desired coordinates,
@@ -304,8 +306,10 @@ def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
 
 
 def _table_views(table: table_scheme.QueryTable) -> list[wire.TableQuery]:
-    """The per-database wire queries, parsed with the server's bounds: the audit works on wire bytes only."""
-    return [wire.parse_table_query(body, table.K * table.L_store, table.pool_size) for body in table.wire_queries()]
+    """Each database's view (``QueryTable.view``), checked against the store
+    and the pool by the bounds the table codec's parser applies."""
+    n_coords = table.K * table.L_store
+    return [wire.check_table_query(table.view(db), n_coords, table.pool_size) for db in range(table.N)]
 
 
 def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:
@@ -391,25 +395,19 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
     """Packed coefficient rows, in ``lane_bits(q)`` lanes, of one query payload:
     pool id p in lane p, message coordinate c in lane ``pool_size + c``.
 
-    Each body is parsed with the server's bounds, so a payload the server
-    refuses raises ProtocolFault.  A download-all body, which the server
-    answers only over an empty pool, reads as one plain row per coordinate.
-    A block lane may hold any byte over odd q: each row's lowest lane is its
-    pool id's, with coefficient 1, so elimination combines it before storing
-    it, and ``_combine`` reads every lane mod q.
+    Each body is parsed with its codec's bounds, so a payload out of them
+    raises ProtocolFault; a table body's rows are then its view's
+    (``_rows_from_view``).  A download-all body, which the server answers
+    only over an empty pool, reads as one plain row per coordinate.  A block
+    lane may hold any byte over odd q: each row's lowest lane is its pool
+    id's, with coefficient 1, so elimination combines it before storing it,
+    and ``_combine`` reads every lane mod q.
     """
     if not payload:
         raise wire.ProtocolFault("empty query body")
     lane = lane_bits(q)
     if payload[0] == wire.TABLE_QUERY_TAG:
-        view = wire.parse_table_query(payload, n_coords, pool_size)
-        rows = [1 << pid * lane for pid in view.plain_ids]
-        for terms, pid in view.sums:
-            row = 1 << pid * lane
-            for c in terms:
-                row = raise_lane(row, pool_size + c, q)
-            rows.append(row)
-        return rows
+        return _rows_from_view(wire.parse_table_query(payload, n_coords, pool_size), pool_size, q)
     if payload[0] == wire.BLOCK_QUERY_TAG:
         entries = _slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)])
         return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
@@ -417,6 +415,19 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
         wire.parse_download_all(payload, pool_size)
         return [1 << (pool_size + c) * lane for c in range(n_coords)]
     raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
+
+
+def _rows_from_view(view: wire.TableQuery, pool_size: int, q: int) -> list[int]:
+    """Packed coefficient rows of a table view, laid out as ``_rows_from_wire``'s:
+    one per plain pool id, then one per sum."""
+    lane = lane_bits(q)
+    rows = [1 << pid * lane for pid in view.plain_ids]
+    for terms, pid in view.sums:
+        row = 1 << pid * lane
+        for c in terms:
+            row = raise_lane(row, pool_size + c, q)
+        rows.append(row)
+    return rows
 
 
 def _slot_entries(bodies) -> list[tuple[int, int]]:
@@ -519,16 +530,18 @@ def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
     ]
 
 
-def _table_leakage(table: table_scheme.QueryTable, payloads: list[bytes]) -> LeakageReport:
-    L = table.L_store
+def _table_leakage(table: table_scheme.QueryTable, views: list[wire.TableQuery]) -> LeakageReport:
+    """What ``views`` pin of the messages by exact elimination, as ``recoverable_coordinates`` says."""
+    L, pool_size, q = table.L_store, table.pool_size, table.q
     desired = [m * L + i for m in table.desired for i in range(L)]
-    span = recoverable_coordinates(payloads, table.K * L, table.pool_size, table.q, desired)
+    rows = [row for view in views for row in _rows_from_view(view, pool_size, q)]
+    span = _eliminate(rows, table.K * L, pool_size, q, desired)
     return LeakageReport(span.coordinates, _retrieved_coordinates(table), span.undesired)
 
 
 def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
     """A table run must pin exactly the retrieved coordinates and nothing of the undesired messages."""
-    return _table_leakage(table, table.wire_queries())
+    return _table_leakage(table, _table_views(table))
 
 
 def symbolic_leakage_block(plan: block_scheme.BlockPlan) -> LeakageReport:
@@ -558,10 +571,10 @@ def audit_table_db_privacy(
             if desired not in structures:
                 structures[desired] = table_scheme.table_structure(params, desired)
             table = table_scheme.draw(structures[desired], Random(seed))
-            payloads = table.wire_queries()
+            views = _table_views(table)
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                payloads += [wire.encode_table_query([pid], []) for pid in _hidden_ids(table)]
-            report = _table_leakage(table, payloads)
+                views += [wire.TableQuery((pid,), ()) for pid in _hidden_ids(table)]
+            report = _table_leakage(table, views)
             if report.undesired:
                 outside = len(report.recoverable - report.expected)
                 what = f"{outside} coordinates" if outside else f"{len(report.undesired)} functionals"

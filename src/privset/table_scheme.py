@@ -53,7 +53,7 @@ from .params import (
 )
 from .storage import CommonRandomnessPool, MessageStore
 from .wire import TABLE_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
-from .wire import ProtocolFault, encode_table_query, parse_table_query
+from .wire import ProtocolFault, TableQuery, encode_table_query, parse_table_query
 
 class SumSpec(NamedTuple):
     """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
@@ -107,17 +107,22 @@ class QueryTable(TableStructure):
     def rate(self) -> Fraction:
         return Fraction(self.total_desired_symbols, self.total_downloads)
 
-    def wire_query(self, db: int) -> bytes:
-        """Binary query payload for one database: each term's structural index
-        permuted to its store coordinate msg*L_store + position, slots relabeled."""
+    def view(self, db: int) -> TableQuery:
+        """Database ``db``'s query, built in process: plain slots relabeled to
+        pool ids, each term's structural index permuted to its store coordinate
+        msg*L_store + position, each sum's slot relabeled."""
         L, msg_perm, pool_perm = self.L_store, self.msg_perm, self.pool_perm
-        return encode_table_query(
-            [pool_perm[slot] for slot in self.plain_slots[db]],
-            [
-                ([msg * L + msg_perm[msg][idx] for msg, idx in s.terms], pool_perm[s.cr_slot])
+        return TableQuery(
+            tuple([pool_perm[slot] for slot in self.plain_slots[db]]),
+            tuple([
+                (tuple([msg * L + msg_perm[msg][idx] for msg, idx in s.terms]), pool_perm[s.cr_slot])
                 for s in self.sums[db]
-            ],
+            ]),
         )
+
+    def wire_query(self, db: int) -> bytes:
+        """Binary query payload for one database: its view, encoded."""
+        return encode_table_query(*self.view(db))
 
     def wire_queries(self) -> list[bytes]:
         return [self.wire_query(db) for db in range(self.N)]

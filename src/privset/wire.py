@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import struct
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .field import lane_bits
@@ -89,12 +90,6 @@ def _check_end(off: int, payload: bytes, what: str, fault: type[ProtocolFault] =
         raise fault(f"truncated {what}")
     if off < len(payload):
         raise fault(f"trailing bytes in {what}")
-
-
-def _check_slots(pool_ids, pool_size: int | None) -> None:
-    top = max(pool_ids, default=-1)
-    if pool_size is not None and top >= pool_size:
-        raise ProtocolFault(f"randomness slot {top} outside the provisioned pool")
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -184,7 +179,7 @@ def parse_block_query(body: bytes, q: int, length: int, pool_size: int | None = 
 
 
 class TableQuery(NamedTuple):
-    """A parsed table body: plainly served pool ids, then one entry per sum."""
+    """A table query, parsed or built in process: plainly served pool ids, then one entry per sum."""
 
     plain_ids: tuple[int, ...]
     sums: tuple[tuple[tuple[int, ...], int], ...]  # (coordinate terms, pool id)
@@ -201,9 +196,22 @@ def encode_table_query(plain_ids: Sequence[int], sums: Sequence[tuple[Sequence[i
     return struct.pack("".join(fmt), *values)
 
 
+def check_table_query(query: TableQuery, n_coords: int | None = None, pool_size: int | None = None) -> TableQuery:
+    """``query``, once every term's coordinate is checked to be below
+    ``n_coords`` and every pool id below ``pool_size`` (each optional)."""
+    if n_coords is not None:
+        top = max(chain.from_iterable(map(itemgetter(0), query.sums)), default=-1)
+        if top >= n_coords:
+            raise ProtocolFault(f"query references missing symbol at coordinate {top}")
+    if pool_size is not None:
+        top = max(chain(query.plain_ids, map(itemgetter(1), query.sums)), default=-1)
+        if top >= pool_size:
+            raise ProtocolFault(f"randomness slot {top} outside the provisioned pool")
+    return query
+
+
 def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int | None = None) -> TableQuery:
-    """Parse a table body; optionally checks that every term's coordinate is
-    below ``n_coords`` and every pool id is below ``pool_size``."""
+    """Parse a table body, bounded as ``check_table_query`` says."""
     _check_tag(body, TABLE_QUERY_TAG)
     sums = []
     append = sums.append
@@ -221,13 +229,7 @@ def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int |
     except (struct.error, IndexError):
         raise ProtocolFault("truncated query payload") from None
     _check_end(off, body, "query payload")
-    terms, pool_ids = zip(*sums) if sums else ((), ())
-    if n_coords is not None:
-        top = max(chain.from_iterable(terms), default=-1)
-        if top >= n_coords:
-            raise ProtocolFault(f"query references missing symbol at coordinate {top}")
-    _check_slots(plain_ids + pool_ids, pool_size)
-    return TableQuery(plain_ids, tuple(sums))
+    return check_table_query(TableQuery(plain_ids, tuple(sums)), n_coords, pool_size)
 
 
 def encode_download_all() -> bytes:

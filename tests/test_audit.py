@@ -713,24 +713,31 @@ class TestTableUserPrivacy:
 
     @pytest.mark.parametrize("tamper, fault", [("pool id", "outside the provisioned pool"), ("coordinate", "missing symbol")])
     def test_refuses_what_the_server_refuses(self, monkeypatch, tamper, fault):
-        # database 0's body gains a plain pool id one past the pool, or its
-        # first sum a term one past the store's last coordinate: the server
-        # answers either with ERR_BAD_QUERY
-        wire_query = table_scheme.QueryTable.wire_query
+        # database 0's view gains a plain pool id one past the pool, or its
+        # first sum a term one past the store's last coordinate: the audit
+        # refuses it by the rule the codec's parser applies to the same query
+        # as a body, which the server would refuse too
+        view = table_scheme.QueryTable.view
+        bodies = []  # database 0's tampered views, encoded, with the bounds the audit checks them by
 
         def tampered(table, db):
-            view = wire.parse_table_query(wire_query(table, db))
-            plain, sums = list(view.plain_ids), list(view.sums)
-            if db == 0 and tamper == "pool id":
-                plain.append(table.pool_size)
-            elif db == 0:
-                (terms, pid), *rest = sums
-                sums = [((*terms, table.K * table.L_store), pid), *rest]
-            return wire.encode_table_query(plain, sums)
+            plain, sums = view(table, db)
+            if db == 0:
+                n_coords = table.K * table.L_store
+                if tamper == "pool id":
+                    plain += (table.pool_size,)
+                else:
+                    (terms, pid), *rest = sums
+                    sums = (((*terms, n_coords), pid), *rest)
+                bodies.append((wire.encode_table_query(plain, sums), n_coords, table.pool_size))
+            return wire.TableQuery(plain, sums)
 
-        monkeypatch.setattr(table_scheme.QueryTable, "wire_query", tampered)
-        with pytest.raises(wire.ProtocolFault, match=fault):
+        monkeypatch.setattr(table_scheme.QueryTable, "view", tampered)
+        with pytest.raises(wire.ProtocolFault, match=fault) as raised:
             audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2))
+        with pytest.raises(wire.ProtocolFault) as parsed:
+            wire.parse_table_query(*bodies[-1])
+        assert str(parsed.value) == str(raised.value)
 
     def test_draws_leave_their_structure_unchanged(self):
         # the verdict draws many tables over one structure per desired set
@@ -937,6 +944,60 @@ def test_merged_hidden_ids_are_pinned_jointly():
             assert rep.recoverable == rep.expected and rep.undesired and not rep.ok
             if params.K == 2:  # small enough for the literal posterior check
                 assert not literal_table_posteriors_uniform(table)
+
+
+VIEW_TABLES = [(params, None) for params in ENUMERABLE_TABLES] + [(SchemeParams(K=5, P=3, N=2), 1)]
+
+
+@pytest.mark.parametrize(
+    "params, reps", VIEW_TABLES, ids=[f"K{p.K}P{p.P}N{p.N}q{p.q}" + (f"reps{r}" if r else "") for p, r in VIEW_TABLES]
+)
+def test_views_equal_the_parsed_codec_output(params, reps):
+    # the audits read each database's view; the codec's parser, given the
+    # encoded view, must return the same query and bound it the same way,
+    # and the elimination must pin the same span from either
+    for desired in combinations(range(params.K), params.P):
+        structure = table_scheme.table_structure(params, desired, reps)
+        L, pool_size = structure.L_store, structure.pool_size
+        rng = Random(sum(desired))
+        seeded = [tuple(rng.sample(range(size), size)) for size in [L] * params.K + [pool_size]]
+        identity = audit._identity_orders(params.K, L, pool_size)
+        for orders, mutant in product((identity, seeded), (None, *audit._TABLE_MUTANTS)):
+            t = audit._table_build(structure, orders, mutant)
+            views, wires = audit._table_views(t), t.wire_queries()
+            assert views == [wire.parse_table_query(b, t.K * L, pool_size) for b in wires]
+            hidden = audit._hidden_ids(t) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []
+            report = audit._table_leakage(t, views + [wire.TableQuery((pid,), ()) for pid in hidden])
+            wires += [wire.encode_table_query([pid], []) for pid in hidden]
+            coords = [m * L + i for m in desired for i in range(L)]
+            span = audit.recoverable_coordinates(wires, t.K * L, pool_size, t.q, coords)
+            assert report == audit.LeakageReport(span.coordinates, audit._retrieved_coordinates(t), span.undesired)
+
+
+def test_table_privacy_verdicts_never_call_the_table_codec(monkeypatch):
+    # each verdict reads in-process views: with the codec gone, every one is
+    # what it was
+    params = SchemeParams(K=3, P=1, N=2)
+    table = table_scheme.build_query_table(params, (1,), Random(3))
+
+    def verdicts():
+        return [
+            audit.audit_table_user_privacy(params),
+            audit.audit_table_db_privacy(params),
+            audit.audit_table_db_privacy(params, mutant=audit.TABLE_MUTANT_NO_HIDDEN_CR),
+            audit.symbolic_leakage_table(table),
+        ]
+
+    usual = verdicts()
+    assert [bool(v.ok) for v in usual] == [True, True, False, True]
+
+    def codec(*args):
+        raise AssertionError("a table privacy verdict called the table codec")
+
+    for module in (wire, table_scheme):
+        monkeypatch.setattr(module, "encode_table_query", codec)
+        monkeypatch.setattr(module, "parse_table_query", codec)
+    assert verdicts() == usual
 
 
 class TestTableDbPrivacy:

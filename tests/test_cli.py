@@ -729,6 +729,10 @@ GOLDEN_AUDIT_DIGESTS = {
     "table K=3 P=1 N=3 no_index_permutation": "23310c4b26462c33334a4728b1b4dfa6932e64ae71fcf8ba0132fb18a2965832",
     "table K=3 P=1 N=3 no_pool_relabel": "a4857ab560076473bc7d19f9ed5193dda81333186ce5c0f01d080a6f52cf1cdc",
     "table K=3 P=1 N=3 no_hidden_cr": "9f605b78f0990310032b5a6a5b782e9df0ad64c962f6b0d31d37780966821135",
+    "table K=3 P=2 N=2": "4fc6925092cb95ecbeb1ab8846bcdb2abc78ea5e66c1d9dda13927679398dbde",
+    "table K=3 P=1 N=2 q=3": "4fc6925092cb95ecbeb1ab8846bcdb2abc78ea5e66c1d9dda13927679398dbde",
+    "table K=4 P=2 N=2": "4fc6925092cb95ecbeb1ab8846bcdb2abc78ea5e66c1d9dda13927679398dbde",
+    "table K=4 P=2 N=2 no_hidden_cr": "c13bcdbd4cbc7583a528627b6e6d0112d8a5eb402e0b176d14309f79a340d8a5",
     "block K=3 P=1 N=2": "ccfadc05277000786e9c52130b162fd9a8bbf66332d673b5a5d039f535f40290",
     "block K=3 P=1 N=2 no_base_mask": "020772442a89323497f85df2e58b061cccf6a50d05ca176b382c658ac659afc2",
     "block K=3 P=1 N=2 no_cr": "136d61be414f06a35e91b9d8ce8941699089f12b744a91a5692f6c69cf3ab9ca",
@@ -746,6 +750,8 @@ def audit_cases():
     """(name, argv, mutant) of each pinned ``audit --machine`` run."""
     cases = [("table", 3, 1, N, 2, None) for N in (2, 3)]
     cases += [("table", 3, 1, 3, 2, m) for m in ("no_index_permutation", "no_pool_relabel", "no_hidden_cr")]
+    cases += [("table", K, P, 2, q, None) for K, P, q in ((3, 2, 2), (3, 1, 3), (4, 2, 2))]
+    cases += [("table", 4, 2, 2, 2, "no_hidden_cr")]
     cases += [("block", 3, P, 2, 2, m) for P in (1, 2) for m in (None, "no_base_mask", "no_cr")]
     cases += [("block", K, P, N, q, m) for K, P, N, q in ((3, 2, 3, 2), (2, 1, 2, 3)) for m in (None, "no_cr")]
     for scheme, K, P, N, q, mutant in cases:
