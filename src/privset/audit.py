@@ -2,7 +2,10 @@
 
 Three kinds of checks, all in exact arithmetic (zero means zero):
 
-* reliability: decode output equals the stored symbols, every trial;
+* reliability: decode output equals the stored symbols, every trial; each
+  verdict opens one stream per randomness domain (client, messages, common
+  randomness) from its seed, and every trial draws its desired set,
+  strategy, store and pool from them in turn;
 * user privacy: the view of each single database - query, answer, messages,
   shared randomness - has identical distribution whichever messages are
   desired;
@@ -76,7 +79,17 @@ from random import Random
 from typing import NamedTuple
 
 from . import block_scheme, table_scheme, wire
-from .field import lane_bits, pack, raise_lane, sample_uniform, unpack
+from .field import (
+    DOMAIN_COMMON_RANDOMNESS,
+    DOMAIN_MESSAGES,
+    domain_rng,
+    lane_bits,
+    pack,
+    raise_lane,
+    sample_symbols,
+    sample_uniform,
+    unpack,
+)
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 
@@ -587,19 +600,36 @@ def audit_table_db_privacy(
 # ---------------------------------------------------------------------------
 
 
+def _reliability_streams(seed: int) -> tuple[Random, Random, Random]:
+    """One reliability verdict's streams, each opened once from ``seed``: ``Random(seed)``
+    for desired sets and strategies, ``domain_rng(seed, DOMAIN_MESSAGES)`` for
+    stores and ``domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)`` for pools, so
+    the three randomness domains stay apart as they do in a run.  ``seed``
+    must be an ``int``: ``domain_rng`` refuses anything else."""
+    return Random(seed), domain_rng(seed, DOMAIN_MESSAGES), domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
+
+
 def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) -> Verdict:
+    """Decode output equals the stored symbols on ``trials`` sampled runs of the query-table scheme.
+
+    A trial is one run: a uniform desired set and permutation draw, a fresh
+    uniform store of K messages of ``L_store`` symbols and a fresh uniform
+    pool, every database answering its query body.  ``seed``, an ``int``,
+    opens the three streams of ``_reliability_streams`` once per verdict,
+    and every trial draws from each in turn.
+    """
     if trials < 1:
         raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
-    rng = Random(seed)
+    rng, messages, shared = _reliability_streams(seed)
     K, P, N, q = params.K, params.P, params.N, params.q
     structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
     for _ in range(trials):
         desired = tuple(sorted(rng.sample(range(K), P)))
         if desired not in structures:
             structures[desired] = table_scheme.table_structure(params, desired)
-        table = table_scheme.draw(structures[desired], Random(rng.randrange(1 << 30)))
-        store = MessageStore.generate(K, table.L_store, q, seed=rng.randrange(1 << 30))
-        pool = CommonRandomnessPool.generate(table.pool_size, q, seed=rng.randrange(1 << 30))
+        table = table_scheme.draw(structures[desired], rng)
+        store = MessageStore(q, table.L_store, sample_symbols(messages, K * table.L_store, q))
+        pool = CommonRandomnessPool(q, sample_symbols(shared, table.pool_size, q))
         answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
         for c, val in table_scheme.decode(table, answers).items():
             if val != store.flat[c]:
@@ -608,15 +638,23 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
 
 
 def audit_reliability_block(params: SchemeParams, trials: int, seed: int = 0) -> Verdict:
+    """Decode output equals the stored symbols on ``trials`` sampled runs of the linear one-round scheme.
+
+    A trial is one run: a uniform desired set and strategy, a fresh uniform
+    store of K messages of L symbols and a fresh uniform pool of one symbol
+    per block, every database answering its query body.  ``seed``, an
+    ``int``, opens the three streams of ``_reliability_streams`` once per
+    verdict, and every trial draws from each in turn.
+    """
     if trials < 1:
         raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
-    rng = Random(seed)
+    rng, messages, shared = _reliability_streams(seed)
     K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
     for _ in range(trials):
         desired = tuple(sorted(rng.sample(range(K), P)))
-        plan = block_scheme.plan_blocks(params, desired, Random(rng.randrange(1 << 30)))
-        store = MessageStore.generate(K, L, q, seed=rng.randrange(1 << 30))
-        pool = CommonRandomnessPool.generate(plan.n_blocks, q, seed=rng.randrange(1 << 30))
+        plan = block_scheme.plan_blocks(params, desired, rng)
+        store = MessageStore(q, L, sample_symbols(messages, K * L, q))
+        pool = CommonRandomnessPool(q, sample_symbols(shared, plan.n_blocks, q))
         answers = [block_scheme.answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
         for c, val in block_scheme.decode_blocks(plan, answers).items():
             if val != store.flat[c]:

@@ -1018,6 +1018,58 @@ class TestTableDbPrivacy:
         )
 
 
+# scheme -> (module answering and decoding, its decoder's name, the reliability verdict)
+RELIABILITY = {
+    "block": (block_scheme, "decode_blocks", audit.audit_reliability_block),
+    "table": (table_scheme, "decode", audit.audit_reliability_table),
+}
+# audit-exact's two reliability shapes, and a small block shape
+RELIABILITY_SHAPES = [
+    ("block", SchemeParams(K=64, P=8, N=3)),
+    ("table", SchemeParams(K=3, P=1, N=2)),
+    ("block", SchemeParams(K=3, P=2, N=2)),
+]
+SHAPE_IDS = [f"{scheme} K={p.K} P={p.P} N={p.N}" for scheme, p in RELIABILITY_SHAPES]
+
+
+class TrialRecorder:
+    """Each reliability trial's (desired set, store symbols, pool symbols), read off
+    the scheme's answer and decode calls.
+
+    With ``fires``, a predicate on the recorder after each trial is recorded,
+    the decoder flips the smallest returned coordinate of every trial on
+    which it holds.
+    """
+
+    def __init__(self, monkeypatch, scheme, fires=None):
+        module, decode_name, self.verdict = RELIABILITY[scheme]
+        answer, decode = module.answer_wire_query, getattr(module, decode_name)
+        self.trials, self.fired, self.flipped = [], [], None
+
+        def recording_answer(payload, store, pool):
+            self.store, self.pool = store, pool
+            return answer(payload, store, pool)
+
+        def tampered_decode(plan, answers):
+            out = decode(plan, answers)
+            self.trials.append((plan.desired, self.store.flat, bytes(self.pool.symbols)))
+            self.fired.append(fires is not None and fires(self))
+            if self.fired[-1]:
+                self.flipped = min(out)
+                out[self.flipped] = (out[self.flipped] + 1) % self.store.q
+            return out
+
+        monkeypatch.setattr(module, "answer_wire_query", recording_answer)
+        monkeypatch.setattr(module, decode_name, tampered_decode)
+
+
+RELIABILITY_TAMPERS = {
+    "desired set holds message K-1": lambda rec: rec.store.K - 1 in rec.trials[-1][0],
+    "store differs from the first trial's": lambda rec: rec.trials[-1][1] != rec.trials[0][1],
+    "pool differs from the first trial's": lambda rec: rec.trials[-1][2] != rec.trials[0][2],
+}
+
+
 class TestReliability:
     def test_table(self):
         v = audit.audit_reliability_table(SchemeParams(K=3, P=1, N=2), trials=25)
@@ -1026,6 +1078,54 @@ class TestReliability:
     def test_block(self):
         v = audit.audit_reliability_block(SchemeParams(K=4, P=2, N=3, L=2), trials=50)
         assert v.ok
+
+    @pytest.mark.parametrize("scheme, params", RELIABILITY_SHAPES, ids=SHAPE_IDS)
+    @pytest.mark.parametrize("tamper", RELIABILITY_TAMPERS)
+    def test_negative_controls_fail(self, monkeypatch, scheme, params, tamper):
+        # each tamper fires on some trials only; the store and pool ones fire only if trials draw fresh ones
+        rec = TrialRecorder(monkeypatch, scheme, RELIABILITY_TAMPERS[tamper])
+        v = rec.verdict(params, trials=20)
+        assert not v.ok and v.distance == 1
+        assert v.detail == f"decode mismatch at coordinate {rec.flipped}"
+        assert rec.fired[-1] and not any(rec.fired[:-1])  # the verdict stops at the first tampered trial
+
+    @pytest.mark.parametrize("scheme, params", RELIABILITY_SHAPES[:2], ids=SHAPE_IDS[:2])
+    def test_one_stream_per_randomness_domain_whatever_the_trials(self, monkeypatch, scheme, params):
+        seeded, domains = [], []
+        original_seed, domain_rng = Random.seed, audit.domain_rng
+
+        def counted_seed(self, *args, **kwargs):
+            seeded.append(self)
+            return original_seed(self, *args, **kwargs)
+
+        def recorded_domain_rng(s, domain):
+            domains.append((s, domain))
+            return domain_rng(s, domain)
+
+        monkeypatch.setattr(Random, "seed", counted_seed)  # every generator built, whoever builds it
+        monkeypatch.setattr(audit, "domain_rng", recorded_domain_rng)
+        for trials in (1, 50):
+            seeded.clear()
+            domains.clear()
+            assert RELIABILITY[scheme][2](params, trials=trials, seed=11).ok
+            assert len(seeded) == 3
+            assert domains == [(11, field.DOMAIN_MESSAGES), (11, field.DOMAIN_COMMON_RANDOMNESS)]
+
+    @pytest.mark.parametrize("scheme, params", RELIABILITY_SHAPES, ids=SHAPE_IDS)
+    def test_trials_replay_from_the_seed(self, monkeypatch, scheme, params):
+        rec = TrialRecorder(monkeypatch, scheme)
+
+        def trials_at(seed):
+            rec.trials = []
+            assert rec.verdict(params, trials=20, seed=seed).ok
+            return rec.trials
+
+        first = trials_at(5)
+        assert trials_at(5) == first and trials_at(6) != first
+        # every trial draws its store and its pool from the seed's stream of that domain, in turn
+        stores, pools = b"".join(t[1] for t in first), b"".join(t[2] for t in first)
+        assert stores == field.sample_symbols(field.domain_rng(5, field.DOMAIN_MESSAGES), len(stores), params.q)
+        assert pools == field.sample_symbols(field.domain_rng(5, field.DOMAIN_COMMON_RANDOMNESS), len(pools), params.q)
 
 
 class TestSymbolicLeakage:
