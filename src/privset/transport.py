@@ -21,8 +21,9 @@ import json
 import logging
 import socket
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable, Iterator
 
 from . import block_scheme, wire
 from .params import ParamError
@@ -78,16 +79,12 @@ class DatabaseServer:
             )
         self.pool = pool
 
-    @cached_property
-    def _forward_size(self) -> int:
-        return wire.result_size(self.store.K)
-
     def max_payload(self) -> int:
         """The largest legal client payload: a query whose block body fills the
         pool from slot 0, or a result forward naming all of [0, K).  The
         download-all query (5 bytes) is shorter than any block query (13 or more)."""
         slots = len(self.pool) if self.pool is not None else 0
-        return max(wire.block_query_size(slots, self.store.K * self.store.L, self.store.q), self._forward_size)
+        return max(wire.block_query_size(slots, self.store.K * self.store.L, self.store.q), wire.result_size(self.store.K))
 
     def handle_client_frame(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == wire.MSG_QUERY:
@@ -116,8 +113,13 @@ class DatabaseServer:
             pool = self.pool if self.pool is not None else CommonRandomnessPool(self.store.q, [])
             symbols = handler(body, self.store, pool)
         except wire.ProtocolFault as exc:
-            return wire.MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, str(exc))
+            return refusal(exc)
         return wire.MSG_ANSWER, wire.encode_answer(query_id, symbols)
+
+
+def refusal(fault: wire.ProtocolFault) -> tuple[int, bytes]:
+    """The ERR_BAD_QUERY reply to a query refused for ``fault``, a frame over the bound included."""
+    return MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, str(fault))
 
 
 def make_entity_servers(store: MessageStore, n_databases: int, public_info: dict | None = None) -> list[DatabaseServer]:
@@ -218,7 +220,7 @@ class Client:
 
 
 class SimBackend:
-    """In-process deterministic network: every frame is encoded and parsed as on the wire."""
+    """In-process deterministic network: every frame is encoded and read back as ``TcpServerPool`` reads it."""
 
     def __init__(self, servers: list[DatabaseServer]):
         self.servers = servers
@@ -228,9 +230,13 @@ class SimBackend:
         return len(self.servers)
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        mtype, body = wire.parse_frame(wire.encode_frame(msg_type, payload))
-        rtype, rbody = self.servers[db].handle_client_frame(mtype, body)
-        return wire.parse_frame(wire.encode_frame(rtype, rbody))
+        srv = self.servers[db]
+        request = wire.FrameReader(encode_frame(msg_type, payload))
+        try:
+            reply = srv.handle_client_frame(*request.next_frame(srv.max_payload()))
+        except wire.ProtocolFault as exc:  # a frame over the bound
+            reply = refusal(exc)
+        return wire.FrameReader(encode_frame(*reply)).next_frame()
 
 
 class TcpBackend:
@@ -240,6 +246,7 @@ class TcpBackend:
         self.addresses = addresses
         self.timeout = timeout
         self._socks: list[socket.socket | None] = [None] * len(addresses)
+        self._replies: list[Iterator[tuple[int, bytes]]] = [iter(()) for _ in addresses]
         self._locks = [threading.Lock() for _ in addresses]
 
     @property
@@ -255,6 +262,7 @@ class TcpBackend:
                 s.close()
                 raise wire.TransportError(f"databases {same[0]} and {db} both reach {peer[0]}:{peer[1]}")
             self._socks[db] = s
+            self._replies[db] = _frames(s)
         return self._socks[db]
 
     def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
@@ -262,8 +270,8 @@ class TcpBackend:
         with self._locks[db]:
             try:
                 s = self._sock(db)
-                s.sendall(wire.encode_frame(msg_type, payload))
-                return _read_frame(s)
+                s.sendall(encode_frame(msg_type, payload))
+                return next(self._replies[db])
             except (OSError, wire.TransportError) as exc:  # the stream is unusable past either
                 if self._socks[db] is not None:
                     self._socks[db].close()
@@ -278,31 +286,25 @@ class TcpBackend:
         self._socks = [None] * len(self.addresses)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(min(n - got, 1 << 16))  # 64 KiB at most: memory follows the bytes, not a forged length
+def _frames(sock: socket.socket, limit: Callable[[], int] = lambda: 0xFFFFFFFF) -> Iterator[tuple[int, bytes]]:
+    """Each frame arriving on ``sock``, its payload bounded by ``limit()`` when its header is in."""
+    reader = wire.FrameReader()
+    while True:
+        while (frame := reader.next_frame(limit())) is not None:
+            yield frame
+        chunk = sock.recv(1 << 16)  # memory follows the bytes received, not a forged length
         if not chunk:
             raise wire.TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def _read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    msg_type, length = wire.parse_frame_header(_read_exact(sock, wire.FRAME_HEADER_SIZE))
-    payload = _read_exact(sock, length) if length else b""
-    return msg_type, payload
+        reader.feed(chunk)
 
 
 class TcpServerPool:
     """Runs each database server on its own localhost port, one thread each.
 
-    Requests on a connection are handled strictly sequentially; databases
-    serve concurrently with respect to each other.  A frame whose header
-    announces more than the database's ``max_payload`` gets an ERROR reply
-    and the connection closes with its body unread.
+    A connection's frames are answered strictly in order, however they are
+    split or batched.  One whose header announces more than ``max_payload``
+    gets the reply ``SimBackend`` gives, and the connection closes with at
+    most one 64 KiB receive of its body read.
     """
 
     def __init__(self, servers: list[DatabaseServer], host: str = "127.0.0.1", base_port: int = 0):
@@ -345,28 +347,19 @@ class TcpServerPool:
                 return
             with conn:
                 conn.settimeout(10.0)
-                while not self._stop.is_set():
-                    try:
-                        msg_type, length = wire.parse_frame_header(_read_exact(conn, wire.FRAME_HEADER_SIZE))
-                        limit = srv.max_payload()
-                        if length > limit:  # refused unread, which leaves the stream out of frame: reply, then close
-                            reason = f"a payload of {length} bytes exceeds the largest legal payload, {limit} bytes"
-                            conn.sendall(wire.encode_frame(MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, reason)))
+                try:
+                    for frame in _frames(conn, srv.max_payload):
+                        if self._stop.is_set():
                             break
-                        payload = _read_exact(conn, length)
-                    except (wire.TransportError, socket.timeout, OSError):
-                        break
-                    try:
-                        rtype, rbody = srv.handle_client_frame(msg_type, payload)
-                    except Exception:
-                        # A frame the handler did not turn into an ERROR reply
-                        # costs the client its connection, never the database.
-                        _log.exception("database %d failed on a frame of type %d", srv.db_id, msg_type)
-                        break
-                    try:
-                        conn.sendall(wire.encode_frame(rtype, rbody))
-                    except OSError:
-                        break
+                        conn.sendall(encode_frame(*srv.handle_client_frame(*frame)))
+                except (wire.TransportError, OSError):
+                    pass
+                except wire.ProtocolFault as exc:  # a frame over the bound, whose body is never read: out of frame
+                    with suppress(OSError):
+                        conn.sendall(encode_frame(*refusal(exc)))
+                except Exception:
+                    # a frame the handler did not turn into an ERROR reply costs its connection, not the database
+                    _log.exception("database %d failed on a client frame", srv.db_id)
 
     def stop(self) -> None:
         self._stop.set()

@@ -8,7 +8,8 @@ for every well-formed ``p``.  A parser raises ProtocolFault on anything else
 reference outside the bounds it is given) and never struct.error
 or IndexError, so a database can turn any client query into an answer or an
 ERROR reply.  Frames, answers, errors and transcripts are what a client
-reads; faults in them are TransportError, a ProtocolFault.
+reads; faults in them are TransportError, a ProtocolFault.  Frames are read
+by ``FrameReader``, on every backend and on both ends of a connection.
 
 All integers are little-endian:
 
@@ -67,7 +68,6 @@ _PAIR = struct.Struct("<II")  # answer head (query id, count); block head (first
 _SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
 _SUM_VALUES = [struct.Struct(f"<{t + 1}I") for t in range(256)]  # a sum's t coordinates, then its pool id
 
-FRAME_HEADER_SIZE = _FRAME.size
 _TRANSCRIPT_NAME = b"PRIVSET-TRANSCRIPT "
 TRANSCRIPT_HEADER = _TRANSCRIPT_NAME + b"v%d\n" % VERSION
 
@@ -96,23 +96,46 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     return _FRAME.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
 
 
-def parse_frame_header(header: bytes) -> tuple[int, int]:
-    """(message type, payload length) from the first FRAME_HEADER_SIZE bytes."""
-    if len(header) != _FRAME.size:
-        raise TransportError("short frame")
-    magic, version, msg_type, length = _FRAME.unpack(header)
-    if magic != MAGIC:
-        raise TransportError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise TransportError(f"unsupported version {version}")
-    return msg_type, length
+class FrameReader:
+    """Frames out of a byte stream fed in chunks of any size; it does no I/O.  A bad magic
+    or version is a TransportError as soon as the header's 8 bytes are in.  Memory follows the
+    bytes fed, not an announced length; a frame fed whole to an empty reader costs one slice."""
 
+    def __init__(self, data: bytes = b"") -> None:
+        self._buf, self._off = data, 0  # unread: self._buf from self._off, then self._more
+        self._more: list[bytes] = []
+        self._size = len(data)  # unread bytes in all
+        self._need = _FRAME.size  # unread bytes the next step waits for: a header, or a whole frame
 
-def parse_frame(data: bytes) -> tuple[int, bytes]:
-    msg_type, length = parse_frame_header(data[: _FRAME.size])
-    if len(data) != _FRAME.size + length:
-        raise TransportError("frame length mismatch")
-    return msg_type, data[_FRAME.size :]
+    def feed(self, data: bytes) -> None:
+        if self._size:
+            self._more.append(data)
+        else:
+            self._buf, self._off = data, 0
+        self._size += len(data)
+
+    def next_frame(self, limit: int = 0xFFFFFFFF) -> tuple[int, bytes] | None:
+        """The next complete (message type, payload), or None while it is arriving; a header whose
+        length is above ``limit`` is a ProtocolFault of the query, raised without waiting for the body."""
+        if self._size < self._need:
+            return None
+        if self._more:  # joined when a header, then a whole frame, is in: linear however it was split
+            self._buf, self._off, self._more = b"".join([memoryview(self._buf)[self._off :], *self._more]), 0, []
+        buf, off = self._buf, self._off
+        magic, version, msg_type, length = _FRAME.unpack_from(buf, off)
+        if magic != MAGIC:
+            raise TransportError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise TransportError(f"unsupported version {version}")
+        if length > limit:
+            raise ProtocolFault(f"a payload of {length} bytes exceeds the largest legal payload, {limit} bytes")
+        self._need = _FRAME.size + length
+        if self._size < self._need:
+            return None
+        self._off += self._need
+        self._size -= self._need
+        self._need = _FRAME.size
+        return msg_type, buf[off + _FRAME.size : self._off]
 
 
 def encode_setup(info: dict) -> bytes:
@@ -252,8 +275,11 @@ def encode_result(elements) -> bytes:
 
 
 def result_size(K: int) -> int:
-    """Bytes of the longest result forward over [0, K): the one naming every element."""
-    return len(encode_result(range(K)))
+    """Bytes of the result forward naming all of [0, K): each decade's digits, plus K - 1 commas."""
+    if not K:
+        return 0
+    digits = len(str(K - 1))  # of the largest element; below 10**d an element has one digit less per d
+    return digits * K - (10**digits - 10) // 9 + K - 1
 
 
 def encode_answer(query_id: int, symbols: Sequence[int]) -> bytes:

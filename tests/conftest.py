@@ -26,6 +26,12 @@ def answer_block(vector, store, cr_symbol: int) -> int:
     return acc % store.q
 
 
+def read_frames(data: bytes, limit: int = 0xFFFFFFFF) -> list[tuple[int, bytes]]:
+    """Every complete frame in ``data``, fed to one FrameReader at once."""
+    reader = wire.FrameReader(data)
+    return list(iter(lambda: reader.next_frame(limit), None))
+
+
 @pytest.fixture
 def faulty_streams(monkeypatch):
     """Make ``transport.SimBackend`` deliver replies the way a TCP stream would, with faults.

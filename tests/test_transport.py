@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import read_frames
 
 from privset import block_scheme, table_scheme, transport, wire
 from privset.field import DOMAIN_CLIENT, domain_rng
@@ -37,7 +38,6 @@ from privset.wire import (
     encode_download_all,
     encode_frame,
     parse_error,
-    parse_frame,
 )
 
 E1 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
@@ -49,10 +49,23 @@ def small_servers(n=2, bits=(1, 0, 1)):
     return make_entity_servers(store, n, {"K": len(bits), "N": n})
 
 
+def recv_frame(sock: socket.socket, reader: wire.FrameReader | None = None) -> tuple[int, bytes]:
+    """The next frame on ``sock``, read through ``reader`` as the client reads its replies."""
+    reader = reader or wire.FrameReader()
+    while (frame := reader.next_frame()) is None:
+        chunk = sock.recv(1 << 16)
+        if not chunk:
+            raise TransportError("connection closed mid-frame")
+        reader.feed(chunk)
+    return frame
+
+
 def test_frame_roundtrip():
     frame = encode_frame(MSG_QUERY, b"hello")
     assert frame[:4] == b"PSI1"
-    assert parse_frame(frame) == (MSG_QUERY, b"hello")
+    assert read_frames(frame) == [(MSG_QUERY, b"hello")]
+    batch = frame + encode_frame(MSG_SETUP, b"") + frame
+    assert read_frames(batch) == [(MSG_QUERY, b"hello"), (MSG_SETUP, b""), (MSG_QUERY, b"hello")]
 
 
 OLD_VERSIONS = (1, 2)  # every frame version before wire.VERSION
@@ -69,14 +82,14 @@ def test_the_client_refuses_a_version_1_frame():
     for version in OLD_VERSIONS:
         reply = old_version(encode_frame(MSG_SETUP, b'{"K": 3}'), version)
         with pytest.raises(TransportError, match=f"unsupported version {version}"):
-            parse_frame(reply)
+            read_frames(reply)
         with socket.create_server(("127.0.0.1", 0)) as lsock:
             lsock.settimeout(5)
 
             def old_peer():
                 conn, _ = lsock.accept()
                 with conn:
-                    transport._read_frame(conn)
+                    recv_frame(conn)
                     conn.sendall(reply)
 
             t = threading.Thread(target=old_peer, daemon=True)
@@ -112,7 +125,7 @@ def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload
         for length in (2**31, limit + 1):
             with socket.create_connection(pool.addresses[0], timeout=5) as sock:
                 sock.sendall(wire.encode_frame(MSG_QUERY, b"")[:6] + length.to_bytes(4, "little"))
-                mtype, reply = transport._read_frame(sock)  # answered without reading a body
+                mtype, reply = recv_frame(sock)  # answered without reading a body
                 code, message = parse_error(reply)
                 assert mtype == MSG_ERROR and code == wire.ERR_BAD_QUERY
                 assert message == f"a payload of {length} bytes exceeds the largest legal payload, {limit} bytes"
@@ -127,6 +140,11 @@ def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload
         local = EntityConfig(1, 256, 2, frozenset({3, 4, 100, 200}))
         result = run_psi_remote(local, pool.addresses, seed_client=5)
         assert result.intersection == {4, 100, 200}
+    # the simulated backend reads a query under the same bound and gives the same reply
+    over = wire.encode_query(0, wire.encode_block_query(0, [0] * 1025, 256, 2))
+    message = f"a payload of {limit + 32} bytes exceeds the largest legal payload, {limit} bytes"
+    refused = (MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, message))
+    assert SimBackend(servers).roundtrip(0, MSG_QUERY, over) == refused
     # without a pool a result forward naming all of [0, K) is the largest payload
     (bare,) = small_servers(1, bits=[0] * 10)
     forward = ",".join(map(str, range(10))).encode()
@@ -139,10 +157,11 @@ def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload
 
 def test_frame_rejects_corruption():
     frame = encode_frame(MSG_QUERY, b"hello")
-    with pytest.raises(TransportError):
-        parse_frame(b"XXXX" + frame[4:])
-    with pytest.raises(TransportError):
-        parse_frame(frame[:-1])
+    with pytest.raises(TransportError, match="bad magic"):
+        read_frames(b"XXXX" + frame[4:])
+    with pytest.raises(ProtocolFault, match="a payload of 5 bytes exceeds the largest legal payload, 4 bytes"):
+        read_frames(frame, limit=4)
+    assert read_frames(frame[:-1]) == []  # a truncated frame is not yet a frame
 
 
 def test_unknown_type_gets_error_and_connection_survives():
@@ -193,12 +212,29 @@ def test_query_replay_is_deterministic():
 
 
 def test_unprovisioned_query_refused():
+    # Without a pool the largest legal payload is a 13-byte run of no entries:
+    # it is read and refused for want of a pool.  A one-entry run (14 bytes)
+    # is over that bound and refused unread, on both backends alike.
     servers = small_servers()
-    backend = SimBackend(servers)
-    client = transport.Client(backend)
-    body = wire.encode_block_query(0, [0], 3, 2)
-    with pytest.raises(InsufficientRandomness):
-        client.query(0, body)
+    assert servers[0].max_payload() == 13
+    empty, one = (wire.encode_block_query(0, [0] * n, 3, 2) for n in (0, 1))
+    message = "a payload of 14 bytes exceeds the largest legal payload, 13 bytes"
+    with TcpServerPool(servers) as pool:
+        tcp = [TcpBackend(pool.addresses, timeout=5) for _ in range(2)]  # the refusal closes the first
+        try:
+            for backend in (SimBackend(servers), tcp[0]):
+                client = transport.Client(backend)
+                with pytest.raises(InsufficientRandomness, match="no randomness pool provisioned"):
+                    client.query(0, empty)
+                with pytest.raises(ProtocolFault, match=f"database 0 rejected the query: {message}$"):
+                    client.query(0, one)
+            # the raw replies, byte for byte
+            payload = wire.encode_query(0, one)
+            replies = [backend.roundtrip(0, MSG_QUERY, payload) for backend in (SimBackend(servers), tcp[1])]
+        finally:
+            for backend in tcp:
+                backend.close()
+    assert replies == [(MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, message))] * 2
 
 
 def test_sim_and_tcp_transcripts_identical():
@@ -313,11 +349,54 @@ def test_tcp_pool_serves_setup_and_queries():
 
 
 def _tcp_roundtrip(address, msg_type, payload):
-    import socket
-
     with socket.create_connection(address, timeout=5.0) as sock:
         sock.sendall(encode_frame(msg_type, payload))
-        return transport._read_frame(sock)
+        return recv_frame(sock)
+
+
+def test_a_served_database_answers_batched_and_split_frames_in_order():
+    servers = small_servers()
+    provision_cr(servers, CommonRandomnessPool.generate(0, 2, seed=1), 0)
+    query = wire.encode_query(7, encode_download_all())
+    with TcpServerPool(servers) as pool, socket.create_connection(pool.addresses[0], timeout=5) as sock:
+        reader = wire.FrameReader()
+        sock.sendall(encode_frame(MSG_SETUP, b"") + encode_frame(MSG_QUERY, query))  # two frames, one write
+        assert recv_frame(sock, reader) == (MSG_SETUP, b'{"K": 3, "N": 2}')
+        assert recv_frame(sock, reader) == (MSG_ANSWER, wire.encode_answer(7, [1, 0, 1]))
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for byte in encode_frame(MSG_QUERY, query):  # one frame, one byte per write
+            sock.send(bytes([byte]))
+        assert recv_frame(sock, reader) == (MSG_ANSWER, wire.encode_answer(7, [1, 0, 1]))
+
+
+def test_a_client_reconnects_with_an_empty_reader_after_stray_bytes():
+    # The peer follows its first reply with half of another frame, then
+    # closes: the next roundtrip fails, and the one after that reads a clean
+    # frame on a new connection, with nothing left over from the old one.
+    setup = encode_frame(MSG_SETUP, b'{"K": 3}')
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        lsock.settimeout(5)
+
+        def peer():
+            for tail in (setup[:5], b""):
+                conn, _ = lsock.accept()
+                with conn:
+                    recv_frame(conn)
+                    conn.sendall(setup + tail)
+
+        t = threading.Thread(target=peer, daemon=True)
+        t.start()
+        backend = TcpBackend([lsock.getsockname()], timeout=5)
+        try:
+            assert backend.roundtrip(0, MSG_SETUP, b"") == (MSG_SETUP, b'{"K": 3}')
+            with pytest.raises(TransportError, match="database 0 at 127.0.0.1:"):
+                backend.roundtrip(0, MSG_SETUP, b"")
+            assert backend._socks[0] is None
+            assert backend.roundtrip(0, MSG_SETUP, b"") == (MSG_SETUP, b'{"K": 3}')
+        finally:
+            backend.close()
+            t.join(5)
+        assert not t.is_alive()
 
 
 def test_malformed_query_over_tcp_gets_error_and_database_survives():
@@ -512,7 +591,7 @@ def test_a_forged_frame_length_does_not_wedge_the_database():
     )
     try:
         port = int(proc.stdout.readline())
-        forged = encode_frame(MSG_SETUP, b"")[: wire.FRAME_HEADER_SIZE - 4] + (0xFFFFFFFF).to_bytes(4, "little")
+        forged = encode_frame(MSG_SETUP, b"")[:-4] + (0xFFFFFFFF).to_bytes(4, "little")
         with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
             sock.sendall(forged)
         backend = TcpBackend([("127.0.0.1", port)], timeout=5)

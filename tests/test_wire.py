@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import privset
-from conftest import answer_block
+from conftest import answer_block, read_frames
 from privset import audit, block_scheme, table_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
@@ -127,8 +127,9 @@ def test_client_side_parsers_raise_transport_errors():
         wire.parse_error(b"\x03\x00\xff")
     with pytest.raises(TransportError):
         wire.parse_answer(b"\x00\x00")
-    with pytest.raises(TransportError):
-        wire.parse_frame(b"PSI1")
+    for header in (b"PSI2\x03\x01\x00\x00\x00\x00", b"PSI1\x00\x01\x00\x00\x00\x00"):
+        with pytest.raises(TransportError):
+            read_frames(header)
     for payload in (b"[1]", b"7", b"\xff", b"{", b""):
         with pytest.raises(TransportError, match="setup reply is not a JSON object"):
             wire.parse_setup(payload)
@@ -189,8 +190,8 @@ def test_parsers_check_the_bounds_they_are_given():
 
 
 ALL_PARSERS = [
-    wire.parse_frame,
-    wire.parse_frame_header,
+    read_frames,
+    lambda b: read_frames(b, 8),
     wire.parse_query,
     lambda b: wire.parse_block_query(b, 2, 11),
     lambda b: wire.parse_block_query(b, 2, 0),
@@ -244,6 +245,43 @@ def test_fuzzed_queries_get_an_answer_or_an_error(payload):
                 parse(data)
             except ProtocolFault:
                 pass
+
+
+frames = st.lists(st.tuples(st.integers(0, 255), st.binary(max_size=40)), max_size=6)
+BAD_HEADERS = {
+    "over the limit": wire.encode_frame(wire.MSG_QUERY, b"")[:6] + (41).to_bytes(4, "little"),
+    "bad magic": b"PSI2" + wire.encode_frame(wire.MSG_QUERY, b"")[4:],
+    "bad version": wire.encode_frame(wire.MSG_QUERY, b"")[:4] + bytes([wire.VERSION + 1, 3, 0, 0, 0, 0]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames, st.sampled_from([None, *BAD_HEADERS]), st.lists(st.integers(0, 400), max_size=8), st.binary(max_size=40))
+def test_any_chunking_of_a_frame_stream_reads_back_its_frames(sent, bad, cuts, rest):
+    # the frames, then optionally a bad header and whatever follows it, cut at
+    # arbitrary points: a reader yields exactly the frames, and raises as soon
+    # as the bad header's last byte is fed, never earlier
+    data = b"".join(wire.encode_frame(*frame) for frame in sent)
+    bad_end = len(data) + len(wire.encode_frame(0, b""))
+    if bad is not None:
+        data += BAD_HEADERS[bad] + rest
+    bounds = sorted({0, len(data), *(min(cut, len(data)) for cut in cuts)})
+    reader, got = wire.FrameReader(), []
+
+    def drain():
+        while (frame := reader.next_frame(40)) is not None:
+            got.append(frame)
+
+    for start, end in zip(bounds, bounds[1:]):
+        reader.feed(data[start:end])
+        if bad is not None and end >= bad_end:
+            with pytest.raises(ProtocolFault if bad == "over the limit" else TransportError):
+                drain()
+            break
+        drain()
+    else:
+        assert bad is None
+    assert got == sent
 
 
 packed_runs = st.integers(1, 40).flatmap(
@@ -445,6 +483,9 @@ def test_only_a_database_without_shared_randomness_answers_download_all(backend)
 def test_a_result_forward_names_the_elements_in_ascending_order():
     assert wire.encode_result({10, 0, 9}) == b"0,9,10" and wire.encode_result(()) == b""
     assert [wire.result_size(K) for K in (1, 10, 11, 101)] == [1, 19, 22, 293]
+    decades = [10**d + e for d in range(6) for e in (-1, 0, 1)]
+    for K in [*range(2001), *decades, 16384]:
+        assert wire.result_size(K) == len(wire.encode_result(range(K))), K
 
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
