@@ -15,11 +15,15 @@ Three kinds of checks, all in exact arithmetic (zero means zero):
 A database's answer is a function of its query, the messages and the
 randomness, which are uniform and independent of the strategy draw, so both
 user-privacy audits compare query distributions only, and both are factored:
-premises checked mechanically on the queries of scripted builds, then the
-distance in closed form.  A block query is its wire body, parsed with the
-server's bounds.  A table query is its database's in-process view
-(``QueryTable.view``), checked by the bounds the table codec's parser
-applies.  Nothing is enumerated and no answer is evaluated.
+premises checked mechanically on the queries of chosen strategy draws, then
+the distance in closed form.  The audits decide the rng-free maps from a draw
+to the queries, ``block_scheme.build_plan`` and ``table_scheme.relabel``;
+``plan_blocks`` and ``table_scheme.draw`` are those maps applied to a uniform
+draw that takes no desired set, as the conformance tests pin.  A block query
+is its wire body, parsed with the server's bounds.  A table query is its
+database's in-process view (``QueryTable.view``), checked by the bounds the
+table codec's parser applies.  Nothing is enumerated and no answer is
+evaluated.
 
 The linear one-round scheme's premises, per database: one slot run (first
 slot, entry count; the codec puts entry i on slot first + i) for every
@@ -70,7 +74,7 @@ fail them is itself broken, and the test suite insists they fail.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -117,39 +121,8 @@ class LeakageReport:
         return self.recoverable == self.expected and not self.undesired
 
 
-class _ScriptedRandom:
-    """Replays prescribed outcomes for shuffle/randrange/getrandbits so
-    strategy draws can be chosen instead of sampled."""
-
-    def __init__(self, shuffle_orders: list[tuple[int, ...]], randrange_values):
-        self._orders = deque(shuffle_orders)
-        self._values = deque(randrange_values)
-
-    def shuffle(self, x: list) -> None:
-        order = self._orders.popleft()
-        if len(order) != len(x):
-            raise ValueError("scripted shuffle length mismatch")
-        x[:] = [x[i] for i in order]
-
-    def randrange(self, n: int) -> int:
-        v = self._values.popleft()
-        if not 0 <= v < n:
-            raise ValueError("scripted randrange value out of range")
-        return v
-
-    def getrandbits(self, k: int) -> int:
-        """k scripted ``randrange(2)`` values; value i gives bit i."""
-        bits = [self._values.popleft() for _ in range(k)]
-        if not set(bits) <= {0, 1}:
-            raise ValueError("scripted randrange value out of range")
-        return pack(bits, 2)
-
-    def exhausted(self) -> bool:
-        return not self._orders and not self._values
-
-
 # ---------------------------------------------------------------------------
-# Linear (block) scheme: two scripted builds per checked shuffle order
+# Linear (block) scheme: two builds per checked shuffle order
 # ---------------------------------------------------------------------------
 
 BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
@@ -179,7 +152,8 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
     detail.  A build is ``(bases, zero, seeded)``: seeded base vectors that
     are distinct and nonzero (redrawn until they are; there are fewer blocks
     than nonzero vectors), then each database's parsed (first slot, vectors)
-    body of the plan with every base vector 0 and of the plan with ``bases``.
+    body of ``block_scheme.build_plan`` with every base vector 0 and with
+    ``bases``: the map ``plan_blocks`` applies to a uniform draw.
     """
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
@@ -193,11 +167,9 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
         ]
         scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
 
-    def views(desired, order, values) -> list[tuple[int, list[int]]]:
-        """The parsed bodies of the draw of shuffle ``order`` and the base vectors' scripted symbols ``values``."""
-        rng = _ScriptedRandom([order], values)
-        plan = _block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
-        assert rng.exhausted()
+    def views(desired, order, bases) -> list[tuple[int, list[int]]]:
+        """The parsed bodies of the draw of shuffle ``order`` and base vectors ``bases``."""
+        plan = _block_mutate(block_scheme.build_plan(params, desired, order, bases), mutant)
         return [wire.parse_block_query(body, q, n_coords, n_blocks) for body in plan.wire_queries()]
 
     def builds():
@@ -205,8 +177,7 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
             bases = [0]
             while 0 in bases or len(set(bases)) < n_blocks:
                 bases = [sample_uniform(rng, n_coords, q) for _ in range(n_blocks)]
-            zero = views(desired, order, bytes(n_blocks * n_coords))
-            yield bases, zero, views(desired, order, b"".join(unpack(base, n_coords, q) for base in bases))
+            yield bases, views(desired, order, [0] * n_blocks), views(desired, order, bases)
 
     return builds(), scope
 
@@ -282,19 +253,15 @@ def _check_table_mutant(mutant: str | None) -> None:
         raise ParamError(f"unknown table mutant {mutant!r}")
 
 
-def _identity_orders(K: int, L: int, pool: int) -> list[tuple[int, ...]]:
-    return [tuple(range(L)) for _ in range(K)] + [tuple(range(pool))]
-
-
-def _table_build(structure: table_scheme.TableStructure, orders, mutant: str | None):
-    """The draw of scripted shuffle ``orders`` over ``structure``, edited as ``mutant`` says."""
-    rng = _ScriptedRandom(list(orders), [])
-    table = table_scheme.draw(structure, rng)
+def _table_build(structure: table_scheme.TableStructure, perms, mutant: str | None):
+    """``table_scheme.relabel`` of ``structure`` by ``perms``, one permutation
+    per message and then the pool's; ``mutant`` sets the ones it drops to the identity."""
+    *msg_perm, pool_perm = perms
     if mutant == TABLE_MUTANT_NO_INDEX_PERM:
-        table.msg_perm = [list(range(table.L_store)) for _ in range(table.K)]
+        msg_perm = [list(range(structure.L_store))] * structure.K
     elif mutant == TABLE_MUTANT_NO_POOL_RELABEL:
-        table.pool_perm = list(range(table.pool_size))
-    return table
+        pool_perm = list(range(structure.pool_size))
+    return table_scheme.relabel(structure, msg_perm, pool_perm)
 
 
 def _skeleton(view: wire.TableQuery, L: int):
@@ -341,7 +308,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     structures = {desired: table_scheme.table_structure(params, desired) for desired in desired_sets}
     first = structures[desired_sets[0]]  # its L_store and pool size, which no desired set changes
     L_store, pool_size = first.L_store, first.pool_size
-    ident = _identity_orders(K, L_store, pool_size)
+    ident = [list(range(L_store))] * K + [list(range(pool_size))]  # every permutation the identity
     views: dict[tuple, list[wire.TableQuery]] = {}
     for desired in desired_sets:
         views[desired] = _table_views(_table_build(structures[desired], ident, mutant))
@@ -371,20 +338,19 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     check_rng = Random(2024)
     for _ in range(_MECHANISM_SAMPLES):
         comp = check_rng.randrange(K + 1)
-        orders = list(ident)
-        size = L_store if comp < K else pool_size
-        perm = list(range(size))
+        perms = list(ident)
+        perm = list(range(L_store if comp < K else pool_size))
         check_rng.shuffle(perm)
-        orders[comp] = tuple(perm)
+        perms[comp] = perm
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
-        got = _table_views(_table_build(structures[desired], orders, mutant))
+        got = _table_views(_table_build(structures[desired], perms, mutant))
         for db in range(N):
             if got[db] != _relabel(views[desired][db], comp, perm, L_store, K):
                 if comp < K:
                     return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
                 return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
 
-    # Premise 4: the scripted build never touched messages or randomness, so
+    # Premise 4: the build never touched messages or randomness, so
     # queries are independent of (W, S) by construction; re-assert by replay
     # of a freshly built structure.
     replay = _table_build(table_scheme.table_structure(params, desired_sets[0]), ident, mutant)

@@ -12,6 +12,12 @@ Costs are exact: P*L + #blocks = ceil(N*P*L/(N-1)) answers downloaded and
 #blocks = ceil(P*L/(N-1)) shared symbols consumed.  Every vector any single
 database sees is uniform, so its view is independent of the desired set.
 
+A plan is built in two steps, as a query table is.  :func:`plan_blocks`
+draws the querying side's strategy, which takes no desired set: a uniform
+shuffle of the P*L block positions, then one uniform base vector per block.
+:func:`build_plan` lays out that draw's blocks for one desired set and draws
+nothing, so the privacy audits decide it on draws they choose.
+
 Every block but the last, partial one reaches every database, so entry i of
 each database's list is block i's.  On the wire the list is one slot run from
 slot 0 (``wire.encode_block_query``): entry i is masked by pool slot i.
@@ -70,11 +76,21 @@ class BlockPlan:
 
 
 def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
-    """Lay out blocks and draw the query vectors for one retrieval run.
+    """``build_plan`` of one uniform strategy draw, which takes no desired set:
+    a shuffle of the P*L block positions, then one base vector per block."""
+    K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
+    order = list(range(P * L))
+    rng.shuffle(order)
+    bases = [sample_uniform(rng, K * L, q) for _ in range(lspir_cost(P, N, L)[1])]
+    return build_plan(params, desired, order, bases)
 
-    The assignment of the P*L desired coordinates to block slots is uniformly
-    shuffled (part of the private strategy); which database serves each base
-    rotates round-robin so downloads stay balanced.
+
+def build_plan(params: SchemeParams, desired, order, bases) -> BlockPlan:
+    """Lay out the blocks of one strategy draw; no randomness is drawn here.
+
+    Desired coordinate ``order[i]`` (message-major) takes block position i,
+    and block j's base vector is ``bases[j]``.  Which database serves each
+    base rotates round-robin so downloads stay balanced.
     """
     K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
     if N < 2:
@@ -86,14 +102,13 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
         raise ParamError("P == K is served by the download-all path, not by block queries")
 
     coords_flat = [m * L + sym for m in desired for sym in range(L)]
-    rng.shuffle(coords_flat)
+    coords_flat = [coords_flat[i] for i in order]
 
     width = N - 1
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
-    for j, block_coords in enumerate(coords):
+    for j, (block_coords, base_vec) in enumerate(zip(coords, bases, strict=True)):
         base = j % N
-        base_vec = sample_uniform(rng, K * L, q)
         queries[base].append(BlockQuery(base_vec, None))
         probes = [(base + 1 + i) % N for i in range(len(block_coords))]
         for db, t in zip(probes, block_coords):
@@ -106,7 +121,7 @@ def plan_blocks(params: SchemeParams, desired, rng: Random) -> BlockPlan:
 
 
 def entry_count(db: int, P: int, N: int, L: int = 1) -> int:
-    """How many entries ``plan_blocks`` lays out for database ``db``, in closed form (P >= 1, N >= 2).
+    """How many entries ``build_plan`` lays out for database ``db``, in closed form (P >= 1, N >= 2).
 
     Each of the n - 1 full blocks reaches every database once; the last
     block, of r coordinates, reaches its base database (n - 1) mod N and the

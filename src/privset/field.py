@@ -94,15 +94,14 @@ def sample_symbols(rng: random.Random, length: int, q: int) -> bytes:
 def sample_uniform(rng: random.Random, length: int, q: int) -> int:
     """A uniform packed vector of ``length`` coefficients over F_q.
 
-    Over F_2 it is one ``rng.getrandbits(length)``.  Otherwise it takes one
-    ``rng.randrange(q)`` per coefficient, one byte each, not a batch: the
-    exact block audits script these calls one value at a time
-    (``audit._ScriptedRandom``).  A ``random.Random`` gives the same vector
-    either way.
+    Over F_2 it is one ``rng.getrandbits(length)``.  Otherwise it is
+    ``sample_symbols``' batch, one byte per coefficient: the values of one
+    ``rng.randrange(q)`` per coefficient, with ``rng`` left where those calls
+    would leave it.
     """
     if q == 2:
         return rng.getrandbits(length)
-    return int.from_bytes(bytes([rng.randrange(q) for _ in range(length)]), "little")
+    return int.from_bytes(sample_symbols(rng, length, q), "little")
 
 
 def pack(coeffs, q: int) -> int:

@@ -27,10 +27,11 @@ A table is built in two steps.  :func:`table_structure` lays out the sums
 above; it takes no randomness, so its output is a function of the public
 parameters and the desired set alone.  :func:`draw` then applies the querying
 side's private randomness: one uniform permutation of symbol positions per
-message plus one uniform relabeling of the randomness pool.  These make the
-per-database view independent of which messages are desired.
-:func:`build_query_table` is the two steps in turn; a structure may be drawn
-any number of times, and its draws share its lists, which nothing mutates.
+message plus one uniform relabeling of the randomness pool, applied by the
+rng-free :func:`relabel`.  These make the per-database view independent of
+which messages are desired.  :func:`build_query_table` is the two steps in
+turn; a structure may be drawn any number of times, and its draws share its
+lists, which nothing mutates.
 """
 
 from __future__ import annotations
@@ -284,9 +285,8 @@ def table_structure(
 
 
 def draw(structure: TableStructure, rng: Random) -> QueryTable:
-    """One strategy draw over ``structure``: K position shuffles, one per
-    message in order, then the pool shuffle.  The table shares the
-    structure's lists."""
+    """One strategy draw over ``structure``, which takes no desired set: K
+    position shuffles, one per message in order, then the pool shuffle."""
     msg_perm = []
     for _ in range(structure.K):
         perm = list(range(structure.L_store))
@@ -294,6 +294,13 @@ def draw(structure: TableStructure, rng: Random) -> QueryTable:
         msg_perm.append(perm)
     pool_perm = list(range(structure.pool_size))
     rng.shuffle(pool_perm)
+    return relabel(structure, msg_perm, pool_perm)
+
+
+def relabel(structure: TableStructure, msg_perm, pool_perm) -> QueryTable:
+    """``structure`` with message m's structural indices sent through
+    ``msg_perm[m]`` and its canonical slots through ``pool_perm``; no
+    randomness is drawn here.  The table shares the structure's lists."""
     return QueryTable(**vars(structure), msg_perm=msg_perm, pool_perm=pool_perm)
 
 

@@ -68,6 +68,7 @@ class DatabaseServer:
         self.query_served = False
         self.public_info = public_info or {}
         self.seen_queries: list[bytes] = []  # instrumentation for non-collusion tests
+        self._max_payload = self._payload_bound()
 
     def provision(self, pool: CommonRandomnessPool, required_size: int) -> None:
         """Administrative path (entity-internal); never reachable from a client socket."""
@@ -78,11 +79,16 @@ class DatabaseServer:
                 f"pool of {len(pool)} symbols below required {required_size}"
             )
         self.pool = pool
+        self._max_payload = self._payload_bound()
 
     def max_payload(self) -> int:
-        """The largest legal client payload: a query whose block body fills the
-        pool from slot 0, or a result forward naming all of [0, K).  The
-        download-all query (5 bytes) is shorter than any block query (13 or more)."""
+        """The largest legal client payload, fixed until the pool next changes."""
+        return self._max_payload
+
+    def _payload_bound(self) -> int:
+        """A query whose block body fills the pool from slot 0, or a result
+        forward naming all of [0, K).  The download-all query (5 bytes) is
+        shorter than any block query (13 or more)."""
         slots = len(self.pool) if self.pool is not None else 0
         return max(wire.block_query_size(slots, self.store.K * self.store.L, self.store.q), wire.result_size(self.store.K))
 
@@ -294,7 +300,7 @@ def _frames(sock: socket.socket, limit: Callable[[], int] = lambda: 0xFFFFFFFF) 
             yield frame
         chunk = sock.recv(1 << 16)  # memory follows the bytes received, not a forged length
         if not chunk:
-            raise wire.TransportError("connection closed mid-frame")
+            raise wire.TransportError("connection closed mid-frame" if reader.unread else "connection closed")
         reader.feed(chunk)
 
 

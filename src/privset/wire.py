@@ -114,6 +114,11 @@ class FrameReader:
             self._buf, self._off = data, 0
         self._size += len(data)
 
+    @property
+    def unread(self) -> int:
+        """Bytes fed and not yet returned in a frame."""
+        return self._size
+
     def next_frame(self, limit: int = 0xFFFFFFFF) -> tuple[int, bytes] | None:
         """The next complete (message type, payload), or None while it is arriving; a header whose
         length is above ``limit`` is a ProtocolFault of the query, raised without waiting for the body."""

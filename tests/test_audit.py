@@ -89,14 +89,19 @@ def block_draws_count(params):
     return factorial(P * L) * q ** (lspir_cost(P, N, L)[1] * K * L)
 
 
+def block_strategies(params):
+    """Every strategy draw ``(order, bases)`` of ``block_scheme.build_plan``,
+    base j packed from coefficients j*K*L .. (j+1)*K*L - 1 of one value tuple."""
+    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
+    KL, n_blocks = K * L, lspir_cost(P, N, L)[1]  # one uniform base vector per block
+    for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_blocks * KL)):
+        yield order, [field.pack(values[j * KL : (j + 1) * KL], q) for j in range(n_blocks)]
+
+
 def block_draws(params, desired, mutant):
     """Every strategy draw's wire queries (``BlockPlan.wire_queries``), one tuple per draw."""
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_values = lspir_cost(P, N, L)[1] * K * L  # one uniform base vector per block
-    for order, values in product(permutations(range(P * L)), product(range(q), repeat=n_values)):
-        rng = audit._ScriptedRandom([order], values)
-        plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
-        assert rng.exhausted()
+    for order, bases in block_strategies(params):
+        plan = audit._block_mutate(block_scheme.build_plan(params, desired, order, bases), mutant)
         yield tuple(plan.wire_queries())
 
 
@@ -150,14 +155,9 @@ def enumerated_block_runs(params, desired, mutant):
     index, its wire queries (``BlockPlan.wire_queries``), the flat message
     symbols, the pool symbols, and every query's answer.
     """
-    K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_blocks = lspir_cost(P, N, L)[1]
     realizations = block_realizations(params, mutant)
-    draws = product(permutations(range(P * L)), product(range(q), repeat=n_blocks * K * L))
-    for strategy, (order, values) in enumerate(draws):
-        rng = audit._ScriptedRandom([order], list(values))
-        plan = audit._block_mutate(block_scheme.plan_blocks(params, desired, rng), mutant)
-        assert rng.exhausted()
+    for strategy, (order, bases) in enumerate(block_strategies(params)):
+        plan = audit._block_mutate(block_scheme.build_plan(params, desired, order, bases), mutant)
         wires = tuple(plan.wire_queries())
         for w_flat, s_vals, store, pool in realizations:
             answers = tuple(tuple(block_scheme.answer_wire_query(w, store, pool)) for w in wires)
@@ -432,14 +432,14 @@ def base_dropped_when_nonzero(plan):
 def test_plan_tampers_reach_each_db_verdict_failure(monkeypatch, edit, leaks, detail):
     # the per-draw oracle finds a leak only in the first: the two-build
     # premises are sufficient, not necessary
-    plan_blocks = block_scheme.plan_blocks
+    build_plan = block_scheme.build_plan
 
-    def tampered(params, desired, rng):
-        plan = plan_blocks(params, desired, rng)
+    def tampered(params, desired, order, bases):
+        plan = build_plan(params, desired, order, bases)
         edit(plan)
         return plan
 
-    monkeypatch.setattr(block_scheme, "plan_blocks", tampered)
+    monkeypatch.setattr(block_scheme, "build_plan", tampered)
     if leaks is None:  # the server refuses the tampered body, and so do both checks
         for check in (audit.audit_block_db_privacy, lambda params: per_draw_block_db_privacy(params, None)):
             with pytest.raises(wire.ProtocolFault, match=detail):
@@ -747,7 +747,7 @@ class TestTableUserPrivacy:
         first = table_scheme.draw(structure, Random(1))
         wires = first.wire_queries()
         table_scheme.draw(structure, Random(2))
-        orders = audit._identity_orders(3, structure.L_store, structure.pool_size)
+        orders = [list(range(structure.L_store))] * 3 + [list(range(structure.pool_size))]
         for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
             audit._table_build(structure, orders, mutant).wire_queries()
         assert structure == before
@@ -808,7 +808,7 @@ def enumerated_table_user_leak(params, mutant=None):
     structures = [table_scheme.table_structure(params, desired) for desired in combinations(range(params.K), params.P)]
     L_store, pool_size = structures[0].L_store, structures[0].pool_size
     assert factorial(max(L_store, pool_size)) <= 40320
-    ident = audit._identity_orders(params.K, L_store, pool_size)
+    ident = [list(range(L_store))] * params.K + [list(range(pool_size))]
     views = [audit._table_views(audit._table_build(structure, ident, mutant)) for structure in structures]
     skeletons_differ, worst = False, Fraction(0)
     for db in range(params.N):
@@ -961,7 +961,7 @@ def test_views_equal_the_parsed_codec_output(params, reps):
         L, pool_size = structure.L_store, structure.pool_size
         rng = Random(sum(desired))
         seeded = [tuple(rng.sample(range(size), size)) for size in [L] * params.K + [pool_size]]
-        identity = audit._identity_orders(params.K, L, pool_size)
+        identity = [list(range(L))] * params.K + [list(range(pool_size))]
         for orders, mutant in product((identity, seeded), (None, *audit._TABLE_MUTANTS)):
             t = audit._table_build(structure, orders, mutant)
             views, wires = audit._table_views(t), t.wire_queries()

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -6,12 +6,12 @@ import pytest
 from conftest import answer_block
 from privset.block_scheme import (
     answer_wire_query,
+    build_plan,
     decode_blocks,
     entry_count,
     plan_blocks,
 )
-from privset.audit import _ScriptedRandom
-from privset.field import DOMAIN_MESSAGES, domain_rng, lane_bits, sample_symbols, unpack
+from privset.field import DOMAIN_MESSAGES, domain_rng, lane_bits, pack, sample_symbols, sample_uniform, unpack
 from privset.params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
@@ -143,10 +143,8 @@ def test_per_database_marginal_uniformity_exact():
     desired = (1,)
     counts = [dict(), dict()]
     total = 0
-    for draws in product(range(2), repeat=3):
-        rng = _ScriptedRandom([(0,)], list(draws))
-        plan = plan_blocks(params, desired, rng)
-        assert rng.exhausted()
+    for values in product(range(2), repeat=3):  # the one block's base vector, coefficient by coefficient
+        plan = build_plan(params, desired, (0,), [pack(values, 2)])
         for db in range(2):
             key = tuple(bq.vector for bq in plan.queries[db])
             counts[db][key] = counts[db].get(key, 0) + 1
@@ -154,6 +152,32 @@ def test_per_database_marginal_uniformity_exact():
     for db in range(2):
         assert len(counts[db]) == 8
         assert set(counts[db].values()) == {total // 8}
+
+
+def test_plan_blocks_is_build_plan_of_a_draw_that_takes_no_desired_set():
+    # the audits decide build_plan; a seeded plan is build_plan of the shuffle
+    # order and base vectors drawn from an identically seeded stream, at every
+    # desired set, and the stream ends where plan_blocks leaves it
+    for K, N, L, q in product(range(2, 5), (2, 3), (1, 2), (2, 3, 5)):
+        for P in range(1, K):
+            params = SchemeParams(K=K, P=P, N=N, L=L, q=q)
+            for s, desired in enumerate(combinations(range(K), P)):
+                rng = Random(s)
+                order = list(range(P * L))
+                rng.shuffle(order)
+                bases = [sample_uniform(rng, K * L, q) for _ in range(lspir_cost(P, N, L)[1])]
+                seeded = Random(s)
+                assert plan_blocks(params, desired, seeded) == build_plan(params, desired, order, bases), params
+                assert seeded.getstate() == rng.getstate()
+
+
+def test_build_plan_lays_out_its_order_and_bases():
+    # desired coordinate order[i] takes block position i; block j's base is
+    # bases[j], at database j mod N, and its probes follow that database
+    plan = build_plan(SchemeParams(K=4, P=2, N=3, L=2, q=5), (1, 3), [3, 0, 2, 1], [7, 9])
+    assert plan.coords == [[7, 2], [6, 3]]
+    assert [[bq.probe_coord for bq in qs] for qs in plan.queries] == [[None, 3], [7, None], [2, 6]]
+    assert plan.queries[0][0].vector == 7 and plan.queries[1][1].vector == 9
 
 
 def test_probe_is_base_plus_unit_vector():

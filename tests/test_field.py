@@ -33,11 +33,15 @@ def test_sample_uniform_statistics():
 
 
 def test_sample_uniform_packs_one_draw_per_coefficient():
-    # F_2: one getrandbits; other fields: the symbol draws in order, one byte each
+    # F_2: one getrandbits; other fields: the symbol draws in order, one byte
+    # each, which are one randrange(q) per coefficient and leave the same state
     assert sample_uniform(Random(4), 37, 2) == Random(4).getrandbits(37)
     for q in (3, 5, 251):
         symbols = sample_symbols(Random(4), 9, q)
-        assert unpack(sample_uniform(Random(4), 9, q), 9, q) == bytes(symbols)
+        rng, twin = Random(4), Random(4)
+        assert unpack(sample_uniform(rng, 9, q), 9, q) == bytes(symbols)
+        assert list(symbols) == [twin.randrange(q) for _ in range(9)]
+        assert rng.getstate() == twin.getstate()
 
 
 @settings(max_examples=300, deadline=None)
@@ -150,3 +154,17 @@ def test_vector_length_mismatch():
     store = MessageStore(2, 1, [1])
     with pytest.raises(ParamError):
         answer_block(bytes([1, 0]), store, 0)
+
+
+def test_no_module_defines_a_fake_random_generator():
+    # Strategy draws are chosen by calling the schemes' rng-free builds
+    # (block_scheme.build_plan, table_scheme.relabel), never by a stand-in
+    # generator that replays a scheme's rng calls in order.
+    found = set()
+    for path in Path(privset.__file__).parent.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name in ("shuffle", "randrange", "getrandbits"):
+                        found.add(f"{path.name}:{cls.name}.{node.name}")
+    assert not found

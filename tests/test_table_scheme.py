@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from privset.table_scheme import (
     decode,
     build_query_table as build,
     draw,
+    relabel,
     render_text,
     table_structure,
 )
@@ -201,6 +203,23 @@ def test_build_is_a_draw_over_the_structure(K, P, N, reps):
             assert drawn == table  # every field, the permutations included
             assert vars(structure) == {name: getattr(table, name) for name in vars(structure)}
             assert drawn.wire_queries() == table.wire_queries()
+
+
+@pytest.mark.parametrize("K, P, N, reps", [(3, 1, 2, None), (3, 2, 3, None), (5, 3, 2, 1), (4, 2, 2, 1)])
+def test_draw_is_relabel_of_permutations_that_take_no_desired_set(K, P, N, reps):
+    # the audits decide relabel; a seeded draw is relabel of K position
+    # shuffles and a pool shuffle drawn from an identically seeded stream
+    params = SchemeParams(K=K, P=P, N=N)
+    for desired in combinations(range(K), P):
+        structure = table_structure(params, desired, reps)
+        for seed in (0, 7):
+            rng = Random(seed)
+            perms = [list(range(size)) for size in [structure.L_store] * K + [structure.pool_size]]
+            for perm in perms:
+                rng.shuffle(perm)
+            seeded = Random(seed)
+            assert draw(structure, seeded) == relabel(structure, perms[:K], perms[K])
+            assert seeded.getstate() == rng.getstate()
 
 
 def test_table_shape_is_desired_set_independent():

@@ -399,6 +399,48 @@ def test_a_client_reconnects_with_an_empty_reader_after_stray_bytes():
         assert not t.is_alive()
 
 
+def test_a_query_after_an_over_bound_refusal_finds_the_connection_closed():
+    # The database closes the connection right after its refusal, between
+    # frames: the client's next query finds it closed, not cut mid-frame.
+    servers = small_servers()
+    one = wire.encode_block_query(0, [0], 3, 2)  # a 14-byte payload, over the 13-byte bound
+    with TcpServerPool(servers) as pool:
+        backend = TcpBackend(pool.addresses, timeout=5)
+        client = transport.Client(backend)
+        try:
+            with pytest.raises(ProtocolFault, match="database 0 rejected the query: a payload of 14 bytes"):
+                client.query(0, one)
+            assert backend._socks[0].recv(1, socket.MSG_PEEK) == b""  # the database has closed
+            with pytest.raises(TransportError) as closed:
+                client.query(0, one)
+        finally:
+            backend.close()
+    host, port = pool.addresses[0]
+    assert str(closed.value) == f"database 0 at {host}:{port}: connection closed"
+
+
+def test_a_peer_that_closes_after_half_a_header_cut_the_reply_mid_frame():
+    with socket.create_server(("127.0.0.1", 0)) as lsock:
+        lsock.settimeout(5)
+
+        def peer():
+            conn, _ = lsock.accept()
+            with conn:
+                recv_frame(conn)
+                conn.sendall(encode_frame(MSG_SETUP, b"")[:4])
+
+        t = threading.Thread(target=peer, daemon=True)
+        t.start()
+        backend = TcpBackend([lsock.getsockname()], timeout=5)
+        try:
+            with pytest.raises(TransportError, match="connection closed mid-frame$"):
+                backend.roundtrip(0, MSG_SETUP, b"")
+        finally:
+            backend.close()
+            t.join(5)
+        assert not t.is_alive()
+
+
 def test_malformed_query_over_tcp_gets_error_and_database_survives():
     servers = small_servers()
     provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
