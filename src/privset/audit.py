@@ -21,8 +21,8 @@ to the queries, ``block_scheme.build_plan`` and ``table_scheme.relabel``;
 ``plan_blocks`` and ``table_scheme.draw`` are those maps applied to a uniform
 draw that takes no desired set, as the conformance tests pin.  A block query
 is its wire body, parsed with the server's bounds.  A table query is its
-database's in-process view (``QueryTable.view``), checked by the bounds the
-table codec's parser applies.  Nothing is enumerated and no answer is
+database's in-process view (``QueryTable.view``), checked by the bounds
+``table_scheme.answer`` applies.  Nothing is enumerated and no answer is
 evaluated.
 
 The linear one-round scheme's premises, per database: one slot run (first
@@ -264,15 +264,15 @@ def _table_build(structure: table_scheme.TableStructure, perms, mutant: str | No
     return table_scheme.relabel(structure, msg_perm, pool_perm)
 
 
-def _skeleton(view: wire.TableQuery, L: int):
+def _skeleton(view: table_scheme.TableQuery, L: int):
     return (len(view.plain_ids), tuple(tuple(c // L for c in terms) for terms, _ in view.sums))
 
 
-def _relabel(view: wire.TableQuery, comp: int, perm, L: int, K: int) -> wire.TableQuery:
+def _relabel(view: table_scheme.TableQuery, comp: int, perm, L: int, K: int) -> table_scheme.TableQuery:
     """``view`` under one component draw: message ``comp``'s positions through
     ``perm`` for ``comp < K``, every pool id through ``perm`` for ``comp == K``."""
     if comp == K:
-        return wire.TableQuery(
+        return table_scheme.TableQuery(
             tuple(perm[pid] for pid in view.plain_ids), tuple((terms, perm[pid]) for terms, pid in view.sums)
         )
     lo = comp * L
@@ -281,15 +281,15 @@ def _relabel(view: wire.TableQuery, comp: int, perm, L: int, K: int) -> wire.Tab
     ))
 
 
-def _visible_ids(view: wire.TableQuery) -> tuple[int, ...]:
+def _visible_ids(view: table_scheme.TableQuery) -> tuple[int, ...]:
     return view.plain_ids + tuple(pid for _, pid in view.sums)
 
 
-def _table_views(table: table_scheme.QueryTable) -> list[wire.TableQuery]:
+def _table_views(table: table_scheme.QueryTable) -> list[table_scheme.TableQuery]:
     """Each database's view (``QueryTable.view``), checked against the store
-    and the pool by the bounds the table codec's parser applies."""
+    and the pool by the bounds ``table_scheme.answer`` applies."""
     n_coords = table.K * table.L_store
-    return [wire.check_table_query(table.view(db), n_coords, table.pool_size) for db in range(table.N)]
+    return [table_scheme.check_table_query(table.view(db), n_coords, table.pool_size) for db in range(table.N)]
 
 
 def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) -> Verdict:
@@ -309,7 +309,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     first = structures[desired_sets[0]]  # its L_store and pool size, which no desired set changes
     L_store, pool_size = first.L_store, first.pool_size
     ident = [list(range(L_store))] * K + [list(range(pool_size))]  # every permutation the identity
-    views: dict[tuple, list[wire.TableQuery]] = {}
+    views: dict[tuple, list[table_scheme.TableQuery]] = {}
     for desired in desired_sets:
         views[desired] = _table_views(_table_build(structures[desired], ident, mutant))
 
@@ -371,22 +371,20 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
 
 
 def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[int]:
-    """Packed coefficient rows, in ``lane_bits(q)`` lanes, of one query payload:
+    """Packed coefficient rows, in ``lane_bits(q)`` lanes, of one query body:
     pool id p in lane p, message coordinate c in lane ``pool_size + c``.
 
-    Each body is parsed with its codec's bounds, so a payload out of them
-    raises ProtocolFault; a table body's rows are then its view's
-    (``_rows_from_view``).  A download-all body, which the server answers
-    only over an empty pool, reads as one plain row per coordinate.  A block
-    lane may hold any byte over odd q: each row's lowest lane is its pool
-    id's, with coefficient 1, so elimination combines it before storing it,
-    and ``_combine`` reads every lane mod q.
+    Each body is parsed with the server's bounds, so a body the server
+    refuses raises ProtocolFault, an unknown or reserved scheme tag included.
+    A download-all body, which the server answers only over an empty pool,
+    reads as one plain row per coordinate.  A block lane may hold any byte
+    over odd q: each row's lowest lane is its pool id's, with coefficient 1,
+    so elimination combines it before storing it, and ``_combine`` reads
+    every lane mod q.
     """
     if not payload:
         raise wire.ProtocolFault("empty query body")
     lane = lane_bits(q)
-    if payload[0] == wire.TABLE_QUERY_TAG:
-        return _rows_from_view(wire.parse_table_query(payload, n_coords, pool_size), pool_size, q)
     if payload[0] == wire.BLOCK_QUERY_TAG:
         entries = _slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)])
         return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
@@ -396,7 +394,7 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
     raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
 
 
-def _rows_from_view(view: wire.TableQuery, pool_size: int, q: int) -> list[int]:
+def _rows_from_view(view: table_scheme.TableQuery, pool_size: int, q: int) -> list[int]:
     """Packed coefficient rows of a table view, laid out as ``_rows_from_wire``'s:
     one per plain pool id, then one per sum."""
     lane = lane_bits(q)
@@ -509,7 +507,7 @@ def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
     ]
 
 
-def _table_leakage(table: table_scheme.QueryTable, views: list[wire.TableQuery]) -> LeakageReport:
+def _table_leakage(table: table_scheme.QueryTable, views: list[table_scheme.TableQuery]) -> LeakageReport:
     """What ``views`` pin of the messages by exact elimination, as ``recoverable_coordinates`` says."""
     L, pool_size, q = table.L_store, table.pool_size, table.q
     desired = [m * L + i for m in table.desired for i in range(L)]
@@ -552,7 +550,7 @@ def audit_table_db_privacy(
             table = table_scheme.draw(structures[desired], Random(seed))
             views = _table_views(table)
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                views += [wire.TableQuery((pid,), ()) for pid in _hidden_ids(table)]
+                views += [table_scheme.TableQuery((pid,), ()) for pid in _hidden_ids(table)]
             report = _table_leakage(table, views)
             if report.undesired:
                 outside = len(report.recoverable - report.expected)
@@ -580,9 +578,9 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
 
     A trial is one run: a uniform desired set and permutation draw, a fresh
     uniform store of K messages of ``L_store`` symbols and a fresh uniform
-    pool, every database answering its query body.  ``seed``, an ``int``,
-    opens the three streams of ``_reliability_streams`` once per verdict,
-    and every trial draws from each in turn.
+    pool, every database answering its view (``table_scheme.answer``).
+    ``seed``, an ``int``, opens the three streams of ``_reliability_streams``
+    once per verdict, and every trial draws from each in turn.
     """
     if trials < 1:
         raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
@@ -596,7 +594,7 @@ def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) ->
         table = table_scheme.draw(structures[desired], rng)
         store = MessageStore(q, table.L_store, sample_symbols(messages, K * table.L_store, q))
         pool = CommonRandomnessPool(q, sample_symbols(shared, table.pool_size, q))
-        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
+        answers = [table_scheme.answer(table.view(db), store, pool) for db in range(N)]
         for c, val in table_scheme.decode(table, answers).items():
             if val != store.flat[c]:
                 return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")

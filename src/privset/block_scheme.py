@@ -95,9 +95,7 @@ def build_plan(params: SchemeParams, desired, order, bases) -> BlockPlan:
     K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
     if N < 2:
         raise InfeasibleError("at least two databases are required")
-    desired = tuple(sorted(set(desired)))
-    if len(desired) != P or any(not 0 <= m < K for m in desired):
-        raise ParamError(f"desired must be P={P} distinct messages in [0, {K})")
+    desired = params.check_desired(desired)
     if P == K:
         raise ParamError("P == K is served by the download-all path, not by block queries")
 

@@ -127,7 +127,7 @@ def cmd_table(args) -> int:
     if args.run:
         store = MessageStore.generate(args.K, table.L_store, args.q, seed=args.seed_msg)
         pool = CommonRandomnessPool.generate(table.pool_size, args.q, seed=args.seed_cr)
-        answers = [table_scheme.answer_wire_query(table.wire_query(db), store, pool) for db in range(args.N)]
+        answers = [table_scheme.answer(table.view(db), store, pool) for db in range(args.N)]
         decoded_ok = all(val == store.flat[c] for c, val in table_scheme.decode(table, answers).items())
         summary["decoded_ok"] = decoded_ok
         if not decoded_ok:

@@ -63,6 +63,13 @@ class SchemeParams:
             raise ParamError("L must be >= 1")
         check_modulus(self.q)
 
+    def check_desired(self, desired) -> tuple[int, ...]:
+        """``desired`` in ascending order, once it is checked to be P distinct messages in [0, K)."""
+        out = tuple(sorted(desired))
+        if len(out) != self.P or len(set(out)) != self.P or any(not 0 <= m < self.K for m in out):
+            raise ParamError(f"desired must be P={self.P} distinct messages in [0, {self.K})")
+        return out
+
 
 @dataclass(frozen=True)
 class AlphaProfile:

@@ -32,6 +32,11 @@ rng-free :func:`relabel`.  These make the per-database view independent of
 which messages are desired.  :func:`build_query_table` is the two steps in
 turn; a structure may be drawn any number of times, and its draws share its
 lists, which nothing mutates.
+
+A table query never crosses a network: one table body could mask every store
+coordinate with one plainly served symbol, so a served database refuses its
+tag.  Each database's query is an in-process view (:meth:`QueryTable.view`),
+and :func:`answer` evaluates it.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse
 from math import comb
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -53,8 +59,38 @@ from .params import (
     repetition_factor,
 )
 from .storage import CommonRandomnessPool, MessageStore
-from .wire import TABLE_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
-from .wire import ProtocolFault, TableQuery, encode_table_query, parse_table_query
+from .wire import TABLE_QUERY_TAG  # noqa: F401  (reserved and never served; perfbench/tracing.py looks it up here)
+from .wire import ProtocolFault
+
+
+class TableQuery(NamedTuple):
+    """One database's query, built in process: plainly served pool ids, then one entry per sum."""
+
+    plain_ids: tuple[int, ...]
+    sums: tuple[tuple[tuple[int, ...], int], ...]  # (store coordinates of its terms, pool id)
+
+
+def _outside(values, size: int) -> int | None:
+    """The largest of ``values`` if it is ``size`` or more, else the smallest if it is negative, else None."""
+    values = list(values)
+    top = max(values, default=-1)
+    if top >= size:
+        return top
+    low = min(values, default=0)
+    return low if low < 0 else None
+
+
+def check_table_query(query: TableQuery, n_coords: int, pool_size: int) -> TableQuery:
+    """``query``, once every term's coordinate is checked to lie in [0, n_coords)
+    and every pool id in [0, pool_size)."""
+    bad = _outside(chain.from_iterable(map(itemgetter(0), query.sums)), n_coords)
+    if bad is not None:
+        raise ProtocolFault(f"query references missing symbol at coordinate {bad}")
+    bad = _outside(chain(query.plain_ids, map(itemgetter(1), query.sums)), pool_size)
+    if bad is not None:
+        raise ProtocolFault(f"randomness slot {bad} outside the provisioned pool")
+    return query
+
 
 class SumSpec(NamedTuple):
     """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
@@ -121,13 +157,6 @@ class QueryTable(TableStructure):
             ]),
         )
 
-    def wire_query(self, db: int) -> bytes:
-        """Binary query payload for one database: its view, encoded."""
-        return encode_table_query(*self.view(db))
-
-    def wire_queries(self) -> list[bytes]:
-        return [self.wire_query(db) for db in range(self.N)]
-
 
 def build_query_table(
     params: SchemeParams,
@@ -155,9 +184,7 @@ def table_structure(
     K, P, N, q = params.K, params.P, params.N, params.q
     if P == K:
         raise ParamError("P == K is served by the download-all path, not by query tables")
-    desired = tuple(sorted(set(desired)))
-    if len(desired) != P or any(not 0 <= m < K for m in desired):
-        raise ParamError(f"desired must be P={P} distinct messages in [0, {K})")
+    desired = params.check_desired(desired)
 
     profile = alpha_profile(K, P, N)
     if reps is None:
@@ -304,9 +331,11 @@ def relabel(structure: TableStructure, msg_perm, pool_perm) -> QueryTable:
     return QueryTable(**vars(structure), msg_perm=msg_perm, pool_perm=pool_perm)
 
 
-def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
-    """Evaluate one database's answer: plain slots first, then one symbol per sum."""
-    query = parse_table_query(payload, len(store.flat), len(pool.symbols))
+def answer(view: TableQuery, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
+    """Evaluate one database's answer to its view (``QueryTable.view``), once
+    ``check_table_query`` bounds it by the store and the pool: plain slots
+    first, then one symbol per sum."""
+    query = check_table_query(view, len(store.flat), len(pool.symbols))
     flat, symbols, q = store.flat, pool.symbols, store.q
     out = [symbols[pid] for pid in query.plain_ids]
     for terms, pid in query.sums:
@@ -315,6 +344,11 @@ def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnes
             acc += flat[c]
         out.append(acc % q)
     return out
+
+
+# The name perfbench/workloads.py::AnswerCounter and perfbench/tracing.py patch;
+# ROADMAP item 14 moves them to ``answer`` and deletes this alias.
+answer_wire_query = answer
 
 
 def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:

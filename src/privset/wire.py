@@ -15,9 +15,8 @@ All integers are little-endian:
 
     frame         "PSI1" | version u8 | type u8 | length u32 | payload
     setup         JSON object with sorted keys: the responder's public shape
-    query         query id u32 | body
-    table body    1 | n u32 | n x pool id u32 | m u32 | m x (t u8 | t x coordinate u32 | pool id u32)
-                    a term's coordinate is m*L + s for symbol s of message m
+    query         query id u32 | body, whose first byte is its scheme tag; tag 1,
+                    TABLE_QUERY_TAG, is reserved: no body carries it
     block body    2 | first slot u32 | n u32 | n x ceil(K*L * w / 8) bytes
                     entry i is a packed vector of the store's K*L coefficients, masked
                     by pool slot first + i; K*L is known to both sides and not sent:
@@ -35,9 +34,7 @@ from __future__ import annotations
 
 import json
 import struct
-from itertools import chain
-from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .field import lane_bits
 
@@ -56,7 +53,7 @@ ERR_CHANNEL_SEPARATION = 2
 ERR_BAD_QUERY = 3
 ERR_NOT_PROVISIONED = 4
 
-TABLE_QUERY_TAG = 1
+TABLE_QUERY_TAG = 1  # reserved and never served: one such body could unmask a whole set
 BLOCK_QUERY_TAG = 2
 DOWNLOAD_ALL_TAG = 3
 
@@ -65,8 +62,6 @@ _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _PAIR = struct.Struct("<II")  # answer head (query id, count); block head (first slot, count)
-_SUM_FORMATS = [f"B{t + 1}I" for t in range(256)]  # t | t x coordinate | pool id
-_SUM_VALUES = [struct.Struct(f"<{t + 1}I") for t in range(256)]  # a sum's t coordinates, then its pool id
 
 _TRANSCRIPT_NAME = b"PRIVSET-TRANSCRIPT "
 TRANSCRIPT_HEADER = _TRANSCRIPT_NAME + b"v%d\n" % VERSION
@@ -204,60 +199,6 @@ def parse_block_query(body: bytes, q: int, length: int, pool_size: int | None = 
     if any(vector >> bits for vector in vectors):
         raise ProtocolFault("padding bits set past the last coefficient")
     return first, vectors
-
-
-class TableQuery(NamedTuple):
-    """A table query, parsed or built in process: plainly served pool ids, then one entry per sum."""
-
-    plain_ids: tuple[int, ...]
-    sums: tuple[tuple[tuple[int, ...], int], ...]  # (coordinate terms, pool id)
-
-
-def encode_table_query(plain_ids: Sequence[int], sums: Sequence[tuple[Sequence[int], int]]) -> bytes:
-    fmt = [f"<BI{len(plain_ids)}II"]
-    values = [TABLE_QUERY_TAG, len(plain_ids), *plain_ids, len(sums)]
-    for terms, pool_id in sums:
-        fmt.append(_SUM_FORMATS[len(terms)])
-        values.append(len(terms))
-        values.extend(terms)
-        values.append(pool_id)
-    return struct.pack("".join(fmt), *values)
-
-
-def check_table_query(query: TableQuery, n_coords: int | None = None, pool_size: int | None = None) -> TableQuery:
-    """``query``, once every term's coordinate is checked to be below
-    ``n_coords`` and every pool id below ``pool_size`` (each optional)."""
-    if n_coords is not None:
-        top = max(chain.from_iterable(map(itemgetter(0), query.sums)), default=-1)
-        if top >= n_coords:
-            raise ProtocolFault(f"query references missing symbol at coordinate {top}")
-    if pool_size is not None:
-        top = max(chain(query.plain_ids, map(itemgetter(1), query.sums)), default=-1)
-        if top >= pool_size:
-            raise ProtocolFault(f"randomness slot {top} outside the provisioned pool")
-    return query
-
-
-def parse_table_query(body: bytes, n_coords: int | None = None, pool_size: int | None = None) -> TableQuery:
-    """Parse a table body, bounded as ``check_table_query`` says."""
-    _check_tag(body, TABLE_QUERY_TAG)
-    sums = []
-    append = sums.append
-    try:
-        (n_plain,) = _U32.unpack_from(body, 1)
-        plain_ids = struct.unpack_from(f"<{n_plain}I", body, 1 + _U32.size)
-        off = 1 + _U32.size * (n_plain + 1)
-        (n_sums,) = _U32.unpack_from(body, off)
-        off += _U32.size
-        for _ in range(n_sums):
-            t = body[off]
-            values = _SUM_VALUES[t].unpack_from(body, off + 1)
-            append((values[:t], values[t]))
-            off += 1 + _U32.size * (t + 1)
-    except (struct.error, IndexError):
-        raise ProtocolFault("truncated query payload") from None
-    _check_end(off, body, "query payload")
-    return check_table_query(TableQuery(plain_ids, tuple(sums)), n_coords, pool_size)
 
 
 def encode_download_all() -> bytes:

@@ -51,7 +51,7 @@ class TestBlockUserPrivacy:
         assert not v.ok and v.detail == "a vector at database 0 is not its slot's base plus a shift"
         # no_cr changes no query; its leak shows in the elimination of one draw with the pool public
         plan = block_scheme.plan_blocks(params, tuple(range(8)), Random(0))
-        public = [wire.encode_table_query(range(plan.n_blocks), [])]
+        public = [wire.encode_block_query(0, [0] * plan.n_blocks, 256, 2)]  # a zero vector on every slot
         assert audit.recoverable_coordinates(plan.wire_queries() + public, 256, plan.n_blocks, 2, range(8)).undesired
         # every entry at database 0: its run of 16 passes the 8-slot pool, which the codec refuses
         monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", base_and_probes_together)
@@ -113,7 +113,7 @@ def per_draw_block_db_privacy(params, mutant):
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
     no_cr = mutant == audit.BLOCK_MUTANT_NO_CR
-    public = [wire.encode_table_query([pid], []) for pid in range(n_blocks)] if no_cr else []
+    public = [wire.encode_block_query(pid, [0], K * L, q) for pid in range(n_blocks)] if no_cr else []
     uniform, n_views = True, 0
     for wires in block_draws(params, tuple(range(P)), mutant):
         span = audit.recoverable_coordinates([*wires, *public], K * L, n_blocks, q, range(P * L))
@@ -450,18 +450,18 @@ def test_plan_tampers_reach_each_db_verdict_failure(monkeypatch, edit, leaks, de
     assert per_draw_block_db_privacy(K3_ONE_BLOCK, None)[0] == (not leaks)
 
 
-def literal_posteriors_uniform(answer, wires, K, L, q, pool_size, desired, public=()):
-    """The literal posterior check of one strategy draw: its ``wires``
-    answered by ``answer`` over every (W, S) pair, with the pool ids in
-    ``public`` known to be 0.  True iff every posterior of the undesired
-    messages equals the uniform prior."""
+def literal_posteriors_uniform(answer, queries, K, L, q, pool_size, desired, public=()):
+    """The literal posterior check of one strategy draw: its ``queries``
+    (block bodies or table views) answered by ``answer`` over every (W, S)
+    pair, with the pool ids in ``public`` known to be 0.  True iff every
+    posterior of the undesired messages equals the uniform prior."""
     undesired = [c for c in range(K * L) if c // L not in desired]
     pairs = Counter()  # (answers, undesired symbols)
     for w_flat in product(range(q), repeat=K * L):
         store = MessageStore(q, L, bytes(w_flat))
         for s_vals in product(range(q), repeat=pool_size):
             pool = CommonRandomnessPool(q, [0 if pid in public else s for pid, s in enumerate(s_vals)])
-            answers = tuple(tuple(answer(body, store, pool)) for body in wires)
+            answers = tuple(tuple(answer(query, store, pool)) for query in queries)
             pairs[answers, tuple(w_flat[c] for c in undesired)] += 1
     return uniform_posteriors(pairs, q ** len(undesired))
 
@@ -539,14 +539,14 @@ def test_block_audits_refuse_a_body_the_server_refuses(monkeypatch):
 # per row, and a fresh unit vector re-reduced for every coordinate.
 
 
-def dense_rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
-    """Coefficient rows over [pool ids | message coordinates] for one query payload,
-    parsed with the server's bounds, so a payload the server refuses raises ProtocolFault."""
-    tag = payload[0]
+def dense_rows(query, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
+    """Coefficient rows over [pool ids | message coordinates] for one query:
+    a table view, bounded as ``table_scheme.answer`` bounds it, or a block body,
+    parsed with the server's bounds.  A query out of those bounds raises ProtocolFault."""
     width = pool_size + n_coords
     rows: list[list[int]] = []
-    if tag == wire.TABLE_QUERY_TAG:
-        view = wire.parse_table_query(payload, n_coords, pool_size)
+    if isinstance(query, table_scheme.TableQuery):
+        view = table_scheme.check_table_query(query, n_coords, pool_size)
         for pid in view.plain_ids:
             row = [0] * width
             row[pid] = 1
@@ -557,8 +557,8 @@ def dense_rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) 
             for c in terms:
                 row[pool_size + c] = (row[pool_size + c] + 1) % q
             rows.append(row)
-    elif tag == wire.BLOCK_QUERY_TAG:
-        first, vectors = wire.parse_block_query(payload, q, n_coords, pool_size)
+    elif query[0] == wire.BLOCK_QUERY_TAG:
+        first, vectors = wire.parse_block_query(query, q, n_coords, pool_size)
         for i, vec in enumerate(vectors):
             row = [0] * width
             row[first + i] = 1
@@ -566,13 +566,18 @@ def dense_rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) 
                 row[pool_size + c] = coeff % q
             rows.append(row)
     else:
-        raise ParamError(f"cannot derive coefficients for scheme tag {tag}")
+        raise ParamError(f"cannot derive coefficients for scheme tag {query[0]}")
     return rows
 
 
-def dense_recoverable_coordinates(
-    wire_payloads: list[bytes], n_coords: int, pool_size: int, q: int
-) -> frozenset[int]:
+def packed_rows(query, n_coords: int, pool_size: int, q: int) -> list[int]:
+    """``audit``'s packed rows of one query, a table view or a block body, under the bounds ``dense_rows`` applies."""
+    if isinstance(query, table_scheme.TableQuery):
+        return audit._rows_from_view(table_scheme.check_table_query(query, n_coords, pool_size), pool_size, q)
+    return audit._rows_from_wire(query, n_coords, pool_size, q)
+
+
+def dense_recoverable_coordinates(queries, n_coords: int, pool_size: int, q: int) -> frozenset[int]:
     """Gaussian elimination over the full client view.
 
     Unknowns are every message coordinate and every pool symbol.  A message
@@ -581,8 +586,8 @@ def dense_recoverable_coordinates(
     so echelon rows pivoting past them carry no randomness).
     """
     rows: list[list[int]] = []
-    for payload in wire_payloads:
-        rows.extend(dense_rows_from_wire(payload, n_coords, pool_size, q))
+    for query in queries:
+        rows.extend(dense_rows(query, n_coords, pool_size, q))
 
     width = pool_size + n_coords
     basis: list[list[int]] = []  # echelon rows, pivot column strictly increasing
@@ -633,13 +638,15 @@ def dense_rank(rows: list[list[int]], q: int) -> int:
     return len(basis)
 
 
-def assert_packed_matches_dense(payloads, n_coords, pool_size, q, desired):
-    """The packed span against the dense oracle: its pinned coordinates, its
-    rank, and the dimension of its meet with the undesired coordinates, which
-    is rank(rows) - rank(rows with the undesired columns zeroed)."""
-    span = audit.recoverable_coordinates(payloads, n_coords, pool_size, q, desired)
-    assert span.coordinates == dense_recoverable_coordinates(payloads, n_coords, pool_size, q)
-    rows = [row for payload in payloads for row in dense_rows_from_wire(payload, n_coords, pool_size, q)]
+def assert_packed_matches_dense(queries, n_coords, pool_size, q, desired):
+    """The packed span of table views and block bodies against the dense
+    oracle: its pinned coordinates, its rank, and the dimension of its meet
+    with the undesired coordinates, which is rank(rows) - rank(rows with the
+    undesired columns zeroed)."""
+    packed = [row for query in queries for row in packed_rows(query, n_coords, pool_size, q)]
+    span = audit._eliminate(packed, n_coords, pool_size, q, desired)
+    assert span.coordinates == dense_recoverable_coordinates(queries, n_coords, pool_size, q)
+    rows = [row for query in queries for row in dense_rows(query, n_coords, pool_size, q)]
     kept = set(range(pool_size)) | {pool_size + c for c in desired}
     projected = [[x if c in kept else 0 for c, x in enumerate(row)] for row in rows]
     assert span.rank == dense_rank(rows, q)
@@ -648,13 +655,15 @@ def assert_packed_matches_dense(payloads, n_coords, pool_size, q, desired):
 
 
 def oracle_views():
-    """(name, payloads, n_coords, pool_size, q, hidden pool ids, desired coordinates) of seeded honest runs."""
+    """(name, queries, n_coords, pool_size, q, hidden pool ids, desired coordinates) of seeded honest runs:
+    each table database's view, or each block database's body."""
     for K, P, N, q, reps in ((3, 1, 2, 2, None), (3, 1, 3, 2, None), (5, 3, 2, 2, 1), (3, 1, 2, 3, None)):
         params = SchemeParams(K=K, P=P, N=N, q=q)
         table = table_scheme.build_query_table(params, tuple(range(P)), Random(3), reps=reps)
         name = f"table K{K}P{P}N{N}q{q}" + (f" reps={reps}" if reps else "")
         L = table.L_store
-        yield name, table.wire_queries(), K * L, table.pool_size, q, audit._hidden_ids(table), range(P * L)
+        views = [table.view(db) for db in range(N)]
+        yield name, views, K * L, table.pool_size, q, audit._hidden_ids(table), range(P * L)
     for K, P, N, L, q, desired in ((64, 8, 3, 1, 2, tuple(range(3, 64, 8))), (4, 2, 3, 2, 5, (1, 2))):
         plan = block_scheme.plan_blocks(SchemeParams(K=K, P=P, N=N, L=L, q=q), desired, Random(3))
         n_blocks = plan.n_blocks
@@ -667,10 +676,11 @@ ORACLE_VIEWS = {name: view for name, *view in oracle_views()}
 
 @pytest.mark.parametrize("name", ORACLE_VIEWS)
 def test_packed_elimination_matches_the_dense_oracle(name):
-    payloads, n_coords, pool_size, q, hidden, desired = ORACLE_VIEWS[name]
-    honest = assert_packed_matches_dense(payloads, n_coords, pool_size, q, desired)
+    queries, n_coords, pool_size, q, hidden, desired = ORACLE_VIEWS[name]
+    honest = assert_packed_matches_dense(queries, n_coords, pool_size, q, desired)
     assert honest.undesired == ()
-    revealed = payloads + [wire.encode_table_query(hidden, [])]  # every hidden symbol as a plain download
+    # every hidden symbol published: a zero vector on its slot
+    revealed = queries + [wire.encode_block_query(pid, [0], n_coords, q) for pid in hidden]
     leaked = assert_packed_matches_dense(revealed, n_coords, pool_size, q, desired)
     assert honest.coordinates <= leaked.coordinates and leaked.undesired
 
@@ -679,7 +689,7 @@ def test_packed_elimination_matches_the_dense_oracle(name):
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name, data):
-    payloads, n_coords, pool_size, q, _, desired = ORACLE_VIEWS[name]
+    queries, n_coords, pool_size, q, _, desired = ORACLE_VIEWS[name]
     # sparse vectors pin single coordinates once their masks cancel; any byte
     # is a legal lane over odd q, read mod q
     sparse = st.lists(st.integers(0, n_coords - 1), max_size=3).map(
@@ -694,7 +704,7 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
     )
     bodies = data.draw(st.lists(runs, max_size=4))
     extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in bodies]
-    assert_packed_matches_dense(payloads + extra, n_coords, pool_size, q, desired)
+    assert_packed_matches_dense(queries + extra, n_coords, pool_size, q, desired)
 
 
 class TestTableUserPrivacy:
@@ -715,10 +725,10 @@ class TestTableUserPrivacy:
     def test_refuses_what_the_server_refuses(self, monkeypatch, tamper, fault):
         # database 0's view gains a plain pool id one past the pool, or its
         # first sum a term one past the store's last coordinate: the audit
-        # refuses it by the rule the codec's parser applies to the same query
-        # as a body, which the server would refuse too
+        # refuses it by the rule ``table_scheme.answer`` applies to the same
+        # view over a store and a pool of the table's size
         view = table_scheme.QueryTable.view
-        bodies = []  # database 0's tampered views, encoded, with the bounds the audit checks them by
+        tampered_views = []  # database 0's tampered views, with the store and pool sizes the audit checks them by
 
         def tampered(table, db):
             plain, sums = view(table, db)
@@ -729,15 +739,17 @@ class TestTableUserPrivacy:
                 else:
                     (terms, pid), *rest = sums
                     sums = (((*terms, n_coords), pid), *rest)
-                bodies.append((wire.encode_table_query(plain, sums), n_coords, table.pool_size))
-            return wire.TableQuery(plain, sums)
+                tampered_views.append((table_scheme.TableQuery(plain, sums), n_coords, table.pool_size))
+            return table_scheme.TableQuery(plain, sums)
 
         monkeypatch.setattr(table_scheme.QueryTable, "view", tampered)
         with pytest.raises(wire.ProtocolFault, match=fault) as raised:
             audit.audit_table_user_privacy(SchemeParams(K=3, P=1, N=2))
-        with pytest.raises(wire.ProtocolFault) as parsed:
-            wire.parse_table_query(*bodies[-1])
-        assert str(parsed.value) == str(raised.value)
+        last, n_coords, pool_size = tampered_views[-1]
+        store, pool = MessageStore(2, 1, bytes(n_coords)), CommonRandomnessPool(2, [0] * pool_size)
+        with pytest.raises(wire.ProtocolFault) as answered:
+            table_scheme.answer(last, store, pool)
+        assert str(answered.value) == str(raised.value)
 
     def test_draws_leave_their_structure_unchanged(self):
         # the verdict draws many tables over one structure per desired set
@@ -745,13 +757,13 @@ class TestTableUserPrivacy:
         structure = table_scheme.table_structure(SchemeParams(K=3, P=1, N=2), (1,))
         before = copy.deepcopy(structure)
         first = table_scheme.draw(structure, Random(1))
-        wires = first.wire_queries()
+        views = audit._table_views(first)
         table_scheme.draw(structure, Random(2))
         orders = [list(range(structure.L_store))] * 3 + [list(range(structure.pool_size))]
         for mutant in (audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL):
-            audit._table_build(structure, orders, mutant).wire_queries()
+            audit._table_views(audit._table_build(structure, orders, mutant))
         assert structure == before
-        assert first.wire_queries() == wires
+        assert audit._table_views(first) == views
 
     def test_a_structure_that_changes_between_builds_fails(self, monkeypatch):
         # premise 4's replay builds its structure afresh: a build that
@@ -900,23 +912,24 @@ def test_single_sum_tampers_fail_the_user_verdict_wherever_the_enumeration_leaks
 
 
 def literal_table_posteriors_uniform(table, public=()):
-    wires = table.wire_queries()
+    views = [table.view(db) for db in range(table.N)]
     K, L, q, pool_size = table.K, table.L_store, table.q, table.pool_size
-    return literal_posteriors_uniform(table_scheme.answer_wire_query, wires, K, L, q, pool_size, table.desired, public)
+    return literal_posteriors_uniform(table_scheme.answer, views, K, L, q, pool_size, table.desired, public)
 
 
 LITERAL_TABLE_BUDGET = 2**24  # (W, S) realizations the literal table check may visit
 
 
-def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2)):
+def enumerated_table_db_privacy(params, mutant=None, seeds=(0, 1, 2), desired=None):
     """Reference for the elimination verdict: the literal posterior check of
-    each strategy draw (the client knows its own draw, so the check
-    conditions on it)."""
-    structure = table_scheme.table_structure(params, tuple(range(params.P)))
+    each strategy draw of ``desired`` (by default 0..P-1) from ``seeds`` (the
+    client knows its own draw, so the check conditions on it)."""
+    desired = tuple(range(params.P)) if desired is None else desired
+    structure = table_scheme.table_structure(params, desired)
     L_store, pool_size = structure.L_store, structure.pool_size
     assert params.q ** (params.K * L_store + pool_size) * len(seeds) <= LITERAL_TABLE_BUDGET
     for seed in seeds:
-        table = table_scheme.build_query_table(params, tuple(range(params.P)), Random(seed))
+        table = table_scheme.build_query_table(params, desired, Random(seed))
         hidden = audit._hidden_ids(table) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []
         if not literal_table_posteriors_uniform(table, hidden):
             return False
@@ -946,60 +959,6 @@ def test_merged_hidden_ids_are_pinned_jointly():
                 assert not literal_table_posteriors_uniform(table)
 
 
-VIEW_TABLES = [(params, None) for params in ENUMERABLE_TABLES] + [(SchemeParams(K=5, P=3, N=2), 1)]
-
-
-@pytest.mark.parametrize(
-    "params, reps", VIEW_TABLES, ids=[f"K{p.K}P{p.P}N{p.N}q{p.q}" + (f"reps{r}" if r else "") for p, r in VIEW_TABLES]
-)
-def test_views_equal_the_parsed_codec_output(params, reps):
-    # the audits read each database's view; the codec's parser, given the
-    # encoded view, must return the same query and bound it the same way,
-    # and the elimination must pin the same span from either
-    for desired in combinations(range(params.K), params.P):
-        structure = table_scheme.table_structure(params, desired, reps)
-        L, pool_size = structure.L_store, structure.pool_size
-        rng = Random(sum(desired))
-        seeded = [tuple(rng.sample(range(size), size)) for size in [L] * params.K + [pool_size]]
-        identity = [list(range(L))] * params.K + [list(range(pool_size))]
-        for orders, mutant in product((identity, seeded), (None, *audit._TABLE_MUTANTS)):
-            t = audit._table_build(structure, orders, mutant)
-            views, wires = audit._table_views(t), t.wire_queries()
-            assert views == [wire.parse_table_query(b, t.K * L, pool_size) for b in wires]
-            hidden = audit._hidden_ids(t) if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR else []
-            report = audit._table_leakage(t, views + [wire.TableQuery((pid,), ()) for pid in hidden])
-            wires += [wire.encode_table_query([pid], []) for pid in hidden]
-            coords = [m * L + i for m in desired for i in range(L)]
-            span = audit.recoverable_coordinates(wires, t.K * L, pool_size, t.q, coords)
-            assert report == audit.LeakageReport(span.coordinates, audit._retrieved_coordinates(t), span.undesired)
-
-
-def test_table_privacy_verdicts_never_call_the_table_codec(monkeypatch):
-    # each verdict reads in-process views: with the codec gone, every one is
-    # what it was
-    params = SchemeParams(K=3, P=1, N=2)
-    table = table_scheme.build_query_table(params, (1,), Random(3))
-
-    def verdicts():
-        return [
-            audit.audit_table_user_privacy(params),
-            audit.audit_table_db_privacy(params),
-            audit.audit_table_db_privacy(params, mutant=audit.TABLE_MUTANT_NO_HIDDEN_CR),
-            audit.symbolic_leakage_table(table),
-        ]
-
-    usual = verdicts()
-    assert [bool(v.ok) for v in usual] == [True, True, False, True]
-
-    def codec(*args):
-        raise AssertionError("a table privacy verdict called the table codec")
-
-    for module in (wire, table_scheme):
-        monkeypatch.setattr(module, "encode_table_query", codec)
-        monkeypatch.setattr(module, "parse_table_query", codec)
-    assert verdicts() == usual
-
-
 class TestTableDbPrivacy:
     def test_elimination_verdict(self):
         v = audit.audit_table_db_privacy(SchemeParams(K=3, P=1, N=2))
@@ -1018,10 +977,68 @@ class TestTableDbPrivacy:
         )
 
 
-# scheme -> (module answering and decoding, its decoder's name, the reliability verdict)
+def view_sum_tampers(params):
+    """Single-sum tampers of one database's view, as (kind, database, sum index),
+    over the first desired set's structure: each sum moved onto the next sum's
+    pool id, each pure sum's hidden mask also served there as a plain
+    download, and each sum's first term repeated within it."""
+    structure = table_scheme.table_structure(params, tuple(range(params.P)))
+    for db, db_sums in enumerate(structure.sums):
+        for i, spec in enumerate(db_sums):
+            yield "moved onto another sum's pool id", db, i
+            if spec.fresh is None:
+                yield "hidden mask served plainly", db, i
+            yield "term repeated", db, i
+
+
+def tampered_view(honest, kind, db, i):
+    """``honest`` (``QueryTable.view``) with sum ``i`` of database ``db``'s view tampered as ``kind`` says."""
+
+    def view(table, d):
+        plain, sums = honest(table, d)
+        if d != db:
+            return table_scheme.TableQuery(plain, sums)
+        terms, pid = sums[i]
+        if kind == "moved onto another sum's pool id":
+            sums = (*sums[:i], (terms, sums[(i + 1) % len(sums)][1]), *sums[i + 1:])
+        elif kind == "hidden mask served plainly":
+            plain += (pid,) if table.sums[d][i].fresh is None else ()  # a sum that is pure in this build
+        else:
+            sums = (*sums[:i], ((*terms, terms[0]), pid), *sums[i + 1:])
+        return table_scheme.TableQuery(plain, sums)
+
+    return view
+
+
+def test_single_sum_tampers_fail_the_db_verdict_wherever_the_enumeration_leaks(monkeypatch):
+    # Each tamper edits one sum of one database's view on every build.  The
+    # verdict and the literal oracle both take the seed-0 draw of every
+    # desired set.  A verdict that fails without a leak is a false alarm,
+    # counted.  Over F_2 a repeated term cancels, so none of those six
+    # tampers leaks, and the verdict must pass them.
+    params = SchemeParams(K=2, P=1, N=2)
+    honest = table_scheme.QueryTable.view
+    tampers = list(view_sum_tampers(params))
+    misses, false_alarms, leaks = [], 0, Counter()
+    for kind, db, i in tampers:
+        monkeypatch.setattr(table_scheme.QueryTable, "view", tampered_view(honest, kind, db, i))
+        leak = any(
+            not enumerated_table_db_privacy(params, seeds=(0,), desired=desired)
+            for desired in combinations(range(params.K), params.P)
+        )
+        v = audit.audit_table_db_privacy(params, seeds=(0,))
+        if leak and v.ok:
+            misses.append((kind, db, i))
+        false_alarms += not leak and not v.ok
+        leaks[kind] += leak
+    assert (len(tampers), misses, false_alarms) == (14, [], 0)
+    assert leaks == {"moved onto another sum's pool id": 4, "hidden mask served plainly": 2, "term repeated": 0}
+
+
+# scheme -> (module answering and decoding, its answer's and its decoder's names, the reliability verdict)
 RELIABILITY = {
-    "block": (block_scheme, "decode_blocks", audit.audit_reliability_block),
-    "table": (table_scheme, "decode", audit.audit_reliability_table),
+    "block": (block_scheme, "answer_wire_query", "decode_blocks", audit.audit_reliability_block),
+    "table": (table_scheme, "answer", "decode", audit.audit_reliability_table),
 }
 # audit-exact's two reliability shapes, and a small block shape
 RELIABILITY_SHAPES = [
@@ -1042,13 +1059,13 @@ class TrialRecorder:
     """
 
     def __init__(self, monkeypatch, scheme, fires=None):
-        module, decode_name, self.verdict = RELIABILITY[scheme]
-        answer, decode = module.answer_wire_query, getattr(module, decode_name)
+        module, answer_name, decode_name, self.verdict = RELIABILITY[scheme]
+        answer, decode = getattr(module, answer_name), getattr(module, decode_name)
         self.trials, self.fired, self.flipped = [], [], None
 
-        def recording_answer(payload, store, pool):
+        def recording_answer(query, store, pool):
             self.store, self.pool = store, pool
-            return answer(payload, store, pool)
+            return answer(query, store, pool)
 
         def tampered_decode(plan, answers):
             out = decode(plan, answers)
@@ -1059,7 +1076,7 @@ class TrialRecorder:
                 out[self.flipped] = (out[self.flipped] + 1) % self.store.q
             return out
 
-        monkeypatch.setattr(module, "answer_wire_query", recording_answer)
+        monkeypatch.setattr(module, answer_name, recording_answer)
         monkeypatch.setattr(module, decode_name, tampered_decode)
 
 
@@ -1107,7 +1124,7 @@ class TestReliability:
         for trials in (1, 50):
             seeded.clear()
             domains.clear()
-            assert RELIABILITY[scheme][2](params, trials=trials, seed=11).ok
+            assert RELIABILITY[scheme][3](params, trials=trials, seed=11).ok
             assert len(seeded) == 3
             assert domains == [(11, field.DOMAIN_MESSAGES), (11, field.DOMAIN_COMMON_RANDOMNESS)]
 
@@ -1170,15 +1187,9 @@ class TestSymbolicLeakage:
         payloads = [block_payload(0, [base]), block_payload(0, [probe])]
         span = audit.recoverable_coordinates(payloads, 3, 1, 2, (0,))
         assert span.coordinates == frozenset({0}) and span.undesired == ()
-        # revealing the shared symbol (a synthetic plain download of pool id 0)
-        # exposes the base combination and with it the undesired coordinate 1
-        reveal = (
-            struct.pack("<B", table_scheme.TABLE_QUERY_TAG)
-            + struct.pack("<I", 1)
-            + struct.pack("<I", 0)
-            + struct.pack("<I", 0)
-        )
-        leaked = audit.recoverable_coordinates(payloads + [reveal], 3, 1, 2, (0,))
+        # revealing the shared symbol (a zero vector on pool slot 0) exposes
+        # the base combination and with it the undesired coordinate 1
+        leaked = audit.recoverable_coordinates(payloads + [block_payload(0, [[0, 0, 0]])], 3, 1, 2, (0,))
         assert leaked.coordinates == frozenset({0, 1}) and leaked.undesired == (field.pack([0, 1, 0], 2),)
 
     def test_a_sum_of_undesired_messages_is_pinned_jointly(self):
@@ -1197,8 +1208,9 @@ class TestSymbolicLeakage:
     def test_empty_payload_is_a_protocol_fault(self):
         with pytest.raises(wire.ProtocolFault, match="empty query body"):
             audit.recoverable_coordinates([b""], 3, 2, 2, ())
-        with pytest.raises(wire.ProtocolFault, match="unknown scheme tag 9"):  # as the server refuses it
-            audit.recoverable_coordinates([b"\x09"], 3, 2, 2, ())
+        for tag in (1, 9):  # as the server refuses them; tag 1 is the reserved table tag
+            with pytest.raises(wire.ProtocolFault, match=f"unknown scheme tag {tag}"):
+                audit.recoverable_coordinates([bytes([tag])], 3, 2, 2, ())
 
     def test_download_all_reads_as_every_coordinate(self):
         # a database without a pool answers download-all with every stored symbol;
@@ -1209,12 +1221,11 @@ class TestSymbolicLeakage:
             audit.recoverable_coordinates([wire.encode_download_all()], 3, 2, 2, ())
 
     def test_refuses_what_the_server_refuses(self):
-        # n_coords 3 over a 2-slot pool: a run far past the pool, a plain
-        # table id past it, e_0 on the slot one past it (which must not read
-        # as an unmasked query for coordinate 0), and a run of three from slot 0
+        # n_coords 3 over a 2-slot pool: a run far past the pool, e_0 on the
+        # slot one past it (which must not read as an unmasked query for
+        # coordinate 0), and a run of three from slot 0
         for payload in (
             wire.encode_block_query(9, [0], 3, 2),
-            wire.encode_table_query([5], []),
             wire.encode_block_query(2, [1], 3, 2),
             wire.encode_block_query(0, [1, 2, 4], 3, 2),
         ):

@@ -244,3 +244,13 @@ def test_count_mismatch_detected():
 def test_single_database_rejected():
     with pytest.raises(InfeasibleError):
         plan_blocks(SchemeParams(K=3, P=1, N=1), (0,), Random(0))
+
+
+def test_a_repeated_desired_message_is_refused():
+    # merged, (1, 1, 2) at P=2 would have laid out the blocks of {1, 2}
+    params = SchemeParams(K=4, P=2, N=2)
+    for desired in ((1, 1), (1, 1, 2), [3, 3]):
+        with pytest.raises(ParamError, match="P=2 distinct messages"):
+            build_plan(params, desired, [0, 1], [0, 0])
+        with pytest.raises(ParamError, match="P=2 distinct messages"):
+            plan_blocks(params, desired, Random(0))

@@ -10,7 +10,8 @@ from privset.params import ParamError, SchemeParams, alpha_profile, cost_ledger,
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
     ProtocolFault,
-    answer_wire_query,
+    TableQuery,
+    answer,
     build_query_table,
     decode,
     build_query_table as build,
@@ -29,7 +30,7 @@ def make_run(K, P, N, q=2, desired=None, seed=0, reps=None):
     table = build_query_table(params, desired, Random(seed), reps=reps)
     store = MessageStore.generate(K, table.L_store, q, seed=seed + 1)
     pool = CommonRandomnessPool.generate(table.pool_size, q, seed=seed + 2)
-    answers = [answer_wire_query(table.wire_query(db), store, pool) for db in range(N)]
+    answers = [answer(table.view(db), store, pool) for db in range(N)]
     return table, store, pool, answers
 
 
@@ -132,7 +133,7 @@ def test_all_zero_store_and_pool_give_zero_answers():
     store = MessageStore(2, table.L_store, bytes(3 * table.L_store))
     pool = CommonRandomnessPool(2, [0] * table.pool_size)
     for db in range(2):
-        assert all(v == 0 for v in answer_wire_query(table.wire_query(db), store, pool))
+        assert all(v == 0 for v in answer(table.view(db), store, pool))
 
 
 def test_fresh_symbol_discipline():
@@ -202,7 +203,7 @@ def test_build_is_a_draw_over_the_structure(K, P, N, reps):
             drawn = draw(structure, Random(seed))
             assert drawn == table  # every field, the permutations included
             assert vars(structure) == {name: getattr(table, name) for name in vars(structure)}
-            assert drawn.wire_queries() == table.wire_queries()
+            assert [drawn.view(db) for db in range(N)] == [table.view(db) for db in range(N)]
 
 
 @pytest.mark.parametrize("K, P, N, reps", [(3, 1, 2, None), (3, 2, 3, None), (5, 3, 2, 1), (4, 2, 2, 1)])
@@ -258,10 +259,41 @@ def test_out_of_range_reference_is_a_fault():
     table, store, pool, _ = make_run(3, 1, 2)
     small_store = MessageStore(2, 1, bytes(3))
     with pytest.raises(ProtocolFault):
-        answer_wire_query(table.wire_query(0), small_store, pool)
+        answer(table.view(0), small_store, pool)
     small_pool = CommonRandomnessPool(2, [0])
     with pytest.raises(ProtocolFault):
-        answer_wire_query(table.wire_query(0), store, small_pool)
+        answer(table.view(0), store, small_pool)
+
+
+def test_answer_checks_the_bounds_of_its_store_and_pool():
+    # plain pool id 4, then terms (0, 1) and (2, 0) of a K=3, L=2 store,
+    # coordinates 1 and 4, masked by pool id 1
+    view = TableQuery((4,), (((1, 4), 1),))
+    pool = CommonRandomnessPool(2, [0, 1, 0, 0, 1])
+    assert answer(view, MessageStore(2, 2, bytes([0, 1, 0, 0, 0, 0])), pool) == [1, 0]  # pool 1 + W[1] + W[4]
+    assert answer(view, MessageStore(2, 1, bytes(5)), pool) == [1, 1]  # K=5, L=1: coordinate 4 is the last
+    with pytest.raises(ProtocolFault, match="missing symbol at coordinate 4"):
+        answer(view, MessageStore(2, 2, bytes(4)), pool)  # K=2, L=2
+    with pytest.raises(ProtocolFault, match="missing symbol at coordinate 4"):
+        answer(view, MessageStore(2, 1, bytes(3)), pool)  # K=3, L=1
+    with pytest.raises(ProtocolFault, match="randomness slot 4 outside the provisioned pool"):
+        answer(view, MessageStore(2, 2, bytes(6)), CommonRandomnessPool(2, [0] * 4))
+    # a negative coordinate or pool id would index from the end: refused too
+    with pytest.raises(ProtocolFault, match="missing symbol at coordinate -1"):
+        answer(TableQuery((), (((-1,), 0),)), MessageStore(2, 2, bytes(6)), pool)
+    for bad in (TableQuery((-2,), ()), TableQuery((), (((0,), -2),))):
+        with pytest.raises(ProtocolFault, match="randomness slot -2 outside the provisioned pool"):
+            answer(bad, MessageStore(2, 2, bytes(6)), pool)
+
+
+def test_a_repeated_desired_message_is_refused():
+    # merged into one message, ``--desired 1 1`` at P=1 would have built a table for {1}
+    params = SchemeParams(K=3, P=1, N=2)
+    for desired in ((1, 1), [1, 1], (0, 0)):
+        with pytest.raises(ParamError, match="P=1 distinct messages"):
+            table_structure(params, desired)
+    with pytest.raises(ParamError, match="P=2 distinct messages"):
+        table_structure(SchemeParams(K=3, P=2, N=2), (1, 1, 2))
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -295,9 +327,11 @@ def test_render_text_layout():
 # SHA-256 over every criterion-4 grid cell with at most 20,000 predicted
 # downloads (61 cells), built with that criterion's seed: each cell's
 # (L_store, pool_size, msg_fresh, plain_slots, sums, msg_perm, pool_perm), each
-# sum as (terms, cr_slot, fresh, reused), and wire bytes.  A change to the
-# builder that keeps its output keeps this value.
-GOLDEN_BUILD_DIGEST = "baf336feed0546c7058bae1b681c6d37a16d8f05d91f0bf0f3c3e9fb91b31174"
+# sum as (terms, cr_slot, fresh, reused), and each database's repr(view).  A
+# change to the table build that keeps its output keeps this value.  It was
+# recomputed when each view's repr replaced its encoded bytes, on the last
+# commit with the table codec, so it pins the same 61 builds.
+GOLDEN_BUILD_DIGEST = "96561137a8c1053cfb659e93e0ccf6404a0eebb2f2e07aa33b2158b387e9b696"
 
 
 def test_grid_builds_match_the_golden_digest():
@@ -314,7 +348,8 @@ def test_grid_builds_match_the_golden_digest():
         sums = [[tuple(spec) for spec in db_sums] for db_sums in table.sums]
         fields = (table.L_store, table.pool_size, table.msg_fresh, table.plain_slots, sums)
         h.update(repr(fields + (table.msg_perm, table.pool_perm)).encode())
-        h.update(b"".join(table.wire_queries()))
+        for db in range(N):
+            h.update(repr(table.view(db)).encode())
         cells += 1
     assert cells == 61
     assert h.hexdigest() == GOLDEN_BUILD_DIGEST

@@ -1,5 +1,6 @@
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -463,9 +464,12 @@ def test_served_database_refuses_a_table_query(backend):
     # (a block run over the whole pool, 141 bytes), so the tag is what is refused.
     responder = EntityConfig(2, 12, 2, frozenset({1, 4, 5, 9}))
     servers = entity_servers(responder, 64, 1)
-    body = wire.encode_table_query([0], [([t], 0) for t in range(12)])
-    plain, *sums = table_scheme.answer_wire_query(body, responder.store, servers[0].pool)
+    view = table_scheme.TableQuery((0,), tuple(((t,), 0) for t in range(12)))
+    plain, *sums = table_scheme.answer(view, responder.store, servers[0].pool)
     assert {t for t, v in enumerate(sums) if v != plain} == {1, 4, 5, 9}  # what the body would pin
+    # the view in the layout tag 1 once had: plain ids, then per sum its term
+    # count, its coordinates and its pool id
+    body = struct.pack("<BIII", wire.TABLE_QUERY_TAG, 1, 0, 12) + b"".join(struct.pack("<BII", 1, t, 0) for t in range(12))
     payload = wire.encode_query(0, body)
     assert len(payload) == 125 and servers[0].max_payload() == 141
     if backend == "sim":

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 from random import Random
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import privset
 from conftest import answer_block, read_frames
-from privset import audit, block_scheme, table_scheme, wire
+from privset import audit, block_scheme, wire
 from privset.field import pack, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi
@@ -42,12 +43,6 @@ def seeded_traffic():
     """((K, query payload) pairs, answer payloads) of seeded intersection runs."""
     records = [(res.transcript.meta["K"], rec) for res in seeded_runs() for db in res.transcript.records for rec in db]
     return [(K, q) for K, (q, _) in records], [a for _, (_, a) in records]
-
-
-def seeded_table_bodies():
-    t1 = table_scheme.build_query_table(SchemeParams(K=3, P=1, N=3), (0,), Random(5))
-    t2 = table_scheme.build_query_table(SchemeParams(K=5, P=3, N=2), (0, 1, 2), Random(5), reps=1)
-    return t1.wire_queries() + t2.wire_queries()
 
 
 def server_errors():
@@ -85,8 +80,6 @@ def test_encode_inverts_parse_on_seeded_payloads():
             assert wire.encode_download_all() == body
     for payload in answers:
         assert wire.encode_answer(*wire.parse_answer(payload)) == payload
-    for body in seeded_table_bodies():
-        assert wire.encode_table_query(*wire.parse_table_query(body)) == body
     for payload in server_errors():
         assert wire.encode_error(*wire.parse_error(payload)) == payload
     setup = wire.encode_setup({"entity": 2, "K": 10, "P": 6, "N": 2})
@@ -99,10 +92,9 @@ def test_encode_inverts_parse_on_seeded_payloads():
 
 def test_every_truncation_and_trailing_byte_is_a_fault():
     queries, answers = seeded_traffic()
-    bodies = [(K, wire.parse_query(q)[1]) for K, q in queries[:4]] + [(None, b) for b in seeded_table_bodies()[-2:]]
+    bodies = [(K, wire.parse_query(q)[1]) for K, q in queries[:4]]
     parsers = {
         wire.BLOCK_QUERY_TAG: lambda b, K: wire.parse_block_query(b, 2, K),
-        wire.TABLE_QUERY_TAG: lambda b, K: wire.parse_table_query(b),
         wire.DOWNLOAD_ALL_TAG: lambda b, K: wire.parse_download_all(b),
     }
     for K, body in bodies:
@@ -155,15 +147,6 @@ def test_block_body_layout():
     assert wire.parse_block_query(bytes([2]) + u32(7) + u32(0), 2, 10) == (7, [])
 
 
-def test_table_body_layout():
-    # tag, plain count, plain pool ids, sum count, then per sum: term count,
-    # one u32 coordinate m*L + s per term, the masking pool id
-    body = wire.encode_table_query([4], [([1, 4], 1)])
-    u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
-    assert body == bytes([1]) + u32(1) + u32(4) + u32(1) + bytes([2]) + u32(1) + u32(4) + u32(1)
-    assert wire.parse_table_query(body) == ((4,), (((1, 4), 1),))
-
-
 def test_parsers_check_the_bounds_they_are_given():
     block = wire.encode_block_query(2, [0b101, 0b110], 3, 2)  # slots 2 and 3
     assert wire.parse_block_query(block, 2, 3, 4) == (2, [0b101, 0b110])
@@ -175,18 +158,6 @@ def test_parsers_check_the_bounds_they_are_given():
         wire.parse_block_query(block, 2, 3, 3)
     with pytest.raises(ProtocolFault, match="slot 1 outside"):  # an empty run past the pool names no slot in it
         wire.parse_block_query(wire.encode_block_query(2, [], 3, 2), 2, 3, 1)
-    # terms (0, 1) and (2, 0) of a K=3, L=2 store: coordinates 1 and 4
-    table = wire.encode_table_query([4], [([1, 4], 1)])
-    assert wire.parse_table_query(table, 6, 5) == wire.TableQuery((4,), (((1, 4), 1),))
-    assert wire.parse_table_query(table, 5, 5) == wire.parse_table_query(table)
-    with pytest.raises(ProtocolFault, match="missing symbol"):
-        wire.parse_table_query(table, 4, 5)  # K=2, L=2
-    with pytest.raises(ProtocolFault, match="missing symbol"):
-        wire.parse_table_query(table, 3, 5)  # K=3, L=1
-    with pytest.raises(ProtocolFault, match="slot 4"):
-        wire.parse_table_query(table, 6, 4)
-    with pytest.raises(ProtocolFault):
-        wire.parse_table_query(block)
 
 
 ALL_PARSERS = [
@@ -197,8 +168,6 @@ ALL_PARSERS = [
     lambda b: wire.parse_block_query(b, 2, 0),
     lambda b: wire.parse_block_query(b, 2, 3, 2),
     lambda b: wire.parse_block_query(b, 5, 3, 2),
-    wire.parse_table_query,
-    lambda b: wire.parse_table_query(b, 3, 2),
     wire.parse_download_all,
     wire.parse_answer,
     wire.parse_error,
@@ -215,7 +184,8 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 _VALID_QUERIES = [
     wire.encode_query(7, wire.encode_block_query(0, [0b101, 0b110], 3, 2)),
     wire.encode_query(6, wire.encode_block_query(1, [0b101_1010_0101, 0], 11, 2)),
-    wire.encode_query(8, wire.encode_table_query([1], [([0, 2], 0)])),
+    # a body with the reserved table tag, laid out as one was: plain id 1, then one sum of coordinates 0 and 2 on id 0
+    wire.encode_query(8, struct.pack("<BIIIBIII", wire.TABLE_QUERY_TAG, 1, 1, 1, 2, 0, 2, 0)),
     wire.encode_query(9, wire.encode_download_all()),
 ]
 
@@ -351,27 +321,6 @@ def test_the_served_answer_is_the_reference_on_seeded_bodies(q):
         for body in plan.wire_queries():
             assert "slot" in served_answer(body, store, short)
     assert answered and faulted
-
-
-table_bodies = st.tuples(
-    st.lists(st.integers(0, 2**32 - 1), max_size=4),
-    st.lists(st.tuples(st.lists(st.integers(0, 2**32 - 1), max_size=5), st.integers(0, 2**32 - 1)), max_size=4),
-)
-
-
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(table_bodies, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
-def test_fuzzed_table_bodies_parse_back_or_fault(query, pos, value, cut):
-    plain_ids, sums = query
-    body = wire.encode_table_query(plain_ids, sums)
-    assert wire.parse_table_query(body) == (tuple(plain_ids), tuple((tuple(t), pid) for t, pid in sums))
-    mutated = _mutate(body, pos, value, cut)
-    try:
-        parsed = wire.parse_table_query(mutated)
-    except ProtocolFault:
-        parsed = None
-    if parsed is not None:
-        assert wire.encode_table_query(*parsed) == mutated
 
 
 def test_packed_parser_faults():
@@ -547,16 +496,13 @@ def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
 
 # SHA-256 over the joined payloads of seeded runs. A deliberate change to a
 # byte layout or to a scheme's draws updates these values and says why.
-# The table values changed when a table term became one u32 coordinate m*L + s
-# instead of a (message u8, position u32) pair.  The block values and the
-# flagship transcript changed when a block body became one slot run (wire
-# version 3): each new value is the version-2 bytes with every entry's u32
-# pool id cut and the run's u32 first slot inserted after the tag, and the
-# transcript header renamed "PRIVSET-TRANSCRIPT v3".  Neither table value
-# changed.
+# The block values and the flagship transcript changed when a block body
+# became one slot run (wire version 3): each new value is the version-2 bytes
+# with every entry's u32 pool id cut and the run's u32 first slot inserted
+# after the tag, and the transcript header renamed "PRIVSET-TRANSCRIPT v3".
+# The table entries went with the table body layout: table queries are
+# in-process views, pinned by tests/test_table_scheme.py's GOLDEN_BUILD_DIGEST.
 GOLDEN_WIRE_DIGESTS = {
-    "table K=3 P=1 N=3": "ca1d1afa3757fd1958a997a378f868bcda030e6de0568afcc868578f951b5220",
-    "table K=5 P=3 N=2 reps=1": "08e600f58c81f4612ea97154bbf44ef57d838179108d1ae7710be24ec11d314e",
     "block K=6 P=2 N=3 L=2": "4e7b1fc71c0a2c0b5a444a52ce92ecfb95c0b9caeadc00fe737400d3ba89e924",
     "block K=6 P=2 N=3 L=2 q=5": "150e0922bce7a7f5882def202a28321b4ed7e86815ca74a1c4d542bfca764955",
     "flagship transcript": "8c6958e24b55c97248c7edf115d370de49cd97332350e33497eea122bdef346d",
@@ -569,12 +515,6 @@ def test_seeded_wire_bytes_match_the_golden_digests():
 
     flagship = run_psi(E1, E2, seed_client=11, seed_cr=22).transcript
     got = {
-        "table K=3 P=1 N=3": digest(
-            table_scheme.build_query_table(SchemeParams(K=3, P=1, N=3), (0,), Random(0)).wire_queries()
-        ),
-        "table K=5 P=3 N=2 reps=1": digest(
-            table_scheme.build_query_table(SchemeParams(K=5, P=3, N=2), (0, 1, 2), Random(0), reps=1).wire_queries()
-        ),
         "block K=6 P=2 N=3 L=2": digest(
             block_scheme.plan_blocks(SchemeParams(K=6, P=2, N=3, L=2), (1, 4), Random(0)).wire_queries()
         ),
@@ -587,13 +527,20 @@ def test_seeded_wire_bytes_match_the_golden_digests():
 
 
 def test_wire_is_the_only_module_that_imports_struct():
-    # One wire codec: every byte layout lives in privset/wire.py.
+    # One wire codec: every byte layout lives in privset/wire.py.  An import
+    # statement or an ``__import__``/``import_module`` call naming the module
+    # counts, in any module of the package.
     importers = set()
-    for path in Path(privset.__file__).parent.glob("*.py"):
+    root = Path(privset.__file__).parent
+    for path in root.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             if isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
-            if any(name.split(".")[0] == "struct" for name in names):
-                importers.add(path.name)
+            if isinstance(node, ast.Call):
+                func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if func in ("__import__", "import_module"):
+                    names = [arg.value for arg in node.args[:1] if isinstance(arg, ast.Constant)]
+            if any(str(name).split(".")[0] == "struct" for name in names):
+                importers.add(str(path.relative_to(root)))
     assert importers == {"wire.py"}
