@@ -36,9 +36,10 @@ Retrieval*).  Every pair is checked while there are at most
 
 The query-table scheme's strategy space is one permutation per message plus
 a pool relabeling.  Its premises, on each desired set's identity view (every
-permutation the identity): (1) identical skeletons across desired sets;
+permutation the identity): (1) identical skeletons across desired sets, a
+skeleton being each sum's messages in order, a plain download the empty sum;
 (2) no store coordinate and no pool id twice within one database's view, in
-one pass over it; (3) on sampled draws of one component, each database's
+one pass over its sums; (3) on sampled draws of one component, each database's
 emitted view equals its identity view with that draw applied, one equality
 that also pins the skeleton and the components not drawn; (4) a replay from
 a fresh structure gives the same identity views.  They give every
@@ -265,24 +266,20 @@ def _table_build(structure: table_scheme.TableStructure, perms, mutant: str | No
 
 
 def _skeleton(view: table_scheme.TableQuery, L: int):
-    return (len(view.plain_ids), tuple(tuple(c // L for c in terms) for terms, _ in view.sums))
+    return tuple(tuple(c // L for c in terms) for terms, _ in view)
 
 
 def _relabel(view: table_scheme.TableQuery, comp: int, perm, L: int, K: int) -> table_scheme.TableQuery:
     """``view`` under one component draw: message ``comp``'s positions through
     ``perm`` for ``comp < K``, every pool id through ``perm`` for ``comp == K``."""
     if comp == K:
-        return table_scheme.TableQuery(
-            tuple(perm[pid] for pid in view.plain_ids), tuple((terms, perm[pid]) for terms, pid in view.sums)
-        )
+        return tuple((terms, perm[pid]) for terms, pid in view)
     lo = comp * L
-    return view._replace(sums=tuple(
-        (tuple(lo + perm[c - lo] if c // L == comp else c for c in terms), pid) for terms, pid in view.sums
-    ))
+    return tuple((tuple(lo + perm[c - lo] if c // L == comp else c for c in terms), pid) for terms, pid in view)
 
 
 def _visible_ids(view: table_scheme.TableQuery) -> tuple[int, ...]:
-    return view.plain_ids + tuple(pid for _, pid in view.sums)
+    return tuple(pid for _, pid in view)
 
 
 def _table_views(table: table_scheme.QueryTable) -> list[table_scheme.TableQuery]:
@@ -325,7 +322,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     for desired in desired_sets:
         for db in range(N):
             v = views[desired][db]
-            coords = [c for terms, _ in v.sums for c in terms]
+            coords = [c for terms, _ in v for c in terms]
             if len(set(coords)) != len(coords):
                 m = min(c // L_store for c, n in Counter(coords).items() if n > 1)
                 return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
@@ -396,10 +393,10 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
 
 def _rows_from_view(view: table_scheme.TableQuery, pool_size: int, q: int) -> list[int]:
     """Packed coefficient rows of a table view, laid out as ``_rows_from_wire``'s:
-    one per plain pool id, then one per sum."""
+    one per sum, a 0-sum's row its pool id's lane alone."""
     lane = lane_bits(q)
-    rows = [1 << pid * lane for pid in view.plain_ids]
-    for terms, pid in view.sums:
+    rows = []
+    for terms, pid in view:
         row = 1 << pid * lane
         for c in terms:
             row = raise_lane(row, pool_size + c, q)
@@ -488,22 +485,13 @@ def recoverable_coordinates(wire_payloads: list[bytes], n_coords: int, pool_size
     return _eliminate(rows, n_coords, pool_size, q, desired)
 
 
-def _retrieved_coordinates(table: table_scheme.QueryTable) -> frozenset[int]:
-    """The message coordinates a table run is meant to reveal: its desired fresh symbols."""
-    return frozenset(
-        m * table.L_store + table.msg_perm[m][idx]
-        for m in table.desired
-        for idx in range(table.msg_fresh[m])
-    )
-
-
 def _hidden_ids(table: table_scheme.QueryTable) -> list[int]:
     """Pool ids of the pure sums' masking slots, over every database."""
     return [
         table.pool_perm[spec.cr_slot]
         for db_sums in table.sums
         for spec in db_sums
-        if spec.fresh is None
+        if spec.terms and spec.fresh is None
     ]
 
 
@@ -513,7 +501,7 @@ def _table_leakage(table: table_scheme.QueryTable, views: list[table_scheme.Tabl
     desired = [m * L + i for m in table.desired for i in range(L)]
     rows = [row for view in views for row in _rows_from_view(view, pool_size, q)]
     span = _eliminate(rows, table.K * L, pool_size, q, desired)
-    return LeakageReport(span.coordinates, _retrieved_coordinates(table), span.undesired)
+    return LeakageReport(span.coordinates, frozenset(table.retrieved()), span.undesired)
 
 
 def symbolic_leakage_table(table: table_scheme.QueryTable) -> LeakageReport:
@@ -538,10 +526,12 @@ def audit_table_db_privacy(
     check conditions on it), a pinned span that meets the undesired
     coordinates only in 0 certifies the exact uniformity of the posterior:
     fibers of a linear map all have one size.  Hidden-randomness removal is
-    modeled by giving the undesired sums' masking symbols publicly known
-    values: a synthetic plain download of each.
+    modeled by giving the pure sums' masking symbols publicly known values:
+    a synthetic 0-sum of each.  An empty ``seeds`` checks no draw and is refused.
     """
     _check_table_mutant(mutant)
+    if not seeds:
+        raise ParamError("a database-privacy audit needs at least one strategy draw, got no seeds")
     structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
     for seed in seeds:
         for desired in combinations(range(params.K), params.P):
@@ -550,7 +540,7 @@ def audit_table_db_privacy(
             table = table_scheme.draw(structures[desired], Random(seed))
             views = _table_views(table)
             if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                views += [table_scheme.TableQuery((pid,), ()) for pid in _hidden_ids(table)]
+                views += [(((), pid),) for pid in _hidden_ids(table)]
             report = _table_leakage(table, views)
             if report.undesired:
                 outside = len(report.recoverable - report.expected)

@@ -310,8 +310,11 @@ def cmd_psi_verify(args) -> int:
     meta = transcript.meta
     measured = transcript.downloaded_symbols
     K, P, N, q = (meta.get(key) for key in ("K", "P_initiator", "N_responder", "q"))
-    shaped = all(type(v) is int for v in (K, P, N))
-    problems = _shape_problems(transcript, K, P, N, q) if shaped else []
+    unshaped = [key for key, v in zip(("K", "P_initiator", "N_responder"), (K, P, N)) if type(v) is not int]
+    shaped = not unshaped
+    problems = _shape_problems(transcript, K, P, N, q) if shaped else [
+        f"transcript metadata has no integer {key}" for key in unshaped
+    ]
     if args.responder_set:
         if meta.get("seed_cr") is None:
             raise ParamError(

@@ -8,17 +8,19 @@ gets) comes from :func:`privset.params.alpha_profile`.
 Construction rules, per database:
 
 * every k-subset of messages appears once per stage of round k;
-* a sum with no desired message is *pure*: all its symbols are fresh and it
-  is masked by its own randomness slot, which the querying side never sees
-  on its own;
+* a randomness symbol served plainly is the 0-sum of its slot: the sum of no
+  message symbols, listed before every round;
+* a k-sum with no desired message is *pure*: all its symbols are fresh and
+  it is masked by its own randomness slot, which the querying side never
+  sees on its own;
 * a sum with a desired message carries one fresh desired symbol and reuses
   already-recovered symbols for its other desired members.  Made only of
-  desired messages, it is masked by a slot another database serves plainly;
-  mixing in undesired messages, it embeds, verbatim, a pure sum downloaded
-  at another database, slot included.
+  desired messages, it is masked by the slot of a 0-sum another database
+  serves; mixing in undesired messages, it embeds, verbatim, a pure sum
+  downloaded at another database, slot included.
 
-Either way the querying side knows one value on the sum's slot (the plain
-download, or the pure sum's answer), and subtracting it and the reused
+A 0-sum's or a pure sum's answer is the known value on its slot, and every
+other sum is decoded by one rule: subtracting that value and the reused
 symbols unmasks the fresh symbol.  Each pure sum is consumed exactly once at
 each of the other N-1 databases, which is what the stage profile's balance
 identity guarantees is possible.
@@ -35,8 +37,9 @@ lists, which nothing mutates.
 
 A table query never crosses a network: one table body could mask every store
 coordinate with one plainly served symbol, so a served database refuses its
-tag.  Each database's query is an in-process view (:meth:`QueryTable.view`),
-and :func:`answer` evaluates it.
+tag.  Each database's query is an in-process view (:meth:`QueryTable.view`):
+its sums, 0-sums included, in answer order, each relabeled to its store
+coordinates and pool id.  :func:`answer` evaluates it.
 """
 
 from __future__ import annotations
@@ -63,11 +66,9 @@ from .wire import TABLE_QUERY_TAG  # noqa: F401  (reserved and never served; per
 from .wire import ProtocolFault
 
 
-class TableQuery(NamedTuple):
-    """One database's query, built in process: plainly served pool ids, then one entry per sum."""
-
-    plain_ids: tuple[int, ...]
-    sums: tuple[tuple[tuple[int, ...], int], ...]  # (store coordinates of its terms, pool id)
+# One database's query, built in process: per sum, in answer order, the store
+# coordinates of its terms (none for a plain download) and its pool id.
+TableQuery = tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _outside(values, size: int) -> int | None:
@@ -83,10 +84,10 @@ def _outside(values, size: int) -> int | None:
 def check_table_query(query: TableQuery, n_coords: int, pool_size: int) -> TableQuery:
     """``query``, once every term's coordinate is checked to lie in [0, n_coords)
     and every pool id in [0, pool_size)."""
-    bad = _outside(chain.from_iterable(map(itemgetter(0), query.sums)), n_coords)
+    bad = _outside(chain.from_iterable(map(itemgetter(0), query)), n_coords)
     if bad is not None:
         raise ProtocolFault(f"query references missing symbol at coordinate {bad}")
-    bad = _outside(chain(query.plain_ids, map(itemgetter(1), query.sums)), pool_size)
+    bad = _outside(map(itemgetter(1), query), pool_size)
     if bad is not None:
         raise ProtocolFault(f"randomness slot {bad} outside the provisioned pool")
     return query
@@ -95,9 +96,10 @@ def check_table_query(query: TableQuery, n_coords: int, pool_size: int) -> Table
 class SumSpec(NamedTuple):
     """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
 
-    A pure sum has no ``fresh`` symbol.  Any other sum is decoded by one rule:
-    its answer minus the one known value on ``cr_slot`` (a plain download or
-    a pure sum's answer) minus its ``reused`` symbols is its ``fresh`` symbol.
+    A 0-sum is a plain download of its slot.  A 0-sum and a pure sum have no
+    ``fresh`` symbol: their answer is the known value on ``cr_slot``.  Any
+    other sum is decoded by one rule: its answer minus the known value on
+    ``cr_slot`` minus its ``reused`` symbols is its ``fresh`` symbol.
     """
 
     terms: tuple[tuple[int, int], ...]  # (message, structural index), sorted by message
@@ -118,8 +120,7 @@ class TableStructure:
     desired: tuple[int, ...]
     reps: int  # effective stage multiplier (repetition factor or override)
     profile: AlphaProfile
-    plain_slots: list[list[int]]  # per database, canonical pool slots served plainly
-    sums: list[list[SumSpec]]  # per database, in round/stage/subset order
+    sums: list[list[SumSpec]]  # per database, in answer order: its 0-sums, then round/stage/subset order
     msg_fresh: list[int]  # fresh symbol count per message
     L_store: int
     pool_size: int
@@ -134,7 +135,7 @@ class QueryTable(TableStructure):
 
     @property
     def total_downloads(self) -> int:
-        return sum(len(p) + len(s) for p, s in zip(self.plain_slots, self.sums))
+        return sum(map(len, self.sums))
 
     @property
     def total_desired_symbols(self) -> int:
@@ -144,18 +145,25 @@ class QueryTable(TableStructure):
     def rate(self) -> Fraction:
         return Fraction(self.total_desired_symbols, self.total_downloads)
 
+    def retrieved(self) -> dict[int, tuple[int, int]]:
+        """What a run retrieves: the store coordinate msg*L_store + position of
+        each desired fresh symbol, mapped to its (message, structural index)."""
+        L = self.L_store
+        return {
+            msg * L + self.msg_perm[msg][idx]: (msg, idx)
+            for msg in self.desired
+            for idx in range(self.msg_fresh[msg])
+        }
+
     def view(self, db: int) -> TableQuery:
-        """Database ``db``'s query, built in process: plain slots relabeled to
-        pool ids, each term's structural index permuted to its store coordinate
-        msg*L_store + position, each sum's slot relabeled."""
+        """Database ``db``'s query, built in process: per sum, each term's
+        structural index permuted to its store coordinate msg*L_store +
+        position, and its slot relabeled to a pool id."""
         L, msg_perm, pool_perm = self.L_store, self.msg_perm, self.pool_perm
-        return TableQuery(
-            tuple([pool_perm[slot] for slot in self.plain_slots[db]]),
-            tuple([
-                (tuple([msg * L + msg_perm[msg][idx] for msg, idx in s.terms]), pool_perm[s.cr_slot])
-                for s in self.sums[db]
-            ]),
-        )
+        return tuple([
+            (tuple([msg * L + msg_perm[msg][idx] for msg, idx in s.terms]), pool_perm[s.cr_slot])
+            for s in self.sums[db]
+        ])
 
 
 def build_query_table(
@@ -194,7 +202,7 @@ def table_structure(
     is_desired = set(desired).__contains__
     others = [[c for c in range(N) if c != db] for db in range(N)]  # each database's peers
 
-    plain_slots: list[list[int]] = [[] for _ in range(N)]
+    plain: list[list[SumSpec]] = [[] for _ in range(N)]  # per database, the 0-sums it serves
     sums: list[list[SumSpec]] = [[] for _ in range(N)]
     msg_fresh = [0] * K
     fresh_count = msg_fresh.__getitem__
@@ -226,7 +234,7 @@ def table_structure(
             for db in range(N):
                 ids = range(next_slot, next_slot + quota)
                 next_slot += quota
-                plain_slots[db].extend(ids)
+                plain[db].extend(SumSpec((), slot) for slot in ids)
                 round_plain.append(ids)
             for consumer in range(N):
                 for m in others[consumer]:
@@ -306,7 +314,7 @@ def table_structure(
 
     return TableStructure(
         K=K, P=P, N=N, q=q, desired=desired, reps=reps, profile=profile,
-        plain_slots=plain_slots, sums=sums,
+        sums=[db_plain + db_sums for db_plain, db_sums in zip(plain, sums)],
         msg_fresh=msg_fresh, L_store=L_store, pool_size=pool_size,
     )
 
@@ -333,12 +341,12 @@ def relabel(structure: TableStructure, msg_perm, pool_perm) -> QueryTable:
 
 def answer(view: TableQuery, store: MessageStore, pool: CommonRandomnessPool) -> list[int]:
     """Evaluate one database's answer to its view (``QueryTable.view``), once
-    ``check_table_query`` bounds it by the store and the pool: plain slots
-    first, then one symbol per sum."""
+    ``check_table_query`` bounds it by the store and the pool: one symbol per
+    sum, in the view's order, a 0-sum's being its pool symbol."""
     query = check_table_query(view, len(store.flat), len(pool.symbols))
     flat, symbols, q = store.flat, pool.symbols, store.q
-    out = [symbols[pid] for pid in query.plain_ids]
-    for terms, pid in query.sums:
+    out = []
+    for terms, pid in query:
         acc = symbols[pid]
         for c in terms:
             acc += flat[c]
@@ -355,25 +363,25 @@ def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
     """Recover every desired symbol from the N answer strings, keyed by its
     store coordinate msg*L_store + position.
 
-    Every plain download and every pure sum's answer is the known value on
-    its slot.  Each other sum, in round order, yields its fresh symbol: its
-    answer minus the known value on its slot minus its reused symbols.
+    Every sum with no fresh symbol (a 0-sum or a pure sum) answers the known
+    value on its slot.  Each other sum, in round order, yields its fresh
+    symbol: its answer minus the known value on its slot minus its reused
+    symbols.
     Structural inconsistencies (wrong lengths, out-of-range symbols) raise
     ProtocolFault; they indicate a transport or replication fault.
     """
     q = table.q
     if len(answers) != table.N:
         raise ProtocolFault(f"expected {table.N} answer strings, got {len(answers)}")
-    known: dict[int, int] = {}  # pool slot -> its plain download or its pure sum's answer
+    known: dict[int, int] = {}  # pool slot -> the answer of its 0-sum or its pure sum
     masked: list[tuple[SumSpec, int]] = []  # sums with a fresh symbol, with their answers
     for db in range(table.N):
-        ans, plain, db_sums = answers[db], table.plain_slots[db], table.sums[db]
-        if len(ans) != len(plain) + len(db_sums):
+        ans, db_sums = answers[db], table.sums[db]
+        if len(ans) != len(db_sums):
             raise ProtocolFault(f"answer length mismatch at database {db}")
         if any(not 0 <= v < q for v in ans):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
-        known.update(zip(plain, ans))
-        for spec, v in zip(db_sums, ans[len(plain):]):
+        for spec, v in zip(db_sums, ans):
             if spec.fresh is None:
                 known[spec.cr_slot] = v
             else:
@@ -387,19 +395,15 @@ def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
             v -= decoded[term]
         decoded[spec.fresh] = v % q
 
-    L = table.L_store
-    return {
-        msg * L + table.msg_perm[msg][idx]: decoded[(msg, idx)]
-        for msg in table.desired
-        for idx in range(table.msg_fresh[msg])
-    }
+    return {c: decoded[symbol] for c, symbol in table.retrieved().items()}
 
 
 def render_text(table: QueryTable) -> str:
     """Human-readable table: one column per database, blank line between rounds.
 
-    Rows look like ``a7+b3+s8``; symbol and slot numbers are 1-based.  Plain
-    randomness downloads are listed first, mirroring the run's answer layout.
+    Rows look like ``a7+b3+s8``; symbol and slot numbers are 1-based.  A
+    0-sum, a plain randomness download, reads ``s8``; the 0-sums come first,
+    in the run's answer order.
     """
 
     def letter(msg: int) -> str:
@@ -412,9 +416,7 @@ def render_text(table: QueryTable) -> str:
 
     columns: list[list[str]] = []
     for db in range(table.N):
-        rows = [f"s{table.pool_perm[slot] + 1}" for slot in table.plain_slots[db]]
-        if rows:
-            rows.append("")
+        rows: list[str] = []
         last_k = None
         for spec in table.sums[db]:
             if last_k is not None and len(spec.terms) != last_k:

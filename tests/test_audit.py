@@ -545,13 +545,8 @@ def dense_rows(query, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
     parsed with the server's bounds.  A query out of those bounds raises ProtocolFault."""
     width = pool_size + n_coords
     rows: list[list[int]] = []
-    if isinstance(query, table_scheme.TableQuery):
-        view = table_scheme.check_table_query(query, n_coords, pool_size)
-        for pid in view.plain_ids:
-            row = [0] * width
-            row[pid] = 1
-            rows.append(row)
-        for terms, pid in view.sums:
+    if isinstance(query, tuple):
+        for terms, pid in table_scheme.check_table_query(query, n_coords, pool_size):
             row = [0] * width
             row[pid] = 1
             for c in terms:
@@ -572,7 +567,7 @@ def dense_rows(query, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
 
 def packed_rows(query, n_coords: int, pool_size: int, q: int) -> list[int]:
     """``audit``'s packed rows of one query, a table view or a block body, under the bounds ``dense_rows`` applies."""
-    if isinstance(query, table_scheme.TableQuery):
+    if isinstance(query, tuple):
         return audit._rows_from_view(table_scheme.check_table_query(query, n_coords, pool_size), pool_size, q)
     return audit._rows_from_wire(query, n_coords, pool_size, q)
 
@@ -723,24 +718,24 @@ class TestTableUserPrivacy:
 
     @pytest.mark.parametrize("tamper, fault", [("pool id", "outside the provisioned pool"), ("coordinate", "missing symbol")])
     def test_refuses_what_the_server_refuses(self, monkeypatch, tamper, fault):
-        # database 0's view gains a plain pool id one past the pool, or its
-        # first sum a term one past the store's last coordinate: the audit
+        # database 0's view gains a 0-sum on a pool id one past the pool, or
+        # its first sum a term one past the store's last coordinate: the audit
         # refuses it by the rule ``table_scheme.answer`` applies to the same
         # view over a store and a pool of the table's size
         view = table_scheme.QueryTable.view
         tampered_views = []  # database 0's tampered views, with the store and pool sizes the audit checks them by
 
         def tampered(table, db):
-            plain, sums = view(table, db)
+            sums = view(table, db)
             if db == 0:
                 n_coords = table.K * table.L_store
                 if tamper == "pool id":
-                    plain += (table.pool_size,)
+                    sums = (((), table.pool_size), *sums)
                 else:
                     (terms, pid), *rest = sums
                     sums = (((*terms, n_coords), pid), *rest)
-                tampered_views.append((table_scheme.TableQuery(plain, sums), n_coords, table.pool_size))
-            return table_scheme.TableQuery(plain, sums)
+                tampered_views.append((sums, n_coords, table.pool_size))
+            return sums
 
         monkeypatch.setattr(table_scheme.QueryTable, "view", tampered)
         with pytest.raises(wire.ProtocolFault, match=fault) as raised:
@@ -785,7 +780,7 @@ class TestTableUserPrivacy:
 
 def message_positions(view, m, L):
     """Positions of message ``m`` in the order the view's terms name them."""
-    return tuple(c % L for terms, _ in view.sums for c in terms if c // L == m)
+    return tuple(c % L for terms, _ in view for c in terms if c // L == m)
 
 
 def enumerated_component_tv(structs, size):
@@ -844,10 +839,10 @@ def test_closed_form_matches_enumerated_components(params):
 
 
 def single_sum_tampers(sums, K):
-    """Tampers of one of ``sums`` (one database's), as (sum index, replacement)
-    pairs: per term, the term pointed at another position its message has on
-    that database, and moved to the next message; per sum, the next sum's
-    pool slot."""
+    """Tampers of one of ``sums`` (one database's, 0-sums first), as (sum
+    index, replacement) pairs: per term, the term pointed at another position
+    its message has on that database, and moved to the next message; per sum,
+    the next sum's pool slot."""
     positions = defaultdict(set)
     for spec in sums:
         for m, idx in spec.terms:
@@ -862,18 +857,18 @@ def single_sum_tampers(sums, K):
 
 # Per shape: tampers, then (premise-1/2 detail, tampers failing with it).
 SUM_TAMPER_SHAPES = [
-    (SchemeParams(K=2, P=1, N=2), 11, {
+    (SchemeParams(K=2, P=1, N=2), 12, {
         "query skeleton differs at database 0": 4,
         "repeated position of message 0 at database 0": 2,
         "repeated position of message 1 at database 0": 2,
-        "repeated randomness id at database 0": 3,
+        "repeated randomness id at database 0": 4,
     }),
-    (SchemeParams(K=3, P=2, N=2), 16, {
+    (SchemeParams(K=3, P=2, N=2), 18, {
         "query skeleton differs at database 0": 6,
         "repeated position of message 0 at database 0": 2,
         "repeated position of message 1 at database 0": 2,
         "repeated position of message 2 at database 0": 2,
-        "repeated randomness id at database 0": 4,
+        "repeated randomness id at database 0": 6,
     }),
 ]
 
@@ -977,35 +972,50 @@ class TestTableDbPrivacy:
         )
 
 
+@pytest.mark.parametrize("verdict, sample", [
+    # with no seeds the no_hidden_cr mutant, which every seed fails, would pass
+    (audit.audit_table_db_privacy, {"mutant": audit.TABLE_MUTANT_NO_HIDDEN_CR, "seeds": ()}),
+    (audit.audit_reliability_table, {"trials": 0}),
+    (audit.audit_reliability_block, {"trials": 0}),
+], ids=["table db privacy, no seeds", "table reliability, no trials", "block reliability, no trials"])
+def test_a_sampled_verdict_refuses_an_empty_sample(verdict, sample):
+    # a verdict over no draws would pass vacuously
+    with pytest.raises(ParamError, match="at least one"):
+        verdict(SchemeParams(K=3, P=1, N=2), **sample)
+
+
 def view_sum_tampers(params):
     """Single-sum tampers of one database's view, as (kind, database, sum index),
-    over the first desired set's structure: each sum moved onto the next sum's
-    pool id, each pure sum's hidden mask also served there as a plain
-    download, and each sum's first term repeated within it."""
+    over the first desired set's structure: each sum, 0-sums included, moved
+    onto the next sum's pool id, each pure sum's hidden mask also served
+    there as a 0-sum, and the first term of each sum with terms repeated
+    within it."""
     structure = table_scheme.table_structure(params, tuple(range(params.P)))
     for db, db_sums in enumerate(structure.sums):
         for i, spec in enumerate(db_sums):
             yield "moved onto another sum's pool id", db, i
-            if spec.fresh is None:
-                yield "hidden mask served plainly", db, i
-            yield "term repeated", db, i
+            if spec.terms:
+                if spec.fresh is None:
+                    yield "hidden mask served plainly", db, i
+                yield "term repeated", db, i
 
 
 def tampered_view(honest, kind, db, i):
     """``honest`` (``QueryTable.view``) with sum ``i`` of database ``db``'s view tampered as ``kind`` says."""
 
     def view(table, d):
-        plain, sums = honest(table, d)
+        sums = honest(table, d)
         if d != db:
-            return table_scheme.TableQuery(plain, sums)
+            return sums
         terms, pid = sums[i]
         if kind == "moved onto another sum's pool id":
             sums = (*sums[:i], (terms, sums[(i + 1) % len(sums)][1]), *sums[i + 1:])
         elif kind == "hidden mask served plainly":
-            plain += (pid,) if table.sums[d][i].fresh is None else ()  # a sum that is pure in this build
+            spec = table.sums[d][i]
+            sums += (((), pid),) if spec.terms and spec.fresh is None else ()  # a 0-sum on a sum pure in this build
         else:
             sums = (*sums[:i], ((*terms, terms[0]), pid), *sums[i + 1:])
-        return table_scheme.TableQuery(plain, sums)
+        return sums
 
     return view
 
@@ -1031,8 +1041,8 @@ def test_single_sum_tampers_fail_the_db_verdict_wherever_the_enumeration_leaks(m
             misses.append((kind, db, i))
         false_alarms += not leak and not v.ok
         leaks[kind] += leak
-    assert (len(tampers), misses, false_alarms) == (14, [], 0)
-    assert leaks == {"moved onto another sum's pool id": 4, "hidden mask served plainly": 2, "term repeated": 0}
+    assert (len(tampers), misses, false_alarms) == (16, [], 0)
+    assert leaks == {"moved onto another sum's pool id": 6, "hidden mask served plainly": 2, "term repeated": 0}
 
 
 # scheme -> (module answering and decoding, its answer's and its decoder's names, the reliability verdict)

@@ -628,6 +628,34 @@ def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
             assert machine_records(out)[0]["problems"] == ["the transcript records 2 databases, not N_responder=1000000000"]
 
 
+def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
+    # Without K, P_initiator or N_responder verify cannot check the run's
+    # shape: each missing key is a named problem and exit 3, never "transcript consistent".
+    from privset import psi, transport
+
+    e1 = psi.EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+    e2 = psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+    honest = psi.run_psi(e1, e2, seed_client=1, seed_cr=2).transcript
+    path = tmp_path / "t.transcript"
+
+    def verify(meta, records):
+        transport.Transcript(meta, records).save(str(path))
+        code, out, _ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+        (rec,) = machine_records(out)
+        return code, rec["download_symbols"], rec["problems"]
+
+    def without(key):
+        return {k: v for k, v in honest.meta.items() if k != key}
+
+    assert verify(honest.meta, honest.records) == (EXIT_OK, 8, [])
+    for key in ("K", "P_initiator", "N_responder"):
+        assert verify(without(key), honest.records) == (EXIT_PROTOCOL, 8, [f"transcript metadata has no integer {key}"])
+    # database 1's record doubled downloads 12 symbols against the optimum of 8
+    r0, r1 = honest.records
+    doubled = verify(without("P_initiator"), [r0, r1 + r1])
+    assert doubled == (EXIT_PROTOCOL, 12, ["transcript metadata has no integer P_initiator"])
+
+
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
     from privset import psi, transport
     from privset.storage import CommonRandomnessPool, MessageStore
@@ -718,6 +746,41 @@ def test_paper_n3_table_audit_passes(capsys):
             capsys, "audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "3", "--mutant", mutant
         )
         assert code == EXIT_AUDIT
+
+
+# SHA-256 of ``privset table`` stdout, rendered and with ``--run --machine``, at
+# the default seeds.  The rendered table prints every download of every
+# database, so a change to the build, its relabeling or its rendering that
+# keeps its output leaves every value here as it is.
+GOLDEN_TABLE_DIGESTS = {
+    "K=3 P=1 N=3 rendered": "8c0067fbbb1a6d26d340078b4b7b237552fe721899683f1a4d1f29b5fef59550",
+    "K=3 P=1 N=3 run machine": "4977ab874c1705ca7e0c6a723c9769f9197a851edf0940fd3345e6bb85bd7588",
+    "K=5 P=3 N=2 reps=1 rendered": "04a989dfc762483220d63e9e5ab275f70181eea87bc1c7d9cd8a406d2056fb90",
+    "K=5 P=3 N=2 reps=1 run machine": "2e497d90fc5a101eb647693ef4c0dcebe24ccdf2e1aee5b7f7fc8e7afff4ef65",
+    "K=4 P=2 N=2 rendered": "11907560db5fc740d5a2f51f3a77b4edbd94bb8cf4e6cb1c713a38a28d5b5d73",
+    "K=4 P=2 N=2 run machine": "79dc7c92523bf3fc3d5b25ecb0281025bd1e5f90a7b9bd646f2c164f2b5a7def",
+    "K=3 P=1 N=2 q=3 rendered": "2c5382f35f46fc5f2da03d415f0dac0ec0467860b33051ab0c52baaca250ff18",
+    "K=3 P=1 N=2 q=3 run machine": "a9b986f08a978983f610cbb052ecc8533c4902ed25dfcf8619b4960e9bbf7a11",
+    "K=6 P=4 N=2 reps=1 rendered": "5ee6c6cf374a570bd1489e37509810f32f1700b85a22900f145961d7cf49d715",
+    "K=6 P=4 N=2 reps=1 run machine": "970cd7933ad82b206952fecfe3116f088a6dc0c8794ee8f8d6d1881d6903cd23",
+}
+
+
+def test_table_output_matches_the_golden_digests(capsys):
+    shapes = {
+        "K=3 P=1 N=3": ["--K", "3", "--P", "1", "--N", "3"],
+        "K=5 P=3 N=2 reps=1": ["--K", "5", "--P", "3", "--N", "2", "--reps", "1"],
+        "K=4 P=2 N=2": ["--K", "4", "--P", "2", "--N", "2"],
+        "K=3 P=1 N=2 q=3": ["--K", "3", "--P", "1", "--N", "2", "--q", "3"],
+        "K=6 P=4 N=2 reps=1": ["--K", "6", "--P", "4", "--N", "2", "--reps", "1"],
+    }
+    got = {}
+    for name, argv in shapes.items():
+        for mode, extra in (("rendered", []), ("run machine", ["--run", "--machine"])):
+            code, out, _ = run_cli(capsys, "table", *argv, *extra)
+            assert code == EXIT_OK, (name, mode)
+            got[f"{name} {mode}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GOLDEN_TABLE_DIGESTS
 
 
 # SHA-256 of ``privset audit --machine`` stdout.  Each verdict's ok, distance

@@ -10,7 +10,6 @@ from privset.params import ParamError, SchemeParams, alpha_profile, cost_ledger,
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import (
     ProtocolFault,
-    TableQuery,
     answer,
     build_query_table,
     decode,
@@ -34,6 +33,11 @@ def make_run(K, P, N, q=2, desired=None, seed=0, reps=None):
     return table, store, pool, answers
 
 
+def plain_slots(table, db):
+    """The slots database ``db`` serves plainly: those of its 0-sums."""
+    return [s.cr_slot for s in table.sums[db] if not s.terms]
+
+
 class TestWorkedExampleSmall:
     """K=3, P=1, N=3: two stages of 1-sums, four of 2-sums, eight of 3-sums."""
 
@@ -43,8 +47,8 @@ class TestWorkedExampleSmall:
         assert [table.reps * table.profile.alpha[k - 1] for k in (1, 2, 3)] == [2, 4, 8]
         for db in range(3):
             per_round = Counter(len(s.terms) for s in table.sums[db])  # a k-sum is in round k
-            assert per_round == {1: 6, 2: 12, 3: 8}
-            assert len(table.plain_slots[db]) == 1
+            assert per_round == {0: 1, 1: 6, 2: 12, 3: 8}  # one plain download, the 0-sum
+            assert len(plain_slots(table, db)) == 1
         assert table.total_downloads == 81
         assert table.total_desired_symbols == 54
         assert table.pool_size == 27
@@ -65,7 +69,7 @@ class TestWorkedExampleAsymmetric:
         assert [table.reps * table.profile.alpha[k - 1] for k in (1, 2, 3, 4, 5)] == [3, 1, 0, 0, 1]
         for db in range(2):
             # database db's plain slots mask the all-desired sums of the other database
-            plain = set(table.plain_slots[db])
+            plain = set(plain_slots(table, db))
             rounds = [len(s.terms) for s in table.sums[1 - db] if s.cr_slot in plain]
             assert len(rounds) == len(plain)
             assert rounds.count(1) == 9 and rounds.count(2) == 3
@@ -151,12 +155,18 @@ def test_fresh_symbol_discipline():
 def test_randomness_tags_follow_the_rules():
     table, *_ = make_run(4, 2, 2)
     desired = set(table.desired)
-    served = {slot: db for db, slots in enumerate(table.plain_slots) for slot in slots}
-    pure = {s.cr_slot: (db, s) for db in range(table.N) for s in table.sums[db] if s.fresh is None}
+    served = {slot: db for db in range(table.N) for slot in plain_slots(table, db)}
+    pure = {s.cr_slot: (db, s) for db in range(table.N) for s in table.sums[db] if s.terms and s.fresh is None}
     for db in range(table.N):
         slot_uses = Counter(s.cr_slot for s in table.sums[db])
         for s in table.sums[db]:
             kinds = {m for m, _ in s.terms}
+            if not s.terms:
+                # a 0-sum, a plain download, yields nothing; its slot masks no
+                # other sum at its database
+                assert s.fresh is None and not s.reused
+                assert slot_uses[s.cr_slot] == 1 and served[s.cr_slot] == db
+                continue
             if not kinds & desired:
                 # a pure sum yields nothing; its slot masks no other sum at its
                 # database and is never served plainly
@@ -179,7 +189,7 @@ def test_randomness_tags_follow_the_rules():
 def test_each_pure_sum_consumed_once_per_other_database():
     table, *_ = make_run(3, 1, 3)
     uses = [Counter(s.cr_slot for s in table.sums[db] if s.fresh is not None) for db in range(table.N)]
-    pure_sums = [(db, s) for db in range(table.N) for s in table.sums[db] if s.fresh is None]
+    pure_sums = [(db, s) for db in range(table.N) for s in table.sums[db] if s.terms and s.fresh is None]
     assert pure_sums
     for db, s in pure_sums:
         assert [uses[c][s.cr_slot] for c in range(table.N)] == [int(c != db) for c in range(table.N)]
@@ -190,7 +200,7 @@ def test_plain_quota_matches_ledger():
         table, *_ = make_run(K, P, N)
         expected = table.reps * table.profile.scale * N * cost_ledger(K, P, N).D2
         assert expected.denominator == 1
-        assert sum(len(p) for p in table.plain_slots) == int(expected)
+        assert sum(len(plain_slots(table, db)) for db in range(N)) == int(expected)
 
 
 @pytest.mark.parametrize("K, P, N, reps", [(3, 1, 2, None), (3, 1, 3, None), (5, 3, 2, 1), (4, 2, 2, 1)])
@@ -266,9 +276,9 @@ def test_out_of_range_reference_is_a_fault():
 
 
 def test_answer_checks_the_bounds_of_its_store_and_pool():
-    # plain pool id 4, then terms (0, 1) and (2, 0) of a K=3, L=2 store,
+    # a 0-sum on pool id 4, then terms (0, 1) and (2, 0) of a K=3, L=2 store,
     # coordinates 1 and 4, masked by pool id 1
-    view = TableQuery((4,), (((1, 4), 1),))
+    view = (((), 4), ((1, 4), 1))
     pool = CommonRandomnessPool(2, [0, 1, 0, 0, 1])
     assert answer(view, MessageStore(2, 2, bytes([0, 1, 0, 0, 0, 0])), pool) == [1, 0]  # pool 1 + W[1] + W[4]
     assert answer(view, MessageStore(2, 1, bytes(5)), pool) == [1, 1]  # K=5, L=1: coordinate 4 is the last
@@ -280,8 +290,8 @@ def test_answer_checks_the_bounds_of_its_store_and_pool():
         answer(view, MessageStore(2, 2, bytes(6)), CommonRandomnessPool(2, [0] * 4))
     # a negative coordinate or pool id would index from the end: refused too
     with pytest.raises(ProtocolFault, match="missing symbol at coordinate -1"):
-        answer(TableQuery((), (((-1,), 0),)), MessageStore(2, 2, bytes(6)), pool)
-    for bad in (TableQuery((-2,), ()), TableQuery((), (((0,), -2),))):
+        answer((((-1,), 0),), MessageStore(2, 2, bytes(6)), pool)
+    for bad in ((((), -2),), (((0,), -2),)):
         with pytest.raises(ProtocolFault, match="randomness slot -2 outside the provisioned pool"):
             answer(bad, MessageStore(2, 2, bytes(6)), pool)
 
@@ -326,12 +336,14 @@ def test_render_text_layout():
 
 # SHA-256 over every criterion-4 grid cell with at most 20,000 predicted
 # downloads (61 cells), built with that criterion's seed: each cell's
-# (L_store, pool_size, msg_fresh, plain_slots, sums, msg_perm, pool_perm), each
-# sum as (terms, cr_slot, fresh, reused), and each database's repr(view).  A
-# change to the table build that keeps its output keeps this value.  It was
-# recomputed when each view's repr replaced its encoded bytes, on the last
-# commit with the table codec, so it pins the same 61 builds.
-GOLDEN_BUILD_DIGEST = "96561137a8c1053cfb659e93e0ccf6404a0eebb2f2e07aa33b2158b387e9b696"
+# (L_store, pool_size, msg_fresh, sums, msg_perm, pool_perm), each sum as
+# (terms, cr_slot, fresh, reused), and each database's repr(view).  A change
+# to the table build that keeps its output keeps this value.  It was
+# recomputed when plain downloads became 0-sums, on the last commit that kept
+# them apart, with each plain slot read as a leading ((), slot, None, ()) and
+# each plain pool id as a leading ((), pid) view pair, so it pins the same 61
+# builds.
+GOLDEN_BUILD_DIGEST = "03a22c81345c717d0b862800437bd61a483ce450a0f9785f6129d7309c982ffc"
 
 
 def test_grid_builds_match_the_golden_digest():
@@ -346,8 +358,7 @@ def test_grid_builds_match_the_golden_digest():
             continue
         table = build_query_table(SchemeParams(K=K, P=P, N=N), tuple(range(P)), Random(K * 100 + P * 10 + N))
         sums = [[tuple(spec) for spec in db_sums] for db_sums in table.sums]
-        fields = (table.L_store, table.pool_size, table.msg_fresh, table.plain_slots, sums)
-        h.update(repr(fields + (table.msg_perm, table.pool_perm)).encode())
+        h.update(repr((table.L_store, table.pool_size, table.msg_fresh, sums, table.msg_perm, table.pool_perm)).encode())
         for db in range(N):
             h.update(repr(table.view(db)).encode())
         cells += 1

@@ -464,7 +464,7 @@ def test_served_database_refuses_a_table_query(backend):
     # (a block run over the whole pool, 141 bytes), so the tag is what is refused.
     responder = EntityConfig(2, 12, 2, frozenset({1, 4, 5, 9}))
     servers = entity_servers(responder, 64, 1)
-    view = table_scheme.TableQuery((0,), tuple(((t,), 0) for t in range(12)))
+    view = (((), 0), *(((t,), 0) for t in range(12)))
     plain, *sums = table_scheme.answer(view, responder.store, servers[0].pool)
     assert {t for t, v in enumerate(sums) if v != plain} == {1, 4, 5, 9}  # what the body would pin
     # the view in the layout tag 1 once had: plain ids, then per sum its term
