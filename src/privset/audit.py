@@ -63,11 +63,13 @@ undesired unit vector, so the check fails.  Otherwise each slot's base part
 cancels against its pool symbol, every base draw pins the zero-base view's
 span with its rank, and one elimination decides them all.  Each row is
 one packed int in ``field.lane_bits(q)`` lanes, pool ids first and message
-coordinates after them, so a row operation is one XOR over F_2.  Rows are
-keyed on their first nonzero lane in the order pool, desired coordinates,
-undesired coordinates, so the rows keyed on undesired lanes span that meet;
-the rows left without a pool lane are brought to reduced form, and a
-coordinate is pinned outright iff its reduced row is its unit vector.
+coordinates after them, so a row operation is one XOR over F_2.  Over F_2
+the elimination has a branch of its own: a lane is one bit, a row's lead is
+its lowest set bit, and no lane is unpacked or scaled.  Rows are keyed on
+their first nonzero lane in the order pool, desired coordinates, undesired
+coordinates, so the rows keyed on undesired lanes span that meet; the rows
+left without a pool lane are brought to reduced form, and a coordinate is
+pinned outright iff its reduced row is its unit vector.
 
 Mutated schemes (negative controls) are first-class: an audit that cannot
 fail them is itself broken, and the test suite insists they fail.
@@ -273,9 +275,12 @@ def _relabel(view: table_scheme.TableQuery, comp: int, perm, L: int, K: int) -> 
     """``view`` under one component draw: message ``comp``'s positions through
     ``perm`` for ``comp < K``, every pool id through ``perm`` for ``comp == K``."""
     if comp == K:
-        return tuple((terms, perm[pid]) for terms, pid in view)
+        return tuple([(terms, perm[pid]) for terms, pid in view])
     lo = comp * L
-    return tuple((tuple(lo + perm[c - lo] if c // L == comp else c for c in terms), pid) for terms, pid in view)
+    coord = list(range(K * L))  # store coordinate -> its image: the identity but on message comp's block
+    coord[lo : lo + L] = [lo + p for p in perm]
+    at = coord.__getitem__
+    return tuple([(tuple(map(at, terms)), pid) for terms, pid in view])
 
 
 def _visible_ids(view: table_scheme.TableQuery) -> tuple[int, ...]:
@@ -398,8 +403,12 @@ def _rows_from_view(view: table_scheme.TableQuery, pool_size: int, q: int) -> li
     rows = []
     for terms, pid in view:
         row = 1 << pid * lane
-        for c in terms:
-            row = raise_lane(row, pool_size + c, q)
+        if q == 2:  # a repeated term cancels, as it does mod 2
+            for c in terms:
+                row ^= 1 << pool_size + c
+        else:
+            for c in terms:
+                row = raise_lane(row, pool_size + c, q)
         rows.append(row)
     return rows
 
@@ -439,15 +448,25 @@ def _eliminate(rows, n_coords: int, pool_size: int, q: int, desired) -> PinnedSp
     width = pool_size + n_coords
     first = (1 << pool_size * lane) - 1 | sum(full << (pool_size + c) * lane for c in desired)
     pivots: dict[int, int] = {}  # first nonzero lane -> basis row, coefficient 1 there
-    for row in rows:
-        while row:
-            low = row & first or row
-            lead = ((low & -low).bit_length() - 1) // lane
-            coeff = row >> lead * lane & full
-            if lead not in pivots:
-                pivots[lead] = _combine(0, pow(coeff, q - 2, q), row, width, q)
-                break
-            row = _combine(row, q - coeff, pivots[lead], width, q)
+    if q == 2:  # a lane is one bit: the lead is the lowest set bit, every row operation one XOR
+        for row in rows:
+            while row:
+                low = row & first or row
+                lead = (low & -low).bit_length() - 1
+                if lead not in pivots:
+                    pivots[lead] = row
+                    break
+                row ^= pivots[lead]
+    else:
+        for row in rows:
+            while row:
+                low = row & first or row
+                lead = ((low & -low).bit_length() - 1) // lane
+                coeff = row >> lead * lane & full
+                if lead not in pivots:
+                    pivots[lead] = _combine(0, pow(coeff, q - 2, q), row, width, q)
+                    break
+                row = _combine(row, q - coeff, pivots[lead], width, q)
 
     def undesired(lead: int) -> bool:
         return not first >> lead * lane & 1
@@ -459,7 +478,12 @@ def _eliminate(rows, n_coords: int, pool_size: int, q: int, desired) -> PinnedSp
         row = pivots[lead]
         hits = (row & free_lanes) ^ (1 << lead * lane)  # the other pool-free pivots the row still holds
         while hits:
-            b = ((hits & -hits).bit_length() - 1) // lane
+            low = hits & -hits
+            if q == 2:
+                hits ^= low
+                row ^= reduced[low.bit_length() - 1]
+                continue
+            b = (low.bit_length() - 1) // lane
             coeff = hits >> b * lane & full
             hits ^= coeff << b * lane
             row = _combine(row, q - coeff, reduced[b], width, q)

@@ -99,18 +99,15 @@ def build_plan(params: SchemeParams, desired, order, bases) -> BlockPlan:
     if P == K:
         raise ParamError("P == K is served by the download-all path, not by block queries")
 
-    coords_flat = [m * L + sym for m in desired for sym in range(L)]
-    coords_flat = [coords_flat[i] for i in order]
+    coords_flat = [desired[i // L] * L + i % L for i in order]  # coordinate i: symbol i % L of message desired[i // L]
 
     width = N - 1
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
     for j, (block_coords, base_vec) in enumerate(zip(coords, bases, strict=True)):
-        base = j % N
-        queries[base].append(BlockQuery(base_vec, None))
-        probes = [(base + 1 + i) % N for i in range(len(block_coords))]
-        for db, t in zip(probes, block_coords):
-            queries[db].append(BlockQuery(raise_lane(base_vec, t, q), t))
+        queries[j % N].append(BlockQuery(base_vec, None))
+        for db, t in enumerate(block_coords, j + 1):  # the probes go to the databases after the base's
+            queries[db % N].append(BlockQuery(base_vec ^ 1 << t if q == 2 else raise_lane(base_vec, t, q), t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -154,7 +151,7 @@ def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
     for db in range(N):
         if len(answers[db]) != len(plan.queries[db]):
             raise ProtocolFault(f"answer count mismatch at database {db}")
-        if any(not 0 <= v < q for v in answers[db]):
+        if answers[db] and (min(answers[db]) < 0 or max(answers[db]) >= q):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
 
     base: dict[int, int] = {}  # block -> base answer

@@ -273,7 +273,6 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     out for (P, N).  Nothing is sized by the metadata's K, P or N."""
     if not 0 <= P <= K:
         raise ParamError(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
-    check_modulus(q)  # every recorded vector is read over the transcript's field
     if N != len(transcript.records):
         return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
@@ -310,11 +309,18 @@ def cmd_psi_verify(args) -> int:
     meta = transcript.meta
     measured = transcript.downloaded_symbols
     K, P, N, q = (meta.get(key) for key in ("K", "P_initiator", "N_responder", "q"))
-    unshaped = [key for key, v in zip(("K", "P_initiator", "N_responder"), (K, P, N)) if type(v) is not int]
-    shaped = not unshaped
-    problems = _shape_problems(transcript, K, P, N, q) if shaped else [
-        f"transcript metadata has no integer {key}" for key in unshaped
+    problems = [
+        f"transcript metadata has no integer {key}"
+        for key, v in zip(("K", "P_initiator", "N_responder"), (K, P, N))
+        if type(v) is not int
     ]
+    try:
+        check_modulus(q)  # every recorded vector is read over the transcript's field
+    except ParamError as exc:
+        problems.append(f"transcript metadata: {exc}")
+    shaped = not problems
+    if shaped:
+        problems = _shape_problems(transcript, K, P, N, q)
     if args.responder_set:
         if meta.get("seed_cr") is None:
             raise ParamError(
@@ -325,7 +331,10 @@ def cmd_psi_verify(args) -> int:
             problems.append("responder set file disagrees with the transcript's K")
         else:
             if not shaped:
-                raise ParamError("transcript metadata lacks the run's P_initiator and N_responder (integers, P from 0 to K)")
+                raise ParamError(
+                    "answer replay needs the run's integer K, P_initiator and N_responder (P from 0 to K)"
+                    f" and its field q: {'; '.join(problems)}"
+                )
             # The responder as run_psi stood it up: its own store, one database per record, D - P pool symbols.
             responder = psi.EntityConfig(2 if meta.get("initiator") == 1 else 1, K, len(transcript.records), elements)
             servers = psi.entity_servers(responder, psi_direction_cost(P, N, K) - P, meta["seed_cr"])

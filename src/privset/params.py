@@ -39,7 +39,7 @@ _MODULI = frozenset(q for q in range(2, 257) if all(q % d for d in range(2, isqr
 def check_modulus(q: int) -> None:
     """Raise ParamError unless F_q is a field whose symbols fit in a wire byte."""
     if type(q) is not int or q not in _MODULI:
-        raise ParamError(f"q must be a prime <= 256 (one byte per symbol on the wire), got {q}")
+        raise ParamError(f"q must be a prime <= 256 (one byte per symbol on the wire), got {q!r}")
 
 
 @dataclass(frozen=True)

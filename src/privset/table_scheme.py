@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, filterfalse
 from math import comb
-from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -71,25 +70,21 @@ from .wire import ProtocolFault
 TableQuery = tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _outside(values, size: int) -> int | None:
-    """The largest of ``values`` if it is ``size`` or more, else the smallest if it is negative, else None."""
-    values = list(values)
-    top = max(values, default=-1)
-    if top >= size:
-        return top
-    low = min(values, default=0)
-    return low if low < 0 else None
-
-
 def check_table_query(query: TableQuery, n_coords: int, pool_size: int) -> TableQuery:
     """``query``, once every term's coordinate is checked to lie in [0, n_coords)
-    and every pool id in [0, pool_size)."""
-    bad = _outside(chain.from_iterable(map(itemgetter(0), query)), n_coords)
-    if bad is not None:
-        raise ProtocolFault(f"query references missing symbol at coordinate {bad}")
-    bad = _outside(map(itemgetter(1), query), pool_size)
-    if bad is not None:
-        raise ProtocolFault(f"randomness slot {bad} outside the provisioned pool")
+    and every pool id in [0, pool_size).  Coordinates are checked first, and
+    within each kind the largest value past the end before the smallest
+    negative one."""
+    terms, ids = zip(*query) if query else ((), ())
+    coords = [*chain.from_iterable(terms)]
+    if coords:
+        top, low = max(coords), min(coords)
+        if top >= n_coords or low < 0:
+            raise ProtocolFault(f"query references missing symbol at coordinate {top if top >= n_coords else low}")
+    if ids:
+        top, low = max(ids), min(ids)
+        if top >= pool_size or low < 0:
+            raise ProtocolFault(f"randomness slot {top if top >= pool_size else low} outside the provisioned pool")
     return query
 
 
@@ -379,7 +374,7 @@ def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
         ans, db_sums = answers[db], table.sums[db]
         if len(ans) != len(db_sums):
             raise ProtocolFault(f"answer length mismatch at database {db}")
-        if any(not 0 <= v < q for v in ans):
+        if ans and (min(ans) < 0 or max(ans) >= q):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
         for spec, v in zip(db_sums, ans):
             if spec.fresh is None:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -580,10 +581,12 @@ def dense_recoverable_coordinates(queries, n_coords: int, pool_size: int, q: int
     of rows that eliminate all pool unknowns (pool columns are ordered first,
     so echelon rows pivoting past them carry no randomness).
     """
-    rows: list[list[int]] = []
-    for query in queries:
-        rows.extend(dense_rows(query, n_coords, pool_size, q))
+    rows = [row for query in queries for row in dense_rows(query, n_coords, pool_size, q)]
+    return dense_pinned_coordinates(rows, n_coords, pool_size, q)
 
+
+def dense_pinned_coordinates(rows: list[list[int]], n_coords: int, pool_size: int, q: int) -> frozenset[int]:
+    """``dense_recoverable_coordinates`` of coefficient rows over [pool ids | message coordinates]."""
     width = pool_size + n_coords
     basis: list[list[int]] = []  # echelon rows, pivot column strictly increasing
     pivots: list[int] = []
@@ -639,9 +642,14 @@ def assert_packed_matches_dense(queries, n_coords, pool_size, q, desired):
     with the undesired coordinates, which is rank(rows) - rank(rows with the
     undesired columns zeroed)."""
     packed = [row for query in queries for row in packed_rows(query, n_coords, pool_size, q)]
-    span = audit._eliminate(packed, n_coords, pool_size, q, desired)
-    assert span.coordinates == dense_recoverable_coordinates(queries, n_coords, pool_size, q)
     rows = [row for query in queries for row in dense_rows(query, n_coords, pool_size, q)]
+    return assert_rows_match_dense(packed, rows, n_coords, pool_size, q, desired)
+
+
+def assert_rows_match_dense(packed, rows, n_coords, pool_size, q, desired):
+    """``assert_packed_matches_dense`` of packed rows and the same rows as coefficient lists."""
+    span = audit._eliminate(packed, n_coords, pool_size, q, desired)
+    assert span.coordinates == dense_pinned_coordinates(rows, n_coords, pool_size, q)
     kept = set(range(pool_size)) | {pool_size + c for c in desired}
     projected = [[x if c in kept else 0 for c, x in enumerate(row)] for row in rows]
     assert span.rank == dense_rank(rows, q)
@@ -700,6 +708,90 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
     bodies = data.draw(st.lists(runs, max_size=4))
     extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in bodies]
     assert_packed_matches_dense(queries + extra, n_coords, pool_size, q, desired)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_f2_elimination_matches_the_dense_oracle_on_random_rows(seed):
+    # Seeded rows over F_2, most of them sparse so that coordinates get pinned,
+    # with zero rows, repeated rows and rows that cancel a pair of earlier ones.
+    rng = Random(seed)
+    pool_size, n_coords = rng.randrange(0, 5), rng.randrange(1, 9)
+    width = pool_size + n_coords
+    desired = sorted(rng.sample(range(n_coords), rng.randrange(n_coords + 1)))
+    packed = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randrange(1, 2 * width))]
+    for _ in range(4):
+        kind = rng.randrange(3)
+        if kind == 0:
+            packed.append(0)
+        elif kind == 1:
+            packed.append(rng.choice(packed))
+        else:
+            packed.append(rng.choice(packed) ^ rng.choice(packed))
+        packed.insert(rng.randrange(len(packed)), packed.pop())
+    rows = [[row >> c & 1 for c in range(width)] for row in packed]
+    assert_rows_match_dense(packed, rows, n_coords, pool_size, 2, desired)
+
+
+def test_f2_rows_of_a_view_cancel_a_repeated_term():
+    # one pool id, then coordinate 1 twice and coordinate 2 once, over a pool of 3
+    assert audit._rows_from_view((((1, 1, 2), 0),), 3, 2) == [1 | 1 << 3 + 2]
+    assert audit._rows_from_view((((1, 1, 2), 0),), 3, 3) == [1 | 2 << 8 * (3 + 1) | 1 << 8 * (3 + 2)]
+
+
+def k3(P, N=2):
+    return SchemeParams(K=3, P=P, N=N, L=1, q=2)
+
+
+# SHA-256 of the repr of each verdict and leakage report of the audit-exact
+# deck below, computed before the elimination, layout and bounds kernels were
+# rewritten; they pin every detail string and every pinned coordinate set.
+GOLDEN_DECK_DIGESTS = {
+    "block_user_privacy P=1": "75ad82cfc275d16ec6cd76224bd390d18474857ac7739db68a88b585bbd2e997",
+    "block_user_privacy P=2": "75ad82cfc275d16ec6cd76224bd390d18474857ac7739db68a88b585bbd2e997",
+    "block_db_privacy P=1": "b155962569339c67ccf5d758464648c2a765b427186e2aba7b329ce6f3f5567c",
+    "block_db_privacy P=2": "9e3379db15879b651af2dc8cdc02b649334ceb8e060a10db5de3090bba701557",
+    "table_user_privacy": "e36b3f90094e65270734e3ef1ba89b8f56f0e4cbb9d798a5ea4a6708bd57880a",
+    "table_db_privacy": "42152e5dc846bfa2227740b1240e22bda3b09691282275a112f190a3f45c22f5",
+    "symbolic_leakage table K=3": "2f0f249831e91861632a755d417ca21195b067c3e9645d45814efa508d8ea6f4",
+    "symbolic_leakage table K=5": "7234112ef11bff94949f04a71d22d0e02beef8a2342446b9baa50ddd9059d2ea",
+    "symbolic_leakage block K=64": "b533af155532136fc57f3902638ba59c97928ae71fd91192def4e3bc6870ee9d",
+    "reliability table": "9800c0591f0894c0dbc94ef6d090bf1a69a1776f22338b24d1ddb7d4dbd5faba",
+    "reliability block": "9800c0591f0894c0dbc94ef6d090bf1a69a1776f22338b24d1ddb7d4dbd5faba",
+    "mutant no_base_mask": "35970cff9226e44abf88c9e37666b61c2dbce4053e071fd51283067f64ba8616",
+    "mutant no_cr": "8f80013819b28737755158b457eded9ce3160922fab21e9f4812dc8cb49db745",
+    "mutant no_index_permutation": "b13d617dfcecd336cec6c7462f69f3f3fe796f812ec628bf2eba4599060722e8",
+    "mutant no_hidden_cr": "760456b65ab19c7e23850ed1e5bc43ab970ec74a270f0ba9eea7866ce7dcc8c2",
+}
+
+
+def test_the_audit_exact_deck_matches_its_golden_digests():
+    # The fifteen verdict calls of the audit-exact benchmark deck, with fixed seeds.
+    wide = SchemeParams(K=64, P=8, N=3)
+    table3 = table_scheme.build_query_table(SchemeParams(K=3, P=1, N=3), (1,), Random(11))
+    table5 = table_scheme.build_query_table(SchemeParams(K=5, P=3, N=2), (0, 1, 2), Random(12), reps=1)
+    plan = block_scheme.plan_blocks(wide, (3, 9, 17, 22, 30, 41, 50, 63), Random(13))
+    seeds = (5, 17, 29, 41, 53)
+    deck = {
+        "block_user_privacy P=1": lambda: audit.audit_block_user_privacy(k3(1)),
+        "block_user_privacy P=2": lambda: audit.audit_block_user_privacy(k3(2)),
+        "block_db_privacy P=1": lambda: audit.audit_block_db_privacy(k3(1)),
+        "block_db_privacy P=2": lambda: audit.audit_block_db_privacy(k3(2)),
+        "table_user_privacy": lambda: audit.audit_table_user_privacy(k3(1)),
+        "table_db_privacy": lambda: audit.audit_table_db_privacy(k3(1), seeds=seeds),
+        "symbolic_leakage table K=3": lambda: audit.symbolic_leakage_table(table3),
+        "symbolic_leakage table K=5": lambda: audit.symbolic_leakage_table(table5),
+        "symbolic_leakage block K=64": lambda: audit.symbolic_leakage_block(plan),
+        "reliability table": lambda: audit.audit_reliability_table(k3(1), 20, seed=7),
+        "reliability block": lambda: audit.audit_reliability_block(wide, 20, seed=8),
+        "mutant no_base_mask": lambda: audit.audit_block_user_privacy(k3(1), mutant=audit.BLOCK_MUTANT_NO_BASE_MASK),
+        "mutant no_cr": lambda: audit.audit_block_db_privacy(k3(1), mutant=audit.BLOCK_MUTANT_NO_CR),
+        "mutant no_index_permutation":
+            lambda: audit.audit_table_user_privacy(k3(1), mutant=audit.TABLE_MUTANT_NO_INDEX_PERM),
+        "mutant no_hidden_cr":
+            lambda: audit.audit_table_db_privacy(k3(1), mutant=audit.TABLE_MUTANT_NO_HIDDEN_CR, seeds=seeds),
+    }
+    got = {name: hashlib.sha256(repr(call()).encode()).hexdigest() for name, call in deck.items()}
+    assert got == GOLDEN_DECK_DIGESTS
 
 
 class TestTableUserPrivacy:

@@ -241,6 +241,17 @@ def test_count_mismatch_detected():
         decode_blocks(plan, answers)
 
 
+def test_decode_refuses_a_symbol_outside_the_field_at_each_database():
+    for q in (2, 3):
+        plan, _, _, answers = run_once(4, 2, 3, q=q)  # one block: a base at database 0, a probe at 1 and at 2
+        for db in range(3):
+            for bad in (-1, q):
+                tampered = [a[:] for a in answers]
+                tampered[db][0] = bad
+                with pytest.raises(ProtocolFault, match=rf"^answer symbol outside F_{q} at database {db}$"):
+                    decode_blocks(plan, tampered)
+
+
 def test_single_database_rejected():
     with pytest.raises(InfeasibleError):
         plan_blocks(SchemeParams(K=3, P=1, N=1), (0,), Random(0))

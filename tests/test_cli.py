@@ -656,6 +656,31 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
     assert doubled == (EXIT_PROTOCOL, 12, ["transcript metadata has no integer P_initiator"])
 
 
+def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):
+    # A q that is missing or not a field size is a problem of the transcript
+    # (exit 3, named in the record), as a missing K is, not a usage error.
+    from privset import psi, transport
+
+    e1 = psi.EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
+    e2 = psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+    honest = psi.run_psi(e1, e2, seed_client=1, seed_cr=2).transcript
+    path = tmp_path / "t.transcript"
+
+    def verify(meta):
+        transport.Transcript(meta, honest.records).save(str(path))
+        code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+        assert err == ""
+        (rec,) = machine_records(out)
+        return code, rec["problems"]
+
+    assert honest.meta["q"] == 2 and verify(honest.meta) == (EXIT_OK, [])
+    without = {k: v for k, v in honest.meta.items() if k != "q"}
+    for meta, shown in ((without, "None"), ({**honest.meta, "q": 4}, "4"), ({**honest.meta, "q": "2"}, "'2'")):
+        assert verify(meta) == (EXIT_PROTOCOL, [
+            f"transcript metadata: q must be a prime <= 256 (one byte per symbol on the wire), got {shown}"
+        ])
+
+
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
     from privset import psi, transport
     from privset.storage import CommonRandomnessPool, MessageStore

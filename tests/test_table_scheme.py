@@ -12,6 +12,7 @@ from privset.table_scheme import (
     ProtocolFault,
     answer,
     build_query_table,
+    check_table_query,
     decode,
     build_query_table as build,
     draw,
@@ -263,6 +264,40 @@ def test_inconsistent_answers_detected():
     bad[1][0] = 7  # outside F_2
     with pytest.raises(ProtocolFault):
         decode(table, bad)
+
+
+def test_decode_refuses_a_symbol_outside_the_field_at_each_database():
+    for q in (2, 3):
+        table, _, _, answers = make_run(3, 1, 2, q=q)
+        for db in range(2):
+            for pos in (0, -1):
+                for bad in (-1, q):
+                    tampered = [a[:] for a in answers]
+                    tampered[db][pos] = bad
+                    with pytest.raises(ProtocolFault, match=rf"^answer symbol outside F_{q} at database {db}$"):
+                        decode(table, tampered)
+
+
+def test_the_bounds_check_names_the_same_value_as_before():
+    # store coordinates are checked before pool ids; within each, the largest
+    # value past the end is named before the smallest negative one
+    n_coords, pool_size = 6, 4
+    assert check_table_query((), n_coords, pool_size) == ()
+    ok = (((), 3), ((0, 5), 0))
+    assert check_table_query(ok, n_coords, pool_size) is ok
+    coordinate = "query references missing symbol at coordinate {}"
+    slot = "randomness slot {} outside the provisioned pool"
+    for view, message in (
+        ((((0, 7), 0), ((-1, 6), 1)), coordinate.format(7)),
+        ((((0, -3), 0), ((-1,), 1)), coordinate.format(-3)),
+        ((((0, 7), 9), ((-1,), -2)), coordinate.format(7)),
+        ((((0,), 5), ((), -1), ((1,), 4)), slot.format(5)),
+        ((((0,), -1), ((), -2), ((1,), 3)), slot.format(-2)),
+        ((((), 4),), slot.format(4)),
+    ):
+        with pytest.raises(ProtocolFault) as exc:
+            check_table_query(view, n_coords, pool_size)
+        assert str(exc.value) == message, view
 
 
 def test_out_of_range_reference_is_a_fault():

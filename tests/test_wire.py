@@ -254,6 +254,21 @@ def test_any_chunking_of_a_frame_stream_reads_back_its_frames(sent, bad, cuts, r
     assert got == sent
 
 
+def test_only_a_partial_last_byte_has_padding_to_refuse():
+    # Every bit of every vector byte set: over F_2 the body is refused exactly
+    # when the length is not a multiple of 8; over F_3 every lane is a whole byte.
+    for length in range(1, 26):
+        size = (length + 7) // 8
+        body = bytes([wire.BLOCK_QUERY_TAG]) + struct.pack("<II", 0, 2) + b"\xff" * (2 * size)
+        if length % 8:
+            with pytest.raises(ProtocolFault, match="padding bits set past the last coefficient"):
+                wire.parse_block_query(body, 2, length)
+        else:
+            assert wire.parse_block_query(body, 2, length) == (0, [(1 << length) - 1] * 2)
+        body = bytes([wire.BLOCK_QUERY_TAG]) + struct.pack("<II", 0, 2) + b"\xff" * (2 * length)
+        assert wire.parse_block_query(body, 3, length) == (0, [(1 << 8 * length) - 1] * 2)
+
+
 packed_runs = st.integers(1, 40).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, 3), st.lists(st.integers(0, (1 << n) - 1), max_size=4))
 )
