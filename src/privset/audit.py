@@ -45,7 +45,8 @@ that also pins the skeleton and the components not drawn; (4) a replay from
 a fresh structure gives the same identity views.  They give every
 component's distance in closed form.  The scheme's rng-free structure
 (``table_scheme.table_structure``) is built once per desired set within each
-verdict; only premise 4's replay builds one again.
+verdict; only premise 4's replay builds one again.  Both table verdicts read
+the same identity views.
 
 Database privacy, for both schemes, is exact Gaussian elimination over the
 coefficient matrix of a strategy draw's queries.  For a linear scheme with
@@ -53,23 +54,27 @@ uniform W and S, the view is independent of the undesired messages jointly
 iff the message span it pins, once the pool symbols are eliminated, meets
 the undesired coordinates only in 0, since the fibers of a linear map all
 have one size (the argument of Sun & Jafar, *The Capacity of Symmetric
-Private Information Retrieval*).  The table scheme's check runs on sampled
-draws.  The linear scheme's decides every base draw of one shuffle order
-from two builds: with every base vector 0, and with distinct nonzero seeded
-bases.  Each row's base part (seeded minus zero-base vector) must be 0 or
-one block's base.  If two rows on one pool slot have different base parts,
-their difference is free of pool symbols and some base draw makes it an
-undesired unit vector, so the check fails.  Otherwise each slot's base part
-cancels against its pool symbol, every base draw pins the zero-base view's
-span with its rank, and one elimination decides them all.  Each row is
-one packed int in ``field.lane_bits(q)`` lanes, pool ids first and message
-coordinates after them, so a row operation is one XOR over F_2.  Over F_2
-the elimination has a branch of its own: a lane is one bit, a row's lead is
-its lowest set bit, and no lane is unpacked or scaled.  Rows are keyed on
-their first nonzero lane in the order pool, desired coordinates, undesired
-coordinates, so the rows keyed on undesired lanes span that meet; the rows
-left without a pool lane are brought to reduced form, and a coordinate is
-pinned outright iff its reduced row is its unit vector.
+Private Information Retrieval*).  The table scheme's check eliminates each
+desired set's identity view once: a draw only relabels positions within each
+message and pool ids, which maps the pinned span onto the draw's and the
+undesired coordinates onto undesired ones, so that one elimination decides
+every draw.  That the code's draws are such relabelings is checked on the
+draws of given seeds.  The linear scheme's check decides every base draw of
+one shuffle order from two builds: with every base vector 0, and with
+distinct nonzero seeded bases.  Each row's base part (seeded minus zero-base
+vector) must be 0 or one block's base.  If two rows on one pool slot have
+different base parts, their difference is free of pool symbols and some base
+draw makes it an undesired unit vector, so the check fails.  Otherwise each
+slot's base part cancels against its pool symbol, every base draw pins the
+zero-base view's span with its rank, and one elimination decides them all.
+Each row is one packed int in ``field.lane_bits(q)`` lanes, pool ids first
+and message coordinates after them, so a row operation is one XOR over F_2.
+Over F_2 the elimination has a branch of its own: a lane is one bit, a row's
+lead is its lowest set bit, and no lane is unpacked or scaled.  Rows are
+keyed on their first nonzero lane in the order pool, desired coordinates,
+undesired coordinates, so the rows keyed on undesired lanes span that meet;
+the rows left without a pool lane are brought to reduced form, and a
+coordinate is pinned outright iff its reduced row is its unit vector.
 
 Mutated schemes (negative controls) are first-class: an audit that cannot
 fail them is itself broken, and the test suite insists they fail.
@@ -80,6 +85,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from random import Random
@@ -124,18 +130,25 @@ class LeakageReport:
         return self.recoverable == self.expected and not self.undesired
 
 
+BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
+BLOCK_MUTANT_NO_CR = "no_cr"
+TABLE_MUTANT_NO_INDEX_PERM = "no_index_permutation"
+TABLE_MUTANT_NO_POOL_RELABEL = "no_pool_relabel"
+TABLE_MUTANT_NO_HIDDEN_CR = "no_hidden_cr"
+_MUTANTS = {
+    "block": (BLOCK_MUTANT_NO_BASE_MASK, BLOCK_MUTANT_NO_CR),
+    "table": (TABLE_MUTANT_NO_INDEX_PERM, TABLE_MUTANT_NO_POOL_RELABEL, TABLE_MUTANT_NO_HIDDEN_CR),
+}
+
+
+def _check_mutant(mutant: str | None, scheme: str) -> None:
+    if mutant is not None and mutant not in _MUTANTS[scheme]:
+        raise ParamError(f"unknown {scheme} mutant {mutant!r}")
+
+
 # ---------------------------------------------------------------------------
 # Linear (block) scheme: two builds per checked shuffle order
 # ---------------------------------------------------------------------------
-
-BLOCK_MUTANT_NO_BASE_MASK = "no_base_mask"
-BLOCK_MUTANT_NO_CR = "no_cr"
-_BLOCK_MUTANTS = (BLOCK_MUTANT_NO_BASE_MASK, BLOCK_MUTANT_NO_CR)
-
-
-def _check_block_mutant(mutant: str | None) -> None:
-    if mutant is not None and mutant not in _BLOCK_MUTANTS:
-        raise ParamError(f"unknown block mutant {mutant!r}")
 
 
 def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_scheme.BlockPlan:
@@ -191,7 +204,7 @@ def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     The premises in the module docstring are checked on the parsed bodies of
     every build of ``_block_builds``; a failure names its premise.
     """
-    _check_block_mutant(mutant)
+    _check_mutant(mutant, "block")
     n_coords, q = params.K * params.L, params.q
     builds, scope = _block_builds(params, mutant)
     runs: dict[int, tuple[int, int]] = {}  # each database's (first slot, entry count), fixed by its first build
@@ -215,9 +228,9 @@ def audit_block_db_privacy(params: SchemeParams, mutant: str | None = None) -> V
     in the module docstring.  The ``no_cr`` mutant is modeled as the pool made
     public: one plain download, vector 0, of each pool id.
     """
-    _check_block_mutant(mutant)
+    _check_mutant(mutant, "block")
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
-    n_coords, n_blocks, lane = K * L, lspir_cost(P, N, L)[1], lane_bits(q)
+    n_coords, n_blocks = K * L, lspir_cost(P, N, L)[1]
     public = [(pid, 0) for pid in range(n_blocks)] if mutant == BLOCK_MUTANT_NO_CR else []
     builds, scope = _block_builds(params, mutant, tuple(range(P)))
     n_views = 0
@@ -232,8 +245,7 @@ def audit_block_db_privacy(params: SchemeParams, mutant: str | None = None) -> V
                 return Verdict(False, Fraction(1), "a vector's base part is neither 0 nor one block's base")
             if parts.setdefault(pid, part) != part:
                 return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
-        rows = [vec << n_blocks * lane | 1 << pid * lane for pid, vec in zero_rows]
-        span = _eliminate(rows, n_coords, n_blocks, q, range(P * L))
+        span = _eliminate(_pack_rows(zero_rows, n_blocks, q), n_coords, n_blocks, q, range(P * L))
         if span.undesired:
             return Verdict(False, Fraction(1), "posterior of undesired symbols differs from prior")
         n_views += q ** (n_blocks * n_coords + span.rank)
@@ -242,18 +254,8 @@ def audit_block_db_privacy(params: SchemeParams, mutant: str | None = None) -> V
 
 
 # ---------------------------------------------------------------------------
-# Table scheme: factored user-privacy audit
+# Table scheme: identity builds and the factored user-privacy audit
 # ---------------------------------------------------------------------------
-
-TABLE_MUTANT_NO_INDEX_PERM = "no_index_permutation"
-TABLE_MUTANT_NO_POOL_RELABEL = "no_pool_relabel"
-TABLE_MUTANT_NO_HIDDEN_CR = "no_hidden_cr"
-_TABLE_MUTANTS = (TABLE_MUTANT_NO_INDEX_PERM, TABLE_MUTANT_NO_POOL_RELABEL, TABLE_MUTANT_NO_HIDDEN_CR)
-
-
-def _check_table_mutant(mutant: str | None) -> None:
-    if mutant is not None and mutant not in _TABLE_MUTANTS:
-        raise ParamError(f"unknown table mutant {mutant!r}")
 
 
 def _table_build(structure: table_scheme.TableStructure, perms, mutant: str | None):
@@ -267,24 +269,22 @@ def _table_build(structure: table_scheme.TableStructure, perms, mutant: str | No
     return table_scheme.relabel(structure, msg_perm, pool_perm)
 
 
+def _identity_build(structure: table_scheme.TableStructure, mutant: str | None):
+    """``structure``'s table with every permutation the identity, and its checked views."""
+    ident = [list(range(structure.L_store))] * structure.K + [list(range(structure.pool_size))]
+    table = _table_build(structure, ident, mutant)
+    return table, _table_views(table)
+
+
 def _skeleton(view: table_scheme.TableQuery, L: int):
     return tuple(tuple(c // L for c in terms) for terms, _ in view)
 
 
-def _relabel(view: table_scheme.TableQuery, comp: int, perm, L: int, K: int) -> table_scheme.TableQuery:
-    """``view`` under one component draw: message ``comp``'s positions through
-    ``perm`` for ``comp < K``, every pool id through ``perm`` for ``comp == K``."""
-    if comp == K:
-        return tuple([(terms, perm[pid]) for terms, pid in view])
-    lo = comp * L
-    coord = list(range(K * L))  # store coordinate -> its image: the identity but on message comp's block
-    coord[lo : lo + L] = [lo + p for p in perm]
-    at = coord.__getitem__
-    return tuple([(tuple(map(at, terms)), pid) for terms, pid in view])
-
-
-def _visible_ids(view: table_scheme.TableQuery) -> tuple[int, ...]:
-    return tuple(pid for _, pid in view)
+def _relabel(views: list[table_scheme.TableQuery], msg_perm, pool_perm, L: int) -> list[table_scheme.TableQuery]:
+    """Identity ``views`` under a draw: store coordinate m*L + i to m*L +
+    ``msg_perm[m][i]`` and pool id p to ``pool_perm[p]``, by one map each."""
+    at = [m * L + p for m, perm in enumerate(msg_perm) for p in perm].__getitem__
+    return [tuple([(tuple(map(at, terms)), pool_perm[pid]) for terms, pid in view]) for view in views]
 
 
 def _table_views(table: table_scheme.QueryTable) -> list[table_scheme.TableQuery]:
@@ -301,19 +301,16 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     relabeling draw).  The premises in the module docstring are checked on
     each desired set's identity view: premise 2 in one pass over each view's
     store coordinates and one over its pool ids, premise 3 as one comparison
-    per database and sampled draw with ``_relabel`` of the identity view.
+    per sampled draw with ``_relabel`` of the identity views.
     Each factor's distance then follows in closed form from premises 1-2.
     """
-    _check_table_mutant(mutant)
+    _check_mutant(mutant, "table")
     K, P, N = params.K, params.P, params.N
     desired_sets = list(combinations(range(K), P))
     structures = {desired: table_scheme.table_structure(params, desired) for desired in desired_sets}
+    views = {desired: _identity_build(structures[desired], mutant)[1] for desired in desired_sets}
     first = structures[desired_sets[0]]  # its L_store and pool size, which no desired set changes
     L_store, pool_size = first.L_store, first.pool_size
-    ident = [list(range(L_store))] * K + [list(range(pool_size))]  # every permutation the identity
-    views: dict[tuple, list[table_scheme.TableQuery]] = {}
-    for desired in desired_sets:
-        views[desired] = _table_views(_table_build(structures[desired], ident, mutant))
 
     # Premise 1: identical skeletons and counts across desired sets.
     base = views[desired_sets[0]]
@@ -331,8 +328,7 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
             if len(set(coords)) != len(coords):
                 m = min(c // L_store for c, n in Counter(coords).items() if n > 1)
                 return Verdict(False, Fraction(1), f"repeated position of message {m} at database {db}")
-            ids = _visible_ids(v)
-            if len(set(ids)) != len(ids):
+            if len({pid for _, pid in v}) != len(v):
                 return Verdict(False, Fraction(1), f"repeated randomness id at database {db}")
 
     # Premise 3 (mechanism): for sampled draws of one component, the emitted
@@ -340,23 +336,21 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
     check_rng = Random(2024)
     for _ in range(_MECHANISM_SAMPLES):
         comp = check_rng.randrange(K + 1)
-        perms = list(ident)
         perm = list(range(L_store if comp < K else pool_size))
         check_rng.shuffle(perm)
+        perms = [list(range(L_store))] * K + [list(range(pool_size))]
         perms[comp] = perm
         desired = desired_sets[check_rng.randrange(len(desired_sets))]
         got = _table_views(_table_build(structures[desired], perms, mutant))
-        for db in range(N):
-            if got[db] != _relabel(views[desired][db], comp, perm, L_store, K):
-                if comp < K:
-                    return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
-                return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
+        if got != _relabel(views[desired], perms[:K], perms[K], L_store):
+            if comp < K:
+                return Verdict(False, Fraction(1), f"message {comp} positions do not follow the drawn permutation")
+            return Verdict(False, Fraction(1), "randomness ids do not follow the drawn relabeling")
 
     # Premise 4: the build never touched messages or randomness, so
     # queries are independent of (W, S) by construction; re-assert by replay
     # of a freshly built structure.
-    replay = _table_build(table_scheme.table_structure(params, desired_sets[0]), ident, mutant)
-    if _table_views(replay) != base:
+    if _identity_build(table_scheme.table_structure(params, desired_sets[0]), mutant)[1] != base:
         return Verdict(False, Fraction(1), "query generation is not deterministic in the strategy draw")
 
     # Every component distance is 0 in closed form: a uniform permutation maps
@@ -372,9 +366,16 @@ def audit_table_user_privacy(params: SchemeParams, mutant: str | None = None) ->
 # ---------------------------------------------------------------------------
 
 
+def _pack_rows(entries, pool_size: int, q: int) -> list[int]:
+    """Packed coefficient rows, in ``lane_bits(q)`` lanes, of (pool id, packed
+    coordinate vector) entries: pool id p in lane p, with coefficient 1, and
+    message coordinate c in lane ``pool_size + c``."""
+    lane = lane_bits(q)
+    return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
+
+
 def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[int]:
-    """Packed coefficient rows, in ``lane_bits(q)`` lanes, of one query body:
-    pool id p in lane p, message coordinate c in lane ``pool_size + c``.
+    """Packed coefficient rows (``_pack_rows``) of one query body.
 
     Each body is parsed with the server's bounds, so a body the server
     refuses raises ProtocolFault, an unknown or reserved scheme tag included.
@@ -386,31 +387,29 @@ def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> li
     """
     if not payload:
         raise wire.ProtocolFault("empty query body")
-    lane = lane_bits(q)
     if payload[0] == wire.BLOCK_QUERY_TAG:
-        entries = _slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)])
-        return [vec << pool_size * lane | 1 << pid * lane for pid, vec in entries]
+        return _pack_rows(_slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)]), pool_size, q)
     if payload[0] == wire.DOWNLOAD_ALL_TAG:
         wire.parse_download_all(payload, pool_size)
+        lane = lane_bits(q)
         return [1 << (pool_size + c) * lane for c in range(n_coords)]
     raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
 
 
-def _rows_from_view(view: table_scheme.TableQuery, pool_size: int, q: int) -> list[int]:
-    """Packed coefficient rows of a table view, laid out as ``_rows_from_wire``'s:
-    one per sum, a 0-sum's row its pool id's lane alone."""
-    lane = lane_bits(q)
-    rows = []
+def _view_entries(view: table_scheme.TableQuery, q: int) -> list[tuple[int, int]]:
+    """(pool id, packed coordinate vector) of each sum of a table view, a
+    0-sum's vector 0.  A repeated term adds again, so over F_2 it cancels."""
+    entries = []
     for terms, pid in view:
-        row = 1 << pid * lane
-        if q == 2:  # a repeated term cancels, as it does mod 2
+        vec = 0
+        if q == 2:
             for c in terms:
-                row ^= 1 << pool_size + c
+                vec ^= 1 << c
         else:
             for c in terms:
-                row = raise_lane(row, pool_size + c, q)
-        rows.append(row)
-    return rows
+                vec = raise_lane(vec, c, q)
+        entries.append((pid, vec))
+    return entries
 
 
 def _slot_entries(bodies) -> list[tuple[int, int]]:
@@ -434,7 +433,7 @@ class PinnedSpan(NamedTuple):
 
 
 def _eliminate(rows, n_coords: int, pool_size: int, q: int, desired) -> PinnedSpan:
-    """Exact elimination of packed rows (``_rows_from_wire``) over pool and coordinate lanes.
+    """Exact elimination of packed rows (``_pack_rows``) over pool and coordinate lanes.
 
     Each basis row is keyed on its first nonzero lane, scaled to 1 there,
     in the order pool lanes, ``desired`` coordinate lanes, the other
@@ -523,7 +522,7 @@ def _table_leakage(table: table_scheme.QueryTable, views: list[table_scheme.Tabl
     """What ``views`` pin of the messages by exact elimination, as ``recoverable_coordinates`` says."""
     L, pool_size, q = table.L_store, table.pool_size, table.q
     desired = [m * L + i for m in table.desired for i in range(L)]
-    rows = [row for view in views for row in _rows_from_view(view, pool_size, q)]
+    rows = _pack_rows([entry for view in views for entry in _view_entries(view, q)], pool_size, q)
     span = _eliminate(rows, table.K * L, pool_size, q, desired)
     return LeakageReport(span.coordinates, frozenset(table.retrieved()), span.undesired)
 
@@ -546,30 +545,32 @@ def audit_table_db_privacy(
 ) -> Verdict:
     """Posterior-equals-prior for undesired symbols, via exact elimination.
 
-    For every sampled strategy draw (the client knows its own draw, so the
-    check conditions on it), a pinned span that meets the undesired
-    coordinates only in 0 certifies the exact uniformity of the posterior:
-    fibers of a linear map all have one size.  Hidden-randomness removal is
-    modeled by giving the pure sums' masking symbols publicly known values:
-    a synthetic 0-sum of each.  An empty ``seeds`` checks no draw and is refused.
+    Each desired set is decided by one elimination of its identity views, as
+    the module docstring argues: a pinned span that meets the undesired
+    coordinates only in 0 certifies the exact uniformity of the posterior for
+    every strategy draw (the client knows its own draw, so the check
+    conditions on it), since fibers of a linear map all have one size.  For
+    each of ``seeds`` the views of ``table_scheme.draw`` must be the identity
+    views under that draw's maps; an empty ``seeds`` checks no draw and is
+    refused.  Hidden-randomness removal is modeled by giving the pure sums'
+    masking symbols publicly known values: a synthetic 0-sum of each.
     """
-    _check_table_mutant(mutant)
+    _check_mutant(mutant, "table")
     if not seeds:
         raise ParamError("a database-privacy audit needs at least one strategy draw, got no seeds")
-    structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
-    for seed in seeds:
-        for desired in combinations(range(params.K), params.P):
-            if desired not in structures:
-                structures[desired] = table_scheme.table_structure(params, desired)
-            table = table_scheme.draw(structures[desired], Random(seed))
-            views = _table_views(table)
-            if mutant == TABLE_MUTANT_NO_HIDDEN_CR:
-                views += [(((), pid),) for pid in _hidden_ids(table)]
-            report = _table_leakage(table, views)
-            if report.undesired:
-                outside = len(report.recoverable - report.expected)
-                what = f"{outside} coordinates" if outside else f"{len(report.undesired)} functionals"
-                return Verdict(False, Fraction(1), f"client view pins {what} outside the desired set")
+    for desired in combinations(range(params.K), params.P):
+        structure = table_scheme.table_structure(params, desired)
+        table, views = _identity_build(structure, mutant)
+        hidden = [(((), pid),) for pid in _hidden_ids(table)] if mutant == TABLE_MUTANT_NO_HIDDEN_CR else []
+        report = _table_leakage(table, views + hidden)
+        if report.undesired:
+            outside = len(report.recoverable - report.expected)
+            what = f"{outside} coordinates" if outside else f"{len(report.undesired)} functionals"
+            return Verdict(False, Fraction(1), f"client view pins {what} outside the desired set")
+        for seed in seeds:
+            drawn = table_scheme.draw(structure, Random(seed))
+            if _table_views(drawn) != _relabel(views, drawn.msg_perm, drawn.pool_perm, table.L_store):
+                return Verdict(False, Fraction(1), "a drawn view is not the identity view relabeled")
     return Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
 
 
@@ -578,63 +579,53 @@ def audit_table_db_privacy(
 # ---------------------------------------------------------------------------
 
 
-def _reliability_streams(seed: int) -> tuple[Random, Random, Random]:
-    """One reliability verdict's streams, each opened once from ``seed``: ``Random(seed)``
-    for desired sets and strategies, ``domain_rng(seed, DOMAIN_MESSAGES)`` for
-    stores and ``domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)`` for pools, so
-    the three randomness domains stay apart as they do in a run.  ``seed``
-    must be an ``int``: ``domain_rng`` refuses anything else."""
-    return Random(seed), domain_rng(seed, DOMAIN_MESSAGES), domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
+def _reliability(params: SchemeParams, trials: int, seed: int, draw, answer, decode) -> Verdict:
+    """Decode output equals the stored symbols on ``trials`` sampled runs.
+
+    ``seed``, an ``int``, opens one stream per randomness domain once per
+    verdict: ``Random(seed)`` for desired sets and strategies,
+    ``domain_rng(seed, DOMAIN_MESSAGES)`` for stores and
+    ``domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)`` for pools, so the three
+    domains stay apart as they do in a run (``domain_rng`` refuses a
+    non-``int`` seed).  A trial is one run, drawing in turn a uniform desired
+    set, the strategy ``draw(desired, rng)`` (its plan, each database's
+    query, the message length and the pool size), a fresh uniform store of K
+    messages and a fresh uniform pool; every database answers its query and
+    ``decode`` reads the plan's coordinates off the answers.
+    """
+    if trials < 1:
+        raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
+    rng, messages, shared = Random(seed), domain_rng(seed, DOMAIN_MESSAGES), domain_rng(seed, DOMAIN_COMMON_RANDOMNESS)
+    K, q = params.K, params.q
+    for _ in range(trials):
+        plan, queries, L, pool_size = draw(tuple(sorted(rng.sample(range(K), params.P))), rng)
+        store = MessageStore(q, L, sample_symbols(messages, K * L, q))
+        pool = CommonRandomnessPool(q, sample_symbols(shared, pool_size, q))
+        for c, val in decode(plan, [answer(query, store, pool) for query in queries]).items():
+            if val != store.flat[c]:
+                return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")
+    return Verdict(True, Fraction(0), f"{trials} trials decoded exactly")
 
 
 def audit_reliability_table(params: SchemeParams, trials: int, seed: int = 0) -> Verdict:
-    """Decode output equals the stored symbols on ``trials`` sampled runs of the query-table scheme.
+    """``_reliability`` of the query-table scheme: a uniform permutation draw,
+    ``L_store`` symbols per message, every database answering its view."""
+    structure = cache(partial(table_scheme.table_structure, params))  # per desired set, built on first use
 
-    A trial is one run: a uniform desired set and permutation draw, a fresh
-    uniform store of K messages of ``L_store`` symbols and a fresh uniform
-    pool, every database answering its view (``table_scheme.answer``).
-    ``seed``, an ``int``, opens the three streams of ``_reliability_streams``
-    once per verdict, and every trial draws from each in turn.
-    """
-    if trials < 1:
-        raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
-    rng, messages, shared = _reliability_streams(seed)
-    K, P, N, q = params.K, params.P, params.N, params.q
-    structures: dict[tuple[int, ...], table_scheme.TableStructure] = {}  # per desired set, built on first use
-    for _ in range(trials):
-        desired = tuple(sorted(rng.sample(range(K), P)))
-        if desired not in structures:
-            structures[desired] = table_scheme.table_structure(params, desired)
-        table = table_scheme.draw(structures[desired], rng)
-        store = MessageStore(q, table.L_store, sample_symbols(messages, K * table.L_store, q))
-        pool = CommonRandomnessPool(q, sample_symbols(shared, table.pool_size, q))
-        answers = [table_scheme.answer(table.view(db), store, pool) for db in range(N)]
-        for c, val in table_scheme.decode(table, answers).items():
-            if val != store.flat[c]:
-                return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")
-    return Verdict(True, Fraction(0), f"{trials} trials decoded exactly")
+    def draw(desired, rng):
+        table = table_scheme.draw(structure(desired), rng)
+        return table, [table.view(db) for db in range(table.N)], table.L_store, table.pool_size
+
+    return _reliability(params, trials, seed, draw, table_scheme.answer, table_scheme.decode)
 
 
 def audit_reliability_block(params: SchemeParams, trials: int, seed: int = 0) -> Verdict:
-    """Decode output equals the stored symbols on ``trials`` sampled runs of the linear one-round scheme.
+    """``_reliability`` of the linear one-round scheme: a uniform strategy, L
+    symbols per message, one pool symbol per block, every database answering
+    its query body."""
 
-    A trial is one run: a uniform desired set and strategy, a fresh uniform
-    store of K messages of L symbols and a fresh uniform pool of one symbol
-    per block, every database answering its query body.  ``seed``, an
-    ``int``, opens the three streams of ``_reliability_streams`` once per
-    verdict, and every trial draws from each in turn.
-    """
-    if trials < 1:
-        raise ParamError(f"a reliability audit needs at least one trial, got {trials}")
-    rng, messages, shared = _reliability_streams(seed)
-    K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
-    for _ in range(trials):
-        desired = tuple(sorted(rng.sample(range(K), P)))
+    def draw(desired, rng):
         plan = block_scheme.plan_blocks(params, desired, rng)
-        store = MessageStore(q, L, sample_symbols(messages, K * L, q))
-        pool = CommonRandomnessPool(q, sample_symbols(shared, plan.n_blocks, q))
-        answers = [block_scheme.answer_wire_query(plan.wire_query(db), store, pool) for db in range(N)]
-        for c, val in block_scheme.decode_blocks(plan, answers).items():
-            if val != store.flat[c]:
-                return Verdict(False, Fraction(1), f"decode mismatch at coordinate {c}")
-    return Verdict(True, Fraction(0), f"{trials} trials decoded exactly")
+        return plan, plan.wire_queries(), params.L, plan.n_blocks
+
+    return _reliability(params, trials, seed, draw, block_scheme.answer_wire_query, block_scheme.decode_blocks)

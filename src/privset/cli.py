@@ -270,9 +270,8 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     the transcript alone: one record per responder database, the download is
     the direction's cost, and each database got at most one body, every block
     body a run from one first slot with the entry count ``plan_blocks`` lays
-    out for (P, N).  Nothing is sized by the metadata's K, P or N."""
-    if not 0 <= P <= K:
-        raise ParamError(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
+    out for (P, N).  Nothing is sized by the metadata's K, P or N; the caller
+    has checked that P lies from 0 to K."""
     if N != len(transcript.records):
         return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
@@ -314,6 +313,8 @@ def cmd_psi_verify(args) -> int:
         for key, v in zip(("K", "P_initiator", "N_responder"), (K, P, N))
         if type(v) is not int
     ]
+    if not problems and not 0 <= P <= K:
+        problems.append(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
     try:
         check_modulus(q)  # every recorded vector is read over the transcript's field
     except ParamError as exc:

@@ -252,6 +252,8 @@ def _intersect(
         symbols = client.query(0, wire.encode_download_all())
         if len(symbols) != K:
             raise wire.ProtocolFault("download-all answer has wrong length")
+        if symbols and max(symbols) > 1:  # each symbol is one byte, never negative
+            raise wire.ProtocolFault("answer symbol outside F_2 at database 0")
         bits = dict(enumerate(symbols))
     else:
         if info.get("N") != backend.n_databases:  # one share per database the responder runs, no more, no fewer

@@ -4,7 +4,7 @@ import hashlib
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -569,7 +569,8 @@ def dense_rows(query, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
 def packed_rows(query, n_coords: int, pool_size: int, q: int) -> list[int]:
     """``audit``'s packed rows of one query, a table view or a block body, under the bounds ``dense_rows`` applies."""
     if isinstance(query, tuple):
-        return audit._rows_from_view(table_scheme.check_table_query(query, n_coords, pool_size), pool_size, q)
+        entries = audit._view_entries(table_scheme.check_table_query(query, n_coords, pool_size), q)
+        return audit._pack_rows(entries, pool_size, q)
     return audit._rows_from_wire(query, n_coords, pool_size, q)
 
 
@@ -734,8 +735,8 @@ def test_f2_elimination_matches_the_dense_oracle_on_random_rows(seed):
 
 def test_f2_rows_of_a_view_cancel_a_repeated_term():
     # one pool id, then coordinate 1 twice and coordinate 2 once, over a pool of 3
-    assert audit._rows_from_view((((1, 1, 2), 0),), 3, 2) == [1 | 1 << 3 + 2]
-    assert audit._rows_from_view((((1, 1, 2), 0),), 3, 3) == [1 | 2 << 8 * (3 + 1) | 1 << 8 * (3 + 2)]
+    assert audit._pack_rows(audit._view_entries((((1, 1, 2), 0),), 2), 3, 2) == [1 | 1 << 3 + 2]
+    assert audit._pack_rows(audit._view_entries((((1, 1, 2), 0),), 3), 3, 3) == [1 | 2 << 8 * (3 + 1) | 1 << 8 * (3 + 2)]
 
 
 def k3(P, N=2):
@@ -916,7 +917,7 @@ def enumerated_table_user_leak(params, mutant=None):
         for m in range(params.K):
             positions = [message_positions(v, m, L_store) for v in by_desired]
             worst = max(worst, enumerated_component_tv(positions, L_store))
-        worst = max(worst, enumerated_component_tv([audit._visible_ids(v) for v in by_desired], pool_size))
+        worst = max(worst, enumerated_component_tv([tuple(pid for _, pid in v) for v in by_desired], pool_size))
     return skeletons_differ, worst
 
 
@@ -1064,8 +1065,77 @@ class TestTableDbPrivacy:
         )
 
 
+def per_draw_table_db_privacy(params, mutant=None, seeds=(0, 1, 2, 3, 4)):
+    """The table database-privacy verdict by one elimination per strategy
+    draw, kept as the oracle of the one elimination per desired set: the
+    draw of each seed, for every desired set, with the detail the verdict gives."""
+    structures = {}
+    for seed in seeds:
+        for desired in combinations(range(params.K), params.P):
+            if desired not in structures:
+                structures[desired] = table_scheme.table_structure(params, desired)
+            table = table_scheme.draw(structures[desired], Random(seed))
+            views = audit._table_views(table)
+            if mutant == audit.TABLE_MUTANT_NO_HIDDEN_CR:
+                views += [(((), pid),) for pid in audit._hidden_ids(table)]
+            report = audit._table_leakage(table, views)
+            if report.undesired:
+                outside = len(report.recoverable - report.expected)
+                what = f"{outside} coordinates" if outside else f"{len(report.undesired)} functionals"
+                return audit.Verdict(False, Fraction(1), f"client view pins {what} outside the desired set")
+    return audit.Verdict(True, Fraction(0), "posterior of undesired symbols equals the prior (zero leakage span)")
+
+
+TABLE_MUTANTS = [
+    None, audit.TABLE_MUTANT_NO_INDEX_PERM, audit.TABLE_MUTANT_NO_POOL_RELABEL, audit.TABLE_MUTANT_NO_HIDDEN_CR
+]
+
+
+@pytest.mark.parametrize("params", ENUMERABLE_TABLES, ids=lambda p: f"K{p.K}P{p.P}N{p.N}q{p.q}")
+@pytest.mark.parametrize("mutant", TABLE_MUTANTS, ids=lambda m: m or "honest")
+def test_one_elimination_per_desired_set_matches_the_per_draw_oracle(monkeypatch, params, mutant):
+    seeds = tuple(range(5))
+    oracle = per_draw_table_db_privacy(params, mutant, seeds)
+    eliminated = []  # the desired coordinates of each elimination
+    eliminate = audit._eliminate
+
+    def counted(rows, n_coords, pool_size, q, desired):
+        eliminated.append(tuple(desired))
+        return eliminate(rows, n_coords, pool_size, q, desired)
+
+    monkeypatch.setattr(audit, "_eliminate", counted)
+    v = audit.audit_table_db_privacy(params, mutant=mutant, seeds=seeds)
+    assert v == oracle and v.ok == (mutant != audit.TABLE_MUTANT_NO_HIDDEN_CR)
+    # one elimination per desired set, none per seed; a failing verdict stops at its first leaking set
+    n_sets = comb(params.K, params.P)
+    assert len(set(eliminated)) == len(eliminated)
+    assert len(eliminated) == n_sets if v.ok else len(eliminated) <= n_sets
+
+
+def test_a_draw_that_is_not_its_identity_view_relabeled_fails(monkeypatch):
+    # database 0's view swaps its first two pool ids whenever the pool is
+    # relabeled: every identity build is untouched and pins nothing it should
+    # not, so only the check of the drawn views against them catches it
+    params = SchemeParams(K=3, P=1, N=2)
+    honest = table_scheme.QueryTable.view
+
+    def swapped(table, db):
+        sums = honest(table, db)
+        if db != 0 or table.pool_perm == list(range(table.pool_size)):
+            return sums
+        (t0, p0), (t1, p1), *rest = sums
+        return ((t0, p1), (t1, p0), *rest)
+
+    monkeypatch.setattr(table_scheme.QueryTable, "view", swapped)
+    for desired in combinations(range(params.K), params.P):
+        table, views = audit._identity_build(table_scheme.table_structure(params, desired), None)
+        assert audit._table_leakage(table, views).ok
+    v = audit.audit_table_db_privacy(params)
+    assert not v.ok and v.distance == 1 and v.detail == "a drawn view is not the identity view relabeled"
+
+
 @pytest.mark.parametrize("verdict, sample", [
-    # with no seeds the no_hidden_cr mutant, which every seed fails, would pass
+    # with no seeds no drawn view would be checked against its identity view
     (audit.audit_table_db_privacy, {"mutant": audit.TABLE_MUTANT_NO_HIDDEN_CR, "seeds": ()}),
     (audit.audit_reliability_table, {"trials": 0}),
     (audit.audit_reliability_block, {"trials": 0}),

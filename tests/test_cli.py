@@ -654,6 +654,11 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
     r0, r1 = honest.records
     doubled = verify(without("P_initiator"), [r0, r1 + r1])
     assert doubled == (EXIT_PROTOCOL, 12, ["transcript metadata has no integer P_initiator"])
+    # a P_initiator outside 0 to K is a named problem too, not a usage error
+    for key, value in (("P_initiator", 11), ("P_initiator", -1), ("K", -3)):
+        meta = {**honest.meta, key: value}
+        problem = f"transcript metadata has P_initiator={meta['P_initiator']} outside 0 to K={meta['K']}"
+        assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, [problem])
 
 
 def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import privset
@@ -28,3 +29,28 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_private_helper_is_referenced_beyond_its_definition():
+    # A module-level ``_name`` function or class that nothing in the package
+    # reads, apart from its own body, is dead code a deletion left behind.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(privset.__file__).parent.glob("*.py"))}
+
+    def names(node) -> Counter:
+        return Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        )
+
+    read = sum((names(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and read[node.name] == names(node)[node.name]
+    ]
+    assert orphans == []

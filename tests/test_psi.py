@@ -159,6 +159,24 @@ def test_remote_full_set_rejects_a_short_answer():
             run_psi_remote(EntityConfig(1, 6, 1, frozenset(range(6))), pool.addresses)
 
 
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_download_all_answer_outside_f2_is_a_fault(backend, monkeypatch):
+    # Database 0's download-all answer reads 3 at coordinate 2: one byte, as
+    # the wire carries it, but no F_2 symbol.  It is refused as the block path
+    # refuses one, never read as a 0 that drops element 2 from the intersection.
+    answer = transport.QUERY_HANDLERS[wire.DOWNLOAD_ALL_TAG]
+
+    def corrupted(payload, store, pool):
+        symbols = answer(payload, store, pool)
+        symbols[2] = 3
+        return symbols
+
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.DOWNLOAD_ALL_TAG, corrupted)
+    full, responder = EntityConfig(1, 6, 2, frozenset(range(6))), EntityConfig(2, 6, 2, frozenset({0, 2, 3}))
+    with pytest.raises(ProtocolFault, match="^answer symbol outside F_2 at database 0$"):
+        run_psi(full, responder, backend=backend, seed_client=1, seed_cr=1)
+
+
 ONE_FLOW_INSTANCES = {
     "blocks": (
         EntityConfig(1, 12, 2, frozenset({0, 3, 5, 9})),
