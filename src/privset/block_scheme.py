@@ -6,7 +6,10 @@ draws one fresh uniform base vector c_j; one database answers
 <c_j, W> + s_j while each of the block's probe databases answers
 <c_j + e_t, W> + s_j for its assigned desired coordinate t.  Subtracting the
 base answer from a probe answer yields W[t]; the shared symbol s_j (one per
-block, never revealed) blocks everything else.
+block, never revealed) blocks everything else.  That is the table scheme's
+rule (``table_scheme.unmask``) with no side information: entry j of each
+database is a download on slot j whose fresh symbol is its probe coordinate
+(none for the base), with nothing reused.
 
 Costs are exact: P*L + #blocks = ceil(N*P*L/(N-1)) answers downloaded and
 #blocks = ceil(P*L/(N-1)) shared symbols consumed.  Every vector any single
@@ -38,8 +41,9 @@ from typing import NamedTuple
 from .field import raise_lane, sample_uniform, unpack
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
+from .table_scheme import unmask
 from .wire import BLOCK_QUERY_TAG  # noqa: F401  (the scheme's tag, looked up here by callers)
-from .wire import ProtocolFault, encode_block_query, parse_block_query
+from .wire import encode_block_query, parse_block_query
 
 
 class BlockQuery(NamedTuple):
@@ -140,28 +144,10 @@ def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnes
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:
-    """Recover the desired coordinates: probe answer minus base answer, per block.
-
-    Returns {global coordinate: symbol}.  Answer strings must contain one
-    symbol per issued query, in issue order.
-    """
-    N, q = plan.params.N, plan.params.q
-    if len(answers) != N:
-        raise ProtocolFault(f"expected {N} answer strings, got {len(answers)}")
-    for db in range(N):
-        if len(answers[db]) != len(plan.queries[db]):
-            raise ProtocolFault(f"answer count mismatch at database {db}")
-        if answers[db] and (min(answers[db]) < 0 or max(answers[db]) >= q):
-            raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
-
-    base: dict[int, int] = {}  # block -> base answer
-    probes: list[tuple[int, int, int]] = []  # (block, coordinate, probe answer)
-    for db in range(N):
-        for j, (bq, v) in enumerate(zip(plan.queries[db], answers[db])):
-            if bq.probe_coord is None:
-                base[j] = v
-            else:
-                probes.append((j, bq.probe_coord, v))
-    out = {t: (v - base[j]) % q for j, t, v in probes}
+    """Recover the desired coordinates, {global coordinate: symbol}, by
+    ``unmask`` of each entry as a download on its slot.  Answer strings must
+    contain one symbol per issued query, in issue order."""
+    downloads = [[((), j, t, ()) for j, (_, t) in enumerate(qs)] for qs in plan.queries]
+    out = unmask(downloads, answers, plan.params.q)
     assert len(out) == plan.params.P * plan.params.L
     return out

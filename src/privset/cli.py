@@ -14,7 +14,8 @@ audit       run the exact privacy/reliability audits
 Every subcommand is deterministic given its seeds (an unseeded ``psi serve``
 draws its pool, and an unseeded ``psi connect`` its query strategy, from
 ``secrets``).  ``--machine`` switches to line-oriented JSON records (one
-object per line, each carrying a ``record`` discriminator).  Exit codes: 0
+object per line, each carrying a ``record`` discriminator); ``psi serve``
+always prints its one startup record as JSON.  Exit codes: 0
 success, 2 usage error (a file or port that cannot be used included), 3
 protocol/transport fault, 4 audit failure.
 """
@@ -270,8 +271,9 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     the transcript alone: one record per responder database, the download is
     the direction's cost, and each database got at most one body, every block
     body a run from one first slot with the entry count ``plan_blocks`` lays
-    out for (P, N).  Nothing is sized by the metadata's K, P or N; the caller
-    has checked that P lies from 0 to K."""
+    out for (P, N).  A block body that does not parse at K and q is its
+    database's one problem.  Nothing is sized by the metadata's K, P or N; the
+    caller has checked that P lies from 0 to K, and that N >= 2 if 0 < P < K."""
     if N != len(transcript.records):
         return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
@@ -279,14 +281,20 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     if measured != cost:
         problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
     runs: dict[int, tuple[int, int]] = {}  # database -> (first slot, entry count) of its block body
+    unparsed: set[int] = set()  # databases with a block body that does not parse at K and q
     for db, db_records in enumerate(transcript.records):
         if len(db_records) > 1:
             problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
         for qry, _ in db_records:
             body = wire.parse_query(qry)[1]
             if body[0] == wire.BLOCK_QUERY_TAG:
-                first, vectors = wire.parse_block_query(body, q, K)
-                runs[db] = (first, len(vectors))
+                try:
+                    first, vectors = wire.parse_block_query(body, q, K)
+                except wire.ProtocolFault as exc:
+                    problems.append(f"database {db} got a block body that does not parse at K={K}, q={q}: {exc}")
+                    unparsed.add(db)
+                else:
+                    runs[db] = (first, len(vectors))
     first = next(iter(runs.values()), (0, 0))[0]  # the first slot of the lowest database's run
 
     def text(run):
@@ -295,7 +303,7 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     for db in range(N):
         count = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
         want = (first, count) if count else None
-        if runs.get(db) != want:
+        if db not in unparsed and runs.get(db) != want:
             problems.append(f"database {db} got {text(runs.get(db))}; the run's shape lays out {text(want)}")
     return problems
 
@@ -315,6 +323,8 @@ def cmd_psi_verify(args) -> int:
     ]
     if not problems and not 0 <= P <= K:
         problems.append(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
+    elif not problems and 0 < P < K and N < 2:
+        problems.append(f"transcript metadata has N_responder={N}; P_initiator={P} of K={K} needs at least two databases")
     try:
         check_modulus(q)  # every recorded vector is read over the transcript's field
     except ParamError as exc:
@@ -457,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0", help="host:base_port (0 = ephemeral)")
     p.add_argument("--pool-size", type=int, default=1024)
     p.add_argument("--seed-cr", type=int, help="seed for a reproducible pool (default: symbols drawn from secrets)")
-    _add_common(p)
     p.set_defaults(func=cmd_psi_serve)
 
     p = psi_sub.add_parser("verify", help="re-check a saved transcript", allow_abbrev=False)

@@ -23,7 +23,8 @@ A 0-sum's or a pure sum's answer is the known value on its slot, and every
 other sum is decoded by one rule: subtracting that value and the reused
 symbols unmasks the fresh symbol.  Each pure sum is consumed exactly once at
 each of the other N-1 databases, which is what the stage profile's balance
-identity guarantees is possible.
+identity guarantees is possible.  :func:`decode` passes the sums as they are
+to that rule, :func:`unmask`, behind the one answer check :func:`check_answers`.
 
 A table is built in two steps.  :func:`table_structure` lays out the sums
 above; it takes no randomness, so its output is a function of the public
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, filterfalse
 from math import comb
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -92,9 +94,7 @@ class SumSpec(NamedTuple):
     """One downloaded k-sum (k = ``len(terms)``, its round), masked by one randomness slot.
 
     A 0-sum is a plain download of its slot.  A 0-sum and a pure sum have no
-    ``fresh`` symbol: their answer is the known value on ``cr_slot``.  Any
-    other sum is decoded by one rule: its answer minus the known value on
-    ``cr_slot`` minus its ``reused`` symbols is its ``fresh`` symbol.
+    ``fresh`` symbol; :func:`unmask` decodes each sum.
     """
 
     terms: tuple[tuple[int, int], ...]  # (message, structural index), sorted by message
@@ -354,42 +354,48 @@ def answer(view: TableQuery, store: MessageStore, pool: CommonRandomnessPool) ->
 answer_wire_query = answer
 
 
-def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
-    """Recover every desired symbol from the N answer strings, keyed by its
-    store coordinate msg*L_store + position.
-
-    Every sum with no fresh symbol (a 0-sum or a pure sum) answers the known
-    value on its slot.  Each other sum, in round order, yields its fresh
-    symbol: its answer minus the known value on its slot minus its reused
-    symbols.
-    Structural inconsistencies (wrong lengths, out-of-range symbols) raise
-    ProtocolFault; they indicate a transport or replication fault.
-    """
-    q = table.q
-    if len(answers) != table.N:
-        raise ProtocolFault(f"expected {table.N} answer strings, got {len(answers)}")
-    known: dict[int, int] = {}  # pool slot -> the answer of its 0-sum or its pure sum
-    masked: list[tuple[SumSpec, int]] = []  # sums with a fresh symbol, with their answers
-    for db in range(table.N):
-        ans, db_sums = answers[db], table.sums[db]
-        if len(ans) != len(db_sums):
-            raise ProtocolFault(f"answer length mismatch at database {db}")
+def check_answers(answers, counts: list[int], q: int) -> None:
+    """Refuse answer strings that are not ``counts[db]`` symbols of F_q from
+    each database ``db``: a transport or replication fault, never decoded."""
+    if len(answers) != len(counts):
+        raise ProtocolFault(f"expected {len(counts)} answer strings, got {len(answers)}")
+    for db, (ans, count) in enumerate(zip(answers, counts)):
+        if len(ans) != count:
+            raise ProtocolFault(f"answer of wrong length at database {db}")
         if ans and (min(ans) < 0 or max(ans) >= q):
             raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
-        for spec, v in zip(db_sums, ans):
-            if spec.fresh is None:
-                known[spec.cr_slot] = v
+
+
+def unmask(downloads, answers, q: int) -> dict:
+    """The one decoding rule of both schemes, once ``check_answers`` passes:
+    {fresh: symbol} from ``downloads[db]``, database ``db``'s downloads in
+    answer order, each a ``(terms, slot, fresh, reused)`` as a ``SumSpec`` is.
+    A download with no fresh symbol answers the known value on its slot; every
+    other one, in round order (term count, stable), yields its answer minus
+    that value minus its reused symbols, mod q."""
+    check_answers(answers, [len(specs) for specs in downloads], q)
+    known = {}  # slot -> the answer of the download with no fresh symbol on it
+    masked = []  # (round, download, answer) of every download with a fresh symbol
+    for specs, ans in zip(downloads, answers):
+        for spec, v in zip(specs, ans):
+            if spec[2] is None:  # no fresh symbol
+                known[spec[1]] = v
             else:
-                masked.append((spec, v))
+                masked.append((len(spec[0]), spec, v))
+    masked.sort(key=itemgetter(0))  # stable: round order, then database and position
+    decoded = {}
+    for _, (_, slot, fresh, reused), v in masked:
+        if reused:
+            v -= sum(map(decoded.__getitem__, reused))
+        decoded[fresh] = (v - known[slot]) % q
+    return decoded
 
-    decoded: dict[tuple[int, int], int] = {}
-    masked.sort(key=lambda sv: len(sv[0].terms))  # stable: round order, then database and position
-    for spec, v in masked:
-        v -= known[spec.cr_slot]
-        for term in spec.reused:
-            v -= decoded[term]
-        decoded[spec.fresh] = v % q
 
+def decode(table: QueryTable, answers: list[list[int]]) -> dict[int, int]:
+    """Recover every desired symbol from the N answer strings, keyed by its
+    store coordinate msg*L_store + position: ``unmask`` of the table's sums,
+    mapped through ``QueryTable.retrieved()``."""
+    decoded = unmask(table.sums, answers, table.q)
     return {c: decoded[symbol] for c, symbol in table.retrieved().items()}
 
 

@@ -252,6 +252,17 @@ def test_decode_refuses_a_symbol_outside_the_field_at_each_database():
                     decode_blocks(plan, tampered)
 
 
+def test_decode_names_the_database_whose_answer_has_the_wrong_length():
+    plan, _, _, answers = run_once(4, 2, 3)  # one block: a base at database 0, a probe at 1 and at 2
+    with pytest.raises(ProtocolFault, match=r"^expected 3 answer strings, got 2$"):
+        decode_blocks(plan, answers[:2])
+    for db in range(3):
+        for tampered_db in (answers[db][:-1], answers[db] + [0]):
+            tampered = [tampered_db if i == db else a for i, a in enumerate(answers)]
+            with pytest.raises(ProtocolFault, match=rf"^answer of wrong length at database {db}$"):
+                decode_blocks(plan, tampered)
+
+
 def test_single_database_rejected():
     with pytest.raises(InfeasibleError):
         plan_blocks(SchemeParams(K=3, P=1, N=1), (0,), Random(0))

@@ -298,7 +298,8 @@ def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, cap
 
 def test_an_abbreviated_flag_is_refused_before_any_port_is_bound(tmp_path, capsys, monkeypatch):
     # Prefix matching would read --seed as --seed-cr (a guessable pool) or
-    # --seed-client, and --trans as --transport: each is refused as unknown.
+    # --seed-client, and --trans as --transport: each is refused as unknown,
+    # as is psi serve's --machine, which it does not take.
     from privset import transport
 
     def no_socket(*args, **kwargs):
@@ -311,6 +312,7 @@ def test_an_abbreviated_flag_is_refused_before_any_port_is_bound(tmp_path, capsy
     port, other = closed_ports()
     for argv, extra in (
         (["psi", "serve", "--set", str(set1)], "--seed 5"),
+        (["psi", "serve", "--set", str(set1)], "--machine"),  # its one startup record is always JSON
         (["psi", "connect", "--set", str(set1), "--databases", f"127.0.0.1:{port},127.0.0.1:{other}"], "--seed 5"),
         (["psi", "run", "--set1", str(set1), "--set2", str(set1)], "--trans tcp"),
     ):
@@ -450,13 +452,16 @@ def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
     assert code == EXIT_OK
     code, *_ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
     assert code == EXIT_OK
-    # the same packed bytes read as F_3 vectors (one byte per coefficient) are truncated
+    # the same packed bytes read as F_3 vectors (one byte per coefficient) are
+    # truncated: each database's body is its named problem, and the record is printed
     transcript = transport.Transcript.load(str(path))
     assert transcript.meta["q"] == 2
     transcript.meta["q"] = 3
     transcript.save(str(path))
-    code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
-    assert code == EXIT_PROTOCOL and "truncated" in err
+    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
+    assert code == EXIT_PROTOCOL and err == "", err
+    for db in range(2):
+        assert f"PROBLEM: database {db} got a block body that does not parse at K=20, q=3: truncated query payload" in out
     # metadata from an untrusted file: a list-valued q, a boolean P or a P past K is a usage error
     honest = {**transcript.meta, "q": 2}
     for key, value in (("q", [2]), ("q", True), ("P_initiator", True), ("P_initiator", 21), ("N_responder", 2.0)):
@@ -623,7 +628,10 @@ def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
         code, out, err = run_cli(capsys, *verify)
         assert time.monotonic() - start < 1 and code == EXIT_PROTOCOL, key
         if key == "K":  # each recorded body is far shorter than 2**40-coefficient vectors
-            assert out == "" and err == "protocol fault: truncated query payload\n"
+            assert err == "" and machine_records(out)[0]["problems"] == [
+                f"database {db} got a block body that does not parse at K={2**40}, q=2: truncated query payload"
+                for db in range(2)
+            ]
         else:
             assert machine_records(out)[0]["problems"] == ["the transcript records 2 databases, not N_responder=1000000000"]
 
@@ -659,6 +667,23 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
         meta = {**honest.meta, key: value}
         problem = f"transcript metadata has P_initiator={meta['P_initiator']} outside 0 to K={meta['K']}"
         assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, [problem])
+    # so is an N_responder below 2 while 0 < P_initiator < K, and replay refuses it as other bad metadata
+    responder_set = tmp_path / "e2.set"
+    responder_set.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    for n, records, downloaded in ((1, [r0], 4), (0, [], 0)):
+        meta = {**honest.meta, "N_responder": n}
+        problem = f"transcript metadata has N_responder={n}; P_initiator=4 of K=10 needs at least two databases"
+        assert verify(meta, records) == (EXIT_PROTOCOL, downloaded, [problem])
+        code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(responder_set))
+        assert code == EXIT_USAGE and err.startswith("error: answer replay needs") and problem in err, err
+    # a K or q the recorded bodies do not fit names each database's body, and the record is printed
+    for key, value in (("K", 1000000), ("q", 3)):
+        meta = {**honest.meta, key: value}
+        problems = [
+            f"database {db} got a block body that does not parse at K={meta['K']}, q={meta['q']}: truncated query payload"
+            for db in range(2)
+        ]
+        assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, problems)
 
 
 def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):

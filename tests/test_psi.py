@@ -177,6 +177,47 @@ def test_a_download_all_answer_outside_f2_is_a_fault(backend, monkeypatch):
         run_psi(full, responder, backend=backend, seed_client=1, seed_cr=1)
 
 
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_a_download_all_answer_of_wrong_length_names_its_database(backend, change, monkeypatch):
+    # Database 0 answers a download-all with one symbol too few or too many;
+    # the download-all path refuses it with the block and table decoders' message.
+    answer = transport.QUERY_HANDLERS[wire.DOWNLOAD_ALL_TAG]
+
+    def resized(payload, store, pool):
+        symbols = answer(payload, store, pool)
+        return symbols[:-1] if change < 0 else symbols + [0]
+
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.DOWNLOAD_ALL_TAG, resized)
+    full, responder = EntityConfig(1, 6, 2, frozenset(range(6))), EntityConfig(2, 6, 2, frozenset({0, 2, 3}))
+    with pytest.raises(ProtocolFault, match="^answer of wrong length at database 0$"):
+        run_psi(full, responder, backend=backend, seed_client=1, seed_cr=1)
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_block_answer_out_of_shape_names_its_database(backend, monkeypatch):
+    # The client queries the databases in order, so the n-th block answer
+    # served is database n's.  Each of them, one symbol short or reading 2,
+    # is refused with that database named, on either backend.
+    answer = transport.QUERY_HANDLERS[wire.BLOCK_QUERY_TAG]
+    init = EntityConfig(1, 12, 3, frozenset({0, 3, 5, 9}))  # two entries at each of the responder's 3 databases
+    resp = EntityConfig(2, 12, 3, frozenset({0, 1, 3, 4, 8, 9, 11}))
+    for db in range(3):
+        for tamper, message in (
+            (lambda s: s[:-1], "answer of wrong length"),
+            (lambda s: [2, *s[1:]], "answer symbol outside F_2"),
+        ):
+            served = []
+
+            def tampered(payload, store, pool):
+                served.append(answer(payload, store, pool))
+                return tamper(served[-1]) if len(served) == db + 1 else served[-1]
+
+            monkeypatch.setitem(transport.QUERY_HANDLERS, wire.BLOCK_QUERY_TAG, tampered)
+            with pytest.raises(ProtocolFault, match=f"^{message} at database {db}$"):
+                run_psi(init, resp, backend=backend, seed_client=1, seed_cr=1)
+
+
 ONE_FLOW_INSTANCES = {
     "blocks": (
         EntityConfig(1, 12, 2, frozenset({0, 3, 5, 9})),

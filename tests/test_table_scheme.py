@@ -278,6 +278,17 @@ def test_decode_refuses_a_symbol_outside_the_field_at_each_database():
                         decode(table, tampered)
 
 
+def test_decode_names_the_database_whose_answer_has_the_wrong_length():
+    table, _, _, answers = make_run(3, 1, 3)
+    with pytest.raises(ProtocolFault, match=r"^expected 3 answer strings, got 4$"):
+        decode(table, answers + [[]])
+    for db in range(3):
+        for tampered_db in (answers[db][:-1], answers[db] + [0]):
+            tampered = [tampered_db if i == db else a for i, a in enumerate(answers)]
+            with pytest.raises(ProtocolFault, match=rf"^answer of wrong length at database {db}$"):
+                decode(table, tampered)
+
+
 def test_the_bounds_check_names_the_same_value_as_before():
     # store coordinates are checked before pool ids; within each, the largest
     # value past the end is named before the smallest negative one
