@@ -99,9 +99,11 @@ from .field import (
     lane_bits,
     pack,
     raise_lane,
+    raise_lane_bytes,
     sample_symbols,
     sample_uniform,
     unpack,
+    vector_size,
 )
 from .params import ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
@@ -154,8 +156,10 @@ def _check_mutant(mutant: str | None, scheme: str) -> None:
 def _block_mutate(plan: block_scheme.BlockPlan, mutant: str | None) -> block_scheme.BlockPlan:
     if mutant == BLOCK_MUTANT_NO_BASE_MASK:
         q = plan.params.q
+        zero = bytes(vector_size(plan.params.K * plan.params.L, q))
         for qs in plan.queries:  # each probe becomes the bare unit vector of its coordinate
-            qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=raise_lane(0, bq.probe_coord, q)) for bq in qs]
+            qs[:] = [bq if bq.probe_coord is None else bq._replace(vector=raise_lane_bytes(zero, bq.probe_coord, q))
+                     for bq in qs]
     return plan  # no_cr changes no query: the database-privacy audit makes the pool public
 
 
@@ -183,7 +187,7 @@ def _block_builds(params: SchemeParams, mutant: str | None, desired: tuple[int, 
         ]
         scope = f", premises checked on {_MECHANISM_SAMPLES} sampled strategy draws"
 
-    def views(desired, order, bases) -> list[tuple[int, list[int]]]:
+    def views(desired, order, bases) -> list[tuple[int, list[bytes]]]:
         """The parsed bodies of the draw of shuffle ``order`` and base vectors ``bases``."""
         plan = _block_mutate(block_scheme.build_plan(params, desired, order, bases), mutant)
         return [wire.parse_block_query(body, q, n_coords, n_blocks) for body in plan.wire_queries()]
@@ -214,7 +218,7 @@ def audit_block_user_privacy(params: SchemeParams, mutant: str | None = None) ->
                 if runs.setdefault(db, (first, len(vectors))) != (first, len(vectors)):
                     return Verdict(False, Fraction(1), f"slot sequence differs at database {db}")
             for (slot, shift), vec in zip(_slot_entries([shifts[db]]), drawn[db][1]):
-                if vec != _combine(shift, 1, bases[slot], n_coords, q):
+                if int.from_bytes(vec, "little") != _combine(shift, 1, bases[slot], n_coords, q):
                     return Verdict(False, Fraction(1), f"a vector at database {db} is not its slot's base plus a shift")
     return Verdict(True, Fraction(0), f"max per-database total variation 0{scope}")
 
@@ -413,8 +417,8 @@ def _view_entries(view: table_scheme.TableQuery, q: int) -> list[tuple[int, int]
 
 
 def _slot_entries(bodies) -> list[tuple[int, int]]:
-    """(pool slot, vector) of every entry of parsed block bodies, entry i of a body on slot first + i."""
-    return [(first + i, vec) for first, vectors in bodies for i, vec in enumerate(vectors)]
+    """(pool slot, packed vector) of every entry of parsed block bodies, entry i of a body on slot first + i."""
+    return [(first + i, int.from_bytes(vec, "little")) for first, vectors in bodies for i, vec in enumerate(vectors)]
 
 
 def _combine(row: int, coeff: int, other: int, width: int, q: int) -> int:

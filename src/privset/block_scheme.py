@@ -25,10 +25,14 @@ Every block but the last, partial one reaches every database, so entry i of
 each database's list is block i's.  On the wire the list is one slot run from
 slot 0 (``wire.encode_block_query``): entry i is masked by pool slot i.
 
-Vectors are packed ints (``field.lane_bits``).  Over F_2, the intersection
-protocol's field, a probe is c_j ^ (1 << t) and an answer is one AND and one
-popcount against the store's packed vector: the XOR retrieval of Chor,
-Goldreich, Kushilevitz and Sudan with the shared symbol added.
+A plan holds each vector as the packed-lane bytes the wire carries
+(``field.to_lane_bytes``): a block's base is drawn as an int and converted
+once, and each probe is a copy of those bytes with its one lane raised
+(``field.raise_lane_bytes``), over F_2 one bit flipped.  Ints exist only where
+arithmetic happens: in the server's answer, which over F_2, the intersection
+protocol's field, is one AND and one popcount against the store's packed
+vector (the XOR retrieval of Chor, Goldreich, Kushilevitz and Sudan with the
+shared symbol added), and in the audits' rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from operator import mul
 from random import Random
 from typing import NamedTuple
 
-from .field import raise_lane, sample_uniform, unpack
+from .field import raise_lane_bytes, sample_uniform, to_lane_bytes
 from .params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from .storage import CommonRandomnessPool, MessageStore
 from .table_scheme import unmask
@@ -47,9 +51,10 @@ from .wire import encode_block_query, parse_block_query
 
 
 class BlockQuery(NamedTuple):
-    """One packed query vector over F_q; entry i of a database's list is block i's, on pool slot first + i."""
+    """One query vector over F_q, in its wire bytes; entry i of a database's list
+    is block i's, on pool slot first + i."""
 
-    vector: int
+    vector: bytes
     probe_coord: int | None  # desired coordinate this probe targets; None for the base
 
 
@@ -93,8 +98,9 @@ def build_plan(params: SchemeParams, desired, order, bases) -> BlockPlan:
     """Lay out the blocks of one strategy draw; no randomness is drawn here.
 
     Desired coordinate ``order[i]`` (message-major) takes block position i,
-    and block j's base vector is ``bases[j]``.  Which database serves each
-    base rotates round-robin so downloads stay balanced.
+    and block j's base vector is ``bases[j]``, a packed int converted to
+    wire bytes once.  Which database serves each base rotates round-robin so
+    downloads stay balanced.
     """
     K, P, N, L, q = params.K, params.P, params.N, params.L, params.q
     if N < 2:
@@ -109,9 +115,10 @@ def build_plan(params: SchemeParams, desired, order, bases) -> BlockPlan:
     coords = [coords_flat[i : i + width] for i in range(0, len(coords_flat), width)]
     queries: list[list[BlockQuery]] = [[] for _ in range(N)]
     for j, (block_coords, base_vec) in enumerate(zip(coords, bases, strict=True)):
-        queries[j % N].append(BlockQuery(base_vec, None))
+        base = to_lane_bytes(base_vec, K * L, q)
+        queries[j % N].append(BlockQuery(base, None))
         for db, t in enumerate(block_coords, j + 1):  # the probes go to the databases after the base's
-            queries[db % N].append(BlockQuery(base_vec ^ 1 << t if q == 2 else raise_lane(base_vec, t, q), t))
+            queries[db % N].append(BlockQuery(raise_lane_bytes(base, t, q), t))
 
     plan = BlockPlan(params=params, desired=desired, coords=coords, queries=queries)
     D, HS = lspir_cost(P, N, L)
@@ -138,9 +145,9 @@ def answer_wire_query(payload: bytes, store: MessageStore, pool: CommonRandomnes
     masks = symbols[first : first + len(vectors)]
     if q == 2:
         w = store.packed
-        return [((vec & w).bit_count() + s) & 1 for vec, s in zip(vectors, masks)]
-    flat = store.flat
-    return [(sum(map(mul, unpack(vec, KL, q), flat)) + s) % q for vec, s in zip(vectors, masks)]
+        return [((int.from_bytes(vec, "little") & w).bit_count() + s) & 1 for vec, s in zip(vectors, masks)]
+    flat = store.flat  # over odd q a vector's wire bytes are its coefficients
+    return [(sum(map(mul, vec, flat)) + s) % q for vec, s in zip(vectors, masks)]
 
 
 def decode_blocks(plan: BlockPlan, answers: list[list[int]]) -> dict[int, int]:

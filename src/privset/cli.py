@@ -271,9 +271,10 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     the transcript alone: one record per responder database, the download is
     the direction's cost, and each database got at most one body, every block
     body a run from one first slot with the entry count ``plan_blocks`` lays
-    out for (P, N).  A block body that does not parse at K and q is its
-    database's one problem.  Nothing is sized by the metadata's K, P or N; the
-    caller has checked that P lies from 0 to K, and that N >= 2 if 0 < P < K."""
+    out for (P, N).  A query, or a block body at K and q, that does not parse
+    is its database's one problem.  Nothing is sized by the metadata's K, P or
+    N; the caller has checked that P lies from 0 to K, and that N >= 2 if
+    0 < P < K."""
     if N != len(transcript.records):
         return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
@@ -281,12 +282,17 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q:
     if measured != cost:
         problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
     runs: dict[int, tuple[int, int]] = {}  # database -> (first slot, entry count) of its block body
-    unparsed: set[int] = set()  # databases with a block body that does not parse at K and q
+    unparsed: set[int] = set()  # databases with a query, or a block body at K and q, that does not parse
     for db, db_records in enumerate(transcript.records):
         if len(db_records) > 1:
             problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
         for qry, _ in db_records:
-            body = wire.parse_query(qry)[1]
+            try:
+                body = wire.parse_query(qry)[1]
+            except wire.ProtocolFault as exc:
+                problems.append(f"database {db} got a query that does not parse: {exc}")
+                unparsed.add(db)
+                continue
             if body[0] == wire.BLOCK_QUERY_TAG:
                 try:
                     first, vectors = wire.parse_block_query(body, q, K)

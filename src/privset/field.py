@@ -11,9 +11,12 @@ in whole-word batches: one ``getrandbits`` per round instead of one
 ``randrange`` per value, with exactly ``randrange``'s values, in order, and
 the generator left in the same state.
 
-A query vector of ``length`` coefficients is one Python int with coefficient
-i in lane i: the lane is ``lane_bits(q)`` bits wide, one bit over F_2 (so an
-inner product is an AND and a popcount) and one byte otherwise.
+A query vector of ``length`` coefficients has coefficient i in lane i: the
+lane is ``lane_bits(q)`` bits wide, one bit over F_2 (so an inner product is
+an AND and a popcount) and one byte otherwise.  The server's F_2 answer and
+an audit's rows hold a vector as one Python int; everywhere else it is the
+``vector_size`` little-endian bytes the wire carries, lane t in bit ``t & 7``
+of byte ``t >> 3`` over F_2 and in byte t otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ DOMAIN_MESSAGES = "messages"
 
 _PARITY_DIGITS = bytes(ord("0") + (b & 1) for b in range(256))  # byte -> ASCII digit of its parity
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE = [bytes((b,)) for b in range(256)]  # value -> the one byte holding it
 
 
 def domain_rng(seed: int, domain: str) -> random.Random:
@@ -49,6 +53,11 @@ def domain_rng(seed: int, domain: str) -> random.Random:
 def lane_bits(q: int) -> int:
     """Width of one coefficient's lane in a packed vector."""
     return 1 if q == 2 else 8
+
+
+def vector_size(length: int, q: int) -> int:
+    """Bytes of a packed vector of ``length`` coefficients; over F_2 the last byte may be partial."""
+    return (length * lane_bits(q) + 7) // 8
 
 
 @cache
@@ -118,6 +127,20 @@ def raise_lane(vec: int, t: int, q: int) -> int:
     shift = t * 8
     c = vec >> shift & 0xFF
     return vec + (((c + 1) % q - c) << shift)
+
+
+def to_lane_bytes(vec: int, length: int, q: int) -> bytes:
+    """The wire bytes of a packed vector of ``length`` coefficients."""
+    return vec.to_bytes(vector_size(length, q), "little")
+
+
+def raise_lane_bytes(lanes: bytes, t: int, q: int) -> bytes:
+    """A copy of a vector's wire bytes with coefficient t raised by 1 mod q:
+    over F_2 one bit flipped, otherwise one byte raised."""
+    if q == 2:
+        i = t >> 3
+        return lanes[:i] + _BYTE[lanes[i] ^ 1 << (t & 7)] + lanes[i + 1 :]
+    return lanes[:t] + _BYTE[(lanes[t] + 1) % q] + lanes[t + 1 :]
 
 
 def unpack(vec: int, length: int, q: int) -> bytes:

@@ -1,9 +1,11 @@
 """Byte layout of every frame, query, answer and error the protocol sends,
 and of the transcript file a run saves.
 
-This is the only module that knows a layout.  Each format that is read
-back is one ``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p``
-for every well-formed ``p``.  A parser raises ProtocolFault on anything else
+This is the only module that knows a message layout; the lanes inside one
+query vector are laid out by ``field``, and a block body carries each
+vector's bytes as they are.  Each format that is read back is one
+``encode_*``/``parse_*`` pair with ``encode(parse(p)) == p`` for every
+well-formed ``p``.  A parser raises ProtocolFault on anything else
 (truncation, trailing bytes, a count that overruns the payload, a
 reference outside the bounds it is given) and never struct.error
 or IndexError, so a database can turn any client query into an answer or an
@@ -20,7 +22,7 @@ All integers are little-endian:
     block body    2 | first slot u32 | n u32 | n x ceil(K*L * w / 8) bytes
                     entry i is a packed vector of the store's K*L coefficients, masked
                     by pool slot first + i; K*L is known to both sides and not sent:
-                    coefficient i in lane i, w = 1 bit over F_2, else 8
+                    coefficient i in lane i (``field.to_lane_bytes``), w = 1 bit over F_2, else 8
     download-all  3   served only by a database that holds no shared randomness
     result        the intersection's elements in ascending ASCII decimal, comma-separated;
                     a database acknowledges it unread
@@ -36,7 +38,7 @@ import json
 import struct
 from typing import Sequence
 
-from .field import lane_bits
+from .field import lane_bits, vector_size
 
 MAGIC = b"PSI1"
 VERSION = 3  # 3: a block body names one slot run, entry i on slot first + i
@@ -164,41 +166,40 @@ def parse_query(payload: bytes) -> tuple[int, bytes]:
     return _U32.unpack_from(payload)[0], payload[_U32.size :]
 
 
-def _vector_bytes(length: int, q: int) -> int:
-    return (length * lane_bits(q) + 7) // 8
-
-
 def block_query_size(n: int, length: int, q: int) -> int:
     """Payload bytes of a query whose block body carries ``n`` vectors of ``length`` coefficients over F_q."""
-    return _U32.size + 1 + _PAIR.size + n * _vector_bytes(length, q)
+    return _U32.size + 1 + _PAIR.size + n * vector_size(length, q)
 
 
-def encode_block_query(first: int, vectors: Sequence[int], length: int, q: int) -> bytes:
-    """Block body of packed ``length``-coefficient vectors over F_q, entry i on pool slot ``first + i``."""
-    size = _vector_bytes(length, q)
-    head = _U8.pack(BLOCK_QUERY_TAG) + _PAIR.pack(first, len(vectors))
-    return b"".join([head, *(v.to_bytes(size, "little") for v in vectors)])
+def encode_block_query(first: int, vectors: Sequence[bytes], length: int, q: int) -> bytes:
+    """Block body of ``length``-coefficient vectors over F_q, each in its wire
+    bytes (``field.to_lane_bytes``), entry i on pool slot ``first + i``."""
+    size = vector_size(length, q)
+    body = b"".join([_U8.pack(BLOCK_QUERY_TAG) + _PAIR.pack(first, len(vectors)), *vectors])
+    if len(body) != 1 + _PAIR.size + len(vectors) * size:
+        raise ValueError(f"a vector of {length} coefficients over F_{q} takes {size} bytes")
+    return body
 
 
-def parse_block_query(body: bytes, q: int, length: int, pool_size: int | None = None) -> tuple[int, list[int]]:
-    """(first slot, packed vectors) of a body of ``length``-coefficient vectors
-    over F_q; optionally checks that the run ends within ``pool_size`` slots.
-    Padding bits past the last F_2 coefficient must be 0."""
+def parse_block_query(body: bytes, q: int, length: int, pool_size: int | None = None) -> tuple[int, list[bytes]]:
+    """(first slot, each vector's wire bytes) of a body of ``length``-coefficient
+    vectors over F_q; optionally checks that the run ends within ``pool_size``
+    slots.  Padding bits past the last F_2 coefficient must be 0."""
     _check_tag(body, BLOCK_QUERY_TAG)
-    size = _vector_bytes(length, q)
+    size = vector_size(length, q)
     if not size:
         raise ProtocolFault("block vectors need at least one coefficient")
-    if len(body) < 1 + _PAIR.size:
+    start = 1 + _PAIR.size
+    if len(body) < start:
         raise ProtocolFault("truncated query payload")
     first, n = _PAIR.unpack_from(body, 1)
-    _check_end(1 + _PAIR.size + n * size, body, "query payload")
+    _check_end(start + n * size, body, "query payload")
     if pool_size is not None and first + n > pool_size:
         raise ProtocolFault(f"randomness slot {first + n - 1} outside the provisioned pool")
-    vectors = [int.from_bytes(body[off : off + size], "little") for off in range(1 + _PAIR.size, len(body), size)]
-    bits = length * lane_bits(q)
-    if bits != size * 8 and any(vector >> bits for vector in vectors):  # only a partial last byte has padding
+    used = length * lane_bits(q) % 8  # coefficient bits in a vector's last byte, 0 if it has no padding
+    if used and any(last >> used for last in body[start + size - 1 :: size]):
         raise ProtocolFault("padding bits set past the last coefficient")
-    return first, vectors
+    return first, [body[off : off + size] for off in range(start, len(body), size)]
 
 
 def encode_download_all() -> bytes:

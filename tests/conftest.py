@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from privset import transport, wire  # noqa: E402  (after the path insert)
+from privset.field import to_lane_bytes  # noqa: E402
 from privset.params import ParamError  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
@@ -24,6 +25,11 @@ def answer_block(vector, store, cr_symbol: int) -> int:
     for c, w in zip(vector, store.flat):
         acc += c * w
     return acc % store.q
+
+
+def lanes(vectors, length: int, q: int = 2) -> list[bytes]:
+    """The wire bytes of packed int vectors of ``length`` coefficients over F_q."""
+    return [to_lane_bytes(vec, length, q) for vec in vectors]
 
 
 def read_frames(data: bytes, limit: int = 0xFFFFFFFF) -> list[tuple[int, bytes]]:

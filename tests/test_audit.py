@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lanes
 from privset import audit, block_scheme, field, table_scheme, wire
 from privset.field import unpack
 from privset.params import ParamError, SchemeParams, lspir_cost
@@ -52,7 +53,7 @@ class TestBlockUserPrivacy:
         assert not v.ok and v.detail == "a vector at database 0 is not its slot's base plus a shift"
         # no_cr changes no query; its leak shows in the elimination of one draw with the pool public
         plan = block_scheme.plan_blocks(params, tuple(range(8)), Random(0))
-        public = [wire.encode_block_query(0, [0] * plan.n_blocks, 256, 2)]  # a zero vector on every slot
+        public = [wire.encode_block_query(0, lanes([0] * plan.n_blocks, 256), 256, 2)]  # a zero vector on every slot
         assert audit.recoverable_coordinates(plan.wire_queries() + public, 256, plan.n_blocks, 2, range(8)).undesired
         # every entry at database 0: its run of 16 passes the 8-slot pool, which the codec refuses
         monkeypatch.setattr(block_scheme.BlockPlan, "wire_query", base_and_probes_together)
@@ -114,7 +115,7 @@ def per_draw_block_db_privacy(params, mutant):
     K, P, L, N, q = params.K, params.P, params.L, params.N, params.q
     n_blocks = lspir_cost(P, N, L)[1]
     no_cr = mutant == audit.BLOCK_MUTANT_NO_CR
-    public = [wire.encode_block_query(pid, [0], K * L, q) for pid in range(n_blocks)] if no_cr else []
+    public = [wire.encode_block_query(pid, lanes([0], K * L, q), K * L, q) for pid in range(n_blocks)] if no_cr else []
     uniform, n_views = True, 0
     for wires in block_draws(params, tuple(range(P)), mutant):
         span = audit.recoverable_coordinates([*wires, *public], K * L, n_blocks, q, range(P * L))
@@ -393,25 +394,27 @@ K3_ONE_BLOCK = SchemeParams(K=3, P=1, N=2)  # one block: its base at database 0,
 def probe_at_e2(plan):
     """Database 1's probe becomes base ^ e_2, so the two answers pin the undesired W2."""
     (base,), (probe,) = plan.queries
-    plan.queries[1] = [probe._replace(vector=base.vector ^ (1 << 2))]
+    vector = int.from_bytes(base.vector, "little") ^ (1 << 2)
+    plan.queries[1] = [probe._replace(vector=field.to_lane_bytes(vector, 3, 2))]
 
 
 def probe_lowest_bit(plan):
     """Database 1's probe keeps only its lowest bit, so its base part is (base & 1)."""
     (probe,) = plan.queries[1]
-    plan.queries[1] = [probe._replace(vector=probe.vector & 1)]
+    vector = int.from_bytes(probe.vector, "little") & 1
+    plan.queries[1] = [probe._replace(vector=field.to_lane_bytes(vector, 3, 2))]
 
 
 def base_repeated_when_nonzero(plan):
     """Database 0's first entry is sent twice when its base vector is nonzero."""
     first = plan.queries[0][0]
-    if first.vector:
+    if int.from_bytes(first.vector, "little"):
         plan.queries[0].insert(0, first)
 
 
 def base_dropped_when_nonzero(plan):
     """Database 0's first entry is not sent when its base vector is nonzero."""
-    if plan.queries[0][0].vector:
+    if int.from_bytes(plan.queries[0][0].vector, "little"):
         del plan.queries[0][0]
 
 
@@ -558,7 +561,7 @@ def dense_rows(query, n_coords: int, pool_size: int, q: int) -> list[list[int]]:
         for i, vec in enumerate(vectors):
             row = [0] * width
             row[first + i] = 1
-            for c, coeff in enumerate(unpack(vec, n_coords, q)):
+            for c, coeff in enumerate(unpack(int.from_bytes(vec, "little"), n_coords, q)):
                 row[pool_size + c] = coeff % q
             rows.append(row)
     else:
@@ -684,7 +687,7 @@ def test_packed_elimination_matches_the_dense_oracle(name):
     honest = assert_packed_matches_dense(queries, n_coords, pool_size, q, desired)
     assert honest.undesired == ()
     # every hidden symbol published: a zero vector on its slot
-    revealed = queries + [wire.encode_block_query(pid, [0], n_coords, q) for pid in hidden]
+    revealed = queries + [wire.encode_block_query(pid, lanes([0], n_coords, q), n_coords, q) for pid in hidden]
     leaked = assert_packed_matches_dense(revealed, n_coords, pool_size, q, desired)
     assert honest.coordinates <= leaked.coordinates and leaked.undesired
 
@@ -707,7 +710,7 @@ def test_packed_elimination_matches_the_dense_oracle_with_extra_block_rows(name,
         lambda n: st.tuples(st.integers(0, pool_size - n), st.lists(sparse | dense, min_size=n, max_size=n))
     )
     bodies = data.draw(st.lists(runs, max_size=4))
-    extra = [wire.encode_block_query(first, vectors, n_coords, q) for first, vectors in bodies]
+    extra = [wire.encode_block_query(first, lanes(vectors, n_coords, q), n_coords, q) for first, vectors in bodies]
     assert_packed_matches_dense(queries + extra, n_coords, pool_size, q, desired)
 
 
@@ -1370,8 +1373,8 @@ class TestSymbolicLeakage:
         # no undesired message on its own
         e = [field.pack([int(c == t) for c in range(4)], 2) for t in range(4)]
         payloads = [
-            wire.encode_block_query(0, [e[0], e[2] ^ e[3]], 4, 2),
-            wire.encode_block_query(0, [0, 0], 4, 2),
+            wire.encode_block_query(0, lanes([e[0], e[2] ^ e[3]], 4), 4, 2),
+            wire.encode_block_query(0, lanes([0, 0], 4), 4, 2),
         ]
         span = audit.recoverable_coordinates(payloads, 4, 2, 2, (0,))
         assert span.coordinates == frozenset({0})  # all a per-coordinate check would see
@@ -1397,9 +1400,9 @@ class TestSymbolicLeakage:
         # slot one past it (which must not read as an unmasked query for
         # coordinate 0), and a run of three from slot 0
         for payload in (
-            wire.encode_block_query(9, [0], 3, 2),
-            wire.encode_block_query(2, [1], 3, 2),
-            wire.encode_block_query(0, [1, 2, 4], 3, 2),
+            wire.encode_block_query(9, lanes([0], 3), 3, 2),
+            wire.encode_block_query(2, lanes([1], 3), 3, 2),
+            wire.encode_block_query(0, lanes([1, 2, 4], 3), 3, 2),
         ):
             with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
                 audit.recoverable_coordinates([payload], 3, 2, 2, ())

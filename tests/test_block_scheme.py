@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from conftest import answer_block
+from privset import block_scheme
 from privset.block_scheme import (
     answer_wire_query,
     build_plan,
@@ -11,10 +12,22 @@ from privset.block_scheme import (
     entry_count,
     plan_blocks,
 )
-from privset.field import DOMAIN_MESSAGES, domain_rng, lane_bits, pack, sample_symbols, sample_uniform, unpack
+from privset.field import (
+    DOMAIN_MESSAGES,
+    domain_rng,
+    lane_bits,
+    pack,
+    raise_lane,
+    sample_symbols,
+    sample_uniform,
+    to_lane_bytes,
+    unpack,
+    vector_size,
+)
 from privset.params import InfeasibleError, ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
+from privset.wire import parse_block_query
 
 
 def run_once(K, P, N, L=1, q=2, desired=None, seed=0):
@@ -177,7 +190,8 @@ def test_build_plan_lays_out_its_order_and_bases():
     plan = build_plan(SchemeParams(K=4, P=2, N=3, L=2, q=5), (1, 3), [3, 0, 2, 1], [7, 9])
     assert plan.coords == [[7, 2], [6, 3]]
     assert [[bq.probe_coord for bq in qs] for qs in plan.queries] == [[None, 3], [7, None], [2, 6]]
-    assert plan.queries[0][0].vector == 7 and plan.queries[1][1].vector == 9
+    vector = lambda bq: int.from_bytes(bq.vector, "little")  # noqa: E731
+    assert vector(plan.queries[0][0]) == 7 and vector(plan.queries[1][1]) == 9
 
 
 def test_probe_is_base_plus_unit_vector():
@@ -186,13 +200,15 @@ def test_probe_is_base_plus_unit_vector():
         for j, block_coords in enumerate(plan.coords):
             vecs = {qs[j].probe_coord: qs[j].vector for qs in plan.queries if len(qs) > j}
             base = vecs.pop(None)
-            assert type(base) is int and base >> (8 * lane_bits(q)) == 0
+            assert type(base) is bytes and len(base) == vector_size(8, q)
+            base = int.from_bytes(base, "little")
+            assert base >> (8 * lane_bits(q)) == 0
             base = unpack(base, 8, q)
             assert max(base) < q
             assert sorted(vecs) == sorted(block_coords)
             for t, vec in vecs.items():
-                assert type(vec) is int
-                vec = unpack(vec, 8, q)
+                assert type(vec) is bytes and len(vec) == vector_size(8, q)
+                vec = unpack(int.from_bytes(vec, "little"), 8, q)
                 assert [(v - b) % q for v, b in zip(vec, base)] == [1 if i == t else 0 for i in range(8)]
 
 
@@ -227,9 +243,75 @@ def test_entry_i_of_every_database_is_block_i():
             for j, bq in enumerate(qs):
                 base = plan.queries[j % N][j]
                 assert bq.probe_coord is None if db == j % N else bq.probe_coord in plan.coords[j]
-                assert bq.vector == base.vector ^ (0 if bq.probe_coord is None else 1 << bq.probe_coord)
+                vector, base_vector = (int.from_bytes(v.vector, "little") for v in (bq, base))
+                assert vector == base_vector ^ (0 if bq.probe_coord is None else 1 << bq.probe_coord)
             views += 1
     assert views == 4095
+
+
+def int_plan(params, desired, order, bases):
+    """Per database, the (packed int vector, probe coordinate) entries of the
+    construction ``build_plan`` once used: block j's base at database j mod N,
+    then base ^ 1 << t over F_2 (``raise_lane`` otherwise) at the databases after it."""
+    L, N, q = params.L, params.N, params.q
+    coords = [desired[i // L] * L + i % L for i in order]
+    entries = [[] for _ in range(N)]
+    for j, base in enumerate(bases):
+        entries[j % N].append((base, None))
+        for db, t in enumerate(coords[j * (N - 1) : (j + 1) * (N - 1)], j + 1):
+            entries[db % N].append((base ^ 1 << t if q == 2 else raise_lane(base, t, q), t))
+    return entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("K, L", [(7, 1), (8, 1), (4, 2), (10, 1), (5, 2), (64, 1), (32, 2)])
+def test_planned_bytes_are_the_int_construction_converted(K, L, q):
+    # K*L in {7, 8, 10, 64}: over F_2 the last byte of 7 and 10 coefficients is partial
+    bits = K * L * lane_bits(q)
+    size = -(-bits // 8)
+    for N, seed in product((2, 3), range(6)):
+        rng = Random(seed)
+        P = rng.randrange(1, K)
+        params, desired = SchemeParams(K=K, P=P, N=N, L=L, q=q), tuple(sorted(rng.sample(range(K), P)))
+        order = list(range(P * L))
+        rng.shuffle(order)
+        bases = [sample_uniform(rng, K * L, q) for _ in range(lspir_cost(P, N, L)[1])]
+        plan = build_plan(params, desired, order, bases)
+        for db, entries in enumerate(int_plan(params, desired, order, bases)):
+            assert [(bq.vector, bq.probe_coord) for bq in plan.queries[db]] == [
+                (vec.to_bytes(size, "little"), t) for vec, t in entries
+            ]
+            first, vectors = parse_block_query(plan.wire_query(db), q, K * L, plan.n_blocks)
+            assert first == 0 and vectors == [bq.vector for bq in plan.queries[db]]
+            assert all(int.from_bytes(vec, "little") >> bits == 0 for vec in vectors)  # padding bits still 0
+
+
+class RefusesIntProbes(int):
+    """A base vector that refuses the arithmetic an int probe is built with."""
+
+    def __xor__(self, other):
+        raise AssertionError("a probe was built as an int")
+
+    __rxor__ = __add__ = __radd__ = __rshift__ = __or__ = __xor__
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_build_plan_converts_each_base_once_and_builds_no_int_probe(monkeypatch, q):
+    # K=64 P=8 N=3: 4 blocks and 12 entries, so 4 int-to-bytes conversions, one per block
+    calls = []
+
+    def counted(vec, length, q):
+        calls.append(vec)
+        return to_lane_bytes(vec, length, q)
+
+    monkeypatch.setattr(block_scheme, "to_lane_bytes", counted)
+    params = SchemeParams(K=64, P=8, N=3, q=q)
+    rng = Random(q)
+    bases = [RefusesIntProbes(sample_uniform(rng, 64, q)) for _ in range(4)]
+    plan = build_plan(params, tuple(range(8)), list(range(8)), bases)
+    assert (plan.n_blocks, plan.total_queries) == (4, 12)
+    assert calls == bases
+    assert all(type(bq.vector) is bytes for qs in plan.queries for bq in qs)
 
 
 def test_count_mismatch_detected():

@@ -592,7 +592,7 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     qid, body = wire.parse_query(r0[0])
     first, vectors = wire.parse_block_query(body, 2, 10)
     extra = (
-        wire.encode_query(qid, wire.encode_block_query(first, vectors + [1], 10, 2)),
+        wire.encode_query(qid, wire.encode_block_query(first, vectors + [(1).to_bytes(2, "little")], 10, 2)),
         wire.encode_answer(qid, wire.parse_answer(r0[1])[1] + [0]),
     )
     assert verify(transport.Transcript(honest.meta, [[extra], [r1]])) == [
@@ -634,6 +634,29 @@ def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
             ]
         else:
             assert machine_records(out)[0]["problems"] == ["the transcript records 2 databases, not N_responder=1000000000"]
+
+
+def test_psi_verify_names_a_query_too_short_to_parse(tmp_path, capsys):
+    # A recorded query shorter than its id and scheme tag is its database's one
+    # named problem, as an unparsable block body is: the record is printed and
+    # the exit is 3, with or without the answer replay.
+    from privset import psi, transport
+
+    e1 = psi.EntityConfig(1, 20, 2, frozenset({0, 3, 11}))
+    e2 = psi.EntityConfig(2, 20, 2, frozenset({1, 3, 11, 19}))
+    honest = psi.run_psi(e1, e2, seed_client=1, seed_cr=2).transcript
+    (r0,), (r1,) = honest.records
+    path, responder_set = tmp_path / "t.transcript", tmp_path / "e2.set"
+    responder_set.write_text("# privset set v1 K=20\n1\n3\n11\n19\n")
+    transport.Transcript(honest.meta, [[(b"\x00\x01", r0[1])], [r1]]).save(str(path))
+    problem = "database 0 got a query that does not parse: query too short"
+    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+    assert code == EXIT_PROTOCOL and err == "" and machine_records(out)[0]["problems"] == [problem]
+    code, out, err = run_cli(
+        capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(responder_set), "--machine"
+    )
+    assert code == EXIT_PROTOCOL and err == ""
+    assert machine_records(out)[0]["problems"] == [problem, "recorded answers do not replay against the given store"]
 
 
 def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):

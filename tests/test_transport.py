@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import read_frames
+from conftest import lanes, read_frames
 
 from privset import block_scheme, table_scheme, transport, wire
 from privset.field import DOMAIN_CLIENT, domain_rng
@@ -134,7 +134,7 @@ def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload
             mtype, _ = _tcp_roundtrip(pool.addresses[0], MSG_SETUP, b"")  # the next connection is served
             assert mtype == MSG_SETUP
         # a payload of exactly the bound is read and answered: the whole pool's run
-        body = wire.encode_block_query(0, [0] * 1024, 256, 2)
+        body = wire.encode_block_query(0, lanes([0] * 1024, 256), 256, 2)
         mtype, reply = _tcp_roundtrip(pool.addresses[0], MSG_QUERY, wire.encode_query(0, body))
         assert len(wire.encode_query(0, body)) == limit
         assert mtype == MSG_ANSWER and wire.parse_answer(reply) == (0, list(servers[0].pool.symbols))
@@ -142,7 +142,7 @@ def test_a_served_database_refuses_a_frame_longer_than_its_largest_legal_payload
         result = run_psi_remote(local, pool.addresses, seed_client=5)
         assert result.intersection == {4, 100, 200}
     # the simulated backend reads a query under the same bound and gives the same reply
-    over = wire.encode_query(0, wire.encode_block_query(0, [0] * 1025, 256, 2))
+    over = wire.encode_query(0, wire.encode_block_query(0, lanes([0] * 1025, 256), 256, 2))
     message = f"a payload of {limit + 32} bytes exceeds the largest legal payload, {limit} bytes"
     refused = (MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, message))
     assert SimBackend(servers).roundtrip(0, MSG_QUERY, over) == refused
@@ -218,7 +218,7 @@ def test_unprovisioned_query_refused():
     # is over that bound and refused unread, on both backends alike.
     servers = small_servers()
     assert servers[0].max_payload() == 13
-    empty, one = (wire.encode_block_query(0, [0] * n, 3, 2) for n in (0, 1))
+    empty, one = (wire.encode_block_query(0, lanes([0] * n, 3), 3, 2) for n in (0, 1))
     message = "a payload of 14 bytes exceeds the largest legal payload, 13 bytes"
     with TcpServerPool(servers) as pool:
         tcp = [TcpBackend(pool.addresses, timeout=5) for _ in range(2)]  # the refusal closes the first
@@ -404,7 +404,7 @@ def test_a_query_after_an_over_bound_refusal_finds_the_connection_closed():
     # The database closes the connection right after its refusal, between
     # frames: the client's next query finds it closed, not cut mid-frame.
     servers = small_servers()
-    one = wire.encode_block_query(0, [0], 3, 2)  # a 14-byte payload, over the 13-byte bound
+    one = wire.encode_block_query(0, lanes([0], 3), 3, 2)  # a 14-byte payload, over the 13-byte bound
     with TcpServerPool(servers) as pool:
         backend = TcpBackend(pool.addresses, timeout=5)
         client = transport.Client(backend)
@@ -561,7 +561,9 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
     # with the planned base vector of its block: a unit vector names a desired element.
     init = EntityConfig(1, 64, 2, frozenset({3, 17, 40, 41, 60}))
     guess = block_scheme.plan_blocks(SchemeParams(K=64, P=5, N=2, L=1, q=2), init.elements, domain_rng(0, DOMAIN_CLIENT))
-    bases = {j: bq.vector for qs in guess.queries for j, bq in enumerate(qs) if bq.probe_coord is None}
+    bases = {
+        j: int.from_bytes(bq.vector, "little") for qs in guess.queries for j, bq in enumerate(qs) if bq.probe_coord is None
+    }
 
     def named_by_guess(**seed):
         servers = entity_servers(EntityConfig(2, 64, 2, frozenset(range(0, 64, 3))), 64, 1)
@@ -570,7 +572,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
         assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
         (body,) = servers[1].seen_queries
         first, vectors = wire.parse_block_query(body, 2, 64)
-        diffs = [vec ^ bases[first + i] for i, vec in enumerate(vectors)]
+        diffs = [int.from_bytes(vec, "little") ^ bases[first + i] for i, vec in enumerate(vectors)]
         return {diff.bit_length() - 1 for diff in diffs if diff.bit_count() == 1}
 
     assert named_by_guess(seed_client=0) == {3, 17, 60}  # the guess works on a client seeded 0

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import privset
-from conftest import answer_block, read_frames
+from conftest import answer_block, lanes, read_frames
 from privset import audit, block_scheme, wire
-from privset.field import pack, unpack
+from privset.field import pack, to_lane_bytes, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
@@ -55,8 +55,8 @@ def server_errors():
         (bare, MSG_QUERY, wire.encode_query(0, wire.encode_block_query(0, [], 3, 2))),
         (provisioned, MSG_QUERY, b"\x00\x00"),
         (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
-        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query(5, [0b101], 3, 2))),
-        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query(0, [0b01], 9, 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query(5, lanes([0b101], 3), 3, 2))),
+        (provisioned, MSG_QUERY, wire.encode_query(3, wire.encode_block_query(0, lanes([0b01], 9), 9, 2))),
         (provisioned, MSG_QUERY, wire.encode_query(4, bytes([2, 0, 0, 0, 0, 1, 0, 0, 0, 0b1101]))),
     ]
     out = []
@@ -135,21 +135,23 @@ def test_block_body_layout():
     # tag, first slot, entry count, then per entry the packed vector alone:
     # entry i sits on slot first + i, and the vector length K*L is known to
     # both sides and not carried; over F_3 one byte per coefficient
-    body = wire.encode_block_query(5, [pack([2, 0, 1], 3)], 3, 3)
+    body = wire.encode_block_query(5, [to_lane_bytes(pack([2, 0, 1], 3), 3, 3)], 3, 3)
     u32 = lambda n: n.to_bytes(4, "little")  # noqa: E731
     assert body == bytes([2]) + u32(5) + u32(1) + bytes([2, 0, 1])
-    assert wire.parse_block_query(body, 3, 3) == (5, [0x010002])
+    assert wire.parse_block_query(body, 3, 3) == (5, [(0x010002).to_bytes(3, "little")])
     # over F_2 one bit per coefficient, coefficient i in bit i, the last byte zero-padded
-    body = wire.encode_block_query(5, [0b10_0000_0101, 0b1], 10, 2)
+    body = wire.encode_block_query(5, lanes([0b10_0000_0101, 0b1], 10), 10, 2)
     assert body == bytes([2]) + u32(5) + u32(2) + bytes([0b101, 0b10]) + bytes([1, 0])
-    assert wire.parse_block_query(body, 2, 10) == (5, [0b10_0000_0101, 0b1])
+    assert wire.parse_block_query(body, 2, 10) == (5, lanes([0b10_0000_0101, 0b1], 10))
     assert wire.encode_block_query(7, [], 10, 2) == bytes([2]) + u32(7) + u32(0)
+    with pytest.raises(ValueError, match="takes 2 bytes"):  # each vector is exactly its wire bytes
+        wire.encode_block_query(5, [bytes(2), bytes(3)], 10, 2)
     assert wire.parse_block_query(bytes([2]) + u32(7) + u32(0), 2, 10) == (7, [])
 
 
 def test_parsers_check_the_bounds_they_are_given():
-    block = wire.encode_block_query(2, [0b101, 0b110], 3, 2)  # slots 2 and 3
-    assert wire.parse_block_query(block, 2, 3, 4) == (2, [0b101, 0b110])
+    block = wire.encode_block_query(2, lanes([0b101, 0b110], 3), 3, 2)  # slots 2 and 3
+    assert wire.parse_block_query(block, 2, 3, 4) == (2, lanes([0b101, 0b110], 3))
     with pytest.raises(ProtocolFault, match="truncated"):  # 9 coefficients take 2 bytes, not 1
         wire.parse_block_query(block, 2, 9)
     with pytest.raises(ProtocolFault, match="padding"):  # 0b101 and 0b110 set a bit past coefficient 1
@@ -182,8 +184,8 @@ def _mutate(payload: bytes, pos: int, value: int, cut: int) -> bytes:
 
 
 _VALID_QUERIES = [
-    wire.encode_query(7, wire.encode_block_query(0, [0b101, 0b110], 3, 2)),
-    wire.encode_query(6, wire.encode_block_query(1, [0b101_1010_0101, 0], 11, 2)),
+    wire.encode_query(7, wire.encode_block_query(0, lanes([0b101, 0b110], 3), 3, 2)),
+    wire.encode_query(6, wire.encode_block_query(1, lanes([0b101_1010_0101, 0], 11), 11, 2)),
     # a body with the reserved table tag, laid out as one was: plain id 1, then one sum of coordinates 0 and 2 on id 0
     wire.encode_query(8, struct.pack("<BIIIBIII", wire.TABLE_QUERY_TAG, 1, 1, 1, 2, 0, 2, 0)),
     wire.encode_query(9, wire.encode_download_all()),
@@ -264,9 +266,9 @@ def test_only_a_partial_last_byte_has_padding_to_refuse():
             with pytest.raises(ProtocolFault, match="padding bits set past the last coefficient"):
                 wire.parse_block_query(body, 2, length)
         else:
-            assert wire.parse_block_query(body, 2, length) == (0, [(1 << length) - 1] * 2)
+            assert wire.parse_block_query(body, 2, length) == (0, lanes([(1 << length) - 1] * 2, length))
         body = bytes([wire.BLOCK_QUERY_TAG]) + struct.pack("<II", 0, 2) + b"\xff" * (2 * length)
-        assert wire.parse_block_query(body, 3, length) == (0, [(1 << 8 * length) - 1] * 2)
+        assert wire.parse_block_query(body, 3, length) == (0, lanes([(1 << 8 * length) - 1] * 2, length, 3))
 
 
 packed_runs = st.integers(1, 40).flatmap(
@@ -278,6 +280,7 @@ packed_runs = st.integers(1, 40).flatmap(
 @given(packed_runs, st.integers(0, 63), st.integers(0, 255), st.integers(0, 200))
 def test_fuzzed_packed_bodies_parse_back_or_fault(shape, pos, value, cut):
     n, first, vectors = shape
+    vectors = lanes(vectors, n)
     body = wire.encode_block_query(first, vectors, n, 2)
     assert wire.parse_block_query(body, 2, n) == (first, vectors)
     mutated = _mutate(body, pos, value, cut)
@@ -312,7 +315,10 @@ def reference_answer(body: bytes, store: MessageStore, pool: CommonRandomnessPoo
         first, vectors = wire.parse_block_query(body, q, KL, len(pool))
     except ProtocolFault as exc:
         return f"{type(exc).__name__}: {exc}"
-    return [answer_block(unpack(vec, KL, q), store, pool.symbols[first + i]) for i, vec in enumerate(vectors)]
+    return [
+        answer_block(unpack(int.from_bytes(vec, "little"), KL, q), store, pool.symbols[first + i])
+        for i, vec in enumerate(vectors)
+    ]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -339,7 +345,7 @@ def test_the_served_answer_is_the_reference_on_seeded_bodies(q):
 
 
 def test_packed_parser_faults():
-    body = wire.encode_block_query(0, [0b11_0000_0001, 0b1], 10, 2)
+    body = wire.encode_block_query(0, lanes([0b11_0000_0001, 0b1], 10), 10, 2)
     for cut in range(len(body)):
         with pytest.raises(ProtocolFault):
             wire.parse_block_query(body[:cut], 2, 10)
@@ -408,8 +414,9 @@ def test_one_body_cannot_reuse_a_slot(backend):
     K, elements = 12, frozenset({1, 4, 5, 9})
     servers = entity_servers(EntityConfig(2, K, 2, elements), 1024, 6)
     symbols = servers[0].pool.symbols
-    body = wire.encode_block_query(0, [0] + [1 << t for t in range(K)], K, 2)
-    assert wire.parse_block_query(body, 2, K) == (0, [0] + [1 << t for t in range(K)])
+    vectors = lanes([0] + [1 << t for t in range(K)], K)
+    body = wire.encode_block_query(0, vectors, K, 2)
+    assert wire.parse_block_query(body, 2, K) == (0, vectors)
     with connected(servers, backend) as link:
         mtype, reply = link.roundtrip(0, MSG_QUERY, wire.encode_query(0, body))
     assert mtype == MSG_ANSWER
@@ -473,7 +480,7 @@ def test_block_answer_matches_reference_evaluation():
     pool = CommonRandomnessPool.generate(plan.n_blocks, 2, seed=2)
     for db in range(3):
         want = [
-            answer_block(unpack(bq.vector, 12, 2), store, pool.symbols[j])
+            answer_block(unpack(int.from_bytes(bq.vector, "little"), 12, 2), store, pool.symbols[j])
             for j, bq in enumerate(plan.queries[db])
         ]
         assert block_scheme.answer_wire_query(plan.wire_query(db), store, pool) == want
@@ -487,7 +494,7 @@ def test_packed_f2_answer_matches_the_explicit_loop(KL):
         pool = CommonRandomnessPool(2, [0, 1, 1] * 3)
         vectors = [0, (1 << KL) - 1, 1 << (KL - 1)] + [rng.getrandbits(KL) for _ in range(5)]
         want = [answer_block(unpack(vec, KL, 2), store, pool.symbols[1 + i]) for i, vec in enumerate(vectors)]
-        assert block_scheme.answer_wire_query(wire.encode_block_query(1, vectors, KL, 2), store, pool) == want
+        assert block_scheme.answer_wire_query(wire.encode_block_query(1, lanes(vectors, KL), KL, 2), store, pool) == want
 
 
 def test_sim_and_tcp_runs_send_and_receive_the_same_bytes():
