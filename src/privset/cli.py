@@ -38,7 +38,6 @@ from .params import (
     ParamError,
     SchemeParams,
     alpha_profile,
-    check_modulus,
     cost_ledger,
     lspir_cost,
     psi_direction_cost,
@@ -266,51 +265,53 @@ def cmd_psi_serve(args) -> int:
     return EXIT_OK
 
 
-def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int, q: int) -> list[str]:
-    """What the transcript of an honest run of its own shape shows, checked from
-    the transcript alone: one record per responder database, the download is
-    the direction's cost, and each database got at most one body, every block
-    body a run from one first slot with the entry count ``plan_blocks`` lays
-    out for (P, N).  A query, or a block body at K and q, that does not parse
-    is its database's one problem.  Nothing is sized by the metadata's K, P or
-    N; the caller has checked that P lies from 0 to K, and that N >= 2 if
-    0 < P < K."""
+def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int) -> list[str]:
+    """What the transcript of an honest run of its own shape shows, from the
+    transcript alone: one record per responder database, the direction's
+    download, and each database's record, read as the client reads it, as the
+    shape lays it out; a record that does not read is its database's one
+    problem.  Nothing is sized by the metadata's K, P or N; the caller has
+    checked that P lies from 0 to K, and that N >= 2 if 0 < P < K."""
     if N != len(transcript.records):
         return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
     problems = []
     cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
     if measured != cost:
         problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
-    runs: dict[int, tuple[int, int]] = {}  # database -> (first slot, entry count) of its block body
-    unparsed: set[int] = set()  # databases with a query, or a block body at K and q, that does not parse
+    got = {}  # database -> its record read: "no block body", "a download-all body" or (first slot, entry count)
     for db, db_records in enumerate(transcript.records):
         if len(db_records) > 1:
             problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
-        for qry, _ in db_records:
+            continue
+        got[db] = "no block body"
+        for qry, ans in db_records:
+            what = "a query that does not parse"
             try:
-                body = wire.parse_query(qry)[1]
-            except wire.ProtocolFault as exc:
-                problems.append(f"database {db} got a query that does not parse: {exc}")
-                unparsed.add(db)
-                continue
-            if body[0] == wire.BLOCK_QUERY_TAG:
-                try:
-                    first, vectors = wire.parse_block_query(body, q, K)
-                except wire.ProtocolFault as exc:
-                    problems.append(f"database {db} got a block body that does not parse at K={K}, q={q}: {exc}")
-                    unparsed.add(db)
+                qid, body = wire.parse_query(qry)
+                if body[0] == wire.DOWNLOAD_ALL_TAG:
+                    wire.parse_download_all(body)
+                    got[db], count = "a download-all body", K
+                elif body[0] == wire.BLOCK_QUERY_TAG:
+                    what = f"a block body that does not parse at K={K}, q=2"
+                    first, vectors = wire.parse_block_query(body, 2, K)
+                    got[db], count = (first, len(vectors)), len(vectors)
                 else:
-                    runs[db] = (first, len(vectors))
-    first = next(iter(runs.values()), (0, 0))[0]  # the first slot of the lowest database's run
+                    raise wire.ProtocolFault(f"unknown scheme tag {body[0]}")
+                what = "an answer the client refuses"
+                table_scheme.check_answer(db, wire.parse_answer(ans, qid)[1], count, 2)
+            except wire.ProtocolFault as exc:
+                problems.append(f"database {db} got {what}: {exc}")
+                del got[db]
+    first = next((read[0] for read in got.values() if type(read) is tuple), 0)  # the lowest database's run's
 
-    def text(run):
-        return f"{run[1]} entries from slot {run[0]}" if run else "no block body"
+    def text(read):
+        return read if type(read) is str else f"{read[1]} entries from slot {read[0]}"
 
-    for db in range(N):
-        count = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
-        want = (first, count) if count else None
-        if db not in unparsed and runs.get(db) != want:
-            problems.append(f"database {db} got {text(runs.get(db))}; the run's shape lays out {text(want)}")
+    for db, read in got.items():
+        n = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
+        want = (first, n) if n else ("a download-all body" if 0 < P == K and db == 0 else "no block body")
+        if read != want:
+            problems.append(f"database {db} got {text(read)}; the run's shape lays out {text(want)}")
     return problems
 
 
@@ -331,13 +332,10 @@ def cmd_psi_verify(args) -> int:
         problems.append(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
     elif not problems and 0 < P < K and N < 2:
         problems.append(f"transcript metadata has N_responder={N}; P_initiator={P} of K={K} needs at least two databases")
-    try:
-        check_modulus(q)  # every recorded vector is read over the transcript's field
-    except ParamError as exc:
-        problems.append(f"transcript metadata: {exc}")
+    if type(q) is not int or q != 2:  # what _intersect records: the intersection runs over F_2
+        problems.append(f"transcript metadata has q={q!r}, not the 2 of F_2")
     shaped = not problems
-    if shaped:
-        problems = _shape_problems(transcript, K, P, N, q)
+    problems = problems or _shape_problems(transcript, K, P, N)
     if args.responder_set:
         if meta.get("seed_cr") is None:
             raise ParamError(
@@ -350,7 +348,7 @@ def cmd_psi_verify(args) -> int:
             if not shaped:
                 raise ParamError(
                     "answer replay needs the run's integer K, P_initiator and N_responder (P from 0 to K)"
-                    f" and its field q: {'; '.join(problems)}"
+                    f" and q=2: {'; '.join(problems)}"
                 )
             # The responder as run_psi stood it up: its own store, one database per record, D - P pool symbols.
             responder = psi.EntityConfig(2 if meta.get("initiator") == 1 else 1, K, len(transcript.records), elements)

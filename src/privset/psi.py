@@ -22,7 +22,7 @@ from . import block_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng, sample_below
 from .params import ParamError, SchemeParams, psi_direction_cost, psi_optimal_cost
 from .storage import CommonRandomnessPool, MessageStore
-from .table_scheme import check_answers
+from .table_scheme import check_answer
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def _intersect(
         bits: dict[int, int] = {}
     elif len(desired) == K:
         symbols = client.query(0, wire.encode_download_all())
-        check_answers([symbols], [K], 2)
+        check_answer(0, symbols, K, 2)
         bits = dict(enumerate(symbols))
     else:
         if info.get("N") != backend.n_databases:  # one share per database the responder runs, no more, no fewer

@@ -24,7 +24,7 @@ other sum is decoded by one rule: subtracting that value and the reused
 symbols unmasks the fresh symbol.  Each pure sum is consumed exactly once at
 each of the other N-1 databases, which is what the stage profile's balance
 identity guarantees is possible.  :func:`decode` passes the sums as they are
-to that rule, :func:`unmask`, behind the one answer check :func:`check_answers`.
+to that rule, :func:`unmask`, behind the one answer check :func:`check_answer`.
 
 A table is built in two steps.  :func:`table_structure` lays out the sums
 above; it takes no randomness, so its output is a function of the public
@@ -354,29 +354,27 @@ def answer(view: TableQuery, store: MessageStore, pool: CommonRandomnessPool) ->
 answer_wire_query = answer
 
 
-def check_answers(answers, counts: list[int], q: int) -> None:
-    """Refuse answer strings that are not ``counts[db]`` symbols of F_q from
-    each database ``db``: a transport or replication fault, never decoded."""
-    if len(answers) != len(counts):
-        raise ProtocolFault(f"expected {len(counts)} answer strings, got {len(answers)}")
-    for db, (ans, count) in enumerate(zip(answers, counts)):
-        if len(ans) != count:
-            raise ProtocolFault(f"answer of wrong length at database {db}")
-        if ans and (min(ans) < 0 or max(ans) >= q):
-            raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
+def check_answer(db: int, ans, count: int, q: int) -> None:
+    """Refuse database ``db``'s answer unless it is ``count`` symbols of F_q: a transport or replication fault."""
+    if len(ans) != count:
+        raise ProtocolFault(f"answer of wrong length at database {db}")
+    if ans and (min(ans) < 0 or max(ans) >= q):
+        raise ProtocolFault(f"answer symbol outside F_{q} at database {db}")
 
 
 def unmask(downloads, answers, q: int) -> dict:
-    """The one decoding rule of both schemes, once ``check_answers`` passes:
-    {fresh: symbol} from ``downloads[db]``, database ``db``'s downloads in
-    answer order, each a ``(terms, slot, fresh, reused)`` as a ``SumSpec`` is.
-    A download with no fresh symbol answers the known value on its slot; every
-    other one, in round order (term count, stable), yields its answer minus
-    that value minus its reused symbols, mod q."""
-    check_answers(answers, [len(specs) for specs in downloads], q)
+    """The one decoding rule of both schemes, once each database ``db``'s answer
+    string passes ``check_answer``: {fresh: symbol} from ``downloads[db]``, its
+    downloads in answer order, each a ``(terms, slot, fresh, reused)`` as a
+    ``SumSpec`` is.  A download with no fresh symbol answers the known value on
+    its slot; every other one, in round order (term count, stable), yields its
+    answer minus that value minus its reused symbols, mod q."""
+    if len(answers) != len(downloads):
+        raise ProtocolFault(f"expected {len(downloads)} answer strings, got {len(answers)}")
     known = {}  # slot -> the answer of the download with no fresh symbol on it
     masked = []  # (round, download, answer) of every download with a fresh symbol
-    for specs, ans in zip(downloads, answers):
+    for db, (specs, ans) in enumerate(zip(downloads, answers)):
+        check_answer(db, ans, len(specs), q)
         for spec, v in zip(specs, ans):
             if spec[2] is None:  # no fresh symbol
                 known[spec[1]] = v

@@ -9,10 +9,10 @@ separate administrative path and the client connection rejects provisioning
 frames outright.
 
 A ``Transcript`` records every query and answer of a run and is the one
-record of what was downloaded: ``downloaded_symbols`` counts answer field
-symbols only, never framing bytes, matching how the schemes' costs are
-defined.  ``upload_bytes`` counts the query payloads sent, also without
-framing.  Its bytes depend only on the run's seeds and sets.
+record of what was downloaded: ``downloaded_symbols`` counts the field
+symbols of the answers that parse, never framing bytes, matching how the
+schemes' costs are defined.  ``upload_bytes`` counts the query payloads sent,
+also without framing.  Its bytes depend only on the run's seeds and sets.
 """
 
 from __future__ import annotations
@@ -152,7 +152,11 @@ class Transcript:
 
     @property
     def downloaded_symbols(self) -> int:
-        return sum(len(wire.parse_answer(ans)[1]) for db_records in self.records for _, ans in db_records)
+        total = 0
+        for _, ans in (record for db_records in self.records for record in db_records):
+            with suppress(wire.TransportError):  # psi verify names an answer that does not parse
+                total += len(wire.parse_answer(ans)[1])
+        return total
 
     @property
     def upload_bytes(self) -> int:
@@ -214,9 +218,7 @@ class Client:
             raise wire.ProtocolFault(f"database {db} rejected the query: {message}")
         if mtype != wire.MSG_ANSWER:
             raise wire.TransportError(f"unexpected reply type {mtype}")
-        got_qid, symbols = wire.parse_answer(reply)
-        if got_qid != qid:
-            raise wire.ProtocolFault(f"answer id {got_qid} does not match query id {qid}")
+        symbols = wire.parse_answer(reply, qid)[1]
         self.records[db].append((payload, reply))
         return symbols
 

@@ -233,13 +233,15 @@ def encode_answer(query_id: int, symbols: Sequence[int]) -> bytes:
     return _PAIR.pack(query_id, len(symbols)) + bytes(symbols)
 
 
-def parse_answer(payload: bytes) -> tuple[int, list[int]]:
-    """(query id, answer symbols)."""
+def parse_answer(payload: bytes, query_id: int | None = None) -> tuple[int, list[int]]:
+    """(query id, answer symbols); given ``query_id``, an answer to another query is a ProtocolFault."""
     if len(payload) < _PAIR.size:
         raise TransportError("truncated answer")
-    query_id, n = _PAIR.unpack_from(payload)
+    got, n = _PAIR.unpack_from(payload)
     _check_end(_PAIR.size + n, payload, "answer", TransportError)
-    return query_id, list(payload[_PAIR.size :])
+    if query_id is not None and got != query_id:
+        raise ProtocolFault(f"answer id {got} does not match query id {query_id}")
+    return got, list(payload[_PAIR.size :])
 
 
 def encode_error(code: int, message: str) -> bytes:

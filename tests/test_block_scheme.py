@@ -194,6 +194,13 @@ def test_build_plan_lays_out_its_order_and_bases():
     assert vector(plan.queries[0][0]) == 7 and vector(plan.queries[1][1]) == 9
 
 
+def test_build_plan_refuses_a_full_set_and_a_single_database():
+    with pytest.raises(ParamError, match=r"^P == K is served by the download-all path, not by block queries$"):
+        build_plan(SchemeParams(K=3, P=3, N=2), (0, 1, 2), [0, 1, 2], [0, 0, 0])
+    with pytest.raises(InfeasibleError, match=r"^at least two databases are required$"):
+        build_plan(SchemeParams(K=3, P=1, N=1), (0,), [0], [0])
+
+
 def test_probe_is_base_plus_unit_vector():
     for q in (5, 2):
         plan, *_ = run_once(4, 2, 3, L=2, q=q, seed=2)

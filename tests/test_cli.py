@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from privset import transport, wire
 from privset.cli import EXIT_AUDIT, EXIT_OK, EXIT_PROTOCOL, EXIT_USAGE, main, read_set
+from privset.params import ParamError
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -279,6 +281,28 @@ def test_psi_run_against_a_malformed_setup_reply_is_a_transport_fault(reply, tmp
     assert err == "protocol fault: setup reply is not a JSON object\n"
 
 
+def test_psi_connect_refuses_databases_of_another_K(tmp_path, capsys):
+    from privset import psi
+
+    set1 = tmp_path / "e1.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    servers = psi.entity_servers(psi.EntityConfig(2, 12, 2, frozenset({0, 2})), 64, 5)
+    with transport.TcpServerPool(servers) as pool:
+        with pytest.raises(ParamError, match=r"^setup exchange reports a different field size$"):
+            psi.run_psi_remote(psi.EntityConfig(1, 10, 2, frozenset({0, 1})), pool.addresses, seed_client=1)
+        connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
+        code, out, err = run_cli(capsys, "psi", "connect", "--set", str(set1), "--databases", connect)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: setup exchange reports a different field size\n")
+
+
+def test_psi_run_refuses_set_files_that_disagree_on_K(tmp_path, capsys):
+    set1, set2 = tmp_path / "e1.set", tmp_path / "e2.set"
+    set1.write_text("# privset set v1 K=10\n0\n1\n")
+    set2.write_text("# privset set v1 K=12\n0\n2\n")
+    code, out, err = run_cli(capsys, "psi", "run", "--set1", str(set1), "--set2", str(set2))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: set files disagree on K\n")
+
+
 def test_psi_run_connect_refuses_local_run_flags_before_connecting(tmp_path, capsys):
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n")
@@ -437,6 +461,21 @@ def test_psi_verify_detects_tampering(tmp_path, capsys):
     assert code == EXIT_PROTOCOL
 
 
+def test_psi_verify_names_a_responder_set_of_another_K(tmp_path, capsys):
+    set2, other = tmp_path / "e2.set", tmp_path / "other.set"
+    set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
+    other.write_text("# privset set v1 K=12\n0\n2\n4\n5\n6\n7\n")
+    path = tmp_path / "run.transcript"
+    verify_run("P=4").save(str(path))
+    verify = ["psi", "verify", "--transcript", str(path), "--machine", "--responder-set"]
+    code, out, _ = run_cli(capsys, *verify, str(set2))
+    assert code == EXIT_OK and machine_records(out)[0]["replayed"] is True
+    code, out, err = run_cli(capsys, *verify, str(other))
+    rec = machine_records(out)[0]
+    assert (code, err, rec["replayed"]) == (EXIT_PROTOCOL, "", False)
+    assert rec["problems"] == ["responder set file disagrees with the transcript's K"]
+
+
 def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
     from privset import transport
 
@@ -452,16 +491,15 @@ def test_psi_verify_reads_vectors_over_the_transcripts_field(tmp_path, capsys):
     assert code == EXIT_OK
     code, *_ = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
     assert code == EXIT_OK
-    # the same packed bytes read as F_3 vectors (one byte per coefficient) are
-    # truncated: each database's body is its named problem, and the record is printed
+    # the intersection runs over F_2: a q of 3 is a metadata problem, which
+    # stops the shape check and the replay, so the replay is refused naming q
     transcript = transport.Transcript.load(str(path))
     assert transcript.meta["q"] == 2
     transcript.meta["q"] = 3
     transcript.save(str(path))
     code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(set2))
-    assert code == EXIT_PROTOCOL and err == "", err
-    for db in range(2):
-        assert f"PROBLEM: database {db} got a block body that does not parse at K=20, q=3: truncated query payload" in out
+    assert code == EXIT_USAGE and out == "", err
+    assert err.startswith("error: answer replay needs") and "transcript metadata has q=3, not the 2 of F_2" in err
     # metadata from an untrusted file: a list-valued q, a boolean P or a P past K is a usage error
     honest = {**transcript.meta, "q": 2}
     for key, value in (("q", [2]), ("q", True), ("P_initiator", True), ("P_initiator", 21), ("N_responder", 2.0)):
@@ -613,6 +651,105 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     ]
 
 
+# (K, initiator set, its databases, responder set, its databases) of the runs
+# verify reads: P=4 against N=2, an empty and a full initiator, and P=1 against
+# N=3, where database 2 gets no entry.
+VERIFY_RUNS = {
+    "P=4": (10, {0, 1, 2, 3}, 2, {0, 2, 4, 5, 6, 7}, 2),
+    "P=0": (10, set(), 2, {1, 2, 3}, 2),
+    "P=K": (10, set(range(10)), 2, {0, 2, 4, 5, 6, 7}, 2),
+    "P=1 N=3": (10, {4}, 2, {1, 4, 5, 6, 7}, 3),
+}
+
+
+def verify_run(name, backend="sim"):
+    from privset import psi
+
+    K, s1, n1, s2, n2 = VERIFY_RUNS[name]
+    e1, e2 = psi.EntityConfig(1, K, n1, frozenset(s1)), psi.EntityConfig(2, K, n2, frozenset(s2))
+    if backend == "connect":  # against databases served as psi serve serves them; the transcript carries no pool seed
+        with transport.TcpServerPool(psi.entity_servers(e2, 64, 5)) as pool:
+            return psi.run_psi_remote(e1, pool.addresses, seed_client=1).transcript
+    return psi.run_psi(e1, e2, backend=backend, seed_client=1, seed_cr=2).transcript
+
+
+def verify_record(capsys, tmp_path, transcript):
+    path = tmp_path / "t.transcript"
+    transcript.save(str(path))
+    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--machine")
+    (rec,) = machine_records(out)
+    return code, err, rec
+
+
+@pytest.mark.parametrize("name, backend, downloaded", [
+    ("P=4", "sim", 8), ("P=4", "tcp", 8), ("P=4", "connect", 8), ("P=0", "sim", 0), ("P=K", "sim", 10),
+    ("P=1 N=3", "sim", 2),
+])
+def test_psi_verify_passes_honest_transcripts(tmp_path, capsys, name, backend, downloaded):
+    code, err, rec = verify_record(capsys, tmp_path, verify_run(name, backend))
+    assert (code, err, rec["problems"], rec["download_symbols"]) == (EXIT_OK, "", [], downloaded)
+
+
+def move_an_answer_symbol(records):
+    (q0, a0), (q1, a1) = records[0][0], records[1][0]
+    (i0, s0), (i1, s1) = wire.parse_answer(a0), wire.parse_answer(a1)
+    return [[(q0, wire.encode_answer(i0, s0 + s1[:1]))], [(q1, wire.encode_answer(i1, s1[1:]))]]
+
+
+def raise_an_answer_id(records):
+    ((q0, a0),) = records[0]
+    i0, s0 = wire.parse_answer(a0)
+    return [[(q0, wire.encode_answer(i0 + 7, s0))], records[1]]
+
+
+def give_a_body(db, body):
+    """The run's records with database ``db``'s replaced by one query carrying ``body`` and an empty answer."""
+    def tamper(records):
+        record = [(wire.encode_query(db, body), wire.encode_answer(db, []))]
+        return [record if i == db else r for i, r in enumerate(records)]
+
+    return tamper
+
+
+# Each tamper of a saved run, and the problems verify names for it.
+VERIFY_TAMPERS = [
+    pytest.param("P=4", move_an_answer_symbol, [  # 5 and 3 symbols for 4 entries each, still 8 in all
+        "database 0 got an answer the client refuses: answer of wrong length at database 0",
+        "database 1 got an answer the client refuses: answer of wrong length at database 1",
+    ], id="a-a-symbol-moved-between-answers"),
+    pytest.param("P=4", raise_an_answer_id, [
+        "database 0 got an answer the client refuses: answer id 7 does not match query id 0",
+    ], id="b-an-answer-id-raised"),
+    pytest.param("P=4", lambda records: [[(records[0][0][0], b"\x00")], records[1]], [
+        "downloaded 4 symbols, not the 8 of P_initiator=4 against N_responder=2",
+        "database 0 got an answer the client refuses: truncated answer",
+    ], id="c-a-truncated-answer"),
+    pytest.param("P=0", give_a_body(0, b"\x09"), [
+        "database 0 got a query that does not parse: unknown scheme tag 9",
+    ], id="d-an-unknown-tag-at-P=0"),
+    pytest.param("P=1 N=3", give_a_body(2, b"\x01\x00"), [
+        "database 2 got a query that does not parse: unknown scheme tag 1",
+    ], id="e-the-reserved-table-tag"),
+    pytest.param("P=1 N=3", give_a_body(2, wire.encode_download_all()), [
+        "database 2 got an answer the client refuses: answer of wrong length at database 2",
+    ], id="f-a-download-all-where-no-body-is-laid-out"),
+    pytest.param("P=K", lambda records: [[], records[0]], [
+        "database 0 got no block body; the run's shape lays out a download-all body",
+        "database 1 got a download-all body; the run's shape lays out no block body",
+    ], id="g-download-all-moved-to-database-1"),
+]
+
+
+@pytest.mark.parametrize("name, tamper, problems", VERIFY_TAMPERS)
+def test_psi_verify_reads_each_record_as_the_client_reads_it(tmp_path, capsys, name, tamper, problems):
+    # Each database's query and answer are read by the client's own readers and
+    # compared once with what the run's shape lays out there; whatever fails is
+    # that database's named problem, and the record is printed with exit 3.
+    honest = verify_run(name)
+    code, err, rec = verify_record(capsys, tmp_path, transport.Transcript(honest.meta, tamper(honest.records)))
+    assert (code, err, rec["problems"]) == (EXIT_PROTOCOL, "", problems)
+
+
 def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
     # A rewritten K or N_responder costs verify no work or memory in proportion to it.
     from privset import psi, transport
@@ -699,18 +836,20 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
         assert verify(meta, records) == (EXIT_PROTOCOL, downloaded, [problem])
         code, _, err = run_cli(capsys, "psi", "verify", "--transcript", str(path), "--responder-set", str(responder_set))
         assert code == EXIT_USAGE and err.startswith("error: answer replay needs") and problem in err, err
-    # a K or q the recorded bodies do not fit names each database's body, and the record is printed
-    for key, value in (("K", 1000000), ("q", 3)):
-        meta = {**honest.meta, key: value}
-        problems = [
-            f"database {db} got a block body that does not parse at K={meta['K']}, q={meta['q']}: truncated query payload"
-            for db in range(2)
-        ]
-        assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, problems)
+    # a K the recorded bodies do not fit names each database's body, and the record is printed
+    meta = {**honest.meta, "K": 1000000}
+    problems = [
+        f"database {db} got a block body that does not parse at K={meta['K']}, q={meta['q']}: truncated query payload"
+        for db in range(2)
+    ]
+    assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, problems)
+    # a q other than F_2's is one problem of the metadata
+    problem = "transcript metadata has q=3, not the 2 of F_2"
+    assert verify({**honest.meta, "q": 3}, honest.records) == (EXIT_PROTOCOL, 8, [problem])
 
 
 def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):
-    # A q that is missing or not a field size is a problem of the transcript
+    # A q that is missing or not F_2's 2 is a problem of the transcript
     # (exit 3, named in the record), as a missing K is, not a usage error.
     from privset import psi, transport
 
@@ -729,9 +868,7 @@ def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):
     assert honest.meta["q"] == 2 and verify(honest.meta) == (EXIT_OK, [])
     without = {k: v for k, v in honest.meta.items() if k != "q"}
     for meta, shown in ((without, "None"), ({**honest.meta, "q": 4}, "4"), ({**honest.meta, "q": "2"}, "'2'")):
-        assert verify(meta) == (EXIT_PROTOCOL, [
-            f"transcript metadata: q must be a prime <= 256 (one byte per symbol on the wire), got {shown}"
-        ])
+        assert verify(meta) == (EXIT_PROTOCOL, [f"transcript metadata has q={shown}, not the 2 of F_2"])
 
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
@@ -989,6 +1126,7 @@ def test_serve_and_connect_roundtrip(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_help_lists_flags(capsys):

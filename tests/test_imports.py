@@ -57,19 +57,20 @@ def test_every_private_helper_is_referenced_beyond_its_definition():
 
 
 def test_the_answer_check_is_written_once():
-    # Every decoder refuses out-of-shape answers through one function, so a
-    # copy of the check cannot drift from it: its range message appears once
-    # in the package, inside one function.
-    text = "answer symbol outside F_"
-    hits = []
-    for path in sorted(Path(privset.__file__).parent.glob("*.py")):
-        source = path.read_text()
-        functions = [
-            node for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for lineno, line in enumerate(source.splitlines(), 1):
-            if text in line:
-                inner = [f.name for f in functions if f.lineno <= lineno <= f.end_lineno]
-                hits.append(f"{path.name}:{lineno} {inner[-1] if inner else '<module>'}")
-    assert len(hits) == 1 and not hits[0].endswith("<module>"), hits
+    # Every decoder refuses out-of-shape answers through one function, and the
+    # client and psi verify check every answer's id in one function, so a copy
+    # of either check cannot drift from it: the range message and the id
+    # message each appear once in the package, inside one function.
+    for text in ("answer symbol outside F_", "does not match query id"):
+        hits = []
+        for path in sorted(Path(privset.__file__).parent.glob("*.py")):
+            source = path.read_text()
+            functions = [
+                node for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for lineno, line in enumerate(source.splitlines(), 1):
+                if text in line:
+                    inner = [f.name for f in functions if f.lineno <= lineno <= f.end_lineno]
+                    hits.append(f"{path.name}:{lineno} {inner[-1] if inner else '<module>'}")
+        assert len(hits) == 1 and not hits[0].endswith("<module>"), hits

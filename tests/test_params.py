@@ -44,6 +44,12 @@ def test_non_prime_modulus_rejected():
     assert (MessageStore(2, 2, [0, 1, 1, 0]).K, MessageStore(2, 3, []).K) == (2, 0)
 
 
+def test_scheme_params_refuse_a_desired_count_outside_1_to_K():
+    for P in (0, 4):
+        with pytest.raises(ParamError, match=r"^P must satisfy 1 <= P <= K$"):
+            SchemeParams(K=3, P=P, N=2)
+
+
 def test_alpha_worked_examples():
     assert alpha_profile(3, 1, 3).alpha == (1, 2, 4)
     assert alpha_profile(5, 3, 2).alpha == (3, 1, 0, 0, 1)
@@ -165,6 +171,15 @@ def test_lspir_cost_monotone_in_databases():
 def test_lspir_rejects_single_database():
     with pytest.raises(InfeasibleError):
         lspir_cost(2, 1, 1)
+
+
+def test_cost_formulas_refuse_arguments_outside_their_domain():
+    for P, L in ((0, 1), (-1, 1), (1, 0)):
+        with pytest.raises(ParamError, match=r"^need P >= 1 and L >= 1$"):
+            lspir_cost(P, 2, L)
+    for K, P, N in ((0, 1, 2), (3, 0, 2), (3, 4, 2), (3, 1, 0)):
+        with pytest.raises(ParamError, match=r"^need K >= 1, 1 <= P <= K, N >= 1$"):
+            mm_spir_capacity(K, P, N, 1)
 
 
 def test_psi_optimal_cost_examples():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -99,6 +100,42 @@ def test_an_entity_needs_at_least_one_element_of_the_field():
             EntityConfig(1, K, 2, frozenset())
         with pytest.raises(ParamError, match=r"^K must be >= 1$"):
             generate_set(K, Fraction(1, 2), Random(0))
+
+
+def test_an_entity_refuses_an_id_elements_or_databases_no_entity_has():
+    for args, message in (
+        ((3, 4, 2, frozenset()), "entity_id must be 1 or 2"),
+        ((1, 4, 2, frozenset({4})), "set elements must lie in [0, K)"),
+        ((1, 4, 2, frozenset({-1})), "set elements must lie in [0, K)"),
+        ((1, 4, 0, frozenset()), "need at least one database"),
+    ):
+        with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+            EntityConfig(*args)
+    with pytest.raises(ParamError, match=r"^set elements must lie in \[0, K\)$"):
+        to_incidence({-1}, 4)  # would wrap to the last bit
+
+
+def test_run_psi_refuses_an_unknown_backend():
+    e1, e2 = EntityConfig(1, 4, 2, frozenset({0})), EntityConfig(2, 4, 2, frozenset({0, 1}))
+    with pytest.raises(ParamError, match=r"^unknown backend 'udp'$"):
+        run_psi(e1, e2, backend="udp")
+
+
+def test_a_run_refuses_an_answer_to_another_query_id(monkeypatch):
+    # The client checks every answer's id as it reads it, as psi verify does.
+    roundtrip = transport.SimBackend.roundtrip
+
+    def shifted(self, db, msg_type, payload):
+        mtype, reply = roundtrip(self, db, msg_type, payload)
+        if mtype == wire.MSG_ANSWER:
+            query_id, symbols = wire.parse_answer(reply)
+            reply = wire.encode_answer(query_id + 7, symbols)
+        return mtype, reply
+
+    monkeypatch.setattr(transport.SimBackend, "roundtrip", shifted)
+    e1, e2 = EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3})), EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7}))
+    with pytest.raises(ProtocolFault, match=r"^answer id 7 does not match query id 0$"):
+        run_psi(e1, e2, seed_client=1, seed_cr=2)
 
 
 def test_flagship_instance():

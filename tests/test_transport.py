@@ -50,6 +50,62 @@ def small_servers(n=2, bits=(1, 0, 1)):
     return make_entity_servers(store, n, {"K": len(bits), "N": n})
 
 
+class OneReply:
+    """A backend of one database that answers every frame with ``reply``."""
+
+    n_databases = 1
+
+    def __init__(self, reply: tuple[int, bytes]):
+        self.reply = reply
+
+    def roundtrip(self, db: int, msg_type: int, payload: bytes) -> tuple[int, bytes]:
+        return self.reply
+
+
+def test_the_client_refuses_a_reply_of_the_wrong_type():
+    with pytest.raises(TransportError, match=r"^setup exchange failed$"):
+        transport.Client(OneReply((MSG_ANSWER, wire.encode_answer(0, [])))).setup_info()
+    client = transport.Client(OneReply((MSG_SETUP, b"{}")))
+    with pytest.raises(TransportError, match=rf"^unexpected reply type {MSG_SETUP}$"):
+        client.query(0, encode_download_all())
+    assert client.records == [[]]
+
+
+def test_a_pool_running_past_port_65535_binds_nothing(monkeypatch):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was made")
+
+    monkeypatch.setattr(transport.socket, "socket", no_socket)
+    pool = TcpServerPool(small_servers(2), base_port=65535)
+    with pytest.raises(ParamError, match=r"^2 databases from port 65535 run past port 65535$"):
+        pool.start()
+    assert pool.addresses == []
+
+
+def test_a_failed_bind_releases_the_listener_already_bound():
+    # Database 1's port is taken: database 0's listener, bound one port below
+    # it, is closed again, so that port can be bound once start has failed.
+    for _ in range(20):  # the port below an ephemeral one may be in use by another program
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1] - 1
+            with socket.socket() as probe:
+                try:
+                    probe.bind(("127.0.0.1", port))
+                except OSError:
+                    continue
+            pool = TcpServerPool(small_servers(2), base_port=port)
+            with pytest.raises(OSError):
+                pool.start()
+        assert pool.addresses == [("127.0.0.1", port)]
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", port))
+            again.listen(1)
+        return
+    pytest.fail("the port below each of 20 ephemeral ports was in use")
+
+
 def recv_frame(sock: socket.socket, reader: wire.FrameReader | None = None) -> tuple[int, bytes]:
     """The next frame on ``sock``, read through ``reader`` as the client reads its replies."""
     reader = reader or wire.FrameReader()
@@ -651,3 +707,4 @@ def test_a_forged_frame_length_does_not_wedge_the_database():
     finally:
         proc.stdin.close()
         proc.wait(timeout=10)
+        proc.stdout.close()
