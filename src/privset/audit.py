@@ -20,10 +20,10 @@ the distance in closed form.  The audits decide the rng-free maps from a draw
 to the queries, ``block_scheme.build_plan`` and ``table_scheme.relabel``;
 ``plan_blocks`` and ``table_scheme.draw`` are those maps applied to a uniform
 draw that takes no desired set, as the conformance tests pin.  A block query
-is its wire body, parsed with the server's bounds.  A table query is its
-database's in-process view (``QueryTable.view``), checked by the bounds
-``table_scheme.answer`` applies.  Nothing is enumerated and no answer is
-evaluated.
+is its wire body, read by ``wire.parse_body`` with the server's bounds.  A
+table query is its database's in-process view (``QueryTable.view``), checked
+by the bounds ``table_scheme.answer`` applies.  Nothing is enumerated and no
+answer is evaluated.
 
 The linear one-round scheme's premises, per database: one slot run (first
 slot, entry count; the codec puts entry i on slot first + i) for every
@@ -381,23 +381,17 @@ def _pack_rows(entries, pool_size: int, q: int) -> list[int]:
 def _rows_from_wire(payload: bytes, n_coords: int, pool_size: int, q: int) -> list[int]:
     """Packed coefficient rows (``_pack_rows``) of one query body.
 
-    Each body is parsed with the server's bounds, so a body the server
-    refuses raises ProtocolFault, an unknown or reserved scheme tag included.
-    A download-all body, which the server answers only over an empty pool,
-    reads as one plain row per coordinate.  A block lane may hold any byte
-    over odd q: each row's lowest lane is its pool id's, with coefficient 1,
-    so elimination combines it before storing it, and ``_combine`` reads
-    every lane mod q.
+    The body is read by ``wire.parse_body`` with the server's bounds, so a
+    body the server refuses raises its ProtocolFault.  A download-all body,
+    which the server answers only over an empty pool, reads as one plain row
+    per coordinate.  A block lane may hold any byte over odd q: each row's
+    lowest lane is its pool id's, with coefficient 1, so elimination
+    combines it before storing it, and ``_combine`` reads every lane mod q.
     """
-    if not payload:
-        raise wire.ProtocolFault("empty query body")
-    if payload[0] == wire.BLOCK_QUERY_TAG:
-        return _pack_rows(_slot_entries([wire.parse_block_query(payload, q, n_coords, pool_size)]), pool_size, q)
-    if payload[0] == wire.DOWNLOAD_ALL_TAG:
-        wire.parse_download_all(payload, pool_size)
-        lane = lane_bits(q)
-        return [1 << (pool_size + c) * lane for c in range(n_coords)]
-    raise wire.ProtocolFault(f"unknown scheme tag {payload[0]}")
+    read = wire.parse_body(payload, n_coords, q, pool_size)
+    if read is None:
+        return [1 << (pool_size + c) * lane_bits(q) for c in range(n_coords)]
+    return _pack_rows(_slot_entries([read]), pool_size, q)
 
 
 def _view_entries(view: table_scheme.TableQuery, q: int) -> list[tuple[int, int]]:

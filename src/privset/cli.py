@@ -278,27 +278,21 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int) ->
     cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
     if measured != cost:
         problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
-    got = {}  # database -> its record read: "no block body", "a download-all body" or (first slot, entry count)
+    got = {}  # database -> its record read: "no body", "a download-all body" or (first slot, entry count)
     for db, db_records in enumerate(transcript.records):
         if len(db_records) > 1:
             problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
             continue
-        got[db] = "no block body"
+        got[db] = "no body"
         for qry, ans in db_records:
             what = "a query that does not parse"
             try:
                 qid, body = wire.parse_query(qry)
-                if body[0] == wire.DOWNLOAD_ALL_TAG:
-                    wire.parse_download_all(body)
-                    got[db], count = "a download-all body", K
-                elif body[0] == wire.BLOCK_QUERY_TAG:
-                    what = f"a block body that does not parse at K={K}, q=2"
-                    first, vectors = wire.parse_block_query(body, 2, K)
-                    got[db], count = (first, len(vectors)), len(vectors)
-                else:
-                    raise wire.ProtocolFault(f"unknown scheme tag {body[0]}")
+                what = f"a body that does not parse at K={K}, q=2"
+                block = wire.parse_body(body, K, 2)
+                got[db] = "a download-all body" if block is None else (block[0], len(block[1]))
                 what = "an answer the client refuses"
-                table_scheme.check_answer(db, wire.parse_answer(ans, qid)[1], count, 2)
+                table_scheme.check_answer(db, wire.parse_answer(ans, qid)[1], K if block is None else len(block[1]), 2)
             except wire.ProtocolFault as exc:
                 problems.append(f"database {db} got {what}: {exc}")
                 del got[db]
@@ -309,7 +303,7 @@ def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int) ->
 
     for db, read in got.items():
         n = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
-        want = (first, n) if n else ("a download-all body" if 0 < P == K and db == 0 else "no block body")
+        want = (first, n) if n else ("a download-all body" if 0 < P == K and db == 0 else "no body")
         if read != want:
             problems.append(f"database {db} got {text(read)}; the run's shape lays out {text(want)}")
     return problems

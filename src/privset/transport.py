@@ -40,9 +40,7 @@ def answer_download_all(payload: bytes, store: MessageStore, pool: CommonRandomn
     return list(store.flat)
 
 
-# Scheme tag -> answer evaluator over (payload, store, pool).  A served
-# database speaks only PSI: the table tag is not served, since one table body
-# can mask every coordinate with one plainly served symbol.
+# Scheme tag -> answer evaluator over (payload, store, pool), for each tag ``wire.body_tag`` passes.
 QUERY_HANDLERS = {
     block_scheme.BLOCK_QUERY_TAG: block_scheme.answer_wire_query,
     wire.DOWNLOAD_ALL_TAG: answer_download_all,
@@ -108,16 +106,14 @@ class DatabaseServer:
     def _handle_query(self, payload: bytes) -> tuple[int, bytes]:
         try:
             query_id, body = wire.parse_query(payload)
-            handler = QUERY_HANDLERS.get(body[0])
-            if handler is None:
-                raise wire.ProtocolFault(f"unknown scheme tag {body[0]}")
-            if body[0] != wire.DOWNLOAD_ALL_TAG and self.pool is None:
+            tag = wire.body_tag(body)
+            if tag != wire.DOWNLOAD_ALL_TAG and self.pool is None:
                 reason = "no randomness pool provisioned"
                 return wire.MSG_ERROR, wire.encode_error(wire.ERR_NOT_PROVISIONED, reason)
             self.query_served = True
             self.seen_queries.append(body)
             pool = self.pool if self.pool is not None else CommonRandomnessPool(self.store.q, [])
-            symbols = handler(body, self.store, pool)
+            symbols = QUERY_HANDLERS[tag](body, self.store, pool)
         except wire.ProtocolFault as exc:
             return refusal(exc)
         return wire.MSG_ANSWER, wire.encode_answer(query_id, symbols)

@@ -17,8 +17,8 @@ All integers are little-endian:
 
     frame         "PSI1" | version u8 | type u8 | length u32 | payload
     setup         JSON object with sorted keys: the responder's public shape
-    query         query id u32 | body, whose first byte is its scheme tag; tag 1,
-                    TABLE_QUERY_TAG, is reserved: no body carries it
+    query         query id u32 | body, whose first byte is its scheme tag; ``parse_body`` is
+                    the one reader of a body by its tag; tag 1, TABLE_QUERY_TAG, is reserved
     block body    2 | first slot u32 | n u32 | n x ceil(K*L * w / 8) bytes
                     entry i is a packed vector of the store's K*L coefficients, masked
                     by pool slot first + i; K*L is known to both sides and not sent:
@@ -214,6 +214,22 @@ def parse_download_all(body: bytes, pool_size: int | None = None) -> None:
         raise ProtocolFault("download-all query carries no arguments")
     if pool_size:
         raise ProtocolFault(f"download-all is not served by a database holding {pool_size} shared randomness slots")
+
+
+def body_tag(body: bytes) -> int:
+    """The scheme tag of a body some database serves; every other body is refused here."""
+    if not body:
+        raise ProtocolFault("empty query body")
+    if body[0] not in (BLOCK_QUERY_TAG, DOWNLOAD_ALL_TAG):
+        raise ProtocolFault(f"unknown scheme tag {body[0]}")
+    return body[0]
+
+
+def parse_body(body: bytes, length: int, q: int, pool_size: int | None = None) -> tuple[int, list[bytes]] | None:
+    """A body read by its tag: a block body as ``parse_block_query`` reads it, a download-all body as None."""
+    if body_tag(body) == BLOCK_QUERY_TAG:
+        return parse_block_query(body, q, length, pool_size)
+    return parse_download_all(body, pool_size)
 
 
 def encode_result(elements) -> bytes:

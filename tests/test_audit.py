@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lanes
-from privset import audit, block_scheme, field, table_scheme, wire
+from privset import audit, block_scheme, field, table_scheme, transport, wire
 from privset.field import unpack
 from privset.params import ParamError, SchemeParams, lspir_cost
 from privset.storage import CommonRandomnessPool, MessageStore
@@ -1406,3 +1406,18 @@ class TestSymbolicLeakage:
         ):
             with pytest.raises(wire.ProtocolFault, match="outside the provisioned pool"):
                 audit.recoverable_coordinates([payload], 3, 2, 2, ())
+        # every first byte, alone and in place of an honest block body's tag:
+        # the audit raises exactly where a served database of the same shape
+        # replies ERR_BAD_QUERY, and with its message
+        (server,) = transport.make_entity_servers(MessageStore.from_bits([1, 0, 1]), 1)
+        transport.provision_cr([server], CommonRandomnessPool.generate(2, 2, seed=1), 2)
+        honest = wire.encode_block_query(0, lanes([1, 6], 3), 3, 2)
+        for tag in range(256):
+            for body in (bytes([tag]), bytes([tag]) + honest[1:]):
+                mtype, reply = server.handle_client_frame(wire.MSG_QUERY, wire.encode_query(0, body))
+                try:
+                    audit.recoverable_coordinates([body], 3, 2, 2, ())
+                except wire.ProtocolFault as exc:
+                    assert (mtype, wire.parse_error(reply)) == (wire.MSG_ERROR, (wire.ERR_BAD_QUERY, str(exc))), body
+                else:
+                    assert mtype == wire.MSG_ANSWER, body

@@ -640,7 +640,7 @@ def test_psi_verify_checks_the_transcripts_own_shape(tmp_path, capsys):
     # (b) database 1's body moved to database 0
     assert verify(transport.Transcript(honest.meta, [[r0, r1], []])) == [
         "database 0 got 2 bodies, not at most one",
-        "database 1 got no block body; the run's shape lays out 4 entries from slot 0",
+        "database 1 got no body; the run's shape lays out 4 entries from slot 0",
     ]
     # (b) database 1's run starts one slot later than database 0's
     qid, body = wire.parse_query(r1[0])
@@ -725,17 +725,17 @@ VERIFY_TAMPERS = [
         "database 0 got an answer the client refuses: truncated answer",
     ], id="c-a-truncated-answer"),
     pytest.param("P=0", give_a_body(0, b"\x09"), [
-        "database 0 got a query that does not parse: unknown scheme tag 9",
+        "database 0 got a body that does not parse at K=10, q=2: unknown scheme tag 9",
     ], id="d-an-unknown-tag-at-P=0"),
     pytest.param("P=1 N=3", give_a_body(2, b"\x01\x00"), [
-        "database 2 got a query that does not parse: unknown scheme tag 1",
+        "database 2 got a body that does not parse at K=10, q=2: unknown scheme tag 1",
     ], id="e-the-reserved-table-tag"),
     pytest.param("P=1 N=3", give_a_body(2, wire.encode_download_all()), [
         "database 2 got an answer the client refuses: answer of wrong length at database 2",
     ], id="f-a-download-all-where-no-body-is-laid-out"),
     pytest.param("P=K", lambda records: [[], records[0]], [
-        "database 0 got no block body; the run's shape lays out a download-all body",
-        "database 1 got a download-all body; the run's shape lays out no block body",
+        "database 0 got no body; the run's shape lays out a download-all body",
+        "database 1 got a download-all body; the run's shape lays out no body",
     ], id="g-download-all-moved-to-database-1"),
 ]
 
@@ -766,7 +766,7 @@ def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
         assert time.monotonic() - start < 1 and code == EXIT_PROTOCOL, key
         if key == "K":  # each recorded body is far shorter than 2**40-coefficient vectors
             assert err == "" and machine_records(out)[0]["problems"] == [
-                f"database {db} got a block body that does not parse at K={2**40}, q=2: truncated query payload"
+                f"database {db} got a body that does not parse at K={2**40}, q=2: truncated query payload"
                 for db in range(2)
             ]
         else:
@@ -775,7 +775,7 @@ def test_psi_verify_sizes_nothing_by_the_transcripts_metadata(tmp_path, capsys):
 
 def test_psi_verify_names_a_query_too_short_to_parse(tmp_path, capsys):
     # A recorded query shorter than its id and scheme tag is its database's one
-    # named problem, as an unparsable block body is: the record is printed and
+    # named problem, as an unparsable body is: the record is printed and
     # the exit is 3, with or without the answer replay.
     from privset import psi, transport
 
@@ -839,7 +839,7 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
     # a K the recorded bodies do not fit names each database's body, and the record is printed
     meta = {**honest.meta, "K": 1000000}
     problems = [
-        f"database {db} got a block body that does not parse at K={meta['K']}, q={meta['q']}: truncated query payload"
+        f"database {db} got a body that does not parse at K={meta['K']}, q={meta['q']}: truncated query payload"
         for db in range(2)
     ]
     assert verify(meta, honest.records) == (EXIT_PROTOCOL, 8, problems)

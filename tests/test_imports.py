@@ -57,11 +57,12 @@ def test_every_private_helper_is_referenced_beyond_its_definition():
 
 
 def test_the_answer_check_is_written_once():
-    # Every decoder refuses out-of-shape answers through one function, and the
-    # client and psi verify check every answer's id in one function, so a copy
-    # of either check cannot drift from it: the range message and the id
-    # message each appear once in the package, inside one function.
-    for text in ("answer symbol outside F_", "does not match query id"):
+    # Every decoder refuses out-of-shape answers through one function, the
+    # client and psi verify check every answer's id in one function, and the
+    # server, the audits and psi verify refuse a body's tag in one function,
+    # so a copy of any check cannot drift from it: the range, id and tag
+    # messages each appear once in the package, inside one function.
+    for text in ("answer symbol outside F_", "does not match query id", "unknown scheme tag"):
         hits = []
         for path in sorted(Path(privset.__file__).parent.glob("*.py")):
             source = path.read_text()

@@ -537,6 +537,20 @@ def test_served_database_refuses_a_table_query(backend):
     assert parse_error(reply) == (wire.ERR_BAD_QUERY, "unknown scheme tag 1")
 
 
+def test_a_handler_on_the_reserved_tag_is_never_reached(monkeypatch):
+    # a tracer that wraps every handler may put one on the table tag; the tag
+    # is refused before any handler is looked up, so that handler never sees
+    # the body (it would raise TypeError on it, not reply)
+    monkeypatch.setitem(transport.QUERY_HANDLERS, wire.TABLE_QUERY_TAG, table_scheme.answer_wire_query)
+    servers = small_servers()
+    provision_cr(servers, CommonRandomnessPool.generate(4, 2, seed=1), 4)
+    payload = wire.encode_query(0, bytes.fromhex("0100000000"))
+    refused = (MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, "unknown scheme tag 1"))
+    assert SimBackend(servers).roundtrip(0, MSG_QUERY, payload) == refused
+    assert servers[1].handle_client_frame(MSG_QUERY, payload) == refused
+    assert not any(srv.query_served for srv in servers)
+
+
 def test_handler_failure_closes_only_that_connection(monkeypatch):
     def broken(payload, store, pool):
         raise RuntimeError("handler bug")
