@@ -57,6 +57,9 @@ class DatabaseServer:
     ``handle_client_frame`` is the entire client-visible behaviour; it is a
     deterministic function of (frame, store, pool).  Answers to unknown or
     out-of-place frame types are ERROR frames and the connection survives.
+    A database keeps no history of the queries it answers: ``seen_queries``
+    holds only the last query body it read, for tests and the benchmark's
+    retained-bytes metric, so its memory stays flat however many it serves.
     """
 
     def __init__(self, db_id: int, store: MessageStore, public_info: dict | None = None):
@@ -65,7 +68,7 @@ class DatabaseServer:
         self.pool: CommonRandomnessPool | None = None
         self.query_served = False
         self.public_info = public_info or {}
-        self.seen_queries: list[bytes] = []  # instrumentation for non-collusion tests
+        self.seen_queries: list[bytes] = []  # the last body read, replaced in place: for tests and retained bytes
         self._max_payload = self._payload_bound()
 
     def provision(self, pool: CommonRandomnessPool, required_size: int) -> None:
@@ -111,7 +114,7 @@ class DatabaseServer:
                 reason = "no randomness pool provisioned"
                 return wire.MSG_ERROR, wire.encode_error(wire.ERR_NOT_PROVISIONED, reason)
             self.query_served = True
-            self.seen_queries.append(body)
+            self.seen_queries[:] = (body,)
             pool = self.pool if self.pool is not None else CommonRandomnessPool(self.store.q, [])
             symbols = QUERY_HANDLERS[tag](body, self.store, pool)
         except wire.ProtocolFault as exc:

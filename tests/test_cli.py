@@ -900,6 +900,7 @@ def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys)
     set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
     servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})), 64, 5)
     transcript = tmp_path / "remote.transcript"
+    bodies = []
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
         for _ in range(2):
@@ -908,8 +909,9 @@ def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys)
                 "--save-transcript", str(transcript), "--machine",
             )
             assert code == EXIT_OK and machine_records(out)[0]["intersection"] == [0, 2]
+            bodies.append(servers[0].seen_queries[0])  # a database keeps only the last body it read
     assert transport.Transcript.load(str(transcript)).meta["seed_client"] is None
-    first, second = servers[0].seen_queries
+    first, second = bodies
     assert first != second  # no fixed default seed: each run plans afresh
 
 

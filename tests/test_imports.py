@@ -75,3 +75,30 @@ def test_the_answer_check_is_written_once():
                     inner = [f.name for f in functions if f.lineno <= lineno <= f.end_lineno]
                     hits.append(f"{path.name}:{lineno} {inner[-1] if inner else '<module>'}")
         assert len(hits) == 1 and not hits[0].endswith("<module>"), hits
+
+
+def test_a_database_server_grows_no_state_per_frame():
+    # A database's answer is a function of the query, the store and the pool,
+    # so no method of DatabaseServer adds to what it holds: no call of a
+    # growing method, and no ``+=``, on an attribute of ``self``.
+    def on_self(node) -> bool:
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+            if isinstance(node, ast.Name) and node.id == "self":
+                return True
+        return False
+
+    tree = ast.parse((Path(privset.__file__).parent / "transport.py").read_text())
+    (server,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "DatabaseServer"]
+    growth = [
+        f"transport.py:{node.lineno}"
+        for node in ast.walk(server)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend", "insert", "add")
+            and on_self(node.func.value)
+        )
+        or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and on_self(node.target))
+    ]
+    assert growth == []

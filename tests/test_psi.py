@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from pathlib import Path
 from random import Random
 
@@ -432,3 +434,63 @@ def test_psi_is_the_only_module_that_provisions_databases():
                 if name == "provision_cr":
                     callers.add(path.name)
     assert callers == {"psi.py"}
+
+
+class RecordingSimBackend(transport.SimBackend):
+    """``SimBackend`` that records every (msg_type, payload) frame each database receives."""
+
+    def __init__(self, servers):
+        super().__init__(servers)
+        self.frames = [[] for _ in servers]
+
+    def roundtrip(self, db, msg_type, payload):
+        self.frames[db].append((msg_type, payload))
+        return super().roundtrip(db, msg_type, payload)
+
+
+def served_views(K, P, N, monkeypatch, base_step=1):
+    """Each database's Counter of received frames per desired set of size P,
+    over every strategy draw: every shuffle order with every tuple of base
+    vectors from ``range(0, 2**K, base_step)``, each run once, so each draw of
+    ``plan_blocks`` is equally likely when ``base_step`` is 1."""
+    responder = EntityConfig(2, K, N, frozenset({0}))
+    servers = psi.entity_servers(responder, psi_direction_cost(P, N, K) - P, 1)
+    n_blocks = -(-P // (N - 1))
+    draws = []  # the draw the next plan_blocks call lays out
+    build_plan = block_scheme.build_plan
+    monkeypatch.setattr(block_scheme, "plan_blocks", lambda params, desired, rng: build_plan(params, desired, *draws.pop()))
+    views = {}
+    for desired in combinations(range(K), P):
+        views[desired] = [Counter() for _ in range(N)]
+        for order, bases in product(permutations(range(P)), product(range(0, 1 << K, base_step), repeat=n_blocks)):
+            draws.append((list(order), list(bases)))
+            backend = RecordingSimBackend(servers)
+            result = psi._intersect(EntityConfig(1, K, N, frozenset(desired)), backend, 0)
+            assert result.intersection == responder.elements & set(desired)
+            for db, frames in enumerate(backend.frames):
+                views[desired][db][tuple(frames)] += 1
+    return views, responder
+
+
+def views_agree(views, responder) -> bool:
+    """Every database's views are equal across desired sets, database 0's
+    across desired sets with one intersection, the result it is forwarded."""
+    groups = {}
+    for desired, per_db in views.items():
+        for db, counter in enumerate(per_db):
+            key = (db, frozenset(desired) & responder.elements if db == 0 else None)
+            groups.setdefault(key, []).append(counter)
+    return all(all(c == counters[0] for c in counters) for counters in groups.values())
+
+
+SERVED_VIEW_SHAPES = [(3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2), (4, 1, 3), (4, 2, 3)]
+
+
+@pytest.mark.parametrize("K,P,N", SERVED_VIEW_SHAPES)
+def test_each_served_database_receives_bytes_independent_of_the_desired_set(K, P, N, monkeypatch):
+    # Exact user privacy of the deployed flow: a database's whole received byte
+    # view (SETUP, query ids, which databases get a frame, bodies and, at database
+    # 0, the forwarded result) has one distribution for every desired set.
+    assert views_agree(*served_views(K, P, N, monkeypatch))
+    # Control: bases never setting bit 0 let a probe on coordinate 0 show through.
+    assert not views_agree(*served_views(K, P, N, monkeypatch, base_step=2))

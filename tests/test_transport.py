@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -722,3 +723,23 @@ def test_a_forged_frame_length_does_not_wedge_the_database():
         proc.stdin.close()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_a_served_database_keeps_flat_memory_over_many_queries():
+    # A database's answer depends on the query, the store and the pool alone, so
+    # serving another maximum-size query must not grow what the database keeps.
+    srv = entity_servers(EntityConfig(2, 256, 2, frozenset(range(0, 256, 3))), 1024, 5)[0]
+    payload = wire.encode_query(0, wire.encode_block_query(0, [bytes(32)] * 1024, 256, 2))
+    assert len(payload) == srv.max_payload() == 32781
+    tracemalloc.start()
+    try:
+        for n in range(1, 301):
+            mtype, _ = srv.handle_client_frame(MSG_QUERY, payload)
+            assert mtype == MSG_ANSWER
+            if n == 20:
+                early = tracemalloc.get_traced_memory()[0]
+        late = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert late - early < 2 * srv.max_payload()
+    assert sum(map(len, srv.seen_queries)) <= srv.max_payload()
