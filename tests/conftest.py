@@ -1,4 +1,5 @@
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,27 @@ def faulty_streams(monkeypatch):
         monkeypatch.setattr(transport, "SimBackend", StreamSimBackend)
 
     return install
+
+
+@pytest.fixture
+def received_bodies(monkeypatch):
+    """Every query body each ``transport.DatabaseServer`` is sent, in order.
+
+    A database keeps only the last body it read (``seen_queries``), so a test
+    that counts the bodies a database got records them here instead: a dict
+    from server to its list of bodies, empty for a server sent no query.
+    Every server, in-process or behind ``TcpServerPool``, is recorded.
+    """
+    received = defaultdict(list)
+    handle_client_frame = transport.DatabaseServer.handle_client_frame
+
+    def recording(self, msg_type, payload):
+        if msg_type == wire.MSG_QUERY:
+            received[self].append(wire.parse_query(payload)[1])
+        return handle_client_frame(self, msg_type, payload)
+
+    monkeypatch.setattr(transport.DatabaseServer, "handle_client_frame", recording)
+    return received
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

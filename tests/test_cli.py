@@ -893,14 +893,13 @@ def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, 
     assert "pool seed" in err and "do not replay" not in out
 
 
-def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys):
+def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys, received_bodies):
     from privset import psi, transport
 
     set1 = tmp_path / "e1.set"
     set1.write_text("# privset set v1 K=10\n0\n1\n2\n3\n")
     servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})), 64, 5)
     transcript = tmp_path / "remote.transcript"
-    bodies = []
     with transport.TcpServerPool(servers) as pool:
         connect = ",".join(f"{h}:{p}" for h, p in pool.addresses)
         for _ in range(2):
@@ -909,9 +908,8 @@ def test_psi_run_connect_without_a_seed_draws_a_fresh_strategy(tmp_path, capsys)
                 "--save-transcript", str(transcript), "--machine",
             )
             assert code == EXIT_OK and machine_records(out)[0]["intersection"] == [0, 2]
-            bodies.append(servers[0].seen_queries[0])  # a database keeps only the last body it read
     assert transport.Transcript.load(str(transcript)).meta["seed_client"] is None
-    first, second = bodies
+    first, second = received_bodies[servers[0]]
     assert first != second  # no fixed default seed: each run plans afresh
 
 

@@ -80,7 +80,10 @@ def test_the_answer_check_is_written_once():
 def test_a_database_server_grows_no_state_per_frame():
     # A database's answer is a function of the query, the store and the pool,
     # so no method of DatabaseServer adds to what it holds: no call of a
-    # growing method, and no ``+=``, on an attribute of ``self``.
+    # growing method, and no ``+=``, on an attribute of ``self``.  A partial
+    # lint for the common spellings only (``self.d[k] = v`` or ``.update``
+    # pass it): flat memory itself is checked by tracemalloc in
+    # test_transport.py::test_a_served_database_keeps_flat_memory_over_many_queries.
     def on_self(node) -> bool:
         while isinstance(node, (ast.Attribute, ast.Subscript)):
             node = node.value

@@ -307,7 +307,7 @@ def test_local_tcp_run_is_a_remote_run_against_databases_it_serves(name, monkeyp
 
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
-def test_a_database_with_no_entries_gets_no_frame(backend, monkeypatch):
+def test_a_database_with_no_entries_gets_no_frame(backend, monkeypatch, received_bodies):
     # P=1 against N=3 is one block, its base at database 0 and its probe at
     # database 1: database 2 holds no entry, so it is never sent a query
     served = []
@@ -319,7 +319,7 @@ def test_a_database_with_no_entries_gets_no_frame(backend, monkeypatch):
     assert res.intersection == {3} and res.download_symbols == res.optimal_cost == 2
     assert [len(db_records) for db_records in res.transcript.records] == [1, 1, 0]
     (servers,) = served
-    assert [len(srv.seen_queries) for srv in servers] == [1, 1, 0] and not servers[2].query_served
+    assert [len(received_bodies[srv]) for srv in servers] == [1, 1, 0] and not servers[2].query_served
 
 
 def test_queries_do_not_depend_on_responder_set():

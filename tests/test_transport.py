@@ -329,7 +329,7 @@ def test_duplicated_answer_surfaces_as_error(faulty_streams):
         client.query(0, encode_download_all())
 
 
-def test_non_collusion_each_database_sees_only_its_queries():
+def test_non_collusion_each_database_sees_only_its_queries(received_bodies):
     servers = small_servers(3, bits=(1, 0, 1, 1))
     provision_cr(servers, CommonRandomnessPool.generate(16, 2, seed=0), 16)
     backend = SimBackend(servers)
@@ -340,10 +340,10 @@ def test_non_collusion_each_database_sees_only_its_queries():
     wires = plan.wire_queries()
     client.query_all(wires)
     for db, srv in enumerate(servers):
-        assert srv.seen_queries == [wires[db]]
+        assert received_bodies[srv] == [wires[db]]
         for other in range(3):
             if other != db:
-                assert wires[other] not in srv.seen_queries
+                assert wires[other] not in received_bodies[srv]
 
 
 def test_transcript_save_load_and_replay(tmp_path):
@@ -615,7 +615,7 @@ def test_the_client_never_sends_two_shares_to_one_database():
     assert all(srv.seen_queries == [] for srv in servers + wide)
 
 
-def test_two_spellings_of_one_database_get_one_share():
+def test_two_spellings_of_one_database_get_one_share(received_bodies):
     init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
     servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))), 64, 1)
     with TcpServerPool(servers) as pool:
@@ -624,10 +624,10 @@ def test_two_spellings_of_one_database_get_one_share():
         with pytest.raises(TransportError, match=f"databases 0 and 1 both reach 127.0.0.1:{port}"):
             run_psi_remote(init, [("127.0.0.1", port), ("localhost", port)])
         assert time.monotonic() - start < 5  # refused on connect, not after the 10 s read timeout
-    assert len(servers[0].seen_queries) == 1 and servers[1].seen_queries == []
+    assert len(received_bodies[servers[0]]) == 1 and received_bodies[servers[1]] == []
 
 
-def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
+def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess(received_bodies):
     # Database 1 replans with the default seed 0 and XORs each vector it received
     # with the planned base vector of its block: a unit vector names a desired element.
     init = EntityConfig(1, 64, 2, frozenset({3, 17, 40, 41, 60}))
@@ -641,7 +641,7 @@ def test_an_unseeded_remote_client_hides_its_set_from_a_seed_guess():
         with TcpServerPool(servers) as pool:
             result = run_psi_remote(init, pool.addresses, **seed)
         assert result.intersection == {3, 60} and result.transcript.meta["seed_client"] == seed.get("seed_client")
-        (body,) = servers[1].seen_queries
+        (body,) = received_bodies[servers[1]]
         first, vectors = wire.parse_block_query(body, 2, 64)
         diffs = [int.from_bytes(vec, "little") ^ bases[first + i] for i, vec in enumerate(vectors)]
         return {diff.bit_length() - 1 for diff in diffs if diff.bit_count() == 1}
