@@ -23,7 +23,7 @@ from .params import (
     psi_optimal_cost,
     repetition_factor,
 )
-from .psi import EntityConfig, IncidenceVector, PsiResult, generate_set, run_psi, to_incidence
+from .psi import EntityConfig, IncidenceVector, PsiResult, check_transcript, generate_set, run_psi, to_incidence
 from .storage import CommonRandomnessPool, MessageStore
 from .table_scheme import QueryTable, build_query_table, decode
 from .wire import ProtocolFault
@@ -45,6 +45,7 @@ __all__ = [
     "SchemeParams",
     "alpha_profile",
     "build_query_table",
+    "check_transcript",
     "cost_ledger",
     "decode",
     "decode_blocks",

@@ -31,7 +31,7 @@ from fractions import Fraction
 from random import Random
 
 from . import audit as audit_mod
-from . import block_scheme, psi, table_scheme, transport, wire
+from . import psi, table_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
 from .params import (
     InfeasibleError,
@@ -40,7 +40,6 @@ from .params import (
     alpha_profile,
     cost_ledger,
     lspir_cost,
-    psi_direction_cost,
     repetition_factor,
 )
 from .storage import CommonRandomnessPool, MessageStore
@@ -265,96 +264,24 @@ def cmd_psi_serve(args) -> int:
     return EXIT_OK
 
 
-def _shape_problems(transcript: transport.Transcript, K: int, P: int, N: int) -> list[str]:
-    """What the transcript of an honest run of its own shape shows, from the
-    transcript alone: one record per responder database, the direction's
-    download, and each database's record, read as the client reads it, as the
-    shape lays it out; a record that does not read is its database's one
-    problem.  Nothing is sized by the metadata's K, P or N; the caller has
-    checked that P lies from 0 to K, and that N >= 2 if 0 < P < K."""
-    if N != len(transcript.records):
-        return [f"the transcript records {len(transcript.records)} databases, not N_responder={N}"]
-    problems = []
-    cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
-    if measured != cost:
-        problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
-    got = {}  # database -> its record read: "no body", "a download-all body" or (first slot, entry count)
-    for db, db_records in enumerate(transcript.records):
-        if len(db_records) > 1:
-            problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
-            continue
-        got[db] = "no body"
-        for qry, ans in db_records:
-            what = "a query that does not parse"
-            try:
-                qid, body = wire.parse_query(qry)
-                what = f"a body that does not parse at K={K}, q=2"
-                block = wire.parse_body(body, K, 2)
-                got[db] = "a download-all body" if block is None else (block[0], len(block[1]))
-                what = "an answer the client refuses"
-                table_scheme.check_answer(db, wire.parse_answer(ans, qid)[1], K if block is None else len(block[1]), 2)
-            except wire.ProtocolFault as exc:
-                problems.append(f"database {db} got {what}: {exc}")
-                del got[db]
-    first = next((read[0] for read in got.values() if type(read) is tuple), 0)  # the lowest database's run's
-
-    def text(read):
-        return read if type(read) is str else f"{read[1]} entries from slot {read[0]}"
-
-    for db, read in got.items():
-        n = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
-        want = (first, n) if n else ("a download-all body" if 0 < P == K and db == 0 else "no body")
-        if read != want:
-            problems.append(f"database {db} got {text(read)}; the run's shape lays out {text(want)}")
-    return problems
-
-
 def cmd_psi_verify(args) -> int:
     transcript = transport.Transcript.load(args.transcript)
     if args.dump:
         print(transcript.dump_text())
         return EXIT_OK
-    meta = transcript.meta
-    measured = transcript.downloaded_symbols
-    K, P, N, q = (meta.get(key) for key in ("K", "P_initiator", "N_responder", "q"))
-    problems = [
-        f"transcript metadata has no integer {key}"
-        for key, v in zip(("K", "P_initiator", "N_responder"), (K, P, N))
-        if type(v) is not int
-    ]
-    if not problems and not 0 <= P <= K:
-        problems.append(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
-    elif not problems and 0 < P < K and N < 2:
-        problems.append(f"transcript metadata has N_responder={N}; P_initiator={P} of K={K} needs at least two databases")
-    if type(q) is not int or q != 2:  # what _intersect records: the intersection runs over F_2
-        problems.append(f"transcript metadata has q={q!r}, not the 2 of F_2")
-    shaped = not problems
-    problems = problems or _shape_problems(transcript, K, P, N)
+    meta, elements, mismatch = transcript.meta, None, []
     if args.responder_set:
-        if meta.get("seed_cr") is None:
-            raise ParamError(
-                "answer replay needs the pool seed, which the transcript of a remote session does not carry"
-            )
         K, elements = read_set(args.responder_set)
         if K != meta.get("K"):
-            problems.append("responder set file disagrees with the transcript's K")
-        else:
-            if not shaped:
-                raise ParamError(
-                    "answer replay needs the run's integer K, P_initiator and N_responder (P from 0 to K)"
-                    f" and q=2: {'; '.join(problems)}"
-                )
-            # The responder as run_psi stood it up: its own store, one database per record, D - P pool symbols.
-            responder = psi.EntityConfig(2 if meta.get("initiator") == 1 else 1, K, len(transcript.records), elements)
-            servers = psi.entity_servers(responder, psi_direction_cost(P, N, K) - P, meta["seed_cr"])
-            if not transport.replay_answers(transcript, servers):
-                problems.append("recorded answers do not replay against the given store")
+            elements, mismatch = None, ["responder set file disagrees with the transcript's K"]
+    problems = psi.check_transcript(transcript, elements) + mismatch
+    measured = transcript.downloaded_symbols
     record = {
         "record": "psi_verify",
         "meta": meta,
         "download_symbols": measured,
         "upload_bytes": transcript.upload_bytes,
-        "replayed": bool(args.responder_set) and not problems,
+        "replayed": elements is not None and not problems,
         "problems": problems,
     }
     human = "\n".join(

@@ -143,8 +143,8 @@ def entity_servers(entity: EntityConfig, pool_size: int, seed_cr: int | None) ->
     """The one responder stand-up: fresh databases, each holding the entity's
     store, provisioned with one shared pool of ``pool_size`` symbols.
 
-    ``run_psi``, ``psi serve`` and ``psi verify``'s replay all stand the
-    responder up here.  The pool is drawn from ``seed_cr``, or from
+    ``run_psi``, ``psi serve`` and ``check_transcript``'s replay all stand
+    the responder up here.  The pool is drawn from ``seed_cr``, or from
     ``secrets`` when it is None.
     """
     info = {"entity": entity.entity_id, "K": entity.K, "P": entity.size, "N": entity.n_databases}
@@ -272,3 +272,74 @@ def _intersect(
         optimal_cost=optimal_cost,
         transcript=transport.Transcript(meta=meta, records=client.records),
     )
+
+
+def check_transcript(transcript: transport.Transcript, responder_set=None) -> list[str]:
+    """The one check of a run: how ``transcript`` differs from an honest run of
+    the shape its metadata names (integer K, P_initiator from 0 to K and
+    N_responder, at least 2 if 0 < P < K, and q=2), or [] if it does not.
+
+    Bad metadata is named alone.  Otherwise the run must download
+    ``psi_direction_cost(P, N, K)`` symbols, and each database's record,
+    read as the client reads it, must hold what ``_intersect`` sends; a
+    record that does not read is its database's one problem.  Nothing is
+    sized by the metadata.  With ``responder_set``, the responder's elements,
+    the queries are also replayed against the responder as ``run_psi`` stood
+    it up, which needs the metadata's ``seed_cr`` and shape, else ParamError.
+    """
+    meta, records, keys = transcript.meta, transcript.records, ("K", "P_initiator", "N_responder")
+    K, P, N, q, seed_cr = map(meta.get, (*keys, "q", "seed_cr"))
+    problems = [f"transcript metadata has no integer {key}" for key in keys if type(meta.get(key)) is not int]
+    if not problems and not 0 <= P <= K:
+        problems.append(f"transcript metadata has P_initiator={P} outside 0 to K={K}")
+    elif not problems and 0 < P < K and N < 2:
+        problems.append(f"transcript metadata has N_responder={N}; P_initiator={P} of K={K} needs at least two databases")
+    if type(q) is not int or q != 2:  # what _intersect records: the intersection runs over F_2
+        problems.append(f"transcript metadata has q={q!r}, not the 2 of F_2")
+    if responder_set is not None and (seed_cr is None or problems):
+        raise ParamError("answer replay needs " + (
+            "the pool seed, which the transcript of a remote session does not carry" if seed_cr is None
+            else f"the run's integer K, P_initiator and N_responder (P from 0 to K) and q=2: {'; '.join(problems)}"
+        ))
+    if problems:
+        return problems
+    unreplayed = []
+    if responder_set is not None:  # one database per record; replay sends only queries, never the entity id
+        responder = EntityConfig(2, K, len(records), frozenset(responder_set))
+        servers = entity_servers(responder, psi_direction_cost(P, N, K) - P, seed_cr)
+        if not transport.replay_answers(transcript, servers):
+            unreplayed.append("recorded answers do not replay against the given store")
+    if N != len(records):
+        return [f"the transcript records {len(records)} databases, not N_responder={N}"] + unreplayed
+    cost, measured = psi_direction_cost(P, N, K), transcript.downloaded_symbols
+    if measured != cost:
+        problems.append(f"downloaded {measured} symbols, not the {cost} of P_initiator={P} against N_responder={N}")
+    got = {}  # database -> its record read: "no body", "a download-all body" or (first slot, entry count)
+    for db, db_records in enumerate(records):
+        if len(db_records) > 1:
+            problems.append(f"database {db} got {len(db_records)} bodies, not at most one")
+            continue
+        got[db] = "no body"
+        for qry, ans in db_records:
+            what = "a query that does not parse"
+            try:
+                qid, body = wire.parse_query(qry)
+                what = f"a body that does not parse at K={K}, q=2"
+                block = wire.parse_body(body, K, 2)
+                got[db] = "a download-all body" if block is None else (block[0], len(block[1]))
+                what = "an answer the client refuses"
+                check_answer(db, wire.parse_answer(ans, qid)[1], K if block is None else len(block[1]), 2)
+            except wire.ProtocolFault as exc:
+                problems.append(f"database {db} got {what}: {exc}")
+                del got[db]
+    first = next((read[0] for read in got.values() if type(read) is tuple), 0)  # the lowest database's run's
+
+    def text(read):
+        return read if type(read) is str else f"{read[1]} entries from slot {read[0]}"
+
+    for db, read in got.items():
+        n = block_scheme.entry_count(db, P, N) if 0 < P < K else 0
+        want = (first, n) if n else ("a download-all body" if 0 < P == K and db == 0 else "no body")
+        if read != want:
+            problems.append(f"database {db} got {text(read)}; the run's shape lays out {text(want)}")
+    return problems + unreplayed

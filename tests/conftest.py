@@ -76,9 +76,9 @@ def faulty_streams(monkeypatch):
 def received_bodies(monkeypatch):
     """Every query body each ``transport.DatabaseServer`` is sent, in order.
 
-    A database keeps only the last body it read (``seen_queries``), so a test
-    that counts the bodies a database got records them here instead: a dict
-    from server to its list of bodies, empty for a server sent no query.
+    A database keeps only the last body it read, so a test that counts the
+    bodies a database got records them here instead: a dict from server to
+    its list of bodies, empty for a server sent no query.
     Every server, in-process or behind ``TcpServerPool``, is recorded.
     """
     received = defaultdict(list)

@@ -20,7 +20,7 @@ from privset.params import (
     psi_optimal_cost,
     repetition_factor,
 )
-from privset.psi import EntityConfig, generate_set, run_psi
+from privset.psi import EntityConfig, check_transcript, generate_set, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
 
 GRID = [(K, P, N) for K in range(2, 9) for P in range(1, K) for N in (2, 3, 4)]
@@ -165,6 +165,7 @@ def test_criterion_6_flagship_psi():
         assert res.download_symbols == 8
         assert res.optimal_cost == 8
         assert res.initiator == 1
+        assert check_transcript(res.transcript, e2.elements) == []
     assert res_sim.transcript.records == res_tcp.transcript.records
 
 
@@ -227,4 +228,6 @@ def test_criterion_9_psi_sweep():
         # min(ceil(P1*N2/(N2-1)), ceil(P2*N1/(N1-1))), with empty and full sets priced too
         optimum = psi_optimal_cost(len(s1), e1.n_databases, len(s2), e2.n_databases, K)
         assert (res.download_symbols, res.initiator) == optimum, (K, len(s1), len(s2))
+        # every honest run is a verify test: its shape, and its answers replayed against the responder
+        assert check_transcript(res.transcript, s2 if res.initiator == 1 else s1) == [], (K, s1, s2)
     return "1000 instances"

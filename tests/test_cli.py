@@ -848,6 +848,60 @@ def test_psi_verify_reports_metadata_without_the_runs_shape(tmp_path, capsys):
     assert verify({**honest.meta, "q": 3}, honest.records) == (EXIT_PROTOCOL, 8, [problem])
 
 
+def drop(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def put(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+# The metadata cases of test_psi_verify_reports_metadata_without_the_runs_shape,
+# each a (metadata edit, records edit) of the P=4 run.
+VERIFY_METADATA = [
+    *[pytest.param(drop(key), None, id=f"no-{key}") for key in ("K", "P_initiator", "N_responder")],
+    pytest.param(drop("P_initiator"), lambda records: [records[0], records[1] + records[1]], id="no-P-doubled"),
+    *[pytest.param(put(key, value), None, id=f"{key}={value}") for key, value in (
+        ("P_initiator", 11), ("P_initiator", -1), ("K", -3), ("K", 1000000), ("q", 3),
+    )],
+    pytest.param(put("N_responder", 1), lambda records: records[:1], id="N_responder=1"),
+    pytest.param(put("N_responder", 0), lambda records: [], id="N_responder=0"),
+]
+
+
+@pytest.mark.parametrize("name, edit_meta, edit_records", [
+    *[pytest.param(name, None, None, id=f"honest-{name}") for name in VERIFY_RUNS],
+    *[pytest.param(p.values[0], None, p.values[1], id=p.id) for p in VERIFY_TAMPERS],
+    *[pytest.param("P=4", *p.values, id=p.id) for p in VERIFY_METADATA],
+])
+def test_check_transcript_returns_what_psi_verify_prints(tmp_path, capsys, name, edit_meta, edit_records):
+    # psi verify prints what the library's one check of a run returns: the
+    # same problems, and with the responder's set the same replay, or the
+    # same refusal to replay.
+    from privset import psi
+
+    honest = verify_run(name)
+    transcript = transport.Transcript(
+        (edit_meta or dict)(honest.meta), (edit_records or list)(honest.records)
+    )
+    code, _, rec = verify_record(capsys, tmp_path, transcript)
+    assert psi.check_transcript(transcript) == rec["problems"]
+    assert code == (EXIT_PROTOCOL if rec["problems"] else EXIT_OK)
+    K, responder = transcript.meta.get("K"), VERIFY_RUNS[name][3]
+    if type(K) is not int:  # a responder set file of any K disagrees with the transcript's
+        return
+    responder_set = tmp_path / "responder.set"
+    responder_set.write_text(f"# privset set v1 K={K}\n" + "".join(f"{e}\n" for e in sorted(responder)))
+    code, out, err = run_cli(capsys, "psi", "verify", "--transcript", str(tmp_path / "t.transcript"),
+                             "--responder-set", str(responder_set), "--machine")
+    if code == EXIT_USAGE:
+        with pytest.raises(ParamError) as refusal:
+            psi.check_transcript(transcript, responder)
+        assert err == f"error: {refusal.value}\n"
+    else:
+        assert psi.check_transcript(transcript, responder) == machine_records(out)[0]["problems"]
+
+
 def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):
     # A q that is missing or not F_2's 2 is a problem of the transcript
     # (exit 3, named in the record), as a missing K is, not a usage error.
@@ -873,13 +927,10 @@ def test_psi_verify_reports_a_transcript_without_a_field_size(tmp_path, capsys):
 
 def test_psi_verify_replay_of_a_remote_transcript_needs_the_pool_seed(tmp_path, capsys):
     from privset import psi, transport
-    from privset.storage import CommonRandomnessPool, MessageStore
 
     set2 = tmp_path / "e2.set"
     set2.write_text("# privset set v1 K=10\n0\n2\n4\n5\n6\n7\n")
-    store = MessageStore.from_bits(list(psi.to_incidence({0, 2, 4, 5, 6, 7}, 10).bits))
-    servers = transport.make_entity_servers(store, 2, {"entity": 2, "K": 10, "P": 6, "N": 2})
-    transport.provision_cr(servers, CommonRandomnessPool.generate(64, 2, 5), 0)
+    servers = psi.entity_servers(psi.EntityConfig(2, 10, 2, frozenset({0, 2, 4, 5, 6, 7})), 64, 5)
     with transport.TcpServerPool(servers) as pool:
         local = psi.EntityConfig(1, 10, 2, frozenset({0, 1, 2, 3}))
         result = psi.run_psi_remote(local, pool.addresses, seed_client=11)

@@ -105,3 +105,26 @@ def test_a_database_server_grows_no_state_per_frame():
         or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add) and on_self(node.target))
     ]
     assert growth == []
+
+
+def test_the_cli_leaves_the_check_of_a_run_to_the_library():
+    # What an honest run looks like on the wire is decided in psi, next to
+    # _intersect, which sends it: psi.check_transcript is the one check of a
+    # run, and psi verify only loads, checks and prints.  A CLI that reads
+    # records itself (any wire parse_* reader) or lays out the run's shape
+    # itself (block_scheme, psi_direction_cost) holds a second copy that can drift.
+    tree = ast.parse((Path(privset.__file__).parent / "cli.py").read_text())
+    names = [
+        (node.lineno, alias.asname or alias.name)
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ] + [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "wire"
+    ]
+    second_copy = [
+        f"cli.py:{lineno} {name}" for lineno, name in names
+        if name.startswith("parse_") or name in ("block_scheme", "psi_direction_cost")
+    ]
+    assert second_copy == []

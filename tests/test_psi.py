@@ -359,7 +359,7 @@ def test_correctness_sweep_small():
         assert res.download_symbols == res.optimal_cost
 
 
-def test_responder_store_is_built_once_across_runs(monkeypatch):
+def test_responder_store_is_built_once_across_runs(monkeypatch, received_bodies):
     calls, sessions = [], []
 
     def counting_to_incidence(elements, K):
@@ -381,11 +381,11 @@ def test_responder_store_is_built_once_across_runs(monkeypatch):
     assert first.intersection == second.intersection == frozenset({0, 2})
     assert calls == [10]
     a, b = sessions
-    # One shared immutable store; the servers, their pools and their query logs are per run.
+    # One shared immutable store; the servers and their pools are per run, and each database got one body.
     assert all(srv.store is e2.store for srv in a + b)
     assert not {id(srv) for srv in a} & {id(srv) for srv in b}
     assert a[0].pool is not b[0].pool
-    assert a[0].seen_queries is not b[0].seen_queries
+    assert [len(received_bodies[srv]) for srv in a + b] == [1] * 4
 
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])

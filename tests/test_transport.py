@@ -602,7 +602,7 @@ def test_refused_connection_is_a_transport_error():
         run_psi_remote(E1, addresses)
 
 
-def test_the_client_never_sends_two_shares_to_one_database():
+def test_the_client_never_sends_two_shares_to_one_database(received_bodies):
     # Two shares of one block query XOR to a unit vector: together they name a desired element.
     init = EntityConfig(1, 40, 2, frozenset({1, 8, 9, 17, 30}))
     servers = entity_servers(EntityConfig(2, 40, 2, frozenset(range(0, 40, 3))), 64, 1)
@@ -612,7 +612,7 @@ def test_the_client_never_sends_two_shares_to_one_database():
             run_psi_remote(init, [pool.addresses[0], pool.addresses[0]])
         with pytest.raises(ParamError, match="setup exchange reports N=3, not the 2 databases queried"):
             run_psi_remote(init, wide_pool.addresses[:2])
-    assert all(srv.seen_queries == [] for srv in servers + wide)
+    assert all(received_bodies[srv] == [] for srv in servers + wide)
 
 
 def test_two_spellings_of_one_database_get_one_share(received_bodies):
