@@ -34,7 +34,6 @@ from . import audit as audit_mod
 from . import psi, table_scheme, transport, wire
 from .field import DOMAIN_CLIENT, domain_rng
 from .params import (
-    InfeasibleError,
     ParamError,
     SchemeParams,
     alpha_profile,
@@ -296,6 +295,8 @@ def cmd_audit(args) -> int:
     params = SchemeParams(K=args.K, P=args.P, N=args.N, L=args.L, q=args.q)
     if args.trials < 1:
         raise ParamError(f"a reliability audit needs at least one trial, got {args.trials}")
+    if args.scheme == "table" and args.L != 1:  # the query table fixes its own message length
+        raise ParamError(f"the table scheme sets its own message length: --L must be 1, got {args.L}")
     verdicts: dict[str, audit_mod.Verdict] = {}
     if args.scheme == "block":
         verdicts["user_privacy"] = audit_mod.audit_block_user_privacy(params, mutant=args.mutant)
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--P", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--L", type=int, default=1)
+    p.add_argument("--L", type=int, default=1, help="message length; the table scheme takes only 1")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--trials", type=int, default=50, help="reliability trials, at least 1")
     p.add_argument("--mutant", default=None,
@@ -423,10 +424,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, InfeasibleError, ValueError, OSError) as exc:  # OSError: a file or port we cannot use
+    except (ValueError, OSError) as exc:  # ParamError is a ValueError; OSError: a file or port we cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (wire.ProtocolFault, transport.InsufficientRandomness) as exc:
+    except wire.ProtocolFault as exc:
         print(f"protocol fault: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
 

@@ -2,11 +2,13 @@
 
 The bytes of every frame, query, answer and error are laid out by ``wire``.
 Each entity runs its N databases as independent servers that share nothing
-but the pre-provisioned randomness pool; there is no server-to-server
-channel, so non-collusion holds by construction.  The client-facing protocol
-is a fixed binary framing; the randomness pool is installed through a
-separate administrative path and the client connection rejects provisioning
-frames outright.
+but one randomness pool; there is no server-to-server channel, so
+non-collusion holds by construction.  A database holds an empty pool until
+one is installed, so a new database serves exactly as one provisioned with
+no symbols.  The client-facing protocol is a fixed binary framing; the pool
+is installed through a separate administrative path and the client
+connection rejects provisioning frames outright.  A refused query is always
+an ERR_BAD_QUERY reply, which the client raises as a ProtocolFault.
 
 A ``Transcript`` records every query and answer of a run and is the one
 record of what was downloaded: ``downloaded_symbols`` counts the field
@@ -47,12 +49,8 @@ QUERY_HANDLERS = {
 }
 
 
-class InsufficientRandomness(RuntimeError):
-    """Provisioned pool is smaller than the scheme requires."""
-
-
 class DatabaseServer:
-    """One replica: holds the store and (after provisioning) the shared pool.
+    """One replica: holds the store and the shared pool, empty until ``provision`` installs one.
 
     ``handle_client_frame`` is the entire client-visible behaviour; it is a
     deterministic function of (frame, store, pool).  Answers to unknown or
@@ -65,7 +63,7 @@ class DatabaseServer:
     def __init__(self, db_id: int, store: MessageStore, public_info: dict | None = None):
         self.db_id = db_id
         self.store = store
-        self.pool: CommonRandomnessPool | None = None
+        self.pool = CommonRandomnessPool(store.q, b"")
         self.query_served = False
         self.public_info = public_info or {}
         self.seen_queries: list[bytes] = []  # the last body read, replaced in place: for tests and retained bytes
@@ -76,9 +74,7 @@ class DatabaseServer:
         if self.query_served:
             raise wire.ProtocolFault("cannot provision randomness after queries have been served")
         if len(pool) < required_size:
-            raise InsufficientRandomness(
-                f"pool of {len(pool)} symbols below required {required_size}"
-            )
+            raise ParamError(f"pool of {len(pool)} symbols below required {required_size}")
         self.pool = pool
         self._max_payload = self._payload_bound()
 
@@ -90,8 +86,8 @@ class DatabaseServer:
         """A query whose block body fills the pool from slot 0, or a result
         forward naming all of [0, K).  The download-all query (5 bytes) is
         shorter than any block query (13 or more)."""
-        slots = len(self.pool) if self.pool is not None else 0
-        return max(wire.block_query_size(slots, self.store.K * self.store.L, self.store.q), wire.result_size(self.store.K))
+        store = self.store
+        return max(wire.block_query_size(len(self.pool), store.K * store.L, store.q), wire.result_size(store.K))
 
     def handle_client_frame(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         if msg_type == wire.MSG_QUERY:
@@ -110,13 +106,9 @@ class DatabaseServer:
         try:
             query_id, body = wire.parse_query(payload)
             tag = wire.body_tag(body)
-            if tag != wire.DOWNLOAD_ALL_TAG and self.pool is None:
-                reason = "no randomness pool provisioned"
-                return wire.MSG_ERROR, wire.encode_error(wire.ERR_NOT_PROVISIONED, reason)
             self.query_served = True
             self.seen_queries[:] = (body,)
-            pool = self.pool if self.pool is not None else CommonRandomnessPool(self.store.q, [])
-            symbols = QUERY_HANDLERS[tag](body, self.store, pool)
+            symbols = QUERY_HANDLERS[tag](body, self.store, self.pool)
         except wire.ProtocolFault as exc:
             return refusal(exc)
         return wire.MSG_ANSWER, wire.encode_answer(query_id, symbols)
@@ -211,10 +203,7 @@ class Client:
         payload = wire.encode_query(qid, body)
         mtype, reply = self.backend.roundtrip(db, wire.MSG_QUERY, payload)
         if mtype == wire.MSG_ERROR:
-            code, message = wire.parse_error(reply)
-            if code == wire.ERR_NOT_PROVISIONED:
-                raise InsufficientRandomness(message)
-            raise wire.ProtocolFault(f"database {db} rejected the query: {message}")
+            raise wire.ProtocolFault(f"database {db} rejected the query: {wire.parse_error(reply)[1]}")
         if mtype != wire.MSG_ANSWER:
             raise wire.TransportError(f"unexpected reply type {mtype}")
         symbols = wire.parse_answer(reply, qid)[1]
@@ -306,7 +295,7 @@ def _frames(sock: socket.socket, limit: Callable[[], int] = lambda: 0xFFFFFFFF) 
 
 
 class TcpServerPool:
-    """Runs each database server on its own localhost port, one thread each.
+    """Runs each database server on its own port of ``host``, one thread each.
 
     A connection's frames are answered strictly in order, however they are
     split or batched.  One whose header announces more than ``max_payload``

@@ -53,7 +53,6 @@ MSG_ERROR = 6
 ERR_UNKNOWN_TYPE = 1
 ERR_CHANNEL_SEPARATION = 2
 ERR_BAD_QUERY = 3
-ERR_NOT_PROVISIONED = 4
 
 TABLE_QUERY_TAG = 1  # reserved and never served: one such body could unmask a whole set
 BLOCK_QUERY_TAG = 2

@@ -1,5 +1,6 @@
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,20 @@ def read_frames(data: bytes, limit: int = 0xFFFFFFFF) -> list[tuple[int, bytes]]
     """Every complete frame in ``data``, fed to one FrameReader at once."""
     reader = wire.FrameReader(data)
     return list(iter(lambda: reader.next_frame(limit), None))
+
+
+@contextmanager
+def connected(servers, backend: str):
+    """A SimBackend over ``servers``, or one TcpBackend to them served on loopback by a TcpServerPool."""
+    if backend == "sim":
+        yield transport.SimBackend(servers)
+        return
+    with transport.TcpServerPool(servers) as pool:
+        link = transport.TcpBackend(pool.addresses)
+        try:
+            yield link
+        finally:
+            link.close()
 
 
 @pytest.fixture

@@ -1129,6 +1129,18 @@ def test_table_audit_rejects_block_mutants(capsys):
         assert "unknown table mutant" in err and out == ""
 
 
+def test_table_audit_refuses_a_message_length_other_than_1(capsys):
+    # The query table sets its own message length: an audit at --L 5 would
+    # print the --L 1 verdicts for a configuration it never checked.
+    table = ("audit", "--scheme", "table", "--K", "3", "--P", "1", "--N", "2", "--machine")
+    for L in ("2", "5"):
+        code, out, err = run_cli(capsys, *table, "--L", L)
+        assert code == EXIT_USAGE
+        assert err == f"error: the table scheme sets its own message length: --L must be 1, got {L}\n" and out == ""
+    code, out, _ = run_cli(capsys, *table, "--L", "1")
+    assert code == EXIT_OK and (code, out) == run_cli(capsys, *table)[:2]
+
+
 def test_block_audit_rejects_table_mutants(capsys):
     # the mutant is refused before any audit runs, at K=8 P=3 N=2 as at K=3
     for K, P, mutant in ((3, 1, "no_index_permutation"), (3, 1, "no_hidden_cr"), (8, 3, "bogus")):

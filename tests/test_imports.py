@@ -1,8 +1,12 @@
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import privset
+from privset.params import ParamError
+from privset.wire import ProtocolFault
 
 
 def test_no_module_imports_a_name_it_does_not_use():
@@ -128,3 +132,19 @@ def test_the_cli_leaves_the_check_of_a_run_to_the_library():
         if name.startswith("parse_") or name in ("block_scheme", "psi_direction_cost")
     ]
     assert second_copy == []
+
+
+def test_every_package_error_is_a_usage_error_or_a_protocol_fault():
+    # cli.main maps faults to exit codes with two except clauses, ValueError
+    # (ParamError's root) to 2 and ProtocolFault to 3, so an exception class
+    # under neither root would escape it as a traceback.
+    strays = []
+    for path in sorted(Path(privset.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"privset.{path.stem}")
+        strays += [
+            f"{path.name} {name}"
+            for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and issubclass(cls, BaseException)
+            and not issubclass(cls, (ParamError, ProtocolFault))
+        ]
+    assert strays == []

@@ -8,8 +8,9 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from conftest import connected
 
-from privset.field import DOMAIN_CLIENT, domain_rng
+from privset.field import DOMAIN_CLIENT, domain_rng, to_lane_bytes
 from privset.params import InfeasibleError, ParamError, SchemeParams, psi_direction_cost, psi_optimal_cost
 from privset.psi import (
     EntityConfig,
@@ -20,7 +21,7 @@ from privset.psi import (
     to_incidence,
 )
 import privset
-from privset import block_scheme, psi, transport, wire
+from privset import audit, block_scheme, psi, transport, wire
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.wire import ProtocolFault
 
@@ -436,39 +437,37 @@ def test_psi_is_the_only_module_that_provisions_databases():
     assert callers == {"psi.py"}
 
 
-class RecordingSimBackend(transport.SimBackend):
-    """``SimBackend`` that records every (msg_type, payload) frame each database receives."""
-
-    def __init__(self, servers):
-        super().__init__(servers)
-        self.frames = [[] for _ in servers]
-
-    def roundtrip(self, db, msg_type, payload):
-        self.frames[db].append((msg_type, payload))
-        return super().roundtrip(db, msg_type, payload)
-
-
-def served_views(K, P, N, monkeypatch, base_step=1):
+def served_views(K, P, N, base_step=1, backend="sim"):
     """Each database's Counter of received frames per desired set of size P,
     over every strategy draw: every shuffle order with every tuple of base
     vectors from ``range(0, 2**K, base_step)``, each run once, so each draw of
-    ``plan_blocks`` is equally likely when ``base_step`` is 1."""
+    ``plan_blocks`` is equally likely when ``base_step`` is 1.  The frames are
+    recorded where each database handles them, in process (``sim``) or
+    behind a ``TcpServerPool`` on loopback (``tcp``)."""
     responder = EntityConfig(2, K, N, frozenset({0}))
     servers = psi.entity_servers(responder, psi_direction_cost(P, N, K) - P, 1)
     n_blocks = -(-P // (N - 1))
     draws = []  # the draw the next plan_blocks call lays out
-    build_plan = block_scheme.build_plan
-    monkeypatch.setattr(block_scheme, "plan_blocks", lambda params, desired, rng: build_plan(params, desired, *draws.pop()))
+    frames = {srv: [] for srv in servers}  # what each database has received in the current session
+    build_plan, handle_client_frame = block_scheme.build_plan, transport.DatabaseServer.handle_client_frame
+
+    def recording(self, msg_type, payload):
+        frames[self].append((msg_type, payload))
+        return handle_client_frame(self, msg_type, payload)
+
     views = {}
-    for desired in combinations(range(K), P):
-        views[desired] = [Counter() for _ in range(N)]
-        for order, bases in product(permutations(range(P)), product(range(0, 1 << K, base_step), repeat=n_blocks)):
-            draws.append((list(order), list(bases)))
-            backend = RecordingSimBackend(servers)
-            result = psi._intersect(EntityConfig(1, K, N, frozenset(desired)), backend, 0)
-            assert result.intersection == responder.elements & set(desired)
-            for db, frames in enumerate(backend.frames):
-                views[desired][db][tuple(frames)] += 1
+    with pytest.MonkeyPatch.context() as mp, connected(servers, backend) as link:
+        mp.setattr(block_scheme, "plan_blocks", lambda params, desired, rng: build_plan(params, desired, *draws.pop()))
+        mp.setattr(transport.DatabaseServer, "handle_client_frame", recording)
+        for desired in combinations(range(K), P):
+            views[desired] = [Counter() for _ in range(N)]
+            for order, bases in product(permutations(range(P)), product(range(0, 1 << K, base_step), repeat=n_blocks)):
+                draws.append((list(order), list(bases)))
+                result = psi._intersect(EntityConfig(1, K, N, frozenset(desired)), link, 0)
+                assert result.intersection == responder.elements & set(desired)
+                for db, srv in enumerate(servers):
+                    views[desired][db][tuple(frames[srv])] += 1
+                    frames[srv].clear()
     return views, responder
 
 
@@ -487,10 +486,56 @@ SERVED_VIEW_SHAPES = [(3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2), (4, 1, 3), (4,
 
 
 @pytest.mark.parametrize("K,P,N", SERVED_VIEW_SHAPES)
-def test_each_served_database_receives_bytes_independent_of_the_desired_set(K, P, N, monkeypatch):
+def test_each_served_database_receives_bytes_independent_of_the_desired_set(K, P, N):
     # Exact user privacy of the deployed flow: a database's whole received byte
     # view (SETUP, query ids, which databases get a frame, bodies and, at database
     # 0, the forwarded result) has one distribution for every desired set.
-    assert views_agree(*served_views(K, P, N, monkeypatch))
+    assert views_agree(*served_views(K, P, N))
     # Control: bases never setting bit 0 let a probe on coordinate 0 show through.
-    assert not views_agree(*served_views(K, P, N, monkeypatch, base_step=2))
+    assert not views_agree(*served_views(K, P, N, base_step=2))
+
+
+@pytest.mark.parametrize("K,P,N", [(3, 1, 2), (3, 1, 3)])
+def test_each_database_served_on_loopback_receives_bytes_independent_of_the_desired_set(K, P, N):
+    # The same views, each frame recorded by the database a TcpServerPool
+    # serves as it reads it off the connection.
+    assert views_agree(*served_views(K, P, N, backend="tcp"))
+    assert not views_agree(*served_views(K, P, N, base_step=2, backend="tcp"))
+
+
+# ROADMAP item 1: a served database answers more than the paper's common
+# randomness allows.  Each test below pins one leak and passes once every pool
+# slot masks one answer per database.
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1c", raises=AssertionError)
+LEAK_K, LEAK_SET = 12, frozenset({1, 4, 5, 9})
+
+
+@ITEM_1
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_a_served_database_answers_one_body_per_slot(backend):
+    # Database 0 is sent a zero vector on slot 0, then each unit vector on
+    # slot 0: each later answer XOR the first is one incidence bit of the set.
+    servers = psi.entity_servers(EntityConfig(2, LEAK_K, 2, LEAK_SET), 1024, 6)
+    vectors = [0, *(1 << j for j in range(LEAK_K))]
+    bodies = [wire.encode_block_query(0, [to_lane_bytes(vec, LEAK_K, 2)], LEAK_K, 2) for vec in vectors]
+    with connected(servers, backend) as link:
+        replies = [link.roundtrip(0, wire.MSG_QUERY, wire.encode_query(i, body))[0] for i, body in enumerate(bodies)]
+    assert replies == [wire.MSG_ANSWER] + [wire.MSG_ERROR] * LEAK_K
+
+
+@ITEM_1
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_two_honest_sessions_against_one_pool_pin_nothing_undesired(backend, received_bodies):
+    # Two P=1 sessions against one provisioned pair: both mask their one
+    # entry at each database with slot 0, so a database's two answers XOR to
+    # <c1 + c2, W>, a functional outside both desired sets (W1 + W6 here).
+    pool_size = psi_direction_cost(1, 2, LEAK_K) - 1
+    servers = psi.entity_servers(EntityConfig(2, LEAK_K, 2, LEAK_SET), pool_size, 3)
+    with connected(servers, backend) as link:
+        for desired, seed_client in (({0}, 1), ({3}, 2)):
+            psi._intersect(EntityConfig(1, LEAK_K, 2, frozenset(desired)), link, seed_client)
+    bodies = [body for srv in servers for body in received_bodies[srv]]
+    assert len(bodies) == 4
+    # twice the pool's slots: room for the second session's run on slots of its own
+    span = audit.recoverable_coordinates(bodies, LEAK_K, 2 * pool_size, 2, (0, 3))
+    assert span.undesired == ()

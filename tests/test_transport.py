@@ -9,7 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from conftest import lanes, read_frames
+from conftest import connected, lanes, read_frames
 
 from privset import block_scheme, table_scheme, transport, wire
 from privset.field import DOMAIN_CLIENT, domain_rng
@@ -19,7 +19,6 @@ from privset.storage import CommonRandomnessPool, MessageStore
 from privset.table_scheme import ProtocolFault
 from privset.transport import (
     DatabaseServer,
-    InsufficientRandomness,
     SimBackend,
     TcpBackend,
     TcpServerPool,
@@ -243,7 +242,7 @@ def test_client_channel_rejects_randomness_provisioning():
 def test_provisioning_refuses_small_pool():
     servers = small_servers()
     pool = CommonRandomnessPool.generate(3, 2, seed=1)
-    with pytest.raises(InsufficientRandomness):
+    with pytest.raises(ParamError, match=r"^pool of 3 symbols below required 4$"):
         provision_cr(servers, pool, 4)
 
 
@@ -269,12 +268,13 @@ def test_query_replay_is_deterministic():
     assert first == second and first[0] == MSG_ANSWER
 
 
-def test_unprovisioned_query_refused():
-    # Without a pool the largest legal payload is a 13-byte run of no entries:
-    # it is read and refused for want of a pool.  A one-entry run (14 bytes)
-    # is over that bound and refused unread, on both backends alike.
+def test_an_unprovisioned_database_serves_an_empty_pool():
+    # A new database holds a pool of no symbols, so its largest legal payload
+    # is a 13-byte run of no entries, which it answers with no symbols.  A
+    # one-entry run (14 bytes) is over that bound and refused unread, on both
+    # backends alike.
     servers = small_servers()
-    assert servers[0].max_payload() == 13
+    assert servers[0].pool == CommonRandomnessPool(2, b"") and servers[0].max_payload() == 13
     empty, one = (wire.encode_block_query(0, lanes([0] * n, 3), 3, 2) for n in (0, 1))
     message = "a payload of 14 bytes exceeds the largest legal payload, 13 bytes"
     with TcpServerPool(servers) as pool:
@@ -282,8 +282,7 @@ def test_unprovisioned_query_refused():
         try:
             for backend in (SimBackend(servers), tcp[0]):
                 client = transport.Client(backend)
-                with pytest.raises(InsufficientRandomness, match="no randomness pool provisioned"):
-                    client.query(0, empty)
+                assert client.query(0, empty) == []
                 with pytest.raises(ProtocolFault, match=f"database 0 rejected the query: {message}$"):
                     client.query(0, one)
             # the raw replies, byte for byte
@@ -293,6 +292,43 @@ def test_unprovisioned_query_refused():
             for backend in tcp:
                 backend.close()
     assert replies == [(MSG_ERROR, wire.encode_error(wire.ERR_BAD_QUERY, message))] * 2
+
+
+# One frame of each kind a database tells apart, to a K=10 store: a one-entry
+# run (15 bytes) is within its 19-byte bound, so every frame here is read.
+EMPTY_POOL_FRAMES = [
+    (MSG_SETUP, b""),
+    (wire.MSG_RESULT_FORWARD, wire.encode_result({1, 4})),
+    (MSG_CR_PROVISION, b"\x00" * 8),
+    (42, b""),
+    (MSG_QUERY, b"\x00\x00"),
+    (MSG_QUERY, wire.encode_query(0, bytes([wire.TABLE_QUERY_TAG]))),
+    (MSG_QUERY, wire.encode_query(1, bytes([9]))),
+    (MSG_QUERY, wire.encode_query(2, wire.encode_block_query(0, [], 10, 2))),
+    (MSG_QUERY, wire.encode_query(3, wire.encode_block_query(0, lanes([0b1011], 10), 10, 2))),
+    (MSG_QUERY, wire.encode_query(4, wire.encode_block_query(0, [b"\x00\x04"], 10, 2))),
+    (MSG_QUERY, wire.encode_query(5, encode_download_all())),
+    (MSG_QUERY, wire.encode_query(6, bytes([wire.BLOCK_QUERY_TAG, 0, 0, 0, 0, 1, 0, 0, 0, 0]))),
+]
+
+
+@pytest.mark.parametrize("backend", ["sim", "tcp"])
+def test_an_unprovisioned_database_replies_as_one_provisioned_with_an_empty_pool(backend):
+    store = MessageStore.from_bits([1, 0, 0, 1, 1, 0, 0, 0, 0, 1])
+    new, provisioned = make_entity_servers(store, 2, {"K": 10, "N": 2})
+    provision_cr([provisioned], CommonRandomnessPool.generate(0, 2), 0)
+    assert new.max_payload() == provisioned.max_payload() == 19
+    with connected([new, provisioned], backend) as link:
+        replies = [[link.roundtrip(db, *frame) for frame in EMPTY_POOL_FRAMES] for db in range(2)]
+    assert replies[0] == replies[1]
+    assert [mtype for mtype, _ in replies[0]] == [
+        MSG_SETUP, wire.MSG_RESULT_FORWARD, *[MSG_ERROR] * 5, MSG_ANSWER, MSG_ERROR, MSG_ERROR, MSG_ANSWER, MSG_ERROR
+    ]
+    assert replies[0][7] == (MSG_ANSWER, wire.encode_answer(2, []))  # the run of no entries
+    assert replies[0][10] == (MSG_ANSWER, wire.encode_answer(5, store.flat))  # download-all
+    for srv in (new, provisioned):  # and neither takes a pool once it has read a body
+        with pytest.raises(ProtocolFault, match="after queries have been served"):
+            srv.provision(CommonRandomnessPool.generate(0, 2), 0)
 
 
 def test_sim_and_tcp_transcripts_identical():

@@ -1,7 +1,6 @@
 import ast
 import hashlib
 import struct
-from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
@@ -10,16 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import privset
-from conftest import answer_block, lanes, read_frames
+from conftest import answer_block, connected, lanes, read_frames
 from privset import audit, block_scheme, wire
 from privset.field import pack, to_lane_bytes, unpack
 from privset.params import SchemeParams
 from privset.psi import EntityConfig, entity_servers, run_psi
 from privset.storage import CommonRandomnessPool, MessageStore
 from privset.transport import (
-    SimBackend,
-    TcpBackend,
-    TcpServerPool,
     make_entity_servers,
     provision_cr,
     replay_answers,
@@ -52,7 +48,7 @@ def server_errors():
     frames = [
         (bare, 42, b""),
         (bare, wire.MSG_CR_PROVISION, b""),
-        (bare, MSG_QUERY, wire.encode_query(0, wire.encode_block_query(0, [], 3, 2))),
+        (bare, MSG_QUERY, wire.encode_query(0, wire.encode_block_query(1, [], 3, 2))),
         (provisioned, MSG_QUERY, b"\x00\x00"),
         (provisioned, MSG_QUERY, wire.encode_query(1, bytes([9]))),
         (provisioned, MSG_QUERY, wire.encode_query(2, wire.encode_block_query(5, lanes([0b101], 3), 3, 2))),
@@ -370,20 +366,6 @@ def test_packed_parser_faults():
     # a vector of no coefficients takes no bytes, so its count would bound nothing
     with pytest.raises(ProtocolFault, match="at least one coefficient"):
         wire.parse_block_query(bytes([2]) + bytes(4) + (2**32 - 1).to_bytes(4, "little"), 2, 0)
-
-
-@contextmanager
-def connected(servers, backend: str):
-    """A SimBackend over ``servers``, or a TcpBackend to them served on loopback."""
-    if backend == "sim":
-        yield SimBackend(servers)
-        return
-    with TcpServerPool(servers) as pool:
-        link = TcpBackend(pool.addresses)
-        try:
-            yield link
-        finally:
-            link.close()
 
 
 @pytest.mark.parametrize("backend", ["sim", "tcp"])
